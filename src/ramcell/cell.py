@@ -15,18 +15,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import RamcellError
 from .config import CellConfig, Config, parse_obstacles
 from .extrusion import IOEvent
 from .geometry import Pose, Rotation, Vec3
-from .kinematics import (DHParams, JointConfig, UnreachableError, fk, ik,
-                         manipulability, select_branch)
-from .toolpath import TOOL_DOWN, Toolpath, time_profile
+from .kinematics import (DHParams, JointConfig, UnreachableError, fk_batch, ik,
+                         manipulability_batch, select_branch,
+                         tcp_offset_from_config)
+from .toolpath import Toolpath, time_profile
 
 MAX_JOINT_STEP_RAD = 0.5
 DWELL_YAW_STEP_RAD = 0.3
 
 
-class PlanningError(Exception):
+class PlanningError(RamcellError):
     def __init__(self, message: str, time_s: float = 0.0,
                  position: Vec3 | None = None, kind: str = "unreachable"):
         super().__init__(message)
@@ -45,7 +47,6 @@ class Aabb:
 class CellEnvironment:
     table_z_mm: float = 0.0
     obstacles: tuple[Aabb, ...] = ()
-    base_pose: Pose = field(default_factory=Pose.identity)
     capsule_radius_mm: float = 60.0
     capsule_length_mm: float = 250.0
     # lowest capsule surface sits this far minus the radius above the tip
@@ -102,11 +103,20 @@ class SimReport:
 
     @property
     def printable(self) -> bool:
-        return not (self.reach_failures or self.collisions
-                    or self.jump_failures or self.undercured_count > 0)
+        return not (self.hard_failures() or self.undercured_count > 0)
+
+    def non_finite(self) -> list[str]:
+        """Report keys whose predicted value is NaN or infinite."""
+        values = {f"predicted_{k}": v for k, v in self.dimensions.items()}
+        values.update(min_alpha=self.min_alpha, min_dose_ratio=self.min_dose_ratio,
+                      total_volume_mm3=self.total_volume_mm3)
+        return sorted(k for k, v in values.items() if not math.isfinite(v))
 
     def hard_failures(self) -> bool:
-        return bool(self.reach_failures or self.collisions or self.jump_failures)
+        """Failures that no override may print past: reach, collision, jump,
+        or a prediction that is not a finite number."""
+        return bool(self.reach_failures or self.collisions or self.jump_failures
+                    or self.non_finite())
 
     def to_lines(self) -> list[str]:
         lines = [
@@ -188,6 +198,10 @@ class SimReport:
         return rep
 
 
+# base tool attitude: nozzle axis down, tool x along world x
+TOOL_DOWN = Rotation.about_x(math.pi)
+
+
 def _pose_at(position: Vec3, yaw: float) -> Pose:
     return Pose(position, Rotation.about_z(yaw) * TOOL_DOWN)
 
@@ -203,7 +217,7 @@ def plan_trajectory(path: Toolpath, cfg: Config, env: CellEnvironment,
     a joint-space jump above MAX_JOINT_STEP_RAD in one step.
     """
     dh = DHParams.from_config(cfg.kinematics)
-    tcp = Pose(Vec3(0.0, 0.0, cfg.kinematics.tcp_offset_z_mm), Rotation.identity())
+    tcp = tcp_offset_from_config(cfg.kinematics)
     limit = cfg.kinematics.joint_limit_rad
     entries = time_profile(path, cfg.cell.reorient_rate_rad_s)
     if not entries:
@@ -273,24 +287,19 @@ def check_collisions(program: RobotProgram, cfg: Config, env: CellEnvironment,
     The tool body is a vertical-ish capsule hung above the TCP; between
     waypoints both capsule endpoints move on straight lines, so sampling
     interpolates endpoint positions directly instead of re-running FK.
+    The endpoints at the waypoints come from one batched FK call.
     Returns the earliest contact per obstacle plus any table contact.
     """
     if len(program.waypoints) < 1:
         return []
     dh = DHParams.from_config(cfg.kinematics)
-    tcp = Pose(Vec3(0.0, 0.0, cfg.kinematics.tcp_offset_z_mm), Rotation.identity())
     times = np.array([t for t, _ in program.waypoints])
-    tcp_z = np.zeros(len(times))
-    caps_lo = np.zeros((len(times), 3))
-    caps_hi = np.zeros((len(times), 3))
-    for i, (_, q) in enumerate(program.waypoints):
-        pose = fk(q, dh, tcp)
-        tip = pose.position
-        body_up = pose.orientation.rotate(Vec3(0.0, 0.0, -1.0))  # opposite nozzle axis
-        tcp_z[i] = tip.z
-        caps_lo[i] = (tip + body_up * env.capsule_clearance_mm).to_array()
-        caps_hi[i] = (tip + body_up * (env.capsule_clearance_mm
-                                       + env.capsule_length_mm)).to_array()
+    tcp = fk_batch([q for _, q in program.waypoints], dh,
+                   tcp_offset_from_config(cfg.kinematics))
+    tip = tcp[:, :3, 3]
+    body_up = -tcp[:, :3, 2]  # opposite the nozzle axis
+    caps_lo = tip + body_up * env.capsule_clearance_mm
+    caps_hi = tip + body_up * (env.capsule_clearance_mm + env.capsule_length_mm)
 
     duration = times[-1] - times[0]
     n = max(2, int(math.ceil(duration / dt_s)) + 1) if duration > 0 else 1
@@ -298,7 +307,7 @@ def check_collisions(program: RobotProgram, cfg: Config, env: CellEnvironment,
     sample = lambda col: np.interp(ts, times, col)
     ax, ay, az = (sample(caps_lo[:, k]) for k in range(3))
     bx, by, bz = (sample(caps_hi[:, k]) for k in range(3))
-    tipz = sample(tcp_z)
+    tipz = sample(tip[:, 2])
 
     findings: list[tuple[float, str]] = []
     below = tipz < env.table_z_mm - 1e-6
@@ -336,12 +345,13 @@ def detect_singularity_traversal(program: RobotProgram, cfg: Config,
     if eps is None:
         eps = cfg.kinematics.singular_eps
     dh = DHParams.from_config(cfg.kinematics)
-    tcp = Pose(Vec3(0.0, 0.0, cfg.kinematics.tcp_offset_z_mm), Rotation.identity())
+    singular = manipulability_batch([q for _, q in program.waypoints], dh,
+                                    tcp_offset_from_config(cfg.kinematics)) < eps
     intervals: list[tuple[float, float]] = []
     open_t: float | None = None
     last_t = 0.0
-    for t, q in program.waypoints:
-        if manipulability(q, dh, tcp) < eps:
+    for (t, _), low in zip(program.waypoints, singular):
+        if low:
             if open_t is None:
                 open_t = t
         else:

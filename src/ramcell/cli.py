@@ -12,11 +12,10 @@ import os
 import sys
 from pathlib import Path
 
-from . import cell, gcode, pipeline, shapes
-from .config import Config, ConfigError, dump_config, default_config, load_config
-from .gcode import GcodeError
+from . import RamcellError, cell, gcode, pipeline, shapes
+from .config import Config, dump_config, default_config, load_config
 from .shapes import REFERENCE_DIMENSIONS, ShapeError
-from .toolpath import ToolpathError, time_profile
+from .toolpath import time_profile
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -235,7 +234,7 @@ def main(argv=None) -> int:
             return cmd_emit(args)
         if args.command == "report":
             return cmd_report(args)
-    except (ConfigError, ShapeError, GcodeError, ToolpathError, OSError) as exc:
+    except (RamcellError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     parser.error(f"unknown command {args.command}")

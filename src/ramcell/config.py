@@ -14,10 +14,12 @@ import io
 import math
 from dataclasses import dataclass, field, fields, replace
 
+from . import RamcellError
+
 SCHEMA_VERSION = 1
 
 
-class ConfigError(Exception):
+class ConfigError(RamcellError):
     pass
 
 

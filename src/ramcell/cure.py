@@ -17,14 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import RamcellError
 from .config import CureConfig, Material, UVConfig
 from .extrusion import FlowModel
 from .toolpath import Toolpath, time_profile
 
-MaterialFormulation = Material
 
-
-class CureError(Exception):
+class CureError(RamcellError):
     pass
 
 
@@ -107,9 +106,6 @@ class DepositionMap:
             alpha=float(self.alpha[i]),
             layer=int(self.layer[i]),
         )
-
-    def elements(self) -> list[BeadElement]:
-        return [self.element(i) for i in range(len(self))]
 
     def total_volume(self) -> float:
         return float(np.sum(self.volume))

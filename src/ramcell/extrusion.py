@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from . import RamcellError
 from .config import DriveTrainConfig, ExtrusionConfig
 from .toolpath import Toolpath, time_profile
 
 
-class ExtrusionError(Exception):
+class ExtrusionError(RamcellError):
     pass
 
 

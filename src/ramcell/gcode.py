@@ -12,8 +12,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from . import RamcellError
 from .geometry import Vec3
-from .toolpath import TOOL_DOWN, Segment, Toolpath, layer_index
+from .toolpath import Segment, Toolpath, layer_index
 
 UV_CHANNEL = 2
 
@@ -27,7 +28,7 @@ KIND_UV_OFF = "uv_off"
 KIND_COMMENT = "comment"
 
 
-class GcodeError(Exception):
+class GcodeError(RamcellError):
     def __init__(self, message: str, line: int = 0):
         super().__init__(f"line {line}: {message}" if line else message)
         self.line = line
@@ -248,8 +249,7 @@ def to_toolpath(program: GcodeProgram, default_speed: float | None = None,
             if (target - pos).norm() > 1e-9:
                 segments.append(Segment(
                     start=pos, end=target, speed=speed, extruding=extruding,
-                    uv_on=uv, orientation=TOOL_DOWN,
-                    layer=layer_index(target.z, layer_height)))
+                    uv_on=uv, layer=layer_index(target.z, layer_height)))
             pos = target
     path = Toolpath.from_segments(segments)
     path.validate()

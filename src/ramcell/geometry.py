@@ -106,10 +106,6 @@ class Rotation:
         return Rotation.from_axis_angle(Vec3(1.0, 0.0, 0.0), angle)
 
     @staticmethod
-    def about_y(angle: float) -> "Rotation":
-        return Rotation.from_axis_angle(Vec3(0.0, 1.0, 0.0), angle)
-
-    @staticmethod
     def about_z(angle: float) -> "Rotation":
         return Rotation.from_axis_angle(Vec3(0.0, 0.0, 1.0), angle)
 
@@ -212,12 +208,6 @@ def compose(a: Pose, b: Pose) -> Pose:
 
 def transform_point(p: Pose, v: Vec3) -> Vec3:
     return p.position + p.orientation.rotate(v)
-
-
-def yaw_of(r: Rotation) -> float:
-    """World-z heading of the rotated tool x axis."""
-    m = r.to_matrix()
-    return math.atan2(m[1, 0], m[0, 0])
 
 
 def wrap_angle(a: float) -> float:

@@ -1,12 +1,15 @@
 """Analytic kinematics for the 6-DOF arm carrying the extruder.
 
-Forward kinematics chains standard DH transforms; inverse kinematics
+One batched chain of standard DH transforms serves every forward
+quantity, for a whole trajectory at once: TCP frames, the Jacobian,
+manipulability and IK's forward check; `fk`, `jacobian` and
+`manipulability` are one-row calls into it.  Inverse kinematics
 enumerates the eight closed-form branches (shoulder left/right, elbow
-up/down, wrist flip) and validates each against the forward model before
-returning it.  The Jacobian is geometric: linear rows in mm/rad, angular
-rows in rad/rad.  Manipulability is evaluated on a meters-scaled copy of
-the Jacobian so its magnitude is O(0.01) away from singularities and
-collapses below 1e-9 at them, independent of the mm length unit.
+up/down, wrist flip) and validates each against the forward chain.  The
+Jacobian is geometric: linear rows in mm/rad, angular rows in rad/rad.
+Manipulability is |det J| (Yoshikawa) of a meters-scaled copy of the
+Jacobian, so it is O(0.01) away from singularities and collapses below
+1e-9 at them, independent of the mm length unit.
 """
 
 from __future__ import annotations
@@ -16,15 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import RamcellError
 from .config import KinematicsConfig
-from .geometry import Pose, Vec3, wrap_angle
+from .geometry import Pose, wrap_angle
 
 POSITION_TOL_MM = 1e-6
 ORIENTATION_TOL_RAD = 1e-8
 WRIST_DEGENERACY_TOL = 1e-7
 
 
-class UnreachableError(Exception):
+class UnreachableError(RamcellError):
     pass
 
 
@@ -112,20 +116,37 @@ def _rigid_inv(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def flange_frames(q: JointConfig, dh: DHParams) -> list[np.ndarray]:
-    """Cumulative transforms base->frame_i for i = 0..6."""
-    frames = [np.eye(4)]
-    t = np.eye(4)
+def _frames(qs: np.ndarray, dh: DHParams) -> np.ndarray:
+    """Cumulative transforms base->frame_i, i = 0..6, for each row of the
+    (n, 6) joint array: shape (n, 7, 4, 4).  Links are built one joint at
+    a time, so one (n, 4, 4) link is the only other batch-sized array.
+    """
+    ca, sa = np.cos(dh.alpha), np.sin(dh.alpha)
+    frames = np.empty((len(qs), 7, 4, 4))
+    frames[:, 0] = np.eye(4)
+    link = np.empty((len(qs), 4, 4))
+    link[:, 3] = (0.0, 0.0, 0.0, 1.0)
     for i in range(6):
-        t = t @ _dh_matrix(q.q[i], dh.a[i], dh.d[i], dh.alpha[i])
-        frames.append(t)
+        ct, st = np.cos(qs[:, i]), np.sin(qs[:, i])
+        link[:, 0] = np.stack([ct, -st * ca[i], st * sa[i], dh.a[i] * ct], axis=1)
+        link[:, 1] = np.stack([st, ct * ca[i], -ct * sa[i], dh.a[i] * st], axis=1)
+        link[:, 2] = (0.0, sa[i], ca[i], dh.d[i])
+        frames[:, i + 1] = frames[:, i] @ link
     return frames
+
+
+def _joint_array(qs) -> np.ndarray:
+    return np.array([q.q for q in qs], dtype=float).reshape(-1, 6)
+
+
+def fk_batch(qs, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> np.ndarray:
+    """TCP transforms, shape (n, 4, 4), for a sequence of JointConfigs."""
+    return _frames(_joint_array(qs), dh)[:, 6] @ tcp_offset.to_matrix()
 
 
 def fk(q: JointConfig, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> Pose:
     """TCP pose for a joint configuration."""
-    t = flange_frames(q, dh)[6] @ tcp_offset.to_matrix()
-    return Pose.from_matrix(t)
+    return Pose.from_matrix(fk_batch((q,), dh, tcp_offset)[0])
 
 
 def _candidate_angles(t06: np.ndarray, dh: DHParams):
@@ -196,8 +217,7 @@ def ik(target: Pose, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> list[I
     candidates = list(_candidate_angles(t06, dh))
     if not candidates:
         return []
-    qs = np.array([c[0].q for c in candidates])
-    got = _batch_chain(qs, dh)
+    got = _frames(_joint_array(c[0] for c in candidates), dh)[:, 6]
     pos_err = np.linalg.norm(got[:, :3, 3] - t06[:3, 3], axis=1)
     # ||R1 - R2||_F = 2 sqrt(2) |sin(theta/2)|; asin keeps the small-angle
     # regime well conditioned where acos(trace) is not
@@ -218,32 +238,6 @@ def ik(target: Pose, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> list[I
         if not dup:
             solutions.append(IKSolution(q, shoulder, elbow, wrist, free))
     return solutions
-
-
-def _batch_chain(qs: np.ndarray, dh: DHParams) -> np.ndarray:
-    """Flange transforms for a batch of joint vectors, shape (n, 4, 4)."""
-    n = qs.shape[0]
-    ct, st = np.cos(qs), np.sin(qs)
-    a = np.asarray(dh.a)
-    d = np.asarray(dh.d)
-    ca, sa = np.cos(dh.alpha), np.sin(dh.alpha)
-    mats = np.zeros((n, 6, 4, 4))
-    mats[:, :, 0, 0] = ct
-    mats[:, :, 0, 1] = -st * ca
-    mats[:, :, 0, 2] = st * sa
-    mats[:, :, 0, 3] = a * ct
-    mats[:, :, 1, 0] = st
-    mats[:, :, 1, 1] = ct * ca
-    mats[:, :, 1, 2] = -ct * sa
-    mats[:, :, 1, 3] = a * st
-    mats[:, :, 2, 1] = sa
-    mats[:, :, 2, 2] = ca
-    mats[:, :, 2, 3] = d
-    mats[:, :, 3, 3] = 1.0
-    out = mats[:, 0]
-    for i in range(1, 6):
-        out = out @ mats[:, i]
-    return out
 
 
 def select_branch(solutions: list[IKSolution], prev: JointConfig,
@@ -271,31 +265,35 @@ def select_branch(solutions: list[IKSolution], prev: JointConfig,
     return best[1]
 
 
-def jacobian(q: JointConfig, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> np.ndarray:
-    """Geometric Jacobian of the TCP, linear part in mm/rad."""
-    frames = flange_frames(q, dh)
-    p_e = (frames[6] @ tcp_offset.to_matrix())[:3, 3]
-    jac = np.zeros((6, 6))
-    for i in range(6):
-        zx, zy, zz = frames[i][0, 2], frames[i][1, 2], frames[i][2, 2]
-        rx = p_e[0] - frames[i][0, 3]
-        ry = p_e[1] - frames[i][1, 3]
-        rz = p_e[2] - frames[i][2, 3]
-        jac[0, i] = zy * rz - zz * ry
-        jac[1, i] = zz * rx - zx * rz
-        jac[2, i] = zx * ry - zy * rx
-        jac[3, i] = zx
-        jac[4, i] = zy
-        jac[5, i] = zz
+def _jacobians(qs, dh: DHParams, tcp_offset: Pose) -> np.ndarray:
+    """Geometric TCP Jacobians, shape (n, 6, 6); column i is joint i."""
+    frames = _frames(_joint_array(qs), dh)
+    p_e = (frames[:, 6] @ tcp_offset.to_matrix())[:, :3, 3]
+    z = frames[:, :6, :3, 2]
+    r = p_e[:, None, :] - frames[:, :6, :3, 3]
+    jac = np.empty((len(frames), 6, 6))
+    jac[:, :3, :] = np.cross(z, r).transpose(0, 2, 1)
+    jac[:, 3:, :] = z.transpose(0, 2, 1)
     return jac
 
 
+def jacobian(q: JointConfig, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> np.ndarray:
+    """Geometric Jacobian of the TCP, linear part in mm/rad."""
+    return _jacobians((q,), dh, tcp_offset)[0]
+
+
+def manipulability_batch(qs, dh: DHParams,
+                         tcp_offset: Pose = Pose.identity()) -> np.ndarray:
+    """|det J| (= sqrt(det(J J^T)), J square) of the meters-scaled Jacobian
+    for each JointConfig in qs."""
+    jac = _jacobians(qs, dh, tcp_offset)
+    jac[:, :3, :] /= 1000.0
+    return np.abs(np.linalg.det(jac))
+
+
 def manipulability(q: JointConfig, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> float:
-    """sqrt(det(J J^T)) of the meters-scaled Jacobian."""
-    jac = jacobian(q, dh, tcp_offset)
-    jac_m = jac.copy()
-    jac_m[:3, :] /= 1000.0
-    return abs(float(np.linalg.det(jac_m)))
+    """Manipulability of one configuration; see manipulability_batch."""
+    return float(manipulability_batch((q,), dh, tcp_offset)[0])
 
 
 def is_singular(q: JointConfig, eps: float, dh: DHParams,
@@ -304,4 +302,4 @@ def is_singular(q: JointConfig, eps: float, dh: DHParams,
 
 
 def tcp_offset_from_config(cfg: KinematicsConfig) -> Pose:
-    return Pose(Vec3(0.0, 0.0, cfg.tcp_offset_z_mm), Pose.identity().orientation)
+    return Pose.from_xyz(0.0, 0.0, cfg.tcp_offset_z_mm)

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import re
 
+from . import RamcellError
 from .geometry import Vec3
-from .toolpath import TOOL_DOWN, Segment, Toolpath, layer_index
-
-SHAPE_IDS = ("rectangle-90x60", "wall-50x10", "square-30x30x8.5")
+from .toolpath import Segment, Toolpath, layer_index
 
 # caliper study of the commissioning prints (high-viscosity fumed-silica
 # formulation): dimension name -> (measured mm, half-band mm); predicted
@@ -34,7 +33,7 @@ REFERENCE_DIMENSIONS: dict[str, dict[str, tuple[float, float]]] = {
 }
 
 
-class ShapeError(Exception):
+class ShapeError(RamcellError):
     pass
 
 
@@ -56,14 +55,13 @@ def parse_shape_id(shape_id: str) -> tuple[str, tuple[float, ...]]:
 def _loop_segments(corners: list[Vec3], speed: float, layer: int) -> list[Segment]:
     segs = []
     for a, b in zip(corners, corners[1:] + corners[:1]):
-        segs.append(Segment(a, b, speed, extruding=True, uv_on=True,
-                            orientation=TOOL_DOWN, layer=layer))
+        segs.append(Segment(a, b, speed, extruding=True, uv_on=True, layer=layer))
     return segs
 
 
 def _hop(at: Vec3, dz: float, travel_speed: float, layer: int) -> Segment:
     return Segment(at, Vec3(at.x, at.y, at.z + dz), travel_speed,
-                   extruding=False, uv_on=False, orientation=TOOL_DOWN, layer=layer)
+                   extruding=False, uv_on=False, layer=layer)
 
 
 def generate(shape_id: str, speed_2d: float, speed_3d: float, layer_height: float,
@@ -90,8 +88,7 @@ def generate(shape_id: str, speed_2d: float, speed_3d: float, layer_height: floa
             left_to_right = k % 2 == 1
             a = Vec3(x0 if left_to_right else x1, 0.0, z)
             b = Vec3(x1 if left_to_right else x0, 0.0, z)
-            segs.append(Segment(a, b, speed_3d, extruding=True, uv_on=True,
-                                orientation=TOOL_DOWN, layer=lay))
+            segs.append(Segment(a, b, speed_3d, extruding=True, uv_on=True, layer=lay))
             if k < n_layers:
                 segs.append(_hop(b, layer_height, travel_speed, lay))
         return Toolpath(tuple(segs))

@@ -1,10 +1,13 @@
 """Toolpath model and post-processing.
 
 A toolpath is an ordered list of straight segments with speed, extrusion
-and UV flags, a tool orientation, and a layer index.  Post-processing
-covers three jobs: lead extensions so the trailing cure spot reaches path
-ends and corners, yaw assignment so the fixed spot always trails the
-nozzle, and resampling to a bounded segment length for simulation.
+and UV flags, a tool yaw, and a layer index.  The nozzle always points
+straight down, so the yaw about world z is the whole tool attitude; the
+planner turns it into a pose only at the inverse-kinematics boundary.
+Post-processing covers three jobs: lead extensions so the trailing cure
+spot reaches path ends and corners, yaw assignment so the fixed spot
+always trails the nozzle, and resampling to a bounded segment length for
+simulation.
 
 The module also owns the canonical time profile: a shared timeline of
 moves and reorientation dwells that the step scheduler, the dose sweep
@@ -16,16 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .geometry import Rotation, Vec3, wrap_angle, yaw_of
+from . import RamcellError
+from .geometry import Vec3, wrap_angle
 
 CONNECT_TOL = 1e-6
-# base tool attitude: nozzle axis down, tool x along world x
-TOOL_DOWN = Rotation.about_x(math.pi)
-# printable attitude: nozzle axis within 60 degrees of world -z
-MAX_TILT_RAD = math.radians(60.0)
 
 
-class ToolpathError(Exception):
+class ToolpathError(RamcellError):
     pass
 
 
@@ -36,15 +36,12 @@ class Segment:
     speed: float
     extruding: bool
     uv_on: bool
-    orientation: Rotation
     layer: int = 0
+    yaw: float = 0.0  # tool x axis heading about world z, radians
 
     def __post_init__(self):
         if self.speed <= 0.0:
             raise ToolpathError(f"segment speed must be positive, got {self.speed}")
-        axis = self.orientation.rotate(Vec3(0.0, 0.0, 1.0))
-        if axis.z > -math.cos(MAX_TILT_RAD):
-            raise ToolpathError("tool orientation tilts nozzle more than 60 deg from -z")
 
     def length(self) -> float:
         return (self.end - self.start).norm()
@@ -197,7 +194,7 @@ def assign_orientations(path: Toolpath, trail_axis: Vec3 = Vec3(1.0, 0.0, 0.0)) 
         horiz = math.hypot(d.x, d.y)
         if horiz > 1e-12:
             yaw = wrap_angle(trailing_yaw(d * (1.0 / horiz)) - base_yaw)
-        out.append(replace(seg, orientation=Rotation.about_z(yaw) * TOOL_DOWN))
+        out.append(replace(seg, yaw=yaw))
     return Toolpath(tuple(out))
 
 
@@ -276,7 +273,7 @@ def time_profile(path: Toolpath, reorient_rate: float = 1.0) -> list[ProfileEntr
     yaw_ref = None
     yaw_cur = None
     for i, seg in enumerate(path.segments):
-        yaw = yaw_of(seg.orientation)
+        yaw = seg.yaw
         if yaw_ref is None:
             yaw_ref = yaw
             yaw_rep = yaw

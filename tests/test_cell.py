@@ -1,17 +1,18 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ramcell import pipeline
-from ramcell.cell import (Aabb, CellEnvironment, PlanningError, RobotProgram,
-                          SimReport, check_collisions,
+from ramcell.cell import (TOOL_DOWN, Aabb, CellEnvironment, PlanningError,
+                          RobotProgram, SimReport, cfg_home, check_collisions,
                           detect_singularity_traversal, emit_program,
                           plan_trajectory)
 from ramcell.config import default_config
 from ramcell.extrusion import IOEvent
 from ramcell.geometry import Pose, Rotation, Vec3
-from ramcell.kinematics import DHParams, JointConfig, fk
+from ramcell.kinematics import DHParams, JointConfig, fk, ik, select_branch
 from ramcell.toolpath import Toolpath
 
 CFG = default_config()
@@ -125,6 +126,75 @@ def test_second_layer_does_not_collide():
     job = pipeline.build_job(cfg, "wall-50x10", local)
     program = plan_trajectory(job.world_path, cfg, ENV)
     assert check_collisions(program, cfg, ENV) == []
+
+
+def _straight_program(start: Vec3, travel: Vec3, duration: float, n: int = 21):
+    """Tool-down TCP moving on a straight line at constant speed."""
+    prev = JointConfig(cfg_home())
+    wps = []
+    for k in range(n):
+        frac = k / (n - 1)
+        target = Pose(start + travel * frac, TOOL_DOWN)
+        prev = select_branch(ik(target, DH, TCP), prev)
+        wps.append((frac * duration, prev))
+    return RobotProgram(tuple(wps), tuple(0.0 for _ in wps))
+
+
+def _brute_force_first_contacts(program, env, dt, axis_points=501):
+    """First sample time per obstacle at which any of a dense set of points
+    on the capsule axis comes within the capsule radius of the box."""
+    times = np.array([t for t, _ in program.waypoints])
+    lo_end, hi_end = [], []
+    for _, q in program.waypoints:
+        pose = fk(q, DH, TCP)
+        up = pose.orientation.rotate(Vec3(0.0, 0.0, -1.0))
+        lo_end.append((pose.position + up * env.capsule_clearance_mm).to_array())
+        hi_end.append((pose.position + up * (env.capsule_clearance_mm
+                                             + env.capsule_length_mm)).to_array())
+    n = int(np.ceil((times[-1] - times[0]) / dt)) + 1
+    ts = np.linspace(times[0], times[-1], n)
+    a = np.stack([np.interp(ts, times, np.array(lo_end)[:, k]) for k in range(3)], -1)
+    b = np.stack([np.interp(ts, times, np.array(hi_end)[:, k]) for k in range(3)], -1)
+    u = np.linspace(0.0, 1.0, axis_points)[None, :, None]
+    points = a[:, None, :] + u * (b - a)[:, None, :]  # (samples, axis_points, 3)
+    found = {}
+    for bi, box in enumerate(env.obstacles):
+        gap = points - np.clip(points, box.lo, box.hi)
+        dist = np.sqrt(np.sum(gap * gap, axis=-1)).min(axis=1)
+        contact = dist < env.capsule_radius_mm
+        if np.any(contact):
+            found[f"obstacle_{bi}"] = float(ts[int(np.argmax(contact))])
+    return found
+
+
+def test_collision_first_contact_matches_brute_force():
+    # the nozzle runs 100 mm along +x in 10 s, 5 mm above the table; the
+    # capsule axis spans 70..320 mm above the tip, radius 60 mm
+    px, py, pz = 400.0, 0.0, 5.0
+    program = _straight_program(Vec3(px, py, pz), Vec3(100.0, 0.0, 0.0), 10.0)
+    box = lambda lo, hi: Aabb((px + lo[0], py + lo[1], pz + lo[2]),
+                              (px + hi[0], py + hi[1], pz + hi[2]))
+    env = replace(ENV, obstacles=(
+        box((150, -20, 100), (200, 20, 150)),  # side of the capsule: x >= 90
+        box((60, 30, 0), (80, 50, 25)),        # lower cap, off to the side
+        box((20, 70, 0), (80, 90, 400)),       # 70 mm off the axis: a miss
+        box((130, -10, 340), (160, 10, 380)),  # 20 mm above the upper cap
+    ))
+    dt = 0.02
+    got = {what: t for t, what in check_collisions(program, CFG, env, dt)}
+    want = _brute_force_first_contacts(program, env, dt)
+    assert set(got) == set(want) == {"obstacle_0", "obstacle_1", "obstacle_3"}
+    for what, t in want.items():
+        assert abs(got[what] - t) <= dt + 1e-9, what
+    # analytic first contacts of the vertical capsule at 10 mm/s: its side
+    # reaches x = 150 at x = 90; its lower end (45 mm above the box top,
+    # 30 mm beside it) and its upper end (20 mm below the box) come within
+    # 60 mm of the box's nearest edge
+    assert abs(got["obstacle_0"] - 9.0) <= dt + 1e-9
+    t_low = (60.0 - math.sqrt(60.0**2 - 30.0**2 - 45.0**2)) / 10.0
+    assert abs(got["obstacle_1"] - t_low) <= dt + 1e-9
+    t_high = (130.0 - math.sqrt(60.0**2 - 20.0**2)) / 10.0
+    assert abs(got["obstacle_3"] - t_high) <= dt + 1e-9
 
 
 def synthetic_program(q5_values, dt=0.5):

@@ -1,3 +1,7 @@
+import pytest
+
+from ramcell import (RamcellError, cell, config, cure, extrusion, gcode, kinematics,
+                     shapes, toolpath)
 from ramcell.cell import SimReport
 from ramcell.cli import build_parser, main
 from ramcell.config import dump_config, loads_config
@@ -57,6 +61,37 @@ def test_bad_gcode_exits_2(tmp_path, capsys):
     rc = main(["plan", "--gcode", str(bad), "--out", str(tmp_path)])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [
+    config.ConfigError, shapes.ShapeError, gcode.GcodeError, toolpath.ToolpathError,
+    extrusion.ExtrusionError, cure.CureError, kinematics.UnreachableError,
+    cell.PlanningError])
+def test_domain_errors_share_one_base(error):
+    assert issubclass(error, RamcellError)
+
+
+def test_extrusion_error_exits_2_without_traceback(tmp_path, capsys):
+    cfg_file = tmp_path / "fast.cfg"
+    cfg_file.write_text("[job]\nspeed_3d_mm_s = inf\n")
+    rc = main(["simulate", "--config", str(cfg_file), "--shape", "wall-20x3",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_non_finite_prediction_is_never_printable(tmp_path, capsys):
+    cfg_file = tmp_path / "nanflow.cfg"
+    cfg_file.write_text("[extrusion]\nflow_mm3_s = nan\n")
+    args = ["--config", str(cfg_file), "--shape", "wall-20x3", "--out", str(tmp_path)]
+    assert main(["simulate", *args]) == 3
+    rep = SimReport.from_text((tmp_path / "wall-20x3.report.txt").read_text())
+    assert not rep.printable and rep.hard_failures()
+    assert "predicted_length_mm" in rep.non_finite()
+    assert main(["emit", "--force", *args]) == 3
+    assert not (tmp_path / "wall-20x3.script.txt").exists()
+    assert "refused" in capsys.readouterr().err
 
 
 def test_simulate_wall_report(tmp_path):

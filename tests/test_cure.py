@@ -11,7 +11,7 @@ from ramcell.cure import (CureError, DepositionMap, UVSpot, accumulate_dose,
 from ramcell.extrusion import FlowModel
 from ramcell.geometry import Vec3
 from ramcell.shapes import generate
-from ramcell.toolpath import (TOOL_DOWN, ExtensionPolicy, Segment, Toolpath,
+from ramcell.toolpath import (ExtensionPolicy, Segment, Toolpath,
                               add_cure_extensions, assign_orientations,
                               resample)
 
@@ -24,7 +24,7 @@ GF0 = CFG.materials["dlp-gf0"]
 
 def line_path(length=50.0, speed=4.0, lead=25.0, z=0.85):
     path = Toolpath((Segment(Vec3(0, 0, z), Vec3(length, 0, z), speed,
-                             True, True, TOOL_DOWN, 1),))
+                             True, True, 1),))
     if lead > 0:
         path = add_cure_extensions(path, ExtensionPolicy(lead))
     return resample(assign_orientations(path), 1.0)
@@ -60,7 +60,7 @@ def test_deposit_rectangle_counts_and_volume():
 
 def test_deposit_nothing_without_extrusion():
     path = assign_orientations(Toolpath((
-        Segment(Vec3(0, 0, 0), Vec3(10, 0, 0), 3.0, False, True, TOOL_DOWN, 0),)))
+        Segment(Vec3(0, 0, 0), Vec3(10, 0, 0), 3.0, False, True, 0),)))
     dmap = deposit(resample(path, 1.0), FLOW, FS9, 1.0, 0.85)
     assert len(dmap) == 0
 
@@ -77,7 +77,7 @@ def test_deposit_element_volume_conservation():
 
 def test_deposit_requires_fine_resampling():
     path = assign_orientations(Toolpath((
-        Segment(Vec3(0, 0, 0), Vec3(10, 0, 0), 3.0, True, True, TOOL_DOWN, 0),)))
+        Segment(Vec3(0, 0, 0), Vec3(10, 0, 0), 3.0, True, True, 0),)))
     with pytest.raises(CureError):
         deposit(path, FLOW, FS9, 1.0, 0.85)
 

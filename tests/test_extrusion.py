@@ -10,7 +10,7 @@ from ramcell.extrusion import (DriveTrain, ExtrusionError, FlowModel,
                                schedule, step_rate)
 from ramcell.geometry import Vec3
 from ramcell.shapes import generate
-from ramcell.toolpath import (TOOL_DOWN, ExtensionPolicy, Segment, Toolpath,
+from ramcell.toolpath import (ExtensionPolicy, Segment, Toolpath,
                               add_cure_extensions, assign_orientations,
                               path_stats)
 
@@ -65,7 +65,7 @@ def test_drivetrain_capacity_consistency_enforced():
 
 def oriented_rectangle():
     corners = [(0, 0, 0.85), (90, 0, 0.85), (90, 60, 0.85), (0, 60, 0.85)]
-    segs = [Segment(Vec3(*a), Vec3(*b), 3.0, True, True, TOOL_DOWN, 1)
+    segs = [Segment(Vec3(*a), Vec3(*b), 3.0, True, True, 1)
             for a, b in zip(corners, corners[1:] + corners[:1])]
     return assign_orientations(Toolpath(tuple(segs)))
 
@@ -80,7 +80,7 @@ def test_schedule_rectangle_volume():
 
 def test_schedule_no_extrusion_only_uv_events():
     path = assign_orientations(Toolpath((
-        Segment(Vec3(0, 0, 0), Vec3(25, 0, 0), 3.0, False, True, TOOL_DOWN, 0),
+        Segment(Vec3(0, 0, 0), Vec3(25, 0, 0), 3.0, False, True, 0),
     )))
     sched = schedule(path, FLOW, DRIVE)
     assert sched.total_steps() == 0.0
@@ -90,8 +90,8 @@ def test_schedule_no_extrusion_only_uv_events():
 
 def test_schedule_rate_independent_of_speed():
     segs = [
-        Segment(Vec3(0, 0, 0), Vec3(30, 0, 0), 3.0, True, True, TOOL_DOWN, 0),
-        Segment(Vec3(30, 0, 0), Vec3(60, 0, 0), 4.0, True, True, TOOL_DOWN, 0),
+        Segment(Vec3(0, 0, 0), Vec3(30, 0, 0), 3.0, True, True, 0),
+        Segment(Vec3(30, 0, 0), Vec3(60, 0, 0), 4.0, True, True, 0),
     ]
     path = assign_orientations(Toolpath(tuple(segs)))
     sched = schedule(path, FLOW, DRIVE)

@@ -6,7 +6,7 @@ import pytest
 from ramcell import gcode
 from ramcell.gcode import GcodeError, emit, parse, to_toolpath
 from ramcell.geometry import Vec3
-from ramcell.toolpath import TOOL_DOWN, Segment, Toolpath
+from ramcell.toolpath import Segment, Toolpath
 
 RECTANGLE = """
 M106
@@ -114,7 +114,7 @@ def test_uv_mcode_state():
 
 
 def _segment(a, b, speed=3.0, extruding=True, uv=True):
-    return Segment(Vec3(*a), Vec3(*b), speed, extruding, uv, TOOL_DOWN, 0)
+    return Segment(Vec3(*a), Vec3(*b), speed, extruding, uv, 0)
 
 
 def test_emit_empty_path():
@@ -155,8 +155,7 @@ def test_round_trip_preserves_everything():
         if (end - pos).norm() < 1e-6:
             continue
         segs.append(Segment(pos, end, float(rng.choice([1.5, 3.0, 4.0, 20.0])),
-                            bool(rng.rand() < 0.7), bool(rng.rand() < 0.8),
-                            TOOL_DOWN, 0))
+                            bool(rng.rand() < 0.7), bool(rng.rand() < 0.8), 0))
         pos = end
     original = Toolpath(tuple(segs))
     reparsed = to_toolpath(parse(emit(original)))

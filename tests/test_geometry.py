@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ramcell.geometry import (Pose, Rotation, Vec3, compose, transform_point,
-                              wrap_angle, yaw_of)
+                              wrap_angle)
 
 
 def random_rotation(rng) -> Rotation:
@@ -94,11 +94,6 @@ def test_rotation_norm_enforced():
         Rotation(2.0, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         Vec3(float("nan"), 0.0, 0.0)
-
-
-def test_yaw_of_z_rotation():
-    for angle in (-2.5, -1.0, 0.0, 0.4, 3.0):
-        assert abs(wrap_angle(yaw_of(Rotation.about_z(angle)) - angle)) < 1e-12
 
 
 def test_wrap_angle_range():

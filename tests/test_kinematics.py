@@ -6,9 +6,9 @@ import pytest
 from ramcell.config import default_config
 from ramcell.geometry import Pose, Rotation, Vec3, wrap_angle
 from ramcell.kinematics import (DHParams, JointConfig, UnreachableError, fk,
-                                ik, is_singular, jacobian, manipulability,
-                                select_branch)
-from ramcell.toolpath import TOOL_DOWN
+                                fk_batch, ik, is_singular, jacobian, manipulability,
+                                manipulability_batch, select_branch)
+from ramcell.cell import TOOL_DOWN
 
 DH = DHParams.from_config(default_config().kinematics)
 TCP = Pose(Vec3(0.0, 0.0, 200.0), Rotation.identity())
@@ -229,6 +229,19 @@ def test_manipulability_invariant_under_base_rotation():
         shifted = (q.q[0] + 1.0,) + q.q[1:]
         w1 = manipulability(JointConfig(shifted), DH, TCP)
         assert abs(w0 - w1) < 1e-9
+
+
+def test_batch_rows_match_single_configuration_calls():
+    rng = np.random.RandomState(9)
+    qs = [random_q(rng) for _ in range(40)]
+    qs.append(JointConfig.of(0.3, -1.2, 1.8, -0.9, 0.0, 0.7))  # wrist singular
+    frames = fk_batch(qs, DH, TCP)
+    w = manipulability_batch(qs, DH, TCP)
+    assert frames.shape == (41, 4, 4) and w.shape == (41,)
+    for i, q in enumerate(qs):
+        assert np.allclose(frames[i], fk(q, DH, TCP).to_matrix(), atol=1e-9)
+        assert math.isclose(w[i], manipulability(q, DH, TCP), rel_tol=1e-9, abs_tol=1e-15)
+    assert w[-1] < 1e-9 < w[:-1].min()
 
 
 def test_wrist_degenerate_ik_flags_free_parameter():

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ramcell.geometry import Vec3, wrap_angle, yaw_of
-from ramcell.toolpath import (TOOL_DOWN, ExtensionPolicy, Segment, Toolpath,
+from ramcell.cell import TOOL_DOWN
+from ramcell.geometry import Rotation, Vec3, wrap_angle
+from ramcell.toolpath import (ExtensionPolicy, Segment, Toolpath,
                               ToolpathError, add_cure_extensions,
                               assign_orientations, path_stats, resample,
                               time_profile)
@@ -12,7 +13,7 @@ from ramcell.shapes import generate
 
 
 def seg(a, b, speed=3.0, extruding=True, uv=True, layer=0):
-    return Segment(Vec3(*a), Vec3(*b), speed, extruding, uv, TOOL_DOWN, layer)
+    return Segment(Vec3(*a), Vec3(*b), speed, extruding, uv, layer)
 
 
 def closed_rectangle(lx=90.0, ly=60.0, z=0.0):
@@ -24,10 +25,6 @@ def closed_rectangle(lx=90.0, ly=60.0, z=0.0):
 def test_segment_invariants():
     with pytest.raises(ToolpathError):
         seg((0, 0, 0), (1, 0, 0), speed=0.0)
-    from ramcell.geometry import Rotation
-    with pytest.raises(ToolpathError):
-        Segment(Vec3(0, 0, 0), Vec3(1, 0, 0), 1.0, True, True,
-                Rotation.identity(), 0)  # nozzle up is not printable
 
 
 def test_degenerate_segments_dropped_at_construction():
@@ -90,8 +87,8 @@ def test_orientation_trailing_examples():
         seg((10, 0, 0), (10, 10, 0)),
     ))
     out = assign_orientations(path)
-    yaw_x = yaw_of(out.segments[0].orientation)
-    yaw_y = yaw_of(out.segments[1].orientation)
+    yaw_x = out.segments[0].yaw
+    yaw_y = out.segments[1].yaw
     # spot offset is the rotated tool x axis; it must oppose travel
     assert abs(wrap_angle(yaw_x - math.pi)) < 1e-9
     assert abs(wrap_angle(yaw_y - (-math.pi / 2))) < 1e-9
@@ -100,7 +97,7 @@ def test_orientation_trailing_examples():
 
 def test_rectangle_four_distinct_yaws():
     out = assign_orientations(closed_rectangle())
-    yaws = [yaw_of(s.orientation) for s in out.segments]
+    yaws = [s.yaw for s in out.segments]
     assert len({round(y, 9) for y in yaws}) == 4
     for a, b in zip(yaws, yaws[1:]):
         assert abs(abs(wrap_angle(b - a)) - math.pi / 2) < 1e-9
@@ -122,10 +119,11 @@ def test_orientation_spot_strictly_trails_random_paths():
             continue
         out = assign_orientations(Toolpath(tuple(segs)))
         for s in out.segments:
-            offset = s.orientation.rotate(Vec3(1.0, 0.0, 0.0))
+            tool = Rotation.about_z(s.yaw) * TOOL_DOWN
+            offset = tool.rotate(Vec3(1.0, 0.0, 0.0))
             d = s.direction()
             assert offset.x * d.x + offset.y * d.y < 0.0
-            nozzle = s.orientation.rotate(Vec3(0.0, 0.0, 1.0))
+            nozzle = tool.rotate(Vec3(0.0, 0.0, 1.0))
             assert nozzle.z < -0.99
 
 
