@@ -1,9 +1,10 @@
 """Cell-level planning: joint trajectories, clearance checks, reporting.
 
-The planner walks the shared toolpath timeline, solves IK at every node
-(including intermediate nodes inside reorientation dwells) and keeps the
-branch continuous.  Collision checking samples the interpolated tool
-capsule against the table plane and the configured obstacle boxes.
+The planner walks the shared toolpath timeline, builds the TCP targets
+of all nodes (dwell nodes included) as one array for the chunked batch
+IK, and keeps the branch continuous node by node.  Collision checking
+samples the interpolated tool capsule against the table plane and the
+configured obstacle boxes.
 Everything here is deterministic: identical inputs give byte-identical
 programs, scripts and reports.
 """
@@ -19,7 +20,7 @@ from . import RamcellError
 from .config import CellConfig, Config, parse_obstacles
 from .extrusion import IOEvent
 from .geometry import Pose, Rotation, Vec3
-from .kinematics import (DHParams, JointConfig, UnreachableError, fk_batch, ik,
+from .kinematics import (DHParams, JointConfig, fk_batch, ik_batch,
                          manipulability_batch, select_branch,
                          tcp_offset_from_config)
 from .toolpath import Toolpath, time_profile
@@ -202,10 +203,6 @@ class SimReport:
 TOOL_DOWN = Rotation.about_x(math.pi)
 
 
-def _pose_at(position: Vec3, yaw: float) -> Pose:
-    return Pose(position, Rotation.about_z(yaw) * TOOL_DOWN)
-
-
 def plan_trajectory(path: Toolpath, cfg: Config, env: CellEnvironment,
                     events: tuple[IOEvent, ...] = (),
                     metadata: tuple[tuple[str, str], ...] = ()) -> RobotProgram:
@@ -237,21 +234,23 @@ def plan_trajectory(path: Toolpath, cfg: Config, env: CellEnvironment,
                 nodes.append((e.t0 + frac * (e.t1 - e.t0), e.start,
                               e.yaw0 + frac * span, 0.0))
 
+    # TCP targets: TOOL_DOWN turned about world z by each node's yaw
+    down = Pose(Vec3(0.0, 0.0, 0.0), TOOL_DOWN).to_matrix()
+    yaw = np.fromiter((y for _, _, y, _ in nodes), float)[:, None]
+    targets = np.tile(down, (len(nodes), 1, 1))
+    targets[:, 0] = np.cos(yaw) * down[0] - np.sin(yaw) * down[1]
+    targets[:, 1] = np.sin(yaw) * down[0] + np.cos(yaw) * down[1]
+    targets[:, :3, 3] = np.fromiter(((p.x, p.y, p.z) for _, p, _, _ in nodes), (float, 3))
+
     waypoints: list[tuple[float, JointConfig]] = []
     speeds: list[float] = []
     prev_q: JointConfig | None = None
-    for t, pos, yaw, v in nodes:
-        target = _pose_at(pos, yaw)
-        sols = ik(target, dh, tcp)
+    for (t, pos, _, v), sols in zip(nodes, ik_batch(targets, dh, tcp)):
         if not sols:
             raise PlanningError(
                 f"unreachable waypoint at ({pos.x:.3f}, {pos.y:.3f}, {pos.z:.3f})",
                 t, pos)
-        seed = prev_q if prev_q is not None else JointConfig(tuple(cfg_home()))
-        try:
-            q = select_branch(sols, seed, limit)
-        except UnreachableError as exc:
-            raise PlanningError(str(exc), t, pos) from exc
+        q = select_branch(sols, prev_q or JointConfig(cfg_home()), limit)
         if prev_q is not None:
             step = q.max_distance(prev_q)
             if step > MAX_JOINT_STEP_RAD:

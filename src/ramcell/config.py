@@ -178,22 +178,15 @@ _SECTIONS = {
 }
 
 
-def _coerce(cls, name: str, raw: str):
-    for f in fields(cls):
-        if f.name == name:
-            if f.type in ("int", int):
-                return int(raw)
-            if f.type in ("float", float):
-                return float(raw)
-            return raw
-    raise ConfigError(f"unknown key '{name}' for section [{_section_name(cls)}]")
-
-
-def _section_name(cls) -> str:
-    for k, v in _SECTIONS.items():
-        if v is cls:
-            return k
-    return cls.__name__
+def _coerce(cls, sec: str, key: str, raw: str, origin: str):
+    types = {f.name: f.type for f in fields(cls)}
+    if key not in types:
+        raise ConfigError(f"{origin}: unknown key '{key}' for section [{sec}]")
+    convert = {"int": int, "float": float}.get(types[key], str)  # annotations are strings
+    try:
+        return convert(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{origin}: [{sec}] {key}: {exc}") from exc
 
 
 def load_config(path: str) -> Config:
@@ -214,6 +207,14 @@ def loads_config(text: str) -> Config:
     return _apply_parser(parser, "<string>")
 
 
+# zero, negative or non-finite values end in a division by zero, an
+# endless sweep or a 0 s move
+_POSITIVE_KEYS = (("cell", "reorient_rate_rad_s"), ("cell", "collision_dt_s"),
+                  ("cure", "sweep_dt_s"), ("job", "speed_2d_mm_s"), ("job", "speed_3d_mm_s"),
+                  ("job", "travel_speed_mm_s"), ("job", "layer_height_mm"),
+                  ("job", "resolution_mm"))
+
+
 def _apply_parser(parser: configparser.ConfigParser, origin: str) -> Config:
     cfg = default_config()
     if parser.has_section("meta"):
@@ -225,30 +226,23 @@ def _apply_parser(parser: configparser.ConfigParser, origin: str) -> Config:
     for sec in parser.sections():
         if sec == "meta":
             continue
-        if sec.startswith("material:"):
-            name = sec.split(":", 1)[1]
-            base = materials.get(name, Material(name))
-            kwargs = {}
-            for key, raw in parser.items(sec):
-                try:
-                    kwargs[key] = _coerce(Material, key, raw)
-                except ValueError as exc:
-                    raise ConfigError(f"{origin}: [{sec}] {key}: {exc}") from exc
-            kwargs.pop("name", None)
-            materials[name] = replace(base, **kwargs)
-            continue
-        if sec not in _SECTIONS:
+        cls = Material if sec.startswith("material:") else _SECTIONS.get(sec)
+        if cls is None:
             raise ConfigError(f"{origin}: unknown section [{sec}]")
-        cls = _SECTIONS[sec]
-        current = getattr(cfg, sec)
-        kwargs = {}
-        for key, raw in parser.items(sec):
-            try:
-                kwargs[key] = _coerce(cls, key, raw)
-            except ValueError as exc:
-                raise ConfigError(f"{origin}: [{sec}] {key}: {exc}") from exc
-        sections[sec] = replace(current, **kwargs)
-    return replace(cfg, materials=materials, **sections)
+        kwargs = {key: _coerce(cls, sec, key, raw, origin) for key, raw in parser.items(sec)}
+        if cls is Material:
+            name = sec.split(":", 1)[1]
+            kwargs.pop("name", None)
+            materials[name] = replace(materials.get(name, Material(name)), **kwargs)
+        else:
+            sections[sec] = replace(getattr(cfg, sec), **kwargs)
+    cfg = replace(cfg, materials=materials, **sections)
+    for sec, key in _POSITIVE_KEYS:
+        value = getattr(getattr(cfg, sec), key)
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"{origin}: [{sec}] {key} must be finite and > 0, got {value!r}")
+    parse_obstacles(cfg.cell)
+    return cfg
 
 
 def _format_value(v) -> str:
@@ -286,12 +280,15 @@ def parse_obstacles(cell: CellConfig) -> list[tuple[float, ...]]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        parts = [float(p) for p in chunk.split(",")]
+        try:
+            parts = [float(p) for p in chunk.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"[cell] obstacles: '{chunk}': {exc}") from exc
         if len(parts) != 6:
-            raise ConfigError(f"obstacle needs 6 numbers: '{chunk}'")
+            raise ConfigError(f"[cell] obstacles: '{chunk}': a box needs 6 numbers")
         lo = parts[:3]
         hi = parts[3:]
-        if any(h <= l for l, h in zip(lo, hi)):
-            raise ConfigError(f"degenerate obstacle box: '{chunk}'")
+        if not all(l < h for l, h in zip(lo, hi)):  # also rejects NaN
+            raise ConfigError(f"[cell] obstacles: '{chunk}': needs min < max on every axis")
         boxes.append(tuple(parts))
     return boxes

@@ -1,27 +1,27 @@
 """Analytic kinematics for the 6-DOF arm carrying the extruder.
 
-One batched chain of standard DH transforms serves every forward
-quantity, for a whole trajectory at once: TCP frames, the Jacobian,
-manipulability and IK's forward check; `fk`, `jacobian` and
-`manipulability` are one-row calls into it.  Inverse kinematics
-enumerates the eight closed-form branches (shoulder left/right, elbow
-up/down, wrist flip) and validates each against the forward chain.  The
-Jacobian is geometric: linear rows in mm/rad, angular rows in rad/rad.
-Manipulability is |det J| (Yoshikawa) of a meters-scaled copy of the
-Jacobian, so it is O(0.01) away from singularities and collapses below
-1e-9 at them, independent of the mm length unit.
+Two batched kernels, both built on the one DH link constructor
+`_dh_links`, serve a whole trajectory at once: the forward chain
+`_frames` (TCP frames, Jacobian, manipulability, IK's forward check) and
+the closed-form inverse `_candidate_angles`, which evaluates the eight
+branches (shoulder, wrist, elbow) of every target as array masks.
+`ik_batch` solves targets in chunks of IK_CHUNK_NODES; `fk`, `jacobian`,
+`manipulability` and `ik` are one-row calls.  The Jacobian is geometric
+(linear rows mm/rad, angular rad/rad); manipulability is |det J|
+(Yoshikawa) of a meters-scaled copy, O(0.01) away from singularities and
+below 1e-9 at them, independent of the mm length unit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import RamcellError
 from .config import KinematicsConfig
-from .geometry import Pose, wrap_angle
+from .geometry import Pose
 
 POSITION_TOL_MM = 1e-6
 ORIENTATION_TOL_RAD = 1e-8
@@ -94,25 +94,25 @@ class IKSolution:
         return (self.shoulder, self.elbow, self.wrist)
 
 
-def _dh_matrix(theta: float, a: float, d: float, alpha: float) -> np.ndarray:
-    ct, st = math.cos(theta), math.sin(theta)
+def _dh_links(theta, a: float, d: float, alpha: float) -> np.ndarray:
+    """DH link transforms for an array of joint angles: theta.shape + (4, 4)."""
+    ct, st = np.cos(theta), np.sin(theta)
     ca, sa = math.cos(alpha), math.sin(alpha)
-    m = np.empty((4, 4))
-    m[0, 0] = ct; m[0, 1] = -st * ca; m[0, 2] = st * sa; m[0, 3] = a * ct
-    m[1, 0] = st; m[1, 1] = ct * ca; m[1, 2] = -ct * sa; m[1, 3] = a * st
-    m[2, 0] = 0.0; m[2, 1] = sa; m[2, 2] = ca; m[2, 3] = d
-    m[3, 0] = 0.0; m[3, 1] = 0.0; m[3, 2] = 0.0; m[3, 3] = 1.0
-    return m
+    link = np.zeros(np.shape(theta) + (4, 4))
+    link[..., 0, :] = np.stack([ct, -st * ca, st * sa, a * ct], axis=-1)
+    link[..., 1, :] = np.stack([st, ct * ca, -ct * sa, a * st], axis=-1)
+    link[..., 2, 1:] = (sa, ca, d)
+    link[..., 3, 3] = 1.0
+    return link
 
 
 def _rigid_inv(t: np.ndarray) -> np.ndarray:
-    """Inverse of a rigid transform via transpose."""
-    out = np.empty((4, 4))
-    rt = t[:3, :3].T
-    out[:3, :3] = rt
-    out[:3, 3] = -rt @ t[:3, 3]
-    out[3, :3] = 0.0
-    out[3, 3] = 1.0
+    """Inverse of rigid transforms of shape (..., 4, 4), via transpose."""
+    out = np.zeros_like(t)
+    rt = np.swapaxes(t[..., :3, :3], -1, -2)
+    out[..., :3, :3] = rt
+    out[..., :3, 3:] = -rt @ t[..., :3, 3:]
+    out[..., 3, 3] = 1.0
     return out
 
 
@@ -121,17 +121,10 @@ def _frames(qs: np.ndarray, dh: DHParams) -> np.ndarray:
     (n, 6) joint array: shape (n, 7, 4, 4).  Links are built one joint at
     a time, so one (n, 4, 4) link is the only other batch-sized array.
     """
-    ca, sa = np.cos(dh.alpha), np.sin(dh.alpha)
     frames = np.empty((len(qs), 7, 4, 4))
     frames[:, 0] = np.eye(4)
-    link = np.empty((len(qs), 4, 4))
-    link[:, 3] = (0.0, 0.0, 0.0, 1.0)
     for i in range(6):
-        ct, st = np.cos(qs[:, i]), np.sin(qs[:, i])
-        link[:, 0] = np.stack([ct, -st * ca[i], st * sa[i], dh.a[i] * ct], axis=1)
-        link[:, 1] = np.stack([st, ct * ca[i], -ct * sa[i], dh.a[i] * st], axis=1)
-        link[:, 2] = (0.0, sa[i], ca[i], dh.d[i])
-        frames[:, i + 1] = frames[:, i] @ link
+        frames[:, i + 1] = frames[:, i] @ _dh_links(qs[:, i], dh.a[i], dh.d[i], dh.alpha[i])
     return frames
 
 
@@ -149,59 +142,93 @@ def fk(q: JointConfig, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> Pose
     return Pose.from_matrix(fk_batch((q,), dh, tcp_offset)[0])
 
 
+# candidate k of a target is branch _BRANCHES[k]: the kernel's axes run
+# shoulder, wrist, elbow, so k = 4 * shoulder + 2 * wrist + elbow
+_BRANCHES = tuple((shoulder, elbow, wrist) for shoulder in ("left", "right")
+                  for wrist in ("noflip", "flip") for elbow in ("up", "down"))
+_SIGNS = np.array([1.0, -1.0])
+# targets per kernel call; bounds the candidate frames in memory at once
+IK_CHUNK_NODES = 64
+
+
 def _candidate_angles(t06: np.ndarray, dh: DHParams):
-    """Yield (q, shoulder, elbow, wrist, free) for all closed-form branches."""
-    a2, a3 = dh.a[1], dh.a[2]
-    d4, d6 = dh.d[3], dh.d[5]
-    p06 = t06[:3, 3]
+    """The eight closed-form branches of each flange target in the (n, 4, 4)
+    array t06: joints (n, 8, 6), a mask (n, 8) of branches that have a real
+    solution, and a wrist-free flag (n, 8)."""
+    a2, a3, d4, d6 = dh.a[1], dh.a[2], dh.d[3], dh.d[5]
+    p06 = t06[:, :3, 3]
     p05 = t06 @ np.array([0.0, 0.0, -d6, 1.0])
-    rho = math.hypot(p05[0], p05[1])
-    if rho < abs(d4):
-        return  # wrist column passes inside the shoulder cylinder
-    psi = math.atan2(p05[1], p05[0])
-    phi = math.acos(max(-1.0, min(1.0, d4 / rho)))
-    for shoulder, q1 in (("left", psi + phi + math.pi / 2),
-                         ("right", psi - phi + math.pi / 2)):
-        c5 = (p06[0] * math.sin(q1) - p06[1] * math.cos(q1) - d4) / d6
-        if abs(c5) > 1.0 + 1e-12:
-            continue
-        c5 = max(-1.0, min(1.0, c5))
-        t01 = _dh_matrix(q1, dh.a[0], dh.d[0], dh.alpha[0])
-        t16 = _rigid_inv(t01) @ t06
-        for wrist, q5 in (("noflip", math.acos(c5)), ("flip", -math.acos(c5))):
-            s5 = math.sin(q5)
-            free = abs(s5) < WRIST_DEGENERACY_TOL
-            if free:
-                # snap onto the degeneracy so joint 4 absorbs the whole
-                # wrist rotation exactly; acos noise would otherwise leak
-                # an ill-conditioned q6 into the arm joints
-                q5 = 0.0 if c5 > 0.0 else math.copysign(math.pi, q5)
-                q6 = 0.0
-            else:
-                # inv(t16) rotation entries are the transpose of t16's
-                q6 = math.atan2(-t16[2, 1] / s5, t16[2, 0] / s5)
-            t45 = _dh_matrix(q5, dh.a[4], dh.d[4], dh.alpha[4])
-            t56 = _dh_matrix(q6, dh.a[5], dh.d[5], dh.alpha[5])
-            t14 = t16 @ _rigid_inv(t45 @ t56)
-            p13_x = -d4 * t14[0, 1] + t14[0, 3]
-            p13_y = -d4 * t14[1, 1] + t14[1, 3]
-            l13_sq = p13_x**2 + p13_y**2
-            l13 = math.sqrt(l13_sq)
-            c3 = (l13_sq - a2**2 - a3**2) / (2.0 * a2 * a3)
-            if abs(c3) > 1.0 + 1e-12:
-                continue
-            c3 = max(-1.0, min(1.0, c3))
-            r14_00, r14_10 = t14[0, 0], t14[1, 0]
-            for elbow, q3 in (("up", math.acos(c3)), ("down", -math.acos(c3))):
-                s_arg = max(-1.0, min(1.0, a3 * math.sin(q3) / l13))
-                q2 = -math.atan2(p13_y, -p13_x) + math.asin(s_arg)
-                # joints 2 and 3 rotate about parallel axes, so frame 3's
-                # x axis is frame 1's rotated by -(q2+q3)
-                c23, s23 = math.cos(q2 + q3), math.sin(q2 + q3)
-                q4 = math.atan2(-s23 * r14_00 + c23 * r14_10,
-                                c23 * r14_00 + s23 * r14_10)
-                q = JointConfig(tuple(wrap_angle(v) for v in (q1, q2, q3, q4, q5, q6)))
-                yield q, shoulder, elbow, wrist, free
+    rho = np.hypot(p05[:, 0], p05[:, 1])
+    psi = np.arctan2(p05[:, 1], p05[:, 0])
+    phi = np.arccos(np.clip(d4 / rho, -1.0, 1.0))
+    q1 = psi[:, None] + _SIGNS * phi[:, None] + math.pi / 2  # (n, shoulder)
+    c5 = (p06[:, None, 0] * np.sin(q1) - p06[:, None, 1] * np.cos(q1) - d4) / d6
+    # rho < |d4|: the wrist column passes inside the shoulder cylinder
+    valid = (rho >= abs(d4))[:, None] & (np.abs(c5) <= 1.0 + 1e-12)
+    c5 = np.clip(c5, -1.0, 1.0)[..., None]
+    t16 = (_rigid_inv(_dh_links(q1, dh.a[0], dh.d[0], dh.alpha[0])) @ t06[:, None])[:, :, None]
+    q5 = np.arccos(c5) * _SIGNS  # (n, shoulder, wrist)
+    s5 = np.sin(q5)
+    free = np.abs(s5) < WRIST_DEGENERACY_TOL
+    # snap onto the degeneracy so joint 4 absorbs the whole wrist rotation
+    # exactly; acos noise would otherwise leak an ill-conditioned q6 into
+    # the arm joints
+    q5 = np.where(free, np.where(c5 > 0.0, 0.0, math.pi * _SIGNS), q5)
+    # inv(t16) rotation entries are the transpose of t16's
+    q6 = np.where(free, 0.0, np.arctan2(-t16[..., 2, 1] / s5, t16[..., 2, 0] / s5))
+    t14 = t16 @ _rigid_inv(_dh_links(q5, dh.a[4], dh.d[4], dh.alpha[4])
+                           @ _dh_links(q6, dh.a[5], dh.d[5], dh.alpha[5]))
+    p13_x = -d4 * t14[..., 0, 1] + t14[..., 0, 3]
+    p13_y = -d4 * t14[..., 1, 1] + t14[..., 1, 3]
+    l13_sq = p13_x**2 + p13_y**2
+    c3 = (l13_sq - a2**2 - a3**2) / (2.0 * a2 * a3)
+    valid = valid[..., None] & (np.abs(c3) <= 1.0 + 1e-12)
+    q3 = np.arccos(np.clip(c3, -1.0, 1.0))[..., None] * _SIGNS  # (n, shoulder, wrist, elbow)
+    s_arg = np.clip(a3 * np.sin(q3) / np.sqrt(l13_sq)[..., None], -1.0, 1.0)
+    q2 = -np.arctan2(p13_y, -p13_x)[..., None] + np.arcsin(s_arg)
+    # joints 2 and 3 rotate about parallel axes, so frame 3's x axis is
+    # frame 1's rotated by -(q2+q3)
+    c23, s23 = np.cos(q2 + q3), np.sin(q2 + q3)
+    r14_00, r14_10 = t14[..., 0, 0, None], t14[..., 1, 0, None]
+    q4 = np.arctan2(-s23 * r14_00 + c23 * r14_10, c23 * r14_00 + s23 * r14_10)
+    qs = np.stack(np.broadcast_arrays(q1[..., None, None], q2, q3, q4,
+                                      q5[..., None], q6[..., None]), axis=-1)
+    # elementwise geometry.wrap_angle: wrap to (-pi, pi]
+    qs = np.fmod(qs + math.pi, 2.0 * math.pi)
+    qs = np.where(qs <= 0.0, qs + 2.0 * math.pi, qs) - math.pi
+    return (qs.reshape(-1, 8, 6), np.broadcast_to(valid[..., None], q2.shape).reshape(-1, 8),
+            np.broadcast_to(free[..., None], q2.shape).reshape(-1, 8))
+
+
+def ik_batch(targets: np.ndarray, dh: DHParams, tcp_offset: Pose = Pose.identity()):
+    """Yield ik()'s solution list for each TCP target of the (n, 4, 4)
+    array, in order, each as soon as its chunk of IK_CHUNK_NODES targets
+    has run through the kernel and one batched forward check."""
+    for start in range(0, len(targets), IK_CHUNK_NODES):
+        t06 = targets[start:start + IK_CHUNK_NODES] @ _rigid_inv(tcp_offset.to_matrix())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            qs, valid, free = _candidate_angles(t06, dh)
+        got = _frames(qs[valid], dh)[:, 6]
+        want = np.repeat(t06, valid.sum(axis=1), axis=0)
+        pos_err = np.linalg.norm(got[:, :3, 3] - want[:, :3, 3], axis=1)
+        # ||R1 - R2||_F = 2 sqrt(2) |sin(theta/2)|; asin keeps the
+        # small-angle regime well conditioned where acos(trace) is not
+        fro = np.linalg.norm(got[:, :3, :3] - want[:, :3, :3], axis=(1, 2))
+        rot_err = 2.0 * np.arcsin(np.minimum(1.0, fro / (2.0 * math.sqrt(2.0))))
+        ok = valid.copy()
+        ok[valid] = ~((pos_err > POSITION_TOL_MM) | (rot_err > ORIENTATION_TOL_RAD))
+        for node_qs, node_ok, node_free in zip(qs, ok, free):
+            solutions: list[IKSolution] = []
+            for k in np.flatnonzero(node_ok):
+                q = JointConfig(tuple(node_qs[k].tolist()))
+                for j, kept in enumerate(solutions):
+                    if kept.config.max_distance(q) < 1e-9:
+                        if node_free[k]:
+                            solutions[j] = replace(kept, free_parameter=True)
+                        break
+                else:
+                    solutions.append(IKSolution(q, *_BRANCHES[k], bool(node_free[k])))
+            yield solutions
 
 
 def ik(target: Pose, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> list[IKSolution]:
@@ -213,31 +240,7 @@ def ik(target: Pose, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> list[I
     representative carrying free_parameter=True, with the q4+q6 rotation
     absorbed into q4.
     """
-    t06 = target.to_matrix() @ _rigid_inv(tcp_offset.to_matrix())
-    candidates = list(_candidate_angles(t06, dh))
-    if not candidates:
-        return []
-    got = _frames(_joint_array(c[0] for c in candidates), dh)[:, 6]
-    pos_err = np.linalg.norm(got[:, :3, 3] - t06[:3, 3], axis=1)
-    # ||R1 - R2||_F = 2 sqrt(2) |sin(theta/2)|; asin keeps the small-angle
-    # regime well conditioned where acos(trace) is not
-    fro = np.linalg.norm(got[:, :3, :3] - t06[:3, :3], axis=(1, 2))
-    rot_err = 2.0 * np.arcsin(np.minimum(1.0, fro / (2.0 * math.sqrt(2.0))))
-    solutions: list[IKSolution] = []
-    for i, (q, shoulder, elbow, wrist, free) in enumerate(candidates):
-        if pos_err[i] > POSITION_TOL_MM or rot_err[i] > ORIENTATION_TOL_RAD:
-            continue
-        dup = False
-        for j, existing in enumerate(solutions):
-            if existing.config.max_distance(q) < 1e-9:
-                if free and not existing.free_parameter:
-                    solutions[j] = IKSolution(existing.config, existing.shoulder,
-                                              existing.elbow, existing.wrist, True)
-                dup = True
-                break
-        if not dup:
-            solutions.append(IKSolution(q, shoulder, elbow, wrist, free))
-    return solutions
+    return next(ik_batch(target.to_matrix()[None], dh, tcp_offset))
 
 
 def select_branch(solutions: list[IKSolution], prev: JointConfig,

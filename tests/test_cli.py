@@ -81,6 +81,25 @@ def test_extrusion_error_exits_2_without_traceback(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("cell", "collision_dt_s", "0"),
+    ("cure", "sweep_dt_s", "0"),
+    ("job", "layer_height_mm", "0"),
+    ("cell", "obstacles", "1,2,x,4,5,6"),
+    ("cell", "obstacles", "380,-20,0,nan,20,400"),
+    ("job", "speed_3d_mm_s", "inf"),
+])
+def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, section, key, value):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"[{section}]\n{key} = {value}\n")
+    rc = main(["simulate", "--config", str(cfg_file), "--shape", "wall-20x3",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"[{section}] {key}" in err
+
+
 def test_non_finite_prediction_is_never_printable(tmp_path, capsys):
     cfg_file = tmp_path / "nanflow.cfg"
     cfg_file.write_text("[extrusion]\nflow_mm3_s = nan\n")

@@ -80,3 +80,13 @@ def test_obstacle_parsing():
         parse_obstacles(loads_config("[cell]\nobstacles = 1,2,3\n").cell)
     with pytest.raises(ConfigError):
         parse_obstacles(loads_config("[cell]\nobstacles = 0,0,0,0,1,1\n").cell)
+
+
+@pytest.mark.parametrize("section, key", [
+    ("cell", "reorient_rate_rad_s"), ("cell", "collision_dt_s"), ("cure", "sweep_dt_s"),
+    ("job", "speed_2d_mm_s"), ("job", "speed_3d_mm_s"), ("job", "travel_speed_mm_s"),
+    ("job", "layer_height_mm"), ("job", "resolution_mm")])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_rate_and_length_keys_must_be_finite_and_positive(section, key, value):
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key} .*{value}"):
+        loads_config(f"[{section}]\n{key} = {value}\n")

@@ -5,8 +5,9 @@ import pytest
 
 from ramcell.config import default_config
 from ramcell.geometry import Pose, Rotation, Vec3, wrap_angle
-from ramcell.kinematics import (DHParams, JointConfig, UnreachableError, fk,
-                                fk_batch, ik, is_singular, jacobian, manipulability,
+from ramcell.kinematics import (IK_CHUNK_NODES, DHParams, JointConfig,
+                                UnreachableError, fk, fk_batch, ik, ik_batch,
+                                is_singular, jacobian, manipulability,
                                 manipulability_batch, select_branch)
 from ramcell.cell import TOOL_DOWN
 
@@ -255,3 +256,28 @@ def test_wrist_degenerate_ik_flags_free_parameter():
     for s in free:
         assert (fk(s.config, DH).position - target.position).norm() < 1e-6
         assert s.config.q[5] == 0.0
+
+
+def test_ik_batch_rows_match_single_target_calls():
+    """Masked branches and chunk boundaries must not leak between nodes."""
+    rng = np.random.RandomState(10)
+    targets = []
+    for i in range(2 * IK_CHUNK_NODES + 21):
+        if i % 7 == 3:
+            targets.append(Pose(Vec3(1200.0, 0.0, 300.0), TOOL_DOWN))
+        elif i % 5 == 1:
+            q = list(random_q(rng).q)
+            q[4] = 0.0  # wrist degenerate
+            targets.append(fk(JointConfig(tuple(q)), DH, TCP))
+        else:
+            targets.append(fk(random_q(rng), DH, TCP))
+    rows = list(ik_batch(np.array([t.to_matrix() for t in targets]), DH, TCP))
+    assert len(rows) == len(targets)
+    for target, row in zip(targets, rows):
+        single = ik(target, DH, TCP)
+        assert [s.config for s in row] == [s.config for s in single]
+        assert [s.tag for s in row] == [s.tag for s in single]
+        assert [s.free_parameter for s in row] == [s.free_parameter for s in single]
+    assert sum(not row for row in rows) == len(range(3, len(targets), 7))
+    assert any(s.free_parameter for row in rows for s in row)
+    assert any(len(row) == 8 for row in rows)
