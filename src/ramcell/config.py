@@ -23,6 +23,16 @@ class ConfigError(RamcellError):
     pass
 
 
+def _check_positive(where: str, key: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{where} {key} must be finite and > 0, got {value!r}")
+
+
+def _check_fraction(where: str, key: str, value: float) -> None:
+    if not 0.0 < value < 1.0:  # also rejects NaN
+        raise ConfigError(f"{where} {key} must be in (0, 1), got {value!r}")
+
+
 @dataclass(frozen=True)
 class KinematicsConfig:
     # manufacturer link constants for the 6-DOF arm, mm / rad
@@ -111,10 +121,15 @@ class Material:
     scattering: float = 1.0
 
     def __post_init__(self):
+        where = f"[material:{self.name}]"
         if not 0.0 <= self.filler_wt_pct <= 100.0:
-            raise ConfigError(f"{self.name}: filler weight percent out of range")
-        if self.viscosity_index <= 0.0 or self.cure_rate_per_j_mm2 <= 0.0:
-            raise ConfigError(f"{self.name}: viscosity index and cure rate must be positive")
+            raise ConfigError(f"{where} filler_wt_pct must be in [0, 100], "
+                              f"got {self.filler_wt_pct!r}")
+        for key in ("viscosity_index", "cure_rate_per_j_mm2", "attenuation_depth_mm",
+                    "scattering"):
+            _check_positive(where, key, getattr(self, key))
+        # a gel dose of 0 would gel every element at the first UV sample
+        _check_fraction(where, "alpha_gel", self.alpha_gel)
 
 
 @dataclass(frozen=True)
@@ -208,9 +223,12 @@ def loads_config(text: str) -> Config:
 
 
 # zero, negative or non-finite values end in a division by zero, an
-# endless sweep or a 0 s move
-_POSITIVE_KEYS = (("cell", "reorient_rate_rad_s"), ("cell", "collision_dt_s"),
-                  ("cure", "sweep_dt_s"), ("job", "speed_2d_mm_s"), ("job", "speed_3d_mm_s"),
+# endless sweep or a 0 s move, or (NaN) switch off the collision check
+# and the singularity scan, whose comparisons are then never true
+_POSITIVE_KEYS = (("kinematics", "singular_eps"), ("cell", "capsule_radius_mm"),
+                  ("cell", "capsule_length_mm"), ("cell", "reorient_rate_rad_s"),
+                  ("cell", "collision_dt_s"), ("cure", "sweep_dt_s"),
+                  ("job", "speed_2d_mm_s"), ("job", "speed_3d_mm_s"),
                   ("job", "travel_speed_mm_s"), ("job", "layer_height_mm"),
                   ("job", "resolution_mm"))
 
@@ -233,14 +251,17 @@ def _apply_parser(parser: configparser.ConfigParser, origin: str) -> Config:
         if cls is Material:
             name = sec.split(":", 1)[1]
             kwargs.pop("name", None)
-            materials[name] = replace(materials.get(name, Material(name)), **kwargs)
+            try:
+                materials[name] = replace(materials.get(name, Material(name)), **kwargs)
+            except ConfigError as exc:
+                raise ConfigError(f"{origin}: {exc}") from None
         else:
             sections[sec] = replace(getattr(cfg, sec), **kwargs)
     cfg = replace(cfg, materials=materials, **sections)
     for sec, key in _POSITIVE_KEYS:
-        value = getattr(getattr(cfg, sec), key)
-        if not (math.isfinite(value) and value > 0.0):
-            raise ConfigError(f"{origin}: [{sec}] {key} must be finite and > 0, got {value!r}")
+        _check_positive(f"{origin}: [{sec}]", key, getattr(getattr(cfg, sec), key))
+    # a NaN threshold would switch the under-cure check off
+    _check_fraction(f"{origin}: [cure]", "alpha_min", cfg.cure.alpha_min)
     parse_obstacles(cfg.cell)
     return cfg
 

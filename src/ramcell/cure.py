@@ -8,12 +8,22 @@ deposited element inside it, attenuated exponentially with burial depth
 under the current nozzle plane.  Cure degree follows a saturating
 exponential in dose; beads spread sideways in proportion to how long
 they sit uncured, divided by the formulation's viscosity index.
+
+The sweep is culled: each timeline entry evaluates only the elements
+already deposited by its last sample whose centroids lie within the
+footprint radius of the box around its spot track, a few dozen of the
+thousands on a multi-layer part.  Its cost is O(samples x candidates)
+plus a box test over the deposited elements per entry, and its dose
+and gel times are bit for bit those of evaluating every element at
+every sample.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -177,6 +187,84 @@ def deposit(path: Toolpath, flow: FlowModel, material: Material, res_mm: float,
     return dmap
 
 
+@dataclass(frozen=True)
+class _SampleBlock:
+    """Sweep samples of a run of consecutive UV-on timeline entries.
+
+    Entry i of the block owns samples ``start[i]:stop[i]``: equal steps
+    of dt centred in the entry, each worth ``weight[i]`` = irradiance x dt.
+    """
+    start: np.ndarray
+    stop: np.ndarray
+    weight: np.ndarray
+    tau: np.ndarray
+    spot_x: np.ndarray
+    spot_y: np.ndarray
+    nozzle_z: np.ndarray
+
+
+# entries per sample block: bounds the stream's memory, whatever the
+# path length, while keeping the per-block array overhead negligible
+_BLOCK_ENTRIES = 256
+
+
+def _sample_blocks(path: Toolpath, spot: UVSpot, dt_s: float,
+                   reorient_rate: float) -> Iterator[_SampleBlock]:
+    """Lay out the samples of the UV-on timeline, one block at a time.
+
+    Element for element this is the arithmetic of a per-entry loop
+    (tau = t0 + (k + 1/2) dt, then linear interpolation of nozzle and
+    yaw), so every value matches it bit for bit.
+    """
+    entries = [e for e in time_profile(path, reorient_rate) if e.uv_on and e.t1 > e.t0]
+    t0, t1, x0, y0, z0, x1, y1, z1, yaw0, yaw1 = (
+        np.fromiter(map(attrgetter(name), entries), float, len(entries))
+        for name in ("t0", "t1", "start.x", "start.y", "start.z",
+                     "end.x", "end.y", "end.z", "yaw0", "yaw1"))
+    del entries  # a generator keeps its locals; the timeline objects are large
+    dur = t1 - t0
+    count = np.maximum(1, np.ceil(dur / dt_s)).astype(np.int64)
+    dt = dur / count
+    weight = spot.irradiance_w_mm2() * dt
+    dx, dy, dz, dyaw = x1 - x0, y1 - y0, z1 - z0, yaw1 - yaw0
+    for lo in range(0, len(count), _BLOCK_ENTRIES):
+        blk = slice(lo, lo + _BLOCK_ENTRIES)
+        n = count[blk]
+
+        def rep(v: np.ndarray) -> np.ndarray:
+            return np.repeat(v[blk], n)
+
+        stop = np.cumsum(n)
+        start = stop - n
+        # in-place steps keep the temporaries few; IEEE + and * commute,
+        # so a * b + c is the same bits as c + b * a
+        tau = np.arange(stop[-1]) - np.repeat(start, n) + 0.5
+        tau *= rep(dt)
+        tau += rep(t0)
+        frac = tau - rep(t0)
+        frac /= rep(dur)
+
+        def along(v0: np.ndarray, dv: np.ndarray) -> np.ndarray:
+            out = frac * rep(dv)
+            out += rep(v0)
+            return out
+
+        spot_x = along(yaw0, dyaw)
+        spot_y = np.sin(spot_x)
+        np.cos(spot_x, out=spot_x)
+        spot_x *= spot.trail_mm
+        spot_x += along(x0, dx)
+        spot_y *= spot.trail_mm
+        spot_y += along(y0, dy)
+        yield _SampleBlock(start=start, stop=stop, weight=weight[blk], tau=tau,
+                           spot_x=spot_x, spot_y=spot_y, nozzle_z=along(z0, dz))
+
+
+# the cull box is padded by a micron so that rounding at its edges can
+# never drop an element the exact circle test would light
+_CULL_PAD_MM = 1e-6
+
+
 def accumulate_dose(dmap: DepositionMap, path: Toolpath, spot: UVSpot,
                     dt_s: float = 0.02, reorient_rate: float = 1.0) -> DepositionMap:
     """Sweep the trailing footprint over the timeline and integrate dose.
@@ -186,40 +274,60 @@ def accumulate_dose(dmap: DepositionMap, path: Toolpath, spot: UVSpot,
     exp(-depth / attenuation) for material buried below the current
     nozzle plane.  Gel times are recorded at the first sample where an
     element's cumulative dose reaches the formulation's gel dose.
+
+    Each timeline entry evaluates only its candidates: the elements
+    deposited by the entry's last sample (a prefix, since deposit times
+    are ordered) whose centroid lies in the box around the entry's spot
+    track grown by the footprint radius.  Every other element would get
+    exactly +0.0 from each sample, so dose and gel times are bit for bit
+    those of a sweep over all elements, at O(samples x candidates) in
+    place of O(samples x elements).  Relies on a gel dose > 0, which
+    the `Material` invariants guarantee.
     """
-    if len(dmap) == 0:
+    if len(dmap) == 0 or spot.irradiance_w_mm2() <= 0.0:
         return dmap
-    irr = spot.irradiance_w_mm2()
+    if np.any(np.diff(dmap.deposit_time) < 0.0):
+        raise CureError("deposit times must be in timeline order")
     radius2 = spot.footprint_radius_mm() ** 2
+    reach = spot.footprint_radius_mm() + _CULL_PAD_MM
     threshold = gel_dose(dmap.material)
     att = dmap.material.attenuation_depth_mm
-    ex, ey, ez = dmap.x, dmap.y, dmap.z
-    for e in time_profile(path, reorient_rate):
-        if not e.uv_on or irr <= 0.0:
-            continue
-        dur = e.t1 - e.t0
-        if dur <= 0.0:
-            continue
-        n = max(1, math.ceil(dur / dt_s))
-        dtj = dur / n
-        tau = e.t0 + (np.arange(n) + 0.5) * dtj
-        frac = (tau - e.t0) / dur
-        nx = e.start.x + frac * (e.end.x - e.start.x)
-        ny = e.start.y + frac * (e.end.y - e.start.y)
-        nz = e.start.z + frac * (e.end.z - e.start.z)
-        yaw = e.yaw0 + frac * (e.yaw1 - e.yaw0)
-        sx = nx + spot.trail_mm * np.cos(yaw)
-        sy = ny + spot.trail_mm * np.sin(yaw)
-        d2 = (ex[None, :] - sx[:, None]) ** 2 + (ey[None, :] - sy[:, None]) ** 2
-        lit = (d2 <= radius2) & (dmap.deposit_time[None, :] <= tau[:, None])
-        depth = np.clip(nz[:, None] - ez[None, :], 0.0, None)
-        contrib = np.where(lit, irr * dtj * np.exp(-depth / att), 0.0)
-        cum = dmap.dose[None, :] + np.cumsum(contrib, axis=0)
-        newly = ~np.isfinite(dmap.gel_time) & (cum[-1] >= threshold)
-        if np.any(newly):
-            first = np.argmax(cum[:, newly] >= threshold, axis=0)
-            dmap.gel_time[newly] = tau[first]
-        dmap.dose = cum[-1]
+    ex, ey, ez, et = dmap.x, dmap.y, dmap.z, dmap.deposit_time
+    dose, gel = dmap.dose, dmap.gel_time
+    # the box test writes into two fixed masks: fresh ones, of a new
+    # length in nearly every entry, would pile up in numpy's cache of
+    # small freed blocks and raise peak memory by about a megabyte
+    inside, scratch = np.empty(len(dmap), bool), np.empty(len(dmap), bool)
+    for blk in _sample_blocks(path, spot, dt_s, reorient_rate):
+        deposited = np.searchsorted(et, blk.tau[blk.stop - 1], side="right")
+        lo_x = np.minimum.reduceat(blk.spot_x, blk.start) - reach
+        hi_x = np.maximum.reduceat(blk.spot_x, blk.start) + reach
+        lo_y = np.minimum.reduceat(blk.spot_y, blk.start) - reach
+        hi_y = np.maximum.reduceat(blk.spot_y, blk.start) + reach
+        for a, b, m, w, x0, x1, y0, y1 in zip(
+                blk.start.tolist(), blk.stop.tolist(), deposited.tolist(),
+                blk.weight.tolist(), lo_x.tolist(), hi_x.tolist(), lo_y.tolist(),
+                hi_y.tolist()):
+            px, py, box, tmp = ex[:m], ey[:m], inside[:m], scratch[:m]
+            np.greater_equal(px, x0, out=box)
+            box &= np.less_equal(px, x1, out=tmp)
+            box &= np.greater_equal(py, y0, out=tmp)
+            box &= np.less_equal(py, y1, out=tmp)
+            cand = box.nonzero()[0]
+            if len(cand) == 0:
+                continue
+            tau = blk.tau[a:b]
+            sx, sy = blk.spot_x[a:b, None], blk.spot_y[a:b, None]
+            d2 = (ex[cand] - sx) ** 2 + (ey[cand] - sy) ** 2
+            lit = (d2 <= radius2) & (et[cand] <= tau[:, None])
+            depth = np.maximum(blk.nozzle_z[a:b, None] - ez[cand], 0.0)
+            contrib = np.where(lit, w * np.exp(-depth / att), 0.0)
+            cum = dose[cand] + np.cumsum(contrib, axis=0)
+            newly = np.isinf(gel[cand]) & (cum[-1] >= threshold)
+            if newly.any():
+                first = np.argmax(cum[:, newly] >= threshold, axis=0)
+                gel[cand[newly]] = tau[first]
+            dose[cand] = cum[-1]
     return dmap
 
 

@@ -88,6 +88,12 @@ def test_extrusion_error_exits_2_without_traceback(tmp_path, capsys):
     ("cell", "obstacles", "1,2,x,4,5,6"),
     ("cell", "obstacles", "380,-20,0,nan,20,400"),
     ("job", "speed_3d_mm_s", "inf"),
+    ("material:dlp-fs9", "alpha_gel", "1"),
+    ("material:dlp-fs9", "attenuation_depth_mm", "0"),
+    ("cure", "alpha_min", "nan"),
+    ("cell", "capsule_radius_mm", "nan"),
+    ("cell", "capsule_length_mm", "nan"),
+    ("kinematics", "singular_eps", "nan"),
 ])
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, section, key, value):
     cfg_file = tmp_path / "bad.cfg"

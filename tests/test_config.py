@@ -85,8 +85,20 @@ def test_obstacle_parsing():
 @pytest.mark.parametrize("section, key", [
     ("cell", "reorient_rate_rad_s"), ("cell", "collision_dt_s"), ("cure", "sweep_dt_s"),
     ("job", "speed_2d_mm_s"), ("job", "speed_3d_mm_s"), ("job", "travel_speed_mm_s"),
-    ("job", "layer_height_mm"), ("job", "resolution_mm")])
+    ("job", "layer_height_mm"), ("job", "resolution_mm"),
+    ("kinematics", "singular_eps"), ("cell", "capsule_radius_mm"),
+    ("cell", "capsule_length_mm"), ("material:dlp-fs9", "cure_rate_per_j_mm2"),
+    ("material:dlp-fs9", "scattering"), ("material:dlp-fs9", "attenuation_depth_mm"),
+    ("material:dlp-fs9", "viscosity_index"), ("material:new-resin", "scattering")])
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
 def test_rate_and_length_keys_must_be_finite_and_positive(section, key, value):
     with pytest.raises(ConfigError, match=rf"\[{section}\] {key} .*{value}"):
+        loads_config(f"[{section}]\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("section, key", [("cure", "alpha_min"),
+                                          ("material:dlp-fs9", "alpha_gel")])
+@pytest.mark.parametrize("value", ["0", "1", "-0.5", "nan", "inf"])
+def test_cure_degree_keys_must_lie_strictly_between_0_and_1(section, key, value):
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key} must be in \(0, 1\)"):
         loads_config(f"[{section}]\n{key} = {value}\n")

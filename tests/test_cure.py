@@ -4,16 +4,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ramcell import pipeline
 from ramcell.config import Material, default_config
 from ramcell.cure import (CureError, DepositionMap, UVSpot, accumulate_dose,
-                          deposit, flag_undercured, predict_dimensions,
+                          deposit, flag_undercured, gel_dose, predict_dimensions,
                           spread, update_cure)
 from ramcell.extrusion import FlowModel
 from ramcell.geometry import Vec3
 from ramcell.shapes import generate
 from ramcell.toolpath import (ExtensionPolicy, Segment, Toolpath,
                               add_cure_extensions, assign_orientations,
-                              resample)
+                              resample, time_profile)
 
 CFG = default_config()
 FLOW = FlowModel()
@@ -286,3 +287,143 @@ def test_flag_undercured_corner_first_without_lead():
     assert corner_dist < 12.0
     alphas = [e.alpha for e in flagged]
     assert alphas == sorted(alphas)
+
+
+def _dense_sweep(dmap, path, spot, dt_s, reorient_rate=1.0):
+    """Reference sweep: every element at every sample of every entry.
+
+    The culled `accumulate_dose` must reproduce its dose and gel times
+    bit for bit.
+    """
+    irr = spot.irradiance_w_mm2()
+    radius2 = spot.footprint_radius_mm() ** 2
+    threshold = gel_dose(dmap.material)
+    att = dmap.material.attenuation_depth_mm
+    ex, ey, ez = dmap.x, dmap.y, dmap.z
+    for e in time_profile(path, reorient_rate):
+        if not e.uv_on or irr <= 0.0:
+            continue
+        dur = e.t1 - e.t0
+        if dur <= 0.0:
+            continue
+        n = max(1, math.ceil(dur / dt_s))
+        dtj = dur / n
+        tau = e.t0 + (np.arange(n) + 0.5) * dtj
+        frac = (tau - e.t0) / dur
+        nx = e.start.x + frac * (e.end.x - e.start.x)
+        ny = e.start.y + frac * (e.end.y - e.start.y)
+        nz = e.start.z + frac * (e.end.z - e.start.z)
+        yaw = e.yaw0 + frac * (e.yaw1 - e.yaw0)
+        sx = nx + spot.trail_mm * np.cos(yaw)
+        sy = ny + spot.trail_mm * np.sin(yaw)
+        d2 = (ex[None, :] - sx[:, None]) ** 2 + (ey[None, :] - sy[:, None]) ** 2
+        lit = (d2 <= radius2) & (dmap.deposit_time[None, :] <= tau[:, None])
+        depth = np.clip(nz[:, None] - ez[None, :], 0.0, None)
+        contrib = np.where(lit, irr * dtj * np.exp(-depth / att), 0.0)
+        cum = dmap.dose[None, :] + np.cumsum(contrib, axis=0)
+        newly = ~np.isfinite(dmap.gel_time) & (cum[-1] >= threshold)
+        if np.any(newly):
+            first = np.argmax(cum[:, newly] >= threshold, axis=0)
+            dmap.gel_time[newly] = tau[first]
+        dmap.dose = cum[-1]
+    return dmap
+
+
+# two hexagonal layers of diagonal moves, in opposite windings
+HEXAGON_GCODE = """\
+G0 X20 Y0 Z0.85
+M42 P2 S1
+M106
+G1 X10 Y17.320508 F240
+G1 X-10 Y17.320508
+G1 X-20 Y0
+G1 X-10 Y-17.320508
+G1 X10 Y-17.320508
+G1 X20 Y0
+M107
+G1 Z1.7
+M106
+G1 X10 Y-17.320508
+G1 X-10 Y-17.320508
+G1 X-20 Y0
+G1 X-10 Y17.320508
+G1 X10 Y17.320508
+G1 X20 Y0
+M107
+M42 P2 S0
+"""
+
+
+def _job(source, material="dlp-fs9", dt_s=None, trail_mm=None):
+    cfg = replace(CFG, job=replace(CFG.job, material=material))
+    if dt_s is not None:
+        cfg = replace(cfg, cure=replace(cfg.cure, sweep_dt_s=dt_s))
+    if trail_mm is not None:
+        cfg = replace(cfg, uv=replace(cfg.uv, trail_offset_mm=trail_mm))
+    if source == "hexagon-gcode":
+        local = pipeline.build_toolpath_from_gcode(cfg, HEXAGON_GCODE)
+    else:
+        local = pipeline.build_toolpath_from_shape(cfg, source)
+    return pipeline.build_job(cfg, source, local)
+
+
+def _deposit(job):
+    cfg = job.cfg
+    return deposit(job.local_path, job.flow, job.material, 1.0, cfg.job.layer_height_mm,
+                   cfg.cure.bead_aspect, cfg.cell.reorient_rate_rad_s)
+
+
+def _assert_sweeps_agree(job, reference=None):
+    cfg = job.cfg
+    if reference is None:
+        reference = _dense_sweep(_deposit(job), job.local_path, job.spot,
+                                 cfg.cure.sweep_dt_s, cfg.cell.reorient_rate_rad_s)
+    culled = accumulate_dose(_deposit(job), job.local_path, job.spot,
+                             cfg.cure.sweep_dt_s, cfg.cell.reorient_rate_rad_s)
+    assert np.any(np.isfinite(reference.gel_time))  # the gel-time path is exercised
+    assert np.array_equal(culled.dose, reference.dose)
+    assert np.array_equal(culled.gel_time, reference.gel_time)
+    return reference
+
+
+@pytest.mark.parametrize("source, material, dt_s, trail_mm", [
+    ("rectangle-90x60", "dlp-gf50", None, None),   # the three specimens
+    ("wall-50x10", "dlp-fs9", None, None),
+    ("square-30x30x8.5", "dlp-fs9", None, None),
+    ("hexagon-gcode", "dlp-fs9", None, None),      # diagonal moves, no extensions
+    ("wall-50x10", "dlp-fs9", 0.007, None),        # does not divide the entry durations
+    ("square-20x20x2.55", "dlp-fs9", None, 0.0),   # footprint centred on the nozzle
+    # one sample per move: with no trail that sample sits on the element
+    # the move deposits, at its deposit time
+    ("square-20x20x2.55", "dlp-fs9", 0.5, 0.0),
+])
+def test_culled_sweep_matches_dense_sweep_bit_for_bit(source, material, dt_s, trail_mm):
+    _assert_sweeps_agree(_job(source, material, dt_s, trail_mm))
+
+
+def test_culled_sweep_matches_dense_sweep_on_the_material_ladder():
+    jobs = [_job("square-50x50x8.5", m) for m in ("dlp-gf0", "dlp-gf35", "dlp-gf50")]
+    # the ladder differs only in viscosity, which the sweep never reads,
+    # so one dense run is the reference for all three
+    physics = {(gel_dose(j.material), j.material.attenuation_depth_mm) for j in jobs}
+    assert len(physics) == 1
+    reference = _assert_sweeps_agree(jobs[0])
+    for job in jobs[1:]:
+        _assert_sweeps_agree(job, reference)
+
+
+@pytest.mark.parametrize("source", ["rectangle-90x60", "wall-50x10", "square-30x30x8.5",
+                                    "hexagon-gcode"])
+def test_deposit_times_strictly_increase(source):
+    # the culled sweep finds an entry's deposited elements as a prefix
+    dmap = _deposit(_job(source))
+    assert len(dmap) > 0
+    assert np.all(np.diff(dmap.deposit_time) > 0.0)
+
+
+def test_sweep_rejects_unordered_deposit_times():
+    path = line_path()
+    dmap = deposit(path, FLOW, FS9, 1.0, 0.85)
+    dmap.deposit_time = dmap.deposit_time[::-1].copy()
+    with pytest.raises(CureError, match="deposit times"):
+        accumulate_dose(dmap, path, SPOT, CFG.cure.sweep_dt_s)
