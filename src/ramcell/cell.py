@@ -1,10 +1,13 @@
 """Cell-level planning: joint trajectories, clearance checks, reporting.
 
 The planner walks the shared toolpath timeline, builds the TCP targets
-of all nodes (dwell nodes included) as one array for the chunked batch
-IK, and keeps the branch continuous node by node.  Collision checking
-samples the interpolated tool capsule against the table plane and the
-configured obstacle boxes.
+of all nodes (dwell nodes included) as one array, and takes the chunked
+batch IK's candidates straight into the array branch choice
+(kinematics.select_chain), which keeps the branch continuous from node
+to node; a JointConfig is built only for each waypoint.  Collision
+checking samples the interpolated tool capsule against the table plane
+and the configured obstacle boxes, running the per-box search only on
+samples whose capsule axis comes within a capsule radius of the box.
 Everything here is deterministic: identical inputs give byte-identical
 programs, scripts and reports.
 """
@@ -20,8 +23,8 @@ from . import RamcellError
 from .config import CellConfig, Config, parse_obstacles
 from .extrusion import IOEvent
 from .geometry import Pose, Rotation, Vec3
-from .kinematics import (DHParams, JointConfig, fk_batch, ik_batch,
-                         manipulability_batch, select_branch,
+from .kinematics import (TAG_ORDER, DHParams, JointConfig, fk_batch, ik_chunks,
+                         manipulability_batch, select_chain,
                          tcp_offset_from_config)
 from .toolpath import Toolpath, time_profile
 
@@ -73,15 +76,25 @@ class RobotProgram:
         return self.waypoints[-1][0] if self.waypoints else 0.0
 
     def validate_speeds(self, max_joint_speed: float) -> None:
-        for (t0, q0), (t1, q1) in zip(self.waypoints, self.waypoints[1:]):
-            dt = t1 - t0
-            if dt <= 0.0:
-                raise PlanningError("waypoint times must be strictly increasing", t1)
-            rate = q0.max_distance(q1) / dt
-            if rate > max_joint_speed + 1e-9:
-                raise PlanningError(
-                    f"joint speed {rate:.3f} rad/s exceeds limit {max_joint_speed}",
-                    t1, kind="limit")
+        """Raise PlanningError at the first waypoint reached too early or
+        through a max-norm joint rate above max_joint_speed."""
+        if len(self.waypoints) < 2:
+            return
+        times = np.array([t for t, _ in self.waypoints])
+        dt = np.diff(times)
+        step = np.abs(np.diff([q.q for _, q in self.waypoints], axis=0)).max(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rate = step / dt
+        bad = (dt <= 0.0) | (rate > max_joint_speed + 1e-9)
+        if not bad.any():
+            return
+        i = int(bad.argmax())
+        t1 = float(times[i + 1])
+        if dt[i] <= 0.0:
+            raise PlanningError("waypoint times must be strictly increasing", t1)
+        raise PlanningError(
+            f"joint speed {rate[i]:.3f} rad/s exceeds limit {max_joint_speed}",
+            t1, kind="limit")
 
 
 @dataclass
@@ -203,24 +216,11 @@ class SimReport:
 TOOL_DOWN = Rotation.about_x(math.pi)
 
 
-def plan_trajectory(path: Toolpath, cfg: Config, env: CellEnvironment,
-                    events: tuple[IOEvent, ...] = (),
-                    metadata: tuple[tuple[str, str], ...] = ()) -> RobotProgram:
-    """Joint waypoints along the timeline with branch continuity.
-
-    Every move node becomes a waypoint timed by the segment speed; dwell
-    nodes are subdivided so no step reorients more than
-    DWELL_YAW_STEP_RAD.  Raises PlanningError on unreachable nodes or on
-    a joint-space jump above MAX_JOINT_STEP_RAD in one step.
-    """
-    dh = DHParams.from_config(cfg.kinematics)
-    tcp = tcp_offset_from_config(cfg.kinematics)
-    limit = cfg.kinematics.joint_limit_rad
+def _plan_nodes(path: Toolpath, cfg: Config):
+    """The planner's nodes (t, position, yaw, tcp speed) along the
+    timeline and their TCP targets, an (n, 4, 4) array."""
     entries = time_profile(path, cfg.cell.reorient_rate_rad_s)
-    if not entries:
-        return RobotProgram((), (), events, metadata)
-
-    nodes: list[tuple[float, Vec3, float, float]] = []  # t, pos, yaw, tcp speed
+    nodes: list[tuple[float, Vec3, float, float]] = []
     first = entries[0]
     nodes.append((first.t0, first.start, first.yaw0, 0.0))
     for e in entries:
@@ -241,27 +241,62 @@ def plan_trajectory(path: Toolpath, cfg: Config, env: CellEnvironment,
     targets[:, 0] = np.cos(yaw) * down[0] - np.sin(yaw) * down[1]
     targets[:, 1] = np.sin(yaw) * down[0] + np.cos(yaw) * down[1]
     targets[:, :3, 3] = np.fromiter(((p.x, p.y, p.z) for _, p, _, _ in nodes), (float, 3))
+    return nodes, targets
+
+
+def plan_trajectory(path: Toolpath, cfg: Config, env: CellEnvironment,
+                    events: tuple[IOEvent, ...] = (),
+                    metadata: tuple[tuple[str, str], ...] = ()) -> RobotProgram:
+    """Joint waypoints along the timeline with branch continuity.
+
+    Every move node becomes a waypoint timed by the segment speed; dwell
+    nodes are subdivided so no step reorients more than
+    DWELL_YAW_STEP_RAD.  Raises PlanningError on unreachable nodes or on
+    a joint-space jump above MAX_JOINT_STEP_RAD in one step.
+    """
+    if not path.segments:
+        return RobotProgram((), (), events, metadata)
+    dh = DHParams.from_config(cfg.kinematics)
+    tcp = tcp_offset_from_config(cfg.kinematics)
+    limit = cfg.kinematics.joint_limit_rad
+    nodes, targets = _plan_nodes(path, cfg)
+
+    # a node no later than the last waypoint adds none, and the next
+    # node's branch continues from that waypoint's
+    added = np.zeros(len(nodes), dtype=bool)
+    last_t = -math.inf
+    for i, (t, _, _, _) in enumerate(nodes):
+        if t > last_t + 1e-12:
+            added[i] = True
+            last_t = t
 
     waypoints: list[tuple[float, JointConfig]] = []
     speeds: list[float] = []
-    prev_q: JointConfig | None = None
-    for (t, pos, _, v), sols in zip(nodes, ik_batch(targets, dh, tcp)):
-        if not sols:
-            raise PlanningError(
-                f"unreachable waypoint at ({pos.x:.3f}, {pos.y:.3f}, {pos.z:.3f})",
-                t, pos)
-        q = select_branch(sols, prev_q or JointConfig(cfg_home()), limit)
-        if prev_q is not None:
-            step = q.max_distance(prev_q)
-            if step > MAX_JOINT_STEP_RAD:
-                raise PlanningError(
-                    f"configuration jump of {step:.3f} rad at "
-                    f"({pos.x:.3f}, {pos.y:.3f}, {pos.z:.3f})", t, pos, kind="jump")
-        if waypoints and t <= waypoints[-1][0] + 1e-12:
-            continue
-        waypoints.append((t, q))
-        speeds.append(v)
-        prev_q = q
+    prev = np.array(cfg_home())
+    start = 0
+    for qs, kept, _ in ik_chunks(targets, dh, tcp):
+        n = len(qs)
+        qs, kept = qs[:, TAG_ORDER], kept[:, TAG_ORDER]
+        reach = kept.any(axis=1)
+        r = n if reach.all() else int(np.argmin(reach))
+        q, step = select_chain(qs[:r], kept[:r], prev, limit, added[start:start + r])
+        jump = np.flatnonzero(step > MAX_JOINT_STEP_RAD)
+        jump = jump[start + jump > 0]  # the first node is reached from home
+        if len(jump) or r < n:
+            i = jump[0] if len(jump) else r
+            t, pos, _, _ = nodes[start + i]
+            where = f"({pos.x:.3f}, {pos.y:.3f}, {pos.z:.3f})"
+            if i < r:
+                raise PlanningError(f"configuration jump of {step[i]:.3f} rad at {where}",
+                                    t, pos, kind="jump")
+            raise PlanningError(f"unreachable waypoint at {where}", t, pos)
+        joints = q.tolist()
+        for i in np.flatnonzero(added[start:start + n]):
+            t, _, _, v = nodes[start + i]
+            waypoints.append((t, JointConfig(tuple(joints[i]))))
+            speeds.append(v)
+        prev = np.asarray(waypoints[-1][1].q)
+        start += n
     program = RobotProgram(tuple(waypoints), tuple(speeds), events, metadata)
     program.validate_speeds(cfg.cell.max_joint_speed_rad_s)
     return program
@@ -314,26 +349,39 @@ def check_collisions(program: RobotProgram, cfg: Config, env: CellEnvironment,
     hit = below | cap_below
     if np.any(hit):
         findings.append((float(ts[int(np.argmax(hit))]), "table"))
+    # every point of a sample's capsule axis lies at least the axis
+    # segment's bounding-box gap to a box away from it on each axis, so
+    # only samples whose segment box overlaps the obstacle grown by a
+    # capsule radius (plus 1 um against rounding) can touch it
+    reach = env.capsule_radius_mm + 1e-3
     for bi, box in enumerate(env.obstacles):
+        near = np.ones(len(ts), dtype=bool)
+        for a, b, lo, hi in zip((ax, ay, az), (bx, by, bz), box.lo, box.hi):
+            near &= np.maximum(a, b) > lo - reach
+            near &= np.minimum(a, b) < hi + reach
+        kept = np.flatnonzero(near)
+        if not len(kept):
+            continue
+        sax, say, saz, sbx, sby, sbz = (c[kept] for c in (ax, ay, az, bx, by, bz))
         # closest capsule-axis point to the box by golden-section on t
-        lo_t = np.zeros_like(ts)
-        hi_t = np.ones_like(ts)
+        lo_t = np.zeros(len(kept))
+        hi_t = np.ones(len(kept))
         for _ in range(40):
             m1 = lo_t + (hi_t - lo_t) / 3.0
             m2 = hi_t - (hi_t - lo_t) / 3.0
-            d1 = _point_box_distance(ax + m1 * (bx - ax), ay + m1 * (by - ay),
-                                     az + m1 * (bz - az), box)
-            d2 = _point_box_distance(ax + m2 * (bx - ax), ay + m2 * (by - ay),
-                                     az + m2 * (bz - az), box)
+            d1 = _point_box_distance(sax + m1 * (sbx - sax), say + m1 * (sby - say),
+                                     saz + m1 * (sbz - saz), box)
+            d2 = _point_box_distance(sax + m2 * (sbx - sax), say + m2 * (sby - say),
+                                     saz + m2 * (sbz - saz), box)
             take1 = d1 <= d2
             hi_t = np.where(take1, m2, hi_t)
             lo_t = np.where(take1, lo_t, m1)
         tm = 0.5 * (lo_t + hi_t)
-        dist = _point_box_distance(ax + tm * (bx - ax), ay + tm * (by - ay),
-                                   az + tm * (bz - az), box)
+        dist = _point_box_distance(sax + tm * (sbx - sax), say + tm * (sby - say),
+                                   saz + tm * (sbz - saz), box)
         contact = dist < env.capsule_radius_mm
         if np.any(contact):
-            findings.append((float(ts[int(np.argmax(contact))]), f"obstacle_{bi}"))
+            findings.append((float(ts[kept[int(np.argmax(contact))]]), f"obstacle_{bi}"))
     findings.sort(key=lambda f: (f[0], f[1]))
     return findings
 

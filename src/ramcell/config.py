@@ -28,6 +28,12 @@ def _check_positive(where: str, key: str, value: float) -> None:
         raise ConfigError(f"{where} {key} must be finite and > 0, got {value!r}")
 
 
+def _check_finite(where: str, key: str, value: float, nonzero: bool = False) -> None:
+    if not math.isfinite(value) or (nonzero and value == 0.0):
+        rule = "finite and non-zero" if nonzero else "finite"
+        raise ConfigError(f"{where} {key} must be {rule}, got {value!r}")
+
+
 def _check_fraction(where: str, key: str, value: float) -> None:
     if not 0.0 < value < 1.0:  # also rejects NaN
         raise ConfigError(f"{where} {key} must be in (0, 1), got {value!r}")
@@ -223,14 +229,22 @@ def loads_config(text: str) -> Config:
 
 
 # zero, negative or non-finite values end in a division by zero, an
-# endless sweep or a 0 s move, or (NaN) switch off the collision check
-# and the singularity scan, whose comparisons are then never true
-_POSITIVE_KEYS = (("kinematics", "singular_eps"), ("cell", "capsule_radius_mm"),
-                  ("cell", "capsule_length_mm"), ("cell", "reorient_rate_rad_s"),
+# endless sweep or a 0 s move, or (NaN) switch off the collision check,
+# the singularity scan, the joint-speed check and the unwrap fold, whose
+# comparisons are then never true
+_POSITIVE_KEYS = (("kinematics", "singular_eps"), ("kinematics", "joint_limit_rad"),
+                  ("cell", "capsule_radius_mm"), ("cell", "capsule_length_mm"),
+                  ("cell", "max_joint_speed_rad_s"), ("cell", "reorient_rate_rad_s"),
                   ("cell", "collision_dt_s"), ("cure", "sweep_dt_s"),
                   ("job", "speed_2d_mm_s"), ("job", "speed_3d_mm_s"),
                   ("job", "travel_speed_mm_s"), ("job", "layer_height_mm"),
                   ("job", "resolution_mm"))
+# link constants and placement may take either sign; the closed-form IK
+# divides by a2, a3 and d6
+_FINITE_KEYS = (("kinematics", "d1_mm"), ("kinematics", "d4_mm"), ("kinematics", "d5_mm"),
+                ("kinematics", "tcp_offset_z_mm"), ("cell", "origin_x_mm"),
+                ("cell", "origin_y_mm"), ("cell", "origin_z_mm"))
+_NONZERO_KEYS = (("kinematics", "a2_mm"), ("kinematics", "a3_mm"), ("kinematics", "d6_mm"))
 
 
 def _apply_parser(parser: configparser.ConfigParser, origin: str) -> Config:
@@ -260,6 +274,9 @@ def _apply_parser(parser: configparser.ConfigParser, origin: str) -> Config:
     cfg = replace(cfg, materials=materials, **sections)
     for sec, key in _POSITIVE_KEYS:
         _check_positive(f"{origin}: [{sec}]", key, getattr(getattr(cfg, sec), key))
+    for keys, nonzero in ((_FINITE_KEYS, False), (_NONZERO_KEYS, True)):
+        for sec, key in keys:
+            _check_finite(f"{origin}: [{sec}]", key, getattr(getattr(cfg, sec), key), nonzero)
     # a NaN threshold would switch the under-cure check off
     _check_fraction(f"{origin}: [cure]", "alpha_min", cfg.cure.alpha_min)
     parse_obstacles(cfg.cell)

@@ -5,8 +5,12 @@ Two batched kernels, both built on the one DH link constructor
 `_frames` (TCP frames, Jacobian, manipulability, IK's forward check) and
 the closed-form inverse `_candidate_angles`, which evaluates the eight
 branches (shoulder, wrist, elbow) of every target as array masks.
-`ik_batch` solves targets in chunks of IK_CHUNK_NODES; `fk`, `jacobian`,
-`manipulability` and `ik` are one-row calls.  The Jacobian is geometric
+`ik_chunks` solves targets in chunks of IK_CHUNK_NODES and de-duplicates
+each chunk's candidates as arrays; `nearest_branch` picks branches for
+many nodes at once and `select_chain` runs it along a chain of nodes,
+bit for bit as node by node.  `ik_batch`, `ik` and `select_branch` are
+thin wrappers that build IKSolution/JointConfig objects; `fk`,
+`jacobian` and `manipulability` are one-row calls.  The Jacobian is geometric
 (linear rows mm/rad, angular rad/rad); manipulability is |det J|
 (Yoshikawa) of a meters-scaled copy, O(0.01) away from singularities and
 below 1e-9 at them, independent of the mm length unit.
@@ -15,7 +19,7 @@ below 1e-9 at them, independent of the mm length unit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -200,35 +204,58 @@ def _candidate_angles(t06: np.ndarray, dh: DHParams):
             np.broadcast_to(free[..., None], q2.shape).reshape(-1, 8))
 
 
+def _checked_candidates(t06: np.ndarray, dh: DHParams):
+    """_candidate_angles of the (n, 4, 4) flange targets with the mask
+    narrowed to the branches whose forward pose matches the target."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        qs, valid, free = _candidate_angles(t06, dh)
+    got = _frames(qs[valid], dh)[:, 6]
+    want = np.repeat(t06, valid.sum(axis=1), axis=0)
+    pos_err = np.linalg.norm(got[:, :3, 3] - want[:, :3, 3], axis=1)
+    # ||R1 - R2||_F = 2 sqrt(2) |sin(theta/2)|; asin keeps the
+    # small-angle regime well conditioned where acos(trace) is not
+    fro = np.linalg.norm(got[:, :3, :3] - want[:, :3, :3], axis=(1, 2))
+    rot_err = 2.0 * np.arcsin(np.minimum(1.0, fro / (2.0 * math.sqrt(2.0))))
+    ok = valid.copy()
+    ok[valid] = ~((pos_err > POSITION_TOL_MM) | (rot_err > ORIENTATION_TOL_RAD))
+    return qs, ok, free
+
+
+def _dedup(qs: np.ndarray, ok: np.ndarray, free: np.ndarray):
+    """Drop candidate k of each row when it lies within 1e-9 (max-norm) of
+    the first kept candidate j < k; j inherits a dropped k's wrist-free
+    flag.  Returns the kept mask and the free flags, both (n, 8)."""
+    near = np.abs(qs[:, :, None] - qs[:, None]).max(axis=-1) < 1e-9  # (n, j, k)
+    kept = np.zeros_like(ok)
+    kept[:, 0] = ok[:, 0]
+    free = free.copy()
+    nodes = np.arange(len(qs))
+    for k in range(1, 8):
+        match = kept[:, :k] & near[:, :k, k]
+        dup = match.any(axis=1)
+        kept[:, k] = ok[:, k] & ~dup
+        merge = ok[:, k] & dup & free[:, k]
+        free[nodes[merge], match[merge].argmax(axis=1)] = True
+    return kept, free & kept
+
+
+def ik_chunks(targets: np.ndarray, dh: DHParams, tcp_offset: Pose = Pose.identity()):
+    """Solve the (n, 4, 4) TCP targets IK_CHUNK_NODES at a time; yield per
+    chunk the joints (m, 8, 6), the kept mask (m, 8) and the wrist-free
+    flags (m, 8) of candidate k = branch _BRANCHES[k]."""
+    flange = _rigid_inv(tcp_offset.to_matrix())
+    for start in range(0, len(targets), IK_CHUNK_NODES):
+        qs, ok, free = _checked_candidates(targets[start:start + IK_CHUNK_NODES] @ flange, dh)
+        yield (qs, *_dedup(qs, ok, free))
+
+
 def ik_batch(targets: np.ndarray, dh: DHParams, tcp_offset: Pose = Pose.identity()):
     """Yield ik()'s solution list for each TCP target of the (n, 4, 4)
-    array, in order, each as soon as its chunk of IK_CHUNK_NODES targets
-    has run through the kernel and one batched forward check."""
-    for start in range(0, len(targets), IK_CHUNK_NODES):
-        t06 = targets[start:start + IK_CHUNK_NODES] @ _rigid_inv(tcp_offset.to_matrix())
-        with np.errstate(divide="ignore", invalid="ignore"):
-            qs, valid, free = _candidate_angles(t06, dh)
-        got = _frames(qs[valid], dh)[:, 6]
-        want = np.repeat(t06, valid.sum(axis=1), axis=0)
-        pos_err = np.linalg.norm(got[:, :3, 3] - want[:, :3, 3], axis=1)
-        # ||R1 - R2||_F = 2 sqrt(2) |sin(theta/2)|; asin keeps the
-        # small-angle regime well conditioned where acos(trace) is not
-        fro = np.linalg.norm(got[:, :3, :3] - want[:, :3, :3], axis=(1, 2))
-        rot_err = 2.0 * np.arcsin(np.minimum(1.0, fro / (2.0 * math.sqrt(2.0))))
-        ok = valid.copy()
-        ok[valid] = ~((pos_err > POSITION_TOL_MM) | (rot_err > ORIENTATION_TOL_RAD))
-        for node_qs, node_ok, node_free in zip(qs, ok, free):
-            solutions: list[IKSolution] = []
-            for k in np.flatnonzero(node_ok):
-                q = JointConfig(tuple(node_qs[k].tolist()))
-                for j, kept in enumerate(solutions):
-                    if kept.config.max_distance(q) < 1e-9:
-                        if node_free[k]:
-                            solutions[j] = replace(kept, free_parameter=True)
-                        break
-                else:
-                    solutions.append(IKSolution(q, *_BRANCHES[k], bool(node_free[k])))
-            yield solutions
+    array, in order, each as soon as its chunk has been solved."""
+    for qs, kept, free in ik_chunks(targets, dh, tcp_offset):
+        for node_qs, node_kept, node_free in zip(qs, kept, free):
+            yield [IKSolution(JointConfig(tuple(node_qs[k].tolist())), *_BRANCHES[k],
+                              bool(node_free[k])) for k in np.flatnonzero(node_kept)]
 
 
 def ik(target: Pose, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> list[IKSolution]:
@@ -243,6 +270,71 @@ def ik(target: Pose, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> list[I
     return next(ik_batch(target.to_matrix()[None], dh, tcp_offset))
 
 
+# candidate indices in (shoulder, elbow, wrist) tag order, the order in
+# which nearest_branch breaks ties
+TAG_ORDER = np.array(sorted(range(8), key=lambda k: _BRANCHES[k]))
+
+
+def nearest_branch(rows: np.ndarray, kept: np.ndarray, prev: np.ndarray,
+                   joint_limit: float):
+    """For each node, the kept row of its (m, 6) candidates closest to the
+    node's prev in max-norm after per-joint 2-pi unwrapping folded into
+    +-joint_limit.  Rows are scanned in order (the planner passes them in
+    TAG_ORDER) and displace the best so far only when closer by more
+    than 1e-15.
+
+    rows (n, m, 6), kept (n, m) with a kept row in every node, prev
+    (n, 6).  Returns the chosen unwrapped joints (n, 6) and their
+    distances to prev (n,).
+    """
+    two_pi = 2.0 * math.pi
+    prev = prev[:, None]
+    cand = rows + two_pi * np.rint((prev - rows) / two_pi)  # half to even, as round()
+    cand = np.where(cand > joint_limit, cand - two_pi,
+                    np.where(cand < -joint_limit, cand + two_pi, cand))
+    dist = np.abs(cand - prev).max(axis=2)
+    best = np.zeros(len(rows), dtype=int)
+    best_d = np.full(len(rows), np.inf)
+    seen = np.zeros(len(rows), dtype=bool)
+    for j in range(rows.shape[1]):
+        take = kept[:, j] & (~seen | (dist[:, j] < best_d - 1e-15))
+        best[take] = j
+        best_d[take] = dist[take, j]
+        seen |= kept[:, j]
+    return cand[np.arange(len(rows)), best], best_d
+
+
+def select_chain(rows: np.ndarray, kept: np.ndarray, prev: np.ndarray,
+                 joint_limit: float, added: np.ndarray):
+    """nearest_branch along a chain of nodes: node i continues from the
+    choice of the last node j < i with added[j] set, or from the given
+    (6,) prev if there is none.
+
+    Rounds of two guesses: every open node from the last settled choice,
+    then every open node from its predecessor's first guess.  The open
+    prefix whose every prev equals bit for bit the choice it stands for
+    is settled, so the result is that of selecting node by node.
+    """
+    n = len(rows)
+    src = np.maximum.accumulate(np.where(added, np.arange(n), -1))
+    src = np.concatenate(([-1], src))[:n]
+    first = (src < 0)[:, None]
+    choice = np.empty((n, 6))
+    dist = np.empty(n)
+    done = 0
+    while done < n:
+        anchor = prev if first[done, 0] else choice[src[done]]
+        choice[done:], _ = nearest_branch(rows[done:], kept[done:],
+                                          np.broadcast_to(anchor, (n - done, 6)), joint_limit)
+        used = np.where(first, prev, choice[src])
+        choice[done:], dist[done:] = nearest_branch(
+            rows[done:], kept[done:], used[done:], joint_limit)
+        parent = np.where(first, prev, choice[src])
+        same = (used.view(np.int64) == parent.view(np.int64)).all(axis=1)[done:]
+        done += len(same) if same.all() else int(np.argmin(same))
+    return choice, dist
+
+
 def select_branch(solutions: list[IKSolution], prev: JointConfig,
                   joint_limit: float = 2.0 * math.pi) -> JointConfig:
     """Branch closest to prev in max-norm, after per-joint 2-pi unwrapping.
@@ -251,21 +343,10 @@ def select_branch(solutions: list[IKSolution], prev: JointConfig,
     """
     if not solutions:
         raise UnreachableError("no inverse kinematics solution")
-    best = None
-    for sol in sorted(solutions, key=lambda s: s.tag):
-        unwrapped = []
-        for qi, pi in zip(sol.config.q, prev.q):
-            cand = qi + 2.0 * math.pi * round((pi - qi) / (2.0 * math.pi))
-            if cand > joint_limit:
-                cand -= 2.0 * math.pi
-            elif cand < -joint_limit:
-                cand += 2.0 * math.pi
-            unwrapped.append(cand)
-        cfg = JointConfig(tuple(unwrapped))
-        dist = cfg.max_distance(prev)
-        if best is None or dist < best[0] - 1e-15:
-            best = (dist, cfg)
-    return best[1]
+    rows = np.array([[s.config.q for s in sorted(solutions, key=lambda s: s.tag)]])
+    q, _ = nearest_branch(rows, np.ones(rows.shape[:2], dtype=bool),
+                          np.array([prev.q]), joint_limit)
+    return JointConfig(tuple(q[0].tolist()))
 
 
 def _jacobians(qs, dh: DHParams, tcp_offset: Pose) -> np.ndarray:

@@ -4,16 +4,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ramcell import pipeline
+from branch_oracle import plan_per_node, validate_speeds_per_node
+from ramcell import cell, kinematics, pipeline
 from ramcell.cell import (TOOL_DOWN, Aabb, CellEnvironment, PlanningError,
-                          RobotProgram, SimReport, cfg_home, check_collisions,
-                          detect_singularity_traversal, emit_program,
-                          plan_trajectory)
+                          RobotProgram, SimReport, _plan_nodes, _point_box_distance,
+                          cfg_home, check_collisions, detect_singularity_traversal,
+                          emit_program, plan_trajectory)
 from ramcell.config import default_config
 from ramcell.extrusion import IOEvent
 from ramcell.geometry import Pose, Rotation, Vec3
-from ramcell.kinematics import DHParams, JointConfig, fk, ik, select_branch
-from ramcell.toolpath import Toolpath
+from ramcell.kinematics import (IK_CHUNK_NODES, DHParams, JointConfig, fk, fk_batch,
+                                ik, select_branch, tcp_offset_from_config)
+from ramcell.toolpath import Segment, Toolpath
 
 CFG = default_config()
 ENV = CellEnvironment.from_config(CFG.cell)
@@ -197,6 +199,111 @@ def test_collision_first_contact_matches_brute_force():
     assert abs(got["obstacle_3"] - t_high) <= dt + 1e-9
 
 
+def _unculled_check_collisions(program, cfg, env, dt_s=0.01):
+    """check_collisions with the golden-section search run on every sample
+    for every box: the oracle of the culled search."""
+    if len(program.waypoints) < 1:
+        return []
+    dh = DHParams.from_config(cfg.kinematics)
+    times = np.array([t for t, _ in program.waypoints])
+    tcp = fk_batch([q for _, q in program.waypoints], dh,
+                   tcp_offset_from_config(cfg.kinematics))
+    tip = tcp[:, :3, 3]
+    body_up = -tcp[:, :3, 2]
+    caps_lo = tip + body_up * env.capsule_clearance_mm
+    caps_hi = tip + body_up * (env.capsule_clearance_mm + env.capsule_length_mm)
+    duration = times[-1] - times[0]
+    n = max(2, int(math.ceil(duration / dt_s)) + 1) if duration > 0 else 1
+    ts = np.linspace(times[0], times[-1], n)
+    sample = lambda col: np.interp(ts, times, col)
+    ax, ay, az = (sample(caps_lo[:, k]) for k in range(3))
+    bx, by, bz = (sample(caps_hi[:, k]) for k in range(3))
+    tipz = sample(tip[:, 2])
+    findings = []
+    below = tipz < env.table_z_mm - 1e-6
+    cap_below = np.minimum(az, bz) - env.capsule_radius_mm < env.table_z_mm - 1e-6
+    hit = below | cap_below
+    if np.any(hit):
+        findings.append((float(ts[int(np.argmax(hit))]), "table"))
+    for bi, box in enumerate(env.obstacles):
+        lo_t = np.zeros_like(ts)
+        hi_t = np.ones_like(ts)
+        for _ in range(40):
+            m1 = lo_t + (hi_t - lo_t) / 3.0
+            m2 = hi_t - (hi_t - lo_t) / 3.0
+            d1 = _point_box_distance(ax + m1 * (bx - ax), ay + m1 * (by - ay),
+                                     az + m1 * (bz - az), box)
+            d2 = _point_box_distance(ax + m2 * (bx - ax), ay + m2 * (by - ay),
+                                     az + m2 * (bz - az), box)
+            take1 = d1 <= d2
+            hi_t = np.where(take1, m2, hi_t)
+            lo_t = np.where(take1, lo_t, m1)
+        tm = 0.5 * (lo_t + hi_t)
+        dist = _point_box_distance(ax + tm * (bx - ax), ay + tm * (by - ay),
+                                   az + tm * (bz - az), box)
+        contact = dist < env.capsule_radius_mm
+        if np.any(contact):
+            findings.append((float(ts[int(np.argmax(contact))]), f"obstacle_{bi}"))
+    findings.sort(key=lambda f: (f[0], f[1]))
+    return findings
+
+
+@pytest.mark.parametrize("eps", [-1e-3, 1e-3])
+@pytest.mark.parametrize("dt", [0.01, 0.02])
+def test_culled_collision_search_matches_unculled(eps, dt):
+    # as above: the capsule axis runs x 400..500 at y = 0, z 75..325,
+    # radius 60; each near box leaves a gap of 60 + eps to the axis
+    px, py, pz = 400.0, 0.0, 5.0
+    program = _straight_program(Vec3(px, py, pz), Vec3(100.0, 0.0, 0.0), 10.0)
+    r = ENV.capsule_radius_mm
+    box = lambda lo, hi: Aabb((px + lo[0], py + lo[1], pz + lo[2]),
+                              (px + hi[0], py + hi[1], pz + hi[2]))
+    boxes = [
+        box((100 + r + eps, -20, 100), (150 + r, 20, 150)),    # ahead of the end, along x
+        box((40, r + eps, 100), (60, r + 40, 200)),             # beside the path, along y
+        box((-150, -r - 40, 0), (-r - eps, r, 400)),            # behind the start
+        box((40, -10, 0), (60, 10, 70 - r - eps)),              # under the lower cap
+        box((40, -10, 320 + r + eps), (60, 10, 500)),           # over the upper cap
+        box((130, 0, 0), (150, 20, 25)),                        # lower-cap corner: 30, 45 off
+        box((145, 0, 0), (165, 20, 25)),                        # lower-cap corner: 45, 45 off
+        box((40, -10, 150), (60, 10, 200)),                     # the axis runs through it
+        box((1600, 1600, 0), (1700, 1700, 100)),                # far
+        box((-900, 300, 0), (-800, 400, 50)),                   # far
+    ]
+    rng = np.random.RandomState(15)
+    for _ in range(30):  # random boxes around the capsule's reach
+        lo = rng.uniform([-150, -150, 0], [250, 150, 450])
+        boxes.append(box(lo, lo + rng.uniform(5, 60, 3)))
+    env = replace(ENV, obstacles=tuple(boxes))
+    got = check_collisions(program, CFG, env, dt)
+    assert got == _unculled_check_collisions(program, CFG, env, dt)
+    hits = {what for _, what in got}
+    assert ({"obstacle_0", "obstacle_1", "obstacle_2", "obstacle_3", "obstacle_4"} <= hits) \
+        == (eps < 0)
+    assert {"obstacle_5", "obstacle_7"} <= hits
+    assert not hits & {"obstacle_6", "obstacle_8", "obstacle_9"}
+
+
+def test_collision_search_skips_boxes_beyond_reach(monkeypatch):
+    """Boxes more than a capsule radius beyond the swept capsule axis on
+    any side cost no distance evaluation."""
+    px, py, pz = 400.0, 0.0, 5.0
+    program = _straight_program(Vec3(px, py, pz), Vec3(100.0, 0.0, 0.0), 10.0)
+    r = ENV.capsule_radius_mm + 0.01
+    box = lambda lo, hi: Aabb((px + lo[0], py + lo[1], pz + lo[2]),
+                              (px + hi[0], py + hi[1], pz + hi[2]))
+    env = replace(ENV, obstacles=(
+        box((-100, -20, 0), (-r, 20, 400)), box((100 + r, -20, 0), (200, 20, 400)),
+        box((0, -100, 0), (100, -r, 400)), box((0, r, 0), (100, 100, 400)),
+        box((0, -20, 320 + r), (100, 20, 500)), box((0, -20, -100), (100, 20, 70 - r)),
+    ))
+    calls = []
+    monkeypatch.setattr(cell, "_point_box_distance",
+                        lambda *args: calls.append(1) or _point_box_distance(*args))
+    assert check_collisions(program, CFG, env, 0.02) == []
+    assert not calls
+
+
 def synthetic_program(q5_values, dt=0.5):
     wps = []
     for i, q5 in enumerate(q5_values):
@@ -279,3 +386,87 @@ def test_report_round_trip():
     assert again.printable == rep.printable
     with pytest.raises(ValueError):
         SimReport.from_text("not a report")
+
+
+def _plan_outcome(plan, path, cfg):
+    try:
+        program = plan(path, cfg)
+    except PlanningError as err:
+        return ("error", str(err), err.time_s, err.kind, err.position)
+    return (program.waypoints, program.speeds)
+
+
+def _wall_path(cfg, shape="wall-50x10"):
+    local = pipeline.build_toolpath_from_shape(cfg, shape)
+    return pipeline.build_job(cfg, shape, local).world_path
+
+
+def _zigzag_path():
+    """Moves with a zero-length and a 2e-12 mm segment (nodes within 1e-12 s
+    of the one before, which add no waypoint) and yaw turns between them."""
+    p = [Vec3(380.0, -20.0, 2.0), Vec3(420.0, -20.0, 2.0), Vec3(420.0, -20.0, 2.0),
+         Vec3(420.0, 20.0, 2.0), Vec3(420.0, 20.0 + 2e-12, 2.0), Vec3(380.0, 20.0, 2.0)]
+    yaws = [0.0, 0.0, 2.5, 2.5, -2.9]
+    return Toolpath(tuple(Segment(a, b, 4.0, True, True, 0, yaw)
+                          for a, b, yaw in zip(p, p[1:], yaws)))
+
+
+def _kin(**kw):
+    return replace(CFG, kinematics=replace(CFG.kinematics, **kw))
+
+
+def _cell(**kw):
+    return replace(CFG, cell=replace(CFG.cell, **kw))
+
+
+# chunk boundaries must not matter; one node per chunk puts every node
+# first in its chunk
+@pytest.mark.parametrize("case, chunk", [
+    *((case, IK_CHUNK_NODES) for case in ("rectangle", "wall-limit-3", "square", "zigzag",
+                                          "unreachable", "jump", "joint-speed")),
+    *((case, chunk) for case in ("rectangle", "zigzag", "unreachable", "jump")
+      for chunk in (1, 7))])
+def test_plan_matches_per_node_oracle(case, chunk, monkeypatch):
+    monkeypatch.setattr(kinematics, "IK_CHUNK_NODES", chunk)
+    path_cfg = {
+        "rectangle": lambda: (rectangle_world().world_path, CFG),
+        "wall-limit-3": lambda: (_wall_path(CFG), _kin(joint_limit_rad=3.0)),
+        "square": lambda: (_wall_path(CFG, "square-30x30x8.5"), CFG),
+        "zigzag": lambda: (_zigzag_path(), CFG),
+        "unreachable": lambda: (_wall_path(_cell(origin_x_mm=1000.0)), CFG),
+        "jump": lambda: (_wall_path(CFG), _kin(joint_limit_rad=2.0)),
+        "joint-speed": lambda: (_wall_path(CFG), _cell(max_joint_speed_rad_s=0.05)),
+    }[case]
+    path, cfg = path_cfg()
+    got = _plan_outcome(lambda p, c: plan_trajectory(p, c, ENV), path, cfg)
+    assert got == _plan_outcome(plan_per_node, path, cfg)
+    kind = {"unreachable": "unreachable", "jump": "jump", "joint-speed": "limit"}.get(case)
+    assert (got[0] == "error" and got[3] == kind) if kind else len(got[0]) > 10
+    if case == "zigzag":
+        assert len(got[0]) < len(_plan_nodes(path, cfg)[0])
+
+
+def _speed_outcome(program, limit):
+    for check in (RobotProgram.validate_speeds, validate_speeds_per_node):
+        try:
+            check(program, limit)
+        except PlanningError as err:
+            yield (str(err), err.time_s, err.kind)
+        else:
+            yield None
+
+
+def test_validate_speeds_reports_the_first_offender():
+    rng = np.random.RandomState(16)
+    seen = set()
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        times = np.cumsum(rng.choice([0.5, 0.5, 0.5, 0.0, -0.1], n))
+        qs = np.cumsum(rng.normal(0.0, rng.choice([0.1, 1.0]), (n, 6)), axis=0)
+        program = RobotProgram(tuple((float(t), JointConfig(tuple(q)))
+                                     for t, q in zip(times, qs.tolist())),
+                               tuple(0.0 for _ in range(n)))
+        got, want = _speed_outcome(program, 1.5)
+        assert got == want
+        seen.add(got[2] if got else None)
+    assert seen == {None, "unreachable", "limit"}  # a time error has the default kind

@@ -94,6 +94,13 @@ def test_extrusion_error_exits_2_without_traceback(tmp_path, capsys):
     ("cell", "capsule_radius_mm", "nan"),
     ("cell", "capsule_length_mm", "nan"),
     ("kinematics", "singular_eps", "nan"),
+    ("cell", "max_joint_speed_rad_s", "nan"),
+    ("kinematics", "joint_limit_rad", "nan"),
+    ("kinematics", "d1_mm", "nan"),
+    ("kinematics", "a2_mm", "0"),
+    ("kinematics", "d6_mm", "inf"),
+    ("kinematics", "tcp_offset_z_mm", "nan"),
+    ("cell", "origin_x_mm", "nan"),
 ])
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, section, key, value):
     cfg_file = tmp_path / "bad.cfg"

@@ -87,7 +87,8 @@ def test_obstacle_parsing():
     ("job", "speed_2d_mm_s"), ("job", "speed_3d_mm_s"), ("job", "travel_speed_mm_s"),
     ("job", "layer_height_mm"), ("job", "resolution_mm"),
     ("kinematics", "singular_eps"), ("cell", "capsule_radius_mm"),
-    ("cell", "capsule_length_mm"), ("material:dlp-fs9", "cure_rate_per_j_mm2"),
+    ("cell", "capsule_length_mm"), ("cell", "max_joint_speed_rad_s"),
+    ("kinematics", "joint_limit_rad"), ("material:dlp-fs9", "cure_rate_per_j_mm2"),
     ("material:dlp-fs9", "scattering"), ("material:dlp-fs9", "attenuation_depth_mm"),
     ("material:dlp-fs9", "viscosity_index"), ("material:new-resin", "scattering")])
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
@@ -102,3 +103,20 @@ def test_rate_and_length_keys_must_be_finite_and_positive(section, key, value):
 def test_cure_degree_keys_must_lie_strictly_between_0_and_1(section, key, value):
     with pytest.raises(ConfigError, match=rf"\[{section}\] {key} must be in \(0, 1\)"):
         loads_config(f"[{section}]\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("section, key, nonzero", [
+    ("kinematics", "d1_mm", False), ("kinematics", "a2_mm", True),
+    ("kinematics", "a3_mm", True), ("kinematics", "d4_mm", False),
+    ("kinematics", "d5_mm", False), ("kinematics", "d6_mm", True),
+    ("kinematics", "tcp_offset_z_mm", False), ("cell", "origin_x_mm", False),
+    ("cell", "origin_y_mm", False), ("cell", "origin_z_mm", False)])
+def test_link_and_placement_keys_must_be_finite(section, key, nonzero):
+    rule = "finite and non-zero" if nonzero else "finite"
+    for value in ("nan", "inf", "-inf", *(("0",) if nonzero else ())):
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key} must be {rule}, got .*{value}"):
+            loads_config(f"[{section}]\n{key} = {value}\n")
+    # either sign is a valid link constant or placement
+    assert getattr(getattr(loads_config(f"[{section}]\n{key} = -12.5\n"), section), key) == -12.5
+    if not nonzero:
+        assert getattr(getattr(loads_config(f"[{section}]\n{key} = 0\n"), section), key) == 0.0

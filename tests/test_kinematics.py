@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from branch_oracle import dedup_per_node, ik_per_node, select_branch_per_node
 from ramcell.config import default_config
 from ramcell.geometry import Pose, Rotation, Vec3, wrap_angle
-from ramcell.kinematics import (IK_CHUNK_NODES, DHParams, JointConfig,
-                                UnreachableError, fk, fk_batch, ik, ik_batch,
-                                is_singular, jacobian, manipulability,
-                                manipulability_batch, select_branch)
-from ramcell.cell import TOOL_DOWN
+from ramcell.kinematics import (_BRANCHES, IK_CHUNK_NODES, TAG_ORDER, DHParams,
+                                IKSolution, JointConfig, UnreachableError,
+                                _checked_candidates, _dedup, fk, fk_batch, ik,
+                                ik_batch, ik_chunks, is_singular, jacobian,
+                                manipulability, manipulability_batch,
+                                select_branch, select_chain)
+from ramcell.cell import TOOL_DOWN, cfg_home
 
 DH = DHParams.from_config(default_config().kinematics)
 TCP = Pose(Vec3(0.0, 0.0, 200.0), Rotation.identity())
@@ -281,3 +284,122 @@ def test_ik_batch_rows_match_single_target_calls():
     assert sum(not row for row in rows) == len(range(3, len(targets), 7))
     assert any(s.free_parameter for row in rows for s in row)
     assert any(len(row) == 8 for row in rows)
+
+
+def _solution_keys(rows):
+    return [[(s.config.q, s.tag, s.free_parameter) for s in row] for row in rows]
+
+
+def test_chunk_dedup_matches_per_node_oracle():
+    rng = np.random.RandomState(11)
+    targets = []
+    for i in range(3 * IK_CHUNK_NODES + 5):
+        q = list(random_q(rng).q)
+        if i % 11 == 7:
+            targets.append(Pose(Vec3(1200.0, 0.0, 300.0), TOOL_DOWN).to_matrix())
+            continue
+        if i % 3 == 0:
+            q[4] = 0.0  # wrist degenerate: the flip pair merges
+        targets.append(fk(JointConfig(tuple(q)), DH, TCP).to_matrix())
+    targets = np.array(targets)
+    got = list(ik_batch(targets, DH, TCP))
+    want = ik_per_node(targets, DH, TCP)
+    assert _solution_keys(got) == _solution_keys(want)
+    _, ok, _ = _checked_candidates(targets @ np.linalg.inv(TCP.to_matrix()), DH)
+    assert sum(len(row) for row in got) < ok.sum()  # duplicates were dropped
+    assert any(s.free_parameter for row in got for s in row)
+
+
+def test_dedup_rule_on_chains_of_near_duplicates():
+    """Candidate k is compared with the kept candidates only: a k within
+    1e-9 of a dropped j but not of any kept one stays, and a k within 1e-9
+    of two kept ones merges into the first."""
+    rng = np.random.RandomState(12)
+    n = 400
+    qs = np.repeat(rng.uniform(-3.0, 3.0, (n, 1, 6)), 8, axis=1)
+    steps = rng.choice([0.0, 0.4e-9, -0.6e-9, 1e-9, 1.5e-9, 0.3], size=(n, 8))
+    joint = rng.randint(0, 6, n)
+    qs[np.arange(n), :, joint] += np.cumsum(steps, axis=1)
+    scatter = rng.rand(n, 8) < 0.1  # some candidates step off along another joint
+    qs[scatter, rng.randint(0, 6, scatter.sum())] += 0.7e-9
+    ok = rng.rand(n, 8) < 0.85
+    qs[~ok & (rng.rand(n, 8) < 0.5)] = np.nan  # masked branches may be NaN
+    free = rng.rand(n, 8) < 0.5
+    kept, merged_free = _dedup(qs, ok, free)
+    got = [[IKSolution(JointConfig(tuple(qs[i, k].tolist())), *_BRANCHES[k],
+                       bool(merged_free[i, k])) for k in np.flatnonzero(kept[i])]
+           for i in range(n)]
+    assert _solution_keys(got) == _solution_keys(dedup_per_node(qs, ok, free))
+    assert (kept < ok).any() and (merged_free > (free & kept)).any()
+
+
+@pytest.mark.parametrize("joint_limit", [2.0 * math.pi, 3.0, math.pi + 0.05])
+def test_chain_selection_matches_per_node_oracle(joint_limit):
+    """Random target chains: mostly small steps, some that switch branch,
+    wrist-degenerate nodes, a wrist that winds past +-joint_limit, and
+    nodes that add no waypoint (their successor continues from the last
+    one that did)."""
+    rng = np.random.RandomState(13)
+    q = np.array(cfg_home())
+    chain = []
+    for i in range(4 * IK_CHUNK_NODES + 9):
+        q = q + rng.normal(0.0, rng.choice([0.01, 0.01, 0.2, 1.5]), 6)
+        q[5] += 0.35
+        node = q.copy()
+        if i % 9 == 4:
+            node[4] = 0.0
+        chain.append(JointConfig(tuple(node)))
+    targets = fk_batch(chain, DH, TCP)
+    added = rng.rand(len(targets)) < 0.8
+    added[0] = True
+    start_q = list(cfg_home())
+    start_q[5] = joint_limit - 0.01
+
+    want, want_dist = [], []
+    prev = JointConfig(tuple(start_q))
+    for sols, add in zip(ik_per_node(targets, DH, TCP), added):
+        choice = select_branch_per_node(sols, prev, joint_limit)
+        want.append(choice.q)
+        want_dist.append(choice.max_distance(prev))
+        if add:
+            prev = choice
+
+    got, got_dist = [], []
+    prev = np.array(start_q)
+    for start, (qs, kept, _) in zip(range(0, len(targets), IK_CHUNK_NODES),
+                                    ik_chunks(targets, DH, TCP)):
+        assert kept.any(axis=1).all()
+        chunk_added = added[start:start + len(qs)]
+        choice, dist = select_chain(qs[:, TAG_ORDER], kept[:, TAG_ORDER], prev,
+                                    joint_limit, chunk_added)
+        got.extend(tuple(row) for row in choice.tolist())
+        got_dist.extend(dist.tolist())
+        if chunk_added.any():
+            prev = choice[np.flatnonzero(chunk_added)[-1]]
+    assert got == want
+    assert got_dist == want_dist
+    assert max(abs(v) for row in want for v in row) > math.pi  # unwrapping ran
+
+
+def test_select_branch_tie_rule_matches_per_node_oracle():
+    """Exact distance ties, and near ties around the 1e-15 margin, on
+    candidates that unwrap across +-joint_limit."""
+    rng = np.random.RandomState(14)
+    near_ties = 0
+    for trial in range(400):
+        joint_limit = (2.0 * math.pi, 3.0)[trial % 2]
+        prev = rng.uniform(-joint_limit, joint_limit, 6)
+        m = rng.randint(1, 9)
+        tags = rng.permutation(8)[:m]
+        rows = prev + rng.uniform(-0.3, 0.3, (m, 6))
+        # the same dominant joint offset, nudged by a few 1e-16 or not at all
+        rows[:, 0] = prev[0] + 0.5 + rng.choice([0.0, 0.0, 3e-16, 6e-16, 1e-15, 2e-15], m)
+        rows += 2.0 * math.pi * rng.randint(-2, 3, (m, 6))  # raw IK angles wrap
+        sols = [IKSolution(JointConfig(tuple(r)), *_BRANCHES[k]) for r, k in zip(rows.tolist(), tags)]
+        prev_q = JointConfig(tuple(prev.tolist()))
+        want = select_branch_per_node(sols, prev_q, joint_limit)
+        assert select_branch(sols, prev_q, joint_limit) == want
+        dists = sorted(JointConfig(tuple(r)).max_distance(prev_q) for r in
+                       (select_branch_per_node([s], prev_q, joint_limit).q for s in sols))
+        near_ties += any(b - a <= 2e-15 for a, b in zip(dists, dists[1:]))
+    assert near_ties > 100
