@@ -217,31 +217,28 @@ TOOL_DOWN = Rotation.about_x(math.pi)
 
 
 def _plan_nodes(path: Toolpath, cfg: Config):
-    """The planner's nodes (t, position, yaw, tcp speed) along the
-    timeline and their TCP targets, an (n, 4, 4) array."""
-    entries = time_profile(path, cfg.cell.reorient_rate_rad_s)
-    nodes: list[tuple[float, Vec3, float, float]] = []
-    first = entries[0]
-    nodes.append((first.t0, first.start, first.yaw0, 0.0))
-    for e in entries:
-        if e.kind == "move":
-            nodes.append((e.t1, e.end, e.yaw0, e.speed))
-        else:
-            span = e.yaw1 - e.yaw0
-            n = max(1, math.ceil(abs(span) / DWELL_YAW_STEP_RAD))
-            for j in range(1, n + 1):
-                frac = j / n
-                nodes.append((e.t0 + frac * (e.t1 - e.t0), e.start,
-                              e.yaw0 + frac * span, 0.0))
+    """Times, positions (n, 3), TCP speeds and (n, 4, 4) TCP targets of the
+    planner's nodes: the path's start, each move's end and each dwell's
+    equal yaw steps of at most DWELL_YAW_STEP_RAD."""
+    tl = time_profile(path, cfg.cell.reorient_rate_rad_s)
+    count = np.where(tl.dwell, np.ceil(np.abs(tl.yaw1 - tl.yaw0) / DWELL_YAW_STEP_RAD), 1)
+    count = np.maximum(1, count).astype(np.int64)
+    row = np.repeat(np.arange(len(tl)), count)
+    frac = (np.arange(1, len(row) + 1) - np.repeat(np.cumsum(count) - count, count)) / count[row]
+    e = tl[row]
+    # a dwell ends where it starts, and its speed is 0
+    t = np.r_[tl.t0[0], np.where(e.dwell, e.t0 + frac * (e.t1 - e.t0), e.t1)]
+    yaw = np.r_[tl.yaw0[0], np.where(e.dwell, e.yaw0 + frac * (e.yaw1 - e.yaw0), e.yaw0)][:, None]
+    pos = np.r_[[[tl.x0[0], tl.y0[0], tl.z0[0]]], np.stack([e.x1, e.y1, e.z1], axis=1)]
+    speed = np.r_[0.0, e.speed]
 
     # TCP targets: TOOL_DOWN turned about world z by each node's yaw
     down = Pose(Vec3(0.0, 0.0, 0.0), TOOL_DOWN).to_matrix()
-    yaw = np.fromiter((y for _, _, y, _ in nodes), float)[:, None]
-    targets = np.tile(down, (len(nodes), 1, 1))
+    targets = np.tile(down, (len(t), 1, 1))
     targets[:, 0] = np.cos(yaw) * down[0] - np.sin(yaw) * down[1]
     targets[:, 1] = np.sin(yaw) * down[0] + np.cos(yaw) * down[1]
-    targets[:, :3, 3] = np.fromiter(((p.x, p.y, p.z) for _, p, _, _ in nodes), (float, 3))
-    return nodes, targets
+    targets[:, :3, 3] = pos
+    return t, pos, speed, targets
 
 
 def plan_trajectory(path: Toolpath, cfg: Config, env: CellEnvironment,
@@ -254,18 +251,19 @@ def plan_trajectory(path: Toolpath, cfg: Config, env: CellEnvironment,
     DWELL_YAW_STEP_RAD.  Raises PlanningError on unreachable nodes or on
     a joint-space jump above MAX_JOINT_STEP_RAD in one step.
     """
-    if not path.segments:
+    if not len(path):
         return RobotProgram((), (), events, metadata)
     dh = DHParams.from_config(cfg.kinematics)
     tcp = tcp_offset_from_config(cfg.kinematics)
     limit = cfg.kinematics.joint_limit_rad
-    nodes, targets = _plan_nodes(path, cfg)
+    times, pos, speeds_at, targets = _plan_nodes(path, cfg)
+    times, speeds_at = times.tolist(), speeds_at.tolist()
 
     # a node no later than the last waypoint adds none, and the next
     # node's branch continues from that waypoint's
-    added = np.zeros(len(nodes), dtype=bool)
+    added = np.zeros(len(times), dtype=bool)
     last_t = -math.inf
-    for i, (t, _, _, _) in enumerate(nodes):
+    for i, t in enumerate(times):
         if t > last_t + 1e-12:
             added[i] = True
             last_t = t
@@ -284,17 +282,16 @@ def plan_trajectory(path: Toolpath, cfg: Config, env: CellEnvironment,
         jump = jump[start + jump > 0]  # the first node is reached from home
         if len(jump) or r < n:
             i = jump[0] if len(jump) else r
-            t, pos, _, _ = nodes[start + i]
-            where = f"({pos.x:.3f}, {pos.y:.3f}, {pos.z:.3f})"
+            t, at = times[start + i], Vec3(*pos[start + i].tolist())
+            where = f"({at.x:.3f}, {at.y:.3f}, {at.z:.3f})"
             if i < r:
                 raise PlanningError(f"configuration jump of {step[i]:.3f} rad at {where}",
-                                    t, pos, kind="jump")
-            raise PlanningError(f"unreachable waypoint at {where}", t, pos)
+                                    t, at, kind="jump")
+            raise PlanningError(f"unreachable waypoint at {where}", t, at)
         joints = q.tolist()
-        for i in np.flatnonzero(added[start:start + n]):
-            t, _, _, v = nodes[start + i]
-            waypoints.append((t, JointConfig(tuple(joints[i]))))
-            speeds.append(v)
+        for i in np.flatnonzero(added[start:start + n]).tolist():
+            waypoints.append((times[start + i], JointConfig(tuple(joints[i]))))
+            speeds.append(speeds_at[start + i])
         prev = np.asarray(waypoints[-1][1].q)
         start += n
     program = RobotProgram(tuple(waypoints), tuple(speeds), events, metadata)

@@ -80,13 +80,12 @@ def _build_job(cfg: Config, args) -> pipeline.JobBundle:
 def _path_dump_lines(job: pipeline.JobBundle) -> list[str]:
     lines = ["# ramcell path v1",
              "# t0,t1,x0,y0,z0,x1,y1,z1,speed,yaw,extruding,uv,layer"]
-    for e in time_profile(job.local_path, job.cfg.cell.reorient_rate_rad_s):
-        if e.kind != "move":
-            continue
+    tl = time_profile(job.local_path, job.cfg.cell.reorient_rate_rad_s)
+    for t0, t1, x0, y0, z0, x1, y1, z1, yaw, _, speed, ext, uv, _, _, layer in \
+            tl[~tl.dwell].tolist():
         lines.append(
-            f"{e.t0:.6f},{e.t1:.6f},{e.start.x:.6f},{e.start.y:.6f},{e.start.z:.6f},"
-            f"{e.end.x:.6f},{e.end.y:.6f},{e.end.z:.6f},{e.speed:.6f},{e.yaw0:.6f},"
-            f"{1 if e.extruding else 0},{1 if e.uv_on else 0},{e.layer}")
+            f"{t0:.6f},{t1:.6f},{x0:.6f},{y0:.6f},{z0:.6f},{x1:.6f},{y1:.6f},{z1:.6f},"
+            f"{speed:.6f},{yaw:.6f},{1 if ext else 0},{1 if uv else 0},{layer}")
     return lines
 
 

@@ -23,9 +23,10 @@ class ConfigError(RamcellError):
     pass
 
 
-def _check_positive(where: str, key: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ConfigError(f"{where} {key} must be finite and > 0, got {value!r}")
+def _check_positive(where: str, key: str, value: float, or_zero: bool = False) -> None:
+    if not (math.isfinite(value) and (value > 0.0 or (or_zero and value == 0.0))):
+        rule = ">= 0" if or_zero else "> 0"
+        raise ConfigError(f"{where} {key} must be finite and {rule}, got {value!r}")
 
 
 def _check_finite(where: str, key: str, value: float, nonzero: bool = False) -> None:
@@ -34,9 +35,9 @@ def _check_finite(where: str, key: str, value: float, nonzero: bool = False) -> 
         raise ConfigError(f"{where} {key} must be {rule}, got {value!r}")
 
 
-def _check_fraction(where: str, key: str, value: float) -> None:
-    if not 0.0 < value < 1.0:  # also rejects NaN
-        raise ConfigError(f"{where} {key} must be in (0, 1), got {value!r}")
+def _check_fraction(where: str, key: str, value: float, upper: float = 1.0) -> None:
+    if not 0.0 < value < upper:  # also rejects NaN
+        raise ConfigError(f"{where} {key} must be in (0, {upper:g}), got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -228,23 +229,39 @@ def loads_config(text: str) -> Config:
     return _apply_parser(parser, "<string>")
 
 
-# zero, negative or non-finite values end in a division by zero, an
-# endless sweep or a 0 s move, or (NaN) switch off the collision check,
-# the singularity scan, the joint-speed check and the unwrap fold, whose
+# Every numeric key outside the materials is checked once at load.  Zero,
+# negative or non-finite values end in a division by zero, an endless
+# sweep, a 0 s move or a negative bead width, or (NaN) switch off the
+# collision check, the singularity scan, the joint-speed check, the
+# unwrap fold, the corner test and the under-cure check, whose
 # comparisons are then never true
-_POSITIVE_KEYS = (("kinematics", "singular_eps"), ("kinematics", "joint_limit_rad"),
-                  ("cell", "capsule_radius_mm"), ("cell", "capsule_length_mm"),
-                  ("cell", "max_joint_speed_rad_s"), ("cell", "reorient_rate_rad_s"),
-                  ("cell", "collision_dt_s"), ("cure", "sweep_dt_s"),
-                  ("job", "speed_2d_mm_s"), ("job", "speed_3d_mm_s"),
-                  ("job", "travel_speed_mm_s"), ("job", "layer_height_mm"),
-                  ("job", "resolution_mm"))
-# link constants and placement may take either sign; the closed-form IK
-# divides by a2, a3 and d6
+_POSITIVE_KEYS = (
+    *(("kinematics", k) for k in ("singular_eps", "joint_limit_rad")),
+    *(("cell", k) for k in ("capsule_radius_mm", "capsule_length_mm",
+                            "max_joint_speed_rad_s", "reorient_rate_rad_s",
+                            "collision_dt_s")),
+    *(("drivetrain", f.name) for f in fields(DriveTrainConfig)),
+    *(("extrusion", f.name) for f in fields(ExtrusionConfig)),
+    ("uv", "wavelength_nm"), ("uv", "standoff_mm"),
+    *(("cure", k) for k in ("sweep_dt_s", "bead_aspect", "max_dwell_s")),
+    *(("job", k) for k in ("speed_2d_mm_s", "speed_3d_mm_s", "travel_speed_mm_s",
+                           "layer_height_mm", "resolution_mm")))
+# a dark lamp or no spread is a valid job
+_NON_NEGATIVE_KEYS = (("uv", "power_w"), ("uv", "optical_efficiency"),
+                      ("cure", "crown_fraction"), ("cure", "c_spread"),
+                      ("job", "extension_mm"))
+# link constants, placement and the spot offset may take either sign;
+# the closed-form IK divides by a2, a3 and d6
 _FINITE_KEYS = (("kinematics", "d1_mm"), ("kinematics", "d4_mm"), ("kinematics", "d5_mm"),
                 ("kinematics", "tcp_offset_z_mm"), ("cell", "origin_x_mm"),
-                ("cell", "origin_y_mm"), ("cell", "origin_z_mm"))
+                ("cell", "origin_y_mm"), ("cell", "origin_z_mm"), ("uv", "trail_offset_mm"))
 _NONZERO_KEYS = (("kinematics", "a2_mm"), ("kinematics", "a3_mm"), ("kinematics", "d6_mm"))
+# open intervals: the spot cone's tangent and the corner test's acos range
+_INTERVAL_KEYS = (("uv", "cone_half_angle_deg", 90.0), ("job", "corner_threshold_deg", 180.0),
+                  ("cure", "alpha_min", 1.0))
+# larger magnitudes overflow where the kinematics, the syringe and the
+# toolpath square lengths; the rules above cover every numeric key
+MAX_MAGNITUDE = 1e9
 
 
 def _apply_parser(parser: configparser.ConfigParser, origin: str) -> Config:
@@ -272,13 +289,17 @@ def _apply_parser(parser: configparser.ConfigParser, origin: str) -> Config:
         else:
             sections[sec] = replace(getattr(cfg, sec), **kwargs)
     cfg = replace(cfg, materials=materials, **sections)
-    for sec, key in _POSITIVE_KEYS:
-        _check_positive(f"{origin}: [{sec}]", key, getattr(getattr(cfg, sec), key))
-    for keys, nonzero in ((_FINITE_KEYS, False), (_NONZERO_KEYS, True)):
-        for sec, key in keys:
-            _check_finite(f"{origin}: [{sec}]", key, getattr(getattr(cfg, sec), key), nonzero)
-    # a NaN threshold would switch the under-cure check off
-    _check_fraction(f"{origin}: [cure]", "alpha_min", cfg.cure.alpha_min)
+    for keys, check in ((_POSITIVE_KEYS, _check_positive),
+                        (_NON_NEGATIVE_KEYS, lambda *a: _check_positive(*a, or_zero=True)),
+                        (_FINITE_KEYS, _check_finite),
+                        (_NONZERO_KEYS, lambda *a: _check_finite(*a, nonzero=True)),
+                        (_INTERVAL_KEYS, _check_fraction)):
+        for sec, key, *bound in keys:
+            value = getattr(getattr(cfg, sec), key)
+            check(f"{origin}: [{sec}]", key, value, *bound)
+            if abs(value) > MAX_MAGNITUDE:
+                raise ConfigError(f"{origin}: [{sec}] {key} must be at most "
+                                  f"{MAX_MAGNITUDE:g} in magnitude, got {value!r}")
     parse_obstacles(cfg.cell)
     return cfg
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
@@ -147,44 +146,29 @@ def deposit(path: Toolpath, flow: FlowModel, material: Material, res_mm: float,
     configured width:height aspect.  Deposit times come off the shared
     timeline so dose accumulation sees elements appear mid-sweep.
     """
-    cols: dict[str, list] = {k: [] for k in
-                             ("x", "y", "z", "dx", "dy", "t", "len", "w0", "h", "vol", "lay")}
-    for e in time_profile(path, reorient_rate):
-        if e.kind != "move" or not e.extruding:
-            continue
-        seg_len = (e.end - e.start).norm()
-        if seg_len > res_mm + 1e-9:
-            raise CureError(
-                f"extruding segment of {seg_len:.3f} mm exceeds deposit resolution {res_mm} mm")
-        area = flow.q_mm3_s / e.speed
-        w0 = math.sqrt(aspect * area)
-        mid = e.start + (e.end - e.start) * 0.5
-        d = e.end - e.start
-        horiz = math.hypot(d.x, d.y)
-        cols["x"].append(mid.x)
-        cols["y"].append(mid.y)
-        cols["z"].append(mid.z)
-        cols["dx"].append(d.x / horiz if horiz > 1e-12 else 0.0)
-        cols["dy"].append(d.y / horiz if horiz > 1e-12 else 0.0)
-        cols["t"].append(0.5 * (e.t0 + e.t1))
-        cols["len"].append(seg_len)
-        cols["w0"].append(w0)
-        cols["h"].append(area / w0)
-        cols["vol"].append(area * seg_len)
-        cols["lay"].append(e.layer)
-    n = len(cols["x"])
-    dmap = DepositionMap(
+    tl = time_profile(path, reorient_rate)
+    tl = tl[tl.extruding]  # dwells never extrude
+    dx, dy, dz = tl.x1 - tl.x0, tl.y1 - tl.y0, tl.z1 - tl.z0
+    seg_len = np.sqrt((dx * dx + dy * dy) + dz * dz)
+    too_long = np.flatnonzero(seg_len > res_mm + 1e-9)
+    if len(too_long):
+        raise CureError(f"extruding segment of {seg_len[too_long[0]]:.3f} mm exceeds "
+                        f"deposit resolution {res_mm} mm")
+    area = flow.q_mm3_s / tl.speed
+    w0 = np.sqrt(aspect * area)
+    n = len(tl)
+    horiz = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float, n)
+    return DepositionMap(
         material=material,
         layer_height_mm=layer_height_mm,
-        x=np.array(cols["x"]), y=np.array(cols["y"]), z=np.array(cols["z"]),
-        dir_x=np.array(cols["dx"]), dir_y=np.array(cols["dy"]),
-        deposit_time=np.array(cols["t"]), length=np.array(cols["len"]),
-        width0=np.array(cols["w0"]), width=np.array(cols["w0"]).copy(),
-        height=np.array(cols["h"]), volume=np.array(cols["vol"]),
+        x=tl.x0 + dx * 0.5, y=tl.y0 + dy * 0.5, z=tl.z0 + dz * 0.5,
+        dir_x=np.divide(dx, horiz, out=np.zeros(n), where=horiz > 1e-12),
+        dir_y=np.divide(dy, horiz, out=np.zeros(n), where=horiz > 1e-12),
+        deposit_time=0.5 * (tl.t0 + tl.t1), length=seg_len,
+        width0=w0, width=w0.copy(), height=area / w0, volume=area * seg_len,
         dose=np.zeros(n), alpha=np.zeros(n),
-        gel_time=np.full(n, np.inf), layer=np.array(cols["lay"], dtype=int),
+        gel_time=np.full(n, np.inf), layer=np.array(tl.layer),
     )
-    return dmap
 
 
 @dataclass(frozen=True)
@@ -216,12 +200,12 @@ def _sample_blocks(path: Toolpath, spot: UVSpot, dt_s: float,
     (tau = t0 + (k + 1/2) dt, then linear interpolation of nozzle and
     yaw), so every value matches it bit for bit.
     """
-    entries = [e for e in time_profile(path, reorient_rate) if e.uv_on and e.t1 > e.t0]
+    tl = time_profile(path, reorient_rate)
+    tl = tl[tl.uv_on & (tl.t1 > tl.t0)]
     t0, t1, x0, y0, z0, x1, y1, z1, yaw0, yaw1 = (
-        np.fromiter(map(attrgetter(name), entries), float, len(entries))
-        for name in ("t0", "t1", "start.x", "start.y", "start.z",
-                     "end.x", "end.y", "end.z", "yaw0", "yaw1"))
-    del entries  # a generator keeps its locals; the timeline objects are large
+        np.array(tl[name]) for name in ("t0", "t1", "x0", "y0", "z0",
+                                        "x1", "y1", "z1", "yaw0", "yaw1"))
+    del tl  # a generator keeps its locals
     dur = t1 - t0
     count = np.maximum(1, np.ceil(dur / dt_s)).astype(np.int64)
     dt = dur / count

@@ -169,7 +169,7 @@ def schedule(path: Toolpath, flow: FlowModel, drive: DriveTrain,
     if rate > drive.max_step_rate_hz:
         raise ExtrusionError(
             f"required step rate {rate:.3f}/s exceeds motor limit {drive.max_step_rate_hz}/s")
-    entries = time_profile(path, reorient_rate)
+    tl = time_profile(path, reorient_rate)
     events: list[IOEvent] = []
     breakpoints: list[tuple[float, float]] = []
     steps = 0.0
@@ -189,25 +189,25 @@ def schedule(path: Toolpath, flow: FlowModel, drive: DriveTrain,
                 return
         breakpoints.append((t, s))
 
-    if entries:
+    if len(tl):
         add_breakpoint(0.0, 0.0)
-    for e in entries:
-        if e.uv_on != uv:
-            events.append(IOEvent(e.t0, "uv", e.uv_on))
-            uv = e.uv_on
-        if e.extruding != extruding:
-            events.append(IOEvent(e.t0, "extruder", e.extruding))
-            add_breakpoint(e.t0, steps)
-            extruding = e.extruding
-        if e.extruding:
-            steps += rate * (e.t1 - e.t0)
-            add_breakpoint(e.t1, steps)
-        t_end = e.t1
+    for t0, t1, e_on, uv_on in tl[["t0", "t1", "extruding", "uv_on"]].tolist():
+        if uv_on != uv:
+            events.append(IOEvent(t0, "uv", uv_on))
+            uv = uv_on
+        if e_on != extruding:
+            events.append(IOEvent(t0, "extruder", e_on))
+            add_breakpoint(t0, steps)
+            extruding = e_on
+        if e_on:
+            steps += rate * (t1 - t0)
+            add_breakpoint(t1, steps)
+        t_end = t1
     if extruding:
         events.append(IOEvent(t_end, "extruder", False))
     if uv:
         events.append(IOEvent(t_end, "uv", False))
-    if entries:
+    if len(tl):
         add_breakpoint(t_end, steps)
     events.sort(key=lambda ev: (ev.time_s, ev.channel, ev.on))
     return StepSchedule(tuple(breakpoints), tuple(events))

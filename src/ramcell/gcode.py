@@ -9,12 +9,15 @@ raises on input text: every problem becomes a ParseDiagnostic.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import RamcellError
 from .geometry import Vec3
-from .toolpath import Segment, Toolpath, layer_index
+from .toolpath import Segment, Toolpath, layer_index, lengths
 
 UV_CHANNEL = 2
 
@@ -80,7 +83,12 @@ def _split_words(body: str, lineno: int, diags: list[ParseDiagnostic]) -> list[t
             diags.append(ParseDiagnostic(lineno, "error",
                                          f"malformed input near '{body[pos:m.start()].strip()}'"))
             return None
-        words.append((m.group(1).upper(), float(m.group(2))))
+        value = float(m.group(2))
+        if not math.isfinite(value):
+            diags.append(ParseDiagnostic(lineno, "error",
+                                         f"number out of range in '{m.group(0).strip()}'"))
+            return None
+        words.append((m.group(1).upper(), value))
         pos = m.end()
     if body[pos:].strip():
         diags.append(ParseDiagnostic(lineno, "error",
@@ -271,33 +279,30 @@ def emit(path: Toolpath) -> str:
     extruder = False
     uv = False
     feed = None
-    pos = None
-    for seg in path.segments:
-        if pos is None or (seg.start - pos).norm() > 1e-9:
-            if pos is not None:
-                raise GcodeError("toolpath has a positional gap; cannot emit")
-            # establish the start point without motion
-            lines.append(f"G92 X{_fmt(seg.start.x)} Y{_fmt(seg.start.y)} Z{_fmt(seg.start.z)}")
-            pos = seg.start
-        if seg.extruding != extruder:
-            lines.append("M106" if seg.extruding else "M107")
-            extruder = seg.extruding
-        if seg.uv_on != uv:
-            lines.append(f"M42 P{UV_CHANNEL} S{1 if seg.uv_on else 0}")
-            uv = seg.uv_on
-        words = []
-        for letter, a, b in (("X", seg.end.x, pos.x), ("Y", seg.end.y, pos.y),
-                             ("Z", seg.end.z, pos.z)):
-            if a != b:
-                words.append(f"{letter}{_fmt(a)}")
-        f_mm_min = seg.speed * 60.0
+    if (lengths(path.start[1:] - path.end[:-1]) > 1e-9).any():
+        raise GcodeError("toolpath has a positional gap; cannot emit")
+    if len(path):
+        # establish the start point without motion
+        x, y, z = path.start[0].tolist()
+        lines.append(f"G92 X{_fmt(x)} Y{_fmt(y)} Z{_fmt(z)}")
+    # each move's words are relative to where the last one ended
+    pos = np.concatenate((path.start[:1], path.end[:-1])).tolist()
+    for end, at, speed, ext, uv_on in zip(path.end.tolist(), pos, path.speed.tolist(),
+                                          path.extruding.tolist(), path.uv_on.tolist()):
+        if ext != extruder:
+            lines.append("M106" if ext else "M107")
+            extruder = ext
+        if uv_on != uv:
+            lines.append(f"M42 P{UV_CHANNEL} S{1 if uv_on else 0}")
+            uv = uv_on
+        words = [f"{letter}{_fmt(a)}" for letter, a, b in zip("XYZ", end, at) if a != b]
+        f_mm_min = speed * 60.0
         if feed is None or f_mm_min != feed:
             words.append(f"F{_fmt(f_mm_min)}")
             feed = f_mm_min
         if not words:
-            words.append(f"X{_fmt(seg.end.x)}")
+            words.append(f"X{_fmt(end[0])}")
         lines.append("G1 " + " ".join(words))
-        pos = seg.end
     if extruder:
         lines.append("M107")
     if uv:

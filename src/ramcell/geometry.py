@@ -19,10 +19,6 @@ class Vec3:
     y: float
     z: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
-            raise ValueError(f"non-finite vector component: {self!r}")
-
     def __add__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
 
@@ -183,10 +179,6 @@ class Pose:
     def from_xyz(x: float, y: float, z: float) -> "Pose":
         return Pose(Vec3(x, y, z), Rotation.identity())
 
-    def inverse(self) -> "Pose":
-        rinv = self.orientation.inverse()
-        return Pose(rinv.rotate(-1.0 * self.position), rinv)
-
     def to_matrix(self) -> np.ndarray:
         m = np.eye(4)
         m[:3, :3] = self.orientation.to_matrix()
@@ -198,21 +190,15 @@ class Pose:
         return Pose(Vec3.from_array(m[:3, 3]), Rotation.from_matrix(m[:3, :3]))
 
 
-def compose(a: Pose, b: Pose) -> Pose:
-    """Rigid composition a then b (b expressed in a's frame)."""
-    return Pose(
-        a.position + a.orientation.rotate(b.position),
-        a.orientation * b.orientation,
-    )
-
-
-def transform_point(p: Pose, v: Vec3) -> Vec3:
-    return p.position + p.orientation.rotate(v)
-
-
 def wrap_angle(a: float) -> float:
     """Wrap to (-pi, pi]."""
     w = math.fmod(a + math.pi, 2.0 * math.pi)
     if w <= 0.0:
         w += 2.0 * math.pi
     return w - math.pi
+
+
+def wrap_angles(a: np.ndarray) -> np.ndarray:
+    """wrap_angle element by element, bit for bit."""
+    w = np.fmod(a + math.pi, 2.0 * math.pi)
+    return np.where(w <= 0.0, w + 2.0 * math.pi, w) - math.pi

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import RamcellError
 from .config import KinematicsConfig
-from .geometry import Pose
+from .geometry import Pose, wrap_angles
 
 POSITION_TOL_MM = 1e-6
 ORIENTATION_TOL_RAD = 1e-8
@@ -197,10 +197,8 @@ def _candidate_angles(t06: np.ndarray, dh: DHParams):
     q4 = np.arctan2(-s23 * r14_00 + c23 * r14_10, c23 * r14_00 + s23 * r14_10)
     qs = np.stack(np.broadcast_arrays(q1[..., None, None], q2, q3, q4,
                                       q5[..., None], q6[..., None]), axis=-1)
-    # elementwise geometry.wrap_angle: wrap to (-pi, pi]
-    qs = np.fmod(qs + math.pi, 2.0 * math.pi)
-    qs = np.where(qs <= 0.0, qs + 2.0 * math.pi, qs) - math.pi
-    return (qs.reshape(-1, 8, 6), np.broadcast_to(valid[..., None], q2.shape).reshape(-1, 8),
+    return (wrap_angles(qs).reshape(-1, 8, 6),
+            np.broadcast_to(valid[..., None], q2.shape).reshape(-1, 8),
             np.broadcast_to(free[..., None], q2.shape).reshape(-1, 8))
 
 

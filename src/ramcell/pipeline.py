@@ -68,21 +68,16 @@ def build_toolpath_from_gcode(cfg: Config, text: str) -> tp.Toolpath:
     return tp.assign_orientations(path)
 
 
-def _translate(path: tp.Toolpath, offset: Vec3) -> tp.Toolpath:
-    return tp.Toolpath(tuple(
-        replace(s, start=s.start + offset, end=s.end + offset)
-        for s in path.segments))
-
-
 def place_in_cell(cfg: Config, local: tp.Toolpath) -> tp.Toolpath:
     """Center the part's footprint on the configured print origin."""
-    if not local.segments:
+    if not len(local):
         return local
-    xs = [v for s in local.segments for v in (s.start.x, s.end.x)]
-    ys = [v for s in local.segments for v in (s.start.y, s.end.y)]
-    center = Vec3((min(xs) + max(xs)) / 2.0, (min(ys) + max(ys)) / 2.0, 0.0)
-    origin = Vec3(cfg.cell.origin_x_mm, cfg.cell.origin_y_mm, cfg.cell.origin_z_mm)
-    return _translate(local, origin - center)
+    ends = np.concatenate((local.start, local.end))
+    center = (ends.min(axis=0) + ends.max(axis=0)) / 2.0
+    center[2] = 0.0
+    offset = np.array([cfg.cell.origin_x_mm, cfg.cell.origin_y_mm,
+                       cfg.cell.origin_z_mm]) - center
+    return replace(local, start=local.start + offset, end=local.end + offset)
 
 
 def build_job(cfg: Config, name: str, local: tp.Toolpath) -> JobBundle:

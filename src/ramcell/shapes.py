@@ -73,7 +73,7 @@ def generate(shape_id: str, speed_2d: float, speed_3d: float, layer_height: floa
         z = layer_height
         lay = layer_index(z, layer_height)
         corners = [Vec3(0, 0, z), Vec3(lx, 0, z), Vec3(lx, ly, z), Vec3(0, ly, z)]
-        return Toolpath(tuple(_loop_segments(corners, speed_2d, lay)))
+        return Toolpath.from_segments(_loop_segments(corners, speed_2d, lay))
     if kind == "wall":
         length, height = dims
         inset = nozzle_diameter / 2.0
@@ -91,7 +91,7 @@ def generate(shape_id: str, speed_2d: float, speed_3d: float, layer_height: floa
             segs.append(Segment(a, b, speed_3d, extruding=True, uv_on=True, layer=lay))
             if k < n_layers:
                 segs.append(_hop(b, layer_height, travel_speed, lay))
-        return Toolpath(tuple(segs))
+        return Toolpath.from_segments(segs)
     # square: stacked closed rings, winding alternates per layer
     lx, ly, height = dims
     n_layers = max(1, round(height / layer_height))
@@ -105,7 +105,7 @@ def generate(shape_id: str, speed_2d: float, speed_3d: float, layer_height: floa
         segs.extend(_loop_segments(corners, speed_3d, lay))
         if k < n_layers:
             segs.append(_hop(corners[0], layer_height, travel_speed, lay))
-    return Toolpath(tuple(segs))
+    return Toolpath.from_segments(segs)
 
 
 def nominal_dimensions(shape_id: str) -> dict[str, float]:

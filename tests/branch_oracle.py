@@ -13,6 +13,7 @@ import numpy as np
 
 from ramcell.cell import (MAX_JOINT_STEP_RAD, PlanningError, RobotProgram,
                           _plan_nodes, cfg_home)
+from ramcell.geometry import Vec3
 from ramcell.kinematics import (_BRANCHES, IK_CHUNK_NODES, DHParams, IKSolution,
                                 JointConfig, UnreachableError, _checked_candidates,
                                 _rigid_inv, tcp_offset_from_config)
@@ -83,15 +84,17 @@ def validate_speeds_per_node(program: RobotProgram, max_joint_speed: float) -> N
 
 def plan_per_node(path, cfg) -> RobotProgram:
     """plan_trajectory, solving and selecting one node at a time."""
-    if not path.segments:
+    if not len(path):
         return RobotProgram((), ())
     dh = DHParams.from_config(cfg.kinematics)
-    nodes, targets = _plan_nodes(path, cfg)
+    times, positions, node_speeds, targets = _plan_nodes(path, cfg)
     solutions = ik_per_node(targets, dh, tcp_offset_from_config(cfg.kinematics))
     waypoints: list[tuple[float, JointConfig]] = []
     speeds: list[float] = []
     prev_q = None
-    for (t, pos, _, v), sols in zip(nodes, solutions):
+    for t, xyz, v, sols in zip(times.tolist(), positions.tolist(), node_speeds.tolist(),
+                               solutions):
+        pos = Vec3(*xyz)
         if not sols:
             raise PlanningError(
                 f"unreachable waypoint at ({pos.x:.3f}, {pos.y:.3f}, {pos.z:.3f})",

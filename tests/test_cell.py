@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from branch_oracle import plan_per_node, validate_speeds_per_node
+from toolpath_oracle import columns
 from ramcell import cell, kinematics, pipeline
 from ramcell.cell import (TOOL_DOWN, Aabb, CellEnvironment, PlanningError,
                           RobotProgram, SimReport, _plan_nodes, _point_box_distance,
@@ -91,7 +92,7 @@ def test_plan_unreachable_far_origin():
 
 
 def test_plan_empty_path():
-    program = plan_trajectory(Toolpath(()), CFG, ENV)
+    program = plan_trajectory(Toolpath.from_segments(()), CFG, ENV)
     assert program.waypoints == ()
 
 
@@ -407,8 +408,7 @@ def _zigzag_path():
     p = [Vec3(380.0, -20.0, 2.0), Vec3(420.0, -20.0, 2.0), Vec3(420.0, -20.0, 2.0),
          Vec3(420.0, 20.0, 2.0), Vec3(420.0, 20.0 + 2e-12, 2.0), Vec3(380.0, 20.0, 2.0)]
     yaws = [0.0, 0.0, 2.5, 2.5, -2.9]
-    return Toolpath(tuple(Segment(a, b, 4.0, True, True, 0, yaw)
-                          for a, b, yaw in zip(p, p[1:], yaws)))
+    return columns(Segment(a, b, 4.0, True, True, 0, yaw) for a, b, yaw in zip(p, p[1:], yaws))
 
 
 def _kin(**kw):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from ramcell import (RamcellError, cell, config, cure, extrusion, gcode, kinematics,
@@ -101,6 +103,20 @@ def test_extrusion_error_exits_2_without_traceback(tmp_path, capsys):
     ("kinematics", "d6_mm", "inf"),
     ("kinematics", "tcp_offset_z_mm", "nan"),
     ("cell", "origin_x_mm", "nan"),
+    ("extrusion", "nozzle_diameter_mm", "nan"),
+    ("extrusion", "flow_mm3_s", "nan"),
+    ("job", "extension_mm", "nan"),
+    ("cure", "bead_aspect", "0"),
+    ("cure", "max_dwell_s", "-1"),
+    ("job", "corner_threshold_deg", "nan"),
+    ("uv", "power_w", "nan"),
+    ("uv", "standoff_mm", "nan"),
+    ("uv", "trail_offset_mm", "inf"),
+    ("cure", "c_spread", "nan"),
+    ("cure", "crown_fraction", "nan"),
+    ("drivetrain", "syringe_bore_mm", "nan"),
+    ("drivetrain", "syringe_bore_mm", "1e308"),
+    ("kinematics", "a2_mm", "1e308"),
 ])
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, section, key, value):
     cfg_file = tmp_path / "bad.cfg"
@@ -113,10 +129,13 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, section, key,
     assert f"[{section}] {key}" in err
 
 
-def test_non_finite_prediction_is_never_printable(tmp_path, capsys):
-    cfg_file = tmp_path / "nanflow.cfg"
-    cfg_file.write_text("[extrusion]\nflow_mm3_s = nan\n")
-    args = ["--config", str(cfg_file), "--shape", "wall-20x3", "--out", str(tmp_path)]
+def test_non_finite_prediction_is_never_printable(tmp_path, capsys, monkeypatch):
+    # every config value is checked at load, so no input reaches a NaN
+    # prediction any more; force one to check the guard behind the checks
+    predict = cure.predict_dimensions
+    monkeypatch.setattr(cure, "predict_dimensions",
+                        lambda *a: {**predict(*a), "length_mm": math.nan})
+    args = ["--shape", "wall-20x3", "--out", str(tmp_path)]
     assert main(["simulate", *args]) == 3
     rep = SimReport.from_text((tmp_path / "wall-20x3.report.txt").read_text())
     assert not rep.printable and rep.hard_failures()
@@ -124,6 +143,26 @@ def test_non_finite_prediction_is_never_printable(tmp_path, capsys):
     assert main(["emit", "--force", *args]) == 3
     assert not (tmp_path / "wall-20x3.script.txt").exists()
     assert "refused" in capsys.readouterr().err
+
+
+def test_nan_bore_refuses_to_emit_steps(tmp_path, capsys):
+    cfg_file = tmp_path / "bore.cfg"
+    cfg_file.write_text("[drivetrain]\nsyringe_bore_mm = nan\n")
+    rc = main(["emit", "--config", str(cfg_file), "--shape", "wall-20x3",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert not (tmp_path / "wall-20x3.steps.csv").exists()
+    assert "[drivetrain] syringe_bore_mm" in capsys.readouterr().err
+
+
+def test_overflowing_gcode_number_exits_2_naming_the_line(tmp_path, capsys):
+    bad = tmp_path / "big.gcode"
+    bad.write_text("M106\nG1 X10 F600\nG1 X1e400 F600\n")
+    rc = main(["plan", "--gcode", str(bad), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "3:error:number out of range" in err
 
 
 def test_simulate_wall_report(tmp_path):

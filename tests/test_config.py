@@ -1,7 +1,9 @@
 import math
+from dataclasses import fields
 
 import pytest
 
+from ramcell import config
 from ramcell.config import (ConfigError, default_config, dump_config,
                             loads_config, parse_obstacles)
 
@@ -90,7 +92,14 @@ def test_obstacle_parsing():
     ("cell", "capsule_length_mm"), ("cell", "max_joint_speed_rad_s"),
     ("kinematics", "joint_limit_rad"), ("material:dlp-fs9", "cure_rate_per_j_mm2"),
     ("material:dlp-fs9", "scattering"), ("material:dlp-fs9", "attenuation_depth_mm"),
-    ("material:dlp-fs9", "viscosity_index"), ("material:new-resin", "scattering")])
+    ("material:dlp-fs9", "viscosity_index"), ("material:new-resin", "scattering"),
+    ("drivetrain", "syringe_bore_mm"), ("drivetrain", "syringe_capacity_ml"),
+    ("drivetrain", "plunger_travel_mm"), ("drivetrain", "lead_mm_per_rev"),
+    ("drivetrain", "screw_efficiency"), ("drivetrain", "rated_torque_nm"),
+    ("drivetrain", "max_step_rate_hz"), ("extrusion", "flow_mm3_s"),
+    ("extrusion", "nozzle_diameter_mm"), ("extrusion", "nozzle_land_mm"),
+    ("uv", "wavelength_nm"), ("uv", "standoff_mm"), ("cure", "bead_aspect"),
+    ("cure", "max_dwell_s")])
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
 def test_rate_and_length_keys_must_be_finite_and_positive(section, key, value):
     with pytest.raises(ConfigError, match=rf"\[{section}\] {key} .*{value}"):
@@ -110,7 +119,8 @@ def test_cure_degree_keys_must_lie_strictly_between_0_and_1(section, key, value)
     ("kinematics", "a3_mm", True), ("kinematics", "d4_mm", False),
     ("kinematics", "d5_mm", False), ("kinematics", "d6_mm", True),
     ("kinematics", "tcp_offset_z_mm", False), ("cell", "origin_x_mm", False),
-    ("cell", "origin_y_mm", False), ("cell", "origin_z_mm", False)])
+    ("cell", "origin_y_mm", False), ("cell", "origin_z_mm", False),
+    ("uv", "trail_offset_mm", False)])
 def test_link_and_placement_keys_must_be_finite(section, key, nonzero):
     rule = "finite and non-zero" if nonzero else "finite"
     for value in ("nan", "inf", "-inf", *(("0",) if nonzero else ())):
@@ -120,3 +130,51 @@ def test_link_and_placement_keys_must_be_finite(section, key, nonzero):
     assert getattr(getattr(loads_config(f"[{section}]\n{key} = -12.5\n"), section), key) == -12.5
     if not nonzero:
         assert getattr(getattr(loads_config(f"[{section}]\n{key} = 0\n"), section), key) == 0.0
+
+
+@pytest.mark.parametrize("key", ["full_steps_per_rev", "microstepping"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_integer_drive_keys_must_be_positive(key, value):
+    with pytest.raises(ConfigError, match=rf"\[drivetrain\] {key} must be finite and > 0"):
+        loads_config(f"[drivetrain]\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("section, key", [
+    ("uv", "power_w"), ("uv", "optical_efficiency"), ("cure", "crown_fraction"),
+    ("cure", "c_spread"), ("job", "extension_mm")])
+def test_dose_and_spread_keys_must_be_finite_and_non_negative(section, key):
+    for value in ("-1", "nan", "inf"):
+        with pytest.raises(ConfigError,
+                           match=rf"\[{section}\] {key} must be finite and >= 0, got .*{value}"):
+            loads_config(f"[{section}]\n{key} = {value}\n")
+    # a dark lamp, no spread or no lead is a valid job
+    assert getattr(getattr(loads_config(f"[{section}]\n{key} = 0\n"), section), key) == 0.0
+
+
+@pytest.mark.parametrize("section, key, upper", [
+    ("uv", "cone_half_angle_deg", "90"), ("job", "corner_threshold_deg", "180")])
+def test_angle_keys_must_lie_in_their_open_interval(section, key, upper):
+    for value in ("0", "-1", upper, "nan", "inf"):
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key} must be in \(0, {upper}\)"):
+            loads_config(f"[{section}]\n{key} = {value}\n")
+    assert getattr(getattr(loads_config(f"[{section}]\n{key} = 45\n"), section), key) == 45.0
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("kinematics", "a2_mm", "1e308"), ("kinematics", "d1_mm", "-2e9"),
+    ("cell", "origin_x_mm", "1.5e9"), ("drivetrain", "syringe_bore_mm", "1e308"),
+    ("job", "layer_height_mm", "1e308"), ("job", "extension_mm", "1e308"),
+    ("uv", "trail_offset_mm", "-1e308")])
+def test_magnitudes_above_1e9_are_rejected(section, key, value):
+    # they overflow where lengths are squared
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key} must be at most 1e\+09"):
+        loads_config(f"[{section}]\n{key} = {value}\n")
+
+
+def test_every_numeric_key_has_exactly_one_load_rule():
+    ruled = [rule[:2] for keys in (config._POSITIVE_KEYS, config._NON_NEGATIVE_KEYS,
+                                   config._FINITE_KEYS, config._NONZERO_KEYS,
+                                   config._INTERVAL_KEYS) for rule in keys]
+    numeric = [(sec, f.name) for sec, cls in config._SECTIONS.items() for f in fields(cls)
+               if f.type in ("float", "int")]
+    assert sorted(ruled) == sorted(numeric)

@@ -24,7 +24,7 @@ GF0 = CFG.materials["dlp-gf0"]
 
 
 def line_path(length=50.0, speed=4.0, lead=25.0, z=0.85):
-    path = Toolpath((Segment(Vec3(0, 0, z), Vec3(length, 0, z), speed,
+    path = Toolpath.from_segments((Segment(Vec3(0, 0, z), Vec3(length, 0, z), speed,
                              True, True, 1),))
     if lead > 0:
         path = add_cure_extensions(path, ExtensionPolicy(lead))
@@ -60,7 +60,7 @@ def test_deposit_rectangle_counts_and_volume():
 
 
 def test_deposit_nothing_without_extrusion():
-    path = assign_orientations(Toolpath((
+    path = assign_orientations(Toolpath.from_segments((
         Segment(Vec3(0, 0, 0), Vec3(10, 0, 0), 3.0, False, True, 0),)))
     dmap = deposit(resample(path, 1.0), FLOW, FS9, 1.0, 0.85)
     assert len(dmap) == 0
@@ -77,7 +77,7 @@ def test_deposit_element_volume_conservation():
 
 
 def test_deposit_requires_fine_resampling():
-    path = assign_orientations(Toolpath((
+    path = assign_orientations(Toolpath.from_segments((
         Segment(Vec3(0, 0, 0), Vec3(10, 0, 0), 3.0, True, True, 0),)))
     with pytest.raises(CureError):
         deposit(path, FLOW, FS9, 1.0, 0.85)
@@ -137,7 +137,7 @@ def test_zero_efficiency_gives_zero_dose():
 def test_removing_uv_never_increases_dose():
     path = rectangle_path()
     with_uv = run_dose(path, FS9)
-    muted = Toolpath(tuple(replace(s, uv_on=False) if i % 3 == 0 else s
+    muted = Toolpath.from_segments(tuple(replace(s, uv_on=False) if i % 3 == 0 else s
                            for i, s in enumerate(path.segments)))
     without = run_dose(muted, FS9)
     assert np.all(without.dose <= with_uv.dose + 1e-12)
@@ -310,9 +310,9 @@ def _dense_sweep(dmap, path, spot, dt_s, reorient_rate=1.0):
         dtj = dur / n
         tau = e.t0 + (np.arange(n) + 0.5) * dtj
         frac = (tau - e.t0) / dur
-        nx = e.start.x + frac * (e.end.x - e.start.x)
-        ny = e.start.y + frac * (e.end.y - e.start.y)
-        nz = e.start.z + frac * (e.end.z - e.start.z)
+        nx = e.x0 + frac * (e.x1 - e.x0)
+        ny = e.y0 + frac * (e.y1 - e.y0)
+        nz = e.z0 + frac * (e.z1 - e.z0)
         yaw = e.yaw0 + frac * (e.yaw1 - e.yaw0)
         sx = nx + spot.trail_mm * np.cos(yaw)
         sy = ny + spot.trail_mm * np.sin(yaw)

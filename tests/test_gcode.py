@@ -75,7 +75,7 @@ def test_rectangle_to_toolpath():
     path = to_toolpath(program)
     extruding = [s for s in path.segments if s.extruding]
     assert len(extruding) == 4
-    assert math.isclose(sum(s.length() for s in extruding), 300.0)
+    assert math.isclose(sum((s.end - s.start).norm() for s in extruding), 300.0)
     assert all(math.isclose(s.speed, 3.0) for s in extruding)
 
 
@@ -118,14 +118,14 @@ def _segment(a, b, speed=3.0, extruding=True, uv=True):
 
 
 def test_emit_empty_path():
-    text = emit(Toolpath(()))
+    text = emit(Toolpath.from_segments(()))
     lines = [l for l in text.splitlines() if l]
     assert lines[0].startswith(";")
     assert all(l.startswith(";") for l in lines)
 
 
 def test_emit_single_segment_shape():
-    text = emit(Toolpath((_segment((0, 0, 0), (10, 0, 0)),)))
+    text = emit(Toolpath.from_segments((_segment((0, 0, 0), (10, 0, 0)),)))
     lines = text.splitlines()
     assert "M106" in lines
     assert any(l.startswith("G1 ") and "F180.000000" in l for l in lines)
@@ -157,7 +157,7 @@ def test_round_trip_preserves_everything():
         segs.append(Segment(pos, end, float(rng.choice([1.5, 3.0, 4.0, 20.0])),
                             bool(rng.rand() < 0.7), bool(rng.rand() < 0.8), 0))
         pos = end
-    original = Toolpath(tuple(segs))
+    original = Toolpath.from_segments(tuple(segs))
     reparsed = to_toolpath(parse(emit(original)))
     assert len(reparsed.segments) == len(original.segments)
     for a, b in zip(original.segments, reparsed.segments):
@@ -195,3 +195,13 @@ def test_modal_feed_property():
             expected.append(feed / 60.0 if feed is not None else 2.0)
         path = to_toolpath(parse("\n".join(lines)), default_speed=2.0)
         assert [s.speed for s in path.segments] == pytest.approx(expected)
+
+
+def test_overflowing_number_is_an_error_naming_the_line():
+    program = parse("G1 X10 F600\nG1 X1e400 F600\nG1 Y-2e308\nG1 X5e307 F60")
+    errors = [d for d in program.diagnostics if d.severity == "error"]
+    assert [d.line for d in errors] == [2, 3]
+    assert "X1e400" in errors[0].message and "Y-2e308" in errors[1].message
+    assert [c.x for c in program.commands if c.kind == gcode.KIND_LINEAR] == [10.0, 5e307]
+    with pytest.raises(GcodeError):
+        to_toolpath(program)

@@ -51,8 +51,8 @@ def test_square_layers_and_winding():
     layer1 = [s for s in path.segments if s.extruding and s.layer == 1]
     layer2 = [s for s in path.segments if s.extruding and s.layer == 2]
     # winding alternates: the first move goes +x on odd layers, +y on even
-    assert layer1[0].direction().x == pytest.approx(1.0)
-    assert layer2[0].direction().y == pytest.approx(1.0)
+    assert (layer1[0].end - layer1[0].start).normalized().x == pytest.approx(1.0)
+    assert (layer2[0].end - layer2[0].start).normalized().y == pytest.approx(1.0)
     # rings close
     assert (layer1[-1].end - layer1[0].start).norm() < 1e-9
 

@@ -18,7 +18,7 @@ def seg(a, b, speed=3.0, extruding=True, uv=True, layer=0):
 
 def closed_rectangle(lx=90.0, ly=60.0, z=0.0):
     corners = [(0, 0, z), (lx, 0, z), (lx, ly, z), (0, ly, z)]
-    return Toolpath(tuple(
+    return Toolpath.from_segments(tuple(
         seg(a, b) for a, b in zip(corners, corners[1:] + corners[:1])))
 
 
@@ -37,7 +37,7 @@ def test_degenerate_segments_dropped_at_construction():
 
 
 def test_single_line_end_overrun():
-    path = Toolpath((seg((0, 0, 0), (50, 0, 0)),))
+    path = Toolpath.from_segments((seg((0, 0, 0), (50, 0, 0)),))
     out = add_cure_extensions(path, ExtensionPolicy(25.0))
     stats = path_stats(out)
     assert math.isclose(stats["extruded_length"], 50.0)
@@ -72,7 +72,7 @@ def test_extensions_leave_extruded_geometry_bit_identical():
 
 
 def test_gentle_corner_not_extended():
-    path = Toolpath((
+    path = Toolpath.from_segments((
         seg((0, 0, 0), (50, 0, 0)),
         seg((50, 0, 0), (100, 10, 0)),  # ~11 degree turn
     ))
@@ -82,7 +82,7 @@ def test_gentle_corner_not_extended():
 
 
 def test_orientation_trailing_examples():
-    path = Toolpath((
+    path = Toolpath.from_segments((
         seg((0, 0, 0), (10, 0, 0)),
         seg((10, 0, 0), (10, 10, 0)),
     ))
@@ -117,21 +117,21 @@ def test_orientation_spot_strictly_trails_random_paths():
             pos = pos + step
         if not segs:
             continue
-        out = assign_orientations(Toolpath(tuple(segs)))
+        out = assign_orientations(Toolpath.from_segments(tuple(segs)))
         for s in out.segments:
             tool = Rotation.about_z(s.yaw) * TOOL_DOWN
             offset = tool.rotate(Vec3(1.0, 0.0, 0.0))
-            d = s.direction()
+            d = (s.end - s.start).normalized()
             assert offset.x * d.x + offset.y * d.y < 0.0
             nozzle = tool.rotate(Vec3(0.0, 0.0, 1.0))
             assert nozzle.z < -0.99
 
 
 def test_resample_forced_arithmetic():
-    path = Toolpath((seg((0, 0, 0), (10, 0, 0)),))
+    path = Toolpath.from_segments((seg((0, 0, 0), (10, 0, 0)),))
     out = resample(path, 3.0)
     assert len(out) == 4
-    assert all(math.isclose(s.length(), 2.5) for s in out.segments)
+    assert all(math.isclose((s.end - s.start).norm(), 2.5) for s in out.segments)
 
 
 def test_resample_identity_when_coarse():
@@ -151,7 +151,7 @@ def test_resample_is_exact_refinement():
         b = Vec3(*rng.uniform(-50, 50, 3))
         if (b - a).norm() < 1.0:
             continue
-        path = Toolpath((seg((a.x, a.y, a.z), (b.x, b.y, b.z)),))
+        path = Toolpath.from_segments((seg((a.x, a.y, a.z), (b.x, b.y, b.z)),))
         out = resample(path, float(rng.uniform(0.5, 5.0)))
         # endpoints chain exactly and every node lies on the parent line
         assert (out.segments[0].start - a).norm() == 0.0
@@ -164,7 +164,7 @@ def test_resample_is_exact_refinement():
             along = off.dot(d)
             perp = (off - d * along).norm()
             assert perp < 1e-9
-        assert math.isclose(sum(s.length() for s in out.segments),
+        assert math.isclose(sum((s.end - s.start).norm() for s in out.segments),
                             (b - a).norm(), rel_tol=1e-12)
 
 
@@ -176,7 +176,7 @@ def test_path_stats_rectangle():
 
 
 def test_path_stats_empty():
-    stats = path_stats(Toolpath(()))
+    stats = path_stats(Toolpath.from_segments(()))
     assert stats == {"total_length": 0.0, "extruded_length": 0.0,
                      "extrusion_time": 0.0, "layer_count": 0.0}
 
@@ -192,8 +192,8 @@ def test_path_stats_ten_layer_square():
 def test_time_profile_dwells_between_yaw_changes():
     out = assign_orientations(closed_rectangle())
     entries = time_profile(out, reorient_rate=1.0)
-    dwells = [e for e in entries if e.kind == "dwell"]
-    moves = [e for e in entries if e.kind == "move"]
+    dwells = [e for e in entries if e.dwell]
+    moves = [e for e in entries if not e.dwell]
     assert len(moves) == 4
     assert len(dwells) == 3
     for d in dwells:
@@ -217,7 +217,7 @@ def test_time_profile_yaw_band_bounded():
 
 
 def test_validate_rejects_disconnected_extrusion():
-    path = Toolpath((
+    path = Toolpath.from_segments((
         seg((0, 0, 0), (10, 0, 0)),
         seg((10, 1, 0), (20, 1, 0)),
     ))
