@@ -30,6 +30,9 @@ from .toolpath import Toolpath, time_profile
 
 MAX_JOINT_STEP_RAD = 0.5
 DWELL_YAW_STEP_RAD = 0.3
+# the clearance check holds about 90 bytes a sample; past this many it
+# would take minutes and gigabytes, and a coarser step is the remedy
+MAX_COLLISION_SAMPLES = 2e6
 
 
 class PlanningError(RamcellError):
@@ -333,6 +336,9 @@ def check_collisions(program: RobotProgram, cfg: Config, env: CellEnvironment,
     caps_hi = tip + body_up * (env.capsule_clearance_mm + env.capsule_length_mm)
 
     duration = times[-1] - times[0]
+    if not duration / dt_s < MAX_COLLISION_SAMPLES:
+        raise PlanningError(f"collision check of a {duration:.3g} s program needs more than "
+                            f"{MAX_COLLISION_SAMPLES:g} samples at {dt_s:g} s", kind="limit")
     n = max(2, int(math.ceil(duration / dt_s)) + 1) if duration > 0 else 1
     ts = np.linspace(times[0], times[-1], n)
     sample = lambda col: np.interp(ts, times, col)

@@ -35,6 +35,11 @@ def _check_finite(where: str, key: str, value: float, nonzero: bool = False) -> 
         raise ConfigError(f"{where} {key} must be {rule}, got {value!r}")
 
 
+def _check_floor(where: str, key: str, value: float, floor: float) -> None:
+    if not (math.isfinite(value) and value >= floor):
+        raise ConfigError(f"{where} {key} must be finite and >= {floor:g}, got {value!r}")
+
+
 def _check_fraction(where: str, key: str, value: float, upper: float = 1.0) -> None:
     if not 0.0 < value < upper:  # also rejects NaN
         raise ConfigError(f"{where} {key} must be in (0, {upper:g}), got {value!r}")
@@ -238,14 +243,16 @@ def loads_config(text: str) -> Config:
 _POSITIVE_KEYS = (
     *(("kinematics", k) for k in ("singular_eps", "joint_limit_rad")),
     *(("cell", k) for k in ("capsule_radius_mm", "capsule_length_mm",
-                            "max_joint_speed_rad_s", "reorient_rate_rad_s",
-                            "collision_dt_s")),
+                            "max_joint_speed_rad_s", "reorient_rate_rad_s")),
     *(("drivetrain", f.name) for f in fields(DriveTrainConfig)),
     *(("extrusion", f.name) for f in fields(ExtrusionConfig)),
     ("uv", "wavelength_nm"), ("uv", "standoff_mm"),
-    *(("cure", k) for k in ("sweep_dt_s", "bead_aspect", "max_dwell_s")),
-    *(("job", k) for k in ("speed_2d_mm_s", "speed_3d_mm_s", "travel_speed_mm_s",
-                           "layer_height_mm", "resolution_mm")))
+    *(("cure", k) for k in ("bead_aspect", "max_dwell_s")),
+    *(("job", k) for k in ("speed_2d_mm_s", "speed_3d_mm_s", "travel_speed_mm_s")))
+# steps: a tiny positive step asks for more samples, subsegments or
+# layers than an array (or a lifetime) can hold
+_FLOOR_KEYS = (("job", "resolution_mm", 0.01), ("job", "layer_height_mm", 0.01),
+               ("cure", "sweep_dt_s", 1e-4), ("cell", "collision_dt_s", 1e-4))
 # a dark lamp or no spread is a valid job
 _NON_NEGATIVE_KEYS = (("uv", "power_w"), ("uv", "optical_efficiency"),
                       ("cure", "crown_fraction"), ("cure", "c_spread"),
@@ -293,6 +300,7 @@ def _apply_parser(parser: configparser.ConfigParser, origin: str) -> Config:
                         (_NON_NEGATIVE_KEYS, lambda *a: _check_positive(*a, or_zero=True)),
                         (_FINITE_KEYS, _check_finite),
                         (_NONZERO_KEYS, lambda *a: _check_finite(*a, nonzero=True)),
+                        (_FLOOR_KEYS, _check_floor),
                         (_INTERVAL_KEYS, _check_fraction)):
         for sec, key, *bound in keys:
             value = getattr(getattr(cfg, sec), key)

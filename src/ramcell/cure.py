@@ -9,13 +9,18 @@ under the current nozzle plane.  Cure degree follows a saturating
 exponential in dose; beads spread sideways in proportion to how long
 they sit uncured, divided by the formulation's viscosity index.
 
-The sweep is culled: each timeline entry evaluates only the elements
-already deposited by its last sample whose centroids lie within the
-footprint radius of the box around its spot track, a few dozen of the
-thousands on a multi-layer part.  Its cost is O(samples x candidates)
-plus a box test over the deposited elements per entry, and its dose
-and gel times are bit for bit those of evaluating every element at
-every sample.
+The sweep is culled and grouped.  Each timeline entry evaluates only
+its candidates, the elements already deposited by its last sample whose
+centroids lie within the footprint radius of the box around its spot
+track: a few dozen of the thousands on a multi-layer part.  A run of
+consecutive UV-on entries is swept in one array pass: its (entry,
+candidate) pairs are laid out as a (samples, pairs) table padded at
++inf, summed down each column, and chained per element across the
+entries by an accumulate.  Its cost is O(samples x candidates) plus a
+box test per run, with a fixed count of numpy calls per run rather
+than per entry, and its dose and gel times are bit for bit those of
+evaluating every element at every sample, entry by entry: every sum
+keeps its order (see `accumulate_dose`).
 """
 
 from __future__ import annotations
@@ -46,8 +51,11 @@ class UVSpot:
     trail_mm: float = 7.5
 
     def __post_init__(self):
-        if self.footprint_radius_mm() <= 0.0:
-            raise CureError("spot footprint must have positive radius")
+        r = self.footprint_radius_mm()
+        if not (r > 0.0 and math.pi * r * r > 0.0):
+            raise CureError("spot footprint must have positive radius and area")
+        if not math.isfinite(self.irradiance_w_mm2()):
+            raise CureError("spot irradiance must be finite")
 
     def footprint_radius_mm(self) -> float:
         return self.standoff_mm * math.tan(self.cone_half_angle_rad)
@@ -175,21 +183,47 @@ def deposit(path: Toolpath, flow: FlowModel, material: Material, res_mm: float,
 class _SampleBlock:
     """Sweep samples of a run of consecutive UV-on timeline entries.
 
-    Entry i of the block owns samples ``start[i]:stop[i]``: equal steps
-    of dt centred in the entry, each worth ``weight[i]`` = irradiance x dt.
+    The tables are ``(samples, entries)``: column i holds entry i's
+    ``count[i]`` samples, equal steps of dt centred in the entry, each
+    worth ``weight[i]`` = irradiance x dt, and then padding at +inf up
+    to the longest entry of the block.  ``flat[i]`` marks an entry whose
+    nozzle height is the same at every sample.
     """
-    start: np.ndarray
-    stop: np.ndarray
+    count: np.ndarray
     weight: np.ndarray
+    flat: np.ndarray
     tau: np.ndarray
     spot_x: np.ndarray
     spot_y: np.ndarray
     nozzle_z: np.ndarray
 
 
-# entries per sample block: bounds the stream's memory, whatever the
-# path length, while keeping the per-block array overhead negligible
-_BLOCK_ENTRIES = 256
+# padded (sample, entry) cells per sample block, about 80 entries of a
+# 1 mm move: one block is one box test and, unless the pair budget cuts
+# it, one array pass
+_BLOCK_SAMPLES = 1 << 10
+# the most (sample, candidate) cells one array pass lays out
+_PAIR_SAMPLE_BUDGET = 1 << 15
+# a longer sweep would run for hours; past int64 its count cannot be cast
+MAX_SWEEP_SAMPLES = 1e7
+
+
+def _runs(width: np.ndarray, count: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
+    """Cut consecutive entries into runs whose padded layout fits a budget.
+
+    A run is laid out as (its longest sample ``count``) x (the sum of its
+    ``width``); it is closed before the entry that would take it past
+    ``budget``, so only a run of a single entry can exceed it.  This is
+    what keeps peak memory flat whatever the path.
+    """
+    lo = rows = cols = 0
+    for i, (w, n) in enumerate(zip(width.tolist(), count.tolist())):
+        rows, cols = max(rows, n), cols + w
+        if rows * cols > budget and i > lo:
+            yield lo, i
+            lo, rows, cols = i, n, w
+    if len(count):
+        yield lo, len(count)
 
 
 def _sample_blocks(path: Toolpath, spot: UVSpot, dt_s: float,
@@ -207,30 +241,30 @@ def _sample_blocks(path: Toolpath, spot: UVSpot, dt_s: float,
                                         "x1", "y1", "z1", "yaw0", "yaw1"))
     del tl  # a generator keeps its locals
     dur = t1 - t0
-    count = np.maximum(1, np.ceil(dur / dt_s)).astype(np.int64)
+    count = np.maximum(1.0, np.ceil(dur / dt_s))
+    if not count.sum() <= MAX_SWEEP_SAMPLES:
+        raise CureError(f"dose sweep of {dur.sum():.3g} s of UV-on time needs "
+                        f"{count.sum():.3g} samples, more than {MAX_SWEEP_SAMPLES:g}")
+    count = count.astype(np.int64)
     dt = dur / count
     weight = spot.irradiance_w_mm2() * dt
+    if not np.isfinite(weight).all():
+        raise CureError("dose of one sweep sample overflows")
     dx, dy, dz, dyaw = x1 - x0, y1 - y0, z1 - z0, yaw1 - yaw0
-    for lo in range(0, len(count), _BLOCK_ENTRIES):
-        blk = slice(lo, lo + _BLOCK_ENTRIES)
+    for lo, hi in _runs(np.ones_like(count), count, _BLOCK_SAMPLES):
+        blk = slice(lo, hi)
         n = count[blk]
-
-        def rep(v: np.ndarray) -> np.ndarray:
-            return np.repeat(v[blk], n)
-
-        stop = np.cumsum(n)
-        start = stop - n
+        k = np.arange(n.max())[:, None]
         # in-place steps keep the temporaries few; IEEE + and * commute,
         # so a * b + c is the same bits as c + b * a
-        tau = np.arange(stop[-1]) - np.repeat(start, n) + 0.5
-        tau *= rep(dt)
-        tau += rep(t0)
-        frac = tau - rep(t0)
-        frac /= rep(dur)
+        tau = (k + 0.5) * dt[blk]
+        tau += t0[blk]
+        frac = tau - t0[blk]
+        frac /= dur[blk]
 
         def along(v0: np.ndarray, dv: np.ndarray) -> np.ndarray:
-            out = frac * rep(dv)
-            out += rep(v0)
+            out = frac * dv[blk]
+            out += v0[blk]
             return out
 
         spot_x = along(yaw0, dyaw)
@@ -240,8 +274,26 @@ def _sample_blocks(path: Toolpath, spot: UVSpot, dt_s: float,
         spot_x += along(x0, dx)
         spot_y *= spot.trail_mm
         spot_y += along(y0, dy)
-        yield _SampleBlock(start=start, stop=stop, weight=weight[blk], tau=tau,
-                           spot_x=spot_x, spot_y=spot_y, nozzle_z=along(z0, dz))
+        nozzle_z = along(z0, dz)
+        pad = k >= n
+        for table in (tau, spot_x, spot_y, nozzle_z):
+            table[pad] = np.inf
+        yield _SampleBlock(count=n, weight=weight[blk], flat=dz[blk] == 0.0, tau=tau,
+                           spot_x=spot_x, spot_y=spot_y, nozzle_z=nozzle_z)
+
+
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """Sum each column of a 2-D array, top row first.
+
+    Reducing a C-ordered array along its outer axis adds whole rows one
+    after another, so each column sum is sequential: bit for bit
+    ``cumsum(a, 0)[-1]``.  Along a contiguous axis numpy sums pairwise,
+    which is why the array is made C-ordered (a no-op for the sweep's)
+    and why a single column, a 1-D reduction to numpy, takes the cumsum.
+    """
+    if a.shape[1] == 1:
+        return np.cumsum(a, axis=0)[-1]
+    return np.add.reduce(np.ascontiguousarray(a), axis=0)
 
 
 # the cull box is padded by a micron so that rounding at its edges can
@@ -259,14 +311,39 @@ def accumulate_dose(dmap: DepositionMap, path: Toolpath, spot: UVSpot,
     nozzle plane.  Gel times are recorded at the first sample where an
     element's cumulative dose reaches the formulation's gel dose.
 
-    Each timeline entry evaluates only its candidates: the elements
-    deposited by the entry's last sample (a prefix, since deposit times
-    are ordered) whose centroid lies in the box around the entry's spot
-    track grown by the footprint radius.  Every other element would get
-    exactly +0.0 from each sample, so dose and gel times are bit for bit
-    those of a sweep over all elements, at O(samples x candidates) in
-    place of O(samples x elements).  Relies on a gel dose > 0, which
-    the `Material` invariants guarantee.
+    The candidates of a timeline entry are the elements deposited by
+    its last sample (a prefix, since deposit times are ordered) whose
+    centroid lies in the box around the entry's spot track grown by
+    the footprint radius; every other element would get exactly +0.0
+    from each of its samples.  Entries come in blocks of consecutive
+    UV-on entries, each cut into groups where its layout would pass
+    `_PAIR_SAMPLE_BUDGET`, and a group is swept in one array pass:
+
+    1. the box test keeps the elements of the block's deposited prefix
+       inside the union of its entries' boxes, then applies each
+       entry's own box and prefix, giving the pairs in entry order;
+    2. the pairs' samples are laid out as a ``(samples, pairs)`` table,
+       each column padded to the group's longest entry by samples at
+       +inf, which are never lit; the depth factor w exp(-depth / att)
+       is taken once a pair when the group's nozzle heights are
+       constant through each entry, and once a sample when they are not;
+    3. a pair's total is the sum down its column, and the entries are
+       chained per element by an accumulate down a dense
+       ``(entries + 1, elements)`` table whose first row is the dose
+       before the group;
+    4. only the pairs whose element first reaches the gel dose take a
+       cumulative sum down their column to find the crossing sample.
+
+    Dose and gel times are bit for bit those of a per-entry sweep over
+    all elements, at O(samples x candidates) in place of O(samples x
+    elements), because every sum keeps its order: the column reduce
+    and the accumulate along the outer axis add one row at a time, as
+    the per-entry cumsum and ``dose + total`` do; an element of the
+    group not lit in an entry (or not a candidate there) adds +0.0,
+    which changes no dose >= 0; and a padding sample adds +0.0 after
+    the entry's last sample, so it is never the first crossing.
+    Relies on a gel dose > 0, which the `Material` invariants
+    guarantee.
     """
     if len(dmap) == 0 or spot.irradiance_w_mm2() <= 0.0:
         return dmap
@@ -278,40 +355,73 @@ def accumulate_dose(dmap: DepositionMap, path: Toolpath, spot: UVSpot,
     att = dmap.material.attenuation_depth_mm
     ex, ey, ez, et = dmap.x, dmap.y, dmap.z, dmap.deposit_time
     dose, gel = dmap.dose, dmap.gel_time
-    # the box test writes into two fixed masks: fresh ones, of a new
-    # length in nearly every entry, would pile up in numpy's cache of
-    # small freed blocks and raise peak memory by about a megabyte
-    inside, scratch = np.empty(len(dmap), bool), np.empty(len(dmap), bool)
     for blk in _sample_blocks(path, spot, dt_s, reorient_rate):
-        deposited = np.searchsorted(et, blk.tau[blk.stop - 1], side="right")
-        lo_x = np.minimum.reduceat(blk.spot_x, blk.start) - reach
-        hi_x = np.maximum.reduceat(blk.spot_x, blk.start) + reach
-        lo_y = np.minimum.reduceat(blk.spot_y, blk.start) - reach
-        hi_y = np.maximum.reduceat(blk.spot_y, blk.start) + reach
-        for a, b, m, w, x0, x1, y0, y1 in zip(
-                blk.start.tolist(), blk.stop.tolist(), deposited.tolist(),
-                blk.weight.tolist(), lo_x.tolist(), hi_x.tolist(), lo_y.tolist(),
-                hi_y.tolist()):
-            px, py, box, tmp = ex[:m], ey[:m], inside[:m], scratch[:m]
-            np.greater_equal(px, x0, out=box)
-            box &= np.less_equal(px, x1, out=tmp)
-            box &= np.greater_equal(py, y0, out=tmp)
-            box &= np.less_equal(py, y1, out=tmp)
-            cand = box.nonzero()[0]
-            if len(cand) == 0:
+        last_tau = blk.tau[blk.count - 1, np.arange(len(blk.count))]
+        deposited = np.searchsorted(et, last_tau, side="right")
+        real = blk.tau < np.inf
+        lo_x = blk.spot_x.min(axis=0) - reach
+        hi_x = np.max(blk.spot_x, axis=0, where=real, initial=-np.inf) + reach
+        lo_y = blk.spot_y.min(axis=0) - reach
+        hi_y = np.max(blk.spot_y, axis=0, where=real, initial=-np.inf) + reach
+        px, py = ex[:deposited[-1]], ey[:deposited[-1]]
+        near = np.flatnonzero((px >= lo_x.min()) & (px <= hi_x.max())
+                              & (py >= lo_y.min()) & (py <= hi_y.max()))
+        px, py = ex[near], ey[near]
+        box = ((px >= lo_x[:, None]) & (px <= hi_x[:, None])
+               & (py >= lo_y[:, None]) & (py <= hi_y[:, None])
+               & (near < deposited[:, None]))
+        pairs = box.sum(axis=1)
+        for lo, hi in _runs(pairs, blk.count, _PAIR_SAMPLE_BUDGET):
+            used = box[lo:hi].any(axis=0)
+            if not used.any():
                 continue
-            tau = blk.tau[a:b]
-            sx, sy = blk.spot_x[a:b, None], blk.spot_y[a:b, None]
-            d2 = (ex[cand] - sx) ** 2 + (ey[cand] - sy) ** 2
-            lit = (d2 <= radius2) & (et[cand] <= tau[:, None])
-            depth = np.maximum(blk.nozzle_z[a:b, None] - ez[cand], 0.0)
-            contrib = np.where(lit, w * np.exp(-depth / att), 0.0)
-            cum = dose[cand] + np.cumsum(contrib, axis=0)
-            newly = np.isinf(gel[cand]) & (cum[-1] >= threshold)
-            if newly.any():
-                first = np.argmax(cum[:, newly] >= threshold, axis=0)
-                gel[cand[newly]] = tau[first]
-            dose[cand] = cum[-1]
+            members = near[used]
+            pe, pc = box[lo:hi, used].nonzero()
+            pe += lo
+            el = members[pc]
+            rows = int(blk.count[lo:hi].max())
+
+            def column(table: np.ndarray) -> np.ndarray:
+                # pairs run in entry order, so each entry's column repeats
+                return np.repeat(table[:rows, lo:hi], pairs[lo:hi], axis=1)
+
+            # (samples, pairs): squared distance to the spot, then lit
+            d2 = column(blk.spot_x)
+            np.subtract(ex[el], d2, out=d2)
+            d2 *= d2
+            dy = column(blk.spot_y)
+            np.subtract(ey[el], dy, out=dy)
+            dy *= dy
+            d2 += dy
+            lit = d2 <= radius2
+            # tau only grows through an entry, so only an element deposited
+            # after the entry's first sample can be unlit for its age
+            fresh = np.flatnonzero(et[el] > blk.tau[0, pe])
+            if len(fresh):
+                lit[:, fresh] &= et[el[fresh]] <= blk.tau[:rows, pe[fresh]]
+            # a constant nozzle height gives one depth per pair
+            nz = column(blk.nozzle_z[:1] if blk.flat[lo:hi].all() else blk.nozzle_z)
+            depth = np.maximum(nz - ez[el], 0.0)
+            # lit x w exp(-depth/att) is that factor or +0.0, since the
+            # factor is finite and >= 0; the distances' buffer is reused
+            contrib = d2
+            np.copyto(contrib, lit)
+            contrib *= blk.weight[pe] * np.exp(-depth / att)
+            # chain the entries per element: row k + 1 holds entry k's totals
+            chain = np.zeros((hi - lo + 1, len(members)))
+            slot = (pe - (lo - 1)) * len(members) + pc
+            chain.ravel()[slot] = _column_sums(contrib)
+            chain[0] = dose[members]
+            np.add.accumulate(chain, axis=0, out=chain)
+            newly = np.flatnonzero((chain.ravel()[slot] >= threshold) & np.isinf(gel[el]))
+            if len(newly):
+                # pairs run in entry order: an element's first is its crossing
+                newly = newly[np.unique(pc[newly], return_index=True)[1]]
+                before = chain.ravel()[slot[newly] - len(members)]
+                cum = before + np.cumsum(contrib[:, newly], axis=0)
+                first = np.argmax(cum >= threshold, axis=0)
+                gel[el[newly]] = blk.tau[first, pe[newly]]
+            dose[members] = chain[-1]
     return dmap
 
 

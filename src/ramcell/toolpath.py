@@ -30,6 +30,8 @@ from . import RamcellError
 from .geometry import Vec3, wrap_angles
 
 CONNECT_TOL = 1e-6
+# every later stage holds several hundred bytes a subsegment
+MAX_SUBSEGMENTS = 2e6
 
 # one timeline entry: a segment traversal, or a dwell (`dwell` set) in
 # which the nozzle holds (x0, y0, z0) while the yaw sweeps yaw0 -> yaw1
@@ -240,7 +242,11 @@ def resample(path: Toolpath, max_len: float) -> Toolpath:
     if max_len <= 0.0:
         raise ToolpathError("max_len must be positive")
     d = path.end - path.start
-    count = np.maximum(1, np.ceil(lengths(d) / max_len - 1e-12)).astype(np.int64)
+    count = np.maximum(1.0, np.ceil(lengths(d) / max_len - 1e-12))
+    if not count.sum() <= MAX_SUBSEGMENTS:
+        raise ToolpathError(f"resampling at {max_len:g} mm needs {count.sum():.3g} "
+                            f"subsegments, more than {MAX_SUBSEGMENTS:g}")
+    count = count.astype(np.int64)
     src = np.repeat(np.arange(len(path)), count)
     last = np.cumsum(count) - 1
     k = (np.arange(len(src)) - np.repeat(last + 1 - count, count)).astype(float)[:, None]

@@ -86,6 +86,9 @@ def test_extrusion_error_exits_2_without_traceback(tmp_path, capsys):
 @pytest.mark.parametrize("section, key, value", [
     ("cell", "collision_dt_s", "0"),
     ("cure", "sweep_dt_s", "0"),
+    ("cure", "sweep_dt_s", "1e-300"),
+    ("cell", "collision_dt_s", "1e-300"),
+    ("job", "resolution_mm", "1e-300"),
     ("job", "layer_height_mm", "0"),
     ("cell", "obstacles", "1,2,x,4,5,6"),
     ("cell", "obstacles", "380,-20,0,nan,20,400"),
@@ -306,3 +309,14 @@ def test_effective_config_round_trips(tmp_path):
         (tmp_path / "wall-50x10.gcode").read_bytes()
     assert (out2 / "wall-50x10.path.txt").read_bytes() == \
         (tmp_path / "wall-50x10.path.txt").read_bytes()
+
+
+def test_too_long_collision_check_exits_2(tmp_path, capsys):
+    # 1000 s of square at the floor step is 1e7 samples, gigabytes of them
+    cfg_file = tmp_path / "fine.cfg"
+    cfg_file.write_text("[cell]\ncollision_dt_s = 0.0001\n")
+    rc = main(["simulate", "--config", str(cfg_file), "--shape", "square-30x30x8.5",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: collision check of a ") and "more than 2e+06" in err

@@ -171,10 +171,25 @@ def test_magnitudes_above_1e9_are_rejected(section, key, value):
         loads_config(f"[{section}]\n{key} = {value}\n")
 
 
+@pytest.mark.parametrize("section, key, floor", [
+    ("job", "resolution_mm", "0.01"), ("job", "layer_height_mm", "0.01"),
+    ("cure", "sweep_dt_s", "0.0001"),
+    ("cell", "collision_dt_s", "0.0001")])
+def test_step_keys_have_a_floor(section, key, floor):
+    # a tiny step asks for more samples or subsegments than an array holds
+    for value in ("1e-300", f"{float(floor) * 0.99!r}"):
+        with pytest.raises(ConfigError,
+                           match=rf"\[{section}\] {key} must be finite and >= {floor}, got "):
+            loads_config(f"[{section}]\n{key} = {value}\n")
+    cfg = loads_config(f"[{section}]\n{key} = {floor}\n")
+    assert getattr(getattr(cfg, section), key) == float(floor)
+
+
 def test_every_numeric_key_has_exactly_one_load_rule():
     ruled = [rule[:2] for keys in (config._POSITIVE_KEYS, config._NON_NEGATIVE_KEYS,
                                    config._FINITE_KEYS, config._NONZERO_KEYS,
-                                   config._INTERVAL_KEYS) for rule in keys]
+                                   config._FLOOR_KEYS, config._INTERVAL_KEYS)
+             for rule in keys]
     numeric = [(sec, f.name) for sec, cls in config._SECTIONS.items() for f in fields(cls)
                if f.type in ("float", "int")]
     assert sorted(ruled) == sorted(numeric)

@@ -4,11 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ramcell import pipeline
+from ramcell import cure, pipeline
 from ramcell.config import Material, default_config
-from ramcell.cure import (CureError, DepositionMap, UVSpot, accumulate_dose,
-                          deposit, flag_undercured, gel_dose, predict_dimensions,
-                          spread, update_cure)
+from ramcell.cure import (CureError, DepositionMap, UVSpot, _column_sums, _runs,
+                          _sample_blocks, accumulate_dose, deposit, flag_undercured,
+                          gel_dose, predict_dimensions, spread, update_cure)
 from ramcell.extrusion import FlowModel
 from ramcell.geometry import Vec3
 from ramcell.shapes import generate
@@ -51,6 +51,19 @@ def test_spot_geometry():
         3.0 / (math.pi * SPOT.footprint_radius_mm() ** 2))
     with pytest.raises(CureError):
         UVSpot(standoff_mm=0.0)
+    # a footprint whose area underflows, or a lamp too bright for a float
+    with pytest.raises(CureError, match="positive radius and area"):
+        UVSpot(standoff_mm=1e-300)
+    with pytest.raises(CureError, match="irradiance must be finite"):
+        UVSpot(power_w=1e9, optical_efficiency=1e9, standoff_mm=1e-150)
+
+
+def test_sweep_refuses_more_samples_than_a_job_can_run():
+    path = line_path()
+    dmap = deposit(path, FLOW, FS9, 1.0, 0.85)
+    with pytest.raises(CureError, match="more than 1e\\+07"):
+        accumulate_dose(dmap, path, SPOT, 1e-6)
+    assert np.all(dmap.dose == 0.0)
 
 
 def test_deposit_rectangle_counts_and_volume():
@@ -354,14 +367,57 @@ M42 P2 S0
 """
 
 
+# a square loop that climbs 0.4 mm a side with UV on, then a second loop
+# over it: the nozzle height varies within every timeline entry
+RAMP_GCODE = """\
+G0 X0 Y0 Z0.85
+M42 P2 S1
+M106
+G1 X20 Y0 Z1.25 F240
+G1 X20 Y20 Z1.65
+G1 X0 Y20 Z2.05
+G1 X0 Y0 Z2.45
+G1 X20 Y0 Z2.85
+G1 X20 Y20 Z3.25
+M107
+M42 P2 S0
+"""
+
+# two layers of an L; between them the UV is off for the last stretch,
+# the layer change and a turn, so the sweep steps over a UV-off dwell.
+# The second layer runs at half speed: a pass over both pads the short
+# entries of the first
+LAYERS_GCODE = """\
+G0 X0 Y0 Z0.85
+M42 P2 S1
+M106
+G1 X24 Y0 F240
+G1 X24 Y12
+M107
+M42 P2 S0
+G1 X24 Y16
+G1 Z1.7
+G1 X24 Y12
+M42 P2 S1
+M106
+G1 X24 Y0 F120
+G1 X0 Y0
+M107
+M42 P2 S0
+"""
+
+GCODES = {"hexagon-gcode": HEXAGON_GCODE, "ramp-gcode": RAMP_GCODE,
+          "layers-gcode": LAYERS_GCODE}
+
+
 def _job(source, material="dlp-fs9", dt_s=None, trail_mm=None):
     cfg = replace(CFG, job=replace(CFG.job, material=material))
     if dt_s is not None:
         cfg = replace(cfg, cure=replace(cfg.cure, sweep_dt_s=dt_s))
     if trail_mm is not None:
         cfg = replace(cfg, uv=replace(cfg.uv, trail_offset_mm=trail_mm))
-    if source == "hexagon-gcode":
-        local = pipeline.build_toolpath_from_gcode(cfg, HEXAGON_GCODE)
+    if source in GCODES:
+        local = pipeline.build_toolpath_from_gcode(cfg, GCODES[source])
     else:
         local = pipeline.build_toolpath_from_shape(cfg, source)
     return pipeline.build_job(cfg, source, local)
@@ -381,8 +437,9 @@ def _assert_sweeps_agree(job, reference=None):
     culled = accumulate_dose(_deposit(job), job.local_path, job.spot,
                              cfg.cure.sweep_dt_s, cfg.cell.reorient_rate_rad_s)
     assert np.any(np.isfinite(reference.gel_time))  # the gel-time path is exercised
-    assert np.array_equal(culled.dose, reference.dose)
-    assert np.array_equal(culled.gel_time, reference.gel_time)
+    # int64 views: array_equal holds -0.0 equal to 0.0
+    assert np.array_equal(culled.dose.view(np.int64), reference.dose.view(np.int64))
+    assert np.array_equal(culled.gel_time.view(np.int64), reference.gel_time.view(np.int64))
     return reference
 
 
@@ -391,6 +448,8 @@ def _assert_sweeps_agree(job, reference=None):
     ("wall-50x10", "dlp-fs9", None, None),
     ("square-30x30x8.5", "dlp-fs9", None, None),
     ("hexagon-gcode", "dlp-fs9", None, None),      # diagonal moves, no extensions
+    ("ramp-gcode", "dlp-fs9", None, None),         # the depth of every sample
+    ("layers-gcode", "dlp-fs9", None, None),       # a UV-off stretch between layers
     ("wall-50x10", "dlp-fs9", 0.007, None),        # does not divide the entry durations
     ("square-20x20x2.55", "dlp-fs9", None, 0.0),   # footprint centred on the nozzle
     # one sample per move: with no trail that sample sits on the element
@@ -427,3 +486,92 @@ def test_sweep_rejects_unordered_deposit_times():
     dmap.deposit_time = dmap.deposit_time[::-1].copy()
     with pytest.raises(CureError, match="deposit times"):
         accumulate_dose(dmap, path, SPOT, CFG.cure.sweep_dt_s)
+
+
+def _uv_entries(job):
+    tl = time_profile(job.local_path, job.cfg.cell.reorient_rate_rad_s)
+    return tl[tl.uv_on & (tl.t1 > tl.t0)]
+
+
+def test_ramp_gcode_varies_the_nozzle_height_within_uv_entries():
+    # no built-in shape does, so only this case takes the per-sample depth
+    on = _uv_entries(_job("ramp-gcode"))
+    assert np.all(on.z1[~on.dwell] > on.z0[~on.dwell])
+
+
+@pytest.mark.parametrize("source", ["square-20x20x2.55", "ramp-gcode", "hexagon-gcode"])
+def test_sweep_with_one_entry_a_pass_matches_dense_sweep(monkeypatch, source):
+    # a budget of one pair-sample closes every run after its first entry
+    monkeypatch.setattr(cure, "_PAIR_SAMPLE_BUDGET", 1)
+    _assert_sweeps_agree(_job(source))
+
+
+def test_runs_close_before_the_entry_that_breaks_the_budget():
+    count = np.array([4, 4, 9, 1, 1])
+    assert list(_runs(np.array([2, 1, 3, 1, 5]), count, 1)) == [
+        (0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+    # a run is laid out as its longest entry times its width
+    assert list(_runs(np.ones(5, int), count, 12)) == [(0, 2), (2, 3), (3, 5)]
+    assert list(_runs(np.ones(5, int), count, 1000)) == [(0, 5)]
+    assert list(_runs(np.zeros(0, int), np.zeros(0, int), 10)) == []
+
+
+def test_passes_straddle_a_layer_change_a_uv_off_dwell_and_block_boundaries(monkeypatch):
+    job = _job("layers-gcode")
+    cfg = job.cfg
+    tl = time_profile(job.local_path, cfg.cell.reorient_rate_rad_s)
+    # the UV is off for the turn back at the top of the L and for the hop
+    gap = np.flatnonzero(~tl.uv_on)
+    assert np.any(tl.dwell[gap]) and len(np.unique(tl.layer[tl.uv_on])) == 2
+    on = _uv_entries(job)
+    change = int(np.argmax(on.layer != on.layer[0]))  # first entry of layer 2
+    reference = _dense_sweep(_deposit(job), job.local_path, job.spot,
+                             cfg.cure.sweep_dt_s, cfg.cell.reorient_rate_rad_s)
+    # no budget cut: a pass is a whole block
+    monkeypatch.setattr(cure, "_PAIR_SAMPLE_BUDGET", 1 << 40)
+    straddled = 0
+    for entries in (5, 13, 29, 1000):
+        monkeypatch.setattr(cure, "_BLOCK_SAMPLES", entries * 13)
+        sizes = [len(b.count) for b in _sample_blocks(job.local_path, job.spot,
+                                                       cfg.cure.sweep_dt_s,
+                                                       cfg.cell.reorient_rate_rad_s)]
+        bounds = np.cumsum(sizes)
+        assert bounds[-1] == len(on)
+        first = int(np.searchsorted(bounds, change, side="right"))  # block of the change
+        straddled += (first == 0 or bounds[first - 1] < change) and len(sizes) > 1
+        _assert_sweeps_agree(job, reference)
+    assert straddled >= 2
+
+
+def test_sweep_without_uv_entries_leaves_dose_at_zero():
+    path = line_path()
+    dark = Toolpath.from_segments(tuple(replace(s, uv_on=False) for s in path.segments))
+    dmap = run_dose(dark, FS9)
+    assert np.all(dmap.dose == 0.0) and np.all(np.isinf(dmap.gel_time))
+
+
+def test_outer_axis_reduce_is_sequential_bit_for_bit():
+    # the sweep sums each (sample, pair) column with add.reduce along axis
+    # 0 in place of cumsum(...)[-1]: numpy adds whole rows in order there,
+    # so a release that changes that order fails here, not in the goldens
+    rng = np.random.default_rng(11)
+
+    def doses(rows, cols):
+        x = rng.random((rows, cols)) * 10.0 ** rng.integers(-8, 2, (rows, cols))
+        x[rng.random((rows, cols)) < 0.4] = 0.0
+        return x
+
+    for rows, cols in [(1, 2), (2, 3), (9, 2), (13, 40), (80, 7), (300, 600)]:
+        x = doses(rows, cols)
+        sequential = np.cumsum(x, axis=0)[-1].view(np.int64)
+        assert np.array_equal(np.add.reduce(x, axis=0).view(np.int64), sequential)
+        assert np.array_equal(_column_sums(x).view(np.int64), sequential)
+    # along the contiguous axis numpy sums pairwise, which differs
+    x = doses(64, 200)
+    assert not np.array_equal(np.add.reduce(np.ascontiguousarray(x.T), axis=1),
+                              np.cumsum(x, axis=0)[-1])
+    # so does a single column, a 1-D reduction to numpy: _column_sums
+    # takes the cumsum there
+    single = [x[:, j:j + 1].copy() for j in range(20)]
+    assert any(np.add.reduce(c, axis=0)[0] != np.cumsum(c, axis=0)[-1, 0] for c in single)
+    assert all(_column_sums(c)[0] == np.cumsum(c, axis=0)[-1, 0] for c in single)

@@ -1,7 +1,7 @@
 """Property: no single config value ends in a Python traceback.
 
 Every numeric key of every section, and of the material the job uses, is
-set on its own to zero, -1, NaN, infinity or 1e308, and `emit` (which
+set on its own to zero, -1, NaN, infinity, 1e308 or 1e-300, and `emit` (which
 simulates first) runs in-process.  It must exit 0, 2 or 3 without
 raising, and an exit 2 must be an `error:` line.  A report may say
 `printable=1` only when every `predicted_*` value is finite and
@@ -26,7 +26,7 @@ KEYS = [(sec, f.name) for sec, cls in config._SECTIONS.items() for f in fields(c
         if f.type in ("float", "int")]
 KEYS += [(f"material:{MATERIAL}", f.name) for f in fields(config.Material)
          if f.type in ("float", "int")]
-VALUES = ("0", "-1", "nan", "inf", "1e308")
+VALUES = ("0", "-1", "nan", "inf", "1e308", "1e-300")
 
 
 def test_every_numeric_key_is_generated():
