@@ -247,9 +247,10 @@ def _sample_blocks(path: Toolpath, spot: UVSpot, dt_s: float,
                         f"{count.sum():.3g} samples, more than {MAX_SWEEP_SAMPLES:g}")
     count = count.astype(np.int64)
     dt = dur / count
-    weight = spot.irradiance_w_mm2() * dt
-    if not np.isfinite(weight).all():
+    irradiance = spot.irradiance_w_mm2()
+    if not math.isfinite(irradiance * float(dt.max(initial=0.0))):
         raise CureError("dose of one sweep sample overflows")
+    weight = irradiance * dt
     dx, dy, dz, dyaw = x1 - x0, y1 - y0, z1 - z0, yaw1 - yaw0
     for lo, hi in _runs(np.ones_like(count), count, _BLOCK_SAMPLES):
         blk = slice(lo, hi)

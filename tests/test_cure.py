@@ -64,6 +64,13 @@ def test_sweep_refuses_more_samples_than_a_job_can_run():
     with pytest.raises(CureError, match="more than 1e\\+07"):
         accumulate_dose(dmap, path, SPOT, 1e-6)
     assert np.all(dmap.dose == 0.0)
+    # a finite irradiance times a 2 s step can still overflow; the sweep
+    # multiplies the lit mask by the dose factor, so that must be finite
+    slow = line_path(speed=0.5)
+    glaring = UVSpot(power_w=1e9, optical_efficiency=1e9, standoff_mm=1.2e-145)
+    assert 9e307 < glaring.irradiance_w_mm2() < math.inf
+    with pytest.raises(CureError, match="overflows"):
+        accumulate_dose(deposit(slow, FLOW, FS9, 1.0, 0.85), slow, glaring, 10.0)
 
 
 def test_deposit_rectangle_counts_and_volume():
