@@ -4,10 +4,12 @@ The planner walks the shared toolpath timeline, builds the TCP targets
 of all nodes (dwell nodes included) as one array, and takes the chunked
 batch IK's candidates straight into the array branch choice
 (kinematics.select_chain), which keeps the branch continuous from node
-to node; a JointConfig is built only for each waypoint.  Collision
-checking samples the interpolated tool capsule against the table plane
-and the configured obstacle boxes, running the per-box search only on
-samples whose capsule axis comes within a capsule radius of the box.
+to node; the program keeps the chosen rows as one (n, 6) joint array,
+which the speed check, the clearance check, the singularity scan and
+the script writer read as columns.  Collision checking samples the
+interpolated tool capsule against the table plane and the configured
+obstacle boxes, running the per-box search only on samples whose
+capsule axis comes within a capsule radius of the box.
 Everything here is deterministic: identical inputs give byte-identical
 programs, scripts and reports.
 """
@@ -23,9 +25,8 @@ from . import RamcellError
 from .config import CellConfig, Config, parse_obstacles
 from .extrusion import IOEvent
 from .geometry import Pose, Rotation, Vec3
-from .kinematics import (TAG_ORDER, DHParams, JointConfig, fk_batch, ik_chunks,
-                         manipulability_batch, select_chain,
-                         tcp_offset_from_config)
+from .kinematics import (TAG_ORDER, DHParams, fk_batch, ik_chunks, manipulability_batch,
+                         select_chain, tcp_offset_from_config)
 from .toolpath import Toolpath, time_profile
 
 MAX_JOINT_STEP_RAD = 0.5
@@ -33,6 +34,12 @@ DWELL_YAW_STEP_RAD = 0.3
 # the clearance check holds about 90 bytes a sample; past this many it
 # would take minutes and gigabytes, and a coarser step is the remedy
 MAX_COLLISION_SAMPLES = 2e6
+# the table top is the world plane z = 0; the lowest capsule surface
+# sits CAPSULE_CLEARANCE_MM minus the capsule radius above the tip
+TABLE_Z_MM = 0.0
+CAPSULE_CLEARANCE_MM = 70.0
+# one script line per waypoint: six joints, the TCP speed and the time
+_MOVE = "q=[" + ",".join(["%.6f"] * 6) + "] v=%.3f t=%.6f"
 
 
 class PlanningError(RamcellError):
@@ -52,47 +59,46 @@ class Aabb:
 
 @dataclass(frozen=True)
 class CellEnvironment:
-    table_z_mm: float = 0.0
     obstacles: tuple[Aabb, ...] = ()
     capsule_radius_mm: float = 60.0
     capsule_length_mm: float = 250.0
-    # lowest capsule surface sits this far minus the radius above the tip
-    capsule_clearance_mm: float = 70.0
 
     @staticmethod
     def from_config(cfg: CellConfig) -> "CellEnvironment":
         boxes = tuple(Aabb(tuple(b[:3]), tuple(b[3:])) for b in parse_obstacles(cfg))
         return CellEnvironment(
-            table_z_mm=0.0, obstacles=boxes,
-            capsule_radius_mm=cfg.capsule_radius_mm,
+            obstacles=boxes, capsule_radius_mm=cfg.capsule_radius_mm,
             capsule_length_mm=cfg.capsule_length_mm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RobotProgram:
-    waypoints: tuple[tuple[float, JointConfig], ...]
-    speeds: tuple[float, ...]                    # TCP mm/s per waypoint arrival
+    """Joint waypoints as columns, one row per waypoint, plus the I/O events."""
+    times: np.ndarray    # (n,) s
+    joints: np.ndarray   # (n, 6) rad
+    speeds: np.ndarray   # (n,) TCP mm/s at each waypoint's arrival
     events: tuple[IOEvent, ...] = ()
     metadata: tuple[tuple[str, str], ...] = ()
 
+    def __post_init__(self):
+        for column in (self.times, self.joints, self.speeds):
+            column.flags.writeable = False
+
     def duration(self) -> float:
-        return self.waypoints[-1][0] if self.waypoints else 0.0
+        return float(self.times[-1]) if len(self.times) else 0.0
 
     def validate_speeds(self, max_joint_speed: float) -> None:
         """Raise PlanningError at the first waypoint reached too early or
         through a max-norm joint rate above max_joint_speed."""
-        if len(self.waypoints) < 2:
-            return
-        times = np.array([t for t, _ in self.waypoints])
-        dt = np.diff(times)
-        step = np.abs(np.diff([q.q for _, q in self.waypoints], axis=0)).max(axis=1)
+        dt = np.diff(self.times)
+        step = np.abs(np.diff(self.joints, axis=0)).max(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             rate = step / dt
         bad = (dt <= 0.0) | (rate > max_joint_speed + 1e-9)
         if not bad.any():
             return
         i = int(bad.argmax())
-        t1 = float(times[i + 1])
+        t1 = float(self.times[i + 1])
         if dt[i] <= 0.0:
             raise PlanningError("waypoint times must be strictly increasing", t1)
         raise PlanningError(
@@ -255,24 +261,23 @@ def plan_trajectory(path: Toolpath, cfg: Config, env: CellEnvironment,
     a joint-space jump above MAX_JOINT_STEP_RAD in one step.
     """
     if not len(path):
-        return RobotProgram((), (), events, metadata)
+        return RobotProgram(np.zeros(0), np.zeros((0, 6)), np.zeros(0), events, metadata)
     dh = DHParams.from_config(cfg.kinematics)
     tcp = tcp_offset_from_config(cfg.kinematics)
     limit = cfg.kinematics.joint_limit_rad
-    times, pos, speeds_at, targets = _plan_nodes(path, cfg)
-    times, speeds_at = times.tolist(), speeds_at.tolist()
+    times, pos, speeds, targets = _plan_nodes(path, cfg)
 
     # a node no later than the last waypoint adds none, and the next
     # node's branch continues from that waypoint's
     added = np.zeros(len(times), dtype=bool)
     last_t = -math.inf
-    for i, t in enumerate(times):
+    for i, t in enumerate(times.tolist()):
         if t > last_t + 1e-12:
             added[i] = True
             last_t = t
+    last_added = np.maximum.accumulate(np.where(added, np.arange(len(times)), -1))
 
-    waypoints: list[tuple[float, JointConfig]] = []
-    speeds: list[float] = []
+    joints = np.empty((len(times), 6))
     prev = np.array(cfg_home())
     start = 0
     for qs, kept, _ in ik_chunks(targets, dh, tcp):
@@ -285,19 +290,16 @@ def plan_trajectory(path: Toolpath, cfg: Config, env: CellEnvironment,
         jump = jump[start + jump > 0]  # the first node is reached from home
         if len(jump) or r < n:
             i = jump[0] if len(jump) else r
-            t, at = times[start + i], Vec3(*pos[start + i].tolist())
+            t, at = float(times[start + i]), Vec3(*pos[start + i].tolist())
             where = f"({at.x:.3f}, {at.y:.3f}, {at.z:.3f})"
             if i < r:
                 raise PlanningError(f"configuration jump of {step[i]:.3f} rad at {where}",
                                     t, at, kind="jump")
             raise PlanningError(f"unreachable waypoint at {where}", t, at)
-        joints = q.tolist()
-        for i in np.flatnonzero(added[start:start + n]).tolist():
-            waypoints.append((times[start + i], JointConfig(tuple(joints[i]))))
-            speeds.append(speeds_at[start + i])
-        prev = np.asarray(waypoints[-1][1].q)
+        joints[start:start + n] = q
         start += n
-    program = RobotProgram(tuple(waypoints), tuple(speeds), events, metadata)
+        prev = joints[last_added[start - 1]]
+    program = RobotProgram(times[added], joints[added], speeds[added], events, metadata)
     program.validate_speeds(cfg.cell.max_joint_speed_rad_s)
     return program
 
@@ -324,16 +326,15 @@ def check_collisions(program: RobotProgram, cfg: Config, env: CellEnvironment,
     The endpoints at the waypoints come from one batched FK call.
     Returns the earliest contact per obstacle plus any table contact.
     """
-    if len(program.waypoints) < 1:
+    times = program.times
+    if not len(times):
         return []
     dh = DHParams.from_config(cfg.kinematics)
-    times = np.array([t for t, _ in program.waypoints])
-    tcp = fk_batch([q for _, q in program.waypoints], dh,
-                   tcp_offset_from_config(cfg.kinematics))
+    tcp = fk_batch(program.joints, dh, tcp_offset_from_config(cfg.kinematics))
     tip = tcp[:, :3, 3]
     body_up = -tcp[:, :3, 2]  # opposite the nozzle axis
-    caps_lo = tip + body_up * env.capsule_clearance_mm
-    caps_hi = tip + body_up * (env.capsule_clearance_mm + env.capsule_length_mm)
+    caps_lo = tip + body_up * CAPSULE_CLEARANCE_MM
+    caps_hi = tip + body_up * (CAPSULE_CLEARANCE_MM + env.capsule_length_mm)
 
     duration = times[-1] - times[0]
     if not duration / dt_s < MAX_COLLISION_SAMPLES:
@@ -347,8 +348,8 @@ def check_collisions(program: RobotProgram, cfg: Config, env: CellEnvironment,
     tipz = sample(tip[:, 2])
 
     findings: list[tuple[float, str]] = []
-    below = tipz < env.table_z_mm - 1e-6
-    cap_below = np.minimum(az, bz) - env.capsule_radius_mm < env.table_z_mm - 1e-6
+    below = tipz < TABLE_Z_MM - 1e-6
+    cap_below = np.minimum(az, bz) - env.capsule_radius_mm < TABLE_Z_MM - 1e-6
     hit = below | cap_below
     if np.any(hit):
         findings.append((float(ts[int(np.argmax(hit))]), "table"))
@@ -391,27 +392,15 @@ def check_collisions(program: RobotProgram, cfg: Config, env: CellEnvironment,
 
 def detect_singularity_traversal(program: RobotProgram, cfg: Config,
                                  eps: float | None = None) -> list[tuple[float, float]]:
-    """Contiguous waypoint intervals where manipulability drops below eps."""
+    """Contiguous waypoint intervals where manipulability drops below eps,
+    each as the times of its first and last waypoint."""
     if eps is None:
         eps = cfg.kinematics.singular_eps
     dh = DHParams.from_config(cfg.kinematics)
-    singular = manipulability_batch([q for _, q in program.waypoints], dh,
-                                    tcp_offset_from_config(cfg.kinematics)) < eps
-    intervals: list[tuple[float, float]] = []
-    open_t: float | None = None
-    last_t = 0.0
-    for (t, _), low in zip(program.waypoints, singular):
-        if low:
-            if open_t is None:
-                open_t = t
-        else:
-            if open_t is not None:
-                intervals.append((open_t, last_t))
-                open_t = None
-        last_t = t
-    if open_t is not None:
-        intervals.append((open_t, last_t))
-    return intervals
+    low = manipulability_batch(program.joints, dh, tcp_offset_from_config(cfg.kinematics)) < eps
+    # a run of low waypoints opens and closes at the edges of the padded mask
+    edge = np.flatnonzero(np.diff(np.r_[False, low, False]))
+    return list(zip(program.times[edge[::2]].tolist(), program.times[edge[1::2] - 1].tolist()))
 
 
 def emit_program(program: RobotProgram, report: SimReport | None = None) -> str:
@@ -425,17 +414,17 @@ def emit_program(program: RobotProgram, report: SimReport | None = None) -> str:
     for key, value in program.metadata:
         lines.append(f"# {key}={value}")
     body: list[tuple[float, int, str]] = []
-    for i, ((t, q), v) in enumerate(zip(program.waypoints, program.speeds)):
-        joints = ",".join(f"{x:.6f}" for x in q.q)
+    rows = zip(program.times.tolist(), program.joints.tolist(), program.speeds.tolist())
+    for i, (t, q, v) in enumerate(rows):
         op = "movej" if i == 0 else "movel"
-        body.append((t, 0, f"{op} q=[{joints}] v={v:.3f} t={t:.6f}"))
+        body.append((t, 0, f"{op} " + _MOVE % (*q, v, t)))
     for ev in program.events:
         body.append((ev.time_s, 1,
                      f"set_digital_out channel={ev.channel} state={1 if ev.on else 0} "
                      f"t={ev.time_s:.6f}"))
     body.sort(key=lambda item: (item[0], item[1], item[2]))
     lines.extend(text for _, _, text in body)
-    if program.waypoints:
+    if len(program.times):
         lines.append(f"stopj t={program.duration():.6f}")
     lines.append("# end")
     return "\n".join(lines) + "\n"

@@ -35,9 +35,11 @@ def _check_finite(where: str, key: str, value: float, nonzero: bool = False) -> 
         raise ConfigError(f"{where} {key} must be {rule}, got {value!r}")
 
 
-def _check_floor(where: str, key: str, value: float, floor: float) -> None:
-    if not (math.isfinite(value) and value >= floor):
-        raise ConfigError(f"{where} {key} must be finite and >= {floor:g}, got {value!r}")
+def _check_floor(where: str, key: str, value: float, floor: float,
+                 or_zero: bool = False) -> None:
+    if not (math.isfinite(value) and (value >= floor or (or_zero and value == 0.0))):
+        rule = f"0 or >= {floor:g}" if or_zero else f">= {floor:g}"
+        raise ConfigError(f"{where} {key} must be finite and {rule}, got {value!r}")
 
 
 def _check_fraction(where: str, key: str, value: float, upper: float = 1.0) -> None:
@@ -83,6 +85,7 @@ class DriveTrainConfig:
     lead_mm_per_rev: float = 8.0
     full_steps_per_rev: int = 200
     microstepping: int = 8
+    # accepted and checked, but read by no model
     screw_efficiency: float = 0.5
     rated_torque_nm: float = 1.9
     max_step_rate_hz: float = 5000.0
@@ -92,14 +95,14 @@ class DriveTrainConfig:
 class ExtrusionConfig:
     flow_mm3_s: float = 5.3
     nozzle_diameter_mm: float = 1.5
-    nozzle_land_mm: float = 10.0
+    nozzle_land_mm: float = 10.0  # accepted and checked, but read by no model
 
 
 @dataclass(frozen=True)
 class UVConfig:
     power_w: float = 10.0
     optical_efficiency: float = 0.3
-    wavelength_nm: float = 365.0
+    wavelength_nm: float = 365.0  # accepted and checked, but read by no model
     cone_half_angle_deg: float = 24.0
     # standoff/trail place the footprint just behind the light-blocking
     # wall (near edge ~0.8 mm behind the tip, far edge ~14 mm), so the
@@ -243,20 +246,25 @@ def loads_config(text: str) -> Config:
 _POSITIVE_KEYS = (
     *(("kinematics", k) for k in ("singular_eps", "joint_limit_rad")),
     *(("cell", k) for k in ("capsule_radius_mm", "capsule_length_mm",
-                            "max_joint_speed_rad_s", "reorient_rate_rad_s")),
+                            "max_joint_speed_rad_s")),
     *(("drivetrain", f.name) for f in fields(DriveTrainConfig)),
     *(("extrusion", f.name) for f in fields(ExtrusionConfig)),
     ("uv", "wavelength_nm"), ("uv", "standoff_mm"),
-    *(("cure", k) for k in ("bead_aspect", "max_dwell_s")),
-    *(("job", k) for k in ("speed_2d_mm_s", "speed_3d_mm_s", "travel_speed_mm_s")))
-# steps: a tiny positive step asks for more samples, subsegments or
-# layers than an array (or a lifetime) can hold
+    *(("cure", k) for k in ("bead_aspect", "max_dwell_s")))
+# steps and rates: a tiny positive step asks for more samples,
+# subsegments or layers than an array (or a lifetime) can hold, and a
+# tiny speed or rate overflows a move's time (MAX_SUBSEGMENTS moves of
+# MAX_MAGNITUDE mm at 1e-3 mm/s still take a finite 2e18 s); a tiny lead
+# vanishes in its run end's coordinates, so the lead is 0 (no overruns)
+# or at least its floor (the fourth entry sets or_zero)
 _FLOOR_KEYS = (("job", "resolution_mm", 0.01), ("job", "layer_height_mm", 0.01),
-               ("cure", "sweep_dt_s", 1e-4), ("cell", "collision_dt_s", 1e-4))
+               ("cure", "sweep_dt_s", 1e-4), ("cell", "collision_dt_s", 1e-4),
+               *(("job", k, 1e-3) for k in ("speed_2d_mm_s", "speed_3d_mm_s",
+                                            "travel_speed_mm_s")),
+               ("cell", "reorient_rate_rad_s", 1e-3), ("job", "extension_mm", 0.01, True))
 # a dark lamp or no spread is a valid job
 _NON_NEGATIVE_KEYS = (("uv", "power_w"), ("uv", "optical_efficiency"),
-                      ("cure", "crown_fraction"), ("cure", "c_spread"),
-                      ("job", "extension_mm"))
+                      ("cure", "crown_fraction"), ("cure", "c_spread"))
 # link constants, placement and the spot offset may take either sign;
 # the closed-form IK divides by a2, a3 and d6
 _FINITE_KEYS = (("kinematics", "d1_mm"), ("kinematics", "d4_mm"), ("kinematics", "d5_mm"),

@@ -45,7 +45,6 @@ class CureError(RamcellError):
 class UVSpot:
     power_w: float = 10.0
     optical_efficiency: float = 0.3
-    wavelength_nm: float = 365.0
     cone_half_angle_rad: float = math.radians(24.0)
     standoff_mm: float = 15.0
     trail_mm: float = 7.5
@@ -66,9 +65,8 @@ class UVSpot:
 
     @staticmethod
     def from_config(cfg: UVConfig) -> "UVSpot":
-        return UVSpot(cfg.power_w, cfg.optical_efficiency, cfg.wavelength_nm,
-                      math.radians(cfg.cone_half_angle_deg), cfg.standoff_mm,
-                      cfg.trail_offset_mm)
+        return UVSpot(cfg.power_w, cfg.optical_efficiency, math.radians(cfg.cone_half_angle_deg),
+                      cfg.standoff_mm, cfg.trail_offset_mm)
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,6 @@ class ExtrusionError(RamcellError):
     pass
 
 
-class InfeasibleDriveError(ExtrusionError):
-    def __init__(self, message: str, result: dict):
-        super().__init__(message)
-        self.result = result
-
-
 @dataclass(frozen=True)
 class FlowModel:
     q_mm3_s: float = 5.3
@@ -44,7 +38,6 @@ class FlowModel:
 @dataclass(frozen=True)
 class Nozzle:
     diameter_mm: float = 1.5
-    land_mm: float = 10.0
 
     def __post_init__(self):
         if self.diameter_mm <= 0.0:
@@ -52,10 +45,6 @@ class Nozzle:
 
     def area_mm2(self) -> float:
         return math.pi * (self.diameter_mm / 2.0) ** 2
-
-    @staticmethod
-    def from_config(cfg: ExtrusionConfig) -> "Nozzle":
-        return Nozzle(cfg.nozzle_diameter_mm, cfg.nozzle_land_mm)
 
 
 @dataclass(frozen=True)
@@ -66,14 +55,11 @@ class DriveTrain:
     lead_mm_per_rev: float = 8.0
     full_steps_per_rev: int = 200
     microstepping: int = 8
-    screw_efficiency: float = 0.5
-    rated_torque_nm: float = 1.9
     max_step_rate_hz: float = 5000.0
 
     def __post_init__(self):
         for name in ("bore_mm", "capacity_ml", "plunger_travel_mm", "lead_mm_per_rev",
-                     "full_steps_per_rev", "microstepping", "screw_efficiency",
-                     "rated_torque_nm", "max_step_rate_hz"):
+                     "full_steps_per_rev", "microstepping", "max_step_rate_hz"):
             if getattr(self, name) <= 0:
                 raise ExtrusionError(f"{name} must be positive")
         swept = self.bore_area_mm2() * self.plunger_travel_mm  # mm^3
@@ -96,7 +82,6 @@ class DriveTrain:
             bore_mm=cfg.syringe_bore_mm, capacity_ml=cfg.syringe_capacity_ml,
             plunger_travel_mm=cfg.plunger_travel_mm, lead_mm_per_rev=cfg.lead_mm_per_rev,
             full_steps_per_rev=cfg.full_steps_per_rev, microstepping=cfg.microstepping,
-            screw_efficiency=cfg.screw_efficiency, rated_torque_nm=cfg.rated_torque_nm,
             max_step_rate_hz=cfg.max_step_rate_hz)
 
 
@@ -211,34 +196,3 @@ def schedule(path: Toolpath, flow: FlowModel, drive: DriveTrain,
         add_breakpoint(t_end, steps)
     events.sort(key=lambda ev: (ev.time_s, ev.channel, ev.on))
     return StepSchedule(tuple(breakpoints), tuple(events))
-
-
-def drive_feasibility(viscosity_pa_s: float, nozzle: Nozzle, drive: DriveTrain,
-                      flow: FlowModel) -> dict:
-    """Laminar pressure-drop screen of the plunger drive.
-
-    Newtonian capillary flow through the nozzle land gives the pressure;
-    plunger force and screw torque follow.  Raises when the rated motor
-    torque cannot cover the requirement.
-    """
-    if viscosity_pa_s < 0.0:
-        raise ExtrusionError("viscosity must be non-negative")
-    q_si = flow.q_mm3_s * 1e-9            # m^3/s
-    r_si = nozzle.diameter_mm / 2.0 * 1e-3
-    land_si = nozzle.land_mm * 1e-3
-    pressure = 8.0 * viscosity_pa_s * land_si * q_si / (math.pi * r_si**4)
-    bore_area_si = drive.bore_area_mm2() * 1e-6
-    force = pressure * bore_area_si
-    torque = force * (drive.lead_mm_per_rev * 1e-3) / (2.0 * math.pi * drive.screw_efficiency)
-    margin = math.inf if torque == 0.0 else drive.rated_torque_nm / torque
-    result = {
-        "pressure_pa": pressure,
-        "plunger_force_n": force,
-        "required_torque_nm": torque,
-        "margin": margin,
-    }
-    if margin < 1.0:
-        raise InfeasibleDriveError(
-            f"required torque {torque:.3f} Nm exceeds rated {drive.rated_torque_nm} Nm",
-            result)
-    return result

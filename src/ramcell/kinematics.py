@@ -8,12 +8,14 @@ branches (shoulder, wrist, elbow) of every target as array masks.
 `ik_chunks` solves targets in chunks of IK_CHUNK_NODES and de-duplicates
 each chunk's candidates as arrays; `nearest_branch` picks branches for
 many nodes at once and `select_chain` runs it along a chain of nodes,
-bit for bit as node by node.  `ik_batch`, `ik` and `select_branch` are
-thin wrappers that build IKSolution/JointConfig objects; `fk`,
-`jacobian` and `manipulability` are one-row calls.  The Jacobian is geometric
-(linear rows mm/rad, angular rad/rad); manipulability is |det J|
-(Yoshikawa) of a meters-scaled copy, O(0.01) away from singularities and
-below 1e-9 at them, independent of the mm length unit.
+bit for bit as node by node.  `fk_batch` and `manipulability_batch` take
+an (n, 6) joint array.  JointConfig is only the one-row type: `ik_batch`,
+`ik` and `select_branch` are thin wrappers that build IKSolution/
+JointConfig objects, and `fk`, `jacobian` and `manipulability` are
+one-row calls.  The Jacobian is geometric (linear rows mm/rad, angular
+rad/rad); manipulability is |det J| (Yoshikawa) of a meters-scaled copy,
+O(0.01) away from singularities and below 1e-9 at them, independent of
+the mm length unit.
 """
 
 from __future__ import annotations
@@ -73,17 +75,6 @@ class JointConfig:
     def of(*vals: float) -> "JointConfig":
         return JointConfig(tuple(float(v) for v in vals))
 
-    def max_distance(self, other: "JointConfig") -> float:
-        a, b = self.q, other.q
-        worst = 0.0
-        for i in range(6):
-            d = a[i] - b[i]
-            if d < 0.0:
-                d = -d
-            if d > worst:
-                worst = d
-        return worst
-
 
 @dataclass(frozen=True)
 class IKSolution:
@@ -103,8 +94,10 @@ def _dh_links(theta, a: float, d: float, alpha: float) -> np.ndarray:
     ct, st = np.cos(theta), np.sin(theta)
     ca, sa = math.cos(alpha), math.sin(alpha)
     link = np.zeros(np.shape(theta) + (4, 4))
-    link[..., 0, :] = np.stack([ct, -st * ca, st * sa, a * ct], axis=-1)
-    link[..., 1, :] = np.stack([st, ct * ca, -ct * sa, a * st], axis=-1)
+    link[..., 0, 0], link[..., 1, 0] = ct, st
+    link[..., 0, 1], link[..., 1, 1] = -st * ca, ct * ca
+    link[..., 0, 2], link[..., 1, 2] = st * sa, -ct * sa
+    link[..., 0, 3], link[..., 1, 3] = a * ct, a * st
     link[..., 2, 1:] = (sa, ca, d)
     link[..., 3, 3] = 1.0
     return link
@@ -132,18 +125,14 @@ def _frames(qs: np.ndarray, dh: DHParams) -> np.ndarray:
     return frames
 
 
-def _joint_array(qs) -> np.ndarray:
-    return np.array([q.q for q in qs], dtype=float).reshape(-1, 6)
-
-
-def fk_batch(qs, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> np.ndarray:
-    """TCP transforms, shape (n, 4, 4), for a sequence of JointConfigs."""
-    return _frames(_joint_array(qs), dh)[:, 6] @ tcp_offset.to_matrix()
+def fk_batch(qs: np.ndarray, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> np.ndarray:
+    """TCP transforms, shape (n, 4, 4), for the rows of the (n, 6) joint array."""
+    return _frames(qs, dh)[:, 6] @ tcp_offset.to_matrix()
 
 
 def fk(q: JointConfig, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> Pose:
     """TCP pose for a joint configuration."""
-    return Pose.from_matrix(fk_batch((q,), dh, tcp_offset)[0])
+    return Pose.from_matrix(fk_batch(np.array([q.q], float), dh, tcp_offset)[0])
 
 
 # candidate k of a target is branch _BRANCHES[k]: the kernel's axes run
@@ -347,9 +336,10 @@ def select_branch(solutions: list[IKSolution], prev: JointConfig,
     return JointConfig(tuple(q[0].tolist()))
 
 
-def _jacobians(qs, dh: DHParams, tcp_offset: Pose) -> np.ndarray:
-    """Geometric TCP Jacobians, shape (n, 6, 6); column i is joint i."""
-    frames = _frames(_joint_array(qs), dh)
+def _jacobians(qs: np.ndarray, dh: DHParams, tcp_offset: Pose) -> np.ndarray:
+    """Geometric TCP Jacobians of the rows of the (n, 6) joint array, shape
+    (n, 6, 6); column i is joint i."""
+    frames = _frames(qs, dh)
     p_e = (frames[:, 6] @ tcp_offset.to_matrix())[:, :3, 3]
     z = frames[:, :6, :3, 2]
     r = p_e[:, None, :] - frames[:, :6, :3, 3]
@@ -361,13 +351,13 @@ def _jacobians(qs, dh: DHParams, tcp_offset: Pose) -> np.ndarray:
 
 def jacobian(q: JointConfig, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> np.ndarray:
     """Geometric Jacobian of the TCP, linear part in mm/rad."""
-    return _jacobians((q,), dh, tcp_offset)[0]
+    return _jacobians(np.array([q.q], float), dh, tcp_offset)[0]
 
 
-def manipulability_batch(qs, dh: DHParams,
+def manipulability_batch(qs: np.ndarray, dh: DHParams,
                          tcp_offset: Pose = Pose.identity()) -> np.ndarray:
     """|det J| (= sqrt(det(J J^T)), J square) of the meters-scaled Jacobian
-    for each JointConfig in qs."""
+    for each row of the (n, 6) joint array qs."""
     jac = _jacobians(qs, dh, tcp_offset)
     jac[:, :3, :] /= 1000.0
     return np.abs(np.linalg.det(jac))
@@ -375,7 +365,7 @@ def manipulability_batch(qs, dh: DHParams,
 
 def manipulability(q: JointConfig, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> float:
     """Manipulability of one configuration; see manipulability_batch."""
-    return float(manipulability_batch((q,), dh, tcp_offset)[0])
+    return float(manipulability_batch(np.array([q.q], float), dh, tcp_offset)[0])
 
 
 def is_singular(q: JointConfig, eps: float, dh: DHParams,

@@ -4,9 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from branch_oracle import plan_per_node, validate_speeds_per_node
+import branch_oracle
+from branch_oracle import (detect_singularity_per_node, emit_program_per_float,
+                           plan_per_node, validate_speeds_per_node)
 from toolpath_oracle import columns
-from ramcell import cell, kinematics, pipeline
+from ramcell import cell, extrusion, kinematics, pipeline
 from ramcell.cell import (TOOL_DOWN, Aabb, CellEnvironment, PlanningError,
                           RobotProgram, SimReport, _plan_nodes, _point_box_distance,
                           cfg_home, check_collisions, detect_singularity_traversal,
@@ -24,6 +26,13 @@ DH = DHParams.from_config(CFG.kinematics)
 TCP = Pose(Vec3(0.0, 0.0, CFG.kinematics.tcp_offset_z_mm), Rotation.identity())
 
 
+def _program(times, joints, events=()):
+    """A program through the given waypoints, each reached at speed 0."""
+    times = np.asarray(times, float)
+    return RobotProgram(times, np.asarray(joints, float).reshape(-1, 6),
+                        np.zeros(len(times)), events)
+
+
 def rectangle_world():
     local = pipeline.build_toolpath_from_shape(CFG, "rectangle-90x60")
     job = pipeline.build_job(CFG, "rectangle-90x60", local)
@@ -33,11 +42,13 @@ def rectangle_world():
 def test_plan_rectangle_at_desk_scale():
     job = rectangle_world()
     program = plan_trajectory(job.world_path, CFG, ENV)
-    assert len(program.waypoints) > 300
+    assert len(program.times) > 300
+    assert not (program.times.flags.writeable or program.joints.flags.writeable
+                or program.speeds.flags.writeable)
     # nozzle path stays on the commanded polyline
     poly = [(s.start, s.end) for s in job.world_path.segments]
-    for _, q in program.waypoints[:: 25]:
-        p = fk(q, DH, TCP).position
+    for xyz in fk_batch(program.joints[:: 25], DH, TCP)[:, :3, 3].tolist():
+        p = Vec3(*xyz)
         d = min(_point_segment_distance(p, a, b) for a, b in poly)
         assert d < 1e-3
 
@@ -55,30 +66,21 @@ def test_plan_tcp_speed_fidelity():
     local = pipeline.build_toolpath_from_shape(cfg, "wall-50x10")
     job = pipeline.build_job(cfg, "wall-50x10", local)
     program = plan_trajectory(job.world_path, cfg, ENV)
-    checked = 0
-    for ((t0, q0), (t1, q1), v) in zip(program.waypoints, program.waypoints[1:],
-                                       program.speeds[1:]):
-        if v != 4.0:
-            continue
-        p0 = fk(q0, DH, TCP).position
-        p1 = fk(q1, DH, TCP).position
-        measured = (p1 - p0).norm() / (t1 - t0)
-        assert abs(measured - v) / v < 0.01
-        checked += 1
-    assert checked > 100
+    tip = fk_batch(program.joints, DH, TCP)[:, :3, 3]
+    arrive = np.flatnonzero(program.speeds[1:] == 4.0) + 1
+    measured = (np.linalg.norm(tip[arrive] - tip[arrive - 1], axis=1)
+                / np.diff(program.times)[arrive - 1])
+    assert (np.abs(measured - 4.0) / 4.0 < 0.01).all()
+    assert len(arrive) > 100
 
 
 def test_branch_continuity_along_path():
     job = rectangle_world()
     program = plan_trajectory(job.world_path, CFG, ENV)
-    moves = list(zip(program.waypoints, program.speeds))
-    checked = 0
-    for ((_, q0), _), ((_, q1), v1) in zip(moves, moves[1:]):
-        if v1 == 0.0:
-            continue  # dwell steps reorient the wrist on purpose
-        assert q0.max_distance(q1) < 0.1
-        checked += 1
-    assert checked > 400
+    step = np.abs(np.diff(program.joints, axis=0)).max(axis=1)
+    moving = program.speeds[1:] != 0.0  # dwell steps reorient the wrist on purpose
+    assert (step[moving] < 0.1).all()
+    assert moving.sum() > 400
 
 
 def test_plan_unreachable_far_origin():
@@ -93,17 +95,19 @@ def test_plan_unreachable_far_origin():
 
 def test_plan_empty_path():
     program = plan_trajectory(Toolpath.from_segments(()), CFG, ENV)
-    assert program.waypoints == ()
+    assert program.times.shape == program.speeds.shape == (0,)
+    assert program.joints.shape == (0, 6)
 
 
 def test_collision_tcp_below_table():
-    q_ok = plan_trajectory(rectangle_world().world_path, CFG, ENV).waypoints[0][1]
+    q_ok = JointConfig(tuple(plan_trajectory(rectangle_world().world_path, CFG,
+                                             ENV).joints[0].tolist()))
     pose = fk(q_ok, DH, TCP)
     # command the same xy but 5 mm below the table
     from ramcell.kinematics import ik, select_branch
     target = Pose(Vec3(pose.position.x, pose.position.y, -5.0), pose.orientation)
     q_bad = select_branch(ik(target, DH, TCP), q_ok)
-    program = RobotProgram(((0.0, q_ok), (10.0, q_bad)), (0.0, 1.0))
+    program = _program([0.0, 10.0], [q_ok.q, q_bad.q])
     findings = check_collisions(program, CFG, ENV)
     assert any(what == "table" for _, what in findings)
 
@@ -139,20 +143,20 @@ def _straight_program(start: Vec3, travel: Vec3, duration: float, n: int = 21):
         frac = k / (n - 1)
         target = Pose(start + travel * frac, TOOL_DOWN)
         prev = select_branch(ik(target, DH, TCP), prev)
-        wps.append((frac * duration, prev))
-    return RobotProgram(tuple(wps), tuple(0.0 for _ in wps))
+        wps.append((frac * duration, prev.q))
+    return _program([t for t, _ in wps], [q for _, q in wps])
 
 
 def _brute_force_first_contacts(program, env, dt, axis_points=501):
     """First sample time per obstacle at which any of a dense set of points
     on the capsule axis comes within the capsule radius of the box."""
-    times = np.array([t for t, _ in program.waypoints])
+    times = program.times
     lo_end, hi_end = [], []
-    for _, q in program.waypoints:
-        pose = fk(q, DH, TCP)
+    for q in program.joints.tolist():
+        pose = fk(JointConfig(tuple(q)), DH, TCP)
         up = pose.orientation.rotate(Vec3(0.0, 0.0, -1.0))
-        lo_end.append((pose.position + up * env.capsule_clearance_mm).to_array())
-        hi_end.append((pose.position + up * (env.capsule_clearance_mm
+        lo_end.append((pose.position + up * cell.CAPSULE_CLEARANCE_MM).to_array())
+        hi_end.append((pose.position + up * (cell.CAPSULE_CLEARANCE_MM
                                              + env.capsule_length_mm)).to_array())
     n = int(np.ceil((times[-1] - times[0]) / dt)) + 1
     ts = np.linspace(times[0], times[-1], n)
@@ -203,16 +207,15 @@ def test_collision_first_contact_matches_brute_force():
 def _unculled_check_collisions(program, cfg, env, dt_s=0.01):
     """check_collisions with the golden-section search run on every sample
     for every box: the oracle of the culled search."""
-    if len(program.waypoints) < 1:
+    times = program.times
+    if not len(times):
         return []
     dh = DHParams.from_config(cfg.kinematics)
-    times = np.array([t for t, _ in program.waypoints])
-    tcp = fk_batch([q for _, q in program.waypoints], dh,
-                   tcp_offset_from_config(cfg.kinematics))
+    tcp = fk_batch(program.joints, dh, tcp_offset_from_config(cfg.kinematics))
     tip = tcp[:, :3, 3]
     body_up = -tcp[:, :3, 2]
-    caps_lo = tip + body_up * env.capsule_clearance_mm
-    caps_hi = tip + body_up * (env.capsule_clearance_mm + env.capsule_length_mm)
+    caps_lo = tip + body_up * cell.CAPSULE_CLEARANCE_MM
+    caps_hi = tip + body_up * (cell.CAPSULE_CLEARANCE_MM + env.capsule_length_mm)
     duration = times[-1] - times[0]
     n = max(2, int(math.ceil(duration / dt_s)) + 1) if duration > 0 else 1
     ts = np.linspace(times[0], times[-1], n)
@@ -221,8 +224,8 @@ def _unculled_check_collisions(program, cfg, env, dt_s=0.01):
     bx, by, bz = (sample(caps_hi[:, k]) for k in range(3))
     tipz = sample(tip[:, 2])
     findings = []
-    below = tipz < env.table_z_mm - 1e-6
-    cap_below = np.minimum(az, bz) - env.capsule_radius_mm < env.table_z_mm - 1e-6
+    below = tipz < cell.TABLE_Z_MM - 1e-6
+    cap_below = np.minimum(az, bz) - env.capsule_radius_mm < cell.TABLE_Z_MM - 1e-6
     hit = below | cap_below
     if np.any(hit):
         findings.append((float(ts[int(np.argmax(hit))]), "table"))
@@ -306,10 +309,8 @@ def test_collision_search_skips_boxes_beyond_reach(monkeypatch):
 
 
 def synthetic_program(q5_values, dt=0.5):
-    wps = []
-    for i, q5 in enumerate(q5_values):
-        wps.append((i * dt, JointConfig.of(0.3, -1.2, 1.8, -0.9, q5, 0.7)))
-    return RobotProgram(tuple(wps), tuple(0.0 for _ in wps))
+    return _program([i * dt for i in range(len(q5_values))],
+                    [(0.3, -1.2, 1.8, -0.9, q5, 0.7) for q5 in q5_values])
 
 
 def test_singularity_clean_program_has_no_warnings():
@@ -334,8 +335,75 @@ def test_singularity_eps_monotone():
     assert dur(narrow) <= dur(wide)
 
 
+def _low_mask_program(mask, rng):
+    """A program whose joint 0 reads 0 at the waypoints of mask and 1
+    elsewhere, at strictly increasing random times."""
+    n = len(mask)
+    joints = np.zeros((n, 6))
+    joints[:, 0] = np.where(mask, 0.0, 1.0)
+    return _program(np.cumsum(rng.uniform(0.01, 1.0, n)), joints)
+
+
+def test_singularity_intervals_match_per_waypoint_oracle(monkeypatch):
+    # manipulability reads joint 0, so eps 0.5 marks exactly the masked
+    # waypoints low
+    fake = lambda qs, *args: qs[:, 0]
+    monkeypatch.setattr(cell, "manipulability_batch", fake)
+    monkeypatch.setattr(branch_oracle, "manipulability_batch", fake)
+    rng = np.random.RandomState(8)
+    masks = [[], [False], [True], [True] * 7, [True, False, False, True],
+             [True, False, True, False, True], [False, True, True, False]]
+    masks += [rng.rand(rng.randint(1, 40)) < rng.choice([0.2, 0.5, 0.8]) for _ in range(200)]
+    for mask in masks:
+        program = _low_mask_program(np.array(mask, bool), rng)
+        got = detect_singularity_traversal(program, CFG, eps=0.5)
+        assert got == detect_singularity_per_node(program, CFG, eps=0.5)
+        assert len(got) == np.count_nonzero(np.diff(np.r_[0, np.array(mask, int)]) == 1)
+    program = _low_mask_program(np.ones(3, bool), rng)
+    assert detect_singularity_traversal(program, CFG, eps=0.5) == [
+        (program.times[0], program.times[-1])]
+
+
+def test_singularity_crossing_matches_per_waypoint_oracle():
+    program = synthetic_program(np.r_[np.linspace(-0.3, 0.3, 25), -1.2,
+                                      np.linspace(0.2, -0.2, 9)])
+    got = detect_singularity_traversal(program, CFG)
+    assert len(got) == 2
+    assert got == detect_singularity_per_node(program, CFG)
+
+
+def _specimen_program(shape, material):
+    cfg = replace(CFG, job=replace(CFG.job, shape=shape, material=material))
+    job = pipeline.build_job(cfg, shape, pipeline.build_toolpath_from_shape(cfg, shape))
+    sched = extrusion.schedule(job.local_path, job.flow, job.drive,
+                               cfg.cell.reorient_rate_rad_s)
+    return plan_trajectory(job.world_path, cfg, ENV, sched.events,
+                           (("specimen", shape), ("material", material)))
+
+
+@pytest.mark.parametrize("shape, material", [
+    ("rectangle-90x60", "dlp-gf50"), ("wall-50x10", "dlp-fs9"),
+    ("square-30x30x8.5", "dlp-fs9")])
+def test_emit_matches_per_float_oracle(shape, material):
+    program = _specimen_program(shape, material)
+    assert emit_program(program) == emit_program_per_float(program)
+
+
+def test_emit_formats_signed_zero_tiny_and_pi_like_the_oracle():
+    values = [-0.0, 0.0, 1e-7, -1e-7, 5e-7, -5e-7, math.pi, -math.pi, 2.0 * math.pi,
+              0.1234565, -0.1234565, 1e9]
+    rng = np.random.RandomState(9)
+    joints = rng.choice(values, (40, 6))
+    program = RobotProgram(np.cumsum(rng.choice([0.0, 1e-7, 0.5], 40)), joints,
+                           rng.choice(values, 40), (IOEvent(0.5, "uv", True),),
+                           (("specimen", "x"),))
+    text = emit_program(program)
+    assert text == emit_program_per_float(program)
+    assert "-0.000000," in text and "3.141593," in text and "-3.141593" in text
+
+
 def test_emit_empty_program():
-    text = emit_program(RobotProgram((), ()))
+    text = emit_program(_program([], []))
     lines = text.splitlines()
     assert lines[0].startswith("#")
     assert lines[-1] == "# end"
@@ -343,10 +411,8 @@ def test_emit_empty_program():
 
 
 def test_emit_one_waypoint_one_event():
-    program = RobotProgram(
-        ((0.0, JointConfig.of(0, -1.57, 1.57, -1.57, -1.57, 0)),),
-        (0.0,),
-        (IOEvent(0.0, "extruder", True),))
+    program = _program([0.0], [(0, -1.57, 1.57, -1.57, -1.57, 0)],
+                       (IOEvent(0.0, "extruder", True),))
     text = emit_program(program)
     body = [l for l in text.splitlines() if not l.startswith("#")]
     assert len(body) == 3
@@ -358,7 +424,7 @@ def test_emit_one_waypoint_one_event():
 def test_emit_refuses_failed_report():
     report = SimReport(specimen="x", material="y")
     report.reach_failures.append((0.0, 1.0, 2.0, 3.0))
-    program = RobotProgram(((0.0, JointConfig.of(0, 0, 0, 0, 0, 0)),), (0.0,))
+    program = _program([0.0], [(0, 0, 0, 0, 0, 0)])
     with pytest.raises(PlanningError):
         emit_program(program, report)
 
@@ -394,7 +460,8 @@ def _plan_outcome(plan, path, cfg):
         program = plan(path, cfg)
     except PlanningError as err:
         return ("error", str(err), err.time_s, err.kind, err.position)
-    return (program.waypoints, program.speeds)
+    return tuple(c.view(np.int64).tolist() for c in (program.times, program.joints,
+                                                     program.speeds))
 
 
 def _wall_path(cfg, shape="wall-50x10"):
@@ -463,9 +530,7 @@ def test_validate_speeds_reports_the_first_offender():
         n = rng.randint(1, 12)
         times = np.cumsum(rng.choice([0.5, 0.5, 0.5, 0.0, -0.1], n))
         qs = np.cumsum(rng.normal(0.0, rng.choice([0.1, 1.0]), (n, 6)), axis=0)
-        program = RobotProgram(tuple((float(t), JointConfig(tuple(q)))
-                                     for t, q in zip(times, qs.tolist())),
-                               tuple(0.0 for _ in range(n)))
+        program = _program(times, qs)
         got, want = _speed_outcome(program, 1.5)
         assert got == want
         seen.add(got[2] if got else None)

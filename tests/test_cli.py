@@ -109,6 +109,11 @@ def test_extrusion_error_exits_2_without_traceback(tmp_path, capsys):
     ("extrusion", "nozzle_diameter_mm", "nan"),
     ("extrusion", "flow_mm3_s", "nan"),
     ("job", "extension_mm", "nan"),
+    ("job", "extension_mm", "1e-300"),
+    ("job", "travel_speed_mm_s", "1e-300"),
+    ("job", "speed_2d_mm_s", "1e-300"),
+    ("job", "speed_3d_mm_s", "1e-300"),
+    ("cell", "reorient_rate_rad_s", "1e-300"),
     ("cure", "bead_aspect", "0"),
     ("cure", "max_dwell_s", "-1"),
     ("job", "corner_threshold_deg", "nan"),

@@ -141,14 +141,25 @@ def test_integer_drive_keys_must_be_positive(key, value):
 
 @pytest.mark.parametrize("section, key", [
     ("uv", "power_w"), ("uv", "optical_efficiency"), ("cure", "crown_fraction"),
-    ("cure", "c_spread"), ("job", "extension_mm")])
+    ("cure", "c_spread")])
 def test_dose_and_spread_keys_must_be_finite_and_non_negative(section, key):
     for value in ("-1", "nan", "inf"):
         with pytest.raises(ConfigError,
                            match=rf"\[{section}\] {key} must be finite and >= 0, got .*{value}"):
             loads_config(f"[{section}]\n{key} = {value}\n")
-    # a dark lamp, no spread or no lead is a valid job
+    # a dark lamp or no spread is a valid job
     assert getattr(getattr(loads_config(f"[{section}]\n{key} = 0\n"), section), key) == 0.0
+
+
+def test_extension_is_zero_or_at_least_a_floor():
+    # an overrun of 1e-300 mm vanishes in its run end's coordinates
+    for value in ("-1", "1e-300", "0.0099", "nan", "inf"):
+        with pytest.raises(ConfigError, match=r"\[job\] extension_mm must be finite and "
+                                              rf"0 or >= 0.01, got .*{value}"):
+            loads_config(f"[job]\nextension_mm = {value}\n")
+    # no lead is a valid job
+    for value in (0.0, 0.01):
+        assert loads_config(f"[job]\nextension_mm = {value!r}\n").job.extension_mm == value
 
 
 @pytest.mark.parametrize("section, key, upper", [
@@ -174,9 +185,12 @@ def test_magnitudes_above_1e9_are_rejected(section, key, value):
 @pytest.mark.parametrize("section, key, floor", [
     ("job", "resolution_mm", "0.01"), ("job", "layer_height_mm", "0.01"),
     ("cure", "sweep_dt_s", "0.0001"),
-    ("cell", "collision_dt_s", "0.0001")])
+    ("cell", "collision_dt_s", "0.0001"),
+    ("job", "speed_2d_mm_s", "0.001"), ("job", "speed_3d_mm_s", "0.001"),
+    ("job", "travel_speed_mm_s", "0.001"), ("cell", "reorient_rate_rad_s", "0.001")])
 def test_step_keys_have_a_floor(section, key, floor):
-    # a tiny step asks for more samples or subsegments than an array holds
+    # a tiny step asks for more samples or subsegments than an array
+    # holds, and a tiny speed or rate makes a move's time overflow
     for value in ("1e-300", f"{float(floor) * 0.99!r}"):
         with pytest.raises(ConfigError,
                            match=rf"\[{section}\] {key} must be finite and >= {floor}, got "):

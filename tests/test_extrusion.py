@@ -1,13 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
 from ramcell.config import default_config
-from ramcell.extrusion import (DriveTrain, ExtrusionError, FlowModel,
-                               InfeasibleDriveError, IOEvent, Nozzle,
-                               StepSchedule, bead_area, drive_feasibility,
-                               schedule, step_rate)
+from ramcell.extrusion import (DriveTrain, ExtrusionError, FlowModel, IOEvent,
+                               Nozzle, StepSchedule, bead_area, schedule, step_rate)
 from ramcell.geometry import Vec3
 from ramcell.shapes import generate
 from ramcell.toolpath import (ExtensionPolicy, Segment, Toolpath,
@@ -182,30 +178,3 @@ def test_schedule_golden_files():
     assert "\n".join(sched.event_lines()) + "\n" == \
         (golden / "rectangle-90x60.io.csv").read_text()
 
-
-def test_drive_feasibility_reference_values():
-    out = drive_feasibility(10.0, Nozzle(), DRIVE, FLOW)
-    # Poiseuille with mu=10, land 10mm, Q=5.3mm^3/s, r=0.75mm in SI units
-    assert out["pressure_pa"] == pytest.approx(4265.5, rel=1e-3)
-    assert out["plunger_force_n"] == pytest.approx(5.36, rel=1e-2)
-    assert out["required_torque_nm"] == pytest.approx(0.01365, rel=1e-2)
-    assert out["margin"] > 100.0
-
-
-def test_drive_feasibility_zero_viscosity():
-    out = drive_feasibility(0.0, Nozzle(), DRIVE, FLOW)
-    assert out["required_torque_nm"] == 0.0
-    assert out["margin"] == math.inf
-
-
-def test_drive_feasibility_linear_in_viscosity():
-    t1 = drive_feasibility(5.0, Nozzle(), DRIVE, FLOW)["required_torque_nm"]
-    t2 = drive_feasibility(10.0, Nozzle(), DRIVE, FLOW)["required_torque_nm"]
-    assert t2 == pytest.approx(2 * t1, rel=1e-12)
-
-
-def test_drive_feasibility_infeasible_raises_with_torque():
-    with pytest.raises(InfeasibleDriveError) as err:
-        drive_feasibility(2000.0, Nozzle(), DRIVE, FLOW)
-    assert err.value.result["required_torque_nm"] > DRIVE.rated_torque_nm
-    assert err.value.result["margin"] < 1.0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from branch_oracle import dedup_per_node, ik_per_node, select_branch_per_node
+from branch_oracle import dedup_per_node, ik_per_node, max_distance, select_branch_per_node
 from ramcell.config import default_config
 from ramcell.geometry import Pose, Rotation, Vec3, wrap_angle
 from ramcell.kinematics import (_BRANCHES, IK_CHUNK_NODES, TAG_ORDER, DHParams,
@@ -63,7 +63,7 @@ def test_ik_round_trip_contains_original_branch():
         sols = ik(target, DH, TCP)
         assert sols, f"no solutions for {q}"
         wrapped = JointConfig(tuple(wrap_angle(v) for v in q.q))
-        best = min(s.config.max_distance(wrapped) for s in sols)
+        best = min(max_distance(s.config.q, wrapped.q) for s in sols)
         assert best < 1e-8
 
 
@@ -160,7 +160,7 @@ def test_select_branch_prefers_previous():
     sols = ik(fk(q, DH), DH)
     wrapped = JointConfig(tuple(wrap_angle(v) for v in q.q))
     chosen = select_branch(sols, wrapped)
-    assert chosen.max_distance(wrapped) < 1e-8
+    assert max_distance(chosen.q, wrapped.q) < 1e-8
 
 
 def test_select_branch_minimizes_distance():
@@ -169,7 +169,7 @@ def test_select_branch_minimizes_distance():
     assert len(sols) >= 2
     for sol in sols:
         chosen = select_branch(sols, sol.config)
-        assert chosen.max_distance(sol.config) < 1e-12
+        assert max_distance(chosen.q, sol.config.q) < 1e-12
 
 
 def test_select_branch_unwraps_near_limits():
@@ -239,8 +239,9 @@ def test_batch_rows_match_single_configuration_calls():
     rng = np.random.RandomState(9)
     qs = [random_q(rng) for _ in range(40)]
     qs.append(JointConfig.of(0.3, -1.2, 1.8, -0.9, 0.0, 0.7))  # wrist singular
-    frames = fk_batch(qs, DH, TCP)
-    w = manipulability_batch(qs, DH, TCP)
+    rows = np.array([q.q for q in qs])
+    frames = fk_batch(rows, DH, TCP)
+    w = manipulability_batch(rows, DH, TCP)
     assert frames.shape == (41, 4, 4) and w.shape == (41,)
     for i, q in enumerate(qs):
         assert np.allclose(frames[i], fk(q, DH, TCP).to_matrix(), atol=1e-9)
@@ -348,8 +349,8 @@ def test_chain_selection_matches_per_node_oracle(joint_limit):
         node = q.copy()
         if i % 9 == 4:
             node[4] = 0.0
-        chain.append(JointConfig(tuple(node)))
-    targets = fk_batch(chain, DH, TCP)
+        chain.append(node)
+    targets = fk_batch(np.array(chain), DH, TCP)
     added = rng.rand(len(targets)) < 0.8
     added[0] = True
     start_q = list(cfg_home())
@@ -360,7 +361,7 @@ def test_chain_selection_matches_per_node_oracle(joint_limit):
     for sols, add in zip(ik_per_node(targets, DH, TCP), added):
         choice = select_branch_per_node(sols, prev, joint_limit)
         want.append(choice.q)
-        want_dist.append(choice.max_distance(prev))
+        want_dist.append(max_distance(choice.q, prev.q))
         if add:
             prev = choice
 
@@ -399,7 +400,7 @@ def test_select_branch_tie_rule_matches_per_node_oracle():
         prev_q = JointConfig(tuple(prev.tolist()))
         want = select_branch_per_node(sols, prev_q, joint_limit)
         assert select_branch(sols, prev_q, joint_limit) == want
-        dists = sorted(JointConfig(tuple(r)).max_distance(prev_q) for r in
+        dists = sorted(max_distance(r, prev_q.q) for r in
                        (select_branch_per_node([s], prev_q, joint_limit).q for s in sols))
         near_ties += any(b - a <= 2e-15 for a, b in zip(dists, dists[1:]))
     assert near_ties > 100
