@@ -189,17 +189,23 @@ class SimReport:
             raise ValueError("not a ramcell report (missing report_version=1)")
         rep = SimReport(specimen=pairs.get("specimen", ""),
                         material=pairs.get("material", ""))
+
+        def counted(key: str) -> str:
+            if key not in pairs:
+                raise ValueError(f"report has no {key}")
+            return pairs[key]
+
         for i in range(int(pairs.get("reach_failure_count", "0"))):
-            t, x, y, z = (float(v) for v in pairs[f"reach_failure_{i}"].split(":"))
+            t, x, y, z = (float(v) for v in counted(f"reach_failure_{i}").split(":"))
             rep.reach_failures.append((t, x, y, z))
         for i in range(int(pairs.get("collision_count", "0"))):
-            t, what = pairs[f"collision_{i}"].split(":", 1)
+            t, what = counted(f"collision_{i}").split(":", 1)
             rep.collisions.append((float(t), what))
         for i in range(int(pairs.get("jump_failure_count", "0"))):
-            t, what = pairs[f"jump_failure_{i}"].split(":", 1)
+            t, what = counted(f"jump_failure_{i}").split(":", 1)
             rep.jump_failures.append((float(t), what))
         for i in range(int(pairs.get("singularity_count", "0"))):
-            t0, t1 = (float(v) for v in pairs[f"singularity_{i}"].split(":"))
+            t0, t1 = (float(v) for v in counted(f"singularity_{i}").split(":"))
             rep.singularity_warnings.append((t0, t1))
         rep.undercured_count = int(pairs.get("undercured_count", "0"))
         i = 0
@@ -339,7 +345,8 @@ def check_collisions(program: RobotProgram, cfg: Config, env: CellEnvironment,
     duration = times[-1] - times[0]
     if not duration / dt_s < MAX_COLLISION_SAMPLES:
         raise PlanningError(f"collision check of a {duration:.3g} s program needs more than "
-                            f"{MAX_COLLISION_SAMPLES:g} samples at {dt_s:g} s", kind="limit")
+                            f"{MAX_COLLISION_SAMPLES:g} samples at {dt_s:g} s; raise "
+                            "[cell] collision_dt_s", kind="limit")
     n = max(2, int(math.ceil(duration / dt_s)) + 1) if duration > 0 else 1
     ts = np.linspace(times[0], times[-1], n)
     sample = lambda col: np.interp(ts, times, col)

@@ -68,7 +68,10 @@ def _load_config(args) -> Config:
 
 def _build_job(cfg: Config, args) -> pipeline.JobBundle:
     if getattr(args, "gcode", None):
-        text = Path(args.gcode).read_text(encoding="utf-8")
+        try:
+            text = Path(args.gcode).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise gcode.GcodeError(f"{args.gcode}: not UTF-8 text: {exc}") from exc
         local = pipeline.build_toolpath_from_gcode(cfg, text)
         name = Path(args.gcode).stem
     else:
@@ -77,15 +80,18 @@ def _build_job(cfg: Config, args) -> pipeline.JobBundle:
     return pipeline.build_job(cfg, name, local)
 
 
+# one path dump row per move: the timeline columns below, in order
+_PATH_COLUMNS = ("t0", "t1", "x0", "y0", "z0", "x1", "y1", "z1", "speed", "yaw0",
+                 "extruding", "uv_on", "layer")
+_PATH_ROW = ",".join(["%.6f"] * 10 + ["%d"] * 3)
+
+
 def _path_dump_lines(job: pipeline.JobBundle) -> list[str]:
     lines = ["# ramcell path v1",
              "# t0,t1,x0,y0,z0,x1,y1,z1,speed,yaw,extruding,uv,layer"]
     tl = time_profile(job.local_path, job.cfg.cell.reorient_rate_rad_s)
-    for t0, t1, x0, y0, z0, x1, y1, z1, yaw, _, speed, ext, uv, _, _, layer in \
-            tl[~tl.dwell].tolist():
-        lines.append(
-            f"{t0:.6f},{t1:.6f},{x0:.6f},{y0:.6f},{z0:.6f},{x1:.6f},{y1:.6f},{z1:.6f},"
-            f"{speed:.6f},{yaw:.6f},{1 if ext else 0},{1 if uv else 0},{layer}")
+    moves = tl[~tl.dwell]
+    lines.extend(_PATH_ROW % row for row in zip(*(moves[c].tolist() for c in _PATH_COLUMNS)))
     return lines
 
 

@@ -13,6 +13,7 @@ import configparser
 import io
 import math
 from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
 
 from . import RamcellError
 
@@ -220,21 +221,16 @@ def _coerce(cls, sec: str, key: str, raw: str, origin: str):
 
 
 def load_config(path: str) -> Config:
-    """Read a config file and overlay it on the defaults."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file: {path}")
-    return _apply_parser(parser, path)
+    """Read a UTF-8 config file and overlay it on the defaults."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    return _parse(text, path)
 
 
 def loads_config(text: str) -> Config:
-    parser = configparser.ConfigParser()
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(str(exc)) from exc
-    return _apply_parser(parser, "<string>")
+    return _parse(text, "<string>")
 
 
 # Every numeric key outside the materials is checked once at load.  Zero,
@@ -279,12 +275,17 @@ _INTERVAL_KEYS = (("uv", "cone_half_angle_deg", 90.0), ("job", "corner_threshold
 MAX_MAGNITUDE = 1e9
 
 
-def _apply_parser(parser: configparser.ConfigParser, origin: str) -> Config:
+def _parse(text: str, origin: str) -> Config:
+    # values are literal: dump_config writes them raw, '%' included
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(text, source=origin)
+    except configparser.Error as exc:
+        raise ConfigError(" ".join(str(exc).split())) from exc  # on one line
+    version = parser.get("meta", "schema_version", fallback=str(SCHEMA_VERSION))
+    if version != str(SCHEMA_VERSION):
+        raise ConfigError(f"{origin}: unsupported schema_version {version!r}")
     cfg = default_config()
-    if parser.has_section("meta"):
-        version = parser.getint("meta", "schema_version", fallback=SCHEMA_VERSION)
-        if version != SCHEMA_VERSION:
-            raise ConfigError(f"{origin}: unsupported schema_version {version}")
     sections: dict[str, object] = {}
     materials = dict(cfg.materials)
     for sec in parser.sections():

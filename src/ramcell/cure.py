@@ -229,27 +229,31 @@ def _sample_blocks(path: Toolpath, spot: UVSpot, dt_s: float,
     """Lay out the samples of the UV-on timeline, one block at a time.
 
     Element for element this is the arithmetic of a per-entry loop
-    (tau = t0 + (k + 1/2) dt, then linear interpolation of nozzle and
-    yaw), so every value matches it bit for bit.
+    (tau = t0 + (k + 1/2) dt, then linear interpolation of the nozzle),
+    so every value matches it bit for bit.  UV is off in every dwell
+    and a move keeps one yaw, so each entry's spot trails its nozzle by
+    one fixed offset.
     """
     tl = time_profile(path, reorient_rate)
     tl = tl[tl.uv_on & (tl.t1 > tl.t0)]
-    t0, t1, x0, y0, z0, x1, y1, z1, yaw0, yaw1 = (
+    t0, t1, x0, y0, z0, x1, y1, z1, yaw = (
         np.array(tl[name]) for name in ("t0", "t1", "x0", "y0", "z0",
-                                        "x1", "y1", "z1", "yaw0", "yaw1"))
+                                        "x1", "y1", "z1", "yaw0"))
     del tl  # a generator keeps its locals
     dur = t1 - t0
     count = np.maximum(1.0, np.ceil(dur / dt_s))
     if not count.sum() <= MAX_SWEEP_SAMPLES:
         raise CureError(f"dose sweep of {dur.sum():.3g} s of UV-on time needs "
-                        f"{count.sum():.3g} samples, more than {MAX_SWEEP_SAMPLES:g}")
+                        f"{count.sum():.3g} samples, more than {MAX_SWEEP_SAMPLES:g}; "
+                        "raise [cure] sweep_dt_s")
     count = count.astype(np.int64)
     dt = dur / count
     irradiance = spot.irradiance_w_mm2()
     if not math.isfinite(irradiance * float(dt.max(initial=0.0))):
         raise CureError("dose of one sweep sample overflows")
     weight = irradiance * dt
-    dx, dy, dz, dyaw = x1 - x0, y1 - y0, z1 - z0, yaw1 - yaw0
+    dx, dy, dz = x1 - x0, y1 - y0, z1 - z0
+    trail_x, trail_y = np.cos(yaw) * spot.trail_mm, np.sin(yaw) * spot.trail_mm
     for lo, hi in _runs(np.ones_like(count), count, _BLOCK_SAMPLES):
         blk = slice(lo, hi)
         n = count[blk]
@@ -266,13 +270,10 @@ def _sample_blocks(path: Toolpath, spot: UVSpot, dt_s: float,
             out += v0[blk]
             return out
 
-        spot_x = along(yaw0, dyaw)
-        spot_y = np.sin(spot_x)
-        np.cos(spot_x, out=spot_x)
-        spot_x *= spot.trail_mm
-        spot_x += along(x0, dx)
-        spot_y *= spot.trail_mm
-        spot_y += along(y0, dy)
+        spot_x = along(x0, dx)
+        spot_x += trail_x[blk]
+        spot_y = along(y0, dy)
+        spot_y += trail_y[blk]
         nozzle_z = along(z0, dz)
         pad = k >= n
         for table in (tau, spot_x, spot_y, nozzle_z):

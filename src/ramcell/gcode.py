@@ -203,18 +203,18 @@ def _parse_move(kind: str, rest: list[tuple[str, float]], lineno: int,
         kind, lineno, x=axes.get("X"), y=axes.get("Y"), z=axes.get("Z"), feed=feed))
 
 
-def to_toolpath(program: GcodeProgram, default_speed: float | None = None,
-                start: Vec3 = Vec3(0.0, 0.0, 0.0), travel_speed: float = 20.0,
+def to_toolpath(program: GcodeProgram, travel_speed: float = 20.0,
                 layer_height: float = 0.85) -> Toolpath:
     """Interpret a parsed program with modal state.
 
-    The last feed persists across moves; extrusion follows M106/M107 and
-    the UV flag follows M42.  Rapid moves never extrude.  Feeds are
-    mm/min; segment speeds come out in mm/s.
+    The nozzle starts at the origin and the last feed persists across
+    moves; a linear move before any feed is an error.  Extrusion follows
+    M106/M107 and the UV flag follows M42.  Rapid moves never extrude.
+    Feeds are mm/min; segment speeds come out in mm/s.
     """
     if program.has_errors():
         raise GcodeError("program has parse errors; refusing to interpret")
-    pos = start
+    pos = Vec3(0.0, 0.0, 0.0)
     feed: float | None = None
     extruder = False
     uv = False
@@ -246,13 +246,9 @@ def to_toolpath(program: GcodeProgram, default_speed: float | None = None,
                 speed = travel_speed
                 extruding = False
             else:
-                if feed is not None:
-                    speed = feed / 60.0
-                elif default_speed is not None:
-                    speed = default_speed
-                else:
-                    raise GcodeError("move before any feed and no default speed",
-                                     cmd.line)
+                if feed is None:
+                    raise GcodeError("move before any feed", cmd.line)
+                speed = feed / 60.0
                 extruding = extruder
             if (target - pos).norm() > 1e-9:
                 segments.append(Segment(

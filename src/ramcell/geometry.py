@@ -1,4 +1,8 @@
-"""Rigid-body primitives: 3-vectors, unit-quaternion rotations, poses.
+"""Rigid-body primitives: 3-vectors, rotations and poses.
+
+A rotation is a read-only 3x3 matrix and a pose is a position plus a
+rotation, so the one-row API converts to and from the 4x4 transforms
+the batch kernels use without any other representation in between.
 
 Units are millimeters and radians throughout.
 """
@@ -10,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-UNIT_TOL = 1e-9
+# how far R R^T may stray from I in a rotation matrix
+ROTATION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -33,13 +38,6 @@ class Vec3:
     def dot(self, other: "Vec3") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
 
-    def cross(self, other: "Vec3") -> "Vec3":
-        return Vec3(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
-
     def norm(self) -> float:
         return math.sqrt(self.dot(self))
 
@@ -60,42 +58,38 @@ class Vec3:
 ZERO = Vec3(0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Rotation:
-    """Unit quaternion, canonicalized so golden-file output is stable."""
+    """Proper rotation held as a read-only 3x3 matrix.
 
-    w: float
-    x: float
-    y: float
-    z: float
+    Construction raises ValueError unless the matrix is 3x3, finite and
+    orthonormal to ROTATION_TOL with determinant +1: a scale, a
+    reflection or a NaN is refused.
+    """
+
+    matrix: np.ndarray
 
     def __post_init__(self):
-        n = math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
-        if abs(n - 1.0) > 1e-6:
-            raise ValueError(f"quaternion norm {n} too far from 1")
-        if abs(n - 1.0) > 1e-12:
-            w, x, y, z = self.w / n, self.x / n, self.y / n, self.z / n
-        else:
-            w, x, y, z = self.w, self.x, self.y, self.z
-        # canonical double-cover representative: w > 0, ties broken on first
-        # nonzero vector component
-        if w < 0.0 or (w == 0.0 and (x, y, z) < (0.0, 0.0, 0.0)):
-            w, x, y, z = -w, -x, -y, -z
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
+        m = np.array(self.matrix, dtype=float)
+        # entries outside [-1, 1], NaN among them, are refused before squaring
+        if (m.shape != (3, 3) or not (np.abs(m) <= 1.0 + ROTATION_TOL).all()
+                or np.abs(m @ m.T - np.eye(3)).max() > ROTATION_TOL or np.linalg.det(m) <= 0.0):
+            raise ValueError(f"not a proper 3x3 rotation matrix: {m.tolist()}")
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
 
     @staticmethod
     def identity() -> "Rotation":
-        return Rotation(1.0, 0.0, 0.0, 0.0)
+        return Rotation(np.eye(3))
 
     @staticmethod
     def from_axis_angle(axis: Vec3, angle: float) -> "Rotation":
+        """Rodrigues: cos(a) I + sin(a) [u]x + (1 - cos(a)) u u^T."""
         u = axis.normalized()
-        h = 0.5 * angle
-        s = math.sin(h)
-        return Rotation(math.cos(h), u.x * s, u.y * s, u.z * s)
+        c, s = math.cos(angle), math.sin(angle)
+        skew = np.array([[0.0, -u.z, u.y], [u.z, 0.0, -u.x], [-u.y, u.x, 0.0]])
+        uu = np.outer(u.to_array(), u.to_array())
+        return Rotation(c * np.eye(3) + s * skew + (1.0 - c) * uu)
 
     @staticmethod
     def about_x(angle: float) -> "Rotation":
@@ -106,64 +100,29 @@ class Rotation:
         return Rotation.from_axis_angle(Vec3(0.0, 0.0, 1.0), angle)
 
     def __mul__(self, other: "Rotation") -> "Rotation":
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
-        return Rotation(
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + w2 * x1 + y1 * z2 - z1 * y2,
-            w1 * y2 + w2 * y1 + z1 * x2 - x1 * z2,
-            w1 * z2 + w2 * z1 + x1 * y2 - y1 * x2,
-        )
-
-    def inverse(self) -> "Rotation":
-        return Rotation(self.w, -self.x, -self.y, -self.z)
+        return Rotation(self.matrix @ other.matrix)
 
     def rotate(self, v: Vec3) -> Vec3:
-        # q v q* expanded via the double-cross identity
-        qv = Vec3(self.x, self.y, self.z)
-        t = 2.0 * qv.cross(v)
-        return v + self.w * t + qv.cross(t)
+        return Vec3.from_array(self.matrix @ v.to_array())
 
     def to_matrix(self) -> np.ndarray:
-        w, x, y, z = self.w, self.x, self.y, self.z
-        return np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-                [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-                [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-            ],
-            dtype=float,
-        )
+        return self.matrix.copy()
 
     @staticmethod
     def from_matrix(m: np.ndarray) -> "Rotation":
-        t = float(np.trace(m))
-        if t > 0.0:
-            s = math.sqrt(t + 1.0) * 2.0
-            return Rotation(
-                0.25 * s,
-                (m[2, 1] - m[1, 2]) / s,
-                (m[0, 2] - m[2, 0]) / s,
-                (m[1, 0] - m[0, 1]) / s,
-            )
-        i = int(np.argmax([m[0, 0], m[1, 1], m[2, 2]]))
-        if i == 0:
-            s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-            return Rotation((m[2, 1] - m[1, 2]) / s, 0.25 * s,
-                            (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s)
-        if i == 1:
-            s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-            return Rotation((m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s,
-                            0.25 * s, (m[1, 2] + m[2, 1]) / s)
-        s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-        return Rotation((m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s,
-                        (m[1, 2] + m[2, 1]) / s, 0.25 * s)
+        return Rotation(m)
 
     def angle_to(self, other: "Rotation") -> float:
-        """Magnitude of the relative rotation, in radians."""
-        d = self.inverse() * other
-        # atan2 form stays well conditioned for near-identity rotations
-        return 2.0 * math.atan2(math.sqrt(d.x**2 + d.y**2 + d.z**2), abs(d.w))
+        """Magnitude of the relative rotation, in radians.
+
+        For the relative matrix R, |vee(R - R^T)| / 2 is the sine and
+        (tr R - 1) / 2 the cosine of the angle; their atan2 stays well
+        conditioned near 0 and near pi (Huynh, J. Math. Imaging Vis. 35,
+        2009).
+        """
+        r = self.matrix.T @ other.matrix
+        sine = 0.5 * math.hypot(r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1])
+        return math.atan2(sine, 0.5 * (float(np.trace(r)) - 1.0))
 
 
 @dataclass(frozen=True)
@@ -181,7 +140,7 @@ class Pose:
 
     def to_matrix(self) -> np.ndarray:
         m = np.eye(4)
-        m[:3, :3] = self.orientation.to_matrix()
+        m[:3, :3] = self.orientation.matrix
         m[:3, 3] = self.position.to_array()
         return m
 

@@ -245,7 +245,8 @@ def resample(path: Toolpath, max_len: float) -> Toolpath:
     count = np.maximum(1.0, np.ceil(lengths(d) / max_len - 1e-12))
     if not count.sum() <= MAX_SUBSEGMENTS:
         raise ToolpathError(f"resampling at {max_len:g} mm needs {count.sum():.3g} "
-                            f"subsegments, more than {MAX_SUBSEGMENTS:g}")
+                            f"subsegments, more than {MAX_SUBSEGMENTS:g}; raise "
+                            "[job] resolution_mm")
     count = count.astype(np.int64)
     src = np.repeat(np.arange(len(path)), count)
     last = np.cumsum(count) - 1

@@ -325,3 +325,49 @@ def test_too_long_collision_check_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: collision check of a ") and "more than 2e+06" in err
+    assert "[cell] collision_dt_s" in err
+
+
+@pytest.mark.parametrize("text", [
+    b"[job]\nshape = wall-20x3\n[job]\nmaterial = dlp-fs9\n",
+    b"[job]\nshape = wall-20x3\nshape = wall-50x10\n",
+    b"[job]\nshape wall-20x3\n",
+    b"shape = wall-20x3\n",
+    b"[job]\nresolution_mm = %(x)s\n",
+    b"[meta]\nschema_version = x\n",
+    b"[job]\nmaterial = dlp-fs9 \xff\n",
+], ids=["duplicate-section", "duplicate-option", "no-equals", "no-section", "percent",
+        "schema-version", "not-utf8"])
+def test_malformed_config_file_exits_2_naming_it(tmp_path, capsys, text):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_bytes(text)
+    rc = main(["simulate", "--config", str(cfg_file), "--shape", "wall-20x3",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(cfg_file) in err
+
+
+def test_gcode_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
+    bad = tmp_path / "latin1.gcode"
+    bad.write_bytes("; caf\xe9\nG1 X10 F600\n".encode("latin-1"))
+    assert main(["plan", "--gcode", str(bad), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(bad) in err
+
+
+def test_report_missing_a_counted_entry_exits_2(tmp_path, capsys):
+    short = tmp_path / "short.report.txt"
+    short.write_text("report_version=1\nspecimen=wall-20x3\ncollision_count=1\n")
+    assert main(["report", str(short)]) == 2
+    assert capsys.readouterr().err == "cannot read report: report has no collision_0\n"
+
+
+def test_percent_in_a_value_is_literal_and_round_trips(tmp_path):
+    out = tmp_path / "o%1"
+    assert main(["plan", "--shape", "wall-20x3", "--out", str(out)]) == 0
+    assert loads_config((out / "wall-20x3.cfg").read_text()).job.out_dir == str(out)
+    assert main(["simulate", "--config", str(out / "wall-20x3.cfg")]) == 0
+    assert (out / "wall-20x3.report.txt").exists()

@@ -61,7 +61,7 @@ def test_spot_geometry():
 def test_sweep_refuses_more_samples_than_a_job_can_run():
     path = line_path()
     dmap = deposit(path, FLOW, FS9, 1.0, 0.85)
-    with pytest.raises(CureError, match="more than 1e\\+07"):
+    with pytest.raises(CureError, match="more than 1e\\+07; raise \\[cure\\] sweep_dt_s"):
         accumulate_dose(dmap, path, SPOT, 1e-6)
     assert np.all(dmap.dose == 0.0)
     # a finite irradiance times a 2 s step can still overflow; the sweep
@@ -504,6 +504,18 @@ def test_ramp_gcode_varies_the_nozzle_height_within_uv_entries():
     # no built-in shape does, so only this case takes the per-sample depth
     on = _uv_entries(_job("ramp-gcode"))
     assert np.all(on.z1[~on.dwell] > on.z0[~on.dwell])
+
+
+@pytest.mark.parametrize("source", ["rectangle-90x60", "wall-50x10", "square-30x30x8.5",
+                                    "ramp-gcode", "hexagon-gcode"])
+def test_uv_is_off_in_every_dwell_and_every_move_keeps_its_yaw(source):
+    # so the sweep takes each entry's trail offset once, from its yaw0
+    job = _job(source)
+    tl = time_profile(job.local_path, job.cfg.cell.reorient_rate_rad_s)
+    assert tl.dwell.any() and tl.uv_on.any()
+    assert not (tl.uv_on & tl.dwell).any()
+    moves = tl[~tl.dwell]
+    assert np.array_equal(moves.yaw0.view(np.int64), moves.yaw1.view(np.int64))
 
 
 @pytest.mark.parametrize("source", ["square-20x20x2.55", "ramp-gcode", "hexagon-gcode"])

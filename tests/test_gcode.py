@@ -94,10 +94,11 @@ def test_rapid_then_linear_speeds():
 
 
 def test_move_without_feed_or_default_errors():
-    with pytest.raises(GcodeError):
+    with pytest.raises(GcodeError, match="line 1: move before any feed"):
         to_toolpath(parse("G1 X10"))
-    path = to_toolpath(parse("G1 X10"), default_speed=2.0)
-    assert math.isclose(path.segments[0].speed, 2.0)
+    # a rapid move runs at the travel speed and needs no feed
+    with pytest.raises(GcodeError, match="line 2: move before any feed"):
+        to_toolpath(parse("G0 X5\nG1 X10"))
 
 
 def test_to_toolpath_refuses_errors():
@@ -187,13 +188,14 @@ def test_modal_feed_property():
         x = 0.0
         for _ in range(rng.randint(1, 15)):
             x += float(rng.randint(1, 9))
-            if rng.rand() < 0.4:
+            # the first move must carry a feed
+            if feed is None or rng.rand() < 0.4:
                 feed = float(rng.randint(1, 9) * 60)
                 lines.append(f"G1 X{x} F{feed}")
             else:
                 lines.append(f"G1 X{x}")
-            expected.append(feed / 60.0 if feed is not None else 2.0)
-        path = to_toolpath(parse("\n".join(lines)), default_speed=2.0)
+            expected.append(feed / 60.0)
+        path = to_toolpath(parse("\n".join(lines)))
         assert [s.speed for s in path.segments] == pytest.approx(expected)
 
 

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from ramcell.cell import TOOL_DOWN
+from ramcell.config import default_config
 from ramcell.geometry import Rotation, Vec3, wrap_angle, wrap_angles
+from ramcell.kinematics import tcp_offset_from_config
 
 
 def random_rotation(rng) -> Rotation:
@@ -17,15 +20,6 @@ def test_two_quarter_turns_make_half_turn():
     assert (quarter * quarter).angle_to(Rotation.about_z(math.pi)) < 1e-12
 
 
-def test_quaternion_canonical_w_nonnegative():
-    rng = np.random.RandomState(5)
-    for _ in range(100):
-        r = random_rotation(rng)
-        assert r.w >= 0.0
-        flipped = Rotation(-r.w, -r.x, -r.y, -r.z)
-        assert flipped == r
-
-
 def test_rotation_matrix_round_trip():
     rng = np.random.RandomState(6)
     for _ in range(100):
@@ -34,9 +28,43 @@ def test_rotation_matrix_round_trip():
         assert r.angle_to(again) < 1e-9
 
 
-def test_rotation_norm_enforced():
+@pytest.mark.parametrize("matrix", [2.0 * np.eye(3), 0.5 * np.eye(3), np.diag([1.0, 1.0, -1.0]),
+                                    np.full((3, 3), np.nan), 1e200 * np.eye(3), np.eye(4)],
+                         ids=["scaled", "shrunk", "reflection", "nan", "huge", "4x4"])
+def test_rotation_refuses_what_is_not_a_proper_rotation(matrix):
     with pytest.raises(ValueError):
-        Rotation(2.0, 0.0, 0.0, 0.0)
+        Rotation(matrix)
+    with pytest.raises(ValueError):
+        Rotation.from_matrix(matrix)
+
+
+def test_rotation_matrix_is_read_only():
+    r = Rotation.about_z(0.5)
+    with pytest.raises(ValueError):
+        r.matrix[0, 0] = 2.0
+    r.to_matrix()[0, 0] = 2.0  # a copy
+    assert r.matrix[0, 0] == math.cos(0.5)
+
+
+@pytest.mark.parametrize("theta", [1e-9, 0.5, math.pi - 1e-9])
+def test_angle_to_recovers_the_angle_about_z(theta):
+    turn = Rotation.about_z(theta)
+    tilt = Rotation.about_x(0.3)
+    for got in (Rotation.identity().angle_to(turn), turn.angle_to(Rotation.identity()),
+                tilt.angle_to(tilt * turn)):
+        assert math.isclose(got, theta, rel_tol=1e-15)
+
+
+def test_tool_down_and_default_tcp_offset_keep_their_bits():
+    # the planner's two rotation inputs, pinned bit for bit: the script,
+    # the collision findings and the benchmark digests depend on them
+    s = 1.2246467991473532e-16  # sin(pi)
+    down = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, -s], [0.0, s, -1.0]])
+    assert np.array_equal(TOOL_DOWN.to_matrix().view(np.int64), down.view(np.int64))
+    tcp = np.eye(4)
+    tcp[2, 3] = 200.0
+    got = tcp_offset_from_config(default_config().kinematics).to_matrix()
+    assert np.array_equal(got.view(np.int64), tcp.view(np.int64))
 
 
 def test_wrap_angle_range():
