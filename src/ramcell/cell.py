@@ -374,7 +374,7 @@ def check_collisions(program: RobotProgram, cfg: Config, env: CellEnvironment,
         if not len(kept):
             continue
         sax, say, saz, sbx, sby, sbz = (c[kept] for c in (ax, ay, az, bx, by, bz))
-        # closest capsule-axis point to the box by golden-section on t
+        # closest capsule-axis point to the box: a 40-step ternary search on t
         lo_t = np.zeros(len(kept))
         hi_t = np.ones(len(kept))
         for _ in range(40):

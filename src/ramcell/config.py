@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -22,30 +23,6 @@ SCHEMA_VERSION = 1
 
 class ConfigError(RamcellError):
     pass
-
-
-def _check_positive(where: str, key: str, value: float, or_zero: bool = False) -> None:
-    if not (math.isfinite(value) and (value > 0.0 or (or_zero and value == 0.0))):
-        rule = ">= 0" if or_zero else "> 0"
-        raise ConfigError(f"{where} {key} must be finite and {rule}, got {value!r}")
-
-
-def _check_finite(where: str, key: str, value: float, nonzero: bool = False) -> None:
-    if not math.isfinite(value) or (nonzero and value == 0.0):
-        rule = "finite and non-zero" if nonzero else "finite"
-        raise ConfigError(f"{where} {key} must be {rule}, got {value!r}")
-
-
-def _check_floor(where: str, key: str, value: float, floor: float,
-                 or_zero: bool = False) -> None:
-    if not (math.isfinite(value) and (value >= floor or (or_zero and value == 0.0))):
-        rule = f"0 or >= {floor:g}" if or_zero else f">= {floor:g}"
-        raise ConfigError(f"{where} {key} must be finite and {rule}, got {value!r}")
-
-
-def _check_fraction(where: str, key: str, value: float, upper: float = 1.0) -> None:
-    if not 0.0 < value < upper:  # also rejects NaN
-        raise ConfigError(f"{where} {key} must be in (0, {upper:g}), got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -91,6 +68,17 @@ class DriveTrainConfig:
     rated_torque_nm: float = 1.9
     max_step_rate_hz: float = 5000.0
 
+    def bore_area_mm2(self) -> float:
+        return math.pi * (self.syringe_bore_mm / 2.0) ** 2
+
+    def steps_per_mm(self) -> float:
+        return self.full_steps_per_rev * self.microstepping / self.lead_mm_per_rev
+
+    def step_rate(self, q_mm3_s: float) -> float:
+        """Steps/s that push resin at the requested volumetric rate."""
+        plunger_speed = q_mm3_s / self.bore_area_mm2()  # mm/s
+        return plunger_speed * self.steps_per_mm()
+
 
 @dataclass(frozen=True)
 class ExtrusionConfig:
@@ -110,6 +98,13 @@ class UVConfig:
     # 25 mm lead overrun sweeps the full spot past every path end
     standoff_mm: float = 15.0
     trail_offset_mm: float = 7.5
+
+    def footprint_radius_mm(self) -> float:
+        return self.standoff_mm * math.tan(math.radians(self.cone_half_angle_deg))
+
+    def irradiance_w_mm2(self) -> float:
+        r = self.footprint_radius_mm()
+        return self.power_w * self.optical_efficiency / (math.pi * r * r)
 
 
 @dataclass(frozen=True)
@@ -136,16 +131,10 @@ class Material:
     alpha_gel: float = 0.3
     scattering: float = 1.0
 
-    def __post_init__(self):
-        where = f"[material:{self.name}]"
-        if not 0.0 <= self.filler_wt_pct <= 100.0:
-            raise ConfigError(f"{where} filler_wt_pct must be in [0, 100], "
-                              f"got {self.filler_wt_pct!r}")
-        for key in ("viscosity_index", "cure_rate_per_j_mm2", "attenuation_depth_mm",
-                    "scattering"):
-            _check_positive(where, key, getattr(self, key))
-        # a gel dose of 0 would gel every element at the first UV sample
-        _check_fraction(where, "alpha_gel", self.alpha_gel)
+    def gel_dose_j_mm2(self) -> float:
+        """Dose at which 1 - exp(-k dose) reaches alpha_gel; inf where k is 0."""
+        k = self.cure_rate_per_j_mm2 * self.scattering
+        return -math.log(1.0 - self.alpha_gel) / k if k > 0.0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -209,6 +198,12 @@ _SECTIONS = {
 }
 
 
+def _records(cfg: Config) -> list[tuple[str, str, object]]:
+    """(header, rule table key, record) of each section, then each material."""
+    return [(sec, sec, getattr(cfg, sec)) for sec in _SECTIONS] + [
+        (f"material:{name}", "material", cfg.materials[name]) for name in sorted(cfg.materials)]
+
+
 def _coerce(cls, sec: str, key: str, raw: str, origin: str):
     types = {f.name: f.type for f in fields(cls)}
     if key not in types:
@@ -233,46 +228,103 @@ def loads_config(text: str) -> Config:
     return _parse(text, "<string>")
 
 
-# Every numeric key outside the materials is checked once at load.  Zero,
-# negative or non-finite values end in a division by zero, an endless
-# sweep, a 0 s move or a negative bead width, or (NaN) switch off the
-# collision check, the singularity scan, the joint-speed check, the
-# unwrap fold, the corner test and the under-cure check, whose
-# comparisons are then never true
-_POSITIVE_KEYS = (
-    *(("kinematics", k) for k in ("singular_eps", "joint_limit_rad")),
-    *(("cell", k) for k in ("capsule_radius_mm", "capsule_length_mm",
-                            "max_joint_speed_rad_s")),
-    *(("drivetrain", f.name) for f in fields(DriveTrainConfig)),
-    *(("extrusion", f.name) for f in fields(ExtrusionConfig)),
-    ("uv", "wavelength_nm"), ("uv", "standoff_mm"),
-    *(("cure", k) for k in ("bead_aspect", "max_dwell_s")))
-# steps and rates: a tiny positive step asks for more samples,
-# subsegments or layers than an array (or a lifetime) can hold, and a
-# tiny speed or rate overflows a move's time (MAX_SUBSEGMENTS moves of
-# MAX_MAGNITUDE mm at 1e-3 mm/s still take a finite 2e18 s); a tiny lead
-# vanishes in its run end's coordinates, so the lead is 0 (no overruns)
-# or at least its floor (the fourth entry sets or_zero)
-_FLOOR_KEYS = (("job", "resolution_mm", 0.01), ("job", "layer_height_mm", 0.01),
-               ("cure", "sweep_dt_s", 1e-4), ("cell", "collision_dt_s", 1e-4),
-               *(("job", k, 1e-3) for k in ("speed_2d_mm_s", "speed_3d_mm_s",
-                                            "travel_speed_mm_s")),
-               ("cell", "reorient_rate_rad_s", 1e-3), ("job", "extension_mm", 0.01, True))
-# a dark lamp or no spread is a valid job
-_NON_NEGATIVE_KEYS = (("uv", "power_w"), ("uv", "optical_efficiency"),
-                      ("cure", "crown_fraction"), ("cure", "c_spread"))
-# link constants, placement and the spot offset may take either sign;
-# the closed-form IK divides by a2, a3 and d6
-_FINITE_KEYS = (("kinematics", "d1_mm"), ("kinematics", "d4_mm"), ("kinematics", "d5_mm"),
-                ("kinematics", "tcp_offset_z_mm"), ("cell", "origin_x_mm"),
-                ("cell", "origin_y_mm"), ("cell", "origin_z_mm"), ("uv", "trail_offset_mm"))
-_NONZERO_KEYS = (("kinematics", "a2_mm"), ("kinematics", "a3_mm"), ("kinematics", "d6_mm"))
-# open intervals: the spot cone's tangent and the corner test's acos range
-_INTERVAL_KEYS = (("uv", "cone_half_angle_deg", 90.0), ("job", "corner_threshold_deg", 180.0),
-                  ("cure", "alpha_min", 1.0))
+# A rule is the text of its message and the test a value must pass
+Rule = tuple[str, Callable[[float], bool]]
+FINITE: Rule = ("finite", math.isfinite)
+NON_ZERO: Rule = ("finite and non-zero", lambda v: math.isfinite(v) and v != 0.0)
+POSITIVE: Rule = ("finite and > 0", lambda v: math.isfinite(v) and v > 0.0)
+NON_NEGATIVE: Rule = ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0.0)
+
+
+def _floor(lo: float, or_zero: bool = False) -> Rule:
+    text = f"0 or >= {lo:g}" if or_zero else f">= {lo:g}"
+    return f"finite and {text}", lambda v: math.isfinite(v) and (v >= lo or (or_zero and v == 0.0))
+
+
+def _within(lo: float, hi: float, closed: bool = False) -> Rule:
+    if closed:
+        return f"in [{lo:g}, {hi:g}]", lambda v: lo <= v <= hi
+    return f"in ({lo:g}, {hi:g})", lambda v: lo < v < hi  # also rejects NaN
+
+
+# The one rule of every numeric key, checked once at load ("material"
+# stands for each [material:NAME]).  A zero, negative or non-finite value
+# ends in a division by zero, an endless sweep or a negative bead width,
+# or (NaN) makes a check's comparison never true.  A tiny step asks for
+# more samples than an array holds, and below its floor a speed or rate
+# overflows a move's time (MAX_SUBSEGMENTS moves of MAX_MAGNITUDE mm at
+# 1e-3 mm/s still take a finite 2e18 s).
+RULES: dict[str, dict[str, Rule]] = {
+    # link constants may take either sign; the closed-form IK divides by
+    # a2, a3 and d6
+    "kinematics": dict(d1_mm=FINITE, a2_mm=NON_ZERO, a3_mm=NON_ZERO, d4_mm=FINITE,
+                       d5_mm=FINITE, d6_mm=NON_ZERO, joint_limit_rad=POSITIVE,
+                       tcp_offset_z_mm=FINITE, singular_eps=POSITIVE),
+    "cell": dict(origin_x_mm=FINITE, origin_y_mm=FINITE, origin_z_mm=FINITE,
+                 capsule_radius_mm=POSITIVE, capsule_length_mm=POSITIVE,
+                 max_joint_speed_rad_s=POSITIVE, reorient_rate_rad_s=_floor(1e-3),
+                 collision_dt_s=_floor(1e-4)),
+    "drivetrain": {f.name: POSITIVE for f in fields(DriveTrainConfig)},
+    "extrusion": {f.name: POSITIVE for f in fields(ExtrusionConfig)},
+    # a dark lamp is a valid job; the spot cone's tangent needs (0, 90)
+    "uv": dict(power_w=NON_NEGATIVE, optical_efficiency=NON_NEGATIVE,
+               wavelength_nm=POSITIVE, cone_half_angle_deg=_within(0.0, 90.0),
+               standoff_mm=POSITIVE, trail_offset_mm=FINITE),
+    # no spread is a valid job
+    "cure": dict(sweep_dt_s=_floor(1e-4), bead_aspect=POSITIVE, crown_fraction=NON_NEGATIVE,
+                 c_spread=NON_NEGATIVE, max_dwell_s=POSITIVE, alpha_min=_within(0.0, 1.0)),
+    # a tiny lead vanishes in its run end's coordinates, so the lead is 0
+    # (no overruns) or at least its floor; the corner test's acos needs
+    # (0, 180); deposition never takes a step longer than 1 mm
+    "job": dict(speed_2d_mm_s=_floor(1e-3), speed_3d_mm_s=_floor(1e-3),
+                travel_speed_mm_s=_floor(1e-3), layer_height_mm=_floor(0.01),
+                extension_mm=_floor(0.01, or_zero=True), corner_threshold_deg=_within(0.0, 180.0),
+                resolution_mm=_within(0.01, 1.0, closed=True)),
+    # an alpha_gel of 0 would gel every element at the first UV sample
+    "material": dict(filler_wt_pct=_within(0.0, 100.0, closed=True), viscosity_index=POSITIVE,
+                     cure_rate_per_j_mm2=POSITIVE, attenuation_depth_mm=POSITIVE,
+                     alpha_gel=_within(0.0, 1.0), scattering=POSITIVE),
+}
 # larger magnitudes overflow where the kinematics, the syringe and the
-# toolpath square lengths; the rules above cover every numeric key
+# toolpath square lengths
 MAX_MAGNITUDE = 1e9
+
+
+def _check(where: str, record, rules: dict[str, Rule]) -> None:
+    for key, (text, ok) in rules.items():
+        value = getattr(record, key)
+        if not ok(value):
+            raise ConfigError(f"{where} {key} must be {text}, got {value!r}")
+        if abs(value) > MAX_MAGNITUDE:
+            raise ConfigError(f"{where} {key} must be at most {MAX_MAGNITUDE:g} "
+                              f"in magnitude, got {value!r}")
+
+
+def _check_cross_keys(cfg: Config, origin: str) -> None:
+    """Invariants across keys, each of which passed its own rule."""
+    drive, uv = cfg.drivetrain, cfg.uv
+    capacity = drive.syringe_capacity_ml * 1000.0  # mm^3
+    swept = drive.bore_area_mm2() * drive.plunger_travel_mm
+    if abs(swept - capacity) > 0.05 * capacity:
+        raise ConfigError(f"{origin}: [drivetrain] syringe_capacity_ml must be within 5% of "
+                          f"plunger_travel_mm x bore area, {swept / 1000.0:g} ml, "
+                          f"got {drive.syringe_capacity_ml!r}")
+    # the bore area is > 0 once the capacity matches it
+    rate = drive.step_rate(cfg.extrusion.flow_mm3_s)
+    if not rate <= drive.max_step_rate_hz:  # also rejects NaN
+        raise ConfigError(f"{origin}: [extrusion] flow_mm3_s needs a step rate of "
+                          f"{rate:.3f}/s, more than [drivetrain] max_step_rate_hz, "
+                          f"got {cfg.extrusion.flow_mm3_s!r}")
+    r = uv.footprint_radius_mm()
+    if not (r > 0.0 and math.pi * r * r > 0.0 and math.isfinite(uv.irradiance_w_mm2())):
+        raise ConfigError(f"{origin}: [uv] standoff_mm must give a spot of positive radius and "
+                          f"area and finite irradiance, got {uv.standoff_mm!r} (radius {r!r} mm)")
+    # the dose sweep records a gel time only past a gel dose > 0
+    for name, m in cfg.materials.items():
+        gel = m.gel_dose_j_mm2()
+        if not 0.0 < gel < math.inf:
+            raise ConfigError(f"{origin}: [material:{name}] alpha_gel must give a finite gel "
+                              f"dose > 0, got {m.alpha_gel!r} (gel dose {gel!r} J/mm^2)")
 
 
 def _parse(text: str, origin: str) -> Config:
@@ -282,6 +334,10 @@ def _parse(text: str, origin: str) -> Config:
         parser.read_string(text, source=origin)
     except configparser.Error as exc:
         raise ConfigError(" ".join(str(exc).split())) from exc  # on one line
+    if parser.defaults():
+        # configparser would copy them into every section, unchecked
+        raise ConfigError(f"{origin}: [DEFAULT] {', '.join(parser.defaults())} would apply "
+                          "to every section; set each key in its own section")
     version = parser.get("meta", "schema_version", fallback=str(SCHEMA_VERSION))
     if version != str(SCHEMA_VERSION):
         raise ConfigError(f"{origin}: unsupported schema_version {version!r}")
@@ -298,25 +354,13 @@ def _parse(text: str, origin: str) -> Config:
         if cls is Material:
             name = sec.split(":", 1)[1]
             kwargs.pop("name", None)
-            try:
-                materials[name] = replace(materials.get(name, Material(name)), **kwargs)
-            except ConfigError as exc:
-                raise ConfigError(f"{origin}: {exc}") from None
+            materials[name] = replace(materials.get(name, Material(name)), **kwargs)
         else:
             sections[sec] = replace(getattr(cfg, sec), **kwargs)
     cfg = replace(cfg, materials=materials, **sections)
-    for keys, check in ((_POSITIVE_KEYS, _check_positive),
-                        (_NON_NEGATIVE_KEYS, lambda *a: _check_positive(*a, or_zero=True)),
-                        (_FINITE_KEYS, _check_finite),
-                        (_NONZERO_KEYS, lambda *a: _check_finite(*a, nonzero=True)),
-                        (_FLOOR_KEYS, _check_floor),
-                        (_INTERVAL_KEYS, _check_fraction)):
-        for sec, key, *bound in keys:
-            value = getattr(getattr(cfg, sec), key)
-            check(f"{origin}: [{sec}]", key, value, *bound)
-            if abs(value) > MAX_MAGNITUDE:
-                raise ConfigError(f"{origin}: [{sec}] {key} must be at most "
-                                  f"{MAX_MAGNITUDE:g} in magnitude, got {value!r}")
+    for header, rules, record in _records(cfg):
+        _check(f"{origin}: [{header}]", record, RULES[rules])
+    _check_cross_keys(cfg, origin)
     parse_obstacles(cfg.cell)
     return cfg
 
@@ -332,19 +376,11 @@ def dump_config(cfg: Config) -> str:
     out = io.StringIO()
     out.write("[meta]\n")
     out.write(f"schema_version = {SCHEMA_VERSION}\n\n")
-    for sec, cls in _SECTIONS.items():
-        out.write(f"[{sec}]\n")
-        obj = getattr(cfg, sec)
-        for f in fields(cls):
-            out.write(f"{f.name} = {_format_value(getattr(obj, f.name))}\n")
-        out.write("\n")
-    for name in sorted(cfg.materials):
-        m = cfg.materials[name]
-        out.write(f"[material:{name}]\n")
-        for f in fields(Material):
-            if f.name == "name":
-                continue
-            out.write(f"{f.name} = {_format_value(getattr(m, f.name))}\n")
+    for header, _, record in _records(cfg):
+        out.write(f"[{header}]\n")
+        for f in fields(record):
+            if f.name != "name":  # a material's name is its header
+                out.write(f"{f.name} = {_format_value(getattr(record, f.name))}\n")
         out.write("\n")
     return out.getvalue()
 

@@ -42,34 +42,6 @@ class CureError(RamcellError):
 
 
 @dataclass(frozen=True)
-class UVSpot:
-    power_w: float = 10.0
-    optical_efficiency: float = 0.3
-    cone_half_angle_rad: float = math.radians(24.0)
-    standoff_mm: float = 15.0
-    trail_mm: float = 7.5
-
-    def __post_init__(self):
-        r = self.footprint_radius_mm()
-        if not (r > 0.0 and math.pi * r * r > 0.0):
-            raise CureError("spot footprint must have positive radius and area")
-        if not math.isfinite(self.irradiance_w_mm2()):
-            raise CureError("spot irradiance must be finite")
-
-    def footprint_radius_mm(self) -> float:
-        return self.standoff_mm * math.tan(self.cone_half_angle_rad)
-
-    def irradiance_w_mm2(self) -> float:
-        r = self.footprint_radius_mm()
-        return self.power_w * self.optical_efficiency / (math.pi * r * r)
-
-    @staticmethod
-    def from_config(cfg: UVConfig) -> "UVSpot":
-        return UVSpot(cfg.power_w, cfg.optical_efficiency, math.radians(cfg.cone_half_angle_deg),
-                      cfg.standoff_mm, cfg.trail_offset_mm)
-
-
-@dataclass(frozen=True)
 class BeadElement:
     centroid: tuple[float, float, float]
     deposit_time: float
@@ -136,11 +108,6 @@ class DepositionMap:
                 "mean_alpha": float(np.mean(self.alpha[m])),
             }
         return out
-
-
-def gel_dose(material: Material) -> float:
-    k = material.cure_rate_per_j_mm2 * material.scattering
-    return -math.log(1.0 - material.alpha_gel) / k
 
 
 def deposit(path: Toolpath, flow: FlowModel, material: Material, res_mm: float,
@@ -224,7 +191,7 @@ def _runs(width: np.ndarray, count: np.ndarray, budget: int) -> Iterator[tuple[i
         yield lo, len(count)
 
 
-def _sample_blocks(path: Toolpath, spot: UVSpot, dt_s: float,
+def _sample_blocks(path: Toolpath, spot: UVConfig, dt_s: float,
                    reorient_rate: float) -> Iterator[_SampleBlock]:
     """Lay out the samples of the UV-on timeline, one block at a time.
 
@@ -253,7 +220,7 @@ def _sample_blocks(path: Toolpath, spot: UVSpot, dt_s: float,
         raise CureError("dose of one sweep sample overflows")
     weight = irradiance * dt
     dx, dy, dz = x1 - x0, y1 - y0, z1 - z0
-    trail_x, trail_y = np.cos(yaw) * spot.trail_mm, np.sin(yaw) * spot.trail_mm
+    trail_x, trail_y = np.cos(yaw) * spot.trail_offset_mm, np.sin(yaw) * spot.trail_offset_mm
     for lo, hi in _runs(np.ones_like(count), count, _BLOCK_SAMPLES):
         blk = slice(lo, hi)
         n = count[blk]
@@ -301,7 +268,7 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
 _CULL_PAD_MM = 1e-6
 
 
-def accumulate_dose(dmap: DepositionMap, path: Toolpath, spot: UVSpot,
+def accumulate_dose(dmap: DepositionMap, path: Toolpath, spot: UVConfig,
                     dt_s: float = 0.02, reorient_rate: float = 1.0) -> DepositionMap:
     """Sweep the trailing footprint over the timeline and integrate dose.
 
@@ -342,8 +309,7 @@ def accumulate_dose(dmap: DepositionMap, path: Toolpath, spot: UVSpot,
     group not lit in an entry (or not a candidate there) adds +0.0,
     which changes no dose >= 0; and a padding sample adds +0.0 after
     the entry's last sample, so it is never the first crossing.
-    Relies on a gel dose > 0, which the `Material` invariants
-    guarantee.
+    Relies on a gel dose > 0, which loading checks.
     """
     if len(dmap) == 0 or spot.irradiance_w_mm2() <= 0.0:
         return dmap
@@ -351,7 +317,7 @@ def accumulate_dose(dmap: DepositionMap, path: Toolpath, spot: UVSpot,
         raise CureError("deposit times must be in timeline order")
     radius2 = spot.footprint_radius_mm() ** 2
     reach = spot.footprint_radius_mm() + _CULL_PAD_MM
-    threshold = gel_dose(dmap.material)
+    threshold = dmap.material.gel_dose_j_mm2()
     att = dmap.material.attenuation_depth_mm
     ex, ey, ez, et = dmap.x, dmap.y, dmap.z, dmap.deposit_time
     dose, gel = dmap.dose, dmap.gel_time

@@ -1,4 +1,4 @@
-"""Volumetric flow, syringe drive train math, and step scheduling.
+"""Volumetric flow, bead cross-section, and step scheduling.
 
 The extruder pushes resin at a constant volumetric rate; the bead
 cross-section is flow divided by travel speed.  Step scheduling converts
@@ -45,44 +45,6 @@ class Nozzle:
 
     def area_mm2(self) -> float:
         return math.pi * (self.diameter_mm / 2.0) ** 2
-
-
-@dataclass(frozen=True)
-class DriveTrain:
-    bore_mm: float = 40.0
-    capacity_ml: float = 200.0
-    plunger_travel_mm: float = 160.0
-    lead_mm_per_rev: float = 8.0
-    full_steps_per_rev: int = 200
-    microstepping: int = 8
-    max_step_rate_hz: float = 5000.0
-
-    def __post_init__(self):
-        for name in ("bore_mm", "capacity_ml", "plunger_travel_mm", "lead_mm_per_rev",
-                     "full_steps_per_rev", "microstepping", "max_step_rate_hz"):
-            if getattr(self, name) <= 0:
-                raise ExtrusionError(f"{name} must be positive")
-        swept = self.bore_area_mm2() * self.plunger_travel_mm  # mm^3
-        if abs(swept - self.capacity_ml * 1000.0) > 0.05 * self.capacity_ml * 1000.0:
-            raise ExtrusionError(
-                "syringe capacity inconsistent with plunger travel x bore area")
-
-    def bore_area_mm2(self) -> float:
-        return math.pi * (self.bore_mm / 2.0) ** 2
-
-    def steps_per_mm(self) -> float:
-        return self.full_steps_per_rev * self.microstepping / self.lead_mm_per_rev
-
-    def volume_per_step_mm3(self) -> float:
-        return self.bore_area_mm2() / self.steps_per_mm()
-
-    @staticmethod
-    def from_config(cfg: DriveTrainConfig) -> "DriveTrain":
-        return DriveTrain(
-            bore_mm=cfg.syringe_bore_mm, capacity_ml=cfg.syringe_capacity_ml,
-            plunger_travel_mm=cfg.plunger_travel_mm, lead_mm_per_rev=cfg.lead_mm_per_rev,
-            full_steps_per_rev=cfg.full_steps_per_rev, microstepping=cfg.microstepping,
-            max_step_rate_hz=cfg.max_step_rate_hz)
 
 
 @dataclass(frozen=True)
@@ -136,24 +98,15 @@ def bead_area(q_mm3_s: float, speed_mm_s: float) -> float:
     return q_mm3_s / speed_mm_s
 
 
-def step_rate(q_mm3_s: float, drive: DriveTrain) -> float:
-    """Steps/s that push resin at the requested volumetric rate."""
-    plunger_speed = q_mm3_s / drive.bore_area_mm2()  # mm/s
-    return plunger_speed * drive.steps_per_mm()
-
-
-def schedule(path: Toolpath, flow: FlowModel, drive: DriveTrain,
+def schedule(path: Toolpath, flow: FlowModel, drive: DriveTrainConfig,
              reorient_rate: float = 1.0) -> StepSchedule:
     """Step breakpoints and I/O events on the shared toolpath timeline.
 
     The step rate is constant while extruding and zero otherwise; the
     extruder output pauses over reorientation dwells.  UV events follow
-    the segments' uv flags.
+    the segments' uv flags.  Loading checks the rate against the motor.
     """
-    rate = step_rate(flow.q_mm3_s, drive)
-    if rate > drive.max_step_rate_hz:
-        raise ExtrusionError(
-            f"required step rate {rate:.3f}/s exceeds motor limit {drive.max_step_rate_hz}/s")
+    rate = drive.step_rate(flow.q_mm3_s)
     tl = time_profile(path, reorient_rate)
     events: list[IOEvent] = []
     breakpoints: list[tuple[float, float]] = []

@@ -1,7 +1,7 @@
 """G-code subset parser and emitter.
 
 Supported commands: G0/G1 linear motion with X/Y/Z/F words, M106/M107
-extruder on/off, M42 P<ch> S<0|1> for the UV channel, and comments
+extruder on/off, M42 P2 S<0|1> for the UV lamp, and comments
 (`;` to end of line or parenthesized).  Arcs are rejected; any other
 well-formed G/M command is skipped with a warning.  The parser never
 raises on input text: every problem becomes a ParseDiagnostic.
@@ -43,9 +43,6 @@ class ParseDiagnostic:
     severity: str  # "error" | "warning"
     message: str
 
-    def format(self) -> str:
-        return f"{self.line}:{self.severity}:{self.message}"
-
 
 @dataclass(frozen=True)
 class GcodeCommand:
@@ -55,7 +52,6 @@ class GcodeCommand:
     y: float | None = None
     z: float | None = None
     feed: float | None = None  # mm/min
-    channel: int | None = None
     text: str = ""
 
 
@@ -64,11 +60,8 @@ class GcodeProgram:
     commands: list[GcodeCommand] = field(default_factory=list)
     diagnostics: list[ParseDiagnostic] = field(default_factory=list)
 
-    def has_errors(self) -> bool:
-        return any(d.severity == "error" for d in self.diagnostics)
-
-    def format_diagnostics(self) -> str:
-        return "\n".join(d.format() for d in self.diagnostics)
+    def errors(self) -> list[ParseDiagnostic]:
+        return [d for d in self.diagnostics if d.severity == "error"]
 
 
 _WORD_RE = re.compile(r"([A-Za-z])\s*([-+]?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)")
@@ -118,9 +111,7 @@ def parse(text: str) -> GcodeProgram:
 
 def _parse_command(body: str, lineno: int, program: GcodeProgram) -> None:
     words = _split_words(body, lineno, program.diagnostics)
-    if words is None:
-        return
-    if not words:
+    if not words:  # malformed (None) or empty
         return
     letter, number = words[0]
     if number != int(number):
@@ -150,18 +141,22 @@ def _parse_command(body: str, lineno: int, program: GcodeProgram) -> None:
         state = None
         for w, v in rest:
             if w == "P":
-                channel = int(v)
+                channel = v
             elif w == "S":
                 state = v
             else:
                 program.diagnostics.append(
                     ParseDiagnostic(lineno, "warning", f"ignoring word {w}{v:g} on M42"))
+        if channel != UV_CHANNEL:
+            program.diagnostics.append(ParseDiagnostic(
+                lineno, "warning", f"M42 on channel P{channel:g} is not the UV lamp, skipped"))
+            return
         if state not in (0.0, 1.0):
             program.diagnostics.append(
                 ParseDiagnostic(lineno, "error", "M42 requires S0 or S1"))
             return
         kind = KIND_UV_ON if state == 1.0 else KIND_UV_OFF
-        program.commands.append(GcodeCommand(kind, lineno, channel=channel))
+        program.commands.append(GcodeCommand(kind, lineno))
         return
     if letter in ("G", "M"):
         program.diagnostics.append(
@@ -210,10 +205,13 @@ def to_toolpath(program: GcodeProgram, travel_speed: float = 20.0,
     The nozzle starts at the origin and the last feed persists across
     moves; a linear move before any feed is an error.  Extrusion follows
     M106/M107 and the UV flag follows M42.  Rapid moves never extrude.
-    Feeds are mm/min; segment speeds come out in mm/s.
+    Feeds are mm/min; segment speeds come out in mm/s.  A program with
+    parse errors is refused, naming the first.
     """
-    if program.has_errors():
-        raise GcodeError("program has parse errors; refusing to interpret")
+    errors = program.errors()
+    if errors:
+        more = f" (and {len(errors) - 1} more)" if len(errors) > 1 else ""
+        raise GcodeError(errors[0].message + more, errors[0].line)
     pos = Vec3(0.0, 0.0, 0.0)
     feed: float | None = None
     extruder = False
@@ -228,20 +226,17 @@ def to_toolpath(program: GcodeProgram, travel_speed: float = 20.0,
             uv = True
         elif cmd.kind == KIND_UV_OFF:
             uv = False
-        elif cmd.kind == KIND_SET_POSITION:
-            pos = Vec3(
-                cmd.x if cmd.x is not None else pos.x,
-                cmd.y if cmd.y is not None else pos.y,
-                cmd.z if cmd.z is not None else pos.z,
-            )
-        elif cmd.kind in (KIND_RAPID, KIND_LINEAR):
-            if cmd.feed is not None:
-                feed = cmd.feed
+        elif cmd.kind in (KIND_SET_POSITION, KIND_RAPID, KIND_LINEAR):
             target = Vec3(
                 cmd.x if cmd.x is not None else pos.x,
                 cmd.y if cmd.y is not None else pos.y,
                 cmd.z if cmd.z is not None else pos.z,
             )
+            if cmd.kind == KIND_SET_POSITION:  # G92 moves nothing
+                pos = target
+                continue
+            if cmd.feed is not None:
+                feed = cmd.feed
             if cmd.kind == KIND_RAPID:
                 speed = travel_speed
                 extruding = False

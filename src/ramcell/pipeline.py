@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import cell, cure, extrusion, gcode, shapes, toolpath as tp
-from .config import Config, ConfigError, Material
+from .config import Config, ConfigError, DriveTrainConfig, Material
 from .geometry import Vec3
 
 
@@ -27,8 +27,7 @@ class JobBundle:
     local_path: tp.Toolpath
     world_path: tp.Toolpath
     flow: extrusion.FlowModel
-    drive: extrusion.DriveTrain
-    spot: cure.UVSpot
+    drive: DriveTrainConfig
 
 
 @dataclass
@@ -37,13 +36,6 @@ class SimulationResult:
     program: cell.RobotProgram | None
     schedule: extrusion.StepSchedule
     dmap: cure.DepositionMap | None
-
-
-def lookup_material(cfg: Config, name: str) -> Material:
-    try:
-        return cfg.materials[name]
-    except KeyError:
-        raise ConfigError(f"unknown material '{name}'") from None
 
 
 def build_toolpath_from_shape(cfg: Config, shape_id: str) -> tp.Toolpath:
@@ -59,11 +51,7 @@ def build_toolpath_from_shape(cfg: Config, shape_id: str) -> tp.Toolpath:
 
 def build_toolpath_from_gcode(cfg: Config, text: str) -> tp.Toolpath:
     """Parse an externally post-processed file: no further extensions."""
-    program = gcode.parse(text)
-    if program.has_errors():
-        raise gcode.GcodeError(
-            "g-code has errors:\n" + program.format_diagnostics())
-    path = gcode.to_toolpath(program, travel_speed=cfg.job.travel_speed_mm_s,
+    path = gcode.to_toolpath(gcode.parse(text), travel_speed=cfg.job.travel_speed_mm_s,
                              layer_height=cfg.job.layer_height_mm)
     return tp.assign_orientations(path)
 
@@ -81,27 +69,28 @@ def place_in_cell(cfg: Config, local: tp.Toolpath) -> tp.Toolpath:
 
 
 def build_job(cfg: Config, name: str, local: tp.Toolpath) -> JobBundle:
-    material = lookup_material(cfg, cfg.job.material)
-    resolution = min(cfg.job.resolution_mm, 1.0)
-    local = tp.resample(local, resolution)
+    try:  # --material overrides the loaded config
+        material = cfg.materials[cfg.job.material]
+    except KeyError:
+        raise ConfigError(f"unknown material '{cfg.job.material}'") from None
+    local = tp.resample(local, cfg.job.resolution_mm)
     local.validate()
     return JobBundle(
         name=name, cfg=cfg, material=material,
         local_path=local, world_path=place_in_cell(cfg, local),
         flow=extrusion.FlowModel.from_config(cfg.extrusion),
-        drive=extrusion.DriveTrain.from_config(cfg.drivetrain),
-        spot=cure.UVSpot.from_config(cfg.uv),
+        drive=cfg.drivetrain,
     )
 
 
 def run_cure_simulation(job: JobBundle) -> tuple[cure.DepositionMap | None, dict]:
     cfg = job.cfg
     dmap = cure.deposit(job.local_path, job.flow, job.material,
-                        min(cfg.job.resolution_mm, 1.0), cfg.job.layer_height_mm,
+                        cfg.job.resolution_mm, cfg.job.layer_height_mm,
                         cfg.cure.bead_aspect, cfg.cell.reorient_rate_rad_s)
     if len(dmap) == 0:
         return None, {}
-    cure.accumulate_dose(dmap, job.local_path, job.spot, cfg.cure.sweep_dt_s,
+    cure.accumulate_dose(dmap, job.local_path, cfg.uv, cfg.cure.sweep_dt_s,
                          cfg.cell.reorient_rate_rad_s)
     cure.update_cure(dmap, job.material)
     cure.spread(dmap, job.material, cfg.cure)

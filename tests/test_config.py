@@ -1,5 +1,4 @@
 import math
-from dataclasses import fields
 
 import pytest
 
@@ -183,7 +182,7 @@ def test_magnitudes_above_1e9_are_rejected(section, key, value):
 
 
 @pytest.mark.parametrize("section, key, floor", [
-    ("job", "resolution_mm", "0.01"), ("job", "layer_height_mm", "0.01"),
+    ("job", "layer_height_mm", "0.01"),
     ("cure", "sweep_dt_s", "0.0001"),
     ("cell", "collision_dt_s", "0.0001"),
     ("job", "speed_2d_mm_s", "0.001"), ("job", "speed_3d_mm_s", "0.001"),
@@ -199,11 +198,59 @@ def test_step_keys_have_a_floor(section, key, floor):
     assert getattr(getattr(cfg, section), key) == float(floor)
 
 
+def test_resolution_lies_between_its_floor_and_1_mm():
+    # deposition takes one element per subsegment of at most 1 mm
+    for value in ("1e-300", "0.0099", "1.01", "7", "nan"):
+        with pytest.raises(ConfigError, match=r"\[job\] resolution_mm must be in "
+                                              rf"\[0.01, 1\], got .*{value}"):
+            loads_config(f"[job]\nresolution_mm = {value}\n")
+    for value in (0.01, 1.0):
+        assert loads_config(f"[job]\nresolution_mm = {value!r}\n").job.resolution_mm == value
+
+
 def test_every_numeric_key_has_exactly_one_load_rule():
-    ruled = [rule[:2] for keys in (config._POSITIVE_KEYS, config._NON_NEGATIVE_KEYS,
-                                   config._FINITE_KEYS, config._NONZERO_KEYS,
-                                   config._FLOOR_KEYS, config._INTERVAL_KEYS)
-             for rule in keys]
-    numeric = [(sec, f.name) for sec, cls in config._SECTIONS.items() for f in fields(cls)
-               if f.type in ("float", "int")]
-    assert sorted(ruled) == sorted(numeric)
+    # the 54 keys the no-traceback property sets, with "material" for its
+    # [material:NAME]; a dict holds one rule per key
+    from test_no_traceback import KEYS
+    ruled = [(sec, key) for sec, rules in config.RULES.items() for key in rules]
+    assert len(ruled) == len(KEYS) == 54
+    assert sorted(ruled) == sorted((sec.split(":")[0], key) for sec, key in KEYS)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("material:dlp-fs9", "cure_rate_per_j_mm2", "2e9"),
+    ("material:new-resin", "scattering", "1e300"),
+    ("material:dlp-fs9", "viscosity_index", "1e308")])
+def test_material_magnitudes_above_1e9_are_rejected(section, key, value):
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key} must be at most 1e\+09"):
+        loads_config(f"[{section}]\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("text, match", [
+    # gel dose -0.0: 1 - 1e-300 rounds to 1
+    ("[material:dlp-fs9]\nalpha_gel = 1e-300\n",
+     r"\[material:dlp-fs9\] alpha_gel must give a finite gel dose > 0, got 1e-300 .*-0\.0"),
+    # k = 1e-200 x 1e-200 underflows to 0
+    ("[material:x]\ncure_rate_per_j_mm2 = 1e-200\nscattering = 1e-200\n",
+     r"\[material:x\] alpha_gel must give a finite gel dose > 0, got 0.3 .*inf"),
+    ("[drivetrain]\nsyringe_capacity_ml = 100\n",
+     r"\[drivetrain\] syringe_capacity_ml must be within 5% .*201.062 ml, got 100.0"),
+    ("[extrusion]\nflow_mm3_s = 1e5\n",
+     r"\[extrusion\] flow_mm3_s needs a step rate of 15915\.494/s, more than "
+     r"\[drivetrain\] max_step_rate_hz"),
+    ("[drivetrain]\nlead_mm_per_rev = 5e-324\n[extrusion]\nflow_mm3_s = 5e-324\n",
+     r"\[extrusion\] flow_mm3_s needs a step rate of nan/s"),
+    ("[uv]\nstandoff_mm = 1e-200\n", r"\[uv\] standoff_mm must give a spot of positive radius"),
+], ids=["gel-dose-0", "k-underflow", "capacity", "step-rate", "step-rate-nan", "spot-area"])
+def test_cross_key_invariants_name_a_key(text, match):
+    with pytest.raises(ConfigError, match=match):
+        loads_config(text)
+
+
+def test_default_section_is_refused():
+    # configparser copies [DEFAULT] keys into every section
+    for text in ("[DEFAULT]\nresolution_mm = 1e-300\n",
+                 "[DEFAULT]\nresolution_mm = 0.5\n[job]\nshape = wall-20x3\n"):
+        with pytest.raises(ConfigError, match=r"^<string>: \[DEFAULT\] resolution_mm would apply"):
+            loads_config(text)
+    assert loads_config("[DEFAULT]\n[job]\nshape = wall-20x3\n").job.shape == "wall-20x3"

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from ramcell import cure, pipeline
-from ramcell.config import Material, default_config
-from ramcell.cure import (CureError, DepositionMap, UVSpot, _column_sums, _runs,
+from ramcell.config import ConfigError, UVConfig, default_config, loads_config
+from ramcell.cure import (CureError, DepositionMap, _column_sums, _runs,
                           _sample_blocks, accumulate_dose, deposit, flag_undercured,
-                          gel_dose, predict_dimensions, spread, update_cure)
+                          predict_dimensions, spread, update_cure)
 from ramcell.extrusion import FlowModel
 from ramcell.geometry import Vec3
 from ramcell.shapes import generate
@@ -18,7 +18,7 @@ from ramcell.toolpath import (ExtensionPolicy, Segment, Toolpath,
 
 CFG = default_config()
 FLOW = FlowModel()
-SPOT = UVSpot.from_config(CFG.uv)
+SPOT = CFG.uv
 FS9 = CFG.materials["dlp-fs9"]
 GF0 = CFG.materials["dlp-gf0"]
 
@@ -49,13 +49,13 @@ def test_spot_geometry():
         15.0 * math.tan(math.radians(24.0)))
     assert SPOT.irradiance_w_mm2() == pytest.approx(
         3.0 / (math.pi * SPOT.footprint_radius_mm() ** 2))
-    with pytest.raises(CureError):
-        UVSpot(standoff_mm=0.0)
+    with pytest.raises(ConfigError, match=r"\[uv\] standoff_mm must be finite and > 0"):
+        loads_config("[uv]\nstandoff_mm = 0\n")
     # a footprint whose area underflows, or a lamp too bright for a float
-    with pytest.raises(CureError, match="positive radius and area"):
-        UVSpot(standoff_mm=1e-300)
-    with pytest.raises(CureError, match="irradiance must be finite"):
-        UVSpot(power_w=1e9, optical_efficiency=1e9, standoff_mm=1e-150)
+    with pytest.raises(ConfigError, match=r"\[uv\] standoff_mm .*positive radius and area"):
+        loads_config("[uv]\nstandoff_mm = 1e-300\n")
+    with pytest.raises(ConfigError, match=r"\[uv\] standoff_mm .*finite irradiance"):
+        loads_config("[uv]\npower_w = 1e9\noptical_efficiency = 1e9\nstandoff_mm = 1e-150\n")
 
 
 def test_sweep_refuses_more_samples_than_a_job_can_run():
@@ -67,7 +67,7 @@ def test_sweep_refuses_more_samples_than_a_job_can_run():
     # a finite irradiance times a 2 s step can still overflow; the sweep
     # multiplies the lit mask by the dose factor, so that must be finite
     slow = line_path(speed=0.5)
-    glaring = UVSpot(power_w=1e9, optical_efficiency=1e9, standoff_mm=1.2e-145)
+    glaring = UVConfig(power_w=1e9, optical_efficiency=1e9, standoff_mm=1.2e-145)
     assert 9e307 < glaring.irradiance_w_mm2() < math.inf
     with pytest.raises(CureError, match="overflows"):
         accumulate_dose(deposit(slow, FLOW, FS9, 1.0, 0.85), slow, glaring, 10.0)
@@ -287,13 +287,10 @@ def test_layer_summary_aggregates():
 
 
 def test_material_invariants():
-    from ramcell.config import ConfigError
-    with pytest.raises(ConfigError):
-        Material("bad", filler_wt_pct=120.0)
-    with pytest.raises(ConfigError):
-        Material("bad", viscosity_index=0.0)
-    with pytest.raises(ConfigError):
-        Material("bad", cure_rate_per_j_mm2=-1.0)
+    for key, value in (("filler_wt_pct", "120"), ("viscosity_index", "0"),
+                       ("cure_rate_per_j_mm2", "-1")):
+        with pytest.raises(ConfigError, match=rf"\[material:bad\] {key} must be "):
+            loads_config(f"[material:bad]\n{key} = {value}\n")
 
 
 def test_flag_undercured_corner_first_without_lead():
@@ -317,7 +314,7 @@ def _dense_sweep(dmap, path, spot, dt_s, reorient_rate=1.0):
     """
     irr = spot.irradiance_w_mm2()
     radius2 = spot.footprint_radius_mm() ** 2
-    threshold = gel_dose(dmap.material)
+    threshold = dmap.material.gel_dose_j_mm2()
     att = dmap.material.attenuation_depth_mm
     ex, ey, ez = dmap.x, dmap.y, dmap.z
     for e in time_profile(path, reorient_rate):
@@ -334,8 +331,8 @@ def _dense_sweep(dmap, path, spot, dt_s, reorient_rate=1.0):
         ny = e.y0 + frac * (e.y1 - e.y0)
         nz = e.z0 + frac * (e.z1 - e.z0)
         yaw = e.yaw0 + frac * (e.yaw1 - e.yaw0)
-        sx = nx + spot.trail_mm * np.cos(yaw)
-        sy = ny + spot.trail_mm * np.sin(yaw)
+        sx = nx + spot.trail_offset_mm * np.cos(yaw)
+        sy = ny + spot.trail_offset_mm * np.sin(yaw)
         d2 = (ex[None, :] - sx[:, None]) ** 2 + (ey[None, :] - sy[:, None]) ** 2
         lit = (d2 <= radius2) & (dmap.deposit_time[None, :] <= tau[:, None])
         depth = np.clip(nz[:, None] - ez[None, :], 0.0, None)
@@ -439,9 +436,9 @@ def _deposit(job):
 def _assert_sweeps_agree(job, reference=None):
     cfg = job.cfg
     if reference is None:
-        reference = _dense_sweep(_deposit(job), job.local_path, job.spot,
+        reference = _dense_sweep(_deposit(job), job.local_path, cfg.uv,
                                  cfg.cure.sweep_dt_s, cfg.cell.reorient_rate_rad_s)
-    culled = accumulate_dose(_deposit(job), job.local_path, job.spot,
+    culled = accumulate_dose(_deposit(job), job.local_path, cfg.uv,
                              cfg.cure.sweep_dt_s, cfg.cell.reorient_rate_rad_s)
     assert np.any(np.isfinite(reference.gel_time))  # the gel-time path is exercised
     # int64 views: array_equal holds -0.0 equal to 0.0
@@ -471,7 +468,7 @@ def test_culled_sweep_matches_dense_sweep_on_the_material_ladder():
     jobs = [_job("square-50x50x8.5", m) for m in ("dlp-gf0", "dlp-gf35", "dlp-gf50")]
     # the ladder differs only in viscosity, which the sweep never reads,
     # so one dense run is the reference for all three
-    physics = {(gel_dose(j.material), j.material.attenuation_depth_mm) for j in jobs}
+    physics = {(j.material.gel_dose_j_mm2(), j.material.attenuation_depth_mm) for j in jobs}
     assert len(physics) == 1
     reference = _assert_sweeps_agree(jobs[0])
     for job in jobs[1:]:
@@ -544,14 +541,14 @@ def test_passes_straddle_a_layer_change_a_uv_off_dwell_and_block_boundaries(monk
     assert np.any(tl.dwell[gap]) and len(np.unique(tl.layer[tl.uv_on])) == 2
     on = _uv_entries(job)
     change = int(np.argmax(on.layer != on.layer[0]))  # first entry of layer 2
-    reference = _dense_sweep(_deposit(job), job.local_path, job.spot,
+    reference = _dense_sweep(_deposit(job), job.local_path, cfg.uv,
                              cfg.cure.sweep_dt_s, cfg.cell.reorient_rate_rad_s)
     # no budget cut: a pass is a whole block
     monkeypatch.setattr(cure, "_PAIR_SAMPLE_BUDGET", 1 << 40)
     straddled = 0
     for entries in (5, 13, 29, 1000):
         monkeypatch.setattr(cure, "_BLOCK_SAMPLES", entries * 13)
-        sizes = [len(b.count) for b in _sample_blocks(job.local_path, job.spot,
+        sizes = [len(b.count) for b in _sample_blocks(job.local_path, cfg.uv,
                                                        cfg.cure.sweep_dt_s,
                                                        cfg.cell.reorient_rate_rad_s)]
         bounds = np.cumsum(sizes)

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from ramcell.config import default_config
-from ramcell.extrusion import (DriveTrain, ExtrusionError, FlowModel, IOEvent,
-                               Nozzle, StepSchedule, bead_area, schedule, step_rate)
+from ramcell.config import ConfigError, default_config, loads_config
+from ramcell.extrusion import (ExtrusionError, FlowModel, IOEvent, Nozzle, StepSchedule,
+                               bead_area, schedule)
 from ramcell.geometry import Vec3
 from ramcell.shapes import generate
 from ramcell.toolpath import (ExtensionPolicy, Segment, Toolpath,
                               add_cure_extensions, assign_orientations,
                               path_stats)
 
-DRIVE = DriveTrain()
+DRIVE = default_config().drivetrain
 FLOW = FlowModel()
 
 
@@ -46,17 +46,19 @@ def test_bead_area_conserves_flow():
 
 def test_step_rate_reference_value():
     # plunger speed 5.3/1256.64 mm/s times 200 steps/mm
-    assert step_rate(5.3, DRIVE) == pytest.approx(0.8435, abs=1e-4)
+    assert DRIVE.step_rate(5.3) == pytest.approx(0.8435, abs=1e-4)
 
 
 def test_step_rate_zero_and_linear():
-    assert step_rate(0.0, DRIVE) == 0.0
-    assert step_rate(10.6, DRIVE) == pytest.approx(2 * step_rate(5.3, DRIVE), rel=1e-12)
+    assert DRIVE.step_rate(0.0) == 0.0
+    assert DRIVE.step_rate(10.6) == pytest.approx(2 * DRIVE.step_rate(5.3), rel=1e-12)
 
 
 def test_drivetrain_capacity_consistency_enforced():
-    with pytest.raises(ExtrusionError):
-        DriveTrain(plunger_travel_mm=60.0)
+    for key, value in (("plunger_travel_mm", "60"), ("syringe_capacity_ml", "100")):
+        with pytest.raises(ConfigError, match=r"\[drivetrain\] syringe_capacity_ml must be "
+                                              r"within 5% of plunger_travel_mm x bore area"):
+            loads_config(f"[drivetrain]\n{key} = {value}\n")
 
 
 def oriented_rectangle():
@@ -68,7 +70,7 @@ def oriented_rectangle():
 
 def test_schedule_rectangle_volume():
     sched = schedule(oriented_rectangle(), FLOW, DRIVE)
-    volume = sched.total_steps() * DRIVE.volume_per_step_mm3()
+    volume = sched.total_steps() * (DRIVE.bore_area_mm2() / DRIVE.steps_per_mm())
     assert volume == pytest.approx(530.0, rel=1e-3)
     stats = path_stats(oriented_rectangle())
     assert volume == pytest.approx(FLOW.q_mm3_s * stats["extrusion_time"], rel=1e-6)
@@ -91,7 +93,7 @@ def test_schedule_rate_independent_of_speed():
     ]
     path = assign_orientations(Toolpath.from_segments(tuple(segs)))
     sched = schedule(path, FLOW, DRIVE)
-    rate = step_rate(FLOW.q_mm3_s, DRIVE)
+    rate = DRIVE.step_rate(FLOW.q_mm3_s)
     # cumulative steps rise at one constant rate through both segments,
     # so the two ramps merge into a single breakpoint pair
     times = [t for t, _ in sched.breakpoints]
@@ -103,9 +105,10 @@ def test_schedule_rate_independent_of_speed():
 
 
 def test_schedule_respects_motor_limit():
-    weak = DriveTrain(max_step_rate_hz=0.1)
-    with pytest.raises(ExtrusionError):
-        schedule(oriented_rectangle(), FLOW, weak)
+    # the rate is checked once, at load, so no schedule runs past the motor
+    with pytest.raises(ConfigError, match=r"\[extrusion\] flow_mm3_s needs a step rate of "
+                                          r"0\.844/s, more than \[drivetrain\] max_step_rate_hz"):
+        loads_config("[drivetrain]\nmax_step_rate_hz = 0.1\n")
 
 
 def test_schedule_events_well_formed():
@@ -126,7 +129,7 @@ def test_step_count_between_events_matches_rate():
     path = assign_orientations(add_cure_extensions(
         generate("rectangle-90x60", 3.0, 4.0, 0.85, 1.5), ExtensionPolicy(25.0)))
     sched = schedule(path, FLOW, DRIVE)
-    rate = step_rate(FLOW.q_mm3_s, DRIVE)
+    rate = DRIVE.step_rate(FLOW.q_mm3_s)
     times = np.array([t for t, _ in sched.breakpoints])
     steps = np.array([s for _, s in sched.breakpoints])
     ext_state = False

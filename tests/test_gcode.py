@@ -37,41 +37,40 @@ def test_empty_file():
 
 def test_duplicate_axis_word_is_error():
     program = parse("G1 X1 X2")
-    assert program.has_errors()
+    assert program.errors()
     d = program.diagnostics[0]
     assert d.line == 1 and d.severity == "error"
-    assert "duplicate axis" in d.message
-    assert d.format() == "1:error:duplicate axis word X"
+    assert d.message == "duplicate axis word X"
 
 
 def test_malformed_number_is_error():
     program = parse("G1 X1..2")
-    assert program.has_errors()
+    assert program.errors()
 
 
 def test_arcs_rejected_other_commands_warn():
     program = parse("G2 X1 Y1 I0 J1")
-    assert program.has_errors()
+    assert program.errors()
     program = parse("G21\nM84\nG1 X5 F120")
-    assert not program.has_errors()
+    assert not program.errors()
     assert [d.severity for d in program.diagnostics] == ["warning", "warning"]
 
 
 def test_unknown_command_is_error():
     program = parse("T1")
-    assert program.has_errors()
+    assert program.errors()
 
 
 def test_comments_preserved():
     program = parse("; header\nG1 X5 F60 (inline) ; trailing\n(standalone)")
     comments = [c for c in program.commands if c.kind == gcode.KIND_COMMENT]
     assert {c.text for c in comments} == {"header", "inline", "trailing", "standalone"}
-    assert not program.has_errors()
+    assert not program.errors()
 
 
 def test_rectangle_to_toolpath():
     program = parse(RECTANGLE)
-    assert not program.has_errors()
+    assert not program.errors()
     path = to_toolpath(program)
     extruding = [s for s in path.segments if s.extruding]
     assert len(extruding) == 4
@@ -103,7 +102,11 @@ def test_move_without_feed_or_default_errors():
 
 def test_to_toolpath_refuses_errors():
     program = parse("G1 X1 X2")
-    with pytest.raises(GcodeError):
+    with pytest.raises(GcodeError, match="^line 1: duplicate axis word X$"):
+        to_toolpath(program)
+    # one message names the first error and counts the rest
+    program = parse("G1 X1 X2 F60\nG2 X1\nT1")
+    with pytest.raises(GcodeError, match=r"^line 1: duplicate axis word X \(and 2 more\)$"):
         to_toolpath(program)
 
 
@@ -111,7 +114,18 @@ def test_uv_mcode_state():
     path = to_toolpath(parse("M42 P2 S1\nM106\nG1 X10 F180\nM42 P2 S0\nG1 X20"))
     assert path.segments[0].uv_on
     assert not path.segments[1].uv_on
-    assert parse("M42 P2 S5").has_errors()
+    assert parse("M42 P2 S5").errors()
+
+
+def test_m42_on_another_channel_is_skipped_with_a_warning():
+    program = parse("M42 P5 S1\nM106\nG1 X10 F180")
+    assert not program.errors()
+    assert [(d.line, d.severity) for d in program.diagnostics] == [(1, "warning")]
+    assert "P5" in program.diagnostics[0].message
+    assert not to_toolpath(program).segments[0].uv_on
+    assert to_toolpath(parse("M42 P2 S1\nM106\nG1 X10 F180")).segments[0].uv_on
+    # P2.5 is not the UV channel either
+    assert not to_toolpath(parse("M42 P2.5 S1\nM106\nG1 X10 F180")).segments[0].uv_on
 
 
 def _segment(a, b, speed=3.0, extruding=True, uv=True):

@@ -149,7 +149,7 @@ def assert_consumers_agree(path: Toolpath, rate: float = RATE) -> None:
                                               err_msg=name)
         np.testing.assert_array_equal(_bits(dmap.width), _bits(want["width0"]))
 
-    drive = extrusion.DriveTrain.from_config(CFG.drivetrain)
+    drive = CFG.drivetrain
     sched = extrusion.schedule(path, flow, drive, rate)
     breakpoints, events = oracle.schedule_per_entry(entries, flow, drive)
     np.testing.assert_array_equal(_bits(sched.breakpoints), _bits(breakpoints))
@@ -169,7 +169,7 @@ def assert_consumers_agree(path: Toolpath, rate: float = RATE) -> None:
             gcode.emit(path)
     else:
         assert gcode.emit(path) == text
-    job = pipeline.JobBundle("p", cfg, None, path, path, flow, drive, None)
+    job = pipeline.JobBundle("p", cfg, None, path, path, flow, drive)
     assert cli._path_dump_lines(job)[2:] == oracle.path_dump_per_entry(entries)
 
 
@@ -179,7 +179,7 @@ def _oracle_chain(cfg, raw_rows, extend: bool):
         policy = ExtensionPolicy(cfg.job.extension_mm, math.radians(cfg.job.corner_threshold_deg))
         rows = oracle.add_cure_extensions_per_run(rows, policy)
     rows = oracle.assign_orientations_per_segment(rows)
-    rows = oracle.resample_per_segment(rows, min(cfg.job.resolution_mm, 1.0))
+    rows = oracle.resample_per_segment(rows, cfg.job.resolution_mm)
     oracle.validate_per_segment(rows)
     return rows, oracle.place_in_cell_per_segment(cfg, rows)
 

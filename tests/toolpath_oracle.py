@@ -15,7 +15,7 @@ import numpy as np
 
 from ramcell.cell import DWELL_YAW_STEP_RAD
 from ramcell.cure import CureError
-from ramcell.extrusion import IOEvent, step_rate
+from ramcell.extrusion import IOEvent
 from ramcell.gcode import UV_CHANNEL, GcodeError
 from ramcell.geometry import Vec3, wrap_angle
 from ramcell.toolpath import CONNECT_TOL, Toolpath, ToolpathError
@@ -243,7 +243,7 @@ def deposit_per_entry(entries, flow, res_mm: float, aspect: float) -> dict[str, 
 
 def schedule_per_entry(entries, flow, drive):
     """Breakpoints and I/O events of extrusion.schedule."""
-    rate = step_rate(flow.q_mm3_s, drive)
+    rate = drive.step_rate(flow.q_mm3_s)
     events, breakpoints = [], []
     steps, extruding, uv, t_end = 0.0, False, False, 0.0
 
