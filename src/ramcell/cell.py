@@ -350,9 +350,11 @@ def check_collisions(program: RobotProgram, cfg: Config, env: CellEnvironment,
     n = max(2, int(math.ceil(duration / dt_s)) + 1) if duration > 0 else 1
     ts = np.linspace(times[0], times[-1], n)
     sample = lambda col: np.interp(ts, times, col)
-    ax, ay, az = (sample(caps_lo[:, k]) for k in range(3))
-    bx, by, bz = (sample(caps_hi[:, k]) for k in range(3))
-    tipz = sample(tip[:, 2])
+    # the table needs only the z columns; x and y only the obstacle boxes
+    tipz, az, bz = sample(tip[:, 2]), sample(caps_lo[:, 2]), sample(caps_hi[:, 2])
+    if env.obstacles:
+        ax, ay, bx, by = (sample(c) for c in (caps_lo[:, 0], caps_lo[:, 1],
+                                               caps_hi[:, 0], caps_hi[:, 1]))
 
     findings: list[tuple[float, str]] = []
     below = tipz < TABLE_Z_MM - 1e-6

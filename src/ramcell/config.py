@@ -285,6 +285,11 @@ RULES: dict[str, dict[str, Rule]] = {
                      cure_rate_per_j_mm2=POSITIVE, attenuation_depth_mm=POSITIVE,
                      alpha_gel=_within(0.0, 1.0), scattering=POSITIVE),
 }
+# the values a material's text keys may take
+CHOICES: dict[str, tuple[str, ...]] = {
+    "base": ("dlp", "acrylic"),
+    "filler": ("none", "milled-gf", "fumed-silica"),
+}
 # larger magnitudes overflow where the kinematics, the syringe and the
 # toolpath square lengths
 MAX_MAGNITUDE = 1e9
@@ -338,6 +343,10 @@ def _parse(text: str, origin: str) -> Config:
         # configparser would copy them into every section, unchecked
         raise ConfigError(f"{origin}: [DEFAULT] {', '.join(parser.defaults())} would apply "
                           "to every section; set each key in its own section")
+    for key in parser.options("meta") if parser.has_section("meta") else ():
+        if key != "schema_version":
+            raise ConfigError(f"{origin}: [meta] {key} is not a known key; [meta] holds "
+                              "only schema_version")
     version = parser.get("meta", "schema_version", fallback=str(SCHEMA_VERSION))
     if version != str(SCHEMA_VERSION):
         raise ConfigError(f"{origin}: unsupported schema_version {version!r}")
@@ -360,6 +369,10 @@ def _parse(text: str, origin: str) -> Config:
     cfg = replace(cfg, materials=materials, **sections)
     for header, rules, record in _records(cfg):
         _check(f"{origin}: [{header}]", record, RULES[rules])
+        for key, allowed in CHOICES.items() if rules == "material" else ():
+            if getattr(record, key) not in allowed:
+                raise ConfigError(f"{origin}: [{header}] {key} must be one of "
+                                  f"{' | '.join(allowed)}, got {getattr(record, key)!r}")
     _check_cross_keys(cfg, origin)
     parse_obstacles(cfg.cell)
     return cfg

@@ -1,21 +1,28 @@
 """Analytic kinematics for the 6-DOF arm carrying the extruder.
 
-Two batched kernels, both built on the one DH link constructor
-`_dh_links`, serve a whole trajectory at once: the forward chain
-`_frames` (TCP frames, Jacobian, manipulability, IK's forward check) and
-the closed-form inverse `_candidate_angles`, which evaluates the eight
-branches (shoulder, wrist, elbow) of every target as array masks.
-`ik_chunks` solves targets in chunks of IK_CHUNK_NODES and de-duplicates
-each chunk's candidates as arrays; `nearest_branch` picks branches for
-many nodes at once and `select_chain` runs it along a chain of nodes,
-bit for bit as node by node.  `fk_batch` and `manipulability_batch` take
-an (n, 6) joint array.  JointConfig is only the one-row type: `ik_batch`,
-`ik` and `select_branch` are thin wrappers that build IKSolution/
-JointConfig objects, and `fk`, `jacobian` and `manipulability` are
-one-row calls.  The Jacobian is geometric (linear rows mm/rad, angular
-rad/rad); manipulability is |det J| (Yoshikawa) of a meters-scaled copy,
-O(0.01) away from singularities and below 1e-9 at them, independent of
-the mm length unit.
+The arm is UR-type: DH alphas (pi/2, 0, 0, pi/2, -pi/2, 0), so joints 2,
+3 and 4 rotate about parallel axes.  Batched kernels serve a whole
+trajectory at once.  `_flange` is the closed-form flange pose, a dozen
+elementwise columns of q1, q5, q6, q2, q2+q3 and q2+q3+q4; `fk_batch`
+and IK's forward check use it.  `_frames` multiplies out the six DH
+links (`_dh_links`) and keeps every intermediate frame, which only the
+Jacobian needs.  The closed-form inverse `_candidate_angles` (Hawkins,
+"Analytic Inverse Kinematics for the Universal Robots UR-5/UR-10 Arms",
+2013) evaluates the eight branches (shoulder, wrist, elbow) of every
+target as array masks; at the wrist degeneracy it keeps q6 = 0 where the
+elbow reaches and turns q6 into reach where it does not.  `ik_chunks`
+solves targets in chunks of IK_CHUNK_NODES and de-duplicates each
+chunk's candidates over the 28 pairs j < k; `nearest_branch` picks
+branches for many nodes at once and `select_chain` runs it along a chain
+of nodes in rounds over at most SELECT_WINDOW_NODES nodes, bit for bit
+as node by node.  `fk_batch` and `manipulability_batch` take an (n, 6)
+joint array.  JointConfig is only the one-row type: `ik_batch`, `ik` and
+`select_branch` are thin wrappers that build IKSolution/JointConfig
+objects, and `fk`, `jacobian` and `manipulability` are one-row calls.
+The Jacobian is geometric (linear rows mm/rad, angular rad/rad);
+manipulability is |det J| (Yoshikawa) of a meters-scaled copy, O(0.01)
+away from singularities and below 1e-9 at them, independent of the mm
+length unit.
 """
 
 from __future__ import annotations
@@ -32,6 +39,13 @@ from .geometry import Pose, wrap_angles
 POSITION_TOL_MM = 1e-6
 ORIENTATION_TOL_RAD = 1e-8
 WRIST_DEGENERACY_TOL = 1e-7
+# at an exact wrist degeneracy acos noise leaves |sin q5| up to about
+# 1.1e-7 (60,000 seeded samples); a branch this close to it whose elbow
+# is out of reach at q6 = 0 is put on it and given a reaching q6
+WRIST_LOST_TOL = 1e-6
+# how far inside its range a wrist-degenerate branch puts cos q3 when q6
+# must turn to bring the elbow within reach
+ELBOW_MARGIN = 1e-3
 
 
 class UnreachableError(RamcellError):
@@ -125,9 +139,41 @@ def _frames(qs: np.ndarray, dh: DHParams) -> np.ndarray:
     return frames
 
 
+def _flange(qs: np.ndarray, dh: DHParams) -> np.ndarray:
+    """Flange transforms base->frame_6 of the rows of the (n, 6) joint
+    array, shape (n, 3, 4): the closed-form product of the six DH links for
+    the UR-type alphas (pi/2, 0, 0, pi/2, -pi/2, 0).  Joints 2, 3 and 4
+    rotate about parallel axes, so the pose depends on them only through
+    q2, q2+q3 and q2+q3+q4."""
+    q1, q2, q3, q4, q5, q6 = qs.T
+    a2, a3, d1, d4, d5, d6 = dh.a[1], dh.a[2], dh.d[0], dh.d[3], dh.d[4], dh.d[5]
+    c1, s1, c5, s5, c6, s6 = (f(q) for q in (q1, q5, q6) for f in (np.cos, np.sin))
+    q23 = q2 + q3
+    q234 = q23 + q4
+    c234, s234 = np.cos(q234), np.sin(q234)
+    u = s1 * s5 + c1 * c5 * c234
+    w = c1 * s5 - s1 * c5 * c234
+    r02 = s1 * c5 - c1 * s5 * c234
+    r12 = -s1 * s5 * c234 - c1 * c5
+    r22 = -s5 * s234
+    # distance of frame 5 from the base axis within the arm's plane
+    arm = a2 * np.cos(q2) + a3 * np.cos(q23) + d5 * s234
+    out = np.empty((3, 4, len(qs)))
+    out[0] = (u * c6 - c1 * s234 * s6, -u * s6 - c1 * s234 * c6, r02,
+              c1 * arm + d4 * s1 + d6 * r02)
+    out[1] = (-w * c6 - s1 * s234 * s6, w * s6 - s1 * s234 * c6, r12,
+              s1 * arm - d4 * c1 + d6 * r12)
+    out[2] = (c234 * s6 + s234 * c5 * c6, c234 * c6 - s234 * c5 * s6, r22,
+              d1 + a2 * np.sin(q2) + a3 * np.sin(q23) - d5 * c234 + d6 * r22)
+    return out.transpose(2, 0, 1)
+
+
 def fk_batch(qs: np.ndarray, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> np.ndarray:
     """TCP transforms, shape (n, 4, 4), for the rows of the (n, 6) joint array."""
-    return _frames(qs, dh)[:, 6] @ tcp_offset.to_matrix()
+    flange = np.zeros((len(qs), 4, 4))
+    flange[:, :3] = _flange(qs, dh)
+    flange[:, 3, 3] = 1.0
+    return flange @ tcp_offset.to_matrix()
 
 
 def fk(q: JointConfig, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> Pose:
@@ -140,8 +186,12 @@ def fk(q: JointConfig, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> Pose
 _BRANCHES = tuple((shoulder, elbow, wrist) for shoulder in ("left", "right")
                   for wrist in ("noflip", "flip") for elbow in ("up", "down"))
 _SIGNS = np.array([1.0, -1.0])
-# targets per kernel call; bounds the candidate frames in memory at once
-IK_CHUNK_NODES = 64
+_PAIR_K, _PAIR_J = np.tril_indices(8, -1)
+# targets per kernel call; bounds the candidates in memory at once
+IK_CHUNK_NODES = 512
+# nodes each select_chain round guesses over, so that a round's cost
+# does not grow with the chunk
+SELECT_WINDOW_NODES = 128
 
 
 def _candidate_angles(t06: np.ndarray, dh: DHParams):
@@ -166,15 +216,37 @@ def _candidate_angles(t06: np.ndarray, dh: DHParams):
     # snap onto the degeneracy so joint 4 absorbs the whole wrist rotation
     # exactly; acos noise would otherwise leak an ill-conditioned q6 into
     # the arm joints
-    q5 = np.where(free, np.where(c5 > 0.0, 0.0, math.pi * _SIGNS), q5)
+    on_degeneracy = np.where(c5 > 0.0, 0.0, math.pi * _SIGNS)
+    q5 = np.where(free, on_degeneracy, q5)
     # inv(t16) rotation entries are the transpose of t16's
     q6 = np.where(free, 0.0, np.arctan2(-t16[..., 2, 1] / s5, t16[..., 2, 0] / s5))
-    t14 = t16 @ _rigid_inv(_dh_links(q5, dh.a[4], dh.d[4], dh.alpha[4])
-                           @ _dh_links(q6, dh.a[5], dh.d[5], dh.alpha[5]))
-    p13_x = -d4 * t14[..., 0, 1] + t14[..., 0, 3]
-    p13_y = -d4 * t14[..., 1, 1] + t14[..., 1, 3]
+
+    def elbow(q5, q6):
+        """Frame 4 in frame 1, the planar position of frame 3's origin
+        (joint 4's axis), and the cosine of q3 that reaches it."""
+        t14 = t16 @ _rigid_inv(_dh_links(q5, dh.a[4], dh.d[4], dh.alpha[4])
+                               @ _dh_links(q6, dh.a[5], dh.d[5], dh.alpha[5]))
+        p13_x = -d4 * t14[..., 0, 1] + t14[..., 0, 3]
+        p13_y = -d4 * t14[..., 1, 1] + t14[..., 1, 3]
+        return t14, p13_x, p13_y, (p13_x**2 + p13_y**2 - a2**2 - a3**2) / (2.0 * a2 * a3)
+
+    t14, p13_x, p13_y, c3 = elbow(q5, q6)
+    # At the degeneracy (q5 = 0 or pi) joints 2, 3, 4 and 6 are parallel:
+    # the target fixes only q2+q3+q4 -+ q6, and q6 turns frame 4 about the
+    # wrist centre on a circle of radius d5.  Where q6 = 0 leaves it out of
+    # the arm's reach, q6 turns to bring it back (_reaching_q6); a branch
+    # that close to the degeneracy (WRIST_LOST_TOL, past acos noise) is
+    # put on it.  Only branches without a solution at q6 = 0 change.
+    lost = (np.abs(s5) < WRIST_LOST_TOL) & (np.abs(c3) > 1.0 + 1e-12)
+    if lost.any():
+        free = free | lost
+        q5 = np.where(lost, on_degeneracy, q5)
+        q6 = np.where(lost, 0.0, q6)
+        _, p13_x, p13_y, c3 = elbow(q5, q6)
+        q6 = np.where(lost & (np.abs(c3) > 1.0 + 1e-12),
+                      _reaching_q6(t16, q5, p13_x, p13_y, c3, dh), q6)
+        t14, p13_x, p13_y, c3 = elbow(q5, q6)
     l13_sq = p13_x**2 + p13_y**2
-    c3 = (l13_sq - a2**2 - a3**2) / (2.0 * a2 * a3)
     valid = valid[..., None] & (np.abs(c3) <= 1.0 + 1e-12)
     q3 = np.arccos(np.clip(c3, -1.0, 1.0))[..., None] * _SIGNS  # (n, shoulder, wrist, elbow)
     s_arg = np.clip(a3 * np.sin(q3) / np.sqrt(l13_sq)[..., None], -1.0, 1.0)
@@ -191,17 +263,41 @@ def _candidate_angles(t06: np.ndarray, dh: DHParams):
             np.broadcast_to(free[..., None], q2.shape).reshape(-1, 8))
 
 
+def _reaching_q6(t16, q5, p13_x, p13_y, c3, dh: DHParams):
+    """For wrist-degenerate branches whose elbow is out of reach at q6 = 0
+    (p13, c3): the q6 nearest 0 that puts cos q3 at c3 clipped into
+    [-1 + ELBOW_MARGIN, 1 - ELBOW_MARGIN], or as near to it as the circle
+    allows; 0 where no q6 moves frame 4 (d5 = 0)."""
+    a2, a3, d6 = dh.a[1], dh.a[2], dh.d[5]
+    # the wrist centre (frame 5's origin) and the offset v to it from
+    # frame 4's, of length |d5|, both in frame 1's plane; turning q6 by
+    # delta turns v by -cos(q5) delta
+    px = t16[..., 0, 3] - d6 * t16[..., 0, 2]
+    py = t16[..., 1, 3] - d6 * t16[..., 1, 2]
+    vx, vy = px - p13_x, py - p13_y
+    p_sq, v_sq = px**2 + py**2, vx**2 + vy**2
+    goal = np.clip(c3, ELBOW_MARGIN - 1.0, 1.0 - ELBOW_MARGIN)
+    want_sq = a2**2 + a3**2 + 2.0 * a2 * a3 * goal
+    # |p - R(t) v|^2 = |p|^2 + |v|^2 - 2 |p| |v| cos(t + gamma)
+    gamma = np.arctan2(px * vy - py * vx, px * vx + py * vy)
+    turn = np.arccos(np.clip((p_sq + v_sq - want_sq) / (2.0 * np.sqrt(p_sq * v_sq)), -1.0, 1.0))
+    sense = np.cos(q5)
+    near, far = wrap_angles(sense * (gamma - turn)), wrap_angles(sense * (gamma + turn))
+    q6 = np.where(np.abs(near) <= np.abs(far), near, far)
+    return np.where(np.isfinite(q6), q6, 0.0)
+
+
 def _checked_candidates(t06: np.ndarray, dh: DHParams):
     """_candidate_angles of the (n, 4, 4) flange targets with the mask
     narrowed to the branches whose forward pose matches the target."""
     with np.errstate(divide="ignore", invalid="ignore"):
         qs, valid, free = _candidate_angles(t06, dh)
-    got = _frames(qs[valid], dh)[:, 6]
+    got = _flange(qs[valid], dh)
     want = np.repeat(t06, valid.sum(axis=1), axis=0)
-    pos_err = np.linalg.norm(got[:, :3, 3] - want[:, :3, 3], axis=1)
+    pos_err = np.linalg.norm(got[:, :, 3] - want[:, :3, 3], axis=1)
     # ||R1 - R2||_F = 2 sqrt(2) |sin(theta/2)|; asin keeps the
     # small-angle regime well conditioned where acos(trace) is not
-    fro = np.linalg.norm(got[:, :3, :3] - want[:, :3, :3], axis=(1, 2))
+    fro = np.linalg.norm(got[:, :, :3] - want[:, :3, :3], axis=(1, 2))
     rot_err = 2.0 * np.arcsin(np.minimum(1.0, fro / (2.0 * math.sqrt(2.0))))
     ok = valid.copy()
     ok[valid] = ~((pos_err > POSITION_TOL_MM) | (rot_err > ORIENTATION_TOL_RAD))
@@ -212,17 +308,21 @@ def _dedup(qs: np.ndarray, ok: np.ndarray, free: np.ndarray):
     """Drop candidate k of each row when it lies within 1e-9 (max-norm) of
     the first kept candidate j < k; j inherits a dropped k's wrist-free
     flag.  Returns the kept mask and the free flags, both (n, 8)."""
-    near = np.abs(qs[:, :, None] - qs[:, None]).max(axis=-1) < 1e-9  # (n, j, k)
-    kept = np.zeros_like(ok)
-    kept[:, 0] = ok[:, 0]
+    # pair p = k (k - 1) / 2 + j compares candidate k with j < k, a joint
+    # at a time (numpy reduces a length-6 last axis slowly)
+    near = np.ones((len(qs), len(_PAIR_K)), dtype=bool)
+    for i in range(6):
+        near &= np.abs(qs[:, _PAIR_K, i] - qs[:, _PAIR_J, i]) < 1e-9
+    kept = ok.copy()
     free = free.copy()
     nodes = np.arange(len(qs))
     for k in range(1, 8):
-        match = kept[:, :k] & near[:, :k, k]
+        match = kept[:, :k] & near[:, k * (k - 1) // 2:k * (k + 1) // 2]
         dup = match.any(axis=1)
-        kept[:, k] = ok[:, k] & ~dup
+        kept[:, k] &= ~dup
         merge = ok[:, k] & dup & free[:, k]
-        free[nodes[merge], match[merge].argmax(axis=1)] = True
+        if merge.any():
+            free[nodes[merge], match[merge].argmax(axis=1)] = True
     return kept, free & kept
 
 
@@ -250,9 +350,12 @@ def ik(target: Pose, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> list[I
 
     Candidates that fail the forward check (spurious or out-of-reach
     branches) are dropped; an unreachable target yields an empty list.
-    At the wrist degeneracy (q5 = 0) the flip pair collapses to a single
-    representative carrying free_parameter=True, with the q4+q6 rotation
-    absorbed into q4.
+    At the wrist degeneracy (q5 = 0 or pi) joints 2, 3, 4 and 6 are
+    parallel and the target fixes only q2+q3+q4 -+ q6; the flip pair
+    collapses to a single representative carrying free_parameter=True.
+    It has q6 = 0 where the elbow then reaches, and otherwise the q6
+    nearest 0 that brings the elbow within reach, with q2, q3 and q4
+    solved for that q6.
     """
     return next(ik_batch(target.to_matrix()[None], dh, tcp_offset))
 
@@ -279,7 +382,10 @@ def nearest_branch(rows: np.ndarray, kept: np.ndarray, prev: np.ndarray,
     cand = rows + two_pi * np.rint((prev - rows) / two_pi)  # half to even, as round()
     cand = np.where(cand > joint_limit, cand - two_pi,
                     np.where(cand < -joint_limit, cand + two_pi, cand))
-    dist = np.abs(cand - prev).max(axis=2)
+    gap = np.abs(cand - prev)
+    dist = gap[..., 0]
+    for i in range(1, 6):  # faster than a max over the length-6 axis
+        dist = np.maximum(dist, gap[..., i])
     best = np.zeros(len(rows), dtype=int)
     best_d = np.full(len(rows), np.inf)
     seen = np.zeros(len(rows), dtype=bool)
@@ -297,10 +403,11 @@ def select_chain(rows: np.ndarray, kept: np.ndarray, prev: np.ndarray,
     choice of the last node j < i with added[j] set, or from the given
     (6,) prev if there is none.
 
-    Rounds of two guesses: every open node from the last settled choice,
-    then every open node from its predecessor's first guess.  The open
-    prefix whose every prev equals bit for bit the choice it stands for
-    is settled, so the result is that of selecting node by node.
+    Rounds of two guesses over the next SELECT_WINDOW_NODES open nodes:
+    each from the last settled choice, then each from its predecessor's
+    first guess.  The open prefix whose every prev equals bit for bit the
+    choice it stands for is settled, so the result is that of selecting
+    node by node.
     """
     n = len(rows)
     src = np.maximum.accumulate(np.where(added, np.arange(n), -1))
@@ -310,14 +417,14 @@ def select_chain(rows: np.ndarray, kept: np.ndarray, prev: np.ndarray,
     dist = np.empty(n)
     done = 0
     while done < n:
+        w = slice(done, min(n, done + SELECT_WINDOW_NODES))
         anchor = prev if first[done, 0] else choice[src[done]]
-        choice[done:], _ = nearest_branch(rows[done:], kept[done:],
-                                          np.broadcast_to(anchor, (n - done, 6)), joint_limit)
-        used = np.where(first, prev, choice[src])
-        choice[done:], dist[done:] = nearest_branch(
-            rows[done:], kept[done:], used[done:], joint_limit)
-        parent = np.where(first, prev, choice[src])
-        same = (used.view(np.int64) == parent.view(np.int64)).all(axis=1)[done:]
+        choice[w], _ = nearest_branch(rows[w], kept[w],
+                                      np.broadcast_to(anchor, (w.stop - done, 6)), joint_limit)
+        used = np.where(first[w], prev, choice[src[w]])
+        choice[w], dist[w] = nearest_branch(rows[w], kept[w], used, joint_limit)
+        parent = np.where(first[w], prev, choice[src[w]])
+        same = (used.view(np.int64) == parent.view(np.int64)).all(axis=1)
         done += len(same) if same.all() else int(np.argmin(same))
     return choice, dist
 

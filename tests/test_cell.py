@@ -489,8 +489,9 @@ def _cell(**kw):
 # chunk boundaries must not matter; one node per chunk puts every node
 # first in its chunk
 @pytest.mark.parametrize("case, chunk", [
-    *((case, IK_CHUNK_NODES) for case in ("rectangle", "wall-limit-3", "square", "zigzag",
-                                          "unreachable", "jump", "joint-speed")),
+    *((case, chunk) for chunk in (64, IK_CHUNK_NODES)
+      for case in ("rectangle", "wall-limit-3", "square", "zigzag", "unreachable", "jump",
+                   "joint-speed")),
     *((case, chunk) for case in ("rectangle", "zigzag", "unreachable", "jump")
       for chunk in (1, 7))])
 def test_plan_matches_per_node_oracle(case, chunk, monkeypatch):

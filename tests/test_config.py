@@ -254,3 +254,30 @@ def test_default_section_is_refused():
         with pytest.raises(ConfigError, match=r"^<string>: \[DEFAULT\] resolution_mm would apply"):
             loads_config(text)
     assert loads_config("[DEFAULT]\n[job]\nshape = wall-20x3\n").job.shape == "wall-20x3"
+
+
+@pytest.mark.parametrize("key", ["schema_versoin", "version", "shape"])
+def test_meta_holds_only_the_schema_version(key):
+    # a misspelt schema_version would otherwise load as the current schema
+    with pytest.raises(ConfigError, match=rf"^<string>: \[meta\] {key} is not a known key"):
+        loads_config(f"[meta]\n{key} = 2\n")
+    assert loads_config("[meta]\nschema_version = 1\n") == default_config()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("material:dlp-fs9", "base", "unobtainium"),
+    ("material:dlp-fs9", "filler", "gold"),
+    ("material:new-resin", "filler", "Fumed-Silica"),
+    ("material:acrylic", "base", "")])
+def test_material_base_and_filler_take_one_of_their_listed_values(section, key, value):
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key} must be one of .*{value!r}"):
+        loads_config(f"[{section}]\n{key} = {value}\n")
+
+
+def test_every_listed_base_and_filler_loads():
+    for key, allowed in config.CHOICES.items():
+        for value in allowed:
+            cfg = loads_config(f"[material:x]\n{key} = {value}\n")
+            assert getattr(cfg.materials["x"], key) == value
+    for m in default_config().materials.values():
+        assert m.base in config.CHOICES["base"] and m.filler in config.CHOICES["filler"]

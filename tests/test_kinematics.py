@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from branch_oracle import dedup_per_node, ik_per_node, max_distance, select_branch_per_node
+from ramcell import kinematics
 from ramcell.config import default_config
 from ramcell.geometry import Pose, Rotation, Vec3, wrap_angle
-from ramcell.kinematics import (_BRANCHES, IK_CHUNK_NODES, TAG_ORDER, DHParams,
-                                IKSolution, JointConfig, UnreachableError,
-                                _checked_candidates, _dedup, fk, fk_batch, ik,
-                                ik_batch, ik_chunks, is_singular, jacobian,
+from ramcell.kinematics import (_BRANCHES, IK_CHUNK_NODES, SELECT_WINDOW_NODES, TAG_ORDER,
+                                DHParams, IKSolution, JointConfig, UnreachableError,
+                                _checked_candidates, _dedup, _flange, _frames, fk,
+                                fk_batch, ik, ik_batch, ik_chunks, is_singular, jacobian,
                                 manipulability, manipulability_batch,
                                 select_branch, select_chain)
 from ramcell.cell import TOOL_DOWN, cfg_home
@@ -256,10 +257,45 @@ def test_wrist_degenerate_ik_flags_free_parameter():
     assert sols
     free = [s for s in sols if s.free_parameter]
     assert free
-    # q4 absorbs the q4+q6 rotation: the configuration still reaches
+    # q6 = 0 reaches here, so q4 takes the whole wrist rotation
     for s in free:
         assert (fk(s.config, DH).position - target.position).norm() < 1e-6
         assert s.config.q[5] == 0.0
+
+
+def test_closed_form_flange_matches_the_dh_product():
+    rng = np.random.RandomState(42)
+    qs = rng.uniform(-math.pi, math.pi, (3000, 6))
+    qs[:1500, 4] = rng.choice([0.0, math.pi, -math.pi], 1500)  # wrist degenerate
+    got = _flange(qs, DH)
+    want = _frames(qs, DH)[:, 6]
+    assert got.shape == (len(qs), 3, 4)
+    assert np.abs(got[:, :, 3] - want[:, :3, 3]).max() < 1e-9
+    assert np.abs(got[:, :, :3] - want[:, :3, :3]).max() < 1e-12
+
+
+def test_ik_solves_every_wrist_degenerate_target():
+    """At q5 = 0 or pi joints 2, 3, 4 and 6 are parallel.  Where q6 = 0
+    leaves the elbow out of reach, the solver turns q6 instead, so every
+    such target of a real configuration has a solution."""
+    rng = np.random.RandomState(43)
+    qs = rng.uniform(-math.pi, math.pi, (600, 6))
+    qs[:, 4] = rng.choice([0.0, math.pi, -math.pi], len(qs))
+    # acos noise puts this one's |sin q5| at about 1.03e-7, just past
+    # WRIST_DEGENERACY_TOL, and q6 = 0 leaves its elbow out of reach
+    qs[0] = (-0.7530755761640058, -0.65445352471365, 0.2149772425462615,
+             -1.8251734618051663, -math.pi, -1.1632306860582908)
+    turned = 0
+    for q in qs:
+        target = fk(JointConfig(tuple(q)), DH, TCP)
+        sols = ik(target, DH, TCP)
+        assert sols, f"no solution for {q.tolist()}"
+        for sol in sols:
+            again = fk(sol.config, DH, TCP)
+            assert (again.position - target.position).norm() <= 1e-6
+            assert again.orientation.angle_to(target.orientation) <= 1e-8
+        turned += any(s.free_parameter and s.config.q[5] != 0.0 for s in sols)
+    assert turned > 50
 
 
 def test_ik_batch_rows_match_single_target_calls():
@@ -336,6 +372,18 @@ def test_dedup_rule_on_chains_of_near_duplicates():
 
 @pytest.mark.parametrize("joint_limit", [2.0 * math.pi, 3.0, math.pi + 0.05])
 def test_chain_selection_matches_per_node_oracle(joint_limit):
+    _check_chain_against_oracle(joint_limit)
+
+
+@pytest.mark.parametrize("window", [1, 3, SELECT_WINDOW_NODES])
+def test_chain_selection_window_matches_per_node_oracle(window, monkeypatch):
+    """A round guesses over at most `window` nodes; the settled choices
+    must not depend on it."""
+    monkeypatch.setattr(kinematics, "SELECT_WINDOW_NODES", window)
+    _check_chain_against_oracle(2.0 * math.pi)
+
+
+def _check_chain_against_oracle(joint_limit):
     """Random target chains: mostly small steps, some that switch branch,
     wrist-degenerate nodes, a wrist that winds past +-joint_limit, and
     nodes that add no waypoint (their successor continues from the last
