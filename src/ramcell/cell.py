@@ -8,8 +8,11 @@ to node; the program keeps the chosen rows as one (n, 6) joint array,
 which the speed check, the clearance check, the singularity scan and
 the script writer read as columns.  Collision checking samples the
 interpolated tool capsule against the table plane and the configured
-obstacle boxes, running the per-box search only on samples whose
-capsule axis comes within a capsule radius of the box.
+obstacle boxes, evaluating only the samples of waypoint segments whose
+endpoint bounds come within reach of the table or a box, and running
+the per-box search only on samples whose capsule axis comes within a
+capsule radius of the box.  The singularity scan reads the closed-form
+manipulability of each waypoint.
 Everything here is deterministic: identical inputs give byte-identical
 programs, scripts and reports.
 """
@@ -329,7 +332,9 @@ def check_collisions(program: RobotProgram, cfg: Config, env: CellEnvironment,
     The tool body is a vertical-ish capsule hung above the TCP; between
     waypoints both capsule endpoints move on straight lines, so sampling
     interpolates endpoint positions directly instead of re-running FK.
-    The endpoints at the waypoints come from one batched FK call.
+    The endpoints at the waypoints come from one batched FK call, and
+    only the samples of segments that can touch something are evaluated
+    (_hot_samples).  The waypoint times must increase.
     Returns the earliest contact per obstacle plus any table contact.
     """
     times = program.times
@@ -349,6 +354,7 @@ def check_collisions(program: RobotProgram, cfg: Config, env: CellEnvironment,
                             "[cell] collision_dt_s", kind="limit")
     n = max(2, int(math.ceil(duration / dt_s)) + 1) if duration > 0 else 1
     ts = np.linspace(times[0], times[-1], n)
+    ts = ts[_hot_samples(ts, times, tip[:, 2], caps_lo, caps_hi, env)]
     sample = lambda col: np.interp(ts, times, col)
     # the table needs only the z columns; x and y only the obstacle boxes
     tipz, az, bz = sample(tip[:, 2]), sample(caps_lo[:, 2]), sample(caps_hi[:, 2])
@@ -397,6 +403,44 @@ def check_collisions(program: RobotProgram, cfg: Config, env: CellEnvironment,
             findings.append((float(ts[kept[int(np.argmax(contact))]]), f"obstacle_{bi}"))
     findings.sort(key=lambda f: (f[0], f[1]))
     return findings
+
+
+def _hot_samples(ts: np.ndarray, times: np.ndarray, tip_z: np.ndarray, caps_lo: np.ndarray,
+                 caps_hi: np.ndarray, env: CellEnvironment) -> np.ndarray:
+    """Indices of the samples ts that lie in a hot segment, its start and
+    end times included.  Between two waypoints every capsule point moves
+    on a straight line, so an interpolated sample lies within its
+    segment's endpoint bounds (up to rounding).  A segment is hot when
+    those bounds, padded by 1 um, come within reach of the table test or
+    of an obstacle box grown by the capsule radius; no sample of any
+    other segment can touch anything."""
+    pad = 1e-3
+
+    def ends(col):
+        """Each segment's first and last value; a one-waypoint program
+        has the one segment from it to itself."""
+        return (col[:-1], col[1:]) if len(col) > 1 else (col, col)
+
+    lo, hi = [], []
+    for axis in range(3):
+        (a0, a1), (b0, b1) = ends(caps_lo[:, axis]), ends(caps_hi[:, axis])
+        lo.append(np.minimum(np.minimum(a0, a1), np.minimum(b0, b1)))
+        hi.append(np.maximum(np.maximum(a0, a1), np.maximum(b0, b1)))
+    # the table test's threshold and the per-box cull's reach, padded
+    floor = TABLE_Z_MM - 1e-6 + pad
+    hot = (np.minimum(*ends(tip_z)) < floor) | (lo[2] - env.capsule_radius_mm < floor)
+    reach = env.capsule_radius_mm + 1e-3 + pad
+    for box in env.obstacles:
+        near = np.ones(len(hot), dtype=bool)
+        for axis in range(3):
+            near &= (hi[axis] > box.lo[axis] - reach) & (lo[axis] < box.hi[axis] + reach)
+        hot |= near
+    # runs of hot segments, each as the range of sample indices it spans
+    edge = np.flatnonzero(np.diff(np.r_[False, hot, False]))
+    t0, t1 = ends(times)
+    start = np.searchsorted(ts, t0[edge[::2]], "left")
+    count = np.searchsorted(ts, t1[edge[1::2] - 1], "right") - start
+    return np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
 
 
 def detect_singularity_traversal(program: RobotProgram, cfg: Config,

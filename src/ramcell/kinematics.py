@@ -22,7 +22,11 @@ objects, and `fk`, `jacobian` and `manipulability` are one-row calls.
 The Jacobian is geometric (linear rows mm/rad, angular rad/rad);
 manipulability is |det J| (Yoshikawa) of a meters-scaled copy, O(0.01)
 away from singularities and below 1e-9 at them, independent of the mm
-length unit.
+length unit.  For the UR-type arm |det J| has the closed form
+|a2 a3 sin q3 sin q5 (a2 cos q2 + a3 cos(q2+q3) + d5 sin(q2+q3+q4))|,
+zero at the elbow, wrist and shoulder singularities, so
+`manipulability_batch` builds no Jacobian and needs no forward pass;
+the TCP offset leaves it unchanged.
 """
 
 from __future__ import annotations
@@ -464,10 +468,19 @@ def jacobian(q: JointConfig, dh: DHParams, tcp_offset: Pose = Pose.identity()) -
 def manipulability_batch(qs: np.ndarray, dh: DHParams,
                          tcp_offset: Pose = Pose.identity()) -> np.ndarray:
     """|det J| (= sqrt(det(J J^T)), J square) of the meters-scaled Jacobian
-    for each row of the (n, 6) joint array qs."""
-    jac = _jacobians(qs, dh, tcp_offset)
-    jac[:, :3, :] /= 1000.0
-    return np.abs(np.linalg.det(jac))
+    for each row of the (n, 6) joint array qs, in closed form:
+    |1e-9 a2 a3 sin q3 sin q5 (a2 cos q2 + a3 cos(q2+q3) + d5 sin(q2+q3+q4))|.
+
+    The three factors vanish at the elbow, wrist and shoulder
+    singularities.  The TCP offset does not enter: moving the Jacobian's
+    reference point multiplies J by a block-triangular matrix of unit
+    determinant."""
+    _, q2, q3, q4, q5, _ = qs.T
+    a2, a3, d5 = dh.a[1], dh.a[2], dh.d[4]
+    q23 = q2 + q3
+    # distance of frame 5 from the base axis within the arm's plane, as in _flange
+    arm = a2 * np.cos(q2) + a3 * np.cos(q23) + d5 * np.sin(q23 + q4)
+    return np.abs(1e-9 * a2 * a3 * np.sin(q3) * np.sin(q5) * arm)
 
 
 def manipulability(q: JointConfig, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> float:

@@ -4,7 +4,9 @@ The planner de-duplicates IK candidates, selects branches and checks
 joint speeds as array operations over whole chunks of nodes, and the
 singularity scan and the script writer read the program's columns.
 These are the scalar loops those replaced, kept as the oracle that the
-array code must match bit for bit.
+array code must match bit for bit.  The singularity scan's oracle takes
+manipulability as the LU determinant of the geometric Jacobian, which
+the closed form replaced.
 """
 
 import math
@@ -17,7 +19,7 @@ from ramcell.cell import (MAX_JOINT_STEP_RAD, PlanningError, RobotProgram,
 from ramcell.geometry import Vec3
 from ramcell.kinematics import (_BRANCHES, IK_CHUNK_NODES, DHParams, IKSolution,
                                 JointConfig, UnreachableError, _checked_candidates,
-                                _rigid_inv, manipulability_batch, tcp_offset_from_config)
+                                _rigid_inv, jacobian, tcp_offset_from_config)
 
 
 def max_distance(a, b) -> float:
@@ -130,6 +132,17 @@ def plan_per_node(path, cfg) -> RobotProgram:
                            np.array([q.q for _, q in waypoints]), np.array(speeds))
     validate_speeds_per_node(program, cfg.cell.max_joint_speed_rad_s)
     return program
+
+
+def manipulability_batch(qs: np.ndarray, dh: DHParams, tcp_offset) -> np.ndarray:
+    """|det J| of the meters-scaled geometric Jacobian of each row of the
+    (n, 6) joint array, one LU determinant of jacobian() at a time."""
+    out = []
+    for q in qs.tolist():
+        jac = jacobian(JointConfig(tuple(q)), dh, tcp_offset)
+        jac[:3, :] /= 1000.0
+        out.append(abs(np.linalg.det(jac)))
+    return np.array(out)
 
 
 def detect_singularity_per_node(program: RobotProgram, cfg, eps=None):

@@ -205,8 +205,9 @@ def test_collision_first_contact_matches_brute_force():
 
 
 def _unculled_check_collisions(program, cfg, env, dt_s=0.01):
-    """check_collisions with the golden-section search run on every sample
-    for every box: the oracle of the culled search."""
+    """check_collisions with the table test run on every sample and the
+    ternary search on every sample for every box: the oracle of the
+    segment cull and of the per-box cull."""
     times = program.times
     if not len(times):
         return []
@@ -308,6 +309,92 @@ def test_collision_search_skips_boxes_beyond_reach(monkeypatch):
     assert not calls
 
 
+def _program_through(times, points):
+    """Tool-down TCP through the given (x, y, z) points at the given times."""
+    prev = JointConfig(cfg_home())
+    joints = []
+    for xyz in points:
+        prev = select_branch(ik(Pose(Vec3(*xyz), TOOL_DOWN), DH, TCP), prev)
+        joints.append(prev.q)
+    return _program(times, joints)
+
+
+def _assert_culled_matches_unculled(program, env, dt, want):
+    got = check_collisions(program, CFG, env, dt)
+    assert got == _unculled_check_collisions(program, CFG, env, dt)
+    assert [what for _, what in got] == [what for _, what in want]
+    for (t, _), (t_want, _) in zip(got, want):
+        assert abs(t - t_want) < 1e-9
+
+
+def test_segment_cull_finds_a_table_dip_between_sample_times():
+    # the nozzle dips 0.5 mm below the table at a waypoint no sample
+    # lands on; only the samples of its two segments are in contact
+    program = _program_through([0.0, 1.005, 2.0, 3.0],
+                               [(400, 0, 5), (410, 0, -0.5), (420, 0, 5), (430, 0, 5)])
+    # tip z = 5 - 5.5 t / 1.005 falls below -1e-6 after t = 0.9136
+    _assert_culled_matches_unculled(program, ENV, 0.01, [(0.92, "table")])
+
+
+def test_segment_cull_finds_contacts_on_waypoint_times():
+    # samples every 0.25 s land on the whole-second waypoints; the tip is
+    # below the table at the middle waypoint only
+    program = _program_through(np.arange(5.0), [(400 + 10 * i, 0, z)
+                                                for i, z in enumerate((5, 5, -1, 5, 5))])
+    _assert_culled_matches_unculled(program, ENV, 0.25, [(2.0, "table")])
+    # the capsule axis runs x 400..500 at y = 0 over 10 s, waypoints at
+    # x 400, 450, 500; each box is touched at one waypoint's sample only:
+    # the first, the middle (the axis passes 59.99 mm beside a 0.2 mm wide
+    # box) and the last
+    r = ENV.capsule_radius_mm
+    program = _straight_program(Vec3(400.0, 0.0, 5.0), Vec3(100.0, 0.0, 0.0), 10.0, n=3)
+    env = replace(ENV, obstacles=(
+        Aabb((300, -10, 100), (400 - r + 0.5, 10, 150)),
+        Aabb((449.9, 59.99, 100), (450.1, 80, 150)),
+        Aabb((500 + r - 0.5, -10, 100), (600, 10, 150)),
+    ))
+    _assert_culled_matches_unculled(program, env, 0.25, [
+        (0.0, "obstacle_0"), (5.0, "obstacle_1"), (10.0, "obstacle_2")])
+
+
+def test_segment_cull_finds_a_box_touched_only_mid_segment():
+    # waypoints at x 400, 450, 500; the axis comes within 60 mm of the box
+    # (59 mm beside it) only for x in (409.09, 440.91)
+    program = _straight_program(Vec3(400.0, 0.0, 5.0), Vec3(100.0, 0.0, 0.0), 10.0, n=3)
+    env = replace(ENV, obstacles=(Aabb((420, 59, 100), (430, 70, 150)),))
+    _assert_culled_matches_unculled(program, env, 0.01, [(0.91, "obstacle_0")])
+
+
+def test_segment_cull_at_the_edge_of_its_pad():
+    # boxes ahead of the last waypoint (axis at x = 500) whose grown
+    # bounds stop within the segment pad, within the per-sample margin,
+    # or just inside the capsule radius
+    r = ENV.capsule_radius_mm
+    program = _straight_program(Vec3(400.0, 0.0, 5.0), Vec3(100.0, 0.0, 0.0), 10.0, n=3)
+    gaps = (r + 1.5e-3, r + 0.5e-3, r - 1e-4)
+    env = replace(ENV, obstacles=tuple(Aabb((500 + g, -10, 100), (600, 10, 150)) for g in gaps))
+    for dt in (0.01, 0.3):
+        _assert_culled_matches_unculled(program, env, dt, [(10.0, "obstacle_2")])
+
+
+def test_segment_cull_on_one_waypoint_and_zero_duration_programs():
+    r = ENV.capsule_radius_mm
+    touching = replace(ENV, obstacles=(Aabb((400 + r - 1, -10, 100), (500, 10, 150)),
+                                       Aabb((2000, 2000, 0), (2100, 2100, 100))))
+    above = _program_through([3.0], [(400, 0, 5)])
+    below = _program_through([3.0], [(400, 0, -1)])
+    _assert_culled_matches_unculled(above, ENV, 0.01, [])
+    _assert_culled_matches_unculled(above, touching, 0.01, [(3.0, "obstacle_0")])
+    _assert_culled_matches_unculled(below, touching, 0.01, [(3.0, "obstacle_0"), (3.0, "table")])
+    for points in ([(400, 0, 5), (400, 0, -1)], [(400, 0, -1), (400, 0, 5)],
+                   [(400, 0, 5), (420, 0, 5)]):
+        program = _program_through([3.0, 3.0], points)
+        for env in (ENV, touching):
+            got = check_collisions(program, CFG, env)
+            assert got == _unculled_check_collisions(program, CFG, env)
+            assert all(t == 3.0 for t, _ in got)
+
+
 def synthetic_program(q5_values, dt=0.5):
     return _program([i * dt for i in range(len(q5_values))],
                     [(0.3, -1.2, 1.8, -0.9, q5, 0.7) for q5 in q5_values])
@@ -381,9 +468,23 @@ def _specimen_program(shape, material):
                            (("specimen", shape), ("material", material)))
 
 
-@pytest.mark.parametrize("shape, material", [
-    ("rectangle-90x60", "dlp-gf50"), ("wall-50x10", "dlp-fs9"),
-    ("square-30x30x8.5", "dlp-fs9")])
+SPECIMENS = [("rectangle-90x60", "dlp-gf50"), ("wall-50x10", "dlp-fs9"),
+             ("square-30x30x8.5", "dlp-fs9")]
+
+
+@pytest.mark.parametrize("shape, material", [("q5-crossing", None), *SPECIMENS])
+def test_singularity_intervals_match_the_lu_oracle(shape, material):
+    # the specimens' manipulability spans about 0.045 to 0.075; eps = 0.06
+    # lies at least 4e-5 (relative) from every waypoint's
+    program = (synthetic_program(np.linspace(-0.3, 0.3, 25)) if material is None
+               else _specimen_program(shape, material))
+    for eps in (None, 0.06):
+        got = detect_singularity_traversal(program, CFG, eps)
+        assert got == detect_singularity_per_node(program, CFG, eps)
+        assert got or (eps is None and material is not None)
+
+
+@pytest.mark.parametrize("shape, material", SPECIMENS)
 def test_emit_matches_per_float_oracle(shape, material):
     program = _specimen_program(shape, material)
     assert emit_program(program) == emit_program_per_float(program)

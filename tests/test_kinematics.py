@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
+import branch_oracle
 from branch_oracle import dedup_per_node, ik_per_node, max_distance, select_branch_per_node
 from ramcell import kinematics
-from ramcell.config import default_config
+from ramcell.config import default_config, loads_config
 from ramcell.geometry import Pose, Rotation, Vec3, wrap_angle
 from ramcell.kinematics import (_BRANCHES, IK_CHUNK_NODES, SELECT_WINDOW_NODES, TAG_ORDER,
                                 DHParams, IKSolution, JointConfig, UnreachableError,
                                 _checked_candidates, _dedup, _flange, _frames, fk,
                                 fk_batch, ik, ik_batch, ik_chunks, is_singular, jacobian,
                                 manipulability, manipulability_batch,
-                                select_branch, select_chain)
+                                select_branch, select_chain, tcp_offset_from_config)
 from ramcell.cell import TOOL_DOWN, cfg_home
 
 DH = DHParams.from_config(default_config().kinematics)
@@ -452,3 +453,58 @@ def test_select_branch_tie_rule_matches_per_node_oracle():
                        (select_branch_per_node([s], prev_q, joint_limit).q for s in sols))
         near_ties += any(b - a <= 2e-15 for a, b in zip(dists, dists[1:]))
     assert near_ties > 100
+
+
+def _seeded_kinematics(rng, **fixed):
+    """DH table and TCP offset of a seeded [kinematics] section, so that
+    they pass the config's load rules: links of either sign, a non-zero
+    TCP offset; `fixed` overrides keys."""
+    a2, a3, d1, d4, d5, d6 = rng.choice([-1.0, 1.0], 6) * rng.uniform(20.0, 600.0, 6)
+    tcp = rng.choice([-1.0, 1.0]) * rng.uniform(10.0, 300.0)
+    values = {**dict(a2_mm=a2, a3_mm=a3, d1_mm=d1, d4_mm=d4, d5_mm=d5, d6_mm=d6,
+                     tcp_offset_z_mm=tcp), **fixed}
+    text = "".join(f"{key} = {float(value)!r}\n" for key, value in values.items())
+    cfg = loads_config("[kinematics]\n" + text)
+    return DHParams.from_config(cfg.kinematics), tcp_offset_from_config(cfg.kinematics)
+
+
+def _singular_thirds(rng, dh, n):
+    """n seeded configurations: a third with q3 in {0, +-pi} (elbow), a
+    third with q5 in {0, +-pi} (wrist) and a third with the wrist centre
+    on the base axis, a2 cos q2 + a3 cos(q2+q3) + d5 sin(q2+q3+q4) = 0
+    (shoulder), solved for q2."""
+    a2, a3, d5 = dh.a[1], dh.a[2], dh.d[4]
+    qs = rng.uniform(-math.pi, math.pi, (n, 6))
+    third = n // 3
+    qs[:third, 2] = rng.choice([0.0, math.pi, -math.pi], third)
+    qs[third:2 * third, 4] = rng.choice([0.0, math.pi, -math.pi], third)
+    rest = qs[2 * third:]
+    q3, q234 = rest[:, 2], rest[:, 3]
+    # a2 c2 + a3 c23 = r cos(q2 + phi)
+    r = np.hypot(a2 + a3 * np.cos(q3), a3 * np.sin(q3))
+    phi = np.arctan2(a3 * np.sin(q3), a2 + a3 * np.cos(q3))
+    reach = np.abs(d5 * np.sin(q234)) <= r
+    q234 = np.where(reach, q234, 0.0)
+    rest[:, 1] = np.arccos(-d5 * np.sin(q234) / r) - phi
+    rest[:, 3] = q234 - rest[:, 1] - q3
+    return qs
+
+
+def test_closed_form_manipulability_matches_the_lu_determinant():
+    rng = np.random.RandomState(44)
+    tables = [_seeded_kinematics(rng, d5_mm=0.0)] + [_seeded_kinematics(rng) for _ in range(7)]
+    for dh, tcp in tables:
+        assert tcp.position.z != 0.0
+        qs = _singular_thirds(rng, dh, 600)
+        got = manipulability_batch(qs, dh, tcp)
+        want = branch_oracle.manipulability_batch(qs, dh, tcp)
+        err = np.abs(got - want)
+        assert (err <= np.maximum(1e-9 * np.maximum(got, want), 1e-15)).all(), err.max()
+        # every third is singular, and the TCP offset changes nothing
+        assert got.max() < 1e-9
+        assert (manipulability_batch(qs, dh) == got).all()
+        healthy = rng.uniform(-math.pi, math.pi, (200, 6))
+        got = manipulability_batch(healthy, dh, tcp)
+        want = branch_oracle.manipulability_batch(healthy, dh, tcp)
+        assert np.allclose(got, want, rtol=1e-9, atol=1e-15)
+        assert np.median(got) > 1e-6
