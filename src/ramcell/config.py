@@ -25,48 +25,83 @@ class ConfigError(RamcellError):
     pass
 
 
+# A rule is the text of its message and the test a value must pass.  Each
+# key's rule is declared with its default and checked once at load.  A
+# zero, negative or non-finite value ends in a division by zero, an endless
+# sweep or a negative bead width, or (NaN) makes a check's comparison never
+# true.  A tiny step asks for more samples than an array holds, and below
+# its floor a speed or rate overflows a move's time (MAX_SUBSEGMENTS moves
+# of MAX_MAGNITUDE mm at 1e-3 mm/s still take a finite 2e18 s).
+Rule = tuple[str, Callable[[object], bool]]
+FINITE: Rule = ("finite", math.isfinite)
+NON_ZERO: Rule = ("finite and non-zero", lambda v: math.isfinite(v) and v != 0.0)
+POSITIVE: Rule = ("finite and > 0", lambda v: math.isfinite(v) and v > 0.0)
+NON_NEGATIVE: Rule = ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0.0)
+
+
+def _floor(lo: float, or_zero: bool = False) -> Rule:
+    text = f"0 or >= {lo:g}" if or_zero else f">= {lo:g}"
+    return f"finite and {text}", lambda v: math.isfinite(v) and (v >= lo or (or_zero and v == 0.0))
+
+
+def _within(lo: float, hi: float, closed: bool = False) -> Rule:
+    if closed:
+        return f"in [{lo:g}, {hi:g}]", lambda v: lo <= v <= hi
+    return f"in ({lo:g}, {hi:g})", lambda v: lo < v < hi  # also rejects NaN
+
+
+def _one_of(*values: str) -> Rule:
+    return f"one of {' | '.join(values)}", lambda v: v in values
+
+
+def _key(default, rule: Rule):
+    """A config field with its default and the one rule its value must pass."""
+    return field(default=default, metadata={"rule": rule})
+
+
 @dataclass(frozen=True)
 class KinematicsConfig:
-    # manufacturer link constants for the 6-DOF arm, mm / rad
-    d1_mm: float = 162.5
-    a2_mm: float = -425.0
-    a3_mm: float = -392.2
-    d4_mm: float = 133.3
-    d5_mm: float = 99.7
-    d6_mm: float = 99.6
-    joint_limit_rad: float = 2.0 * math.pi
+    # manufacturer link constants for the 6-DOF arm, mm / rad; they may
+    # take either sign, and the closed-form IK divides by a2, a3 and d6
+    d1_mm: float = _key(162.5, FINITE)
+    a2_mm: float = _key(-425.0, NON_ZERO)
+    a3_mm: float = _key(-392.2, NON_ZERO)
+    d4_mm: float = _key(133.3, FINITE)
+    d5_mm: float = _key(99.7, FINITE)
+    d6_mm: float = _key(99.6, NON_ZERO)
+    joint_limit_rad: float = _key(2.0 * math.pi, POSITIVE)
     # nozzle tip relative to the wrist flange, along the tool axis
-    tcp_offset_z_mm: float = 200.0
-    singular_eps: float = 1e-4
+    tcp_offset_z_mm: float = _key(200.0, FINITE)
+    singular_eps: float = _key(1e-4, POSITIVE)
 
 
 @dataclass(frozen=True)
 class CellConfig:
     # print origin: where the center of the part lands, in base frame
-    origin_x_mm: float = 400.0
-    origin_y_mm: float = 0.0
-    origin_z_mm: float = 0.0
-    capsule_radius_mm: float = 60.0
-    capsule_length_mm: float = 250.0
-    max_joint_speed_rad_s: float = 3.0
-    reorient_rate_rad_s: float = 1.0
-    collision_dt_s: float = 0.01
+    origin_x_mm: float = _key(400.0, FINITE)
+    origin_y_mm: float = _key(0.0, FINITE)
+    origin_z_mm: float = _key(0.0, FINITE)
+    capsule_radius_mm: float = _key(60.0, POSITIVE)
+    capsule_length_mm: float = _key(250.0, POSITIVE)
+    max_joint_speed_rad_s: float = _key(3.0, POSITIVE)
+    reorient_rate_rad_s: float = _key(1.0, _floor(1e-3))
+    collision_dt_s: float = _key(0.01, _floor(1e-4))
     # "xmin,ymin,zmin,xmax,ymax,zmax" boxes, semicolon separated
     obstacles: str = ""
 
 
 @dataclass(frozen=True)
 class DriveTrainConfig:
-    syringe_bore_mm: float = 40.0
-    syringe_capacity_ml: float = 200.0
-    plunger_travel_mm: float = 160.0
-    lead_mm_per_rev: float = 8.0
-    full_steps_per_rev: int = 200
-    microstepping: int = 8
+    syringe_bore_mm: float = _key(40.0, POSITIVE)
+    syringe_capacity_ml: float = _key(200.0, POSITIVE)
+    plunger_travel_mm: float = _key(160.0, POSITIVE)
+    lead_mm_per_rev: float = _key(8.0, POSITIVE)
+    full_steps_per_rev: int = _key(200, POSITIVE)
+    microstepping: int = _key(8, POSITIVE)
     # accepted and checked, but read by no model
-    screw_efficiency: float = 0.5
-    rated_torque_nm: float = 1.9
-    max_step_rate_hz: float = 5000.0
+    screw_efficiency: float = _key(0.5, POSITIVE)
+    rated_torque_nm: float = _key(1.9, POSITIVE)
+    max_step_rate_hz: float = _key(5000.0, POSITIVE)
 
     def bore_area_mm2(self) -> float:
         return math.pi * (self.syringe_bore_mm / 2.0) ** 2
@@ -82,22 +117,24 @@ class DriveTrainConfig:
 
 @dataclass(frozen=True)
 class ExtrusionConfig:
-    flow_mm3_s: float = 5.3
-    nozzle_diameter_mm: float = 1.5
-    nozzle_land_mm: float = 10.0  # accepted and checked, but read by no model
+    flow_mm3_s: float = _key(5.3, POSITIVE)
+    nozzle_diameter_mm: float = _key(1.5, POSITIVE)
+    nozzle_land_mm: float = _key(10.0, POSITIVE)  # accepted and checked, but read by no model
 
 
 @dataclass(frozen=True)
 class UVConfig:
-    power_w: float = 10.0
-    optical_efficiency: float = 0.3
-    wavelength_nm: float = 365.0  # accepted and checked, but read by no model
-    cone_half_angle_deg: float = 24.0
+    # a dark lamp is a valid job
+    power_w: float = _key(10.0, NON_NEGATIVE)
+    optical_efficiency: float = _key(0.3, NON_NEGATIVE)
+    wavelength_nm: float = _key(365.0, POSITIVE)  # accepted and checked, but read by no model
+    # the spot cone's tangent needs (0, 90)
+    cone_half_angle_deg: float = _key(24.0, _within(0.0, 90.0))
     # standoff/trail place the footprint just behind the light-blocking
     # wall (near edge ~0.8 mm behind the tip, far edge ~14 mm), so the
     # 25 mm lead overrun sweeps the full spot past every path end
-    standoff_mm: float = 15.0
-    trail_offset_mm: float = 7.5
+    standoff_mm: float = _key(15.0, POSITIVE)
+    trail_offset_mm: float = _key(7.5, FINITE)
 
     def footprint_radius_mm(self) -> float:
         return self.standoff_mm * math.tan(math.radians(self.cone_half_angle_deg))
@@ -109,27 +146,29 @@ class UVConfig:
 
 @dataclass(frozen=True)
 class CureConfig:
-    sweep_dt_s: float = 0.02
-    bead_aspect: float = 1.4
-    crown_fraction: float = 0.25
+    sweep_dt_s: float = _key(0.02, _floor(1e-4))
+    bead_aspect: float = _key(1.4, POSITIVE)
+    crown_fraction: float = _key(0.25, NON_NEGATIVE)
     # single global spread coefficient, fit once against the commissioning
-    # measurements and frozen (see README, calibration section)
-    c_spread: float = 6.670888
-    max_dwell_s: float = 60.0
-    alpha_min: float = 0.8
+    # measurements and frozen (see README, calibration section); no spread
+    # is a valid job
+    c_spread: float = _key(6.670888, NON_NEGATIVE)
+    max_dwell_s: float = _key(60.0, POSITIVE)
+    alpha_min: float = _key(0.8, _within(0.0, 1.0))
 
 
 @dataclass(frozen=True)
 class Material:
     name: str
-    base: str = "dlp"            # dlp | acrylic
-    filler: str = "none"         # none | milled-gf | fumed-silica
-    filler_wt_pct: float = 0.0
-    viscosity_index: float = 1.0
-    cure_rate_per_j_mm2: float = 60.0
-    attenuation_depth_mm: float = 0.25
-    alpha_gel: float = 0.3
-    scattering: float = 1.0
+    base: str = _key("dlp", _one_of("dlp", "acrylic"))
+    filler: str = _key("none", _one_of("none", "milled-gf", "fumed-silica"))
+    filler_wt_pct: float = _key(0.0, _within(0.0, 100.0, closed=True))
+    viscosity_index: float = _key(1.0, POSITIVE)
+    cure_rate_per_j_mm2: float = _key(60.0, POSITIVE)
+    attenuation_depth_mm: float = _key(0.25, POSITIVE)
+    # an alpha_gel of 0 would gel every element at the first UV sample
+    alpha_gel: float = _key(0.3, _within(0.0, 1.0))
+    scattering: float = _key(1.0, POSITIVE)
 
     def gel_dose_j_mm2(self) -> float:
         """Dose at which 1 - exp(-k dose) reaches alpha_gel; inf where k is 0."""
@@ -141,14 +180,18 @@ class Material:
 class JobConfig:
     shape: str = "rectangle-90x60"
     material: str = "dlp-gf50"
-    speed_2d_mm_s: float = 3.0
-    speed_3d_mm_s: float = 4.0
-    travel_speed_mm_s: float = 20.0
+    speed_2d_mm_s: float = _key(3.0, _floor(1e-3))
+    speed_3d_mm_s: float = _key(4.0, _floor(1e-3))
+    travel_speed_mm_s: float = _key(20.0, _floor(1e-3))
     # 0.85 mm makes the 8.5 mm square specimen exactly ten layers
-    layer_height_mm: float = 0.85
-    extension_mm: float = 25.0
-    corner_threshold_deg: float = 30.0
-    resolution_mm: float = 1.0
+    layer_height_mm: float = _key(0.85, _floor(0.01))
+    # a tiny lead vanishes in its run end's coordinates, so the lead is 0
+    # (no overruns) or at least its floor
+    extension_mm: float = _key(25.0, _floor(0.01, or_zero=True))
+    # the corner test's acos needs (0, 180)
+    corner_threshold_deg: float = _key(30.0, _within(0.0, 180.0))
+    # deposition never takes a step longer than 1 mm
+    resolution_mm: float = _key(1.0, _within(0.01, 1.0, closed=True))
     out_dir: str = "out"
 
 
@@ -187,25 +230,19 @@ def default_config() -> Config:
     return Config()
 
 
-_SECTIONS = {
-    "kinematics": KinematicsConfig,
-    "cell": CellConfig,
-    "drivetrain": DriveTrainConfig,
-    "extrusion": ExtrusionConfig,
-    "uv": UVConfig,
-    "cure": CureConfig,
-    "job": JobConfig,
-}
+def _sections(cfg: Config) -> dict[str, object]:
+    """Each section's record by its header: every field of Config but the materials."""
+    return {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "materials"}
 
 
-def _records(cfg: Config) -> list[tuple[str, str, object]]:
-    """(header, rule table key, record) of each section, then each material."""
-    return [(sec, sec, getattr(cfg, sec)) for sec in _SECTIONS] + [
-        (f"material:{name}", "material", cfg.materials[name]) for name in sorted(cfg.materials)]
+def _records(cfg: Config) -> list[tuple[str, object]]:
+    """(header, record) of each section, then of each material."""
+    return list(_sections(cfg).items()) + [
+        (f"material:{name}", cfg.materials[name]) for name in sorted(cfg.materials)]
 
 
-def _coerce(cls, sec: str, key: str, raw: str, origin: str):
-    types = {f.name: f.type for f in fields(cls)}
+def _coerce(record, sec: str, key: str, raw: str, origin: str):
+    types = {f.name: f.type for f in fields(record)}
     if key not in types:
         raise ConfigError(f"{origin}: unknown key '{key}' for section [{sec}]")
     convert = {"int": int, "float": float}.get(types[key], str)  # annotations are strings
@@ -228,80 +265,22 @@ def loads_config(text: str) -> Config:
     return _parse(text, "<string>")
 
 
-# A rule is the text of its message and the test a value must pass
-Rule = tuple[str, Callable[[float], bool]]
-FINITE: Rule = ("finite", math.isfinite)
-NON_ZERO: Rule = ("finite and non-zero", lambda v: math.isfinite(v) and v != 0.0)
-POSITIVE: Rule = ("finite and > 0", lambda v: math.isfinite(v) and v > 0.0)
-NON_NEGATIVE: Rule = ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0.0)
-
-
-def _floor(lo: float, or_zero: bool = False) -> Rule:
-    text = f"0 or >= {lo:g}" if or_zero else f">= {lo:g}"
-    return f"finite and {text}", lambda v: math.isfinite(v) and (v >= lo or (or_zero and v == 0.0))
-
-
-def _within(lo: float, hi: float, closed: bool = False) -> Rule:
-    if closed:
-        return f"in [{lo:g}, {hi:g}]", lambda v: lo <= v <= hi
-    return f"in ({lo:g}, {hi:g})", lambda v: lo < v < hi  # also rejects NaN
-
-
-# The one rule of every numeric key, checked once at load ("material"
-# stands for each [material:NAME]).  A zero, negative or non-finite value
-# ends in a division by zero, an endless sweep or a negative bead width,
-# or (NaN) makes a check's comparison never true.  A tiny step asks for
-# more samples than an array holds, and below its floor a speed or rate
-# overflows a move's time (MAX_SUBSEGMENTS moves of MAX_MAGNITUDE mm at
-# 1e-3 mm/s still take a finite 2e18 s).
-RULES: dict[str, dict[str, Rule]] = {
-    # link constants may take either sign; the closed-form IK divides by
-    # a2, a3 and d6
-    "kinematics": dict(d1_mm=FINITE, a2_mm=NON_ZERO, a3_mm=NON_ZERO, d4_mm=FINITE,
-                       d5_mm=FINITE, d6_mm=NON_ZERO, joint_limit_rad=POSITIVE,
-                       tcp_offset_z_mm=FINITE, singular_eps=POSITIVE),
-    "cell": dict(origin_x_mm=FINITE, origin_y_mm=FINITE, origin_z_mm=FINITE,
-                 capsule_radius_mm=POSITIVE, capsule_length_mm=POSITIVE,
-                 max_joint_speed_rad_s=POSITIVE, reorient_rate_rad_s=_floor(1e-3),
-                 collision_dt_s=_floor(1e-4)),
-    "drivetrain": {f.name: POSITIVE for f in fields(DriveTrainConfig)},
-    "extrusion": {f.name: POSITIVE for f in fields(ExtrusionConfig)},
-    # a dark lamp is a valid job; the spot cone's tangent needs (0, 90)
-    "uv": dict(power_w=NON_NEGATIVE, optical_efficiency=NON_NEGATIVE,
-               wavelength_nm=POSITIVE, cone_half_angle_deg=_within(0.0, 90.0),
-               standoff_mm=POSITIVE, trail_offset_mm=FINITE),
-    # no spread is a valid job
-    "cure": dict(sweep_dt_s=_floor(1e-4), bead_aspect=POSITIVE, crown_fraction=NON_NEGATIVE,
-                 c_spread=NON_NEGATIVE, max_dwell_s=POSITIVE, alpha_min=_within(0.0, 1.0)),
-    # a tiny lead vanishes in its run end's coordinates, so the lead is 0
-    # (no overruns) or at least its floor; the corner test's acos needs
-    # (0, 180); deposition never takes a step longer than 1 mm
-    "job": dict(speed_2d_mm_s=_floor(1e-3), speed_3d_mm_s=_floor(1e-3),
-                travel_speed_mm_s=_floor(1e-3), layer_height_mm=_floor(0.01),
-                extension_mm=_floor(0.01, or_zero=True), corner_threshold_deg=_within(0.0, 180.0),
-                resolution_mm=_within(0.01, 1.0, closed=True)),
-    # an alpha_gel of 0 would gel every element at the first UV sample
-    "material": dict(filler_wt_pct=_within(0.0, 100.0, closed=True), viscosity_index=POSITIVE,
-                     cure_rate_per_j_mm2=POSITIVE, attenuation_depth_mm=POSITIVE,
-                     alpha_gel=_within(0.0, 1.0), scattering=POSITIVE),
-}
-# the values a material's text keys may take
-CHOICES: dict[str, tuple[str, ...]] = {
-    "base": ("dlp", "acrylic"),
-    "filler": ("none", "milled-gf", "fumed-silica"),
-}
 # larger magnitudes overflow where the kinematics, the syringe and the
 # toolpath square lengths
 MAX_MAGNITUDE = 1e9
 
 
-def _check(where: str, record, rules: dict[str, Rule]) -> None:
-    for key, (text, ok) in rules.items():
-        value = getattr(record, key)
+def _check(where: str, record) -> None:
+    """Each field of `record` against its rule, in field order."""
+    for f in fields(record):
+        if "rule" not in f.metadata:
+            continue
+        text, ok = f.metadata["rule"]
+        value = getattr(record, f.name)
         if not ok(value):
-            raise ConfigError(f"{where} {key} must be {text}, got {value!r}")
-        if abs(value) > MAX_MAGNITUDE:
-            raise ConfigError(f"{where} {key} must be at most {MAX_MAGNITUDE:g} "
+            raise ConfigError(f"{where} {f.name} must be {text}, got {value!r}")
+        if not isinstance(value, str) and abs(value) > MAX_MAGNITUDE:
+            raise ConfigError(f"{where} {f.name} must be at most {MAX_MAGNITUDE:g} "
                               f"in magnitude, got {value!r}")
 
 
@@ -351,28 +330,25 @@ def _parse(text: str, origin: str) -> Config:
     if version != str(SCHEMA_VERSION):
         raise ConfigError(f"{origin}: unsupported schema_version {version!r}")
     cfg = default_config()
-    sections: dict[str, object] = {}
+    sections = _sections(cfg)
     materials = dict(cfg.materials)
     for sec in parser.sections():
         if sec == "meta":
             continue
-        cls = Material if sec.startswith("material:") else _SECTIONS.get(sec)
-        if cls is None:
-            raise ConfigError(f"{origin}: unknown section [{sec}]")
-        kwargs = {key: _coerce(cls, sec, key, raw, origin) for key, raw in parser.items(sec)}
-        if cls is Material:
-            name = sec.split(":", 1)[1]
-            kwargs.pop("name", None)
-            materials[name] = replace(materials.get(name, Material(name)), **kwargs)
+        if sec.startswith("material:"):
+            table, name = materials, sec.split(":", 1)[1]
+            materials.setdefault(name, Material(name))
+        elif sec in sections:
+            table, name = sections, sec
         else:
-            sections[sec] = replace(getattr(cfg, sec), **kwargs)
+            raise ConfigError(f"{origin}: unknown section [{sec}]")
+        kwargs = {key: _coerce(table[name], sec, key, raw, origin)
+                  for key, raw in parser.items(sec)}
+        kwargs.pop("name", None)  # a material's name is its header
+        table[name] = replace(table[name], **kwargs)
     cfg = replace(cfg, materials=materials, **sections)
-    for header, rules, record in _records(cfg):
-        _check(f"{origin}: [{header}]", record, RULES[rules])
-        for key, allowed in CHOICES.items() if rules == "material" else ():
-            if getattr(record, key) not in allowed:
-                raise ConfigError(f"{origin}: [{header}] {key} must be one of "
-                                  f"{' | '.join(allowed)}, got {getattr(record, key)!r}")
+    for header, record in _records(cfg):
+        _check(f"{origin}: [{header}]", record)
     _check_cross_keys(cfg, origin)
     parse_obstacles(cfg.cell)
     return cfg
@@ -389,7 +365,7 @@ def dump_config(cfg: Config) -> str:
     out = io.StringIO()
     out.write("[meta]\n")
     out.write(f"schema_version = {SCHEMA_VERSION}\n\n")
-    for header, _, record in _records(cfg):
+    for header, record in _records(cfg):
         out.write(f"[{header}]\n")
         for f in fields(record):
             if f.name != "name":  # a material's name is its header

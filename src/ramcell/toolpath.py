@@ -35,12 +35,12 @@ MAX_SUBSEGMENTS = 2e6
 
 # one timeline entry: a segment traversal, or a dwell (`dwell` set) in
 # which the nozzle holds (x0, y0, z0) while the yaw sweeps yaw0 -> yaw1
-# with extrusion and UV off; seg_index points into the toolpath
+# with extrusion and UV off
 TIMELINE_DTYPE = np.dtype(
     [(name, float) for name in ("t0", "t1", "x0", "y0", "z0", "x1", "y1", "z1",
                                 "yaw0", "yaw1", "speed")]
     + [(name, bool) for name in ("extruding", "uv_on", "dwell")]
-    + [("seg_index", np.int64), ("layer", np.int64)])
+    + [("layer", np.int64)])
 
 
 class ToolpathError(RamcellError):
@@ -308,6 +308,5 @@ def time_profile(path: Toolpath, reorient_rate: float = 1.0) -> np.recarray:
     tl["extruding"][move] = path.extruding
     tl["uv_on"][move] = path.uv_on
     tl["dwell"] = dwell
-    tl["seg_index"] = seg
     tl["layer"] = path.layer[seg]
     return tl.view(np.recarray)

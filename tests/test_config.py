@@ -1,4 +1,7 @@
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -208,13 +211,28 @@ def test_resolution_lies_between_its_floor_and_1_mm():
         assert loads_config(f"[job]\nresolution_mm = {value!r}\n").job.resolution_mm == value
 
 
+def _ruled_fields():
+    """(section, field) of every field of the sections and of Material."""
+    records = [(sec.name, sec.default_factory) for sec in fields(config.Config)
+               if sec.name != "materials"] + [("material", config.Material)]
+    return [(sec, f) for sec, cls in records for f in fields(cls)]
+
+
 def test_every_numeric_key_has_exactly_one_load_rule():
     # the 54 keys the no-traceback property sets, with "material" for its
-    # [material:NAME]; a dict holds one rule per key
+    # [material:NAME]; a field holds one rule, a (text, test) pair
     from test_no_traceback import KEYS
-    ruled = [(sec, key) for sec, rules in config.RULES.items() for key in rules]
-    assert len(ruled) == len(KEYS) == 54
-    assert sorted(ruled) == sorted((sec.split(":")[0], key) for sec, key in KEYS)
+    numeric = {(sec.split(":")[0], key) for sec, key in KEYS}
+    assert len(numeric) == len(KEYS) == 54
+    for sec, f in _ruled_fields():
+        if (sec, f.name) in numeric:
+            text, ok = f.metadata["rule"]
+            assert isinstance(text, str) and callable(ok), (sec, f.name)
+        else:
+            # the only other keys with a rule are a material's base and filler
+            assert ("rule" in f.metadata) == (sec == "material" and f.name in ("base", "filler")), \
+                (sec, f.name)
+    assert numeric <= {(sec, f.name) for sec, f in _ruled_fields()}
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -274,10 +292,26 @@ def test_material_base_and_filler_take_one_of_their_listed_values(section, key, 
         loads_config(f"[{section}]\n{key} = {value}\n")
 
 
+def _readme_choices() -> dict[str, list[str]]:
+    """The values the README's Configuration section lists for base and filler."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    return {key: re.findall(r"`([^`]+)`", re.search(rf"`{key}` is ([^.]*)\.", text)[1])
+            for key in ("base", "filler")}
+
+
 def test_every_listed_base_and_filler_loads():
-    for key, allowed in config.CHOICES.items():
+    choices = _readme_choices()
+    assert choices == {"base": ["dlp", "acrylic"],
+                       "filler": ["none", "milled-gf", "fumed-silica"]}
+    for key, allowed in choices.items():
         for value in allowed:
             cfg = loads_config(f"[material:x]\n{key} = {value}\n")
             assert getattr(cfg.materials["x"], key) == value
     for m in default_config().materials.values():
-        assert m.base in config.CHOICES["base"] and m.filler in config.CHOICES["filler"]
+        assert m.base in choices["base"] and m.filler in choices["filler"]
+
+
+def test_a_material_with_two_bad_keys_names_the_first_in_field_order():
+    # base and filler are declared before the numeric keys
+    with pytest.raises(ConfigError, match=r"^<string>: \[material:dlp-fs9\] filler must be one of "):
+        loads_config("[material:dlp-fs9]\nviscosity_index = 0\nfiller = gold\n")

@@ -130,6 +130,33 @@ def test_interior_dose_converges_as_sweep_step_shrinks():
     assert errors[1] < errors[0] / 5.0
 
 
+@pytest.mark.parametrize("offset", [0.0, 0.5, 0.9, 1.01])
+def test_off_centre_chord_dose(offset):
+    # a bead laid with UV off, then one UV pass along it at lateral offset
+    # y that overruns both ends by r + trail: each element sits on a chord
+    # of the footprint, lit for 2 sqrt(r^2 - y^2) / v seconds
+    r, trail, v, z, n = SPOT.footprint_radius_mm(), SPOT.trail_offset_mm, 4.0, 0.85, 20
+    y, run = offset * r, r + trail
+    path = Toolpath.from_segments((
+        Segment(Vec3(0, 0, z), Vec3(n, 0, z), v, True, False, 1),
+        Segment(Vec3(n, 0, z), Vec3(-run, y, z), 20.0, False, False, 1),
+        Segment(Vec3(-run, y, z), Vec3(n + run, y, z), v, False, True, 1)))
+    path = resample(assign_orientations(path), 1.0)
+    dmap = deposit(path, FLOW, FS9, 1.0, z)
+    accumulate_dose(dmap, path, SPOT, CFG.cure.sweep_dt_s)
+    assert len(dmap) == n and np.all(dmap.y == 0.0) and np.all(dmap.z == z)
+    irr = SPOT.irradiance_w_mm2()
+    if offset > 1.0:
+        assert np.all(dmap.dose == 0.0)
+        return
+    # the pass is cut into equal subsegments, each swept in equal steps
+    # of at most sweep_dt_s; one step's dose is the sampling error bound
+    step_s = (n + 2 * run) / math.ceil(n + 2 * run) / v
+    dt = step_s / math.ceil(step_s / CFG.cure.sweep_dt_s)
+    exact = irr * 2.0 * math.sqrt(r * r - y * y) / v
+    assert np.abs(dmap.dose - exact).max() <= irr * dt
+
+
 def test_every_element_fully_swept_with_lead():
     dmap = run_dose(line_path(lead=25.0), FS9)
     assert dmap.dose.min() / np.median(dmap.dose) > 0.97

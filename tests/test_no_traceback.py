@@ -22,8 +22,8 @@ from ramcell import config
 from ramcell.cli import main
 
 MATERIAL = config.JobConfig().material
-KEYS = [(sec, f.name) for sec, cls in config._SECTIONS.items() for f in fields(cls)
-        if f.type in ("float", "int")]
+KEYS = [(sec.name, f.name) for sec in fields(config.Config) if sec.name != "materials"
+        for f in fields(sec.default_factory) if f.type in ("float", "int")]
 KEYS += [(f"material:{MATERIAL}", f.name) for f in fields(config.Material)
          if f.type in ("float", "int")]
 VALUES = ("0", "-1", "nan", "inf", "1e308", "1e-300")

@@ -116,7 +116,7 @@ def assert_timeline_equal(tl, entries) -> None:
         np.testing.assert_array_equal(_bits(tl[name]), _bits([pick(e) for e in entries]),
                                       err_msg=name)
     assert tl.dwell.tolist() == [e.kind == "dwell" for e in entries]
-    for name in ("extruding", "uv_on", "seg_index", "layer"):
+    for name in ("extruding", "uv_on", "layer"):
         assert tl[name].tolist() == [getattr(e, name) for e in entries], name
 
 

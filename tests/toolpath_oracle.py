@@ -57,7 +57,6 @@ class Entry:
     speed: float
     extruding: bool
     uv_on: bool
-    seg_index: int
     layer: int
 
 
@@ -68,7 +67,7 @@ def time_profile_per_entry(segs, reorient_rate: float = 1.0) -> list[Entry]:
     t = 0.0
     yaw_ref = None
     yaw_cur = None
-    for i, seg in enumerate(segs):
+    for seg in segs:
         yaw = seg.yaw
         if yaw_ref is None:
             yaw_ref = yaw
@@ -78,11 +77,11 @@ def time_profile_per_entry(segs, reorient_rate: float = 1.0) -> list[Entry]:
         if yaw_cur is not None and abs(yaw_rep - yaw_cur) > 1e-12:
             dur = abs(yaw_rep - yaw_cur) / reorient_rate
             entries.append(Entry("dwell", t, t + dur, seg.start, seg.start,
-                                 yaw_cur, yaw_rep, 0.0, False, False, i, seg.layer))
+                                 yaw_cur, yaw_rep, 0.0, False, False, seg.layer))
             t += dur
         dur = length(seg) / seg.speed
         entries.append(Entry("move", t, t + dur, seg.start, seg.end, yaw_rep, yaw_rep,
-                             seg.speed, seg.extruding, seg.uv_on, i, seg.layer))
+                             seg.speed, seg.extruding, seg.uv_on, seg.layer))
         t += dur
         yaw_cur = yaw_rep
     return entries
