@@ -211,28 +211,23 @@ def test_resolution_lies_between_its_floor_and_1_mm():
         assert loads_config(f"[job]\nresolution_mm = {value!r}\n").job.resolution_mm == value
 
 
-def _ruled_fields():
-    """(section, field) of every field of the sections and of Material."""
-    records = [(sec.name, sec.default_factory) for sec in fields(config.Config)
-               if sec.name != "materials"] + [("material", config.Material)]
-    return [(sec, f) for sec, cls in records for f in fields(cls)]
-
-
 def test_every_numeric_key_has_exactly_one_load_rule():
     # the 54 keys the no-traceback property sets, with "material" for its
-    # [material:NAME]; a field holds one rule, a (text, test) pair
+    # [material:NAME]; a field holds one rule, a (text, test) pair, and
+    # the only other fields with a rule are a material's base and filler
     from test_no_traceback import KEYS
     numeric = {(sec.split(":")[0], key) for sec, key in KEYS}
     assert len(numeric) == len(KEYS) == 54
-    for sec, f in _ruled_fields():
-        if (sec, f.name) in numeric:
-            text, ok = f.metadata["rule"]
-            assert isinstance(text, str) and callable(ok), (sec, f.name)
-        else:
-            # the only other keys with a rule are a material's base and filler
-            assert ("rule" in f.metadata) == (sec == "material" and f.name in ("base", "filler")), \
-                (sec, f.name)
-    assert numeric <= {(sec, f.name) for sec, f in _ruled_fields()}
+    records = [(sec.name, sec.default_factory) for sec in fields(config.Config)
+               if sec.name != "materials"] + [("material", config.Material)]
+    for sec, cls in records:
+        for f in fields(cls):
+            ruled = (sec, f.name) in numeric or (sec == "material"
+                                                 and f.name in ("base", "filler"))
+            assert ("rule" in f.metadata) == ruled, (sec, f.name)
+            if ruled:
+                text, ok = f.metadata["rule"]
+                assert isinstance(text, str) and callable(ok), (sec, f.name)
 
 
 @pytest.mark.parametrize("section, key, value", [
