@@ -4,15 +4,16 @@ The planner walks the shared toolpath timeline, builds the TCP targets
 of all nodes (dwell nodes included) as one array, and takes the chunked
 batch IK's candidates straight into the array branch choice
 (kinematics.select_chain), which keeps the branch continuous from node
-to node; the program keeps the chosen rows as one (n, 6) joint array,
-which the speed check, the clearance check, the singularity scan and
-the script writer read as columns.  Collision checking samples the
-interpolated tool capsule against the table plane and the configured
-obstacle boxes, evaluating only the samples of waypoint segments whose
-endpoint bounds come within reach of the table or a box, and running
-the per-box search only on samples whose capsule axis comes within a
-capsule radius of the box.  The singularity scan reads the closed-form
-manipulability of each waypoint.
+to node; a node adds a waypoint when it lies more than 1e-12 s after
+the node before it.  The program keeps the chosen rows as one (n, 6)
+joint array, which the speed check, the clearance check, the
+singularity scan and the script writer read as columns.  Collision
+checking samples the interpolated tool capsule against the table plane
+and the configured obstacle boxes, evaluating only the samples of
+waypoint segments whose endpoint bounds come within reach of the table
+or a box, and running the per-box search only on samples whose capsule
+axis comes within a capsule radius of the box.  The singularity scan
+reads the closed-form manipulability of each waypoint.
 Everything here is deterministic: identical inputs give byte-identical
 programs, scripts and reports.
 """
@@ -266,8 +267,9 @@ def plan_trajectory(path: Toolpath, cfg: Config, env: CellEnvironment,
 
     Every move node becomes a waypoint timed by the segment speed; dwell
     nodes are subdivided so no step reorients more than
-    DWELL_YAW_STEP_RAD.  Raises PlanningError on unreachable nodes or on
-    a joint-space jump above MAX_JOINT_STEP_RAD in one step.
+    DWELL_YAW_STEP_RAD.  A node that lies within 1e-12 s after the node
+    before it adds no waypoint.  Raises PlanningError on unreachable
+    nodes or on a joint-space jump above MAX_JOINT_STEP_RAD in one step.
     """
     if not len(path):
         return RobotProgram(np.zeros(0), np.zeros((0, 6)), np.zeros(0), events, metadata)
@@ -276,14 +278,9 @@ def plan_trajectory(path: Toolpath, cfg: Config, env: CellEnvironment,
     limit = cfg.kinematics.joint_limit_rad
     times, pos, speeds, targets = _plan_nodes(path, cfg)
 
-    # a node no later than the last waypoint adds none, and the next
-    # node's branch continues from that waypoint's
-    added = np.zeros(len(times), dtype=bool)
-    last_t = -math.inf
-    for i, t in enumerate(times.tolist()):
-        if t > last_t + 1e-12:
-            added[i] = True
-            last_t = t
+    # a node within 1e-12 s after the node before it adds no waypoint,
+    # and the next node's branch continues from the last waypoint's
+    added = np.r_[True, np.diff(times) > 1e-12]
     last_added = np.maximum.accumulate(np.where(added, np.arange(len(times)), -1))
 
     joints = np.empty((len(times), 6))

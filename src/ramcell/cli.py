@@ -55,6 +55,7 @@ def _load_config(args) -> Config:
     cfg = load_config(path) if path else default_config()
     overrides = {}
     if getattr(args, "shape", None):
+        shapes.parse_shape_id(args.shape)  # also with --gcode: the written .cfg must load
         overrides["shape"] = args.shape
     if getattr(args, "material", None):
         overrides["material"] = args.material

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import RamcellError
+from .shapes import ShapeError, parse_shape_id
 
 SCHEMA_VERSION = 1
 
@@ -303,6 +304,9 @@ def _check_cross_keys(cfg: Config, origin: str) -> None:
     if not (r > 0.0 and math.pi * r * r > 0.0 and math.isfinite(uv.irradiance_w_mm2())):
         raise ConfigError(f"{origin}: [uv] standoff_mm must give a spot of positive radius and "
                           f"area and finite irradiance, got {uv.standoff_mm!r} (radius {r!r} mm)")
+    if cfg.job.material not in cfg.materials:
+        raise ConfigError(f"{origin}: [job] material must be one of "
+                          f"{' | '.join(sorted(cfg.materials))}, got {cfg.job.material!r}")
     # the dose sweep records a gel time only past a gel dose > 0
     for name, m in cfg.materials.items():
         gel = m.gel_dose_j_mm2()
@@ -337,6 +341,9 @@ def _parse(text: str, origin: str) -> Config:
             continue
         if sec.startswith("material:"):
             table, name = materials, sec.split(":", 1)[1]
+            if parser.has_option(sec, "name"):
+                raise ConfigError(f"{origin}: [{sec}] name is not a key; a material is "
+                                  "named by its section header")
             materials.setdefault(name, Material(name))
         elif sec in sections:
             table, name = sections, sec
@@ -344,13 +351,19 @@ def _parse(text: str, origin: str) -> Config:
             raise ConfigError(f"{origin}: unknown section [{sec}]")
         kwargs = {key: _coerce(table[name], sec, key, raw, origin)
                   for key, raw in parser.items(sec)}
-        kwargs.pop("name", None)  # a material's name is its header
         table[name] = replace(table[name], **kwargs)
     cfg = replace(cfg, materials=materials, **sections)
     for header, record in _records(cfg):
         _check(f"{origin}: [{header}]", record)
     _check_cross_keys(cfg, origin)
-    parse_obstacles(cfg.cell)
+    try:
+        parse_obstacles(cfg.cell)
+    except ConfigError as exc:
+        raise ConfigError(f"{origin}: {exc}") from exc
+    try:
+        parse_shape_id(cfg.job.shape)
+    except ShapeError as exc:
+        raise ConfigError(f"{origin}: [job] shape: {exc}") from exc
     return cfg
 
 

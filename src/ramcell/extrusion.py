@@ -2,16 +2,20 @@
 
 The extruder pushes resin at a constant volumetric rate; the bead
 cross-section is flow divided by travel speed.  Step scheduling converts
-the toolpath timeline into a piecewise-linear cumulative-step curve plus
-digital I/O events for the extruder and UV channels.  Cumulative steps
-are kept as exact reals (the firmware quantizes, we do not) so volume
-bookkeeping stays within float precision.
+the toolpath timeline into digital I/O events for the extruder and UV
+channels plus a piecewise-linear cumulative-step curve, whose knots are
+the start, the extruder switches and the end; one array pass over the
+timeline finds them all.  Cumulative steps are kept as exact reals (the
+firmware quantizes, we do not) so volume bookkeeping stays within float
+precision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import RamcellError
 from .config import DriveTrainConfig, ExtrusionConfig
@@ -77,9 +81,6 @@ class StepSchedule:
         if pending != 0:
             raise ExtrusionError("extruder on without matching off")
 
-    def total_steps(self) -> float:
-        return self.breakpoints[-1][1] if self.breakpoints else 0.0
-
     def csv_lines(self) -> list[str]:
         lines = ["time_s,cumulative_steps"]
         lines += [f"{t:.6f},{s:.6f}" for t, s in self.breakpoints]
@@ -100,52 +101,31 @@ def bead_area(q_mm3_s: float, speed_mm_s: float) -> float:
 
 def schedule(path: Toolpath, flow: FlowModel, drive: DriveTrainConfig,
              reorient_rate: float = 1.0) -> StepSchedule:
-    """Step breakpoints and I/O events on the shared toolpath timeline.
+    """Step knots and I/O events on the shared toolpath timeline.
 
     The step rate is constant while extruding and zero otherwise; the
-    extruder output pauses over reorientation dwells.  UV events follow
-    the segments' uv flags.  Loading checks the rate against the motor.
+    extruder output pauses over reorientation dwells.  Each channel
+    switches at the start of every entry where its flag changes, and off
+    at the end if it is still on.  The knots of the cumulative-step curve
+    are (0, 0), each extruder switch and the end, less any knot within
+    1e-12 s after the one before it.  Loading checks the rate against
+    the motor.
     """
     rate = drive.step_rate(flow.q_mm3_s)
     tl = time_profile(path, reorient_rate)
-    events: list[IOEvent] = []
-    breakpoints: list[tuple[float, float]] = []
-    steps = 0.0
-    extruding = False
-    uv = False
-    t_end = 0.0
-
-    def add_breakpoint(t: float, s: float) -> None:
-        if breakpoints and abs(breakpoints[-1][0] - t) < 1e-12:
-            return
-        if len(breakpoints) >= 2:
-            (t0, s0), (t1, s1) = breakpoints[-2], breakpoints[-1]
-            prev_slope = (s1 - s0) / (t1 - t0)
-            new_slope = (s - s1) / (t - t1)
-            if abs(prev_slope - new_slope) < 1e-9:
-                breakpoints[-1] = (t, s)
-                return
-        breakpoints.append((t, s))
-
-    if len(tl):
-        add_breakpoint(0.0, 0.0)
-    for t0, t1, e_on, uv_on in tl[["t0", "t1", "extruding", "uv_on"]].tolist():
-        if uv_on != uv:
-            events.append(IOEvent(t0, "uv", uv_on))
-            uv = uv_on
-        if e_on != extruding:
-            events.append(IOEvent(t0, "extruder", e_on))
-            add_breakpoint(t0, steps)
-            extruding = e_on
-        if e_on:
-            steps += rate * (t1 - t0)
-            add_breakpoint(t1, steps)
-        t_end = t1
-    if extruding:
-        events.append(IOEvent(t_end, "extruder", False))
-    if uv:
-        events.append(IOEvent(t_end, "uv", False))
-    if len(tl):
-        add_breakpoint(t_end, steps)
+    if not len(tl):
+        return StepSchedule()
+    # entry i starts at t[i] with steps[i] pushed before it; t[-1] is the end
+    t = np.r_[0.0, tl.t1]
+    steps = np.r_[0.0, np.add.accumulate(np.where(tl.extruding, rate * (tl.t1 - tl.t0), 0.0))]
+    events, edges = [], {}
+    for channel, flag in (("extruder", tl.extruding), ("uv", tl.uv_on)):
+        # switches are the edges of the flag padded with off at both ends
+        state = np.r_[False, flag, False]
+        edge = edges[channel] = np.flatnonzero(state[1:] != state[:-1])
+        events += map(IOEvent, t[edge].tolist(), [channel] * len(edge), state[edge + 1].tolist())
     events.sort(key=lambda ev: (ev.time_s, ev.channel, ev.on))
-    return StepSchedule(tuple(breakpoints), tuple(events))
+    knot = np.r_[0, edges["extruder"], len(tl)]
+    knot = knot[np.r_[True, np.diff(t[knot]) >= 1e-12]]
+    return StepSchedule(tuple(zip(t[knot].tolist(), steps[knot].tolist())),
+                        tuple(events))

@@ -3,19 +3,20 @@
 Supported commands: G0/G1 linear motion with X/Y/Z/F words, M106/M107
 extruder on/off, M42 P2 S<0|1> for the UV lamp, and comments
 (`;` to end of line or parenthesized).  Arcs are rejected; any other
-well-formed G/M command is skipped with a warning.  The parser never
+well-formed G/M command is skipped with a warning.  A number above
+config.MAX_MAGNITUDE (1e9) in magnitude is an error.  The parser never
 raises on input text: every problem becomes a ParseDiagnostic.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import RamcellError
+from .config import MAX_MAGNITUDE
 from .geometry import Vec3
 from .toolpath import Segment, Toolpath, layer_index, lengths
 
@@ -77,7 +78,7 @@ def _split_words(body: str, lineno: int, diags: list[ParseDiagnostic]) -> list[t
                                          f"malformed input near '{body[pos:m.start()].strip()}'"))
             return None
         value = float(m.group(2))
-        if not math.isfinite(value):
+        if not abs(value) <= MAX_MAGNITUDE:
             diags.append(ParseDiagnostic(lineno, "error",
                                          f"number out of range in '{m.group(0).strip()}'"))
             return None
@@ -182,9 +183,9 @@ def _parse_move(kind: str, rest: list[tuple[str, float]], lineno: int,
                 program.diagnostics.append(
                     ParseDiagnostic(lineno, "error", "duplicate feed word F"))
                 return
-            if v <= 0.0:
-                program.diagnostics.append(
-                    ParseDiagnostic(lineno, "error", f"feed must be positive, got {v:g}"))
+            if not v / 60.0 > 0.0:  # a denormal feed rounds to 0 mm/s
+                program.diagnostics.append(ParseDiagnostic(
+                    lineno, "error", f"feed must be positive in mm/s, got {v:g} mm/min"))
                 return
             feed = v
         else:
@@ -245,10 +246,9 @@ def to_toolpath(program: GcodeProgram, travel_speed: float = 20.0,
                     raise GcodeError("move before any feed", cmd.line)
                 speed = feed / 60.0
                 extruding = extruder
-            if (target - pos).norm() > 1e-9:
-                segments.append(Segment(
-                    start=pos, end=target, speed=speed, extruding=extruding,
-                    uv_on=uv, layer=layer_index(target.z, layer_height)))
+            segments.append(Segment(
+                start=pos, end=target, speed=speed, extruding=extruding,
+                uv_on=uv, layer=layer_index(target.z, layer_height)))
             pos = target
     path = Toolpath.from_segments(segments)
     path.validate()

@@ -579,6 +579,20 @@ def _zigzag_path():
     return columns(Segment(a, b, 4.0, True, True, 0, yaw) for a, b, yaw in zip(p, p[1:], yaws))
 
 
+def test_a_node_within_1e_12_s_after_the_node_before_adds_no_waypoint():
+    # two 6e-13 s moves: their second end lies 1.2e-12 s after the last
+    # waypoint, but only 6e-13 s after the node before it
+    p = [Vec3(380.0, -20.0, 2.0), Vec3(420.0, -20.0, 2.0), Vec3(420.0, -20.0, 2.0 + 6e-10),
+         Vec3(420.0, -20.0, 2.0 + 1.2e-9), Vec3(420.0, 20.0, 2.0)]
+    path = columns(Segment(a, b, v, True, True, 0)
+                   for a, b, v in zip(p, p[1:], (4.0, 1e3, 1e3, 4.0)))
+    times = _plan_nodes(path, CFG)[0]
+    assert 0.0 < times[2] - times[1] < 1e-12 and 0.0 < times[3] - times[2] < 1e-12
+    assert times[3] - times[1] > 1e-12
+    program = plan_trajectory(path, CFG, ENV)
+    assert program.times.tolist() == times[[0, 1, 4]].tolist()
+
+
 def _kin(**kw):
     return replace(CFG, kinematics=replace(CFG.kinematics, **kw))
 

@@ -42,6 +42,16 @@ def test_unknown_shape_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_unknown_shape_beside_gcode_exits_2(tmp_path, capsys):
+    # the job's shape goes into the written .cfg, which must load again
+    prog = tmp_path / "line.gcode"
+    prog.write_text("G1 F240\nM106\nG1 X10\nM107\n")
+    rc = main(["plan", "--gcode", str(prog), "--shape", "bogus", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: unknown shape id 'bogus'\n"
+    assert not (tmp_path / "line.cfg").exists()
+
+
 def test_gcode_round_trip_identical_path(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -162,6 +172,24 @@ def test_bad_config_exits_2_with_one_error_line_naming_the_key(tmp_path, capsys,
     assert len(lines) == 1 and lines[0].startswith(f"error: {cfg_file}: {key} ")
 
 
+# each loaded before and failed later without the file, or not at all:
+# the flags override the job's shape and material after the load
+@pytest.mark.parametrize("text, key", [
+    ("[job]\nmaterial = nan\n", "[job] material must be one of "),
+    ("[job]\nshape = nan\n", "[job] shape: unknown shape id 'nan'"),
+    ("[cell]\nobstacles = nan\n", "[cell] obstacles: 'nan': "),
+    ("[material:dlp-fs9]\nname = other\n", "[material:dlp-fs9] name is not a key"),
+], ids=["material", "shape", "obstacles", "material-name"])
+def test_job_obstacle_and_name_keys_fail_at_load_naming_the_file(tmp_path, capsys, text, key):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(text)
+    rc = main(["simulate", "--config", str(cfg_file), "--shape", "wall-20x3",
+               "--material", "dlp-fs9", "--out", str(tmp_path)])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {cfg_file}: {key}")
+
+
 def test_gcode_with_several_errors_exits_2_with_one_line(tmp_path, capsys):
     bad = tmp_path / "bad.gcode"
     bad.write_text("G1 X1 X2 F60\nG2 X1\n")
@@ -203,6 +231,16 @@ def test_overflowing_gcode_number_exits_2_naming_the_line(tmp_path, capsys):
     rc = main(["plan", "--gcode", str(bad), "--out", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err == "error: line 3: number out of range in 'X1e400'\n"
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+def test_gcode_coordinate_above_1e9_exits_2_naming_the_line(tmp_path, capsys, command):
+    # Z1e20 once overflowed the toolpath's int64 layer index
+    bad = tmp_path / "far.gcode"
+    bad.write_text("G1 F60\nM106\nG1 X1 Z1e20\n")
+    rc = main([command, "--gcode", str(bad), "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: line 3: number out of range in 'Z1e20'\n"
 
 
 def test_simulate_wall_report(tmp_path):

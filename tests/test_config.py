@@ -277,6 +277,33 @@ def test_meta_holds_only_the_schema_version(key):
     assert loads_config("[meta]\nschema_version = 1\n") == default_config()
 
 
+def test_job_material_names_a_material_of_the_loaded_library():
+    with pytest.raises(ConfigError, match=r"^<string>: \[job\] material must be one of "
+                                          r"acrylic \| dlp-fs2\.8 \| .*, got 'custom'$"):
+        loads_config("[job]\nmaterial = custom\n")
+    cfg = loads_config("[job]\nmaterial = custom\n[material:custom]\nviscosity_index = 2\n")
+    assert cfg.job.material == "custom" and cfg.materials["custom"].viscosity_index == 2.0
+
+
+@pytest.mark.parametrize("shape, error", [
+    ("nan", "unknown shape id 'nan'"), ("wall-50", "shape 'wall' needs 2 positive dimensions"),
+    ("square-1x.x1", "bad dimensions in shape id 'square-1x.x1'")])
+def test_job_shape_parses_as_a_shape_id(shape, error):
+    with pytest.raises(ConfigError, match=rf"^<string>: \[job\] shape: {re.escape(error)}$"):
+        loads_config(f"[job]\nshape = {shape}\n")
+    for good in ("rectangle-90x60", "wall-0.5x2", "square-30x30x8.5"):
+        assert loads_config(f"[job]\nshape = {good}\n").job.shape == good
+
+
+def test_obstacle_errors_name_the_file_and_a_material_name_key_is_refused():
+    with pytest.raises(ConfigError, match=r"^<string>: \[cell\] obstacles: '1,2,3': a box "):
+        loads_config("[cell]\nobstacles = 1,2,3\n")
+    # a material is named by its header; the key would be dropped unseen
+    for sec in ("material:dlp-fs9", "material:new-resin"):
+        with pytest.raises(ConfigError, match=rf"^<string>: \[{sec}\] name is not a key"):
+            loads_config(f"[{sec}]\nname = {sec[9:]}\n")
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("material:dlp-fs9", "base", "unobtainium"),
     ("material:dlp-fs9", "filler", "gold"),

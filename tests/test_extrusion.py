@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+from ramcell import pipeline
 from ramcell.config import ConfigError, default_config, loads_config
 from ramcell.extrusion import (ExtrusionError, FlowModel, IOEvent, Nozzle, StepSchedule,
                                bead_area, schedule)
+from ramcell.gcode import parse, to_toolpath
 from ramcell.geometry import Vec3
 from ramcell.shapes import generate
 from ramcell.toolpath import (ExtensionPolicy, Segment, Toolpath,
                               add_cure_extensions, assign_orientations,
-                              path_stats)
+                              path_stats, time_profile)
 
 DRIVE = default_config().drivetrain
 FLOW = FlowModel()
@@ -70,7 +72,7 @@ def oriented_rectangle():
 
 def test_schedule_rectangle_volume():
     sched = schedule(oriented_rectangle(), FLOW, DRIVE)
-    volume = sched.total_steps() * (DRIVE.bore_area_mm2() / DRIVE.steps_per_mm())
+    volume = sched.breakpoints[-1][1] * (DRIVE.bore_area_mm2() / DRIVE.steps_per_mm())
     assert volume == pytest.approx(530.0, rel=1e-3)
     stats = path_stats(oriented_rectangle())
     assert volume == pytest.approx(FLOW.q_mm3_s * stats["extrusion_time"], rel=1e-6)
@@ -81,7 +83,7 @@ def test_schedule_no_extrusion_only_uv_events():
         Segment(Vec3(0, 0, 0), Vec3(25, 0, 0), 3.0, False, True, 0),
     )))
     sched = schedule(path, FLOW, DRIVE)
-    assert sched.total_steps() == 0.0
+    assert sched.breakpoints[-1][1] == 0.0
     channels = {e.channel for e in sched.events}
     assert channels == {"uv"}
 
@@ -95,7 +97,8 @@ def test_schedule_rate_independent_of_speed():
     sched = schedule(path, FLOW, DRIVE)
     rate = DRIVE.step_rate(FLOW.q_mm3_s)
     # cumulative steps rise at one constant rate through both segments,
-    # so the two ramps merge into a single breakpoint pair
+    # and the extruder never switches between them, so the only knots are
+    # the start and the end
     times = [t for t, _ in sched.breakpoints]
     steps = [s for _, s in sched.breakpoints]
     t2 = 10.0 + 7.5
@@ -143,6 +146,43 @@ def test_step_count_between_events_matches_rate():
     slopes = np.diff(steps) / np.diff(times)
     for s in slopes:
         assert abs(s) < 1e-9 or abs(s - rate) < 1e-9
+
+
+def _assert_knots_at_switches(sched, path, rate):
+    """The knots are (0, 0), the extruder switches and the end; the curve
+    rises at the step rate from each switch-on to the next knot and is
+    flat from every other knot."""
+    switches = [e.time_s for e in sched.events if e.channel == "extruder"]
+    ons = {e.time_s for e in sched.events if e.channel == "extruder" and e.on}
+    end = float(time_profile(path)[-1].t1)
+    assert sched.breakpoints[0] == (0.0, 0.0)
+    assert [t for t, _ in sched.breakpoints] == sorted({0.0, *switches, end})
+    for (t0, s0), (t1, s1) in zip(sched.breakpoints, sched.breakpoints[1:]):
+        if t0 in ons:
+            assert s1 - s0 == pytest.approx(rate * (t1 - t0), rel=1e-9)
+        else:
+            assert s1 == s0
+
+
+def test_knots_of_a_run_with_a_sub_nanosecond_move_are_its_switches():
+    # the 1e-4 mm move at 1e7 mm/min takes 6e-10 s right after a switch-on
+    text = ("G1 F240\nM42 P2 S1\nM106\nG1 X10\nG1 X10 Y2\nG1 X10.0001 Y2 F1e7\n"
+            "G1 X15 Y2 F240\nM107\n")
+    path = assign_orientations(to_toolpath(parse(text)))
+    sched = schedule(path, FLOW, DRIVE)
+    _assert_knots_at_switches(sched, path, DRIVE.step_rate(FLOW.q_mm3_s))
+    assert len(sched.breakpoints) == 6
+    assert sched.breakpoints[4][0] == pytest.approx(6.141593, abs=1e-6)
+
+
+def test_knots_at_a_step_rate_below_1e_9_per_s_keep_every_pause():
+    cfg = default_config()
+    local = pipeline.build_toolpath_from_shape(cfg, "rectangle-90x60")
+    path = pipeline.build_job(cfg, "rectangle-90x60", local).local_path
+    flow = FlowModel(1e-9)
+    sched = schedule(path, flow, DRIVE)
+    _assert_knots_at_switches(sched, path, DRIVE.step_rate(flow.q_mm3_s))
+    assert len(sched.breakpoints) == 9
 
 
 def test_schedule_invariants_enforced():

@@ -216,8 +216,39 @@ def test_modal_feed_property():
 def test_overflowing_number_is_an_error_naming_the_line():
     program = parse("G1 X10 F600\nG1 X1e400 F600\nG1 Y-2e308\nG1 X5e307 F60")
     errors = [d for d in program.diagnostics if d.severity == "error"]
-    assert [d.line for d in errors] == [2, 3]
+    # a finite 5e307 lies above the 1e9 bound as well
+    assert [d.line for d in errors] == [2, 3, 4]
     assert "X1e400" in errors[0].message and "Y-2e308" in errors[1].message
-    assert [c.x for c in program.commands if c.kind == gcode.KIND_LINEAR] == [10.0, 5e307]
+    assert "X5e307" in errors[2].message
+    assert [c.x for c in program.commands if c.kind == gcode.KIND_LINEAR] == [10.0]
     with pytest.raises(GcodeError):
+        to_toolpath(program)
+
+
+def test_a_number_above_1e9_in_magnitude_is_an_error_naming_the_line():
+    # Z1e20 would overflow the int64 layer index of the toolpath
+    for word in ("Z1e20", "X-2e9", "F1e10", "Y1000000000.5"):
+        program = parse(f"G1 F60\nM106\nG1 X1 {word}")
+        assert [(d.line, d.message) for d in program.errors()] == [
+            (3, f"number out of range in '{word}'")]
+        with pytest.raises(GcodeError, match=rf"^line 3: number out of range in '{word}'$"):
+            to_toolpath(program)
+    # the bound itself loads
+    path = to_toolpath(parse("G1 F60\nM106\nG1 X1 Z1e9\nM107\nG1 X-1e9 Z-1e9 F1e9"))
+    assert path.end.tolist() == [[1.0, 0.0, 1e9], [-1e9, 0.0, -1e9]]
+
+
+def test_moves_shorter_than_the_connect_tolerance_are_dropped():
+    path = to_toolpath(parse("G1 F60\nM106\nG1 X1\nG1 X1\nG1 X1.0000000001\n"
+                             "G1 X1.0000005\nG1 X2"))
+    assert path.start[:, 0].tolist() == [0.0, 1.0000005]
+    assert path.end[:, 0].tolist() == [1.0, 2.0]
+
+
+def test_a_feed_that_rounds_to_0_mm_s_is_an_error_naming_the_line():
+    program = parse("G1 F1e-323\nG1 F0\nG1 F1e-300 X1")
+    assert [(d.line, d.message) for d in program.errors()] == [
+        (1, "feed must be positive in mm/s, got 9.88131e-324 mm/min"),
+        (2, "feed must be positive in mm/s, got 0 mm/min")]
+    with pytest.raises(GcodeError, match=r"^line 1: feed must be positive in mm/s"):
         to_toolpath(program)

@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 from ramcell.cli import main
 
 # moves in a build volume around the origin, now and then at a value
-# that pushes the planner and the sweep to their limits
+# that pushes the planner and the sweep to their limits or, above 1e9,
+# that the parser refuses
 COORD = st.one_of(*[st.floats(-60.0, 60.0).map("{:.3f}".format)] * 6,
-                  st.sampled_from(["0", "-0", "1e4", "1e9", "1e-300"]))
+                  st.sampled_from(["0", "-0", "1e4", "1e9", "1e20", "1e-300"]))
 FEED = st.one_of(*[st.floats(1.0, 20000.0).map("{:.1f}".format)] * 6,
                  st.sampled_from(["0.0001", "1e-300", "1e9"]))
 MOVE = st.builds(
