@@ -29,7 +29,7 @@ from . import RamcellError
 from .config import CellConfig, Config, parse_obstacles
 from .extrusion import IOEvent
 from .geometry import Pose, Rotation, Vec3
-from .kinematics import (TAG_ORDER, DHParams, fk_batch, ik_chunks, manipulability_batch,
+from .kinematics import (TAG_ORDER, DHParams, _flange, ik_chunks, manipulability_batch,
                          select_chain, tcp_offset_from_config)
 from .toolpath import Toolpath, time_profile
 
@@ -329,18 +329,18 @@ def check_collisions(program: RobotProgram, cfg: Config, env: CellEnvironment,
     The tool body is a vertical-ish capsule hung above the TCP; between
     waypoints both capsule endpoints move on straight lines, so sampling
     interpolates endpoint positions directly instead of re-running FK.
-    The endpoints at the waypoints come from one batched FK call, and
-    only the samples of segments that can touch something are evaluated
-    (_hot_samples).  The waypoint times must increase.
+    The endpoints at the waypoints come from their closed-form flange
+    poses, and only the samples of segments that can touch something
+    are evaluated (_hot_samples).  The waypoint times must increase.
     Returns the earliest contact per obstacle plus any table contact.
     """
     times = program.times
     if not len(times):
         return []
-    dh = DHParams.from_config(cfg.kinematics)
-    tcp = fk_batch(program.joints, dh, tcp_offset_from_config(cfg.kinematics))
-    tip = tcp[:, :3, 3]
-    body_up = -tcp[:, :3, 2]  # opposite the nozzle axis
+    # the TCP lies tcp_offset_z_mm along the flange z axis, the nozzle axis
+    flange = _flange(program.joints, DHParams.from_config(cfg.kinematics))
+    tip = flange[:, :, 3] + cfg.kinematics.tcp_offset_z_mm * flange[:, :, 2]
+    body_up = -flange[:, :, 2]  # opposite the nozzle axis
     caps_lo = tip + body_up * CAPSULE_CLEARANCE_MM
     caps_hi = tip + body_up * (CAPSULE_CLEARANCE_MM + env.capsule_length_mm)
 

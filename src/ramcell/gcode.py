@@ -80,7 +80,8 @@ def _split_words(body: str, lineno: int, diags: list[ParseDiagnostic]) -> list[t
         value = float(m.group(2))
         if not abs(value) <= MAX_MAGNITUDE:
             diags.append(ParseDiagnostic(lineno, "error",
-                                         f"number out of range in '{m.group(0).strip()}'"))
+                                         f"number out of range in '{m.group(0).strip()}': "
+                                         f"must be at most {MAX_MAGNITUDE:g} in magnitude"))
             return None
         words.append((m.group(1).upper(), value))
         pos = m.end()

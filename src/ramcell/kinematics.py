@@ -2,19 +2,21 @@
 
 The arm is UR-type: DH alphas (pi/2, 0, 0, pi/2, -pi/2, 0), so joints 2,
 3 and 4 rotate about parallel axes.  Batched kernels serve a whole
-trajectory at once.  `_flange` is the closed-form flange pose, a dozen
-elementwise columns of q1, q5, q6, q2, q2+q3 and q2+q3+q4; `fk_batch`
-and IK's forward check use it.  `_frames` multiplies out the six DH
-links (`_dh_links`) and keeps every intermediate frame, which only the
-Jacobian needs.  The closed-form inverse `_candidate_angles` (Hawkins,
-"Analytic Inverse Kinematics for the Universal Robots UR-5/UR-10 Arms",
-2013) evaluates the eight branches (shoulder, wrist, elbow) of every
-target as array masks; at the wrist degeneracy it keeps q6 = 0 where the
-elbow reaches and turns q6 into reach where it does not.  `ik_chunks`
-solves targets in chunks of IK_CHUNK_NODES and de-duplicates each
-chunk's candidates over the 28 pairs j < k; `nearest_branch` picks
-branches for many nodes at once and `select_chain` runs it along a chain
-of nodes in rounds over at most SELECT_WINDOW_NODES nodes, bit for bit
+trajectory at once as elementwise columns.  `_flange` is the closed-form
+flange pose, a dozen columns of q1, q5, q6, q2, q2+q3 and q2+q3+q4;
+`fk_batch`, the clearance check and IK's forward check use it.
+`_frames` multiplies out the six DH links (`_dh_links` serves only it)
+and keeps every intermediate frame, which only the Jacobian needs.  The
+closed-form inverse `_candidate_angles` (Hawkins, "Analytic Inverse
+Kinematics for the Universal Robots UR-5/UR-10 Arms", 2013) writes the
+entries of inv(T01) T06 and T16 inv(T45 T56) it needs in the target's
+entries and evaluates the eight branches (shoulder, wrist, elbow) of
+every target as array masks; at the wrist degeneracy it keeps q6 = 0
+where the elbow reaches and turns q6 into reach where it does not.
+`ik_chunks` solves chunks of IK_CHUNK_NODES targets and de-duplicates
+their candidates over the 28 pairs j < k; `nearest_branch` picks
+branches for many nodes at once, and `select_chain` runs it along a
+chain, once a round over at most SELECT_WINDOW_NODES nodes, bit for bit
 as node by node.  `fk_batch` and `manipulability_batch` take an (n, 6)
 joint array.  JointConfig is only the one-row type: `ik_batch`, `ik` and
 `select_branch` are thin wrappers that build IKSolution/JointConfig
@@ -77,9 +79,6 @@ class DHParams:
             alpha=(math.pi / 2, 0.0, 0.0, math.pi / 2, -math.pi / 2, 0.0),
         )
 
-    def max_reach(self) -> float:
-        return sum(abs(v) for v in self.a) + sum(abs(v) for v in self.d)
-
 
 @dataclass(frozen=True)
 class JointConfig:
@@ -119,16 +118,6 @@ def _dh_links(theta, a: float, d: float, alpha: float) -> np.ndarray:
     link[..., 2, 1:] = (sa, ca, d)
     link[..., 3, 3] = 1.0
     return link
-
-
-def _rigid_inv(t: np.ndarray) -> np.ndarray:
-    """Inverse of rigid transforms of shape (..., 4, 4), via transpose."""
-    out = np.zeros_like(t)
-    rt = np.swapaxes(t[..., :3, :3], -1, -2)
-    out[..., :3, :3] = rt
-    out[..., :3, 3:] = -rt @ t[..., :3, 3:]
-    out[..., 3, 3] = 1.0
-    return out
 
 
 def _frames(qs: np.ndarray, dh: DHParams) -> np.ndarray:
@@ -201,20 +190,25 @@ SELECT_WINDOW_NODES = 128
 def _candidate_angles(t06: np.ndarray, dh: DHParams):
     """The eight closed-form branches of each flange target in the (n, 4, 4)
     array t06: joints (n, 8, 6), a mask (n, 8) of branches that have a real
-    solution, and a wrist-free flag (n, 8)."""
-    a2, a3, d4, d6 = dh.a[1], dh.a[2], dh.d[3], dh.d[5]
-    p06 = t06[:, :3, 3]
-    p05 = t06 @ np.array([0.0, 0.0, -d6, 1.0])
-    rho = np.hypot(p05[:, 0], p05[:, 1])
-    psi = np.arctan2(p05[:, 1], p05[:, 0])
+    solution, and a wrist-free flag (n, 8).  q1 is a column over (n, shoulder,
+    1), q5 and q6 over (n, shoulder, wrist), and q2, q3, q4 add the elbow."""
+    a2, a3, d1, d4, d5, d6 = dh.a[1], dh.a[2], dh.d[0], dh.d[3], dh.d[4], dh.d[5]
+    (r00, r01, r02, p0), (r10, r11, r12, p1), (r20, r21, r22, p2) = (
+        [[t06[:, i, j, None, None] for j in range(4)] for i in range(3)])
+    p05_x, p05_y = p0 - d6 * r02, p1 - d6 * r12  # frame 5's origin
+    rho = np.hypot(p05_x, p05_y)
     phi = np.arccos(np.clip(d4 / rho, -1.0, 1.0))
-    q1 = psi[:, None] + _SIGNS * phi[:, None] + math.pi / 2  # (n, shoulder)
-    c5 = (p06[:, None, 0] * np.sin(q1) - p06[:, None, 1] * np.cos(q1) - d4) / d6
+    q1 = np.arctan2(p05_y, p05_x) + _SIGNS[:, None] * phi + math.pi / 2
+    c1, s1 = np.cos(q1), np.sin(q1)
+    c5 = (p0 * s1 - p1 * c1 - d4) / d6
     # rho < |d4|: the wrist column passes inside the shoulder cylinder
-    valid = (rho >= abs(d4))[:, None] & (np.abs(c5) <= 1.0 + 1e-12)
-    c5 = np.clip(c5, -1.0, 1.0)[..., None]
-    t16 = (_rigid_inv(_dh_links(q1, dh.a[0], dh.d[0], dh.alpha[0])) @ t06[:, None])[:, :, None]
-    q5 = np.arccos(c5) * _SIGNS  # (n, shoulder, wrist)
+    valid = (rho >= abs(d4)) & (np.abs(c5) <= 1.0 + 1e-12)
+    c5 = np.clip(c5, -1.0, 1.0)
+    # the rows of t16 = inv(T01) t06 (row 1 is the target's row 2)
+    t16 = ((c1 * r00 + s1 * r10, c1 * r01 + s1 * r11, c1 * r02 + s1 * r12, c1 * p0 + s1 * p1),
+           (r20, r21, r22, p2 - d1),
+           (s1 * r00 - c1 * r10, s1 * r01 - c1 * r11))
+    q5 = np.arccos(c5) * _SIGNS
     s5 = np.sin(q5)
     free = np.abs(s5) < WRIST_DEGENERACY_TOL
     # snap onto the degeneracy so joint 4 absorbs the whole wrist rotation
@@ -223,15 +217,16 @@ def _candidate_angles(t06: np.ndarray, dh: DHParams):
     on_degeneracy = np.where(c5 > 0.0, 0.0, math.pi * _SIGNS)
     q5 = np.where(free, on_degeneracy, q5)
     # inv(t16) rotation entries are the transpose of t16's
-    q6 = np.where(free, 0.0, np.arctan2(-t16[..., 2, 1] / s5, t16[..., 2, 0] / s5))
+    q6 = np.where(free, 0.0, np.arctan2(-t16[2][1] / s5, t16[2][0] / s5))
 
     def elbow(q5, q6):
-        """Frame 4 in frame 1, the planar position of frame 3's origin
-        (joint 4's axis), and the cosine of q3 that reaches it."""
-        t14 = t16 @ _rigid_inv(_dh_links(q5, dh.a[4], dh.d[4], dh.alpha[4])
-                               @ _dh_links(q6, dh.a[5], dh.d[5], dh.alpha[5]))
-        p13_x = -d4 * t14[..., 0, 1] + t14[..., 0, 3]
-        p13_y = -d4 * t14[..., 1, 1] + t14[..., 1, 3]
+        """Entries [0|1, 0|1|3] of t14 = t16 inv(T45 T56), the planar position
+        of frame 3's origin (joint 4's axis), and the cosine of q3 reaching it."""
+        c5, s5, c6, s6 = np.cos(q5), np.sin(q5), np.cos(q6), np.sin(q6)
+        c5c6, c5s6, s5c6, s5s6, d5s6, d5c6 = c5 * c6, c5 * s6, s5 * c6, s5 * s6, d5 * s6, d5 * c6
+        t14 = [(x * c5c6 - y * c5s6 - z * s5, x * s5c6 - y * s5s6 + z * c5,
+                x * d5s6 + y * d5c6 - z * d6 + p) for x, y, z, p in t16[:2]]
+        p13_x, p13_y = -d4 * t14[0][1] + t14[0][2], -d4 * t14[1][1] + t14[1][2]
         return t14, p13_x, p13_y, (p13_x**2 + p13_y**2 - a2**2 - a3**2) / (2.0 * a2 * a3)
 
     t14, p13_x, p13_y, c3 = elbow(q5, q6)
@@ -250,19 +245,18 @@ def _candidate_angles(t06: np.ndarray, dh: DHParams):
         q6 = np.where(lost & (np.abs(c3) > 1.0 + 1e-12),
                       _reaching_q6(t16, q5, p13_x, p13_y, c3, dh), q6)
         t14, p13_x, p13_y, c3 = elbow(q5, q6)
-    l13_sq = p13_x**2 + p13_y**2
-    valid = valid[..., None] & (np.abs(c3) <= 1.0 + 1e-12)
-    q3 = np.arccos(np.clip(c3, -1.0, 1.0))[..., None] * _SIGNS  # (n, shoulder, wrist, elbow)
-    s_arg = np.clip(a3 * np.sin(q3) / np.sqrt(l13_sq)[..., None], -1.0, 1.0)
+    valid = valid & (np.abs(c3) <= 1.0 + 1e-12)
+    q3 = np.arccos(np.clip(c3, -1.0, 1.0))[..., None] * _SIGNS
+    s_arg = np.clip(a3 * np.sin(q3) / np.sqrt(p13_x**2 + p13_y**2)[..., None], -1.0, 1.0)
     q2 = -np.arctan2(p13_y, -p13_x)[..., None] + np.arcsin(s_arg)
     # joints 2 and 3 rotate about parallel axes, so frame 3's x axis is
     # frame 1's rotated by -(q2+q3)
     c23, s23 = np.cos(q2 + q3), np.sin(q2 + q3)
-    r14_00, r14_10 = t14[..., 0, 0, None], t14[..., 1, 0, None]
+    r14_00, r14_10 = t14[0][0][..., None], t14[1][0][..., None]
     q4 = np.arctan2(-s23 * r14_00 + c23 * r14_10, c23 * r14_00 + s23 * r14_10)
-    qs = np.stack(np.broadcast_arrays(q1[..., None, None], q2, q3, q4,
-                                      q5[..., None], q6[..., None]), axis=-1)
-    return (wrap_angles(qs).reshape(-1, 8, 6),
+    w1, w5, w6 = (wrap_angles(q)[..., None] for q in (q1, q5, q6))
+    qs = np.stack(np.broadcast_arrays(w1, *map(wrap_angles, (q2, q3, q4)), w5, w6), axis=-1)
+    return (qs.reshape(-1, 8, 6),
             np.broadcast_to(valid[..., None], q2.shape).reshape(-1, 8),
             np.broadcast_to(free[..., None], q2.shape).reshape(-1, 8))
 
@@ -276,8 +270,7 @@ def _reaching_q6(t16, q5, p13_x, p13_y, c3, dh: DHParams):
     # the wrist centre (frame 5's origin) and the offset v to it from
     # frame 4's, of length |d5|, both in frame 1's plane; turning q6 by
     # delta turns v by -cos(q5) delta
-    px = t16[..., 0, 3] - d6 * t16[..., 0, 2]
-    py = t16[..., 1, 3] - d6 * t16[..., 1, 2]
+    px, py = (p - d6 * z for _, _, z, p in t16[:2])
     vx, vy = px - p13_x, py - p13_y
     p_sq, v_sq = px**2 + py**2, vx**2 + vy**2
     goal = np.clip(c3, ELBOW_MARGIN - 1.0, 1.0 - ELBOW_MARGIN)
@@ -296,15 +289,16 @@ def _checked_candidates(t06: np.ndarray, dh: DHParams):
     narrowed to the branches whose forward pose matches the target."""
     with np.errstate(divide="ignore", invalid="ignore"):
         qs, valid, free = _candidate_angles(t06, dh)
-    got = _flange(qs[valid], dh)
-    want = np.repeat(t06, valid.sum(axis=1), axis=0)
-    pos_err = np.linalg.norm(got[:, :, 3] - want[:, :3, 3], axis=1)
+        got = _flange(qs.reshape(-1, 6), dh).reshape(len(qs), 8, 3, 4)
+    pos_sq = rot_sq = 0.0
+    for i in range(3):
+        pos_sq = pos_sq + (got[:, :, i, 3] - t06[:, i, 3, None])**2
+        for j in range(3):
+            rot_sq = rot_sq + (got[:, :, i, j] - t06[:, i, j, None])**2
     # ||R1 - R2||_F = 2 sqrt(2) |sin(theta/2)|; asin keeps the
     # small-angle regime well conditioned where acos(trace) is not
-    fro = np.linalg.norm(got[:, :, :3] - want[:, :3, :3], axis=(1, 2))
-    rot_err = 2.0 * np.arcsin(np.minimum(1.0, fro / (2.0 * math.sqrt(2.0))))
-    ok = valid.copy()
-    ok[valid] = ~((pos_err > POSITION_TOL_MM) | (rot_err > ORIENTATION_TOL_RAD))
+    rot_err = 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(rot_sq) / (2.0 * math.sqrt(2.0))))
+    ok = valid & ~((np.sqrt(pos_sq) > POSITION_TOL_MM) | (rot_err > ORIENTATION_TOL_RAD))
     return qs, ok, free
 
 
@@ -334,7 +328,7 @@ def ik_chunks(targets: np.ndarray, dh: DHParams, tcp_offset: Pose = Pose.identit
     """Solve the (n, 4, 4) TCP targets IK_CHUNK_NODES at a time; yield per
     chunk the joints (m, 8, 6), the kept mask (m, 8) and the wrist-free
     flags (m, 8) of candidate k = branch _BRANCHES[k]."""
-    flange = _rigid_inv(tcp_offset.to_matrix())
+    flange = np.linalg.inv(tcp_offset.to_matrix())
     for start in range(0, len(targets), IK_CHUNK_NODES):
         qs, ok, free = _checked_candidates(targets[start:start + IK_CHUNK_NODES] @ flange, dh)
         yield (qs, *_dedup(qs, ok, free))
@@ -369,6 +363,13 @@ def ik(target: Pose, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> list[I
 TAG_ORDER = np.array(sorted(range(8), key=lambda k: _BRANCHES[k]))
 
 
+def _unwrapped(rows: np.ndarray, prev: np.ndarray, joint_limit: float) -> np.ndarray:
+    """rows moved by whole turns per joint to lie nearest prev, folded into +-joint_limit."""
+    cand = rows + math.tau * np.rint((prev - rows) / math.tau)  # half to even, as round()
+    return np.where(cand > joint_limit, cand - math.tau,
+                    np.where(cand < -joint_limit, cand + math.tau, cand))
+
+
 def nearest_branch(rows: np.ndarray, kept: np.ndarray, prev: np.ndarray,
                    joint_limit: float):
     """For each node, the kept row of its (m, 6) candidates closest to the
@@ -378,14 +379,11 @@ def nearest_branch(rows: np.ndarray, kept: np.ndarray, prev: np.ndarray,
     than 1e-15.
 
     rows (n, m, 6), kept (n, m) with a kept row in every node, prev
-    (n, 6).  Returns the chosen unwrapped joints (n, 6) and their
-    distances to prev (n,).
+    (n, 6).  Returns the chosen unwrapped joints (n, 6), their distances
+    to prev (n,) and the indices of the chosen rows (n,).
     """
-    two_pi = 2.0 * math.pi
     prev = prev[:, None]
-    cand = rows + two_pi * np.rint((prev - rows) / two_pi)  # half to even, as round()
-    cand = np.where(cand > joint_limit, cand - two_pi,
-                    np.where(cand < -joint_limit, cand + two_pi, cand))
+    cand = _unwrapped(rows, prev, joint_limit)
     gap = np.abs(cand - prev)
     dist = gap[..., 0]
     for i in range(1, 6):  # faster than a max over the length-6 axis
@@ -398,7 +396,7 @@ def nearest_branch(rows: np.ndarray, kept: np.ndarray, prev: np.ndarray,
         best[take] = j
         best_d[take] = dist[take, j]
         seen |= kept[:, j]
-    return cand[np.arange(len(rows)), best], best_d
+    return cand[np.arange(len(rows)), best], best_d, best
 
 
 def select_chain(rows: np.ndarray, kept: np.ndarray, prev: np.ndarray,
@@ -407,26 +405,27 @@ def select_chain(rows: np.ndarray, kept: np.ndarray, prev: np.ndarray,
     choice of the last node j < i with added[j] set, or from the given
     (6,) prev if there is none.
 
-    Rounds of two guesses over the next SELECT_WINDOW_NODES open nodes:
-    each from the last settled choice, then each from its predecessor's
-    first guess.  The open prefix whose every prev equals bit for bit the
-    choice it stands for is settled, so the result is that of selecting
-    node by node.
+    Each round guesses the next SELECT_WINDOW_NODES open nodes on the
+    branch of the last settled choice, unwrapped against it (before any
+    choice is settled, on each node's branch nearest prev), then chooses
+    each node in one pass from its predecessor's guess.  The open prefix
+    whose every prev equals bit for bit the choice it stands for is
+    settled, so the result is that of selecting node by node.
     """
     n = len(rows)
     src = np.maximum.accumulate(np.where(added, np.arange(n), -1))
     src = np.concatenate(([-1], src))[:n]
     first = (src < 0)[:, None]
-    choice = np.empty((n, 6))
-    dist = np.empty(n)
+    choice, dist, branch = np.empty((n, 6)), np.empty(n), np.empty(n, dtype=int)
     done = 0
     while done < n:
         w = slice(done, min(n, done + SELECT_WINDOW_NODES))
-        anchor = prev if first[done, 0] else choice[src[done]]
-        choice[w], _ = nearest_branch(rows[w], kept[w],
-                                      np.broadcast_to(anchor, (w.stop - done, 6)), joint_limit)
+        a = src[done]
+        choice[w] = (_unwrapped(rows[w, branch[a]], choice[a], joint_limit) if a >= 0 else
+                     nearest_branch(rows[w], kept[w], np.broadcast_to(prev, (w.stop - done, 6)),
+                                    joint_limit)[0])
         used = np.where(first[w], prev, choice[src[w]])
-        choice[w], dist[w] = nearest_branch(rows[w], kept[w], used, joint_limit)
+        choice[w], dist[w], branch[w] = nearest_branch(rows[w], kept[w], used, joint_limit)
         parent = np.where(first[w], prev, choice[src[w]])
         same = (used.view(np.int64) == parent.view(np.int64)).all(axis=1)
         done += len(same) if same.all() else int(np.argmin(same))
@@ -442,8 +441,8 @@ def select_branch(solutions: list[IKSolution], prev: JointConfig,
     if not solutions:
         raise UnreachableError("no inverse kinematics solution")
     rows = np.array([[s.config.q for s in sorted(solutions, key=lambda s: s.tag)]])
-    q, _ = nearest_branch(rows, np.ones(rows.shape[:2], dtype=bool),
-                          np.array([prev.q]), joint_limit)
+    q, _, _ = nearest_branch(rows, np.ones(rows.shape[:2], dtype=bool),
+                             np.array([prev.q]), joint_limit)
     return JointConfig(tuple(q[0].tolist()))
 
 

@@ -6,7 +6,11 @@ singularity scan and the script writer read the program's columns.
 These are the scalar loops those replaced, kept as the oracle that the
 array code must match bit for bit.  The singularity scan's oracle takes
 manipulability as the LU determinant of the geometric Jacobian, which
-the closed form replaced.
+the closed form replaced.  The IK oracle builds the candidates from
+products of DH link matrices (inv(T01) T06 and T16 inv(T45 T56)) and
+checks each against its target gathered by np.repeat; the column kernel,
+which reads the target's entries, must match it to rounding, not bit for
+bit.
 """
 
 import math
@@ -16,10 +20,12 @@ import numpy as np
 
 from ramcell.cell import (MAX_JOINT_STEP_RAD, PlanningError, RobotProgram,
                           _plan_nodes, cfg_home)
-from ramcell.geometry import Vec3
-from ramcell.kinematics import (_BRANCHES, IK_CHUNK_NODES, DHParams, IKSolution,
-                                JointConfig, UnreachableError, _checked_candidates,
-                                _rigid_inv, jacobian, tcp_offset_from_config)
+from ramcell.geometry import Vec3, wrap_angles
+from ramcell.kinematics import (_BRANCHES, _SIGNS, ELBOW_MARGIN, IK_CHUNK_NODES,
+                                ORIENTATION_TOL_RAD, POSITION_TOL_MM, WRIST_DEGENERACY_TOL,
+                                WRIST_LOST_TOL, DHParams, IKSolution, JointConfig,
+                                UnreachableError, _checked_candidates, _dh_links, _flange,
+                                jacobian, tcp_offset_from_config)
 
 
 def max_distance(a, b) -> float:
@@ -57,7 +63,7 @@ def ik_per_node(targets: np.ndarray, dh: DHParams, tcp_offset) -> list[list[IKSo
     """ik_batch's solution lists, de-duplicated node by node."""
     out = []
     for start in range(0, len(targets), IK_CHUNK_NODES):
-        t06 = targets[start:start + IK_CHUNK_NODES] @ _rigid_inv(tcp_offset.to_matrix())
+        t06 = targets[start:start + IK_CHUNK_NODES] @ np.linalg.inv(tcp_offset.to_matrix())
         out.extend(dedup_per_node(*_checked_candidates(t06, dh)))
     return out
 
@@ -190,3 +196,126 @@ def emit_program_per_float(program: RobotProgram) -> str:
         lines.append(f"stopj t={program.duration():.6f}")
     lines.append("# end")
     return "\n".join(lines) + "\n"
+
+
+def rigid_inv(t: np.ndarray) -> np.ndarray:
+    """Inverse of rigid transforms of shape (..., 4, 4), via transpose."""
+    out = np.zeros_like(t)
+    rt = np.swapaxes(t[..., :3, :3], -1, -2)
+    out[..., :3, :3] = rt
+    out[..., :3, 3:] = -rt @ t[..., :3, 3:]
+    out[..., 3, 3] = 1.0
+    return out
+
+
+
+def candidate_angles(t06: np.ndarray, dh: DHParams):
+    """kinematics._candidate_angles from products of DH link matrices: the
+    eight closed-form branches of each flange target in the (n, 4, 4)
+    array t06, joints (n, 8, 6), a mask (n, 8) of branches that have a
+    real solution, and a wrist-free flag (n, 8)."""
+    a2, a3, d4, d6 = dh.a[1], dh.a[2], dh.d[3], dh.d[5]
+    p06 = t06[:, :3, 3]
+    p05 = t06 @ np.array([0.0, 0.0, -d6, 1.0])
+    rho = np.hypot(p05[:, 0], p05[:, 1])
+    psi = np.arctan2(p05[:, 1], p05[:, 0])
+    phi = np.arccos(np.clip(d4 / rho, -1.0, 1.0))
+    q1 = psi[:, None] + _SIGNS * phi[:, None] + math.pi / 2  # (n, shoulder)
+    c5 = (p06[:, None, 0] * np.sin(q1) - p06[:, None, 1] * np.cos(q1) - d4) / d6
+    # rho < |d4|: the wrist column passes inside the shoulder cylinder
+    valid = (rho >= abs(d4))[:, None] & (np.abs(c5) <= 1.0 + 1e-12)
+    c5 = np.clip(c5, -1.0, 1.0)[..., None]
+    t16 = (rigid_inv(_dh_links(q1, dh.a[0], dh.d[0], dh.alpha[0])) @ t06[:, None])[:, :, None]
+    q5 = np.arccos(c5) * _SIGNS  # (n, shoulder, wrist)
+    s5 = np.sin(q5)
+    free = np.abs(s5) < WRIST_DEGENERACY_TOL
+    # snap onto the degeneracy so joint 4 absorbs the whole wrist rotation
+    # exactly; acos noise would otherwise leak an ill-conditioned q6 into
+    # the arm joints
+    on_degeneracy = np.where(c5 > 0.0, 0.0, math.pi * _SIGNS)
+    q5 = np.where(free, on_degeneracy, q5)
+    # inv(t16) rotation entries are the transpose of t16's
+    q6 = np.where(free, 0.0, np.arctan2(-t16[..., 2, 1] / s5, t16[..., 2, 0] / s5))
+
+    def elbow(q5, q6):
+        """Frame 4 in frame 1, the planar position of frame 3's origin
+        (joint 4's axis), and the cosine of q3 that reaches it."""
+        t14 = t16 @ rigid_inv(_dh_links(q5, dh.a[4], dh.d[4], dh.alpha[4])
+                               @ _dh_links(q6, dh.a[5], dh.d[5], dh.alpha[5]))
+        p13_x = -d4 * t14[..., 0, 1] + t14[..., 0, 3]
+        p13_y = -d4 * t14[..., 1, 1] + t14[..., 1, 3]
+        return t14, p13_x, p13_y, (p13_x**2 + p13_y**2 - a2**2 - a3**2) / (2.0 * a2 * a3)
+
+    t14, p13_x, p13_y, c3 = elbow(q5, q6)
+    # At the degeneracy (q5 = 0 or pi) joints 2, 3, 4 and 6 are parallel:
+    # the target fixes only q2+q3+q4 -+ q6, and q6 turns frame 4 about the
+    # wrist centre on a circle of radius d5.  Where q6 = 0 leaves it out of
+    # the arm's reach, q6 turns to bring it back (reaching_q6); a branch
+    # that close to the degeneracy (WRIST_LOST_TOL, past acos noise) is
+    # put on it.  Only branches without a solution at q6 = 0 change.
+    lost = (np.abs(s5) < WRIST_LOST_TOL) & (np.abs(c3) > 1.0 + 1e-12)
+    if lost.any():
+        free = free | lost
+        q5 = np.where(lost, on_degeneracy, q5)
+        q6 = np.where(lost, 0.0, q6)
+        _, p13_x, p13_y, c3 = elbow(q5, q6)
+        q6 = np.where(lost & (np.abs(c3) > 1.0 + 1e-12),
+                      reaching_q6(t16, q5, p13_x, p13_y, c3, dh), q6)
+        t14, p13_x, p13_y, c3 = elbow(q5, q6)
+    l13_sq = p13_x**2 + p13_y**2
+    valid = valid[..., None] & (np.abs(c3) <= 1.0 + 1e-12)
+    q3 = np.arccos(np.clip(c3, -1.0, 1.0))[..., None] * _SIGNS  # (n, shoulder, wrist, elbow)
+    s_arg = np.clip(a3 * np.sin(q3) / np.sqrt(l13_sq)[..., None], -1.0, 1.0)
+    q2 = -np.arctan2(p13_y, -p13_x)[..., None] + np.arcsin(s_arg)
+    # joints 2 and 3 rotate about parallel axes, so frame 3's x axis is
+    # frame 1's rotated by -(q2+q3)
+    c23, s23 = np.cos(q2 + q3), np.sin(q2 + q3)
+    r14_00, r14_10 = t14[..., 0, 0, None], t14[..., 1, 0, None]
+    q4 = np.arctan2(-s23 * r14_00 + c23 * r14_10, c23 * r14_00 + s23 * r14_10)
+    qs = np.stack(np.broadcast_arrays(q1[..., None, None], q2, q3, q4,
+                                      q5[..., None], q6[..., None]), axis=-1)
+    return (wrap_angles(qs).reshape(-1, 8, 6),
+            np.broadcast_to(valid[..., None], q2.shape).reshape(-1, 8),
+            np.broadcast_to(free[..., None], q2.shape).reshape(-1, 8))
+
+
+def reaching_q6(t16, q5, p13_x, p13_y, c3, dh: DHParams):
+    """For wrist-degenerate branches whose elbow is out of reach at q6 = 0
+    (p13, c3): the q6 nearest 0 that puts cos q3 at c3 clipped into
+    [-1 + ELBOW_MARGIN, 1 - ELBOW_MARGIN], or as near to it as the circle
+    allows; 0 where no q6 moves frame 4 (d5 = 0)."""
+    a2, a3, d6 = dh.a[1], dh.a[2], dh.d[5]
+    # the wrist centre (frame 5's origin) and the offset v to it from
+    # frame 4's, of length |d5|, both in frame 1's plane; turning q6 by
+    # delta turns v by -cos(q5) delta
+    px = t16[..., 0, 3] - d6 * t16[..., 0, 2]
+    py = t16[..., 1, 3] - d6 * t16[..., 1, 2]
+    vx, vy = px - p13_x, py - p13_y
+    p_sq, v_sq = px**2 + py**2, vx**2 + vy**2
+    goal = np.clip(c3, ELBOW_MARGIN - 1.0, 1.0 - ELBOW_MARGIN)
+    want_sq = a2**2 + a3**2 + 2.0 * a2 * a3 * goal
+    # |p - R(t) v|^2 = |p|^2 + |v|^2 - 2 |p| |v| cos(t + gamma)
+    gamma = np.arctan2(px * vy - py * vx, px * vx + py * vy)
+    turn = np.arccos(np.clip((p_sq + v_sq - want_sq) / (2.0 * np.sqrt(p_sq * v_sq)), -1.0, 1.0))
+    sense = np.cos(q5)
+    near, far = wrap_angles(sense * (gamma - turn)), wrap_angles(sense * (gamma + turn))
+    q6 = np.where(np.abs(near) <= np.abs(far), near, far)
+    return np.where(np.isfinite(q6), q6, 0.0)
+
+
+def checked_candidates(t06: np.ndarray, dh: DHParams):
+    """candidate_angles of the (n, 4, 4) flange targets with the mask
+    narrowed to the branches whose forward pose matches the target, each
+    valid candidate compared with its target gathered by np.repeat."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        qs, valid, free = candidate_angles(t06, dh)
+    got = _flange(qs[valid], dh)
+    want = np.repeat(t06, valid.sum(axis=1), axis=0)
+    pos_err = np.linalg.norm(got[:, :, 3] - want[:, :3, 3], axis=1)
+    # ||R1 - R2||_F = 2 sqrt(2) |sin(theta/2)|; asin keeps the
+    # small-angle regime well conditioned where acos(trace) is not
+    fro = np.linalg.norm(got[:, :, :3] - want[:, :3, :3], axis=(1, 2))
+    rot_err = 2.0 * np.arcsin(np.minimum(1.0, fro / (2.0 * math.sqrt(2.0))))
+    ok = valid.copy()
+    ok[valid] = ~((pos_err > POSITION_TOL_MM) | (rot_err > ORIENTATION_TOL_RAD))
+    return qs, ok, free

@@ -629,6 +629,24 @@ def test_plan_matches_per_node_oracle(case, chunk, monkeypatch):
         assert len(got[0]) < len(_plan_nodes(path, cfg)[0])
 
 
+# nearest_branch calls of one plan: a round guesses its window on the
+# settled anchor's branch and makes one pass, and only the first round of
+# each chunk, which has no anchor in it, makes two.  Two passes in every
+# round would make 28 and 110.
+@pytest.mark.parametrize("shape, calls", [("wall-50x10", 17), ("square-30x30x8.5", 62)])
+def test_branch_choice_makes_one_pass_per_round(shape, calls, monkeypatch):
+    count = []
+    real = kinematics.nearest_branch
+
+    def counted(*args):
+        count.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(kinematics, "nearest_branch", counted)
+    plan_trajectory(_wall_path(CFG, shape), CFG, ENV)
+    assert 0 < len(count) <= calls, len(count)
+
+
 def _speed_outcome(program, limit):
     for check in (RobotProgram.validate_speeds, validate_speeds_per_node):
         try:

@@ -27,6 +27,11 @@ P0_ROTATION = np.array([[1.0, 0.0, 0.0],
                         [0.0, 1.0, 0.0]])
 
 
+def max_reach(dh: DHParams) -> float:
+    """An upper bound on the flange's distance from the base."""
+    return sum(abs(v) for v in dh.a) + sum(abs(v) for v in dh.d)
+
+
 def random_q(rng) -> JointConfig:
     return JointConfig(tuple(rng.uniform(-math.pi, math.pi, 6)))
 
@@ -51,7 +56,7 @@ def test_fk_two_pi_periodic():
 
 def test_fk_triangle_inequality_bound():
     rng = np.random.RandomState(32)
-    bound = DH.max_reach() + 200.0
+    bound = max_reach(DH) + 200.0
     for _ in range(100):
         p = fk(random_q(rng), DH, TCP)
         assert p.position.norm() <= bound + 1e-9
@@ -508,3 +513,92 @@ def test_closed_form_manipulability_matches_the_lu_determinant():
         want = branch_oracle.manipulability_batch(healthy, dh, tcp)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-15)
         assert np.median(got) > 1e-6
+
+
+def _oracle_targets(rng, dh, tcp, n):
+    """n seeded TCP targets, (n, 4, 4), in four equal runs: regular
+    configurations; wrist-degenerate ones (q5 in {0, +-pi}) at q6 = 0,
+    where q6 = 0 reaches; wrist-degenerate ones at any q6, some of whose
+    branches are out of reach at q6 = 0 and turn q6 to reach; and
+    unreachable poses, alternately beyond the arm's reach and with the
+    wrist centre inside the shoulder cylinder (|xy| < |d4|)."""
+    quarter = n // 4
+    qs = rng.uniform(-math.pi, math.pi, (3 * quarter, 6))
+    qs[quarter:, 4] = rng.choice([0.0, math.pi, -math.pi], 2 * quarter)
+    qs[quarter:2 * quarter, 5] = 0.0
+    targets = fk_batch(qs, dh, tcp)
+    far = fk_batch(rng.uniform(-math.pi, math.pi, (n - 3 * quarter, 6)), dh, tcp)
+    # the wrist centre lies d6 + tcp_z behind the TCP along the tool z axis
+    back = dh.d[5] + tcp.position.z
+    inside = rng.uniform(-0.7, 0.7, (len(far), 2)) * abs(dh.d[3]) / math.sqrt(2.0)
+    far[:, :2, 3] = inside + back * far[:, :2, 2]
+    far[::2, :3, 3] = rng.normal(0.0, 1.0, (len(far[::2]), 3))
+    reach = max_reach(dh) + abs(tcp.position.z)
+    far[::2, :3, 3] *= 1.5 * reach / np.linalg.norm(far[::2, :3, 3], axis=1)[:, None]
+    return np.concatenate([targets, far])
+
+
+def test_column_kernel_matches_the_dh_product_oracle():
+    """The column kernel against the DH-product kernel it replaced, on
+    seeded [kinematics] sections (links of either sign, d5 = 0, non-zero
+    TCP offsets): the same valid, free and forward-checked masks, and
+    joints within 1e-9 rad by wrapped difference.
+
+    A branch on an exact wrist degeneracy whose acos noise leaves
+    0 < |sin q5| < WRIST_LOST_TOL in either kernel's result is left out:
+    if the noise passes WRIST_DEGENERACY_TOL, q6 comes from rounding
+    noise, and whether the branch is put on the degeneracy or fails the
+    forward check depends on the last bits of each kernel."""
+    rng = np.random.RandomState(45)
+    tables = [_seeded_kinematics(rng, d5_mm=0.0)] + [_seeded_kinematics(rng) for _ in range(7)]
+    worst = 0.0
+    reached = turned = free_at_0 = noisy = 0
+    for dh, tcp in tables:
+        assert tcp.position.z != 0.0
+        t06 = _oracle_targets(rng, dh, tcp, 800) @ np.linalg.inv(tcp.to_matrix())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            qs, valid, free = kinematics._candidate_angles(t06, dh)
+            want_qs, want_valid, want_free = branch_oracle.candidate_angles(t06, dh)
+        _, ok, _ = _checked_candidates(t06, dh)
+        _, want_ok, _ = branch_oracle.checked_candidates(t06, dh)
+        near = lambda q: ((q != 0.0) & (np.abs(q) != math.pi)
+                          & (np.abs(np.sin(q)) < kinematics.WRIST_LOST_TOL))
+        kept = ~(near(qs[..., 4]) | near(want_qs[..., 4]))
+        noisy += (~kept).sum()
+        for got, want in ((valid, want_valid), (free, want_free), (ok, want_ok)):
+            assert (got == want)[kept].all()
+        both = valid & kept
+        gap = np.abs(np.vectorize(wrap_angle)(qs[both] - want_qs[both]))
+        worst = max(worst, float(gap.max()))
+        # every kind of target occurs: reached, unreached (the last
+        # quarter), q6 = 0 on the degeneracy, and q6 turned to reach
+        assert not valid[600:].any()
+        reached += ok[:600].any(axis=1).sum()
+        free_at_0 += (ok & free & (qs[..., 5] == 0.0)).sum()
+        turned += (ok & free & (qs[..., 5] != 0.0)).sum()
+    print(f"worst joint difference from the DH-product oracle: {worst:.3g} rad; "
+          f"{noisy} of {8 * 800 * len(tables)} branches in the acos-noise band")
+    assert worst < 1e-9, worst
+    assert noisy < 0.01 * 8 * 800 * len(tables)
+    assert reached > 2000 and free_at_0 > 100 and turned > 50
+
+
+def test_forward_check_keeps_half_a_tolerance_and_drops_twice_one(monkeypatch):
+    """A candidate whose flange pose is off its target by half a
+    tolerance, in position or in orientation, passes the forward check;
+    one off by twice a tolerance fails it."""
+    rng = np.random.RandomState(46)
+    t06 = fk_batch(rng.uniform(-math.pi, math.pi, (200, 6)), DH)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        solved = kinematics._candidate_angles(t06, DH)
+    monkeypatch.setattr(kinematics, "_candidate_angles", lambda t, dh: solved)
+    _, ok, _ = _checked_candidates(t06, DH)
+    assert ok.any(axis=1).all()
+    for scale, passes in ((0.5, True), (2.0, False)):
+        shifted = t06.copy()
+        shifted[:, 0, 3] += scale * kinematics.POSITION_TOL_MM
+        turned = t06.copy()
+        turned[:, :3, :3] = t06[:, :3, :3] @ Rotation.about_z(
+            scale * kinematics.ORIENTATION_TOL_RAD).matrix
+        for target in (shifted, turned):
+            assert (_checked_candidates(target, DH)[1] == (ok & passes)).all()
