@@ -456,7 +456,10 @@ def detect_singularity_traversal(program: RobotProgram, cfg: Config,
 def emit_program(program: RobotProgram, report: SimReport | None = None) -> str:
     """Render the program as the toolkit's line-oriented script dialect.
 
-    Refuses to emit when the attached report records failures.
+    The move lines are formatted in one pass over the stacked joint, speed
+    and time columns; the I/O events join them in order of (time, moves
+    before events, text).  Refuses to emit when the attached report
+    records failures.
     """
     if report is not None and not report.printable:
         raise PlanningError("refusing to emit: report records failures")
@@ -464,17 +467,20 @@ def emit_program(program: RobotProgram, report: SimReport | None = None) -> str:
     for key, value in program.metadata:
         lines.append(f"# {key}={value}")
     body: list[tuple[float, int, str]] = []
-    rows = zip(program.times.tolist(), program.joints.tolist(), program.speeds.tolist())
-    for i, (t, q, v) in enumerate(rows):
-        op = "movej" if i == 0 else "movel"
-        body.append((t, 0, f"{op} " + _MOVE % (*q, v, t)))
+    times = program.times.tolist()
+    if times:
+        table = np.column_stack((program.joints, program.speeds, program.times))
+        moves = ("\n".join(["movel " + _MOVE] * len(times))
+                 % tuple(table.ravel().tolist())).split("\n")
+        moves[0] = "movej" + moves[0][len("movel"):]
+        body.extend(zip(times, [0] * len(times), moves))
     for ev in program.events:
         body.append((ev.time_s, 1,
                      f"set_digital_out channel={ev.channel} state={1 if ev.on else 0} "
                      f"t={ev.time_s:.6f}"))
-    body.sort(key=lambda item: (item[0], item[1], item[2]))
+    body.sort()
     lines.extend(text for _, _, text in body)
-    if len(program.times):
+    if times:
         lines.append(f"stopj t={program.duration():.6f}")
     lines.append("# end")
     return "\n".join(lines) + "\n"

@@ -8,9 +8,12 @@ given.  All outputs are deterministic for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import RamcellError, cell, gcode, pipeline, shapes
 from .config import Config, dump_config, default_config, load_config
@@ -87,13 +90,19 @@ _PATH_COLUMNS = ("t0", "t1", "x0", "y0", "z0", "x1", "y1", "z1", "speed", "yaw0"
 _PATH_ROW = ",".join(["%.6f"] * 10 + ["%d"] * 3)
 
 
-def _path_dump_lines(job: pipeline.JobBundle) -> list[str]:
+def _path_dump(job: pipeline.JobBundle) -> str:
+    """The path dump: a header, then one row per move, formatted in one
+    pass over the stacked columns.  The flags and layers ride in the float
+    table exactly: a layer index is at most MAX_MAGNITUDE over the 0.01 mm
+    layer-height floor, far below 2**53."""
     lines = ["# ramcell path v1",
              "# t0,t1,x0,y0,z0,x1,y1,z1,speed,yaw,extruding,uv,layer"]
     tl = time_profile(job.local_path, job.cfg.cell.reorient_rate_rad_s)
     moves = tl[~tl.dwell]
-    lines.extend(_PATH_ROW % row for row in zip(*(moves[c].tolist() for c in _PATH_COLUMNS)))
-    return lines
+    if len(moves):
+        table = np.column_stack([moves[c] for c in _PATH_COLUMNS])
+        lines.append("\n".join([_PATH_ROW] * len(moves)) % tuple(table.ravel().tolist()))
+    return "\n".join(lines) + "\n"
 
 
 def _write(path: Path, text: str) -> None:
@@ -107,7 +116,7 @@ def _write_plan_artifacts(job: pipeline.JobBundle, out: Path) -> list[Path]:
     _write(gcode_path, gcode.emit(job.local_path))
     files.append(gcode_path)
     dump_path = out / f"{job.name}.path.txt"
-    _write(dump_path, "\n".join(_path_dump_lines(job)) + "\n")
+    _write(dump_path, _path_dump(job))
     files.append(dump_path)
     cfg_path = out / f"{job.name}.cfg"
     _write(cfg_path, dump_config(job.cfg))
@@ -228,8 +237,14 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "plan":

@@ -450,8 +450,13 @@ def predict_dimensions(dmap: DepositionMap,
     }
 
 
+def undercured(dmap: DepositionMap, alpha_min: float) -> np.ndarray:
+    """Indices of the elements below the cure threshold, least cured
+    first, ties in index order."""
+    idx = np.flatnonzero(dmap.alpha < alpha_min)
+    return idx[np.lexsort((idx, dmap.alpha[idx]))]
+
+
 def flag_undercured(dmap: DepositionMap, alpha_min: float) -> list[BeadElement]:
     """Elements below the cure threshold, least cured first."""
-    idx = np.flatnonzero(dmap.alpha < alpha_min)
-    order = sorted(idx, key=lambda i: (dmap.alpha[i], i))
-    return [dmap.element(int(i)) for i in order]
+    return [dmap.element(i) for i in undercured(dmap, alpha_min).tolist()]

@@ -256,8 +256,22 @@ def to_toolpath(program: GcodeProgram, travel_speed: float = 20.0,
     return path
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.6f}"
+def _move_template(code: int) -> str:
+    """The lines of one move whose changes are the bits of `code`: X, Y
+    and Z moved (1, 2, 4), the feed changed (8), the extruder toggled
+    (16) on (32), the UV lamp toggled (64) on (128).  A move that changes
+    none of the four words still writes its X."""
+    lines = []
+    if code & 16:
+        lines.append("M106" if code & 32 else "M107")
+    if code & 64:
+        lines.append(f"M42 P{UV_CHANNEL} S{1 if code & 128 else 0}")
+    words = [f"{w}%.6f" for bit, w in ((1, "X"), (2, "Y"), (4, "Z"), (8, "F")) if code & bit]
+    return "\n".join(lines + ["G1 " + " ".join(words or ["X%.6f"])])
+
+
+_MOVE_TEMPLATES = [_move_template(code) for code in range(256)]
+_BIT_VALUES = 1 << np.arange(8)
 
 
 def emit(path: Toolpath) -> str:
@@ -265,39 +279,35 @@ def emit(path: Toolpath) -> str:
 
     All motion is emitted as G1 with explicit feeds so parse/interpret
     reproduces every endpoint, speed and flag; extruder and UV state
-    changes become M-codes ahead of the move they apply to.
+    changes become M-codes ahead of the move they apply to.  The changes
+    are columns: which axes moved since the last move ended, whether the
+    feed changed, and the extruder and UV toggles.  They pick one of 256
+    line templates per move, and one `%` formats the whole table with the
+    words' values, row by row.
     """
-    lines = ["; ramcell g-code v1"]
-    extruder = False
-    uv = False
-    feed = None
     if (lengths(path.start[1:] - path.end[:-1]) > 1e-9).any():
         raise GcodeError("toolpath has a positional gap; cannot emit")
+    lines = ["; ramcell g-code v1"]
     if len(path):
         # establish the start point without motion
-        x, y, z = path.start[0].tolist()
-        lines.append(f"G92 X{_fmt(x)} Y{_fmt(y)} Z{_fmt(z)}")
-    # each move's words are relative to where the last one ended
-    pos = np.concatenate((path.start[:1], path.end[:-1])).tolist()
-    for end, at, speed, ext, uv_on in zip(path.end.tolist(), pos, path.speed.tolist(),
-                                          path.extruding.tolist(), path.uv_on.tolist()):
-        if ext != extruder:
-            lines.append("M106" if ext else "M107")
-            extruder = ext
-        if uv_on != uv:
-            lines.append(f"M42 P{UV_CHANNEL} S{1 if uv_on else 0}")
-            uv = uv_on
-        words = [f"{letter}{_fmt(a)}" for letter, a, b in zip("XYZ", end, at) if a != b]
-        f_mm_min = speed * 60.0
-        if feed is None or f_mm_min != feed:
-            words.append(f"F{_fmt(f_mm_min)}")
-            feed = f_mm_min
-        if not words:
-            words.append(f"X{_fmt(end[0])}")
-        lines.append("G1 " + " ".join(words))
-    if extruder:
-        lines.append("M107")
-    if uv:
-        lines.append(f"M42 P{UV_CHANNEL} S0")
+        lines.append("G92 X%.6f Y%.6f Z%.6f" % tuple(path.start[0].tolist()))
+        # each move's words are relative to where the last one ended, and
+        # its feed to the last move's, so the first move writes its feed
+        at = np.concatenate((path.start[:1], path.end[:-1]))
+        f_mm_min = path.speed * 60.0
+        words = np.column_stack((path.end != at, np.ones(len(path), bool)))
+        words[1:, 3] = f_mm_min[1:] != f_mm_min[:-1]
+        ext, uv = path.extruding, path.uv_on
+        was_ext = np.concatenate(([False], ext[:-1]))
+        was_uv = np.concatenate(([False], uv[:-1]))
+        code = np.column_stack((words, ext != was_ext, ext, uv != was_uv, uv)) @ _BIT_VALUES
+        words[~words.any(axis=1), 0] = True
+        values = np.column_stack((path.end, f_mm_min))[words]
+        lines.append("\n".join([_MOVE_TEMPLATES[c] for c in code.tolist()])
+                     % tuple(values.tolist()))
+        if ext[-1]:
+            lines.append("M107")
+        if uv[-1]:
+            lines.append(f"M42 P{UV_CHANNEL} S0")
     lines.append("; end")
     return "\n".join(lines) + "\n"

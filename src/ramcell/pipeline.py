@@ -141,11 +141,11 @@ def simulate(job: JobBundle) -> SimulationResult:
         report.total_volume_mm3 = dmap.total_volume()
         report.min_alpha = float(np.min(dmap.alpha))
         report.min_dose_ratio = dose_ratio(dmap)
-        undercured = cure.flag_undercured(dmap, cfg.cure.alpha_min)
+        undercured = cure.undercured(dmap, cfg.cure.alpha_min)
         report.undercured_count = len(undercured)
         report.undercured_worst = [
             (e.alpha, e.centroid[0], e.centroid[1], e.centroid[2])
-            for e in undercured[:10]]
+            for e in map(dmap.element, undercured[:10].tolist())]
     else:
         report.notes.append("no extruding segments; nothing deposited")
     return SimulationResult(report, program, schedule, dmap)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from ramcell import (RamcellError, cell, config, cure, extrusion, gcode, kinematics,
+from ramcell import (RamcellError, cell, cli, config, cure, extrusion, gcode, kinematics,
                      shapes, toolpath)
 from ramcell.cell import SimReport
 from ramcell.cli import build_parser, main
@@ -17,6 +17,21 @@ def test_parser_subcommands():
     assert args.command == "emit" and args.force
     args = parser.parse_args(["report", "r.txt"])
     assert args.command == "report" and args.report_file == "r.txt"
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(build_parser()) or built[-1])
+    cli._parser.cache_clear()
+    try:
+        for name in ("a", "b", "c"):
+            assert main(["report", str(tmp_path / f"{name}.report.txt")]) == 2
+        assert len(built) == 1
+        # each parse of the reused parser starts from the defaults
+        assert cli._parser().parse_args(["emit", "--force"]).force
+        assert not cli._parser().parse_args(["emit"]).force
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_plan_writes_artifacts(tmp_path):
@@ -113,6 +128,8 @@ def test_extrusion_error_exits_2_without_traceback(tmp_path, capsys):
     ("kinematics", "joint_limit_rad", "nan"),
     ("kinematics", "d1_mm", "nan"),
     ("kinematics", "a2_mm", "0"),
+    # loads no longer: the closed-form IK solves no target with a2 > 0
+    ("kinematics", "a2_mm", "425"),
     ("kinematics", "d6_mm", "inf"),
     ("kinematics", "tcp_offset_z_mm", "nan"),
     ("cell", "origin_x_mm", "nan"),

@@ -117,8 +117,7 @@ def test_cure_degree_keys_must_lie_strictly_between_0_and_1(section, key, value)
 
 
 @pytest.mark.parametrize("section, key, nonzero", [
-    ("kinematics", "d1_mm", False), ("kinematics", "a2_mm", True),
-    ("kinematics", "a3_mm", True), ("kinematics", "d4_mm", False),
+    ("kinematics", "d1_mm", False), ("kinematics", "a3_mm", True), ("kinematics", "d4_mm", False),
     ("kinematics", "d5_mm", False), ("kinematics", "d6_mm", True),
     ("kinematics", "tcp_offset_z_mm", False), ("cell", "origin_x_mm", False),
     ("cell", "origin_y_mm", False), ("cell", "origin_z_mm", False),
@@ -132,6 +131,15 @@ def test_link_and_placement_keys_must_be_finite(section, key, nonzero):
     assert getattr(getattr(loads_config(f"[{section}]\n{key} = -12.5\n"), section), key) == -12.5
     if not nonzero:
         assert getattr(getattr(loads_config(f"[{section}]\n{key} = 0\n"), section), key) == 0.0
+
+
+def test_a2_must_be_finite_and_negative():
+    # the closed-form q2 of the inverse kinematics holds for a2 < 0 only
+    for value in ("nan", "inf", "-inf", "0", "425", "1e-300"):
+        with pytest.raises(ConfigError,
+                           match=rf"\[kinematics\] a2_mm must be finite and < 0, got .*{value}"):
+            loads_config(f"[kinematics]\na2_mm = {value}\n")
+    assert loads_config("[kinematics]\na2_mm = -12.5\n").kinematics.a2_mm == -12.5
 
 
 @pytest.mark.parametrize("key", ["full_steps_per_rev", "microstepping"])
@@ -174,7 +182,7 @@ def test_angle_keys_must_lie_in_their_open_interval(section, key, upper):
 
 
 @pytest.mark.parametrize("section, key, value", [
-    ("kinematics", "a2_mm", "1e308"), ("kinematics", "d1_mm", "-2e9"),
+    ("kinematics", "a2_mm", "-1e308"), ("kinematics", "d1_mm", "-2e9"),
     ("cell", "origin_x_mm", "1.5e9"), ("drivetrain", "syringe_bore_mm", "1e308"),
     ("job", "layer_height_mm", "1e308"), ("job", "extension_mm", "1e308"),
     ("uv", "trail_offset_mm", "-1e308")])

@@ -333,6 +333,32 @@ def test_flag_undercured_corner_first_without_lead():
     assert alphas == sorted(alphas)
 
 
+def _sorted_flags(dmap, alpha_min):
+    """The under-cured elements, ordered by sorted() on (alpha, index)."""
+    idx = np.flatnonzero(dmap.alpha < alpha_min)
+    return [dmap.element(int(i)) for i in sorted(idx, key=lambda i: (dmap.alpha[i], i))]
+
+
+def test_flag_undercured_matches_the_sorted_order():
+    path = rectangle_path(lead=0.0)
+    dark = deposit(path, FLOW, FS9, 1.0, 0.85, CFG.cure.bead_aspect)
+    accumulate_dose(dark, path, replace(SPOT, power_w=0.0), CFG.cure.sweep_dt_s)
+    update_cure(dark, FS9)
+    partly = run_dose(path, FS9)
+    update_cure(partly, FS9)
+    # most elements cure to the same alpha at 3 decimals; the threshold
+    # flags all but those at the highest
+    partly.alpha = np.round(partly.alpha, 3)
+    cases = ((dark, CFG.cure.alpha_min), (partly, float(np.max(partly.alpha))))
+    for dmap, alpha_min in cases:
+        want = _sorted_flags(dmap, alpha_min)
+        assert len({e.alpha for e in want}) < len(want) - 10  # ties decide the order
+        assert flag_undercured(dmap, alpha_min) == want
+        assert [dmap.element(i) for i in cure.undercured(dmap, alpha_min)] == want
+    assert len(_sorted_flags(dark, CFG.cure.alpha_min)) == len(dark)
+    assert len(dark) // 2 < len(_sorted_flags(*cases[1])) < len(partly)
+
+
 def _dense_sweep(dmap, path, spot, dt_s, reorient_rate=1.0):
     """Reference sweep: every element at every sample of every entry.
 

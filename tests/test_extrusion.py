@@ -221,3 +221,14 @@ def test_schedule_golden_files():
     assert "\n".join(sched.event_lines()) + "\n" == \
         (golden / "rectangle-90x60.io.csv").read_text()
 
+
+
+def test_plan_golden_files(tmp_path, monkeypatch):
+    """The g-code and path dump that `plan` writes for rectangle-90x60."""
+    from pathlib import Path
+    from ramcell.cli import main
+    monkeypatch.delenv("RAMCELL_CONFIG", raising=False)
+    assert main(["plan", "--shape", "rectangle-90x60", "--out", str(tmp_path)]) == 0
+    golden = Path(__file__).parent / "golden"
+    for name in ("rectangle-90x60.gcode", "rectangle-90x60.path.txt"):
+        assert (tmp_path / name).read_text() == (golden / name).read_text(), name

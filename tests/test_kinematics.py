@@ -462,9 +462,10 @@ def test_select_branch_tie_rule_matches_per_node_oracle():
 
 def _seeded_kinematics(rng, **fixed):
     """DH table and TCP offset of a seeded [kinematics] section, so that
-    they pass the config's load rules: links of either sign, a non-zero
-    TCP offset; `fixed` overrides keys."""
+    they pass the config's load rules: a2 < 0, the other links of either
+    sign, a non-zero TCP offset; `fixed` overrides keys."""
     a2, a3, d1, d4, d5, d6 = rng.choice([-1.0, 1.0], 6) * rng.uniform(20.0, 600.0, 6)
+    a2 = -abs(a2)
     tcp = rng.choice([-1.0, 1.0]) * rng.uniform(10.0, 300.0)
     values = {**dict(a2_mm=a2, a3_mm=a3, d1_mm=d1, d4_mm=d4, d5_mm=d5, d6_mm=d6,
                      tcp_offset_z_mm=tcp), **fixed}
@@ -540,9 +541,10 @@ def _oracle_targets(rng, dh, tcp, n):
 
 def test_column_kernel_matches_the_dh_product_oracle():
     """The column kernel against the DH-product kernel it replaced, on
-    seeded [kinematics] sections (links of either sign, d5 = 0, non-zero
-    TCP offsets): the same valid, free and forward-checked masks, and
-    joints within 1e-9 rad by wrapped difference.
+    seeded [kinematics] sections (a2 < 0, other links of either sign,
+    d5 = 0, non-zero TCP offsets): the same valid, free and
+    forward-checked masks, and joints within 1e-9 rad by wrapped
+    difference.
 
     A branch on an exact wrist degeneracy whose acos noise leaves
     0 < |sin q5| < WRIST_LOST_TOL in either kernel's result is left out:

@@ -83,8 +83,27 @@ def _random_walk(n=400, seed=50):
     return rows
 
 
+# g-code writer edges: a zero-length move at an unchanged feed, which
+# writes its X alone (Toolpath.from_segments drops such rows and
+# post-processing refuses them, so only oracle.columns builds one and
+# only the consumers read it); the UV lamp toggled while not extruding; a
+# path that ends extruding with the lamp on, closed by M107 and M42 S0;
+# and a feed that returns to an earlier value, written again
+ZERO_LENGTH = [_row((0, 0, 1), (4, 0, 1)), _row((4, 0, 1), (4, 0, 1)),
+               _row((4, 0, 1), (4, 3, 1))]
+IDLE_UV = [_row((0, 0, 1), (2, 0, 1), extruding=False, uv=False),
+           _row((2, 0, 1), (4, 0, 1), extruding=False),
+           _row((4, 0, 1), (6, 0, 1), extruding=False, uv=False)]
+ENDS_LIT = [_row((0, 0, 1), (3, 0, 1), extruding=False, uv=False, speed=20.0),
+            _row((3, 0, 1), (3, 3, 1))]
+FEED_RETURNS = [_row((0, 0, 1), (2, 0, 1)), _row((2, 0, 1), (2, 2, 1), speed=20.0),
+                _row((2, 2, 1), (0, 2, 1)), _row((0, 2, 1), (0, 0, 1)),
+                _row((0, 0, 1), (0, 0, 2), speed=1.5, layer=1),
+                _row((0, 0, 2), (2, 0, 2), layer=1)]
+
 ROWS = {"wrapping-yaws": WRAPPING, "vertical-hop": HOP, "one-segment": ONE, "empty": [],
-        "random-3d": _random_walk()}
+        "random-3d": _random_walk(), "idle-uv-toggle": IDLE_UV, "ends-extruding-lit": ENDS_LIT,
+        "feed-returns": FEED_RETURNS}
 
 
 def _bits(values) -> np.ndarray:
@@ -170,7 +189,7 @@ def assert_consumers_agree(path: Toolpath, rate: float = RATE) -> None:
     else:
         assert gcode.emit(path) == text
     job = pipeline.JobBundle("p", cfg, None, path, path, flow, drive)
-    assert cli._path_dump_lines(job)[2:] == oracle.path_dump_per_entry(entries)
+    assert cli._path_dump(job).splitlines()[2:] == oracle.path_dump_per_entry(entries)
 
 
 def _oracle_chain(cfg, raw_rows, extend: bool):
@@ -238,6 +257,23 @@ def test_row_paths_match_the_per_segment_oracles(case):
                                         origin_y_mm=origin[1], origin_z_mm=origin[2]))
         assert_rows_equal(pipeline.place_in_cell(cfg, path),
                           oracle.place_in_cell_per_segment(cfg, rows))
+
+
+def test_zero_length_row_matches_the_per_segment_oracles():
+    path = oracle.columns(ZERO_LENGTH)
+    for rate in (RATE, 0.7):
+        assert_consumers_agree(path, rate)
+
+
+def test_gcode_edge_rows_write_what_they_name():
+    def text(rows):
+        return gcode.emit(oracle.columns(rows))
+
+    assert "G1 X4.000000 F240.000000\nG1 X4.000000\nG1 Y3.000000\n" in text(ZERO_LENGTH)
+    assert "M42 P2 S1\nG1 X4.000000\nM42 P2 S0\nG1 X6.000000\n; end\n" in text(IDLE_UV)
+    assert "M106" not in text(IDLE_UV)
+    assert text(ENDS_LIT).endswith("G1 Y3.000000 F240.000000\nM107\nM42 P2 S0\n; end\n")
+    assert text(FEED_RETURNS).count("F240.000000") == 3
 
 
 def test_extensions_of_open_and_broken_runs_match_the_oracle():
