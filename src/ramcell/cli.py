@@ -84,24 +84,37 @@ def _build_job(cfg: Config, args) -> pipeline.JobBundle:
     return pipeline.build_job(cfg, name, local)
 
 
-# one path dump row per move: the timeline columns below, in order
+# one path dump row per move: the timeline columns below, in order, the
+# first ten written as %.6f (see _fixed) and the flags and layer as %d
 _PATH_COLUMNS = ("t0", "t1", "x0", "y0", "z0", "x1", "y1", "z1", "speed", "yaw0",
                  "extruding", "uv_on", "layer")
-_PATH_ROW = ",".join(["%.6f"] * 10 + ["%d"] * 3)
+_PATH_ROW = ",".join(["%s"] * 10 + ["%d"] * 3)
+
+
+def _fixed(values: np.ndarray) -> np.ndarray:
+    """'%.6f' of each float of `values`, as an object array of its shape.
+
+    Each distinct bit pattern is formatted once, in one `%` pass: most
+    values of a path dump repeat (a move starts where and when the last
+    one ended, mostly at its speed, yaw and height), and the conversions
+    are the cost of the dump."""
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = "\n".join(["%.6f"] * len(distinct)) % tuple(distinct.view(float).tolist())
+    return np.array(text.split("\n"), dtype=object)[inverse.reshape(values.shape)]
 
 
 def _path_dump(job: pipeline.JobBundle) -> str:
     """The path dump: a header, then one row per move, formatted in one
-    pass over the stacked columns.  The flags and layers ride in the float
-    table exactly: a layer index is at most MAX_MAGNITUDE over the 0.01 mm
-    layer-height floor, far below 2**53."""
+    pass over the stacked columns."""
     lines = ["# ramcell path v1",
              "# t0,t1,x0,y0,z0,x1,y1,z1,speed,yaw,extruding,uv,layer"]
     tl = time_profile(job.local_path, job.cfg.cell.reorient_rate_rad_s)
     moves = tl[~tl.dwell]
     if len(moves):
-        table = np.column_stack([moves[c] for c in _PATH_COLUMNS])
-        lines.append("\n".join([_PATH_ROW] * len(moves)) % tuple(table.ravel().tolist()))
+        floats = np.column_stack([moves[c] for c in _PATH_COLUMNS[:10]])
+        ints = np.column_stack([moves[c] for c in _PATH_COLUMNS[10:]]).astype(object)
+        cells = np.column_stack((_fixed(floats), ints))
+        lines.append("\n".join([_PATH_ROW] * len(moves)) % tuple(cells.ravel().tolist()))
     return "\n".join(lines) + "\n"
 
 
