@@ -270,7 +270,6 @@ def _move_template(code: int) -> str:
     return "\n".join(lines + ["G1 " + " ".join(words or ["X%.6f"])])
 
 
-_MOVE_TEMPLATES = [_move_template(code) for code in range(256)]
 _BIT_VALUES = 1 << np.arange(8)
 
 
@@ -282,8 +281,8 @@ def emit(path: Toolpath) -> str:
     changes become M-codes ahead of the move they apply to.  The changes
     are columns: which axes moved since the last move ended, whether the
     feed changed, and the extruder and UV toggles.  They pick one of 256
-    line templates per move, and one `%` formats the whole table with the
-    words' values, row by row.
+    line templates per move (built for the codes the path uses), and one
+    `%` formats the whole table with the words' values, row by row.
     """
     if (lengths(path.start[1:] - path.end[:-1]) > 1e-9).any():
         raise GcodeError("toolpath has a positional gap; cannot emit")
@@ -303,8 +302,9 @@ def emit(path: Toolpath) -> str:
         code = np.column_stack((words, ext != was_ext, ext, uv != was_uv, uv)) @ _BIT_VALUES
         words[~words.any(axis=1), 0] = True
         values = np.column_stack((path.end, f_mm_min))[words]
-        lines.append("\n".join([_MOVE_TEMPLATES[c] for c in code.tolist()])
-                     % tuple(values.tolist()))
+        codes = code.tolist()
+        templates = {c: _move_template(c) for c in set(codes)}
+        lines.append("\n".join([templates[c] for c in codes]) % tuple(values.tolist()))
         if ext[-1]:
             lines.append("M107")
         if uv[-1]:
