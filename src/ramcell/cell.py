@@ -1,21 +1,22 @@
 """Cell-level planning: joint trajectories, clearance checks, reporting.
 
 The planner walks the shared toolpath timeline, builds the TCP targets
-of all nodes (dwell nodes included) as one array, and takes the chunked
-batch IK's candidates straight into the array branch choice
-(kinematics.select_chain), which keeps the branch continuous from node
-to node; a node adds a waypoint when it lies more than 1e-12 s after
-the node before it.  The program keeps the chosen rows as one (n, 6)
-joint array, which the speed check, the clearance check, the
-singularity scan and the script writer read as columns.  Collision
-checking samples the interpolated tool capsule against the table plane
-and the configured obstacle boxes, evaluating only the samples of
-waypoint segments whose endpoint bounds come within reach of the table
-or a box, and running the per-box search only on samples whose capsule
-axis comes within a capsule radius of the box.  The singularity scan
-reads the closed-form manipulability of each waypoint.
-Everything here is deterministic: identical inputs give byte-identical
-programs, scripts and reports.
+of all nodes (dwell nodes included) as one array, solves them a chunk at
+a time (kinematics._candidate_angles) and hands each chunk's unchecked
+candidates to the array branch choice (kinematics.select_chain), which
+keeps the branch continuous from node to node and forward-checks only
+the candidates its choice depends on; a node adds a waypoint when it
+lies more than 1e-12 s after the node before it.  The program keeps the
+chosen rows as one (n, 6) joint array, which the speed check, the
+clearance check, the singularity scan and the script writer read as
+columns.  Collision checking samples the interpolated tool capsule
+against the table plane and the configured obstacle boxes, evaluating
+only the samples of waypoint segments whose endpoint bounds come within
+reach of the table or a box, and running the per-box search only on
+samples whose capsule axis comes within a capsule radius of the box.
+The singularity scan reads the closed-form manipulability of each
+waypoint.  Everything here is deterministic: identical inputs give
+byte-identical programs, scripts and reports.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from . import RamcellError
 from .config import CellConfig, Config, parse_obstacles
 from .extrusion import IOEvent
 from .geometry import Pose, Rotation, Vec3
-from .kinematics import (TAG_ORDER, DHParams, _flange, ik_chunks, manipulability_batch,
-                         select_chain, tcp_offset_from_config)
+from .kinematics import (DHParams, _candidate_angles, _flange, flange_chunks,
+                         manipulability_batch, select_chain, tcp_offset_from_config)
 from .toolpath import Toolpath, time_profile
 
 MAX_JOINT_STEP_RAD = 0.5
@@ -286,12 +287,12 @@ def plan_trajectory(path: Toolpath, cfg: Config, env: CellEnvironment,
     joints = np.empty((len(times), 6))
     prev = np.array(cfg_home())
     start = 0
-    for qs, kept, _ in ik_chunks(targets, dh, tcp):
-        n = len(qs)
-        qs, kept = qs[:, TAG_ORDER], kept[:, TAG_ORDER]
-        reach = kept.any(axis=1)
-        r = n if reach.all() else int(np.argmin(reach))
-        q, step = select_chain(qs[:r], kept[:r], prev, limit, added[start:start + r])
+    for t06 in flange_chunks(targets, tcp):
+        n = len(t06)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            qs, valid, _ = _candidate_angles(t06, dh)
+        q, step = select_chain(qs, valid, t06, dh, prev, limit, added[start:start + n])
+        r = len(q)  # the first node without a kept candidate ends the chain
         jump = np.flatnonzero(step > MAX_JOINT_STEP_RAD)
         jump = jump[start + jump > 0]  # the first node is reached from home
         if len(jump) or r < n:

@@ -13,14 +13,18 @@ entries of inv(T01) T06 and T16 inv(T45 T56) it needs in the target's
 entries and evaluates the eight branches (shoulder, wrist, elbow) of
 every target as array masks; at the wrist degeneracy it keeps q6 = 0
 where the elbow reaches and turns q6 into reach where it does not.
-`ik_chunks` solves chunks of IK_CHUNK_NODES targets and de-duplicates
-their candidates over the 28 pairs j < k; `nearest_branch` picks
-branches for many nodes at once, and `select_chain` runs it along a
-chain, once a round over at most SELECT_WINDOW_NODES nodes, bit for bit
-as node by node.  `fk_batch` and `manipulability_batch` take an (n, 6)
-joint array.  JointConfig is only the one-row type: `ik_batch`, `ik` and
-`select_branch` are thin wrappers that build IKSolution/JointConfig
-objects, and `fk`, `jacobian` and `manipulability` are one-row calls.
+`ik_chunks` solves chunks of IK_CHUNK_NODES targets, checks each
+candidate's forward pose (`_forward_ok`, row by row) and de-duplicates
+them over the 28 pairs j < k; `nearest_branch` picks branches for many
+nodes at once.  `select_chain` chooses along a chunk's unchecked
+candidates: each node is guessed on the branch of the last settled
+choice, and only that candidate is checked where no rival can displace
+it; other nodes take the forward check, `_dedup` and `nearest_branch`,
+so the choices are bit for bit those made node by node.  `fk_batch` and
+`manipulability_batch` take an (n, 6) joint array.  JointConfig is only
+the one-row type: `ik_batch`, `ik` and `select_branch` are thin wrappers
+that build IKSolution/JointConfig objects, and `fk`, `jacobian` and
+`manipulability` are one-row calls.
 The Jacobian is geometric (linear rows mm/rad, angular rad/rad);
 manipulability is |det J| (Yoshikawa) of a meters-scaled copy, O(0.01)
 away from singularities and below 1e-9 at them, independent of the mm
@@ -44,11 +48,9 @@ from .geometry import Pose, wrap_angles
 
 POSITION_TOL_MM = 1e-6
 ORIENTATION_TOL_RAD = 1e-8
-WRIST_DEGENERACY_TOL = 1e-7
 # at an exact wrist degeneracy acos noise leaves |sin q5| up to about
-# 1.1e-7 (60,000 seeded samples); a branch this close to it whose elbow
-# is out of reach at q6 = 0 is put on it and given a reaching q6
-WRIST_LOST_TOL = 1e-6
+# 1.6e-7 (seeded DH tables); a branch this close to it is put on it
+WRIST_DEGENERACY_TOL = 1e-6
 # how far inside its range a wrist-degenerate branch puts cos q3 when q6
 # must turn to bring the elbow within reach
 ELBOW_MARGIN = 1e-3
@@ -182,9 +184,6 @@ _SIGNS = np.array([1.0, -1.0])
 _PAIR_K, _PAIR_J = np.tril_indices(8, -1)
 # targets per kernel call; bounds the candidates in memory at once
 IK_CHUNK_NODES = 512
-# nodes each select_chain round guesses over, so that a round's cost
-# does not grow with the chunk
-SELECT_WINDOW_NODES = 128
 
 
 def _candidate_angles(t06: np.ndarray, dh: DHParams):
@@ -233,17 +232,11 @@ def _candidate_angles(t06: np.ndarray, dh: DHParams):
     # At the degeneracy (q5 = 0 or pi) joints 2, 3, 4 and 6 are parallel:
     # the target fixes only q2+q3+q4 -+ q6, and q6 turns frame 4 about the
     # wrist centre on a circle of radius d5.  Where q6 = 0 leaves it out of
-    # the arm's reach, q6 turns to bring it back (_reaching_q6); a branch
-    # that close to the degeneracy (WRIST_LOST_TOL, past acos noise) is
-    # put on it.  Only branches without a solution at q6 = 0 change.
-    lost = (np.abs(s5) < WRIST_LOST_TOL) & (np.abs(c3) > 1.0 + 1e-12)
+    # the arm's reach, q6 turns to bring it back (_reaching_q6).  Only
+    # branches without a solution at q6 = 0 change.
+    lost = free & (np.abs(c3) > 1.0 + 1e-12)
     if lost.any():
-        free = free | lost
-        q5 = np.where(lost, on_degeneracy, q5)
-        q6 = np.where(lost, 0.0, q6)
-        _, p13_x, p13_y, c3 = elbow(q5, q6)
-        q6 = np.where(lost & (np.abs(c3) > 1.0 + 1e-12),
-                      _reaching_q6(t16, q5, p13_x, p13_y, c3, dh), q6)
+        q6 = np.where(lost, _reaching_q6(t16, q5, p13_x, p13_y, c3, dh), q6)
         t14, p13_x, p13_y, c3 = elbow(q5, q6)
     valid = valid & (np.abs(c3) <= 1.0 + 1e-12)
     q3 = np.arccos(np.clip(c3, -1.0, 1.0))[..., None] * _SIGNS
@@ -284,22 +277,30 @@ def _reaching_q6(t16, q5, p13_x, p13_y, c3, dh: DHParams):
     return np.where(np.isfinite(q6), q6, 0.0)
 
 
+def _forward_ok(qs: np.ndarray, t06: np.ndarray, dh: DHParams) -> np.ndarray:
+    """Whether the flange pose of each row of the (..., 6) joints matches
+    its target in t06 (..., 4, 4, broadcast against the rows) to
+    POSITION_TOL_MM and ORIENTATION_TOL_RAD.  Row by row, so a subset of
+    rows gets the bits it gets among all of them."""
+    with np.errstate(invalid="ignore"):
+        got = _flange(qs.reshape(-1, 6), dh).reshape(qs.shape[:-1] + (3, 4))
+    pos_sq = rot_sq = 0.0
+    for i in range(3):
+        pos_sq = pos_sq + (got[..., i, 3] - t06[..., i, 3])**2
+        for j in range(3):
+            rot_sq = rot_sq + (got[..., i, j] - t06[..., i, j])**2
+    # ||R1 - R2||_F = 2 sqrt(2) |sin(theta/2)|; asin keeps the
+    # small-angle regime well conditioned where acos(trace) is not
+    rot_err = 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(rot_sq) / (2.0 * math.sqrt(2.0))))
+    return ~((np.sqrt(pos_sq) > POSITION_TOL_MM) | (rot_err > ORIENTATION_TOL_RAD))
+
+
 def _checked_candidates(t06: np.ndarray, dh: DHParams):
     """_candidate_angles of the (n, 4, 4) flange targets with the mask
     narrowed to the branches whose forward pose matches the target."""
     with np.errstate(divide="ignore", invalid="ignore"):
         qs, valid, free = _candidate_angles(t06, dh)
-        got = _flange(qs.reshape(-1, 6), dh).reshape(len(qs), 8, 3, 4)
-    pos_sq = rot_sq = 0.0
-    for i in range(3):
-        pos_sq = pos_sq + (got[:, :, i, 3] - t06[:, i, 3, None])**2
-        for j in range(3):
-            rot_sq = rot_sq + (got[:, :, i, j] - t06[:, i, j, None])**2
-    # ||R1 - R2||_F = 2 sqrt(2) |sin(theta/2)|; asin keeps the
-    # small-angle regime well conditioned where acos(trace) is not
-    rot_err = 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(rot_sq) / (2.0 * math.sqrt(2.0))))
-    ok = valid & ~((np.sqrt(pos_sq) > POSITION_TOL_MM) | (rot_err > ORIENTATION_TOL_RAD))
-    return qs, ok, free
+    return qs, valid & _forward_ok(qs, t06[:, None], dh), free
 
 
 def _dedup(qs: np.ndarray, ok: np.ndarray, free: np.ndarray):
@@ -324,13 +325,19 @@ def _dedup(qs: np.ndarray, ok: np.ndarray, free: np.ndarray):
     return kept, free & kept
 
 
+def flange_chunks(targets: np.ndarray, tcp_offset: Pose):
+    """The (n, 4, 4) TCP targets as flange targets, IK_CHUNK_NODES at a time."""
+    flange = np.linalg.inv(tcp_offset.to_matrix())
+    for start in range(0, len(targets), IK_CHUNK_NODES):
+        yield targets[start:start + IK_CHUNK_NODES] @ flange
+
+
 def ik_chunks(targets: np.ndarray, dh: DHParams, tcp_offset: Pose = Pose.identity()):
     """Solve the (n, 4, 4) TCP targets IK_CHUNK_NODES at a time; yield per
     chunk the joints (m, 8, 6), the kept mask (m, 8) and the wrist-free
     flags (m, 8) of candidate k = branch _BRANCHES[k]."""
-    flange = np.linalg.inv(tcp_offset.to_matrix())
-    for start in range(0, len(targets), IK_CHUNK_NODES):
-        qs, ok, free = _checked_candidates(targets[start:start + IK_CHUNK_NODES] @ flange, dh)
+    for t06 in flange_chunks(targets, tcp_offset):
+        qs, ok, free = _checked_candidates(t06, dh)
         yield (qs, *_dedup(qs, ok, free))
 
 
@@ -363,11 +370,16 @@ def ik(target: Pose, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> list[I
 TAG_ORDER = np.array(sorted(range(8), key=lambda k: _BRANCHES[k]))
 
 
-def _unwrapped(rows: np.ndarray, prev: np.ndarray, joint_limit: float) -> np.ndarray:
-    """rows moved by whole turns per joint to lie nearest prev, folded into +-joint_limit."""
-    cand = rows + math.tau * np.rint((prev - rows) / math.tau)  # half to even, as round()
+def _folded(cand: np.ndarray, joint_limit: float) -> np.ndarray:
+    """cand moved by one turn where it lies beyond +-joint_limit."""
     return np.where(cand > joint_limit, cand - math.tau,
                     np.where(cand < -joint_limit, cand + math.tau, cand))
+
+
+def _unwrapped(rows: np.ndarray, prev: np.ndarray, joint_limit: float) -> np.ndarray:
+    """rows moved by whole turns per joint to lie nearest prev, folded into +-joint_limit."""
+    # half to even, as round()
+    return _folded(rows + math.tau * np.rint((prev - rows) / math.tau), joint_limit)
 
 
 def nearest_branch(rows: np.ndarray, kept: np.ndarray, prev: np.ndarray,
@@ -399,37 +411,90 @@ def nearest_branch(rows: np.ndarray, kept: np.ndarray, prev: np.ndarray,
     return cand[np.arange(len(rows)), best], best_d, best
 
 
-def select_chain(rows: np.ndarray, kept: np.ndarray, prev: np.ndarray,
-                 joint_limit: float, added: np.ndarray):
-    """nearest_branch along a chain of nodes: node i continues from the
-    choice of the last node j < i with added[j] set, or from the given
-    (6,) prev if there is none.
+def select_chain(rows: np.ndarray, valid: np.ndarray, t06: np.ndarray, dh: DHParams,
+                 prev: np.ndarray, joint_limit: float, added: np.ndarray):
+    """nearest_branch of each node's kept candidates along a chain: node i
+    continues from the choice of the last node j < i with added[j] set,
+    or from the given (6,) prev if there is none.  rows (n, 8, 6) and
+    valid (n, 8) are _candidate_angles of the (n, 4, 4) flange targets
+    t06; a candidate is kept when it is valid, passes _forward_ok and
+    survives _dedup.  Returns the choices (r, 6) and their distances (r,)
+    of the nodes before r, the first node with no kept candidate (n if
+    every node has one).
 
-    Each round guesses the next SELECT_WINDOW_NODES open nodes on the
-    branch of the last settled choice, unwrapped against it (before any
-    choice is settled, on each node's branch nearest prev), then chooses
-    each node in one pass from its predecessor's guess.  The open prefix
-    whose every prev equals bit for bit the choice it stands for is
-    settled, so the result is that of selecting node by node.
+    The full path (forward check of all eight candidates, _dedup and
+    nearest_branch) chooses the leading nodes, which continue from prev.
+    Then each round guesses every open node on the branch b of the last
+    settled choice, chaining whole turns from that choice, and chooses
+    each node from its predecessor's guess.  A node settles on b without
+    the full path when
+      1. b is valid, passes the forward check and lies within 1e-9 of no
+         earlier valid candidate, so _dedup keeps it, and
+      2. every other valid candidate's unwrapped gap on joints 1, 3 and 5
+         alone exceeds b's distance by 1e-12, so its distance does too
+         and no kept rival displaces b under nearest_branch's 1e-15 rule
+         (a NaN gap is never far);
+    any other node takes the full path.  The open prefix whose every
+    prev equals bit for bit the choice it stands for is settled, so the
+    result is that of selecting node by node.
     """
     n = len(rows)
     src = np.maximum.accumulate(np.where(added, np.arange(n), -1))
     src = np.concatenate(([-1], src))[:n]
-    first = (src < 0)[:, None]
     choice, dist, branch = np.empty((n, 6)), np.empty(n), np.empty(n, dtype=int)
-    done = 0
+
+    def full(nodes, used):
+        """The full path on the given nodes; returns whether each has a kept candidate."""
+        ok = valid[nodes] & _forward_ok(rows[nodes], t06[nodes, None], dh)
+        kept = _dedup(rows[nodes], ok, np.zeros_like(ok))[0][:, TAG_ORDER]
+        choice[nodes], dist[nodes], best = nearest_branch(rows[nodes][:, TAG_ORDER], kept,
+                                                          used, joint_limit)
+        branch[nodes] = TAG_ORDER[best]
+        return kept.any(axis=1)
+
+    # the leading nodes, up to the first added one, continue from prev
+    done = int(np.argmax(added)) + 1 if added.any() else n
+    reach = full(np.arange(done), np.broadcast_to(prev, (done, 6)))
+    if not reach.all():
+        n = done = int(np.argmin(reach))
     while done < n:
-        w = slice(done, min(n, done + SELECT_WINDOW_NODES))
-        a = src[done]
-        choice[w] = (_unwrapped(rows[w, branch[a]], choice[a], joint_limit) if a >= 0 else
-                     nearest_branch(rows[w], kept[w], np.broadcast_to(prev, (w.stop - done, 6)),
-                                    joint_limit)[0])
-        used = np.where(first[w], prev, choice[src[w]])
-        choice[w], dist[w], branch[w] = nearest_branch(rows[w], kept[w], used, joint_limit)
-        parent = np.where(first[w], prev, choice[src[w]])
-        same = (used.view(np.int64) == parent.view(np.int64)).all(axis=1)
+        b = branch[src[done]]
+        s, raw = src[done:n], rows[done:n, b]
+        # the open nodes up to the first added one continue from the
+        # settled src[done], the others from an open node j
+        settled, j = (s < done)[:, None], np.maximum(s - done, 0)
+        # whole turns of each guess from its raw row, chained along the
+        # added nodes from the settled choice
+        step = np.rint((np.where(settled, choice[src[done]], raw[j]) - raw) / math.tau)
+        chained = np.cumsum(np.where(added[done:n, None], step, 0.0), axis=0)
+        guess = _folded(raw + math.tau * (step + np.where(settled, 0.0, chained[j])), joint_limit)
+        used = np.where(settled, choice[src[done]], guess[j])
+        cand = _unwrapped(raw, used, joint_limit)
+        db = np.abs(cand - used).max(axis=1)
+        # condition 1: b near an earlier candidate by _dedup's test
+        near = np.ones((n - done, b), dtype=bool)
+        for i in range(6):
+            near &= np.abs(raw[:, None, i] - rows[done:n, :b, i]) < 1e-9
+        # condition 2 on joints 1, 3 and 5, a joint at a time (faster than
+        # one pass over a (w, 8, 3) view)
+        gap = 0.0
+        for i in (0, 2, 4):
+            gap = np.maximum(gap, np.abs(_unwrapped(rows[done:n, :, i], used[:, None, i],
+                                                    joint_limit) - used[:, None, i]))
+        far = ~valid[done:n] | (gap > db[:, None] + 1e-12)
+        far[:, b] = True
+        fast = valid[done:n, b] & ~(near & valid[done:n, :b]).any(axis=1) & far.all(axis=1)
+        maybe = np.flatnonzero(fast)
+        fast[maybe] = _forward_ok(raw[maybe], t06[done + maybe], dh)
+        choice[done:n][fast], dist[done:n][fast], branch[done:n][fast] = cand[fast], db[fast], b
+        slow = np.flatnonzero(~fast)
+        if len(slow):
+            reach = full(done + slow, used[slow])
+            if not reach.all():
+                n = done + slow[np.argmin(reach)]
+        same = (used[:n - done].view(np.int64) == choice[s[:n - done]].view(np.int64)).all(axis=1)
         done += len(same) if same.all() else int(np.argmin(same))
-    return choice, dist
+    return choice[:n], dist[:n]
 
 
 def select_branch(solutions: list[IKSolution], prev: JointConfig,

@@ -23,7 +23,7 @@ from ramcell.cell import (MAX_JOINT_STEP_RAD, PlanningError, RobotProgram,
 from ramcell.geometry import Vec3, wrap_angles
 from ramcell.kinematics import (_BRANCHES, _SIGNS, ELBOW_MARGIN, IK_CHUNK_NODES,
                                 ORIENTATION_TOL_RAD, POSITION_TOL_MM, WRIST_DEGENERACY_TOL,
-                                WRIST_LOST_TOL, DHParams, IKSolution, JointConfig,
+                                DHParams, IKSolution, JointConfig,
                                 UnreachableError, _checked_candidates, _dh_links, _flange,
                                 jacobian, tcp_offset_from_config)
 
@@ -251,9 +251,9 @@ def candidate_angles(t06: np.ndarray, dh: DHParams):
     # the target fixes only q2+q3+q4 -+ q6, and q6 turns frame 4 about the
     # wrist centre on a circle of radius d5.  Where q6 = 0 leaves it out of
     # the arm's reach, q6 turns to bring it back (reaching_q6); a branch
-    # that close to the degeneracy (WRIST_LOST_TOL, past acos noise) is
-    # put on it.  Only branches without a solution at q6 = 0 change.
-    lost = (np.abs(s5) < WRIST_LOST_TOL) & (np.abs(c3) > 1.0 + 1e-12)
+    # that close to the degeneracy (WRIST_DEGENERACY_TOL) is put on it.
+    # Only branches without a solution at q6 = 0 change.
+    lost = (np.abs(s5) < WRIST_DEGENERACY_TOL) & (np.abs(c3) > 1.0 + 1e-12)
     if lost.any():
         free = free | lost
         q5 = np.where(lost, on_degeneracy, q5)

@@ -629,22 +629,24 @@ def test_plan_matches_per_node_oracle(case, chunk, monkeypatch):
         assert len(got[0]) < len(_plan_nodes(path, cfg)[0])
 
 
-# nearest_branch calls of one plan: a round guesses its window on the
-# settled anchor's branch and makes one pass, and only the first round of
-# each chunk, which has no anchor in it, makes two.  Two passes in every
-# round would make 28 and 110.
-@pytest.mark.parametrize("shape, calls", [("wall-50x10", 17), ("square-30x30x8.5", 62)])
-def test_branch_choice_makes_one_pass_per_round(shape, calls, monkeypatch):
+# nearest_branch calls of one plan and the nodes they choose: only the
+# leading node of each IK chunk, which continues from the waypoint before
+# the chunk, takes the full path; every other node settles on the branch
+# of the node it continues from.
+@pytest.mark.parametrize("shape, calls, nodes", [("wall-50x10", 3, 3),
+                                                 ("square-30x30x8.5", 8, 8)])
+def test_branch_choice_makes_one_pass_per_round(shape, calls, nodes, monkeypatch):
     count = []
     real = kinematics.nearest_branch
 
-    def counted(*args):
-        count.append(1)
-        return real(*args)
+    def counted(rows, *args):
+        count.append(len(rows))
+        return real(rows, *args)
 
     monkeypatch.setattr(kinematics, "nearest_branch", counted)
     plan_trajectory(_wall_path(CFG, shape), CFG, ENV)
     assert 0 < len(count) <= calls, len(count)
+    assert 0 < sum(count) <= nodes, sum(count)
 
 
 def _speed_outcome(program, limit):

@@ -8,10 +8,10 @@ from branch_oracle import dedup_per_node, ik_per_node, max_distance, select_bran
 from ramcell import kinematics
 from ramcell.config import default_config, loads_config
 from ramcell.geometry import Pose, Rotation, Vec3, wrap_angle
-from ramcell.kinematics import (_BRANCHES, IK_CHUNK_NODES, SELECT_WINDOW_NODES, TAG_ORDER,
+from ramcell.kinematics import (_BRANCHES, IK_CHUNK_NODES, TAG_ORDER,
                                 DHParams, IKSolution, JointConfig, UnreachableError,
-                                _checked_candidates, _dedup, _flange, _frames, fk,
-                                fk_batch, ik, ik_batch, ik_chunks, is_singular, jacobian,
+                                _checked_candidates, _dedup, _flange, _forward_ok, _frames, fk,
+                                fk_batch, ik, ik_batch, is_singular, jacobian,
                                 manipulability, manipulability_batch,
                                 select_branch, select_chain, tcp_offset_from_config)
 from ramcell.cell import TOOL_DOWN, cfg_home
@@ -287,8 +287,8 @@ def test_ik_solves_every_wrist_degenerate_target():
     rng = np.random.RandomState(43)
     qs = rng.uniform(-math.pi, math.pi, (600, 6))
     qs[:, 4] = rng.choice([0.0, math.pi, -math.pi], len(qs))
-    # acos noise puts this one's |sin q5| at about 1.03e-7, just past
-    # WRIST_DEGENERACY_TOL, and q6 = 0 leaves its elbow out of reach
+    # acos noise puts this one's |sin q5| at about 1.03e-7, and q6 = 0
+    # leaves its elbow out of reach
     qs[0] = (-0.7530755761640058, -0.65445352471365, 0.2149772425462615,
              -1.8251734618051663, -math.pi, -1.1632306860582908)
     turned = 0
@@ -381,12 +381,18 @@ def test_chain_selection_matches_per_node_oracle(joint_limit):
     _check_chain_against_oracle(joint_limit)
 
 
-@pytest.mark.parametrize("window", [1, 3, SELECT_WINDOW_NODES])
+@pytest.mark.parametrize("window", [1, 3, IK_CHUNK_NODES])
 def test_chain_selection_window_matches_per_node_oracle(window, monkeypatch):
-    """A round guesses over at most `window` nodes; the settled choices
-    must not depend on it."""
-    monkeypatch.setattr(kinematics, "SELECT_WINDOW_NODES", window)
+    """select_chain runs once per IK chunk of `window` nodes and guesses
+    over the whole chunk; the choices must not depend on the chunk size."""
+    monkeypatch.setattr(kinematics, "IK_CHUNK_NODES", window)
     _check_chain_against_oracle(2.0 * math.pi)
+
+
+def _candidates(t06):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows, valid, _ = kinematics._candidate_angles(t06, DH)
+    return rows, valid
 
 
 def _check_chain_against_oracle(joint_limit):
@@ -421,19 +427,179 @@ def _check_chain_against_oracle(joint_limit):
 
     got, got_dist = [], []
     prev = np.array(start_q)
-    for start, (qs, kept, _) in zip(range(0, len(targets), IK_CHUNK_NODES),
-                                    ik_chunks(targets, DH, TCP)):
-        assert kept.any(axis=1).all()
-        chunk_added = added[start:start + len(qs)]
-        choice, dist = select_chain(qs[:, TAG_ORDER], kept[:, TAG_ORDER], prev,
-                                    joint_limit, chunk_added)
+    start = 0
+    for t06 in kinematics.flange_chunks(targets, TCP):
+        chunk_added = added[start:start + len(t06)]
+        choice, dist = select_chain(*_candidates(t06), t06, DH, prev, joint_limit, chunk_added)
+        assert len(choice) == len(t06)  # every node has a kept candidate
         got.extend(tuple(row) for row in choice.tolist())
         got_dist.extend(dist.tolist())
         if chunk_added.any():
             prev = choice[np.flatnonzero(chunk_added)[-1]]
+        start += len(t06)
     assert got == want
     assert got_dist == want_dist
     assert max(abs(v) for row in want for v in row) > math.pi  # unwrapping ran
+
+
+# a configuration on candidate 2, branch (left, up, flip); candidate 3,
+# (left, down, flip), comes first in tag order
+NEAR_HOME = np.array(cfg_home()) + [0.3, 0.2, -0.4, 0.1, 0.5, 0.2]
+
+
+def _chain_case(steps):
+    """Flange targets of the joint path NEAR_HOME + cumsum(steps) and their
+    candidates; every node on candidate 2."""
+    path = NEAR_HOME + np.cumsum(steps, axis=0)
+    t06 = fk_batch(path, DH)
+    rows, valid = _candidates(t06)
+    assert (np.abs(np.vectorize(wrap_angle)(rows[:, 2] - path)) < 1e-9).all()
+    return path, rows, valid, t06
+
+
+def _select_spying(rows, valid, t06, prev, joint_limit, added, monkeypatch):
+    """select_chain's choices and distances, and the candidate rows (in tag
+    order) of every node that took the full path to nearest_branch."""
+    full = []
+    real = kinematics.nearest_branch
+
+    def spy(cands, *args):
+        full.extend(cands)
+        return real(cands, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(kinematics, "nearest_branch", spy)
+        choice, dist = select_chain(rows, valid, t06, DH, prev, joint_limit, added)
+    return choice, dist, full
+
+
+def _took_full_path(full, node_rows):
+    return any(np.array_equal(r, node_rows[TAG_ORDER], equal_nan=True) for r in full)
+
+
+def _per_node_chain(rows, valid, t06, prev, joint_limit, added, monkeypatch):
+    """The chain node by node: each node's solutions from dedup_per_node of
+    the forward-checked rows, its choice from select_branch_per_node."""
+    with monkeypatch.context() as m:
+        m.setattr(kinematics, "_candidate_angles",
+                  lambda t, dh: (rows, valid, np.zeros_like(valid)))
+        solutions = dedup_per_node(*_checked_candidates(t06, DH))
+    want, want_dist = [], []
+    prev = JointConfig(tuple(prev))
+    for sols, add in zip(solutions, added):
+        choice = select_branch_per_node(sols, prev, joint_limit)
+        want.append(list(choice.q))
+        want_dist.append(max_distance(choice.q, prev.q))
+        if add:
+            prev = choice
+    return want, want_dist
+
+
+def _check_full_path_case(rows, valid, t06, nodes, monkeypatch, joint_limit=2.0 * math.pi):
+    """select_chain from NEAR_HOME, every node adding a waypoint, sends each
+    of `nodes` down the full path and matches the per-node oracle bit for
+    bit."""
+    added = np.ones(len(rows), dtype=bool)
+    choice, dist, full = _select_spying(rows, valid, t06, NEAR_HOME, joint_limit, added,
+                                        monkeypatch)
+    for i in nodes:
+        assert _took_full_path(full, rows[i]), i
+    want, want_dist = _per_node_chain(rows, valid, t06, NEAR_HOME, joint_limit, added,
+                                      monkeypatch)
+    assert choice.tolist() == want
+    assert dist.tolist() == want_dist
+    return choice
+
+
+# each node steps joint 1 furthest, so a node's distance is its joint-1 gap
+STEPS = np.tile([0.02, 0.005, -0.004, 0.003, 0.002, 0.004], (30, 1))
+
+
+def test_chain_takes_the_full_path_for_a_rival_within_the_margin(monkeypatch):
+    """A kept rival ahead of b in tag order: b's row turned a whole turn on
+    joint 2 and moved 0 to 5e-13 further from prev on joint 1.  Its gap
+    on joints 1, 3 and 5 is within 1e-12 of b's distance, and nearest_branch
+    keeps it unless b is closer by more than 1e-15."""
+    path, rows, valid, t06 = _chain_case(STEPS)
+    _, _, full = _select_spying(rows, valid, t06, NEAR_HOME, 2.0 * math.pi,
+                                np.ones(len(rows), dtype=bool), monkeypatch)
+    assert len(full) == 1  # unedited, only the leading node takes the full path
+    nodes = [5, 10, 15, 20, 25]
+    for i, nudge in zip(nodes, [0.0, 3e-16, 6e-16, 2e-15, 5e-13]):
+        rows[i, 3] = rows[i, 2] + [nudge, math.tau, 0.0, 0.0, 0.0, 0.0]
+        valid[i, 3] = True
+    choice = _check_full_path_case(rows, valid, t06, nodes, monkeypatch)
+    # the rival wins a near tie, and b wins where it is closer by 5e-13
+    assert choice[10, 0] == rows[10, 3, 0] != rows[10, 2, 0]
+    assert choice[25, 0] == rows[25, 2, 0]
+
+
+def test_chain_takes_the_full_path_for_a_nan_rival_ahead_of_b(monkeypatch):
+    """A valid rival ahead of b in tag order whose joint 1 is NaN: its gap
+    is never far, and nearest_branch, seeing it first, keeps it.  The
+    per-node oracle's max_distance skips NaN, so the check here is
+    nearest_branch called node by node on each node's kept candidates."""
+    path, rows, valid, t06 = _chain_case(STEPS)
+    rows[12, 3, 0], valid[12, 3] = math.nan, True
+    added = np.ones(len(rows), dtype=bool)
+    added[12] = False  # the node after it continues from node 11
+    choice, dist, full = _select_spying(rows, valid, t06, NEAR_HOME, 2.0 * math.pi, added,
+                                        monkeypatch)
+    assert _took_full_path(full, rows[12])
+    with monkeypatch.context() as m:
+        m.setattr(kinematics, "_candidate_angles",
+                  lambda t, dh: (rows, valid, np.zeros_like(valid)))
+        kept = _dedup(*_checked_candidates(t06, DH))[0]
+    prev = NEAR_HOME
+    for i in range(len(rows)):
+        want, want_dist, _ = kinematics.nearest_branch(
+            rows[i:i + 1, TAG_ORDER], kept[i:i + 1, TAG_ORDER], prev[None], 2.0 * math.pi)
+        assert np.array_equal(choice[i], want[0], equal_nan=True), i
+        assert np.array_equal(dist[i], want_dist[0], equal_nan=True), i
+        if added[i]:
+            prev = choice[i]
+    assert np.isnan(choice[12, 0]) and np.isnan(dist[12])
+
+
+def test_chain_takes_the_full_path_for_the_flip_pair_at_the_wrist_degeneracy(monkeypatch):
+    """At q5 = 0 both wrist branches of a shoulder and elbow meet: b, the
+    flip branch, lies within 1e-9 of the earlier noflip candidate, and
+    _dedup drops it.  At node 20 the noflip candidate is put 5e-10 from b
+    on joint 1, further from prev: its gap there is far, so only the 1e-9
+    test of condition 1 keeps b off the fast path."""
+    steps = STEPS.copy()
+    steps[0, 4] = 1.07 - 0.12  # q5 from -0.12 rises 0.01 a node to 0 at node 12
+    steps[1:, 4] = 0.01
+    steps[13:, 4] = -0.01
+    path = NEAR_HOME + np.cumsum(steps, axis=0)
+    path[12, 4] = 0.0
+    t06 = fk_batch(path, DH)
+    rows, valid = _candidates(t06)
+    assert valid[12, [0, 2]].all()
+    assert (np.abs(rows[12, 2] - rows[12, 0]) < 1e-9).all()
+    rows[20, 0] = rows[20, 2] + [5e-10, 0.0, 0.0, 0.0, 0.0, 0.0]
+    valid[20, 0] = True
+    choice = _check_full_path_case(rows, valid, t06, [12, 20], monkeypatch)
+    assert choice[20, 0] == rows[20, 0, 0]
+
+
+def test_chain_takes_the_full_path_where_b_fails_the_forward_check(monkeypatch):
+    path, rows, valid, t06 = _chain_case(STEPS)
+    rows[9, 2, 0] += 1e-6  # about 4e-4 mm off its target
+    assert not _forward_ok(rows[9, 2], t06[9], DH)
+    choice = _check_full_path_case(rows, valid, t06, [9], monkeypatch)
+    assert np.abs(choice[9] - rows[9, 2]).max() > 0.1  # another branch was chosen
+
+
+def test_chain_takes_the_full_path_where_the_wrist_folds_past_the_limit(monkeypatch):
+    """The wrist turns 0.3 rad a node, so b's joint 6 passes +joint_limit
+    mid-chunk and is folded a whole turn back."""
+    steps = STEPS.copy()
+    steps[:, 5] = 0.3
+    path, rows, valid, t06 = _chain_case(steps)
+    fold = int(np.argmax(path[:, 5] > 3.0))
+    assert 0 < fold < len(path) - 1
+    _check_full_path_case(rows, valid, t06, [fold], monkeypatch, joint_limit=3.0)
 
 
 def test_select_branch_tie_rule_matches_per_node_oracle():
@@ -544,17 +710,13 @@ def test_column_kernel_matches_the_dh_product_oracle():
     seeded [kinematics] sections (a2 < 0, other links of either sign,
     d5 = 0, non-zero TCP offsets): the same valid, free and
     forward-checked masks, and joints within 1e-9 rad by wrapped
-    difference.
-
-    A branch on an exact wrist degeneracy whose acos noise leaves
-    0 < |sin q5| < WRIST_LOST_TOL in either kernel's result is left out:
-    if the noise passes WRIST_DEGENERACY_TOL, q6 comes from rounding
-    noise, and whether the branch is put on the degeneracy or fails the
-    forward check depends on the last bits of each kernel."""
+    difference.  Every branch counts, those on an exact wrist degeneracy
+    whose acos noise leaves |sin q5| near 1e-7 included: both kernels
+    put them on the degeneracy (WRIST_DEGENERACY_TOL)."""
     rng = np.random.RandomState(45)
     tables = [_seeded_kinematics(rng, d5_mm=0.0)] + [_seeded_kinematics(rng) for _ in range(7)]
     worst = 0.0
-    reached = turned = free_at_0 = noisy = 0
+    reached = turned = free_at_0 = 0
     for dh, tcp in tables:
         assert tcp.position.z != 0.0
         t06 = _oracle_targets(rng, dh, tcp, 800) @ np.linalg.inv(tcp.to_matrix())
@@ -563,14 +725,9 @@ def test_column_kernel_matches_the_dh_product_oracle():
             want_qs, want_valid, want_free = branch_oracle.candidate_angles(t06, dh)
         _, ok, _ = _checked_candidates(t06, dh)
         _, want_ok, _ = branch_oracle.checked_candidates(t06, dh)
-        near = lambda q: ((q != 0.0) & (np.abs(q) != math.pi)
-                          & (np.abs(np.sin(q)) < kinematics.WRIST_LOST_TOL))
-        kept = ~(near(qs[..., 4]) | near(want_qs[..., 4]))
-        noisy += (~kept).sum()
         for got, want in ((valid, want_valid), (free, want_free), (ok, want_ok)):
-            assert (got == want)[kept].all()
-        both = valid & kept
-        gap = np.abs(np.vectorize(wrap_angle)(qs[both] - want_qs[both]))
+            assert (got == want).all()
+        gap = np.abs(np.vectorize(wrap_angle)(qs[valid] - want_qs[valid]))
         worst = max(worst, float(gap.max()))
         # every kind of target occurs: reached, unreached (the last
         # quarter), q6 = 0 on the degeneracy, and q6 turned to reach
@@ -578,10 +735,8 @@ def test_column_kernel_matches_the_dh_product_oracle():
         reached += ok[:600].any(axis=1).sum()
         free_at_0 += (ok & free & (qs[..., 5] == 0.0)).sum()
         turned += (ok & free & (qs[..., 5] != 0.0)).sum()
-    print(f"worst joint difference from the DH-product oracle: {worst:.3g} rad; "
-          f"{noisy} of {8 * 800 * len(tables)} branches in the acos-noise band")
+    print(f"worst joint difference from the DH-product oracle: {worst:.3g} rad")
     assert worst < 1e-9, worst
-    assert noisy < 0.01 * 8 * 800 * len(tables)
     assert reached > 2000 and free_at_0 > 100 and turned > 50
 
 
