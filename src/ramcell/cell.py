@@ -1,12 +1,14 @@
 """Cell-level planning: joint trajectories, clearance checks, reporting.
 
 The planner walks the shared toolpath timeline, builds the TCP targets
-of all nodes (dwell nodes included) as one array, solves them a chunk at
-a time (kinematics._candidate_angles) and hands each chunk's unchecked
-candidates to the array branch choice (kinematics.select_chain), which
-keeps the branch continuous from node to node and forward-checks only
-the candidates its choice depends on; a node adds a waypoint when it
-lies more than 1e-12 s after the node before it.  The program keeps the
+of all nodes (dwell nodes included) as one array and, a chunk at a time,
+solves the joints q1, q3, q5 and q6 of every branch
+(kinematics._branch_columns).  The array branch choice
+(kinematics.select_chain) keeps the branch continuous from node to node,
+continuing each chunk from the choice and the branch before it, and
+solves the arm joints q2 and q4 of, and forward-checks, only the
+candidates its choice depends on; a node adds a waypoint when it lies
+more than 1e-12 s after the node before it.  The program keeps the
 chosen rows as one (n, 6) joint array, which the speed check, the
 clearance check, the singularity scan and the script writer read as
 columns.  Collision checking samples the interpolated tool capsule
@@ -30,7 +32,7 @@ from . import RamcellError
 from .config import CellConfig, Config, parse_obstacles
 from .extrusion import IOEvent
 from .geometry import Pose, Rotation, Vec3
-from .kinematics import (DHParams, _candidate_angles, _flange, flange_chunks,
+from .kinematics import (DHParams, _branch_columns, _flange, flange_chunks,
                          manipulability_batch, select_chain, tcp_offset_from_config)
 from .toolpath import Toolpath, time_profile
 
@@ -241,22 +243,27 @@ def _plan_nodes(path: Toolpath, cfg: Config):
     planner's nodes: the path's start, each move's end and each dwell's
     equal yaw steps of at most DWELL_YAW_STEP_RAD."""
     tl = time_profile(path, cfg.cell.reorient_rate_rad_s)
-    count = np.where(tl.dwell, np.ceil(np.abs(tl.yaw1 - tl.yaw0) / DWELL_YAW_STEP_RAD), 1)
+    count = np.where(tl["dwell"], np.ceil(np.abs(tl["yaw1"] - tl["yaw0"]) / DWELL_YAW_STEP_RAD), 1)
     count = np.maximum(1, count).astype(np.int64)
     row = np.repeat(np.arange(len(tl)), count)
     frac = (np.arange(1, len(row) + 1) - np.repeat(np.cumsum(count) - count, count)) / count[row]
-    e = tl[row]
+    # each node's entry, gathered a field at a time: a gather of whole
+    # records would copy every field
+    dwell, t0, t1, yaw0, yaw1, x1, y1, z1, speed = (
+        tl[name][row] for name in ("dwell", "t0", "t1", "yaw0", "yaw1", "x1", "y1", "z1", "speed"))
+    first = tl[0]
     # a dwell ends where it starts, and its speed is 0
-    t = np.r_[tl.t0[0], np.where(e.dwell, e.t0 + frac * (e.t1 - e.t0), e.t1)]
-    yaw = np.r_[tl.yaw0[0], np.where(e.dwell, e.yaw0 + frac * (e.yaw1 - e.yaw0), e.yaw0)][:, None]
-    pos = np.r_[[[tl.x0[0], tl.y0[0], tl.z0[0]]], np.stack([e.x1, e.y1, e.z1], axis=1)]
-    speed = np.r_[0.0, e.speed]
+    t = np.r_[first.t0, np.where(dwell, t0 + frac * (t1 - t0), t1)]
+    yaw = np.r_[first.yaw0, np.where(dwell, yaw0 + frac * (yaw1 - yaw0), yaw0)][:, None]
+    pos = np.r_[[[first.x0, first.y0, first.z0]], np.stack([x1, y1, z1], axis=1)]
+    speed = np.r_[0.0, speed]
 
     # TCP targets: TOOL_DOWN turned about world z by each node's yaw
     down = Pose(Vec3(0.0, 0.0, 0.0), TOOL_DOWN).to_matrix()
+    cos, sin = np.cos(yaw), np.sin(yaw)
     targets = np.tile(down, (len(t), 1, 1))
-    targets[:, 0] = np.cos(yaw) * down[0] - np.sin(yaw) * down[1]
-    targets[:, 1] = np.sin(yaw) * down[0] + np.cos(yaw) * down[1]
+    targets[:, 0] = cos * down[0] - sin * down[1]
+    targets[:, 1] = sin * down[0] + cos * down[1]
     targets[:, :3, 3] = pos
     return t, pos, speed, targets
 
@@ -285,13 +292,15 @@ def plan_trajectory(path: Toolpath, cfg: Config, env: CellEnvironment,
     last_added = np.maximum.accumulate(np.where(added, np.arange(len(times)), -1))
 
     joints = np.empty((len(times), 6))
-    prev = np.array(cfg_home())
+    branches = np.empty(len(times), dtype=int)
+    prev, prev_branch = np.array(cfg_home()), None
     start = 0
     for t06 in flange_chunks(targets, tcp):
         n = len(t06)
         with np.errstate(divide="ignore", invalid="ignore"):
-            qs, valid, _ = _candidate_angles(t06, dh)
-        q, step = select_chain(qs, valid, t06, dh, prev, limit, added[start:start + n])
+            cands = _branch_columns(t06, dh)
+        q, step, branch = select_chain(cands, t06, dh, prev, prev_branch, limit,
+                                       added[start:start + n])
         r = len(q)  # the first node without a kept candidate ends the chain
         jump = np.flatnonzero(step > MAX_JOINT_STEP_RAD)
         jump = jump[start + jump > 0]  # the first node is reached from home
@@ -303,9 +312,10 @@ def plan_trajectory(path: Toolpath, cfg: Config, env: CellEnvironment,
                 raise PlanningError(f"configuration jump of {step[i]:.3f} rad at {where}",
                                     t, at, kind="jump")
             raise PlanningError(f"unreachable waypoint at {where}", t, at)
-        joints[start:start + n] = q
+        joints[start:start + n], branches[start:start + n] = q, branch
         start += n
-        prev = joints[last_added[start - 1]]
+        # the next chunk continues from the last waypoint, on its branch
+        prev, prev_branch = joints[last_added[start - 1]], branches[last_added[start - 1]]
     program = RobotProgram(times[added], joints[added], speeds[added], events, metadata)
     program.validate_speeds(cfg.cell.max_joint_speed_rad_s)
     return program

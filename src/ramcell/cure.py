@@ -177,18 +177,37 @@ def _runs(width: np.ndarray, count: np.ndarray, budget: int) -> Iterator[tuple[i
     """Cut consecutive entries into runs whose padded layout fits a budget.
 
     A run is laid out as (its longest sample ``count``) x (the sum of its
-    ``width``); it is closed before the entry that would take it past
-    ``budget``, so only a run of a single entry can exceed it.  This is
-    what keeps peak memory flat whatever the path.
+    ``width``), both non-negative integers; it is closed before the entry
+    that would take it past ``budget``, so only a run of a single entry
+    can exceed it.  This is what keeps peak memory flat whatever the path.
+    Both factors only grow along a run: while no entry longer than the
+    run's longest comes, one search in the cumulative width finds the
+    entry that closes the run, and a longer entry that comes first takes
+    one step of its own.
     """
-    lo = rows = cols = 0
-    for i, (w, n) in enumerate(zip(width.tolist(), count.tolist())):
-        rows, cols = max(rows, n), cols + w
-        if rows * cols > budget and i > lo:
-            yield lo, i
-            lo, rows, cols = i, n, w
-    if len(count):
-        yield lo, len(count)
+    cols = np.concatenate(([0], np.cumsum(width)))
+    counts = count.tolist()
+    n, lo = len(counts), 0
+    while lo < n:
+        hi, rows = lo + 1, counts[lo]
+        while hi < n:
+            # with the run's longest count at rows, entry j is the first
+            # whose width takes the run past the budget
+            j = n
+            if rows > 0:
+                j = max(hi, int(cols.searchsorted(cols[lo] + budget // rows, "right")) - 1)
+            if max(counts[hi:j], default=rows) <= rows:
+                hi = j
+                break
+            # a longer entry k comes first: the run takes it if it still fits
+            k = hi + int(np.argmax(count[hi:j] > rows))
+            rows = counts[k]
+            if rows * (cols[k + 1] - cols[lo]) > budget:
+                hi = k
+                break
+            hi = k + 1
+        yield lo, hi
+        lo = hi
 
 
 def _sample_blocks(path: Toolpath, spot: UVConfig, dt_s: float,

@@ -7,23 +7,27 @@ flange pose, a dozen columns of q1, q5, q6, q2, q2+q3 and q2+q3+q4;
 `fk_batch`, the clearance check and IK's forward check use it.
 `_frames` multiplies out the six DH links (`_dh_links` serves only it)
 and keeps every intermediate frame, which only the Jacobian needs.  The
-closed-form inverse `_candidate_angles` (Hawkins, "Analytic Inverse
-Kinematics for the Universal Robots UR-5/UR-10 Arms", 2013) writes the
-entries of inv(T01) T06 and T16 inv(T45 T56) it needs in the target's
-entries and evaluates the eight branches (shoulder, wrist, elbow) of
-every target as array masks; at the wrist degeneracy it keeps q6 = 0
-where the elbow reaches and turns q6 into reach where it does not.
+closed-form inverse (Hawkins, "Analytic Inverse Kinematics for the
+Universal Robots UR-5/UR-10 Arms", 2013) writes the entries of
+inv(T01) T06 and T16 inv(T45 T56) it needs in the target's entries and
+evaluates the eight branches (shoulder, wrist, elbow) of every target as
+array masks; at the wrist degeneracy it keeps q6 = 0 where the elbow
+reaches and turns q6 into reach where it does not.  It runs in two
+parts: `_branch_columns` solves q1, q3, q5 and q6 and the masks for
+every branch, and `Branches.rows` the arm joints q2 and q4 of the
+(node, branch) pairs asked for; `_candidate_angles` asks for all eight.
 `ik_chunks` solves chunks of IK_CHUNK_NODES targets, checks each
 candidate's forward pose (`_forward_ok`, row by row) and de-duplicates
 them over the 28 pairs j < k; `nearest_branch` picks branches for many
-nodes at once.  `select_chain` chooses along a chunk's unchecked
-candidates: each node is guessed on the branch of the last settled
-choice, and only that candidate is checked where no rival can displace
-it; other nodes take the forward check, `_dedup` and `nearest_branch`,
-so the choices are bit for bit those made node by node.  `fk_batch` and
-`manipulability_batch` take an (n, 6) joint array.  JointConfig is only
-the one-row type: `ik_batch`, `ik` and `select_branch` are thin wrappers
-that build IKSolution/JointConfig objects, and `fk`, `jacobian` and
+nodes at once.  `select_chain` chooses along a chunk's branches: each
+node is guessed on the branch of the last settled choice, carried
+across chunks, and only that candidate is solved and checked where no
+rival can displace it; other nodes take all eight rows, the forward
+check, `_dedup` and `nearest_branch`, so the choices are bit for bit
+those made node by node.  `fk_batch` and `manipulability_batch` take an
+(n, 6) joint array.  JointConfig is only the one-row type: `ik_batch`,
+`ik` and `select_branch` are thin wrappers that build
+IKSolution/JointConfig objects, and `fk`, `jacobian` and
 `manipulability` are one-row calls.
 The Jacobian is geometric (linear rows mm/rad, angular rad/rad);
 manipulability is |det J| (Yoshikawa) of a meters-scaled copy, O(0.01)
@@ -186,11 +190,46 @@ _PAIR_K, _PAIR_J = np.tril_indices(8, -1)
 IK_CHUNK_NODES = 512
 
 
-def _candidate_angles(t06: np.ndarray, dh: DHParams):
-    """The eight closed-form branches of each flange target in the (n, 4, 4)
-    array t06: joints (n, 8, 6), a mask (n, 8) of branches that have a real
-    solution, and a wrist-free flag (n, 8).  q1 is a column over (n, shoulder,
-    1), q5 and q6 over (n, shoulder, wrist), and q2, q3, q4 add the elbow."""
+@dataclass(frozen=True, eq=False)
+class Branches:
+    """The eight closed-form branches of a chunk of flange targets,
+    candidate k = branch _BRANCHES[k] (built by _branch_columns).  qs
+    (n, 8, 6) holds every candidate's joints 1, 3, 5 and 6, wrapped; its
+    joints 2 and 4 stay NaN, and rows() solves them for the (node, branch)
+    pairs asked for, element by element, so a pair gets the bits it gets
+    among all of them.  valid (n, 8) masks the branches that have a real
+    solution and free (n, 8) flags the wrist-free ones."""
+    qs: np.ndarray
+    valid: np.ndarray
+    free: np.ndarray
+    q3: np.ndarray   # (8 n,) each candidate's q3, unwrapped
+    arm: np.ndarray  # (4, 4 n) p13_x, p13_y, t14[0, 0] and t14[1, 0] per (node, shoulder, wrist)
+    a3: float
+
+    def rows(self, nodes, branches) -> np.ndarray:
+        """The joints of candidate branches[i] of node nodes[i], for numpy
+        index arrays broadcast against each other: shape (..., 6)."""
+        nodes, branches = np.broadcast_arrays(nodes, branches)
+        shape = nodes.shape
+        nodes, branches = nodes.reshape(-1), branches.reshape(-1)
+        out = self.qs[nodes, branches]
+        p13_x, p13_y, r14_00, r14_10 = self.arm[:, 4 * nodes + branches // 2]
+        q3 = self.q3[8 * nodes + branches]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s_arg = np.clip(self.a3 * np.sin(q3) / np.sqrt(p13_x**2 + p13_y**2), -1.0, 1.0)
+            q2 = -np.arctan2(p13_y, -p13_x) + np.arcsin(s_arg)
+            # joints 2 and 3 rotate about parallel axes, so frame 3's x axis
+            # is frame 1's rotated by -(q2+q3)
+            c23, s23 = np.cos(q2 + q3), np.sin(q2 + q3)
+            q4 = np.arctan2(-s23 * r14_00 + c23 * r14_10, c23 * r14_00 + s23 * r14_10)
+        out[:, 1], out[:, 3] = wrap_angles(q2), wrap_angles(q4)
+        return out.reshape(shape + (6,))
+
+
+def _branch_columns(t06: np.ndarray, dh: DHParams) -> Branches:
+    """The Branches of each flange target in the (n, 4, 4) array t06.  q1
+    is a column over (n, shoulder, 1), q5 and q6 over (n, shoulder, wrist),
+    and q3 adds the elbow."""
     a2, a3, d1, d4, d5, d6 = dh.a[1], dh.a[2], dh.d[0], dh.d[3], dh.d[4], dh.d[5]
     (r00, r01, r02, p0), (r10, r11, r12, p1), (r20, r21, r22, p2) = (
         [[t06[:, i, j, None, None] for j in range(4)] for i in range(3)])
@@ -240,18 +279,24 @@ def _candidate_angles(t06: np.ndarray, dh: DHParams):
         t14, p13_x, p13_y, c3 = elbow(q5, q6)
     valid = valid & (np.abs(c3) <= 1.0 + 1e-12)
     q3 = np.arccos(np.clip(c3, -1.0, 1.0))[..., None] * _SIGNS
-    s_arg = np.clip(a3 * np.sin(q3) / np.sqrt(p13_x**2 + p13_y**2)[..., None], -1.0, 1.0)
-    q2 = -np.arctan2(p13_y, -p13_x)[..., None] + np.arcsin(s_arg)
-    # joints 2 and 3 rotate about parallel axes, so frame 3's x axis is
-    # frame 1's rotated by -(q2+q3)
-    c23, s23 = np.cos(q2 + q3), np.sin(q2 + q3)
-    r14_00, r14_10 = t14[0][0][..., None], t14[1][0][..., None]
-    q4 = np.arctan2(-s23 * r14_00 + c23 * r14_10, c23 * r14_00 + s23 * r14_10)
-    w1, w5, w6 = (wrap_angles(q)[..., None] for q in (q1, q5, q6))
-    qs = np.stack(np.broadcast_arrays(w1, *map(wrap_angles, (q2, q3, q4)), w5, w6), axis=-1)
-    return (qs.reshape(-1, 8, 6),
-            np.broadcast_to(valid[..., None], q2.shape).reshape(-1, 8),
-            np.broadcast_to(free[..., None], q2.shape).reshape(-1, 8))
+    n = len(t06)
+    qs = np.full((n, 2, 2, 2, 6), np.nan)
+    qs[..., 0] = wrap_angles(q1)[..., None]
+    qs[..., 2] = wrap_angles(q3)
+    qs[..., 4] = wrap_angles(q5)[..., None]
+    qs[..., 5] = wrap_angles(q6)[..., None]
+    arm = np.stack(np.broadcast_arrays(p13_x, p13_y, t14[0][0], t14[1][0]))
+    return Branches(qs.reshape(n, 8, 6), np.repeat(valid.reshape(n, 4), 2, axis=1),
+                    np.repeat(free.reshape(n, 4), 2, axis=1), q3.reshape(-1),
+                    arm.reshape(4, -1), a3)
+
+
+def _candidate_angles(t06: np.ndarray, dh: DHParams):
+    """Every branch of the (n, 4, 4) flange targets t06: joints (n, 8, 6),
+    the mask (n, 8) of branches that have a real solution, and the
+    wrist-free flags (n, 8)."""
+    cands = _branch_columns(t06, dh)
+    return cands.rows(np.arange(len(t06))[:, None], np.arange(8)), cands.valid, cands.free
 
 
 def _reaching_q6(t16, q5, p13_x, p13_y, c3, dh: DHParams):
@@ -411,25 +456,27 @@ def nearest_branch(rows: np.ndarray, kept: np.ndarray, prev: np.ndarray,
     return cand[np.arange(len(rows)), best], best_d, best
 
 
-def select_chain(rows: np.ndarray, valid: np.ndarray, t06: np.ndarray, dh: DHParams,
-                 prev: np.ndarray, joint_limit: float, added: np.ndarray):
+def select_chain(cands: Branches, t06: np.ndarray, dh: DHParams, prev: np.ndarray,
+                 prev_branch: int | None, joint_limit: float, added: np.ndarray):
     """nearest_branch of each node's kept candidates along a chain: node i
     continues from the choice of the last node j < i with added[j] set,
-    or from the given (6,) prev if there is none.  rows (n, 8, 6) and
-    valid (n, 8) are _candidate_angles of the (n, 4, 4) flange targets
-    t06; a candidate is kept when it is valid, passes _forward_ok and
-    survives _dedup.  Returns the choices (r, 6) and their distances (r,)
-    of the nodes before r, the first node with no kept candidate (n if
-    every node has one).
+    or from the given (6,) prev, on candidate prev_branch, if there is
+    none.  cands are the Branches of the (n, 4, 4) flange targets t06; a
+    candidate is kept when it is valid, passes _forward_ok and survives
+    _dedup.  Returns the choices (r, 6), their distances (r,) and their
+    candidate indices (r,) of the nodes before r, the first node with no
+    kept candidate (n if every node has one).
 
-    The full path (forward check of all eight candidates, _dedup and
-    nearest_branch) chooses the leading nodes, which continue from prev.
-    Then each round guesses every open node on the branch b of the last
-    settled choice, chaining whole turns from that choice, and chooses
-    each node from its predecessor's guess.  A node settles on b without
+    The full path (all eight rows solved, their forward check, _dedup
+    and nearest_branch) chooses the leading nodes, which continue from
+    prev, when prev_branch is None.  Then each round guesses every open
+    node on the branch b of the last settled choice, chaining whole turns
+    from that choice, and chooses each node from its predecessor's
+    guess; only b's arm joints are solved.  A node settles on b without
     the full path when
-      1. b is valid, passes the forward check and lies within 1e-9 of no
-         earlier valid candidate, so _dedup keeps it, and
+      1. b is valid, passes the forward check and lies within 1e-9 on
+         joints 1, 3, 5 and 6 of no earlier valid candidate, so it lies
+         within 1e-9 on all six of none and _dedup keeps it, and
       2. every other valid candidate's unwrapped gap on joints 1, 3 and 5
          alone exceeds b's distance by 1e-12, so its distance does too
          and no kept rival displaces b under nearest_branch's 1e-15 rule
@@ -438,28 +485,35 @@ def select_chain(rows: np.ndarray, valid: np.ndarray, t06: np.ndarray, dh: DHPar
     prev equals bit for bit the choice it stands for is settled, so the
     result is that of selecting node by node.
     """
-    n = len(rows)
+    n, valid = len(t06), cands.valid
     src = np.maximum.accumulate(np.where(added, np.arange(n), -1))
     src = np.concatenate(([-1], src))[:n]
-    choice, dist, branch = np.empty((n, 6)), np.empty(n), np.empty(n, dtype=int)
+    # the row after the chunk's holds prev and its branch, so that src = -1 reads them
+    choice, dist, branch = np.empty((n + 1, 6)), np.empty(n + 1), np.empty(n + 1, dtype=int)
+    choice[n] = prev
 
     def full(nodes, used):
         """The full path on the given nodes; returns whether each has a kept candidate."""
-        ok = valid[nodes] & _forward_ok(rows[nodes], t06[nodes, None], dh)
-        kept = _dedup(rows[nodes], ok, np.zeros_like(ok))[0][:, TAG_ORDER]
-        choice[nodes], dist[nodes], best = nearest_branch(rows[nodes][:, TAG_ORDER], kept,
-                                                          used, joint_limit)
+        rows = cands.rows(nodes[:, None], np.arange(8))
+        ok = valid[nodes] & _forward_ok(rows, t06[nodes, None], dh)
+        kept = _dedup(rows, ok, np.zeros_like(ok))[0][:, TAG_ORDER]
+        choice[nodes], dist[nodes], best = nearest_branch(rows[:, TAG_ORDER], kept, used,
+                                                          joint_limit)
         branch[nodes] = TAG_ORDER[best]
         return kept.any(axis=1)
 
-    # the leading nodes, up to the first added one, continue from prev
-    done = int(np.argmax(added)) + 1 if added.any() else n
-    reach = full(np.arange(done), np.broadcast_to(prev, (done, 6)))
-    if not reach.all():
-        n = done = int(np.argmin(reach))
+    done = 0
+    if prev_branch is None:
+        # the leading nodes, up to the first added one, continue from prev
+        done = int(np.argmax(added)) + 1 if added.any() else n
+        reach = full(np.arange(done), np.broadcast_to(prev, (done, 6)))
+        if not reach.all():
+            n = done = int(np.argmin(reach))
+    else:
+        branch[n] = prev_branch
     while done < n:
         b = branch[src[done]]
-        s, raw = src[done:n], rows[done:n, b]
+        s, raw, qs = src[done:n], cands.rows(np.arange(done, n), b), cands.qs[done:n]
         # the open nodes up to the first added one continue from the
         # settled src[done], the others from an open node j
         settled, j = (s < done)[:, None], np.maximum(s - done, 0)
@@ -471,15 +525,16 @@ def select_chain(rows: np.ndarray, valid: np.ndarray, t06: np.ndarray, dh: DHPar
         used = np.where(settled, choice[src[done]], guess[j])
         cand = _unwrapped(raw, used, joint_limit)
         db = np.abs(cand - used).max(axis=1)
-        # condition 1: b near an earlier candidate by _dedup's test
+        # condition 1: b near an earlier candidate by _dedup's test on the
+        # joints that every branch has solved
         near = np.ones((n - done, b), dtype=bool)
-        for i in range(6):
-            near &= np.abs(raw[:, None, i] - rows[done:n, :b, i]) < 1e-9
+        for i in (0, 2, 4, 5):
+            near &= np.abs(raw[:, None, i] - qs[:, :b, i]) < 1e-9
         # condition 2 on joints 1, 3 and 5, a joint at a time (faster than
         # one pass over a (w, 8, 3) view)
         gap = 0.0
         for i in (0, 2, 4):
-            gap = np.maximum(gap, np.abs(_unwrapped(rows[done:n, :, i], used[:, None, i],
+            gap = np.maximum(gap, np.abs(_unwrapped(qs[:, :, i], used[:, None, i],
                                                     joint_limit) - used[:, None, i]))
         far = ~valid[done:n] | (gap > db[:, None] + 1e-12)
         far[:, b] = True
@@ -494,7 +549,7 @@ def select_chain(rows: np.ndarray, valid: np.ndarray, t06: np.ndarray, dh: DHPar
                 n = done + slow[np.argmin(reach)]
         same = (used[:n - done].view(np.int64) == choice[s[:n - done]].view(np.int64)).all(axis=1)
         done += len(same) if same.all() else int(np.argmin(same))
-    return choice[:n], dist[:n]
+    return choice[:n], dist[:n], branch[:n]
 
 
 def select_branch(solutions: list[IKSolution], prev: JointConfig,

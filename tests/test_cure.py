@@ -585,6 +585,33 @@ def test_runs_close_before_the_entry_that_breaks_the_budget():
     assert list(_runs(np.zeros(0, int), np.zeros(0, int), 10)) == []
 
 
+def _runs_per_entry(width, count, budget):
+    """_runs, growing the run one entry at a time."""
+    out, lo, rows, cols = [], 0, 0, 0
+    for i, (w, n) in enumerate(zip(width.tolist(), count.tolist())):
+        rows, cols = max(rows, n), cols + w
+        if rows * cols > budget and i > lo:
+            out.append((lo, i))
+            lo, rows, cols = i, n, w
+    return out + [(lo, len(count))] if len(count) else out
+
+
+def test_runs_match_the_per_entry_cut():
+    """Seeded widths and counts, zeros and single entries past the budget
+    included: every cut is the per-entry loop's."""
+    rng = np.random.RandomState(61)
+    cuts = 0
+    for trial in range(3000):
+        n = rng.randint(0, 60)
+        width = rng.randint(0, rng.randint(1, 30), n)
+        count = rng.randint(trial % 2, rng.randint(2, 40), n)
+        budget = rng.randint(0, 2000)
+        want = _runs_per_entry(width, count, budget)
+        assert list(_runs(width, count, budget)) == want
+        cuts += max(0, len(want) - 1)
+    assert cuts > 10000
+
+
 def test_passes_straddle_a_layer_change_a_uv_off_dwell_and_block_boundaries(monkeypatch):
     job = _job("layers-gcode")
     cfg = job.cfg

@@ -7,7 +7,7 @@ import branch_oracle
 from branch_oracle import dedup_per_node, ik_per_node, max_distance, select_branch_per_node
 from ramcell import kinematics
 from ramcell.config import default_config, loads_config
-from ramcell.geometry import Pose, Rotation, Vec3, wrap_angle
+from ramcell.geometry import Pose, Rotation, Vec3, wrap_angle, wrap_angles
 from ramcell.kinematics import (_BRANCHES, IK_CHUNK_NODES, TAG_ORDER,
                                 DHParams, IKSolution, JointConfig, UnreachableError,
                                 _checked_candidates, _dedup, _flange, _forward_ok, _frames, fk,
@@ -383,8 +383,9 @@ def test_chain_selection_matches_per_node_oracle(joint_limit):
 
 @pytest.mark.parametrize("window", [1, 3, IK_CHUNK_NODES])
 def test_chain_selection_window_matches_per_node_oracle(window, monkeypatch):
-    """select_chain runs once per IK chunk of `window` nodes and guesses
-    over the whole chunk; the choices must not depend on the chunk size."""
+    """select_chain runs once per IK chunk of `window` nodes, guesses over
+    the whole chunk and continues from the branch of the choice before
+    it; the choices must not depend on the chunk size."""
     monkeypatch.setattr(kinematics, "IK_CHUNK_NODES", window)
     _check_chain_against_oracle(2.0 * math.pi)
 
@@ -395,11 +396,23 @@ def _candidates(t06):
     return rows, valid
 
 
+class RowBranches:
+    """A candidate source for select_chain backed by given rows (n, 8, 6)
+    and valid (n, 8) instead of the closed form."""
+
+    def __init__(self, rows, valid):
+        self.qs, self.valid = rows, valid
+
+    def rows(self, nodes, branches):
+        return self.qs[nodes, branches]
+
+
 def _check_chain_against_oracle(joint_limit):
     """Random target chains: mostly small steps, some that switch branch,
     wrist-degenerate nodes, a wrist that winds past +-joint_limit, and
     nodes that add no waypoint (their successor continues from the last
-    one that did)."""
+    one that did).  Each chunk continues from the choice and the branch
+    of the last added node before it."""
     rng = np.random.RandomState(13)
     q = np.array(cfg_home())
     chain = []
@@ -426,16 +439,23 @@ def _check_chain_against_oracle(joint_limit):
             prev = choice
 
     got, got_dist = [], []
-    prev = np.array(start_q)
+    prev, prev_branch = np.array(start_q), None
     start = 0
     for t06 in kinematics.flange_chunks(targets, TCP):
         chunk_added = added[start:start + len(t06)]
-        choice, dist = select_chain(*_candidates(t06), t06, DH, prev, joint_limit, chunk_added)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cands = kinematics._branch_columns(t06, DH)
+        choice, dist, branch = select_chain(cands, t06, DH, prev, prev_branch, joint_limit,
+                                            chunk_added)
         assert len(choice) == len(t06)  # every node has a kept candidate
+        # each choice is its branch's row moved by whole turns
+        on_branch = cands.rows(np.arange(len(t06)), branch)
+        assert (np.abs(np.vectorize(wrap_angle)(choice - on_branch)) < 1e-9).all()
         got.extend(tuple(row) for row in choice.tolist())
         got_dist.extend(dist.tolist())
         if chunk_added.any():
-            prev = choice[np.flatnonzero(chunk_added)[-1]]
+            last = np.flatnonzero(chunk_added)[-1]
+            prev, prev_branch = choice[last], branch[last]
         start += len(t06)
     assert got == want
     assert got_dist == want_dist
@@ -458,8 +478,9 @@ def _chain_case(steps):
 
 
 def _select_spying(rows, valid, t06, prev, joint_limit, added, monkeypatch):
-    """select_chain's choices and distances, and the candidate rows (in tag
-    order) of every node that took the full path to nearest_branch."""
+    """select_chain's choices and distances on the given rows, and the
+    candidate rows (in tag order) of every node that took the full path
+    to nearest_branch."""
     full = []
     real = kinematics.nearest_branch
 
@@ -469,7 +490,8 @@ def _select_spying(rows, valid, t06, prev, joint_limit, added, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(kinematics, "nearest_branch", spy)
-        choice, dist = select_chain(rows, valid, t06, DH, prev, joint_limit, added)
+        choice, dist, _ = select_chain(RowBranches(rows, valid), t06, DH, prev, None,
+                                       joint_limit, added)
     return choice, dist, full
 
 
@@ -738,6 +760,58 @@ def test_column_kernel_matches_the_dh_product_oracle():
     print(f"worst joint difference from the DH-product oracle: {worst:.3g} rad")
     assert worst < 1e-9, worst
     assert reached > 2000 and free_at_0 > 100 and turned > 50
+
+
+def _eight_branch_rows(cands, dh):
+    """Every candidate's joints with q2 and q4 solved over (n, shoulder,
+    wrist, elbow) at once by broadcasting, as the kernel solved them
+    before the arm joints were split off."""
+    n = len(cands.qs)
+    p13_x, p13_y, r14_00, r14_10 = (a.reshape(n, 2, 2, 1) for a in cands.arm)
+    q3 = cands.q3.reshape(n, 2, 2, 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_arg = np.clip(dh.a[2] * np.sin(q3) / np.sqrt(p13_x**2 + p13_y**2), -1.0, 1.0)
+        q2 = -np.arctan2(p13_y, -p13_x) + np.arcsin(s_arg)
+        c23, s23 = np.cos(q2 + q3), np.sin(q2 + q3)
+        q4 = np.arctan2(-s23 * r14_00 + c23 * r14_10, c23 * r14_00 + s23 * r14_10)
+    rows = cands.qs.copy()
+    rows[..., 1], rows[..., 3] = wrap_angles(q2).reshape(n, 8), wrap_angles(q4).reshape(n, 8)
+    return rows
+
+
+def test_arm_joints_of_any_pairs_match_the_eight_branch_rows():
+    """Branches.rows for any list of (node, branch) pairs, in any order
+    and with repeats, a single branch for every node, and one node's
+    eight, is bit for bit the rows of all eight branches solved at once,
+    on the seeded [kinematics] sections with regular, wrist-degenerate,
+    q6-turned and unreachable targets, and targets holding NaN, whose
+    rows are NaN."""
+    rng = np.random.RandomState(47)
+    tables = [_seeded_kinematics(rng, d5_mm=0.0)] + [_seeded_kinematics(rng) for _ in range(7)]
+    nan_rows = 0
+    for dh, tcp in tables:
+        t06 = _oracle_targets(rng, dh, tcp, 400) @ np.linalg.inv(tcp.to_matrix())
+        t06[-8:, rng.randint(0, 3, 8), rng.randint(0, 4, 8)] = math.nan
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rows, valid, free = kinematics._candidate_angles(t06, dh)
+            cands = kinematics._branch_columns(t06, dh)
+        want = _eight_branch_rows(cands, dh)
+        assert (rows.view(np.int64) == want.view(np.int64)).all()
+        assert (cands.valid == valid).all() and (cands.free == free).all()
+        # the shared joints are solved for every branch, the arm joints for none
+        assert np.isnan(cands.qs[..., [1, 3]]).all()
+        nodes = rng.randint(0, len(t06), 3000)
+        branches = rng.randint(0, 8, 3000)
+        b = rng.randint(8)
+        for got, rows in ((cands.rows(nodes, branches), want[nodes, branches]),
+                          (cands.rows(np.arange(len(t06)), b), want[:, b]),
+                          (cands.rows(nodes[:, None], np.arange(8)), want[nodes]),
+                          (cands.rows(7, np.arange(8)), want[7])):
+            assert (got.view(np.int64) == rows.view(np.int64)).all()
+        nan_rows += np.isnan(want[nodes, branches]).any(axis=1).sum()
+        # every kind of target occurs (see _oracle_targets)
+        assert (valid & free).any() and not valid[300:].any()
+    assert nan_rows > 100
 
 
 def test_forward_check_keeps_half_a_tolerance_and_drops_twice_one(monkeypatch):
