@@ -1,14 +1,17 @@
 """Cell-level planning: joint trajectories, clearance checks, reporting.
 
 The planner walks the shared toolpath timeline, builds the TCP targets
-of all nodes (dwell nodes included) as one array and, a chunk at a time,
-solves the joints q1, q3, q5 and q6 of every branch
-(kinematics._branch_columns).  The array branch choice
+of all nodes (dwell nodes included) as one array, turns them into one
+stack of flange targets in their place and, a chunk (a slice of that
+stack) at a time, solves the joints q1, q3, q5 and q6 of every branch
+as compact columns (kinematics._branch_columns), which are dropped
+before the next chunk's are built.  The array branch choice
 (kinematics.select_chain) keeps the branch continuous from node to node,
 continuing each chunk from the choice and the branch before it, and
 solves the arm joints q2 and q4 of, and forward-checks, only the
-candidates its choice depends on; a node adds a waypoint when it lies
-more than 1e-12 s after the node before it.  The program keeps the
+candidates its choice depends on; it stops at the first jump, where the
+plan fails.  A node adds a waypoint when it lies more than 1e-12 s
+after the node before it.  The program keeps the
 chosen rows as one (n, 6) joint array, which the speed check, the
 clearance check, the singularity scan and the script writer read as
 columns.  Collision checking samples the interpolated tool capsule
@@ -32,8 +35,8 @@ from . import RamcellError
 from .config import CellConfig, Config, parse_obstacles
 from .extrusion import IOEvent
 from .geometry import Pose, Rotation, Vec3
-from .kinematics import (DHParams, _branch_columns, _flange, flange_chunks,
-                         manipulability_batch, select_chain, tcp_offset_from_config)
+from .kinematics import (DHParams, _branch_columns, _flange, chunks, manipulability_batch,
+                         select_chain, tcp_offset_from_config)
 from .toolpath import Toolpath, time_profile
 
 MAX_JOINT_STEP_RAD = 0.5
@@ -239,9 +242,10 @@ TOOL_DOWN = Rotation.about_x(math.pi)
 
 
 def _plan_nodes(path: Toolpath, cfg: Config):
-    """Times, positions (n, 3), TCP speeds and (n, 4, 4) TCP targets of the
-    planner's nodes: the path's start, each move's end and each dwell's
-    equal yaw steps of at most DWELL_YAW_STEP_RAD."""
+    """Times, positions (n, 3), TCP speeds and TCP targets of the planner's
+    nodes: the path's start, each move's end and each dwell's equal yaw
+    steps of at most DWELL_YAW_STEP_RAD.  The targets (n, 3, 4) are the
+    top three rows of each transform; the last row is (0, 0, 0, 1)."""
     tl = time_profile(path, cfg.cell.reorient_rate_rad_s)
     count = np.where(tl["dwell"], np.ceil(np.abs(tl["yaw1"] - tl["yaw0"]) / DWELL_YAW_STEP_RAD), 1)
     count = np.maximum(1, count).astype(np.int64)
@@ -261,7 +265,7 @@ def _plan_nodes(path: Toolpath, cfg: Config):
     # TCP targets: TOOL_DOWN turned about world z by each node's yaw
     down = Pose(Vec3(0.0, 0.0, 0.0), TOOL_DOWN).to_matrix()
     cos, sin = np.cos(yaw), np.sin(yaw)
-    targets = np.tile(down, (len(t), 1, 1))
+    targets = np.tile(down[:3], (len(t), 1, 1))
     targets[:, 0] = cos * down[0] - sin * down[1]
     targets[:, 1] = sin * down[0] + cos * down[1]
     targets[:, :3, 3] = pos
@@ -289,19 +293,16 @@ def plan_trajectory(path: Toolpath, cfg: Config, env: CellEnvironment,
     # a node within 1e-12 s after the node before it adds no waypoint,
     # and the next node's branch continues from the last waypoint's
     added = np.r_[True, np.diff(times) > 1e-12]
-    last_added = np.maximum.accumulate(np.where(added, np.arange(len(times)), -1))
 
+    # the chunks are slices of the one stack of flange targets (n, 3, 4),
+    # which replaces the TCP targets
+    targets = targets @ np.linalg.inv(tcp.to_matrix())
     joints = np.empty((len(times), 6))
-    branches = np.empty(len(times), dtype=int)
     prev, prev_branch = np.array(cfg_home()), None
-    start = 0
-    for t06 in flange_chunks(targets, tcp):
-        n = len(t06)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cands = _branch_columns(t06, dh)
-        q, step, branch = select_chain(cands, t06, dh, prev, prev_branch, limit,
-                                       added[start:start + n])
-        r = len(q)  # the first node without a kept candidate ends the chain
+    for chunk in chunks(len(times)):
+        start, t06 = chunk.start, targets[chunk]
+        q, step, branch = _plan_chunk(t06, dh, prev, prev_branch, limit, added[chunk])
+        n, r = len(t06), len(q)  # the first node without a kept candidate ends the chain
         jump = np.flatnonzero(step > MAX_JOINT_STEP_RAD)
         jump = jump[start + jump > 0]  # the first node is reached from home
         if len(jump) or r < n:
@@ -312,13 +313,23 @@ def plan_trajectory(path: Toolpath, cfg: Config, env: CellEnvironment,
                 raise PlanningError(f"configuration jump of {step[i]:.3f} rad at {where}",
                                     t, at, kind="jump")
             raise PlanningError(f"unreachable waypoint at {where}", t, at)
-        joints[start:start + n], branches[start:start + n] = q, branch
-        start += n
+        joints[chunk] = q
         # the next chunk continues from the last waypoint, on its branch
-        prev, prev_branch = joints[last_added[start - 1]], branches[last_added[start - 1]]
+        waypoints = np.flatnonzero(added[chunk])
+        if len(waypoints):
+            prev, prev_branch = joints[start + waypoints[-1]], branch[waypoints[-1]]
     program = RobotProgram(times[added], joints[added], speeds[added], events, metadata)
     program.validate_speeds(cfg.cell.max_joint_speed_rad_s)
     return program
+
+
+def _plan_chunk(t06: np.ndarray, dh: DHParams, prev: np.ndarray, prev_branch: int | None,
+                limit: float, added: np.ndarray):
+    """select_chain on one IK chunk of flange targets; its Branches are
+    gone when it returns, before the next chunk's are built."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cands = _branch_columns(t06, dh)
+    return select_chain(cands, t06, dh, prev, prev_branch, limit, added, MAX_JOINT_STEP_RAD)
 
 
 def cfg_home() -> tuple[float, ...]:

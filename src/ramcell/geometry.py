@@ -158,6 +158,9 @@ def wrap_angle(a: float) -> float:
 
 
 def wrap_angles(a: np.ndarray) -> np.ndarray:
-    """wrap_angle element by element, bit for bit."""
-    w = np.fmod(a + math.pi, 2.0 * math.pi)
-    return np.where(w <= 0.0, w + 2.0 * math.pi, w) - math.pi
+    """wrap_angle element by element, bit for bit, worked out in one buffer."""
+    w = np.add(a, math.pi, out=np.empty(np.shape(a)))
+    np.fmod(w, 2.0 * math.pi, out=w)
+    np.add(w, 2.0 * math.pi, out=w, where=w <= 0.0)
+    w -= math.pi
+    return w

@@ -14,20 +14,25 @@ evaluates the eight branches (shoulder, wrist, elbow) of every target as
 array masks; at the wrist degeneracy it keeps q6 = 0 where the elbow
 reaches and turns q6 into reach where it does not.  It runs in two
 parts: `_branch_columns` solves q1, q3, q5 and q6 and the masks for
-every branch, and `Branches.rows` the arm joints q2 and q4 of the
-(node, branch) pairs asked for; `_candidate_angles` asks for all eight.
-`ik_chunks` solves chunks of IK_CHUNK_NODES targets, checks each
+every branch, its wrist and elbow steps in helpers so that each step's
+temporaries are gone before the next one's are made, and keeps them as
+compact columns (`Branches`: q1 per shoulder, q5 and q6 per shoulder and
+wrist, q3 per branch); `Branches.rows` fills the rows of the (node, branch) pairs
+asked for from the columns and solves their arm joints q2 and q4, and
+`_candidate_angles` broadcasts all eight rows of every node.
+`ik_batch` solves chunks of IK_CHUNK_NODES targets, checks each
 candidate's forward pose (`_forward_ok`, row by row) and de-duplicates
 them over the 28 pairs j < k; `nearest_branch` picks branches for many
 nodes at once.  `select_chain` chooses along a chunk's branches: each
 node is guessed on the branch of the last settled choice, carried
 across chunks, and only that candidate is solved and checked where no
-rival can displace it; other nodes take all eight rows, the forward
-check, `_dedup` and `nearest_branch`, so the choices are bit for bit
-those made node by node.  `fk_batch` and `manipulability_batch` take an
-(n, 6) joint array.  JointConfig is only the one-row type: `ik_batch`,
-`ik` and `select_branch` are thin wrappers that build
-IKSolution/JointConfig objects, and `fk`, `jacobian` and
+rival can displace it, which it tests on the columns; other nodes take
+all eight rows, the forward check, `_dedup` and `nearest_branch`, so the
+choices are bit for bit those made node by node; the unwrapping and
+wrapping of angles work in place on one buffer.  `fk_batch` and
+`manipulability_batch` take an (n, 6) joint array.  JointConfig is only
+the one-row type: `ik_batch`, `ik` and `select_branch` are thin wrappers
+that build IKSolution/JointConfig objects, and `fk`, `jacobian` and
 `manipulability` are one-row calls.
 The Jacobian is geometric (linear rows mm/rad, angular rad/rad);
 manipulability is |det J| (Yoshikawa) of a meters-scaled copy, O(0.01)
@@ -186,24 +191,33 @@ _BRANCHES = tuple((shoulder, elbow, wrist) for shoulder in ("left", "right")
                   for wrist in ("noflip", "flip") for elbow in ("up", "down"))
 _SIGNS = np.array([1.0, -1.0])
 _PAIR_K, _PAIR_J = np.tril_indices(8, -1)
-# targets per kernel call; bounds the candidates in memory at once
-IK_CHUNK_NODES = 512
+# targets per kernel call; bounds the candidates in memory at once (a
+# chunk's Branches hold about 290 bytes a node).  wall-50x10's 1296 nodes
+# plan in one chunk; at 2048 the first chunk of square-30x30x8.5 would
+# raise its planner's heap peak above what it was at 512
+IK_CHUNK_NODES = 1536
 
 
 @dataclass(frozen=True, eq=False)
 class Branches:
-    """The eight closed-form branches of a chunk of flange targets,
-    candidate k = branch _BRANCHES[k] (built by _branch_columns).  qs
-    (n, 8, 6) holds every candidate's joints 1, 3, 5 and 6, wrapped; its
-    joints 2 and 4 stay NaN, and rows() solves them for the (node, branch)
-    pairs asked for, element by element, so a pair gets the bits it gets
-    among all of them.  valid (n, 8) masks the branches that have a real
-    solution and free (n, 8) flags the wrist-free ones."""
-    qs: np.ndarray
+    """The eight closed-form branches of a chunk of n flange targets,
+    candidate k = branch _BRANCHES[k] (built by _branch_columns), as
+    columns: q1 (n, 2) per shoulder, q5 and q6 (n, 4) per (shoulder,
+    wrist), all three wrapped, and q3 (8 n,) per candidate, unwrapped.
+    rows() fills joints 1, 3, 5 and 6 from the columns and solves joints
+    2 and 4 for the (node, branch) pairs asked for, element by element, so
+    a pair gets the bits it gets among all of them; columns() gives
+    joints 1, 3, 5 and 6 of a run of nodes to broadcast over all eight
+    candidates.  About 290 bytes a node.  valid (n, 8) masks
+    the branches that have a real solution and free (n, 8) flags the
+    wrist-free ones."""
+    q1: np.ndarray
+    q5: np.ndarray
+    q6: np.ndarray
+    q3: np.ndarray
+    arm: np.ndarray  # (4, 4 n) p13_x, p13_y, t14[0, 0] and t14[1, 0] per (node, shoulder, wrist)
     valid: np.ndarray
     free: np.ndarray
-    q3: np.ndarray   # (8 n,) each candidate's q3, unwrapped
-    arm: np.ndarray  # (4, 4 n) p13_x, p13_y, t14[0, 0] and t14[1, 0] per (node, shoulder, wrist)
     a3: float
 
     def rows(self, nodes, branches) -> np.ndarray:
@@ -212,25 +226,46 @@ class Branches:
         nodes, branches = np.broadcast_arrays(nodes, branches)
         shape = nodes.shape
         nodes, branches = nodes.reshape(-1), branches.reshape(-1)
-        out = self.qs[nodes, branches]
-        p13_x, p13_y, r14_00, r14_10 = self.arm[:, 4 * nodes + branches // 2]
+        pair = 4 * nodes + branches // 2
         q3 = self.q3[8 * nodes + branches]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s_arg = np.clip(self.a3 * np.sin(q3) / np.sqrt(p13_x**2 + p13_y**2), -1.0, 1.0)
-            q2 = -np.arctan2(p13_y, -p13_x) + np.arcsin(s_arg)
-            # joints 2 and 3 rotate about parallel axes, so frame 3's x axis
-            # is frame 1's rotated by -(q2+q3)
-            c23, s23 = np.cos(q2 + q3), np.sin(q2 + q3)
-            q4 = np.arctan2(-s23 * r14_00 + c23 * r14_10, c23 * r14_00 + s23 * r14_10)
-        out[:, 1], out[:, 3] = wrap_angles(q2), wrap_angles(q4)
+        out = np.empty((len(nodes), 6))
+        out[:, 0] = self.q1.reshape(-1)[2 * nodes + branches // 4]
+        out[:, 1], out[:, 3] = _arm_joints(q3, *self.arm[:, pair], self.a3)
+        out[:, 2] = wrap_angles(q3)
+        out[:, 4], out[:, 5] = self.q5.reshape(-1)[pair], self.q6.reshape(-1)[pair]
         return out.reshape(shape + (6,))
 
+    def columns(self, start: int, stop: int) -> dict[int, np.ndarray]:
+        """Joints 3, 1, 5 and 6 (by index) of every candidate of nodes
+        start..stop, shaped to broadcast over (node, shoulder, wrist,
+        elbow); joint 3 is q3 wrapped."""
+        w = stop - start
+        return {2: wrap_angles(self.q3[8 * start:8 * stop]).reshape(w, 2, 2, 2),
+                0: self.q1[start:stop].reshape(w, 2, 1, 1),
+                4: self.q5[start:stop].reshape(w, 2, 2, 1),
+                5: self.q6[start:stop].reshape(w, 2, 2, 1)}
 
-def _branch_columns(t06: np.ndarray, dh: DHParams) -> Branches:
-    """The Branches of each flange target in the (n, 4, 4) array t06.  q1
-    is a column over (n, shoulder, 1), q5 and q6 over (n, shoulder, wrist),
-    and q3 adds the elbow."""
-    a2, a3, d1, d4, d5, d6 = dh.a[1], dh.a[2], dh.d[0], dh.d[3], dh.d[4], dh.d[5]
+
+def _arm_joints(q3, p13_x, p13_y, r14_00, r14_10, a3: float):
+    """Joints 2 and 4, wrapped, of the candidates with the unwrapped q3 and
+    the planar position p13 of frame 3's origin and the entries t14[0|1,
+    0] of inv(T01) T06 inv(T45 T56) (broadcast against each other)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_arg = np.clip(a3 * np.sin(q3) / np.sqrt(p13_x**2 + p13_y**2), -1.0, 1.0)
+        q2 = -np.arctan2(p13_y, -p13_x) + np.arcsin(s_arg)
+        # joints 2 and 3 rotate about parallel axes, so frame 3's x axis
+        # is frame 1's rotated by -(q2+q3)
+        c23, s23 = np.cos(q2 + q3), np.sin(q2 + q3)
+        q4 = np.arctan2(-s23 * r14_00 + c23 * r14_10, c23 * r14_00 + s23 * r14_10)
+    return wrap_angles(q2), wrap_angles(q4)
+
+
+def _wrist_columns(t06: np.ndarray, dh: DHParams):
+    """q1 (n, 2, 1) per shoulder and q5 and q6 (n, 2, 2) per (shoulder,
+    wrist), unwrapped, the masks of the branches valid so far and free at
+    the wrist, and the rows of t16 = inv(T01) t06 that the closed form
+    reads (row 1 is the target's row 2)."""
+    d1, d4, d6 = dh.d[0], dh.d[3], dh.d[5]
     (r00, r01, r02, p0), (r10, r11, r12, p1), (r20, r21, r22, p2) = (
         [[t06[:, i, j, None, None] for j in range(4)] for i in range(3)])
     p05_x, p05_y = p0 - d6 * r02, p1 - d6 * r12  # frame 5's origin
@@ -242,7 +277,6 @@ def _branch_columns(t06: np.ndarray, dh: DHParams) -> Branches:
     # rho < |d4|: the wrist column passes inside the shoulder cylinder
     valid = (rho >= abs(d4)) & (np.abs(c5) <= 1.0 + 1e-12)
     c5 = np.clip(c5, -1.0, 1.0)
-    # the rows of t16 = inv(T01) t06 (row 1 is the target's row 2)
     t16 = ((c1 * r00 + s1 * r10, c1 * r01 + s1 * r11, c1 * r02 + s1 * r12, c1 * p0 + s1 * p1),
            (r20, r21, r22, p2 - d1),
            (s1 * r00 - c1 * r10, s1 * r01 - c1 * r11))
@@ -252,22 +286,50 @@ def _branch_columns(t06: np.ndarray, dh: DHParams) -> Branches:
     # snap onto the degeneracy so joint 4 absorbs the whole wrist rotation
     # exactly; acos noise would otherwise leak an ill-conditioned q6 into
     # the arm joints
-    on_degeneracy = np.where(c5 > 0.0, 0.0, math.pi * _SIGNS)
-    q5 = np.where(free, on_degeneracy, q5)
+    q5 = np.where(free, np.where(c5 > 0.0, 0.0, math.pi * _SIGNS), q5)
     # inv(t16) rotation entries are the transpose of t16's
     q6 = np.where(free, 0.0, np.arctan2(-t16[2][1] / s5, t16[2][0] / s5))
+    return q1, q5, q6, valid, free, t16
 
-    def elbow(q5, q6):
-        """Entries [0|1, 0|1|3] of t14 = t16 inv(T45 T56), the planar position
-        of frame 3's origin (joint 4's axis), and the cosine of q3 reaching it."""
-        c5, s5, c6, s6 = np.cos(q5), np.sin(q5), np.cos(q6), np.sin(q6)
-        c5c6, c5s6, s5c6, s5s6, d5s6, d5c6 = c5 * c6, c5 * s6, s5 * c6, s5 * s6, d5 * s6, d5 * c6
-        t14 = [(x * c5c6 - y * c5s6 - z * s5, x * s5c6 - y * s5s6 + z * c5,
-                x * d5s6 + y * d5c6 - z * d6 + p) for x, y, z, p in t16[:2]]
-        p13_x, p13_y = -d4 * t14[0][1] + t14[0][2], -d4 * t14[1][1] + t14[1][2]
-        return t14, p13_x, p13_y, (p13_x**2 + p13_y**2 - a2**2 - a3**2) / (2.0 * a2 * a3)
 
-    t14, p13_x, p13_y, c3 = elbow(q5, q6)
+def _elbow(t16, q5, q6, dh: DHParams):
+    """The planar position p13 of frame 3's origin (joint 4's axis) and
+    the entries t14[0|1, 0] of t14 = t16 inv(T45 T56), stacked as arm
+    (4, ...) = p13_x, p13_y, t14[0, 0], t14[1, 0], and the cosine of q3
+    reaching p13; each entry is worked out in its own buffer."""
+    a2, a3, d4, d5, d6 = dh.a[1], dh.a[2], dh.d[3], dh.d[4], dh.d[5]
+    c5, s5, c6, s6 = np.cos(q5), np.sin(q5), np.cos(q6), np.sin(q6)
+    arm = np.empty((4,) + c5.shape)
+    for i, (x, y, z, p) in enumerate(t16[:2]):
+        r14, p13 = arm[2 + i], arm[i]  # t14[i, 0] and -d4 t14[i, 1] + t14[i, 3]
+        np.multiply(x, c5 * c6, out=r14)
+        r14 -= y * (c5 * s6)
+        r14 -= z * s5
+        np.multiply(x, s5 * c6, out=p13)
+        p13 -= y * (s5 * s6)
+        p13 += z * c5
+        p13 *= -d4
+        t = x * (d5 * s6)
+        t += y * (d5 * c6)
+        t -= z * d6
+        t += p
+        p13 += t
+    c3 = arm[0]**2
+    c3 += arm[1]**2
+    c3 -= a2**2
+    c3 -= a3**2
+    c3 /= 2.0 * a2 * a3
+    return arm, c3
+
+
+def _branch_columns(t06: np.ndarray, dh: DHParams) -> Branches:
+    """The Branches of each flange target in the (n, 4, 4) array t06, of
+    which only the top three rows are read (so (n, 3, 4) does too).  q1
+    is a column over (n, shoulder, 1), q5 and q6 over (n, shoulder, wrist),
+    and q3 adds the elbow.  The wrist and elbow steps run in helpers, so
+    their temporaries are gone before the next step's are made."""
+    q1, q5, q6, valid, free, t16 = _wrist_columns(t06, dh)
+    arm, c3 = _elbow(t16, q5, q6, dh)
     # At the degeneracy (q5 = 0 or pi) joints 2, 3, 4 and 6 are parallel:
     # the target fixes only q2+q3+q4 -+ q6, and q6 turns frame 4 about the
     # wrist centre on a circle of radius d5.  Where q6 = 0 leaves it out of
@@ -275,28 +337,30 @@ def _branch_columns(t06: np.ndarray, dh: DHParams) -> Branches:
     # branches without a solution at q6 = 0 change.
     lost = free & (np.abs(c3) > 1.0 + 1e-12)
     if lost.any():
-        q6 = np.where(lost, _reaching_q6(t16, q5, p13_x, p13_y, c3, dh), q6)
-        t14, p13_x, p13_y, c3 = elbow(q5, q6)
+        q6 = np.where(lost, _reaching_q6(t16, q5, arm[0], arm[1], c3, dh), q6)
+        arm, c3 = _elbow(t16, q5, q6, dh)
     valid = valid & (np.abs(c3) <= 1.0 + 1e-12)
     q3 = np.arccos(np.clip(c3, -1.0, 1.0))[..., None] * _SIGNS
     n = len(t06)
-    qs = np.full((n, 2, 2, 2, 6), np.nan)
-    qs[..., 0] = wrap_angles(q1)[..., None]
-    qs[..., 2] = wrap_angles(q3)
-    qs[..., 4] = wrap_angles(q5)[..., None]
-    qs[..., 5] = wrap_angles(q6)[..., None]
-    arm = np.stack(np.broadcast_arrays(p13_x, p13_y, t14[0][0], t14[1][0]))
-    return Branches(qs.reshape(n, 8, 6), np.repeat(valid.reshape(n, 4), 2, axis=1),
-                    np.repeat(free.reshape(n, 4), 2, axis=1), q3.reshape(-1),
-                    arm.reshape(4, -1), a3)
+    return Branches(wrap_angles(q1).reshape(n, 2), wrap_angles(q5).reshape(n, 4),
+                    wrap_angles(q6).reshape(n, 4), q3.reshape(-1), arm.reshape(4, -1),
+                    np.repeat(valid.reshape(n, 4), 2, axis=1),
+                    np.repeat(free.reshape(n, 4), 2, axis=1), dh.a[2])
 
 
 def _candidate_angles(t06: np.ndarray, dh: DHParams):
-    """Every branch of the (n, 4, 4) flange targets t06: joints (n, 8, 6),
+    """Every branch of the (n, 3|4, 4) flange targets t06: joints (n, 8, 6),
     the mask (n, 8) of branches that have a real solution, and the
-    wrist-free flags (n, 8)."""
+    wrist-free flags (n, 8).  The rows broadcast the Branches columns over
+    (n, shoulder, wrist, elbow)."""
     cands = _branch_columns(t06, dh)
-    return cands.rows(np.arange(len(t06))[:, None], np.arange(8)), cands.valid, cands.free
+    n = len(t06)
+    rows = np.empty((n, 2, 2, 2, 6))
+    for i, column in cands.columns(0, n).items():
+        rows[..., i] = column
+    rows[..., 1], rows[..., 3] = _arm_joints(cands.q3.reshape(n, 2, 2, 2),
+                                             *cands.arm.reshape(4, n, 2, 2, 1), cands.a3)
+    return rows.reshape(n, 8, 6), cands.valid, cands.free
 
 
 def _reaching_q6(t16, q5, p13_x, p13_y, c3, dh: DHParams):
@@ -324,7 +388,7 @@ def _reaching_q6(t16, q5, p13_x, p13_y, c3, dh: DHParams):
 
 def _forward_ok(qs: np.ndarray, t06: np.ndarray, dh: DHParams) -> np.ndarray:
     """Whether the flange pose of each row of the (..., 6) joints matches
-    its target in t06 (..., 4, 4, broadcast against the rows) to
+    its target in t06 (..., 3|4, 4, broadcast against the rows) to
     POSITION_TOL_MM and ORIENTATION_TOL_RAD.  Row by row, so a subset of
     rows gets the bits it gets among all of them."""
     with np.errstate(invalid="ignore"):
@@ -341,7 +405,7 @@ def _forward_ok(qs: np.ndarray, t06: np.ndarray, dh: DHParams) -> np.ndarray:
 
 
 def _checked_candidates(t06: np.ndarray, dh: DHParams):
-    """_candidate_angles of the (n, 4, 4) flange targets with the mask
+    """_candidate_angles of the (n, 3|4, 4) flange targets with the mask
     narrowed to the branches whose forward pose matches the target."""
     with np.errstate(divide="ignore", invalid="ignore"):
         qs, valid, free = _candidate_angles(t06, dh)
@@ -370,27 +434,19 @@ def _dedup(qs: np.ndarray, ok: np.ndarray, free: np.ndarray):
     return kept, free & kept
 
 
-def flange_chunks(targets: np.ndarray, tcp_offset: Pose):
-    """The (n, 4, 4) TCP targets as flange targets, IK_CHUNK_NODES at a time."""
-    flange = np.linalg.inv(tcp_offset.to_matrix())
-    for start in range(0, len(targets), IK_CHUNK_NODES):
-        yield targets[start:start + IK_CHUNK_NODES] @ flange
-
-
-def ik_chunks(targets: np.ndarray, dh: DHParams, tcp_offset: Pose = Pose.identity()):
-    """Solve the (n, 4, 4) TCP targets IK_CHUNK_NODES at a time; yield per
-    chunk the joints (m, 8, 6), the kept mask (m, 8) and the wrist-free
-    flags (m, 8) of candidate k = branch _BRANCHES[k]."""
-    for t06 in flange_chunks(targets, tcp_offset):
-        qs, ok, free = _checked_candidates(t06, dh)
-        yield (qs, *_dedup(qs, ok, free))
+def chunks(n: int):
+    """The slices of IK_CHUNK_NODES nodes that cover n nodes, in order."""
+    return (slice(start, start + IK_CHUNK_NODES) for start in range(0, n, IK_CHUNK_NODES))
 
 
 def ik_batch(targets: np.ndarray, dh: DHParams, tcp_offset: Pose = Pose.identity()):
     """Yield ik()'s solution list for each TCP target of the (n, 4, 4)
-    array, in order, each as soon as its chunk has been solved."""
-    for qs, kept, free in ik_chunks(targets, dh, tcp_offset):
-        for node_qs, node_kept, node_free in zip(qs, kept, free):
+    array, in order, each as soon as its chunk of IK_CHUNK_NODES targets
+    has been solved, forward-checked and de-duplicated."""
+    flange = targets @ np.linalg.inv(tcp_offset.to_matrix())
+    for chunk in chunks(len(flange)):
+        qs, ok, free = _checked_candidates(flange[chunk], dh)
+        for node_qs, node_kept, node_free in zip(qs, *_dedup(qs, ok, free)):
             yield [IKSolution(JointConfig(tuple(node_qs[k].tolist())), *_BRANCHES[k],
                               bool(node_free[k])) for k in np.flatnonzero(node_kept)]
 
@@ -415,16 +471,25 @@ def ik(target: Pose, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> list[I
 TAG_ORDER = np.array(sorted(range(8), key=lambda k: _BRANCHES[k]))
 
 
-def _folded(cand: np.ndarray, joint_limit: float) -> np.ndarray:
-    """cand moved by one turn where it lies beyond +-joint_limit."""
-    return np.where(cand > joint_limit, cand - math.tau,
-                    np.where(cand < -joint_limit, cand + math.tau, cand))
+def _fold(cand: np.ndarray, joint_limit: float) -> np.ndarray:
+    """cand moved in place by one turn where it lies beyond +-joint_limit;
+    returns cand."""
+    high, low = cand > joint_limit, cand < -joint_limit
+    np.subtract(cand, math.tau, out=cand, where=high)
+    np.add(cand, math.tau, out=cand, where=low)
+    return cand
 
 
 def _unwrapped(rows: np.ndarray, prev: np.ndarray, joint_limit: float) -> np.ndarray:
-    """rows moved by whole turns per joint to lie nearest prev, folded into +-joint_limit."""
-    # half to even, as round()
-    return _folded(rows + math.tau * np.rint((prev - rows) / math.tau), joint_limit)
+    """rows moved by whole turns per joint to lie nearest prev, folded into
+    +-joint_limit: rows + tau rint((prev - rows) / tau), rounding half to
+    even as round(), worked out in one buffer."""
+    out = prev - rows
+    out /= math.tau
+    np.rint(out, out=out)
+    out *= math.tau
+    out += rows
+    return _fold(out, joint_limit)
 
 
 def nearest_branch(rows: np.ndarray, kept: np.ndarray, prev: np.ndarray,
@@ -457,15 +522,18 @@ def nearest_branch(rows: np.ndarray, kept: np.ndarray, prev: np.ndarray,
 
 
 def select_chain(cands: Branches, t06: np.ndarray, dh: DHParams, prev: np.ndarray,
-                 prev_branch: int | None, joint_limit: float, added: np.ndarray):
+                 prev_branch: int | None, joint_limit: float, added: np.ndarray,
+                 max_step: float = math.inf):
     """nearest_branch of each node's kept candidates along a chain: node i
     continues from the choice of the last node j < i with added[j] set,
     or from the given (6,) prev, on candidate prev_branch, if there is
-    none.  cands are the Branches of the (n, 4, 4) flange targets t06; a
+    none.  cands are the Branches of the (n, 3|4, 4) flange targets t06; a
     candidate is kept when it is valid, passes _forward_ok and survives
     _dedup.  Returns the choices (r, 6), their distances (r,) and their
     candidate indices (r,) of the nodes before r, the first node with no
-    kept candidate (n if every node has one).
+    kept candidate (n if every node has one).  A planner refuses a step
+    longer than max_step, so the chain may also end just after the first
+    node past the leading ones whose distance exceeds it.
 
     The full path (all eight rows solved, their forward check, _dedup
     and nearest_branch) chooses the leading nodes, which continue from
@@ -513,43 +581,72 @@ def select_chain(cands: Branches, t06: np.ndarray, dh: DHParams, prev: np.ndarra
         branch[n] = prev_branch
     while done < n:
         b = branch[src[done]]
-        s, raw, qs = src[done:n], cands.rows(np.arange(done, n), b), cands.qs[done:n]
-        # the open nodes up to the first added one continue from the
-        # settled src[done], the others from an open node j
-        settled, j = (s < done)[:, None], np.maximum(s - done, 0)
-        # whole turns of each guess from its raw row, chained along the
-        # added nodes from the settled choice
-        step = np.rint((np.where(settled, choice[src[done]], raw[j]) - raw) / math.tau)
-        chained = np.cumsum(np.where(added[done:n, None], step, 0.0), axis=0)
-        guess = _folded(raw + math.tau * (step + np.where(settled, 0.0, chained[j])), joint_limit)
-        used = np.where(settled, choice[src[done]], guess[j])
-        cand = _unwrapped(raw, used, joint_limit)
-        db = np.abs(cand - used).max(axis=1)
-        # condition 1: b near an earlier candidate by _dedup's test on the
-        # joints that every branch has solved
-        near = np.ones((n - done, b), dtype=bool)
-        for i in (0, 2, 4, 5):
-            near &= np.abs(raw[:, None, i] - qs[:, :b, i]) < 1e-9
-        # condition 2 on joints 1, 3 and 5, a joint at a time (faster than
-        # one pass over a (w, 8, 3) view)
-        gap = 0.0
-        for i in (0, 2, 4):
-            gap = np.maximum(gap, np.abs(_unwrapped(qs[:, :, i], used[:, None, i],
-                                                    joint_limit) - used[:, None, i]))
-        far = ~valid[done:n] | (gap > db[:, None] + 1e-12)
-        far[:, b] = True
-        fast = valid[done:n, b] & ~(near & valid[done:n, :b]).any(axis=1) & far.all(axis=1)
-        maybe = np.flatnonzero(fast)
-        fast[maybe] = _forward_ok(raw[maybe], t06[done + maybe], dh)
-        choice[done:n][fast], dist[done:n][fast], branch[done:n][fast] = cand[fast], db[fast], b
+        s, raw = src[done:n], cands.rows(np.arange(done, n), b)
+        fast = valid[done:n, b] & _forward_ok(raw, t06[done:n], dh)
+        used = _guessed_prev(raw, s - done, choice[src[done]], added[done:n], joint_limit)
+        # b's rows unwrapped; the full path overwrites those of the slow nodes
+        choice[done:n] = _unwrapped(raw, used, joint_limit)
+        db = np.abs(choice[done:n] - used).max(axis=1)
+        fast &= _unrivalled(cands, done, n, raw, used, db, b, joint_limit)
+        dist[done:n][fast], branch[done:n][fast] = db[fast], b
         slow = np.flatnonzero(~fast)
         if len(slow):
             reach = full(done + slow, used[slow])
             if not reach.all():
                 n = done + slow[np.argmin(reach)]
         same = (used[:n - done].view(np.int64) == choice[s[:n - done]].view(np.int64)).all(axis=1)
-        done += len(same) if same.all() else int(np.argmin(same))
+        settled = done + (len(same) if same.all() else int(np.argmin(same)))
+        jump = np.flatnonzero(dist[done:settled] > max_step)
+        if len(jump):
+            n = settled = done + jump[0] + 1
+        done = settled
     return choice[:n], dist[:n], branch[:n]
+
+
+def _guessed_prev(raw, j, settled, added, joint_limit: float) -> np.ndarray:
+    """The prev of each open node of a round: the settled (6,) choice where
+    j < 0, else the guess of open node j, which is its raw row moved by
+    whole turns chained along the added nodes from the settled choice."""
+    on_settled = (j < 0)[:, None]
+    j = np.maximum(j, 0)
+    # whole turns of each guess from its raw row, a buffer at a time
+    step = np.where(on_settled, settled, raw[j])
+    step -= raw
+    step /= math.tau
+    np.rint(step, out=step)
+    turns = np.where(on_settled, 0.0, np.cumsum(np.where(added[:, None], step, 0.0), axis=0)[j])
+    turns += step
+    turns *= math.tau
+    turns += raw
+    return np.where(on_settled, settled, _fold(turns, joint_limit)[j])
+
+
+def _close(a, b):
+    """|a - b| < 1e-9, in one buffer."""
+    gap = a - b
+    return np.abs(gap, out=gap) < 1e-9
+
+
+def _unrivalled(cands: Branches, start: int, stop: int, raw, used, db, b: int,
+                joint_limit: float) -> np.ndarray:
+    """Whether the row raw of branch b of each node start..stop, at
+    distance db from the node's prev `used`, meets select_chain's
+    conditions 1 and 2 (b's own validity and forward check aside).  Both
+    read the columns, q1 over its two per node, q5 and q6 over their four
+    and joint 3 over all eight, broadcast over the eight candidates."""
+    w = stop - start
+    near, gaps = np.ones((w, 2, 2, 2), dtype=bool), None
+    for i, column in cands.columns(start, stop).items():  # joint 3 first
+        near &= _close(raw[:, i, None, None, None], column)
+        if i < 5:  # condition 2 reads joints 1, 3 and 5
+            gap = _unwrapped(column, used[:, i, None, None, None], joint_limit)
+            gap -= used[:, i, None, None, None]
+            np.abs(gap, out=gap)
+            gaps = gap if gaps is None else np.maximum(gaps, gap, out=gaps)
+    valid = cands.valid[start:stop]
+    far = ~valid | (gaps.reshape(w, 8) > db[:, None] + 1e-12)
+    far[:, b] = True
+    return ~(near.reshape(w, 8) & valid)[:, :b].any(axis=1) & far.all(axis=1)
 
 
 def select_branch(solutions: list[IKSolution], prev: JointConfig,

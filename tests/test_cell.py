@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -601,17 +603,12 @@ def _cell(**kw):
     return replace(CFG, cell=replace(CFG.cell, **kw))
 
 
-# chunk boundaries must not matter; one node per chunk puts every node
-# first in its chunk
-@pytest.mark.parametrize("case, chunk", [
-    *((case, chunk) for chunk in (64, IK_CHUNK_NODES)
-      for case in ("rectangle", "wall-limit-3", "square", "zigzag", "unreachable", "jump",
-                   "joint-speed")),
-    *((case, chunk) for case in ("rectangle", "zigzag", "unreachable", "jump")
-      for chunk in (1, 7))])
-def test_plan_matches_per_node_oracle(case, chunk, monkeypatch):
-    monkeypatch.setattr(kinematics, "IK_CHUNK_NODES", chunk)
-    path_cfg = {
+@functools.cache
+def _oracle_case(case):
+    """The path and config of a planner case and its per-node plan outcome;
+    the oracle's outcome does not depend on the IK chunk size, so it is
+    worked out once per case."""
+    path, cfg = {
         "rectangle": lambda: (rectangle_world().world_path, CFG),
         "wall-limit-3": lambda: (_wall_path(CFG), _kin(joint_limit_rad=3.0)),
         "square": lambda: (_wall_path(CFG, "square-30x30x8.5"), CFG),
@@ -619,14 +616,54 @@ def test_plan_matches_per_node_oracle(case, chunk, monkeypatch):
         "unreachable": lambda: (_wall_path(_cell(origin_x_mm=1000.0)), CFG),
         "jump": lambda: (_wall_path(CFG), _kin(joint_limit_rad=2.0)),
         "joint-speed": lambda: (_wall_path(CFG), _cell(max_joint_speed_rad_s=0.05)),
-    }[case]
-    path, cfg = path_cfg()
+    }[case]()
+    return path, cfg, _plan_outcome(plan_per_node, path, cfg)
+
+
+# chunk boundaries must not matter; one node per chunk puts every node
+# first in its chunk, and the production size plans each case but the
+# square in one chunk
+@pytest.mark.parametrize("case, chunk", [
+    *((case, chunk) for chunk in (64, 512, IK_CHUNK_NODES)
+      for case in ("rectangle", "wall-limit-3", "square", "zigzag", "unreachable", "jump",
+                   "joint-speed")),
+    *((case, chunk) for case in ("rectangle", "zigzag", "unreachable", "jump")
+      for chunk in (1, 7))])
+def test_plan_matches_per_node_oracle(case, chunk, monkeypatch):
+    monkeypatch.setattr(kinematics, "IK_CHUNK_NODES", chunk)
+    path, cfg, want = _oracle_case(case)
     got = _plan_outcome(lambda p, c: plan_trajectory(p, c, ENV), path, cfg)
-    assert got == _plan_outcome(plan_per_node, path, cfg)
+    assert got == want
     kind = {"unreachable": "unreachable", "jump": "jump", "joint-speed": "limit"}.get(case)
     assert (got[0] == "error" and got[3] == kind) if kind else len(got[0]) > 10
     if case == "zigzag":
         assert len(got[0]) < len(_plan_nodes(path, cfg)[0])
+
+
+# traced heap peak of planning wall-50x10 alone: 1126 KB in one 1536-node
+# chunk (Python 3.11, numpy 2.4), against 1339 KB in three 512-node chunks
+# before the candidate columns were made compact
+WALL_PLAN_PEAK_KB = 1250
+
+
+def test_wall_plans_in_one_chunk_within_its_heap_bound(monkeypatch):
+    """wall-50x10 plans in one IK chunk, and the heap that planning it
+    allocates (tracemalloc) peaks below WALL_PLAN_PEAK_KB."""
+    path = _wall_path(CFG)
+    plan_trajectory(path, CFG, ENV)  # first-call caches stay out of the peak
+    chunks = []
+    real = cell._branch_columns
+    monkeypatch.setattr(cell, "_branch_columns",
+                        lambda t06, dh: chunks.append(len(t06)) or real(t06, dh))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        plan_trajectory(path, CFG, ENV)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert chunks == [len(_plan_nodes(path, CFG)[0])]
+    assert peak < WALL_PLAN_PEAK_KB * 1024, peak / 1024
 
 
 # nearest_branch calls of one plan and the nodes they choose: only the

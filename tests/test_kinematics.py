@@ -7,8 +7,8 @@ import branch_oracle
 from branch_oracle import dedup_per_node, ik_per_node, max_distance, select_branch_per_node
 from ramcell import kinematics
 from ramcell.config import default_config, loads_config
-from ramcell.geometry import Pose, Rotation, Vec3, wrap_angle, wrap_angles
-from ramcell.kinematics import (_BRANCHES, IK_CHUNK_NODES, TAG_ORDER,
+from ramcell.geometry import Pose, Rotation, Vec3, wrap_angle
+from ramcell.kinematics import (_BRANCHES, TAG_ORDER,
                                 DHParams, IKSolution, JointConfig, UnreachableError,
                                 _checked_candidates, _dedup, _flange, _forward_ok, _frames, fk,
                                 fk_batch, ik, ik_batch, is_singular, jacobian,
@@ -304,11 +304,17 @@ def test_ik_solves_every_wrist_degenerate_target():
     assert turned > 50
 
 
-def test_ik_batch_rows_match_single_target_calls():
+# the chunk size the chunk-boundary tests pin: their inputs are sized by
+# it and checked node by node, so they cost the same at any production size
+CHUNK = 512
+
+
+def test_ik_batch_rows_match_single_target_calls(monkeypatch):
     """Masked branches and chunk boundaries must not leak between nodes."""
+    monkeypatch.setattr(kinematics, "IK_CHUNK_NODES", CHUNK)
     rng = np.random.RandomState(10)
     targets = []
-    for i in range(2 * IK_CHUNK_NODES + 21):
+    for i in range(2 * CHUNK + 21):
         if i % 7 == 3:
             targets.append(Pose(Vec3(1200.0, 0.0, 300.0), TOOL_DOWN))
         elif i % 5 == 1:
@@ -333,10 +339,11 @@ def _solution_keys(rows):
     return [[(s.config.q, s.tag, s.free_parameter) for s in row] for row in rows]
 
 
-def test_chunk_dedup_matches_per_node_oracle():
+def test_chunk_dedup_matches_per_node_oracle(monkeypatch):
+    monkeypatch.setattr(kinematics, "IK_CHUNK_NODES", CHUNK)
     rng = np.random.RandomState(11)
     targets = []
-    for i in range(3 * IK_CHUNK_NODES + 5):
+    for i in range(3 * CHUNK + 5):
         q = list(random_q(rng).q)
         if i % 11 == 7:
             targets.append(Pose(Vec3(1200.0, 0.0, 300.0), TOOL_DOWN).to_matrix())
@@ -377,11 +384,12 @@ def test_dedup_rule_on_chains_of_near_duplicates():
 
 
 @pytest.mark.parametrize("joint_limit", [2.0 * math.pi, 3.0, math.pi + 0.05])
-def test_chain_selection_matches_per_node_oracle(joint_limit):
+def test_chain_selection_matches_per_node_oracle(joint_limit, monkeypatch):
+    monkeypatch.setattr(kinematics, "IK_CHUNK_NODES", CHUNK)
     _check_chain_against_oracle(joint_limit)
 
 
-@pytest.mark.parametrize("window", [1, 3, IK_CHUNK_NODES])
+@pytest.mark.parametrize("window", [1, 3, CHUNK])
 def test_chain_selection_window_matches_per_node_oracle(window, monkeypatch):
     """select_chain runs once per IK chunk of `window` nodes, guesses over
     the whole chunk and continues from the branch of the choice before
@@ -398,13 +406,21 @@ def _candidates(t06):
 
 class RowBranches:
     """A candidate source for select_chain backed by given rows (n, 8, 6)
-    and valid (n, 8) instead of the closed form."""
+    and valid (n, 8) instead of the closed form.  Its columns are read
+    off the rows as the closed form shares them: q1 from the first
+    candidate of each shoulder, q5 and q6 from the first of each
+    (shoulder, wrist), and joint 3 from every candidate."""
 
     def __init__(self, rows, valid):
-        self.qs, self.valid = rows, valid
+        self._rows, self.valid = rows, valid
 
     def rows(self, nodes, branches):
-        return self.qs[nodes, branches]
+        return self._rows[nodes, branches]
+
+    def columns(self, start, stop):
+        rows = self._rows[start:stop].reshape(-1, 2, 2, 2, 6)
+        return {2: rows[..., 2], 0: rows[:, :, :1, :1, 0], 4: rows[:, :, :, :1, 4],
+                5: rows[:, :, :, :1, 5]}
 
 
 def _check_chain_against_oracle(joint_limit):
@@ -416,7 +432,7 @@ def _check_chain_against_oracle(joint_limit):
     rng = np.random.RandomState(13)
     q = np.array(cfg_home())
     chain = []
-    for i in range(4 * IK_CHUNK_NODES + 9):
+    for i in range(4 * CHUNK + 9):
         q = q + rng.normal(0.0, rng.choice([0.01, 0.01, 0.2, 1.5]), 6)
         q[5] += 0.35
         node = q.copy()
@@ -440,9 +456,9 @@ def _check_chain_against_oracle(joint_limit):
 
     got, got_dist = [], []
     prev, prev_branch = np.array(start_q), None
-    start = 0
-    for t06 in kinematics.flange_chunks(targets, TCP):
-        chunk_added = added[start:start + len(t06)]
+    flange = targets @ np.linalg.inv(TCP.to_matrix())
+    for chunk in kinematics.chunks(len(targets)):
+        t06, chunk_added = flange[chunk], added[chunk]
         with np.errstate(divide="ignore", invalid="ignore"):
             cands = kinematics._branch_columns(t06, DH)
         choice, dist, branch = select_chain(cands, t06, DH, prev, prev_branch, joint_limit,
@@ -456,7 +472,6 @@ def _check_chain_against_oracle(joint_limit):
         if chunk_added.any():
             last = np.flatnonzero(chunk_added)[-1]
             prev, prev_branch = choice[last], branch[last]
-        start += len(t06)
     assert got == want
     assert got_dist == want_dist
     assert max(abs(v) for row in want for v in row) > math.pi  # unwrapping ran
@@ -557,12 +572,14 @@ def test_chain_takes_the_full_path_for_a_rival_within_the_margin(monkeypatch):
 
 
 def test_chain_takes_the_full_path_for_a_nan_rival_ahead_of_b(monkeypatch):
-    """A valid rival ahead of b in tag order whose joint 1 is NaN: its gap
-    is never far, and nearest_branch, seeing it first, keeps it.  The
-    per-node oracle's max_distance skips NaN, so the check here is
-    nearest_branch called node by node on each node's kept candidates."""
+    """A valid rival ahead of b in tag order whose joint 3 is NaN (joint 1
+    is a column per shoulder, so among the gap's joints only joint 3 is a
+    candidate's own): its gap is never far, and nearest_branch, seeing it
+    first, keeps it.  The per-node oracle's max_distance skips NaN, so the
+    check here is nearest_branch called node by node on each node's kept
+    candidates."""
     path, rows, valid, t06 = _chain_case(STEPS)
-    rows[12, 3, 0], valid[12, 3] = math.nan, True
+    rows[12, 3, 2], valid[12, 3] = math.nan, True
     added = np.ones(len(rows), dtype=bool)
     added[12] = False  # the node after it continues from node 11
     choice, dist, full = _select_spying(rows, valid, t06, NEAR_HOME, 2.0 * math.pi, added,
@@ -580,7 +597,7 @@ def test_chain_takes_the_full_path_for_a_nan_rival_ahead_of_b(monkeypatch):
         assert np.array_equal(dist[i], want_dist[0], equal_nan=True), i
         if added[i]:
             prev = choice[i]
-    assert np.isnan(choice[12, 0]) and np.isnan(dist[12])
+    assert np.isnan(choice[12, 2]) and np.isnan(dist[12])
 
 
 def test_chain_takes_the_full_path_for_the_flip_pair_at_the_wrist_degeneracy(monkeypatch):
@@ -762,30 +779,13 @@ def test_column_kernel_matches_the_dh_product_oracle():
     assert reached > 2000 and free_at_0 > 100 and turned > 50
 
 
-def _eight_branch_rows(cands, dh):
-    """Every candidate's joints with q2 and q4 solved over (n, shoulder,
-    wrist, elbow) at once by broadcasting, as the kernel solved them
-    before the arm joints were split off."""
-    n = len(cands.qs)
-    p13_x, p13_y, r14_00, r14_10 = (a.reshape(n, 2, 2, 1) for a in cands.arm)
-    q3 = cands.q3.reshape(n, 2, 2, 2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s_arg = np.clip(dh.a[2] * np.sin(q3) / np.sqrt(p13_x**2 + p13_y**2), -1.0, 1.0)
-        q2 = -np.arctan2(p13_y, -p13_x) + np.arcsin(s_arg)
-        c23, s23 = np.cos(q2 + q3), np.sin(q2 + q3)
-        q4 = np.arctan2(-s23 * r14_00 + c23 * r14_10, c23 * r14_00 + s23 * r14_10)
-    rows = cands.qs.copy()
-    rows[..., 1], rows[..., 3] = wrap_angles(q2).reshape(n, 8), wrap_angles(q4).reshape(n, 8)
-    return rows
-
-
 def test_arm_joints_of_any_pairs_match_the_eight_branch_rows():
     """Branches.rows for any list of (node, branch) pairs, in any order
     and with repeats, a single branch for every node, and one node's
-    eight, is bit for bit the rows of all eight branches solved at once,
-    on the seeded [kinematics] sections with regular, wrist-degenerate,
-    q6-turned and unreachable targets, and targets holding NaN, whose
-    rows are NaN."""
+    eight, is bit for bit the rows of all eight branches that
+    _candidate_angles broadcasts from the columns, on the seeded
+    [kinematics] sections with regular, wrist-degenerate, q6-turned and
+    unreachable targets, and targets holding NaN, whose rows are NaN."""
     rng = np.random.RandomState(47)
     tables = [_seeded_kinematics(rng, d5_mm=0.0)] + [_seeded_kinematics(rng) for _ in range(7)]
     nan_rows = 0
@@ -793,13 +793,13 @@ def test_arm_joints_of_any_pairs_match_the_eight_branch_rows():
         t06 = _oracle_targets(rng, dh, tcp, 400) @ np.linalg.inv(tcp.to_matrix())
         t06[-8:, rng.randint(0, 3, 8), rng.randint(0, 4, 8)] = math.nan
         with np.errstate(divide="ignore", invalid="ignore"):
-            rows, valid, free = kinematics._candidate_angles(t06, dh)
+            want, valid, free = kinematics._candidate_angles(t06, dh)
             cands = kinematics._branch_columns(t06, dh)
-        want = _eight_branch_rows(cands, dh)
-        assert (rows.view(np.int64) == want.view(np.int64)).all()
         assert (cands.valid == valid).all() and (cands.free == free).all()
-        # the shared joints are solved for every branch, the arm joints for none
-        assert np.isnan(cands.qs[..., [1, 3]]).all()
+        # the columns hold the joints every branch shares, and no arm joint
+        n = len(t06)
+        assert cands.q1.shape == (n, 2) and cands.q5.shape == cands.q6.shape == (n, 4)
+        assert cands.q3.shape == (8 * n,) and cands.arm.shape == (4, 4 * n)
         nodes = rng.randint(0, len(t06), 3000)
         branches = rng.randint(0, 8, 3000)
         b = rng.randint(8)
