@@ -406,10 +406,9 @@ def _candidates(t06):
 
 class RowBranches:
     """A candidate source for select_chain backed by given rows (n, 8, 6)
-    and valid (n, 8) instead of the closed form.  Its columns are read
-    off the rows as the closed form shares them: q1 from the first
-    candidate of each shoulder, q5 and q6 from the first of each
-    (shoulder, wrist), and joint 3 from every candidate."""
+    and valid (n, 8) instead of the closed form.  Its columns are every
+    candidate's own joints 3, 1, 5 and 6, each (w, 2, 2, 2), so an edit
+    to any joint of any candidate reaches select_chain's conditions."""
 
     def __init__(self, rows, valid):
         self._rows, self.valid = rows, valid
@@ -419,8 +418,7 @@ class RowBranches:
 
     def columns(self, start, stop):
         rows = self._rows[start:stop].reshape(-1, 2, 2, 2, 6)
-        return {2: rows[..., 2], 0: rows[:, :, :1, :1, 0], 4: rows[:, :, :, :1, 4],
-                5: rows[:, :, :, :1, 5]}
+        return {2: rows[..., 2], 0: rows[..., 0], 4: rows[..., 4], 5: rows[..., 5]}
 
 
 def _check_chain_against_oracle(joint_limit):
@@ -572,14 +570,12 @@ def test_chain_takes_the_full_path_for_a_rival_within_the_margin(monkeypatch):
 
 
 def test_chain_takes_the_full_path_for_a_nan_rival_ahead_of_b(monkeypatch):
-    """A valid rival ahead of b in tag order whose joint 3 is NaN (joint 1
-    is a column per shoulder, so among the gap's joints only joint 3 is a
-    candidate's own): its gap is never far, and nearest_branch, seeing it
-    first, keeps it.  The per-node oracle's max_distance skips NaN, so the
-    check here is nearest_branch called node by node on each node's kept
-    candidates."""
+    """A valid rival ahead of b in tag order whose joint 1 is NaN: its gap
+    is never far, and nearest_branch, seeing it first, keeps it.  The
+    per-node oracle's max_distance skips NaN, so the check here is
+    nearest_branch called node by node on each node's kept candidates."""
     path, rows, valid, t06 = _chain_case(STEPS)
-    rows[12, 3, 2], valid[12, 3] = math.nan, True
+    rows[12, 3, 0], valid[12, 3] = math.nan, True
     added = np.ones(len(rows), dtype=bool)
     added[12] = False  # the node after it continues from node 11
     choice, dist, full = _select_spying(rows, valid, t06, NEAR_HOME, 2.0 * math.pi, added,
@@ -597,7 +593,7 @@ def test_chain_takes_the_full_path_for_a_nan_rival_ahead_of_b(monkeypatch):
         assert np.array_equal(dist[i], want_dist[0], equal_nan=True), i
         if added[i]:
             prev = choice[i]
-    assert np.isnan(choice[12, 2]) and np.isnan(dist[12])
+    assert np.isnan(choice[12, 0]) and np.isnan(dist[12])
 
 
 def test_chain_takes_the_full_path_for_the_flip_pair_at_the_wrist_degeneracy(monkeypatch):
