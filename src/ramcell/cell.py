@@ -35,8 +35,8 @@ from . import RamcellError
 from .config import CellConfig, Config, parse_obstacles
 from .extrusion import IOEvent
 from .geometry import Pose, Rotation, Vec3
-from .kinematics import (DHParams, _branch_columns, _flange, chunks, manipulability_batch,
-                         select_chain, tcp_offset_from_config)
+from .kinematics import (DHParams, _branch_columns, _flange, _reduce_last, chunks,
+                         manipulability_batch, select_chain, tcp_offset_from_config)
 from .toolpath import Toolpath, time_profile
 
 MAX_JOINT_STEP_RAD = 0.5
@@ -101,7 +101,7 @@ class RobotProgram:
         """Raise PlanningError at the first waypoint reached too early or
         through a max-norm joint rate above max_joint_speed."""
         dt = np.diff(self.times)
-        step = np.abs(np.diff(self.joints, axis=0)).max(axis=1)
+        step = _reduce_last(np.maximum, np.abs(np.diff(self.joints, axis=0)))
         with np.errstate(divide="ignore", invalid="ignore"):
             rate = step / dt
         bad = (dt <= 0.0) | (rate > max_joint_speed + 1e-9)
@@ -246,30 +246,43 @@ def _plan_nodes(path: Toolpath, cfg: Config):
     nodes: the path's start, each move's end and each dwell's equal yaw
     steps of at most DWELL_YAW_STEP_RAD.  The targets (n, 3, 4) are the
     top three rows of each transform; the last row is (0, 0, 0, 1)."""
-    tl = time_profile(path, cfg.cell.reorient_rate_rad_s)
-    count = np.where(tl["dwell"], np.ceil(np.abs(tl["yaw1"] - tl["yaw0"]) / DWELL_YAW_STEP_RAD), 1)
-    count = np.maximum(1, count).astype(np.int64)
-    row = np.repeat(np.arange(len(tl)), count)
-    frac = (np.arange(1, len(row) + 1) - np.repeat(np.cumsum(count) - count, count)) / count[row]
-    # each node's entry, gathered a field at a time: a gather of whole
-    # records would copy every field
-    dwell, t0, t1, yaw0, yaw1, x1, y1, z1, speed = (
-        tl[name][row] for name in ("dwell", "t0", "t1", "yaw0", "yaw1", "x1", "y1", "z1", "speed"))
-    first = tl[0]
-    # a dwell ends where it starts, and its speed is 0
-    t = np.r_[first.t0, np.where(dwell, t0 + frac * (t1 - t0), t1)]
-    yaw = np.r_[first.yaw0, np.where(dwell, yaw0 + frac * (yaw1 - yaw0), yaw0)][:, None]
-    pos = np.r_[[[first.x0, first.y0, first.z0]], np.stack([x1, y1, z1], axis=1)]
-    speed = np.r_[0.0, speed]
-
-    # TCP targets: TOOL_DOWN turned about world z by each node's yaw
+    # the timeline is gone before the targets are built
+    t, yaw, pos, speed = _node_columns(time_profile(path, cfg.cell.reorient_rate_rad_s))
+    # TCP targets: TOOL_DOWN turned about world z by each node's yaw, an
+    # entry at a time
     down = Pose(Vec3(0.0, 0.0, 0.0), TOOL_DOWN).to_matrix()
     cos, sin = np.cos(yaw), np.sin(yaw)
-    targets = np.tile(down[:3], (len(t), 1, 1))
-    targets[:, 0] = cos * down[0] - sin * down[1]
-    targets[:, 1] = sin * down[0] + cos * down[1]
-    targets[:, :3, 3] = pos
+    targets = np.empty((len(t), 3, 4))
+    for j in range(3):
+        targets[:, 0, j] = cos * down[0, j] - sin * down[1, j]
+        targets[:, 1, j] = sin * down[0, j] + cos * down[1, j]
+        targets[:, 2, j] = down[2, j]
+    targets[:, :, 3] = pos
     return t, pos, speed, targets
+
+
+def _node_columns(tl: np.recarray):
+    """Times, yaws, positions (n, 3) and TCP speeds of the nodes of the
+    timeline tl, each written into its own array: a node takes its
+    entry's fields, repeated by the entry's node count, and a dwell's
+    nodes step its time and yaw in equal fractions."""
+    dwell = tl["dwell"]
+    count = np.where(dwell, np.ceil(np.abs(tl["yaw1"] - tl["yaw0"]) / DWELL_YAW_STEP_RAD), 1)
+    count = np.maximum(1, count).astype(np.int64)
+    n = int(count.sum()) + 1
+    t, yaw, pos, speed = np.empty(n), np.empty(n), np.empty((n, 3)), np.empty(n)
+    first = tl[0]
+    # a dwell ends where it starts, and its speed is 0
+    t[0], yaw[0], pos[0], speed[0] = first.t0, first.yaw0, (first.x0, first.y0, first.z0), 0.0
+    for out, name in ((t, "t1"), (yaw, "yaw0"), (pos[:, 0], "x1"), (pos[:, 1], "y1"),
+                      (pos[:, 2], "z1"), (speed, "speed")):
+        out[1:] = np.repeat(tl[name], count)
+    frac = (np.arange(1, n) - np.repeat(np.cumsum(count) - count, count)) / np.repeat(count, count)
+    on = np.repeat(dwell, count)
+    np.copyto(t[1:], np.repeat(tl["t0"], count) + frac * np.repeat(tl["t1"] - tl["t0"], count),
+              where=on)
+    np.add(yaw[1:], frac * np.repeat(tl["yaw1"] - tl["yaw0"], count), out=yaw[1:], where=on)
+    return t, yaw, pos, speed
 
 
 def plan_trajectory(path: Toolpath, cfg: Config, env: CellEnvironment,
@@ -295,8 +308,8 @@ def plan_trajectory(path: Toolpath, cfg: Config, env: CellEnvironment,
     added = np.r_[True, np.diff(times) > 1e-12]
 
     # the chunks are slices of the one stack of flange targets (n, 3, 4),
-    # which replaces the TCP targets
-    targets = targets @ np.linalg.inv(tcp.to_matrix())
+    # which replaces the TCP targets; one 2-D product, as in ik_batch
+    targets = (targets.reshape(-1, 4) @ np.linalg.inv(tcp.to_matrix())).reshape(targets.shape)
     joints = np.empty((len(times), 6))
     prev, prev_branch = np.array(cfg_home()), None
     for chunk in chunks(len(times)):

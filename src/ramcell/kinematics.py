@@ -17,9 +17,13 @@ parts: `_branch_columns` solves q1, q3, q5 and q6 and the masks for
 every branch, its wrist and elbow steps in helpers so that each step's
 temporaries are gone before the next one's are made, and keeps them as
 compact columns (`Branches`: q1 per shoulder, q5 and q6 per shoulder and
-wrist, q3 per branch); `Branches.rows` fills the rows of the (node, branch) pairs
-asked for from the columns and solves their arm joints q2 and q4, and
-`_candidate_angles` broadcasts all eight rows of every node.
+wrist, q3 per branch).  The columns are branch-major: the shoulder,
+wrist and elbow axes lead and the node axis is last and contiguous, so
+every ufunc's inner loop and every reduction over branches runs over the
+nodes, not over a 2-, 4- or 8-long axis.  `Branches.rows` fills the rows
+of the (node, branch) pairs asked for from the columns and solves their
+arm joints q2 and q4, and `_candidate_angles` broadcasts all eight rows
+of every node.
 `ik_batch` solves chunks of IK_CHUNK_NODES targets, checks each
 candidate's forward pose (`_forward_ok`, row by row) and de-duplicates
 them over the 28 pairs j < k; `nearest_branch` picks branches for many
@@ -202,48 +206,49 @@ IK_CHUNK_NODES = 1536
 class Branches:
     """The eight closed-form branches of a chunk of n flange targets,
     candidate k = branch _BRANCHES[k] (built by _branch_columns), as
-    columns: q1 (n, 2) per shoulder, q5 and q6 (n, 4) per (shoulder,
-    wrist), all three wrapped, and q3 (8 n,) per candidate, unwrapped.
-    rows() fills joints 1, 3, 5 and 6 from the columns and solves joints
-    2 and 4 for the (node, branch) pairs asked for, element by element, so
-    a pair gets the bits it gets among all of them; columns() gives
-    joints 1, 3, 5 and 6 of a run of nodes to broadcast over all eight
-    candidates.  About 290 bytes a node.  valid (n, 8) masks
-    the branches that have a real solution and free (n, 8) flags the
-    wrist-free ones."""
+    branch-major columns, the node axis last: q1 (2, n) per shoulder, q5
+    and q6 (4, n) per (shoulder, wrist), all three wrapped, q3 (8, n) per
+    candidate, unwrapped, and the arm inputs `arm` (4, 4, n): p13_x,
+    p13_y, t14[0, 0] and t14[1, 0] per (shoulder, wrist).  Candidate k
+    reads q3[k], q5[k // 2], q6[k // 2], arm[:, k // 2] and q1[k // 4].
+    rows() fills joints 1, 3, 5 and 6 from the columns and solves
+    joints 2 and 4 for the (node, branch) pairs asked for, element by
+    element, so a pair gets the bits it gets among all of them;
+    columns() gives joints 1, 3, 5 and 6 of a run of nodes to broadcast
+    over all eight candidates.  About 290 bytes a node.  valid (8, n)
+    masks the branches that have a real solution and free (8, n) flags
+    the wrist-free ones."""
     q1: np.ndarray
     q5: np.ndarray
     q6: np.ndarray
     q3: np.ndarray
-    arm: np.ndarray  # (4, 4 n) p13_x, p13_y, t14[0, 0] and t14[1, 0] per (node, shoulder, wrist)
+    arm: np.ndarray
     valid: np.ndarray
     free: np.ndarray
     a3: float
 
     def rows(self, nodes, branches) -> np.ndarray:
-        """The joints of candidate branches[i] of node nodes[i], for numpy
-        index arrays broadcast against each other: shape (..., 6)."""
-        nodes, branches = np.broadcast_arrays(nodes, branches)
-        shape = nodes.shape
-        nodes, branches = nodes.reshape(-1), branches.reshape(-1)
-        pair = 4 * nodes + branches // 2
-        q3 = self.q3[8 * nodes + branches]
-        out = np.empty((len(nodes), 6))
-        out[:, 0] = self.q1.reshape(-1)[2 * nodes + branches // 4]
-        out[:, 1], out[:, 3] = _arm_joints(q3, *self.arm[:, pair], self.a3)
-        out[:, 2] = wrap_angles(q3)
-        out[:, 4], out[:, 5] = self.q5.reshape(-1)[pair], self.q6.reshape(-1)[pair]
-        return out.reshape(shape + (6,))
+        """The joints of candidate branches[i] of node nodes[i], indexed
+        as numpy indexes a (branch, node) array (an int, a slice or index
+        arrays broadcast against each other): shape (..., 6)."""
+        q3, pair = self.q3[branches, nodes], branches // 2
+        out = np.empty(q3.shape + (6,))
+        out[..., 0] = self.q1[branches // 4, nodes]
+        out[..., 1], out[..., 3] = _arm_joints(q3, *self.arm[:, pair, nodes], self.a3)
+        out[..., 2] = wrap_angles(q3)
+        out[..., 4], out[..., 5] = self.q5[pair, nodes], self.q6[pair, nodes]
+        return out
 
-    def columns(self, start: int, stop: int) -> dict[int, np.ndarray]:
-        """Joints 3, 1, 5 and 6 (by index) of every candidate of nodes
-        start..stop, shaped to broadcast over (node, shoulder, wrist,
-        elbow); joint 3 is q3 wrapped."""
+    def columns(self, start: int, stop: int):
+        """Joints 3, 1, 5 and 6 of every candidate of nodes start..stop as
+        (joint index, column) pairs, each shaped to broadcast over
+        (shoulder, wrist, elbow, node); joint 3 is q3 wrapped, made as it
+        is asked for and gone once the caller moves on."""
         w = stop - start
-        return {2: wrap_angles(self.q3[8 * start:8 * stop]).reshape(w, 2, 2, 2),
-                0: self.q1[start:stop].reshape(w, 2, 1, 1),
-                4: self.q5[start:stop].reshape(w, 2, 2, 1),
-                5: self.q6[start:stop].reshape(w, 2, 2, 1)}
+        yield 2, wrap_angles(self.q3[:, start:stop]).reshape(2, 2, 2, w)
+        yield 0, self.q1[:, None, None, start:stop]
+        yield 4, self.q5[:, start:stop].reshape(2, 2, 1, w)
+        yield 5, self.q6[:, start:stop].reshape(2, 2, 1, w)
 
 
 def _arm_joints(q3, p13_x, p13_y, r14_00, r14_10, a3: float):
@@ -261,17 +266,20 @@ def _arm_joints(q3, p13_x, p13_y, r14_00, r14_10, a3: float):
 
 
 def _wrist_columns(t06: np.ndarray, dh: DHParams):
-    """q1 (n, 2, 1) per shoulder and q5 and q6 (n, 2, 2) per (shoulder,
+    """q1 (2, 1, n) per shoulder and q5 and q6 (2, 2, n) per (shoulder,
     wrist), unwrapped, the masks of the branches valid so far and free at
     the wrist, and the rows of t16 = inv(T01) t06 that the closed form
-    reads (row 1 is the target's row 2)."""
+    reads (row 1 is the target's row 2).  Every column is branch-major,
+    the node axis last, so each ufunc's inner loop runs over the nodes."""
     d1, d4, d6 = dh.d[0], dh.d[3], dh.d[5]
     (r00, r01, r02, p0), (r10, r11, r12, p1), (r20, r21, r22, p2) = (
-        [[t06[:, i, j, None, None] for j in range(4)] for i in range(3)])
+        [[t06[:, i, j] for j in range(4)] for i in range(3)])
     p05_x, p05_y = p0 - d6 * r02, p1 - d6 * r12  # frame 5's origin
     rho = np.hypot(p05_x, p05_y)
     phi = np.arccos(np.clip(d4 / rho, -1.0, 1.0))
-    q1 = np.arctan2(p05_y, p05_x) + _SIGNS[:, None] * phi + math.pi / 2
+    # arctan2 rounds the last bit of strided operands differently, so it
+    # reads only fresh contiguous columns
+    q1 = np.arctan2(p05_y, p05_x) + _SIGNS[:, None, None] * phi + math.pi / 2
     c1, s1 = np.cos(q1), np.sin(q1)
     c5 = (p0 * s1 - p1 * c1 - d4) / d6
     # rho < |d4|: the wrist column passes inside the shoulder cylinder
@@ -280,13 +288,13 @@ def _wrist_columns(t06: np.ndarray, dh: DHParams):
     t16 = ((c1 * r00 + s1 * r10, c1 * r01 + s1 * r11, c1 * r02 + s1 * r12, c1 * p0 + s1 * p1),
            (r20, r21, r22, p2 - d1),
            (s1 * r00 - c1 * r10, s1 * r01 - c1 * r11))
-    q5 = np.arccos(c5) * _SIGNS
+    q5 = np.arccos(c5) * _SIGNS[:, None]
     s5 = np.sin(q5)
     free = np.abs(s5) < WRIST_DEGENERACY_TOL
     # snap onto the degeneracy so joint 4 absorbs the whole wrist rotation
     # exactly; acos noise would otherwise leak an ill-conditioned q6 into
     # the arm joints
-    q5 = np.where(free, np.where(c5 > 0.0, 0.0, math.pi * _SIGNS), q5)
+    q5 = np.where(free, np.where(c5 > 0.0, 0.0, math.pi * _SIGNS[:, None]), q5)
     # inv(t16) rotation entries are the transpose of t16's
     q6 = np.where(free, 0.0, np.arctan2(-t16[2][1] / s5, t16[2][0] / s5))
     return q1, q5, q6, valid, free, t16
@@ -324,10 +332,11 @@ def _elbow(t16, q5, q6, dh: DHParams):
 
 def _branch_columns(t06: np.ndarray, dh: DHParams) -> Branches:
     """The Branches of each flange target in the (n, 4, 4) array t06, of
-    which only the top three rows are read (so (n, 3, 4) does too).  q1
-    is a column over (n, shoulder, 1), q5 and q6 over (n, shoulder, wrist),
-    and q3 adds the elbow.  The wrist and elbow steps run in helpers, so
-    their temporaries are gone before the next step's are made."""
+    which only the top three rows are read (so (n, 3, 4) does too, and
+    any strided view of either).  q1 is a column over (shoulder, 1, n),
+    q5 and q6 over (shoulder, wrist, n), and q3 adds the elbow.  The
+    wrist and elbow steps run in helpers, so their temporaries are gone
+    before the next step's are made."""
     q1, q5, q6, valid, free, t16 = _wrist_columns(t06, dh)
     arm, c3 = _elbow(t16, q5, q6, dh)
     # At the degeneracy (q5 = 0 or pi) joints 2, 3, 4 and 6 are parallel:
@@ -340,27 +349,27 @@ def _branch_columns(t06: np.ndarray, dh: DHParams) -> Branches:
         q6 = np.where(lost, _reaching_q6(t16, q5, arm[0], arm[1], c3, dh), q6)
         arm, c3 = _elbow(t16, q5, q6, dh)
     valid = valid & (np.abs(c3) <= 1.0 + 1e-12)
-    q3 = np.arccos(np.clip(c3, -1.0, 1.0))[..., None] * _SIGNS
+    q3 = np.arccos(np.clip(c3, -1.0, 1.0))[:, :, None] * _SIGNS[:, None]
     n = len(t06)
-    return Branches(wrap_angles(q1).reshape(n, 2), wrap_angles(q5).reshape(n, 4),
-                    wrap_angles(q6).reshape(n, 4), q3.reshape(-1), arm.reshape(4, -1),
-                    np.repeat(valid.reshape(n, 4), 2, axis=1),
-                    np.repeat(free.reshape(n, 4), 2, axis=1), dh.a[2])
+    return Branches(wrap_angles(q1).reshape(2, n), wrap_angles(q5).reshape(4, n),
+                    wrap_angles(q6).reshape(4, n), q3.reshape(8, n), arm.reshape(4, 4, n),
+                    np.repeat(valid.reshape(4, n), 2, axis=0),
+                    np.repeat(free.reshape(4, n), 2, axis=0), dh.a[2])
 
 
 def _candidate_angles(t06: np.ndarray, dh: DHParams):
     """Every branch of the (n, 3|4, 4) flange targets t06: joints (n, 8, 6),
     the mask (n, 8) of branches that have a real solution, and the
     wrist-free flags (n, 8).  The rows broadcast the Branches columns over
-    (n, shoulder, wrist, elbow)."""
+    (shoulder, wrist, elbow, n)."""
     cands = _branch_columns(t06, dh)
     n = len(t06)
-    rows = np.empty((n, 2, 2, 2, 6))
-    for i, column in cands.columns(0, n).items():
-        rows[..., i] = column
-    rows[..., 1], rows[..., 3] = _arm_joints(cands.q3.reshape(n, 2, 2, 2),
-                                             *cands.arm.reshape(4, n, 2, 2, 1), cands.a3)
-    return rows.reshape(n, 8, 6), cands.valid, cands.free
+    rows = np.empty((6, 2, 2, 2, n))
+    for i, column in cands.columns(0, n):
+        rows[i] = column
+    rows[1], rows[3] = _arm_joints(cands.q3.reshape(2, 2, 2, n),
+                                   *cands.arm.reshape(4, 2, 2, 1, n), cands.a3)
+    return np.ascontiguousarray(rows.reshape(6, 8, n).T), cands.valid.T, cands.free.T
 
 
 def _reaching_q6(t16, q5, p13_x, p13_y, c3, dh: DHParams):
@@ -417,21 +426,21 @@ def _dedup(qs: np.ndarray, ok: np.ndarray, free: np.ndarray):
     the first kept candidate j < k; j inherits a dropped k's wrist-free
     flag.  Returns the kept mask and the free flags, both (n, 8)."""
     # pair p = k (k - 1) / 2 + j compares candidate k with j < k, a joint
-    # at a time (numpy reduces a length-6 last axis slowly)
-    near = np.ones((len(qs), len(_PAIR_K)), dtype=bool)
+    # at a time; the pair and candidate axes lead, so every reduction runs
+    # a row at a time
+    q = qs.T
+    near = np.ones((len(_PAIR_K), len(qs)), dtype=bool)
     for i in range(6):
-        near &= np.abs(qs[:, _PAIR_K, i] - qs[:, _PAIR_J, i]) < 1e-9
-    kept = ok.copy()
-    free = free.copy()
-    nodes = np.arange(len(qs))
+        near &= _close(q[i, _PAIR_K], q[i, _PAIR_J])
+    kept, free = ok.T.copy(), free.T.copy()
     for k in range(1, 8):
-        match = kept[:, :k] & near[:, k * (k - 1) // 2:k * (k + 1) // 2]
-        dup = match.any(axis=1)
-        kept[:, k] &= ~dup
-        merge = ok[:, k] & dup & free[:, k]
+        match = kept[:k] & near[k * (k - 1) // 2:k * (k + 1) // 2]
+        dup = match.any(axis=0)
+        kept[k] &= ~dup
+        merge = ok[:, k] & dup & free[k]
         if merge.any():
-            free[nodes[merge], match[merge].argmax(axis=1)] = True
-    return kept, free & kept
+            free[match.argmax(axis=0)[merge], merge] = True
+    return kept.T, (free & kept).T
 
 
 def chunks(n: int):
@@ -443,7 +452,9 @@ def ik_batch(targets: np.ndarray, dh: DHParams, tcp_offset: Pose = Pose.identity
     """Yield ik()'s solution list for each TCP target of the (n, 4, 4)
     array, in order, each as soon as its chunk of IK_CHUNK_NODES targets
     has been solved, forward-checked and de-duplicated."""
-    flange = targets @ np.linalg.inv(tcp_offset.to_matrix())
+    # one 2-D product: numpy loops a stacked @ over 4x4 blocks slowly
+    flange = (targets.reshape(-1, 4) @ np.linalg.inv(tcp_offset.to_matrix())).reshape(
+        targets.shape)
     for chunk in chunks(len(flange)):
         qs, ok, free = _checked_candidates(flange[chunk], dh)
         for node_qs, node_kept, node_free in zip(qs, *_dedup(qs, ok, free)):
@@ -492,6 +503,15 @@ def _unwrapped(rows: np.ndarray, prev: np.ndarray, joint_limit: float) -> np.nda
     return _fold(out, joint_limit)
 
 
+def _reduce_last(ufunc, a: np.ndarray) -> np.ndarray:
+    """ufunc.reduce over the short last axis of a, a column at a time
+    (numpy reduces a short last axis an order of magnitude slower)."""
+    out = a[..., 0].copy()
+    for i in range(1, a.shape[-1]):
+        ufunc(out, a[..., i], out=out)
+    return out
+
+
 def nearest_branch(rows: np.ndarray, kept: np.ndarray, prev: np.ndarray,
                    joint_limit: float):
     """For each node, the kept row of its (m, 6) candidates closest to the
@@ -506,10 +526,7 @@ def nearest_branch(rows: np.ndarray, kept: np.ndarray, prev: np.ndarray,
     """
     prev = prev[:, None]
     cand = _unwrapped(rows, prev, joint_limit)
-    gap = np.abs(cand - prev)
-    dist = gap[..., 0]
-    for i in range(1, 6):  # faster than a max over the length-6 axis
-        dist = np.maximum(dist, gap[..., i])
+    dist = _reduce_last(np.maximum, np.abs(cand - prev))
     best = np.zeros(len(rows), dtype=int)
     best_d = np.full(len(rows), np.inf)
     seen = np.zeros(len(rows), dtype=bool)
@@ -563,12 +580,12 @@ def select_chain(cands: Branches, t06: np.ndarray, dh: DHParams, prev: np.ndarra
     def full(nodes, used):
         """The full path on the given nodes; returns whether each has a kept candidate."""
         rows = cands.rows(nodes[:, None], np.arange(8))
-        ok = valid[nodes] & _forward_ok(rows, t06[nodes, None], dh)
+        ok = valid[:, nodes].T & _forward_ok(rows, t06[nodes, None], dh)
         kept = _dedup(rows, ok, np.zeros_like(ok))[0][:, TAG_ORDER]
         choice[nodes], dist[nodes], best = nearest_branch(rows[:, TAG_ORDER], kept, used,
                                                           joint_limit)
         branch[nodes] = TAG_ORDER[best]
-        return kept.any(axis=1)
+        return _reduce_last(np.logical_or, kept)
 
     done = 0
     if prev_branch is None:
@@ -581,12 +598,12 @@ def select_chain(cands: Branches, t06: np.ndarray, dh: DHParams, prev: np.ndarra
         branch[n] = prev_branch
     while done < n:
         b = branch[src[done]]
-        s, raw = src[done:n], cands.rows(np.arange(done, n), b)
-        fast = valid[done:n, b] & _forward_ok(raw, t06[done:n], dh)
+        s, raw = src[done:n], cands.rows(slice(done, n), b)
+        fast = valid[b, done:n] & _forward_ok(raw, t06[done:n], dh)
         used = _guessed_prev(raw, s - done, choice[src[done]], added[done:n], joint_limit)
         # b's rows unwrapped; the full path overwrites those of the slow nodes
         choice[done:n] = _unwrapped(raw, used, joint_limit)
-        db = np.abs(choice[done:n] - used).max(axis=1)
+        db = _reduce_last(np.maximum, np.abs(choice[done:n] - used))
         fast &= _unrivalled(cands, done, n, raw, used, db, b, joint_limit)
         dist[done:n][fast], branch[done:n][fast] = db[fast], b
         slow = np.flatnonzero(~fast)
@@ -594,7 +611,8 @@ def select_chain(cands: Branches, t06: np.ndarray, dh: DHParams, prev: np.ndarra
             reach = full(done + slow, used[slow])
             if not reach.all():
                 n = done + slow[np.argmin(reach)]
-        same = (used[:n - done].view(np.int64) == choice[s[:n - done]].view(np.int64)).all(axis=1)
+        same = _reduce_last(np.logical_and,
+                            used[:n - done].view(np.int64) == choice[s[:n - done]].view(np.int64))
         settled = done + (len(same) if same.all() else int(np.argmin(same)))
         jump = np.flatnonzero(dist[done:settled] > max_step)
         if len(jump):
@@ -607,18 +625,25 @@ def _guessed_prev(raw, j, settled, added, joint_limit: float) -> np.ndarray:
     """The prev of each open node of a round: the settled (6,) choice where
     j < 0, else the guess of open node j, which is its raw row moved by
     whole turns chained along the added nodes from the settled choice."""
-    on_settled = (j < 0)[:, None]
+    on_settled = j < 0
     j = np.maximum(j, 0)
-    # whole turns of each guess from its raw row, a buffer at a time
-    step = np.where(on_settled, settled, raw[j])
+    # whole turns of each guess from its raw row, a buffer at a time; the
+    # rows on the settled choice are written by mask, not broadcast
+    step = raw[j]
+    step[on_settled] = settled
     step -= raw
     step /= math.tau
     np.rint(step, out=step)
-    turns = np.where(on_settled, 0.0, np.cumsum(np.where(added[:, None], step, 0.0), axis=0)[j])
+    turns = step.copy()
+    turns[~added] = 0.0
+    turns = np.cumsum(turns, axis=0, out=turns)[j]
+    turns[on_settled] = 0.0
     turns += step
     turns *= math.tau
     turns += raw
-    return np.where(on_settled, settled, _fold(turns, joint_limit)[j])
+    turns = _fold(turns, joint_limit)[j]
+    turns[on_settled] = settled
+    return turns
 
 
 def _close(a, b):
@@ -635,18 +660,19 @@ def _unrivalled(cands: Branches, start: int, stop: int, raw, used, db, b: int,
     read the columns, q1 over its two per node, q5 and q6 over their four
     and joint 3 over all eight, broadcast over the eight candidates."""
     w = stop - start
-    near, gaps = np.ones((w, 2, 2, 2), dtype=bool), None
-    for i, column in cands.columns(start, stop).items():  # joint 3 first
-        near &= _close(raw[:, i, None, None, None], column)
+    near, gaps = np.ones((2, 2, 2, w), dtype=bool), None
+    for i, column in cands.columns(start, stop):  # joint 3 first
+        near &= _close(raw[:, i], column)
         if i < 5:  # condition 2 reads joints 1, 3 and 5
-            gap = _unwrapped(column, used[:, i, None, None, None], joint_limit)
-            gap -= used[:, i, None, None, None]
+            gap = _unwrapped(column, used[:, i], joint_limit)
+            gap -= used[:, i]
             np.abs(gap, out=gap)
             gaps = gap if gaps is None else np.maximum(gaps, gap, out=gaps)
-    valid = cands.valid[start:stop]
-    far = ~valid | (gaps.reshape(w, 8) > db[:, None] + 1e-12)
-    far[:, b] = True
-    return ~(near.reshape(w, 8) & valid)[:, :b].any(axis=1) & far.all(axis=1)
+    # the candidate axis leads, so these reductions run a row at a time
+    valid = cands.valid[:, start:stop]
+    far = ~valid | (gaps.reshape(8, w) > db + 1e-12)
+    far[b] = True
+    return ~(near.reshape(8, w) & valid)[:b].any(axis=0) & far.all(axis=0)
 
 
 def select_branch(solutions: list[IKSolution], prev: JointConfig,

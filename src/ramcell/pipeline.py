@@ -60,8 +60,10 @@ def place_in_cell(cfg: Config, local: tp.Toolpath) -> tp.Toolpath:
     """Center the part's footprint on the configured print origin."""
     if not len(local):
         return local
-    ends = np.concatenate((local.start, local.end))
-    center = (ends.min(axis=0) + ends.max(axis=0)) / 2.0
+    # a column at a time: an axis-0 reduction of (2n, 3) loops over the 3
+    # columns innermost, which numpy runs slowly
+    center = np.array([(end.min() + end.max()) / 2.0
+                       for end in np.concatenate((local.start, local.end)).T])
     center[2] = 0.0
     offset = np.array([cfg.cell.origin_x_mm, cfg.cell.origin_y_mm,
                        cfg.cell.origin_z_mm]) - center

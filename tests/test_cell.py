@@ -640,9 +640,10 @@ def test_plan_matches_per_node_oracle(case, chunk, monkeypatch):
         assert len(got[0]) < len(_plan_nodes(path, cfg)[0])
 
 
-# traced heap peak of planning wall-50x10 alone: 1126 KB in one 1536-node
-# chunk (Python 3.11, numpy 2.4), against 1339 KB in three 512-node chunks
-# before the candidate columns were made compact.  numpy's temporaries, and
+# traced heap peak of planning wall-50x10 alone: 1095 KB in one 1536-node
+# chunk with branch-major columns (Python 3.11, numpy 2.4), 1126 KB with
+# node-major ones, against 1339 KB in three 512-node chunks before the
+# candidate columns were made compact.  numpy's temporaries, and
 # so the traced peak, move with its version, so the bound holds on the
 # numpy it was measured on and is to be re-measured for another.
 WALL_PLAN_PEAK_KB = 1250

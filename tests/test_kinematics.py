@@ -406,19 +406,20 @@ def _candidates(t06):
 
 class RowBranches:
     """A candidate source for select_chain backed by given rows (n, 8, 6)
-    and valid (n, 8) instead of the closed form.  Its columns are every
-    candidate's own joints 3, 1, 5 and 6, each (w, 2, 2, 2), so an edit
+    and valid (n, 8) instead of the closed form, laid out branch-major as
+    the Branches are: valid is (8, n), and the columns are every
+    candidate's own joints 3, 1, 5 and 6, each (2, 2, 2, w), so an edit
     to any joint of any candidate reaches select_chain's conditions."""
 
     def __init__(self, rows, valid):
-        self._rows, self.valid = rows, valid
+        self._rows, self.valid = rows, valid.T
 
     def rows(self, nodes, branches):
         return self._rows[nodes, branches]
 
     def columns(self, start, stop):
-        rows = self._rows[start:stop].reshape(-1, 2, 2, 2, 6)
-        return {2: rows[..., 2], 0: rows[..., 0], 4: rows[..., 4], 5: rows[..., 5]}
+        rows = self._rows[start:stop].T.reshape(6, 2, 2, 2, -1)
+        return ((i, rows[i]) for i in (2, 0, 4, 5))
 
 
 def _check_chain_against_oracle(joint_limit):
@@ -791,11 +792,12 @@ def test_arm_joints_of_any_pairs_match_the_eight_branch_rows():
         with np.errstate(divide="ignore", invalid="ignore"):
             want, valid, free = kinematics._candidate_angles(t06, dh)
             cands = kinematics._branch_columns(t06, dh)
-        assert (cands.valid == valid).all() and (cands.free == free).all()
-        # the columns hold the joints every branch shares, and no arm joint
+        assert (cands.valid.T == valid).all() and (cands.free.T == free).all()
+        # the columns hold the joints every branch shares, and no arm joint:
+        # branch-major, 2, 4, 4, 8 and 16 values a node, the node axis last
         n = len(t06)
-        assert cands.q1.shape == (n, 2) and cands.q5.shape == cands.q6.shape == (n, 4)
-        assert cands.q3.shape == (8 * n,) and cands.arm.shape == (4, 4 * n)
+        assert cands.q1.shape == (2, n) and cands.q5.shape == cands.q6.shape == (4, n)
+        assert cands.q3.shape == (8, n) and cands.arm.shape == (4, 4, n)
         nodes = rng.randint(0, len(t06), 3000)
         branches = rng.randint(0, 8, 3000)
         b = rng.randint(8)
@@ -808,6 +810,31 @@ def test_arm_joints_of_any_pairs_match_the_eight_branch_rows():
         # every kind of target occurs (see _oracle_targets)
         assert (valid & free).any() and not valid[300:].any()
     assert nan_rows > 100
+
+
+def _column_bytes(cands):
+    return [getattr(cands, name).tobytes() for name in
+            ("q1", "q5", "q6", "q3", "arm", "valid", "free")]
+
+
+def test_branch_columns_of_strided_and_reversed_targets_match_the_contiguous_call():
+    """_branch_columns reads each target entry as a strided column, and
+    numpy's float64 arctan2 rounds the last bit of strided operands
+    differently from contiguous ones; the kernel gives it only fresh
+    contiguous columns.  So the columns of a Fortran-ordered copy (whose
+    entries are contiguous), a strided view, the top three rows and a
+    reversed view of the targets are bit for bit those of the contiguous
+    call, the reversed one against a contiguous copy of it."""
+    rng = np.random.RandomState(48)
+    for dh, tcp in [_seeded_kinematics(rng) for _ in range(4)]:
+        t06 = _oracle_targets(rng, dh, tcp, 400) @ np.linalg.inv(tcp.to_matrix())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = _column_bytes(kinematics._branch_columns(t06, dh))
+            for view in (np.asfortranarray(t06), t06.repeat(3, axis=0)[1::3], t06[:, :3]):
+                assert _column_bytes(kinematics._branch_columns(view, dh)) == want
+            backwards = kinematics._branch_columns(t06[::-1], dh)
+            forwards = kinematics._branch_columns(np.ascontiguousarray(t06[::-1]), dh)
+        assert _column_bytes(backwards) == _column_bytes(forwards)
 
 
 def test_forward_check_keeps_half_a_tolerance_and_drops_twice_one(monkeypatch):
