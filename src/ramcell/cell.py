@@ -35,8 +35,8 @@ from . import RamcellError
 from .config import CellConfig, Config, parse_obstacles
 from .extrusion import IOEvent
 from .geometry import Pose, Rotation, Vec3
-from .kinematics import (DHParams, _branch_columns, _flange, _reduce_last, chunks,
-                         manipulability_batch, select_chain, tcp_offset_from_config)
+from .kinematics import (DHParams, _branch_columns, _flange, _reduce_last, manipulability_batch,
+                         select_chain, tcp_offset_from_config)
 from .toolpath import Toolpath, time_profile
 
 MAX_JOINT_STEP_RAD = 0.5
@@ -48,6 +48,11 @@ MAX_COLLISION_SAMPLES = 2e6
 # sits CAPSULE_CLEARANCE_MM minus the capsule radius above the tip
 TABLE_Z_MM = 0.0
 CAPSULE_CLEARANCE_MM = 70.0
+# planner nodes per IK chunk; bounds the candidates in memory at once (a
+# chunk's Branches hold about 290 bytes a node).  wall-50x10's 1296 nodes
+# plan in one chunk; at 2048 the first chunk of square-30x30x8.5 would
+# raise its planner's heap peak above what it was at 512
+IK_CHUNK_NODES = 1536
 # one script line per waypoint: six joints, the TCP speed and the time
 _MOVE = "q=[" + ",".join(["%.6f"] * 6) + "] v=%.3f t=%.6f"
 
@@ -308,12 +313,14 @@ def plan_trajectory(path: Toolpath, cfg: Config, env: CellEnvironment,
     added = np.r_[True, np.diff(times) > 1e-12]
 
     # the chunks are slices of the one stack of flange targets (n, 3, 4),
-    # which replaces the TCP targets; one 2-D product, as in ik_batch
+    # which replaces the TCP targets; one 2-D product, since numpy loops a
+    # stacked @ over 4x4 blocks slowly
     targets = (targets.reshape(-1, 4) @ np.linalg.inv(tcp.to_matrix())).reshape(targets.shape)
     joints = np.empty((len(times), 6))
     prev, prev_branch = np.array(cfg_home()), None
-    for chunk in chunks(len(times)):
-        start, t06 = chunk.start, targets[chunk]
+    for start in range(0, len(times), IK_CHUNK_NODES):
+        chunk = slice(start, start + IK_CHUNK_NODES)
+        t06 = targets[chunk]
         q, step, branch = _plan_chunk(t06, dh, prev, prev_branch, limit, added[chunk])
         n, r = len(t06), len(q)  # the first node without a kept candidate ends the chain
         jump = np.flatnonzero(step > MAX_JOINT_STEP_RAD)
@@ -482,7 +489,7 @@ def detect_singularity_traversal(program: RobotProgram, cfg: Config,
     if eps is None:
         eps = cfg.kinematics.singular_eps
     dh = DHParams.from_config(cfg.kinematics)
-    low = manipulability_batch(program.joints, dh, tcp_offset_from_config(cfg.kinematics)) < eps
+    low = manipulability_batch(program.joints, dh) < eps
     # a run of low waypoints opens and closes at the edges of the padded mask
     edge = np.flatnonzero(np.diff(np.r_[False, low, False]))
     return list(zip(program.times[edge[::2]].tolist(), program.times[edge[1::2] - 1].tolist()))

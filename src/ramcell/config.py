@@ -65,7 +65,7 @@ class KinematicsConfig:
     # manufacturer link constants for the 6-DOF arm, mm / rad; the others
     # may take either sign, and the closed-form IK divides by a2, a3 and d6
     d1_mm: float = _key(162.5, FINITE)
-    # kinematics._candidate_angles solves q2 = -atan2(p13_y, -p13_x) +
+    # kinematics._arm_joints solves q2 = -atan2(p13_y, -p13_x) +
     # asin(a3 sin q3 / |p13|), which holds for a2 < 0 as on the UR arms
     # (Hawkins 2013); with a2 > 0 no target gets a branch
     a2_mm: float = _key(-425.0, ("finite and < 0", lambda v: math.isfinite(v) and v < 0.0))

@@ -4,7 +4,7 @@ The arm is UR-type: DH alphas (pi/2, 0, 0, pi/2, -pi/2, 0), so joints 2,
 3 and 4 rotate about parallel axes.  Batched kernels serve a whole
 trajectory at once as elementwise columns.  `_flange` is the closed-form
 flange pose, a dozen columns of q1, q5, q6, q2, q2+q3 and q2+q3+q4;
-`fk_batch`, the clearance check and IK's forward check use it.
+`fk`, the clearance check and IK's forward check use it.
 `_frames` multiplies out the six DH links (`_dh_links` serves only it)
 and keeps every intermediate frame, which only the Jacobian needs.  The
 closed-form inverse (Hawkins, "Analytic Inverse Kinematics for the
@@ -22,21 +22,20 @@ wrist and elbow axes lead and the node axis is last and contiguous, so
 every ufunc's inner loop and every reduction over branches runs over the
 nodes, not over a 2-, 4- or 8-long axis.  `Branches.rows` fills the rows
 of the (node, branch) pairs asked for from the columns and solves their
-arm joints q2 and q4, and `_candidate_angles` broadcasts all eight rows
-of every node.
-`ik_batch` solves chunks of IK_CHUNK_NODES targets, checks each
-candidate's forward pose (`_forward_ok`, row by row) and de-duplicates
-them over the 28 pairs j < k; `nearest_branch` picks branches for many
-nodes at once.  `select_chain` chooses along a chunk's branches: each
-node is guessed on the branch of the last settled choice, carried
-across chunks, and only that candidate is solved and checked where no
-rival can displace it, which it tests on the columns; other nodes take
-all eight rows, the forward check, `_dedup` and `nearest_branch`, so the
-choices are bit for bit those made node by node; the unwrapping and
-wrapping of angles work in place on one buffer.  `fk_batch` and
-`manipulability_batch` take an (n, 6) joint array.  JointConfig is only
-the one-row type: `ik_batch`, `ik` and `select_branch` are thin wrappers
-that build IKSolution/JointConfig objects, and `fk`, `jacobian` and
+arm joints q2 and q4 (`_arm_joints`).
+`_checked_rows` takes all eight rows of the nodes asked for and checks
+each candidate's forward pose (`_forward_ok`, row by row); `_dedup`
+drops duplicates over the 28 pairs j < k, and `nearest_branch` picks
+branches for many nodes at once.  `ik` runs these on its one target.
+`select_chain` chooses along a chunk's branches: each node is guessed
+on the branch of the last settled choice, carried across chunks, and
+only that candidate is solved and checked where no rival can displace
+it, which it tests on the columns; other nodes take all eight rows, the
+forward check, `_dedup` and `nearest_branch`, so the choices are bit for
+bit those made node by node; the unwrapping and wrapping of angles work
+in place on one buffer.  `manipulability_batch` takes an (n, 6) joint
+array.  JointConfig is only the one-row type: `ik` builds
+IKSolution/JointConfig objects, and `fk`, `jacobian` and
 `manipulability` are one-row calls.
 The Jacobian is geometric (linear rows mm/rad, angular rad/rad);
 manipulability is |det J| (Yoshikawa) of a meters-scaled copy, O(0.01)
@@ -55,7 +54,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import RamcellError
 from .config import KinematicsConfig
 from .geometry import Pose, wrap_angles
 
@@ -67,10 +65,6 @@ WRIST_DEGENERACY_TOL = 1e-6
 # how far inside its range a wrist-degenerate branch puts cos q3 when q6
 # must turn to bring the elbow within reach
 ELBOW_MARGIN = 1e-3
-
-
-class UnreachableError(RamcellError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -176,17 +170,11 @@ def _flange(qs: np.ndarray, dh: DHParams) -> np.ndarray:
     return out.transpose(2, 0, 1)
 
 
-def fk_batch(qs: np.ndarray, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> np.ndarray:
-    """TCP transforms, shape (n, 4, 4), for the rows of the (n, 6) joint array."""
-    flange = np.zeros((len(qs), 4, 4))
-    flange[:, :3] = _flange(qs, dh)
-    flange[:, 3, 3] = 1.0
-    return flange @ tcp_offset.to_matrix()
-
-
 def fk(q: JointConfig, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> Pose:
     """TCP pose for a joint configuration."""
-    return Pose.from_matrix(fk_batch(np.array([q.q], float), dh, tcp_offset)[0])
+    flange = np.eye(4)
+    flange[:3] = _flange(np.array([q.q], float), dh)[0]
+    return Pose.from_matrix(flange @ tcp_offset.to_matrix())
 
 
 # candidate k of a target is branch _BRANCHES[k]: the kernel's axes run
@@ -195,11 +183,6 @@ _BRANCHES = tuple((shoulder, elbow, wrist) for shoulder in ("left", "right")
                   for wrist in ("noflip", "flip") for elbow in ("up", "down"))
 _SIGNS = np.array([1.0, -1.0])
 _PAIR_K, _PAIR_J = np.tril_indices(8, -1)
-# targets per kernel call; bounds the candidates in memory at once (a
-# chunk's Branches hold about 290 bytes a node).  wall-50x10's 1296 nodes
-# plan in one chunk; at 2048 the first chunk of square-30x30x8.5 would
-# raise its planner's heap peak above what it was at 512
-IK_CHUNK_NODES = 1536
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,21 +340,6 @@ def _branch_columns(t06: np.ndarray, dh: DHParams) -> Branches:
                     np.repeat(free.reshape(4, n), 2, axis=0), dh.a[2])
 
 
-def _candidate_angles(t06: np.ndarray, dh: DHParams):
-    """Every branch of the (n, 3|4, 4) flange targets t06: joints (n, 8, 6),
-    the mask (n, 8) of branches that have a real solution, and the
-    wrist-free flags (n, 8).  The rows broadcast the Branches columns over
-    (shoulder, wrist, elbow, n)."""
-    cands = _branch_columns(t06, dh)
-    n = len(t06)
-    rows = np.empty((6, 2, 2, 2, n))
-    for i, column in cands.columns(0, n):
-        rows[i] = column
-    rows[1], rows[3] = _arm_joints(cands.q3.reshape(2, 2, 2, n),
-                                   *cands.arm.reshape(4, 2, 2, 1, n), cands.a3)
-    return np.ascontiguousarray(rows.reshape(6, 8, n).T), cands.valid.T, cands.free.T
-
-
 def _reaching_q6(t16, q5, p13_x, p13_y, c3, dh: DHParams):
     """For wrist-degenerate branches whose elbow is out of reach at q6 = 0
     (p13, c3): the q6 nearest 0 that puts cos q3 at c3 clipped into
@@ -413,12 +381,12 @@ def _forward_ok(qs: np.ndarray, t06: np.ndarray, dh: DHParams) -> np.ndarray:
     return ~((np.sqrt(pos_sq) > POSITION_TOL_MM) | (rot_err > ORIENTATION_TOL_RAD))
 
 
-def _checked_candidates(t06: np.ndarray, dh: DHParams):
-    """_candidate_angles of the (n, 3|4, 4) flange targets with the mask
-    narrowed to the branches whose forward pose matches the target."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        qs, valid, free = _candidate_angles(t06, dh)
-    return qs, valid & _forward_ok(qs, t06[:, None], dh), free
+def _checked_rows(cands: Branches, nodes: np.ndarray, t06: np.ndarray, dh: DHParams):
+    """All eight candidate rows (m, 8, 6) of the m given nodes, and the
+    mask (m, 8) of those that are valid and whose forward pose matches
+    their node's target in the (n, 3|4, 4) flange targets t06."""
+    rows = cands.rows(nodes[:, None], np.arange(8))
+    return rows, cands.valid[:, nodes].T & _forward_ok(rows, t06[nodes, None], dh)
 
 
 def _dedup(qs: np.ndarray, ok: np.ndarray, free: np.ndarray):
@@ -443,25 +411,6 @@ def _dedup(qs: np.ndarray, ok: np.ndarray, free: np.ndarray):
     return kept.T, (free & kept).T
 
 
-def chunks(n: int):
-    """The slices of IK_CHUNK_NODES nodes that cover n nodes, in order."""
-    return (slice(start, start + IK_CHUNK_NODES) for start in range(0, n, IK_CHUNK_NODES))
-
-
-def ik_batch(targets: np.ndarray, dh: DHParams, tcp_offset: Pose = Pose.identity()):
-    """Yield ik()'s solution list for each TCP target of the (n, 4, 4)
-    array, in order, each as soon as its chunk of IK_CHUNK_NODES targets
-    has been solved, forward-checked and de-duplicated."""
-    # one 2-D product: numpy loops a stacked @ over 4x4 blocks slowly
-    flange = (targets.reshape(-1, 4) @ np.linalg.inv(tcp_offset.to_matrix())).reshape(
-        targets.shape)
-    for chunk in chunks(len(flange)):
-        qs, ok, free = _checked_candidates(flange[chunk], dh)
-        for node_qs, node_kept, node_free in zip(qs, *_dedup(qs, ok, free)):
-            yield [IKSolution(JointConfig(tuple(node_qs[k].tolist())), *_BRANCHES[k],
-                              bool(node_free[k])) for k in np.flatnonzero(node_kept)]
-
-
 def ik(target: Pose, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> list[IKSolution]:
     """All analytic solutions whose forward pose matches the target.
 
@@ -474,7 +423,13 @@ def ik(target: Pose, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> list[I
     nearest 0 that brings the elbow within reach, with q2, q3 and q4
     solved for that q6.
     """
-    return next(ik_batch(target.to_matrix()[None], dh, tcp_offset))
+    t06 = (target.to_matrix() @ np.linalg.inv(tcp_offset.to_matrix()))[None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cands = _branch_columns(t06, dh)
+    rows, ok = _checked_rows(cands, np.arange(1), t06, dh)
+    kept, free = _dedup(rows, ok, cands.free.T)
+    return [IKSolution(JointConfig(tuple(rows[0, k].tolist())), *_BRANCHES[k], bool(free[0, k]))
+            for k in np.flatnonzero(kept[0])]
 
 
 # candidate indices in (shoulder, elbow, wrist) tag order, the order in
@@ -579,8 +534,7 @@ def select_chain(cands: Branches, t06: np.ndarray, dh: DHParams, prev: np.ndarra
 
     def full(nodes, used):
         """The full path on the given nodes; returns whether each has a kept candidate."""
-        rows = cands.rows(nodes[:, None], np.arange(8))
-        ok = valid[:, nodes].T & _forward_ok(rows, t06[nodes, None], dh)
+        rows, ok = _checked_rows(cands, nodes, t06, dh)
         kept = _dedup(rows, ok, np.zeros_like(ok))[0][:, TAG_ORDER]
         choice[nodes], dist[nodes], best = nearest_branch(rows[:, TAG_ORDER], kept, used,
                                                           joint_limit)
@@ -675,20 +629,6 @@ def _unrivalled(cands: Branches, start: int, stop: int, raw, used, db, b: int,
     return ~(near.reshape(8, w) & valid)[:b].any(axis=0) & far.all(axis=0)
 
 
-def select_branch(solutions: list[IKSolution], prev: JointConfig,
-                  joint_limit: float = 2.0 * math.pi) -> JointConfig:
-    """Branch closest to prev in max-norm, after per-joint 2-pi unwrapping.
-
-    Ties break on the lexicographically first (shoulder, elbow, wrist) tag.
-    """
-    if not solutions:
-        raise UnreachableError("no inverse kinematics solution")
-    rows = np.array([[s.config.q for s in sorted(solutions, key=lambda s: s.tag)]])
-    q, _, _ = nearest_branch(rows, np.ones(rows.shape[:2], dtype=bool),
-                             np.array([prev.q]), joint_limit)
-    return JointConfig(tuple(q[0].tolist()))
-
-
 def _jacobians(qs: np.ndarray, dh: DHParams, tcp_offset: Pose) -> np.ndarray:
     """Geometric TCP Jacobians of the rows of the (n, 6) joint array, shape
     (n, 6, 6); column i is joint i."""
@@ -707,8 +647,7 @@ def jacobian(q: JointConfig, dh: DHParams, tcp_offset: Pose = Pose.identity()) -
     return _jacobians(np.array([q.q], float), dh, tcp_offset)[0]
 
 
-def manipulability_batch(qs: np.ndarray, dh: DHParams,
-                         tcp_offset: Pose = Pose.identity()) -> np.ndarray:
+def manipulability_batch(qs: np.ndarray, dh: DHParams) -> np.ndarray:
     """|det J| (= sqrt(det(J J^T)), J square) of the meters-scaled Jacobian
     for each row of the (n, 6) joint array qs, in closed form:
     |1e-9 a2 a3 sin q3 sin q5 (a2 cos q2 + a3 cos(q2+q3) + d5 sin(q2+q3+q4))|.
@@ -726,8 +665,9 @@ def manipulability_batch(qs: np.ndarray, dh: DHParams,
 
 
 def manipulability(q: JointConfig, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> float:
-    """Manipulability of one configuration; see manipulability_batch."""
-    return float(manipulability_batch(np.array([q.q], float), dh, tcp_offset)[0])
+    """Manipulability of one configuration; see manipulability_batch.  The
+    TCP offset leaves it unchanged."""
+    return float(manipulability_batch(np.array([q.q], float), dh)[0])
 
 
 def is_singular(q: JointConfig, eps: float, dh: DHParams,

@@ -10,7 +10,9 @@ the closed form replaced.  The IK oracle builds the candidates from
 products of DH link matrices (inv(T01) T06 and T16 inv(T45 T56)) and
 checks each against its target gathered by np.repeat; the column kernel,
 which reads the target's entries, must match it to rounding, not bit for
-bit.
+bit.  fk_batch and select_branch are the batch forward kinematics and
+the one-node branch choice that no production code calls; tests build
+targets and tool-down programs with them.
 """
 
 import math
@@ -18,14 +20,40 @@ from dataclasses import replace
 
 import numpy as np
 
+from ramcell import RamcellError
 from ramcell.cell import (MAX_JOINT_STEP_RAD, PlanningError, RobotProgram,
                           _plan_nodes, cfg_home)
-from ramcell.geometry import Vec3, wrap_angles
-from ramcell.kinematics import (_BRANCHES, _SIGNS, ELBOW_MARGIN, IK_CHUNK_NODES,
-                                ORIENTATION_TOL_RAD, POSITION_TOL_MM, WRIST_DEGENERACY_TOL,
-                                DHParams, IKSolution, JointConfig,
-                                UnreachableError, _checked_candidates, _dh_links, _flange,
-                                jacobian, tcp_offset_from_config)
+from ramcell.geometry import Pose, Vec3, wrap_angles
+from ramcell.kinematics import (_BRANCHES, _SIGNS, ELBOW_MARGIN, ORIENTATION_TOL_RAD,
+                                POSITION_TOL_MM, WRIST_DEGENERACY_TOL, DHParams, IKSolution,
+                                JointConfig, _branch_columns, _checked_rows, _dh_links, _flange,
+                                jacobian, nearest_branch, tcp_offset_from_config)
+
+
+class UnreachableError(RamcellError):
+    pass
+
+
+def fk_batch(qs: np.ndarray, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> np.ndarray:
+    """TCP transforms, shape (n, 4, 4), for the rows of the (n, 6) joint array."""
+    flange = np.zeros((len(qs), 4, 4))
+    flange[:, :3] = _flange(qs, dh)
+    flange[:, 3, 3] = 1.0
+    return flange @ tcp_offset.to_matrix()
+
+
+def select_branch(solutions: list[IKSolution], prev: JointConfig,
+                  joint_limit: float = 2.0 * math.pi) -> JointConfig:
+    """Branch closest to prev in max-norm, after per-joint 2-pi unwrapping.
+
+    Ties break on the lexicographically first (shoulder, elbow, wrist) tag.
+    """
+    if not solutions:
+        raise UnreachableError("no inverse kinematics solution")
+    rows = np.array([[s.config.q for s in sorted(solutions, key=lambda s: s.tag)]])
+    q, _, _ = nearest_branch(rows, np.ones(rows.shape[:2], dtype=bool),
+                             np.array([prev.q]), joint_limit)
+    return JointConfig(tuple(q[0].tolist()))
 
 
 def max_distance(a, b) -> float:
@@ -41,8 +69,9 @@ def max_distance(a, b) -> float:
 
 
 def dedup_per_node(qs, ok, free) -> list[list[IKSolution]]:
-    """ik_batch's solution lists from one chunk's candidates: candidate k
-    joins the first kept solution within 1e-9, else it is kept."""
+    """ik's solution lists from the candidate rows (n, 8, 6), their mask
+    (n, 8) and their wrist-free flags (n, 8): candidate k joins the first
+    kept solution within 1e-9, else it is kept."""
     out = []
     for node_qs, node_ok, node_free in zip(qs, ok, free):
         solutions: list[IKSolution] = []
@@ -60,12 +89,13 @@ def dedup_per_node(qs, ok, free) -> list[list[IKSolution]]:
 
 
 def ik_per_node(targets: np.ndarray, dh: DHParams, tcp_offset) -> list[list[IKSolution]]:
-    """ik_batch's solution lists, de-duplicated node by node."""
-    out = []
-    for start in range(0, len(targets), IK_CHUNK_NODES):
-        t06 = targets[start:start + IK_CHUNK_NODES] @ np.linalg.inv(tcp_offset.to_matrix())
-        out.extend(dedup_per_node(*_checked_candidates(t06, dh)))
-    return out
+    """ik's solution list of each TCP target of the (n, 3|4, 4) array, all
+    solved and forward-checked in one call and de-duplicated node by
+    node."""
+    t06 = targets @ np.linalg.inv(tcp_offset.to_matrix())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cands = _branch_columns(t06, dh)
+    return dedup_per_node(*_checked_rows(cands, np.arange(len(t06)), t06, dh), cands.free.T)
 
 
 def select_branch_per_node(solutions: list[IKSolution], prev: JointConfig,
@@ -210,7 +240,7 @@ def rigid_inv(t: np.ndarray) -> np.ndarray:
 
 
 def candidate_angles(t06: np.ndarray, dh: DHParams):
-    """kinematics._candidate_angles from products of DH link matrices: the
+    """The kernel's candidate rows from products of DH link matrices: the
     eight closed-form branches of each flange target in the (n, 4, 4)
     array t06, joints (n, 8, 6), a mask (n, 8) of branches that have a
     real solution, and a wrist-free flag (n, 8)."""

@@ -7,19 +7,18 @@ import numpy as np
 import pytest
 
 import branch_oracle
-from branch_oracle import (detect_singularity_per_node, emit_program_per_float,
-                           plan_per_node, validate_speeds_per_node)
+from branch_oracle import (detect_singularity_per_node, emit_program_per_float, fk_batch,
+                           plan_per_node, select_branch, validate_speeds_per_node)
 from toolpath_oracle import columns
 from ramcell import cell, extrusion, kinematics, pipeline
-from ramcell.cell import (TOOL_DOWN, Aabb, CellEnvironment, PlanningError,
+from ramcell.cell import (IK_CHUNK_NODES, TOOL_DOWN, Aabb, CellEnvironment, PlanningError,
                           RobotProgram, SimReport, _plan_nodes, _point_box_distance,
                           cfg_home, check_collisions, detect_singularity_traversal,
                           emit_program, plan_trajectory)
 from ramcell.config import default_config
 from ramcell.extrusion import IOEvent
 from ramcell.geometry import Pose, Rotation, Vec3
-from ramcell.kinematics import (IK_CHUNK_NODES, DHParams, JointConfig, fk, fk_batch,
-                                ik, select_branch, tcp_offset_from_config)
+from ramcell.kinematics import DHParams, JointConfig, fk, ik, tcp_offset_from_config
 from ramcell.toolpath import Segment, Toolpath
 
 CFG = default_config()
@@ -106,7 +105,6 @@ def test_collision_tcp_below_table():
                                              ENV).joints[0].tolist()))
     pose = fk(q_ok, DH, TCP)
     # command the same xy but 5 mm below the table
-    from ramcell.kinematics import ik, select_branch
     target = Pose(Vec3(pose.position.x, pose.position.y, -5.0), pose.orientation)
     q_bad = select_branch(ik(target, DH, TCP), q_ok)
     program = _program([0.0, 10.0], [q_ok.q, q_bad.q])
@@ -436,9 +434,8 @@ def _low_mask_program(mask, rng):
 def test_singularity_intervals_match_per_waypoint_oracle(monkeypatch):
     # manipulability reads joint 0, so eps 0.5 marks exactly the masked
     # waypoints low
-    fake = lambda qs, *args: qs[:, 0]
-    monkeypatch.setattr(cell, "manipulability_batch", fake)
-    monkeypatch.setattr(branch_oracle, "manipulability_batch", fake)
+    monkeypatch.setattr(cell, "manipulability_batch", lambda qs, dh: qs[:, 0])
+    monkeypatch.setattr(branch_oracle, "manipulability_batch", lambda qs, dh, tcp: qs[:, 0])
     rng = np.random.RandomState(8)
     masks = [[], [False], [True], [True] * 7, [True, False, False, True],
              [True, False, True, False, True], [False, True, True, False]]
@@ -630,14 +627,26 @@ def _oracle_case(case):
     *((case, chunk) for case in ("rectangle", "zigzag", "unreachable", "jump")
       for chunk in (1, 7))])
 def test_plan_matches_per_node_oracle(case, chunk, monkeypatch):
-    monkeypatch.setattr(kinematics, "IK_CHUNK_NODES", chunk)
+    monkeypatch.setattr(cell, "IK_CHUNK_NODES", chunk)
+    calls = []
+    real = cell._branch_columns
+    monkeypatch.setattr(cell, "_branch_columns",
+                        lambda t06, dh: calls.append(1) or real(t06, dh))
     path, cfg, want = _oracle_case(case)
     got = _plan_outcome(lambda p, c: plan_trajectory(p, c, ENV), path, cfg)
     assert got == want
     kind = {"unreachable": "unreachable", "jump": "jump", "joint-speed": "limit"}.get(case)
     assert (got[0] == "error" and got[3] == kind) if kind else len(got[0]) > 10
+    # the planner solves a chunk of `chunk` nodes a call, up to the chunk
+    # of the node where it fails
+    times, pos = _plan_nodes(path, cfg)[:2]
+    n = len(times)
+    if kind in ("unreachable", "jump"):
+        at = got[4]
+        n = 1 + np.flatnonzero((times == got[2]) & (pos == (at.x, at.y, at.z)).all(axis=1))[0]
+    assert len(calls) == -(-n // chunk)
     if case == "zigzag":
-        assert len(got[0]) < len(_plan_nodes(path, cfg)[0])
+        assert len(got[0]) < len(times)
 
 
 # traced heap peak of planning wall-50x10 alone: 1095 KB in one 1536-node

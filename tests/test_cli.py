@@ -2,8 +2,7 @@ import math
 
 import pytest
 
-from ramcell import (RamcellError, cell, cli, config, cure, extrusion, gcode, kinematics,
-                     shapes, toolpath)
+from ramcell import RamcellError, cell, cli, config, cure, extrusion, gcode, shapes, toolpath
 from ramcell.cell import SimReport
 from ramcell.cli import build_parser, main
 from ramcell.config import dump_config, loads_config
@@ -92,8 +91,7 @@ def test_bad_gcode_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("error", [
     config.ConfigError, shapes.ShapeError, gcode.GcodeError, toolpath.ToolpathError,
-    extrusion.ExtrusionError, cure.CureError, kinematics.UnreachableError,
-    cell.PlanningError])
+    extrusion.ExtrusionError, cure.CureError, cell.PlanningError])
 def test_domain_errors_share_one_base(error):
     assert issubclass(error, RamcellError)
 

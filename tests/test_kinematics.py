@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 import branch_oracle
-from branch_oracle import dedup_per_node, ik_per_node, max_distance, select_branch_per_node
+from branch_oracle import (UnreachableError, dedup_per_node, fk_batch, ik_per_node, max_distance,
+                           select_branch, select_branch_per_node)
 from ramcell import kinematics
 from ramcell.config import default_config, loads_config
 from ramcell.geometry import Pose, Rotation, Vec3, wrap_angle
-from ramcell.kinematics import (_BRANCHES, TAG_ORDER,
-                                DHParams, IKSolution, JointConfig, UnreachableError,
-                                _checked_candidates, _dedup, _flange, _forward_ok, _frames, fk,
-                                fk_batch, ik, ik_batch, is_singular, jacobian,
-                                manipulability, manipulability_batch,
-                                select_branch, select_chain, tcp_offset_from_config)
+from ramcell.kinematics import (_BRANCHES, TAG_ORDER, DHParams, IKSolution, JointConfig,
+                                _branch_columns, _checked_rows, _dedup, _flange, _forward_ok,
+                                _frames, fk, ik, is_singular, jacobian, manipulability,
+                                manipulability_batch, select_chain, tcp_offset_from_config)
 from ramcell.cell import TOOL_DOWN, cfg_home
 
 DH = DHParams.from_config(default_config().kinematics)
@@ -248,7 +247,7 @@ def test_batch_rows_match_single_configuration_calls():
     qs.append(JointConfig.of(0.3, -1.2, 1.8, -0.9, 0.0, 0.7))  # wrist singular
     rows = np.array([q.q for q in qs])
     frames = fk_batch(rows, DH, TCP)
-    w = manipulability_batch(rows, DH, TCP)
+    w = manipulability_batch(rows, DH)
     assert frames.shape == (41, 4, 4) and w.shape == (41,)
     for i, q in enumerate(qs):
         assert np.allclose(frames[i], fk(q, DH, TCP).to_matrix(), atol=1e-9)
@@ -304,17 +303,17 @@ def test_ik_solves_every_wrist_degenerate_target():
     assert turned > 50
 
 
-# the chunk size the chunk-boundary tests pin: their inputs are sized by
-# it and checked node by node, so they cost the same at any production size
-CHUNK = 512
+def _solution_keys(rows):
+    return [[(s.config.q, s.tag, s.free_parameter) for s in row] for row in rows]
 
 
-def test_ik_batch_rows_match_single_target_calls(monkeypatch):
-    """Masked branches and chunk boundaries must not leak between nodes."""
-    monkeypatch.setattr(kinematics, "IK_CHUNK_NODES", CHUNK)
+def test_ik_rows_match_the_per_node_oracle():
+    """ik of one target at a time against the solution lists of all the
+    targets solved in one call and de-duplicated node by node: masked
+    branches and neighbouring targets must not leak into a target."""
     rng = np.random.RandomState(10)
     targets = []
-    for i in range(2 * CHUNK + 21):
+    for i in range(321):
         if i % 7 == 3:
             targets.append(Pose(Vec3(1200.0, 0.0, 300.0), TOOL_DOWN))
         elif i % 5 == 1:
@@ -323,27 +322,18 @@ def test_ik_batch_rows_match_single_target_calls(monkeypatch):
             targets.append(fk(JointConfig(tuple(q)), DH, TCP))
         else:
             targets.append(fk(random_q(rng), DH, TCP))
-    rows = list(ik_batch(np.array([t.to_matrix() for t in targets]), DH, TCP))
-    assert len(rows) == len(targets)
-    for target, row in zip(targets, rows):
-        single = ik(target, DH, TCP)
-        assert [s.config for s in row] == [s.config for s in single]
-        assert [s.tag for s in row] == [s.tag for s in single]
-        assert [s.free_parameter for s in row] == [s.free_parameter for s in single]
+    rows = [ik(target, DH, TCP) for target in targets]
+    want = ik_per_node(np.array([t.to_matrix() for t in targets]), DH, TCP)
+    assert _solution_keys(rows) == _solution_keys(want)
     assert sum(not row for row in rows) == len(range(3, len(targets), 7))
     assert any(s.free_parameter for row in rows for s in row)
     assert any(len(row) == 8 for row in rows)
 
 
-def _solution_keys(rows):
-    return [[(s.config.q, s.tag, s.free_parameter) for s in row] for row in rows]
-
-
-def test_chunk_dedup_matches_per_node_oracle(monkeypatch):
-    monkeypatch.setattr(kinematics, "IK_CHUNK_NODES", CHUNK)
+def test_ik_dedup_matches_per_node_oracle():
     rng = np.random.RandomState(11)
     targets = []
-    for i in range(3 * CHUNK + 5):
+    for i in range(305):
         q = list(random_q(rng).q)
         if i % 11 == 7:
             targets.append(Pose(Vec3(1200.0, 0.0, 300.0), TOOL_DOWN).to_matrix())
@@ -352,10 +342,13 @@ def test_chunk_dedup_matches_per_node_oracle(monkeypatch):
             q[4] = 0.0  # wrist degenerate: the flip pair merges
         targets.append(fk(JointConfig(tuple(q)), DH, TCP).to_matrix())
     targets = np.array(targets)
-    got = list(ik_batch(targets, DH, TCP))
+    got = [ik(Pose.from_matrix(target), DH, TCP) for target in targets]
     want = ik_per_node(targets, DH, TCP)
     assert _solution_keys(got) == _solution_keys(want)
-    _, ok, _ = _checked_candidates(targets @ np.linalg.inv(TCP.to_matrix()), DH)
+    t06 = targets @ np.linalg.inv(TCP.to_matrix())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cands = _branch_columns(t06, DH)
+    _, ok = _checked_rows(cands, np.arange(len(t06)), t06, DH)
     assert sum(len(row) for row in got) < ok.sum()  # duplicates were dropped
     assert any(s.free_parameter for row in got for s in row)
 
@@ -383,25 +376,30 @@ def test_dedup_rule_on_chains_of_near_duplicates():
     assert (kept < ok).any() and (merged_free > (free & kept)).any()
 
 
+# the chunk size the chain tests pin: their inputs are sized by it and
+# checked node by node, so they cost the same at any production size
+CHUNK = 512
+
+
 @pytest.mark.parametrize("joint_limit", [2.0 * math.pi, 3.0, math.pi + 0.05])
-def test_chain_selection_matches_per_node_oracle(joint_limit, monkeypatch):
-    monkeypatch.setattr(kinematics, "IK_CHUNK_NODES", CHUNK)
-    _check_chain_against_oracle(joint_limit)
+def test_chain_selection_matches_per_node_oracle(joint_limit):
+    _check_chain_against_oracle(joint_limit, CHUNK)
 
 
 @pytest.mark.parametrize("window", [1, 3, CHUNK])
-def test_chain_selection_window_matches_per_node_oracle(window, monkeypatch):
+def test_chain_selection_window_matches_per_node_oracle(window):
     """select_chain runs once per IK chunk of `window` nodes, guesses over
     the whole chunk and continues from the branch of the choice before
     it; the choices must not depend on the chunk size."""
-    monkeypatch.setattr(kinematics, "IK_CHUNK_NODES", window)
-    _check_chain_against_oracle(2.0 * math.pi)
+    _check_chain_against_oracle(2.0 * math.pi, window)
 
 
 def _candidates(t06):
+    """All eight candidate rows (n, 8, 6) of the flange targets t06 and
+    the mask (n, 8) of the valid ones."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        rows, valid, _ = kinematics._candidate_angles(t06, DH)
-    return rows, valid
+        cands = _branch_columns(t06, DH)
+    return cands.rows(np.arange(len(t06))[:, None], np.arange(8)), cands.valid.T
 
 
 class RowBranches:
@@ -422,12 +420,12 @@ class RowBranches:
         return ((i, rows[i]) for i in (2, 0, 4, 5))
 
 
-def _check_chain_against_oracle(joint_limit):
+def _check_chain_against_oracle(joint_limit, chunk_nodes):
     """Random target chains: mostly small steps, some that switch branch,
     wrist-degenerate nodes, a wrist that winds past +-joint_limit, and
     nodes that add no waypoint (their successor continues from the last
-    one that did).  Each chunk continues from the choice and the branch
-    of the last added node before it."""
+    one that did).  Each chunk of chunk_nodes nodes continues from the
+    choice and the branch of the last added node before it."""
     rng = np.random.RandomState(13)
     q = np.array(cfg_home())
     chain = []
@@ -456,10 +454,11 @@ def _check_chain_against_oracle(joint_limit):
     got, got_dist = [], []
     prev, prev_branch = np.array(start_q), None
     flange = targets @ np.linalg.inv(TCP.to_matrix())
-    for chunk in kinematics.chunks(len(targets)):
+    for start in range(0, len(targets), chunk_nodes):
+        chunk = slice(start, start + chunk_nodes)
         t06, chunk_added = flange[chunk], added[chunk]
         with np.errstate(divide="ignore", invalid="ignore"):
-            cands = kinematics._branch_columns(t06, DH)
+            cands = _branch_columns(t06, DH)
         choice, dist, branch = select_chain(cands, t06, DH, prev, prev_branch, joint_limit,
                                             chunk_added)
         assert len(choice) == len(t06)  # every node has a kept candidate
@@ -513,13 +512,11 @@ def _took_full_path(full, node_rows):
     return any(np.array_equal(r, node_rows[TAG_ORDER], equal_nan=True) for r in full)
 
 
-def _per_node_chain(rows, valid, t06, prev, joint_limit, added, monkeypatch):
+def _per_node_chain(rows, valid, t06, prev, joint_limit, added):
     """The chain node by node: each node's solutions from dedup_per_node of
     the forward-checked rows, its choice from select_branch_per_node."""
-    with monkeypatch.context() as m:
-        m.setattr(kinematics, "_candidate_angles",
-                  lambda t, dh: (rows, valid, np.zeros_like(valid)))
-        solutions = dedup_per_node(*_checked_candidates(t06, DH))
+    solutions = dedup_per_node(rows, valid & _forward_ok(rows, t06[:, None], DH),
+                               np.zeros_like(valid))
     want, want_dist = [], []
     prev = JointConfig(tuple(prev))
     for sols, add in zip(solutions, added):
@@ -540,8 +537,7 @@ def _check_full_path_case(rows, valid, t06, nodes, monkeypatch, joint_limit=2.0 
                                         monkeypatch)
     for i in nodes:
         assert _took_full_path(full, rows[i]), i
-    want, want_dist = _per_node_chain(rows, valid, t06, NEAR_HOME, joint_limit, added,
-                                      monkeypatch)
+    want, want_dist = _per_node_chain(rows, valid, t06, NEAR_HOME, joint_limit, added)
     assert choice.tolist() == want
     assert dist.tolist() == want_dist
     return choice
@@ -582,10 +578,7 @@ def test_chain_takes_the_full_path_for_a_nan_rival_ahead_of_b(monkeypatch):
     choice, dist, full = _select_spying(rows, valid, t06, NEAR_HOME, 2.0 * math.pi, added,
                                         monkeypatch)
     assert _took_full_path(full, rows[12])
-    with monkeypatch.context() as m:
-        m.setattr(kinematics, "_candidate_angles",
-                  lambda t, dh: (rows, valid, np.zeros_like(valid)))
-        kept = _dedup(*_checked_candidates(t06, DH))[0]
+    kept = _dedup(rows, valid & _forward_ok(rows, t06[:, None], DH), np.zeros_like(valid))[0]
     prev = NEAR_HOME
     for i in range(len(rows)):
         want, want_dist, _ = kinematics.nearest_branch(
@@ -704,15 +697,17 @@ def test_closed_form_manipulability_matches_the_lu_determinant():
     for dh, tcp in tables:
         assert tcp.position.z != 0.0
         qs = _singular_thirds(rng, dh, 600)
-        got = manipulability_batch(qs, dh, tcp)
+        got = manipulability_batch(qs, dh)
         want = branch_oracle.manipulability_batch(qs, dh, tcp)
         err = np.abs(got - want)
         assert (err <= np.maximum(1e-9 * np.maximum(got, want), 1e-15)).all(), err.max()
         # every third is singular, and the TCP offset changes nothing
         assert got.max() < 1e-9
-        assert (manipulability_batch(qs, dh) == got).all()
+        for q, w in zip(qs.tolist(), got.tolist()):
+            q = JointConfig(tuple(q))
+            assert manipulability(q, dh, tcp) == manipulability(q, dh) == w
         healthy = rng.uniform(-math.pi, math.pi, (200, 6))
-        got = manipulability_batch(healthy, dh, tcp)
+        got = manipulability_batch(healthy, dh)
         want = branch_oracle.manipulability_batch(healthy, dh, tcp)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-15)
         assert np.median(got) > 1e-6
@@ -757,9 +752,10 @@ def test_column_kernel_matches_the_dh_product_oracle():
         assert tcp.position.z != 0.0
         t06 = _oracle_targets(rng, dh, tcp, 800) @ np.linalg.inv(tcp.to_matrix())
         with np.errstate(divide="ignore", invalid="ignore"):
-            qs, valid, free = kinematics._candidate_angles(t06, dh)
+            cands = _branch_columns(t06, dh)
             want_qs, want_valid, want_free = branch_oracle.candidate_angles(t06, dh)
-        _, ok, _ = _checked_candidates(t06, dh)
+        qs, ok = _checked_rows(cands, np.arange(len(t06)), t06, dh)
+        valid, free = cands.valid.T, cands.free.T
         _, want_ok, _ = branch_oracle.checked_candidates(t06, dh)
         for got, want in ((valid, want_valid), (free, want_free), (ok, want_ok)):
             assert (got == want).all()
@@ -778,11 +774,11 @@ def test_column_kernel_matches_the_dh_product_oracle():
 
 def test_arm_joints_of_any_pairs_match_the_eight_branch_rows():
     """Branches.rows for any list of (node, branch) pairs, in any order
-    and with repeats, a single branch for every node, and one node's
-    eight, is bit for bit the rows of all eight branches that
-    _candidate_angles broadcasts from the columns, on the seeded
-    [kinematics] sections with regular, wrist-degenerate, q6-turned and
-    unreachable targets, and targets holding NaN, whose rows are NaN."""
+    and with repeats, a single branch for every node, any nodes' eight
+    and one node's eight, is bit for bit the rows of all eight branches
+    of every node, on the seeded [kinematics] sections with regular,
+    wrist-degenerate, q6-turned and unreachable targets, and targets
+    holding NaN, whose rows are NaN."""
     rng = np.random.RandomState(47)
     tables = [_seeded_kinematics(rng, d5_mm=0.0)] + [_seeded_kinematics(rng) for _ in range(7)]
     nan_rows = 0
@@ -790,12 +786,12 @@ def test_arm_joints_of_any_pairs_match_the_eight_branch_rows():
         t06 = _oracle_targets(rng, dh, tcp, 400) @ np.linalg.inv(tcp.to_matrix())
         t06[-8:, rng.randint(0, 3, 8), rng.randint(0, 4, 8)] = math.nan
         with np.errstate(divide="ignore", invalid="ignore"):
-            want, valid, free = kinematics._candidate_angles(t06, dh)
-            cands = kinematics._branch_columns(t06, dh)
-        assert (cands.valid.T == valid).all() and (cands.free.T == free).all()
+            cands = _branch_columns(t06, dh)
+        n = len(t06)
+        want = cands.rows(np.arange(n)[:, None], np.arange(8))
+        valid, free = cands.valid.T, cands.free.T
         # the columns hold the joints every branch shares, and no arm joint:
         # branch-major, 2, 4, 4, 8 and 16 values a node, the node axis last
-        n = len(t06)
         assert cands.q1.shape == (2, n) and cands.q5.shape == cands.q6.shape == (4, n)
         assert cands.q3.shape == (8, n) and cands.arm.shape == (4, 4, n)
         nodes = rng.randint(0, len(t06), 3000)
@@ -837,16 +833,14 @@ def test_branch_columns_of_strided_and_reversed_targets_match_the_contiguous_cal
         assert _column_bytes(backwards) == _column_bytes(forwards)
 
 
-def test_forward_check_keeps_half_a_tolerance_and_drops_twice_one(monkeypatch):
+def test_forward_check_keeps_half_a_tolerance_and_drops_twice_one():
     """A candidate whose flange pose is off its target by half a
     tolerance, in position or in orientation, passes the forward check;
     one off by twice a tolerance fails it."""
     rng = np.random.RandomState(46)
     t06 = fk_batch(rng.uniform(-math.pi, math.pi, (200, 6)), DH)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        solved = kinematics._candidate_angles(t06, DH)
-    monkeypatch.setattr(kinematics, "_candidate_angles", lambda t, dh: solved)
-    _, ok, _ = _checked_candidates(t06, DH)
+    rows, valid = _candidates(t06)
+    ok = valid & _forward_ok(rows, t06[:, None], DH)
     assert ok.any(axis=1).all()
     for scale, passes in ((0.5, True), (2.0, False)):
         shifted = t06.copy()
@@ -855,4 +849,4 @@ def test_forward_check_keeps_half_a_tolerance_and_drops_twice_one(monkeypatch):
         turned[:, :3, :3] = t06[:, :3, :3] @ Rotation.about_z(
             scale * kinematics.ORIENTATION_TOL_RAD).matrix
         for target in (shifted, turned):
-            assert (_checked_candidates(target, DH)[1] == (ok & passes)).all()
+            assert ((valid & _forward_ok(rows, target[:, None], DH)) == (ok & passes)).all()
