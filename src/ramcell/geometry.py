@@ -95,15 +95,8 @@ class Rotation:
     def about_x(angle: float) -> "Rotation":
         return Rotation.from_axis_angle(Vec3(1.0, 0.0, 0.0), angle)
 
-    @staticmethod
-    def about_z(angle: float) -> "Rotation":
-        return Rotation.from_axis_angle(Vec3(0.0, 0.0, 1.0), angle)
-
     def __mul__(self, other: "Rotation") -> "Rotation":
         return Rotation(self.matrix @ other.matrix)
-
-    def rotate(self, v: Vec3) -> Vec3:
-        return Vec3.from_array(self.matrix @ v.to_array())
 
     def to_matrix(self) -> np.ndarray:
         return self.matrix.copy()

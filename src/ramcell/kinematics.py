@@ -1,28 +1,28 @@
 """Analytic kinematics for the 6-DOF arm carrying the extruder.
 
 The arm is UR-type: DH alphas (pi/2, 0, 0, pi/2, -pi/2, 0), so joints 2,
-3 and 4 rotate about parallel axes.  Batched kernels serve a whole
-trajectory at once as elementwise columns.  `_flange` is the closed-form
-flange pose, a dozen columns of q1, q5, q6, q2, q2+q3 and q2+q3+q4;
-`fk`, the clearance check and IK's forward check use it.
-`_frames` multiplies out the six DH links (`_dh_links` serves only it)
-and keeps every intermediate frame, which only the Jacobian needs.  The
-closed-form inverse (Hawkins, "Analytic Inverse Kinematics for the
-Universal Robots UR-5/UR-10 Arms", 2013) writes the entries of
-inv(T01) T06 and T16 inv(T45 T56) it needs in the target's entries and
-evaluates the eight branches (shoulder, wrist, elbow) of every target as
-array masks; at the wrist degeneracy it keeps q6 = 0 where the elbow
-reaches and turns q6 into reach where it does not.  It runs in two
-parts: `_branch_columns` solves q1, q3, q5 and q6 and the masks for
-every branch, its wrist and elbow steps in helpers so that each step's
-temporaries are gone before the next one's are made, and keeps them as
-compact columns (`Branches`: q1 per shoulder, q5 and q6 per shoulder and
-wrist, q3 per branch).  The columns are branch-major: the shoulder,
-wrist and elbow axes lead and the node axis is last and contiguous, so
-every ufunc's inner loop and every reduction over branches runs over the
-nodes, not over a 2-, 4- or 8-long axis.  `Branches.rows` fills the rows
-of the (node, branch) pairs asked for from the columns and solves their
-arm joints q2 and q4 (`_arm_joints`).
+3 and 4 rotate about parallel axes.  The arm is stated once, as closed
+forms in its six link lengths (`DHParams`); no general DH chain is
+multiplied out.  Batched kernels serve a whole trajectory at once as
+elementwise columns.  `_flange` is the closed-form flange pose, a dozen
+columns of q1, q5, q6, q2, q2+q3 and q2+q3+q4; `fk`, the Jacobian, the
+clearance check and IK's forward check use it.  The closed-form inverse
+(Hawkins, "Analytic Inverse Kinematics for the Universal Robots
+UR-5/UR-10 Arms", 2013) writes the entries of inv(T01) T06 and
+T16 inv(T45 T56) it needs in the target's entries and evaluates the eight
+branches (shoulder, wrist, elbow) of every target as array masks; at the
+wrist degeneracy it keeps q6 = 0 where the elbow reaches and turns q6
+into reach where it does not.  It runs in two parts: `_branch_columns`
+solves q1, q3, q5 and q6 and the masks for every branch, its wrist and
+elbow steps in helpers so that each step's temporaries are gone before
+the next one's are made, and keeps them as compact columns (`Branches`:
+q1 per shoulder, q5 and q6 per shoulder and wrist, q3 per branch).  The
+columns are branch-major: the shoulder, wrist and elbow axes lead and
+the node axis is last and contiguous, so every ufunc's inner loop and
+every reduction over branches runs over the nodes, not over a 2-, 4- or
+8-long axis.  `Branches.rows` fills the rows of the (node, branch) pairs
+asked for from the columns and solves their arm joints q2 and q4
+(`_arm_joints`).
 `_checked_rows` takes all eight rows of the nodes asked for and checks
 each candidate's forward pose (`_forward_ok`, row by row); `_dedup`
 drops duplicates over the 28 pairs j < k, and `nearest_branch` picks
@@ -37,10 +37,13 @@ in place on one buffer.  `manipulability_batch` takes an (n, 6) joint
 array.  JointConfig is only the one-row type: `ik` builds
 IKSolution/JointConfig objects, and `fk`, `jacobian` and
 `manipulability` are one-row calls.
-The Jacobian is geometric (linear rows mm/rad, angular rad/rad);
-manipulability is |det J| (Yoshikawa) of a meters-scaled copy, O(0.01)
-away from singularities and below 1e-9 at them, independent of the mm
-length unit.  For the UR-type arm |det J| has the closed form
+The Jacobian is geometric (linear rows mm/rad, angular rad/rad): column
+i is z_i x (p - o_i) over z_i, and each joint axis z_i and origin o_i is
+a short closed form in q1 and the sums q2, q2+q3 and q2+q3+q4, joint 6's
+axis being the flange's z column.  Manipulability is |det J|
+(Yoshikawa) of a meters-scaled copy, O(0.01) away from singularities and
+below 1e-9 at them, independent of the mm length unit.  For the
+UR-type arm |det J| has the closed form
 |a2 a3 sin q3 sin q5 (a2 cos q2 + a3 cos(q2+q3) + d5 sin(q2+q3+q4))|,
 zero at the elbow, wrist and shoulder singularities, so
 `manipulability_batch` builds no Jacobian and needs no forward pass;
@@ -69,24 +72,19 @@ ELBOW_MARGIN = 1e-3
 
 @dataclass(frozen=True)
 class DHParams:
-    a: tuple[float, ...]
-    d: tuple[float, ...]
-    alpha: tuple[float, ...]
-
-    def __post_init__(self):
-        if not (len(self.a) == len(self.d) == len(self.alpha) == 6):
-            raise ValueError("DH table needs exactly 6 rows")
-        for v in (*self.a, *self.d, *self.alpha):
-            if not math.isfinite(v):
-                raise ValueError("DH values must be finite")
+    """The six link lengths, in mm, of the UR-type arm.  Its DH alphas are
+    fixed at (pi/2, 0, 0, pi/2, -pi/2, 0) and its other lengths (a1, d2,
+    d3, a4, a5, a6) are zero; every kernel builds these in."""
+    d1: float
+    a2: float
+    a3: float
+    d4: float
+    d5: float
+    d6: float
 
     @staticmethod
     def from_config(cfg: KinematicsConfig) -> "DHParams":
-        return DHParams(
-            a=(0.0, cfg.a2_mm, cfg.a3_mm, 0.0, 0.0, 0.0),
-            d=(cfg.d1_mm, 0.0, 0.0, cfg.d4_mm, cfg.d5_mm, cfg.d6_mm),
-            alpha=(math.pi / 2, 0.0, 0.0, math.pi / 2, -math.pi / 2, 0.0),
-        )
+        return DHParams(cfg.d1_mm, cfg.a2_mm, cfg.a3_mm, cfg.d4_mm, cfg.d5_mm, cfg.d6_mm)
 
 
 @dataclass(frozen=True)
@@ -110,36 +108,6 @@ class IKSolution:
     wrist: str     # "noflip" | "flip"
     free_parameter: bool = False
 
-    @property
-    def tag(self) -> tuple[str, str, str]:
-        return (self.shoulder, self.elbow, self.wrist)
-
-
-def _dh_links(theta, a: float, d: float, alpha: float) -> np.ndarray:
-    """DH link transforms for an array of joint angles: theta.shape + (4, 4)."""
-    ct, st = np.cos(theta), np.sin(theta)
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    link = np.zeros(np.shape(theta) + (4, 4))
-    link[..., 0, 0], link[..., 1, 0] = ct, st
-    link[..., 0, 1], link[..., 1, 1] = -st * ca, ct * ca
-    link[..., 0, 2], link[..., 1, 2] = st * sa, -ct * sa
-    link[..., 0, 3], link[..., 1, 3] = a * ct, a * st
-    link[..., 2, 1:] = (sa, ca, d)
-    link[..., 3, 3] = 1.0
-    return link
-
-
-def _frames(qs: np.ndarray, dh: DHParams) -> np.ndarray:
-    """Cumulative transforms base->frame_i, i = 0..6, for each row of the
-    (n, 6) joint array: shape (n, 7, 4, 4).  Links are built one joint at
-    a time, so one (n, 4, 4) link is the only other batch-sized array.
-    """
-    frames = np.empty((len(qs), 7, 4, 4))
-    frames[:, 0] = np.eye(4)
-    for i in range(6):
-        frames[:, i + 1] = frames[:, i] @ _dh_links(qs[:, i], dh.a[i], dh.d[i], dh.alpha[i])
-    return frames
-
 
 def _flange(qs: np.ndarray, dh: DHParams) -> np.ndarray:
     """Flange transforms base->frame_6 of the rows of the (n, 6) joint
@@ -148,7 +116,7 @@ def _flange(qs: np.ndarray, dh: DHParams) -> np.ndarray:
     rotate about parallel axes, so the pose depends on them only through
     q2, q2+q3 and q2+q3+q4."""
     q1, q2, q3, q4, q5, q6 = qs.T
-    a2, a3, d1, d4, d5, d6 = dh.a[1], dh.a[2], dh.d[0], dh.d[3], dh.d[4], dh.d[5]
+    d1, a2, a3, d4, d5, d6 = dh.d1, dh.a2, dh.a3, dh.d4, dh.d5, dh.d6
     c1, s1, c5, s5, c6, s6 = (f(q) for q in (q1, q5, q6) for f in (np.cos, np.sin))
     q23 = q2 + q3
     q234 = q23 + q4
@@ -254,7 +222,7 @@ def _wrist_columns(t06: np.ndarray, dh: DHParams):
     the wrist, and the rows of t16 = inv(T01) t06 that the closed form
     reads (row 1 is the target's row 2).  Every column is branch-major,
     the node axis last, so each ufunc's inner loop runs over the nodes."""
-    d1, d4, d6 = dh.d[0], dh.d[3], dh.d[5]
+    d1, d4, d6 = dh.d1, dh.d4, dh.d6
     (r00, r01, r02, p0), (r10, r11, r12, p1), (r20, r21, r22, p2) = (
         [[t06[:, i, j] for j in range(4)] for i in range(3)])
     p05_x, p05_y = p0 - d6 * r02, p1 - d6 * r12  # frame 5's origin
@@ -288,7 +256,7 @@ def _elbow(t16, q5, q6, dh: DHParams):
     the entries t14[0|1, 0] of t14 = t16 inv(T45 T56), stacked as arm
     (4, ...) = p13_x, p13_y, t14[0, 0], t14[1, 0], and the cosine of q3
     reaching p13; each entry is worked out in its own buffer."""
-    a2, a3, d4, d5, d6 = dh.a[1], dh.a[2], dh.d[3], dh.d[4], dh.d[5]
+    a2, a3, d4, d5, d6 = dh.a2, dh.a3, dh.d4, dh.d5, dh.d6
     c5, s5, c6, s6 = np.cos(q5), np.sin(q5), np.cos(q6), np.sin(q6)
     arm = np.empty((4,) + c5.shape)
     for i, (x, y, z, p) in enumerate(t16[:2]):
@@ -337,7 +305,7 @@ def _branch_columns(t06: np.ndarray, dh: DHParams) -> Branches:
     return Branches(wrap_angles(q1).reshape(2, n), wrap_angles(q5).reshape(4, n),
                     wrap_angles(q6).reshape(4, n), q3.reshape(8, n), arm.reshape(4, 4, n),
                     np.repeat(valid.reshape(4, n), 2, axis=0),
-                    np.repeat(free.reshape(4, n), 2, axis=0), dh.a[2])
+                    np.repeat(free.reshape(4, n), 2, axis=0), dh.a3)
 
 
 def _reaching_q6(t16, q5, p13_x, p13_y, c3, dh: DHParams):
@@ -345,7 +313,7 @@ def _reaching_q6(t16, q5, p13_x, p13_y, c3, dh: DHParams):
     (p13, c3): the q6 nearest 0 that puts cos q3 at c3 clipped into
     [-1 + ELBOW_MARGIN, 1 - ELBOW_MARGIN], or as near to it as the circle
     allows; 0 where no q6 moves frame 4 (d5 = 0)."""
-    a2, a3, d6 = dh.a[1], dh.a[2], dh.d[5]
+    a2, a3, d6 = dh.a2, dh.a3, dh.d6
     # the wrist centre (frame 5's origin) and the offset v to it from
     # frame 4's, of length |d5|, both in frame 1's plane; turning q6 by
     # delta turns v by -cos(q5) delta
@@ -629,22 +597,28 @@ def _unrivalled(cands: Branches, start: int, stop: int, raw, used, db, b: int,
     return ~(near.reshape(8, w) & valid)[:b].any(axis=0) & far.all(axis=0)
 
 
-def _jacobians(qs: np.ndarray, dh: DHParams, tcp_offset: Pose) -> np.ndarray:
-    """Geometric TCP Jacobians of the rows of the (n, 6) joint array, shape
-    (n, 6, 6); column i is joint i."""
-    frames = _frames(qs, dh)
-    p_e = (frames[:, 6] @ tcp_offset.to_matrix())[:, :3, 3]
-    z = frames[:, :6, :3, 2]
-    r = p_e[:, None, :] - frames[:, :6, :3, 3]
-    jac = np.empty((len(frames), 6, 6))
-    jac[:, :3, :] = np.cross(z, r).transpose(0, 2, 1)
-    jac[:, 3:, :] = z.transpose(0, 2, 1)
-    return jac
-
-
 def jacobian(q: JointConfig, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> np.ndarray:
-    """Geometric Jacobian of the TCP, linear part in mm/rad."""
-    return _jacobians(np.array([q.q], float), dh, tcp_offset)[0]
+    """Geometric Jacobian of the TCP, linear part in mm/rad: column i is
+    (z_i x (p - o_i), z_i) for joint i's axis z_i through o_i and the TCP
+    position p (Siciliano et al., "Robotics: Modelling, Planning and
+    Control", 2009, sec. 3.1), each in closed form for the UR-type arm."""
+    flange = np.eye(4)
+    flange[:3] = _flange(np.array([q.q], float), dh)[0]
+    p = (flange @ tcp_offset.to_matrix())[:3, 3]
+    q1, q2, q3, q4 = q.q[:4]
+    c1, s1 = math.cos(q1), math.sin(q1)
+    q23 = q2 + q3
+    c234, s234 = math.cos(q23 + q4), math.sin(q23 + q4)
+    # joints 2, 3 and 4 turn about one axis; joint 6's is the flange's z
+    z = np.array([(0.0, 0.0, 1.0), (s1, -c1, 0.0), (s1, -c1, 0.0), (s1, -c1, 0.0),
+                  (c1 * s234, s1 * s234, -c234), flange[:3, 2]])
+    # each origin is the last one plus a link: d1 up the base axis, a2 and
+    # a3 along the arm, d4 and d5 along the axes of joints 4 and 5
+    links = np.array([(0.0, 0.0, 0.0), (0.0, 0.0, 1.0),
+                      (c1 * math.cos(q2), s1 * math.cos(q2), math.sin(q2)),
+                      (c1 * math.cos(q23), s1 * math.cos(q23), math.sin(q23)), z[3], z[4]])
+    o = np.cumsum(links * np.array([0.0, dh.d1, dh.a2, dh.a3, dh.d4, dh.d5])[:, None], axis=0)
+    return np.vstack((np.cross(z, p - o).T, z.T))
 
 
 def manipulability_batch(qs: np.ndarray, dh: DHParams) -> np.ndarray:
@@ -657,7 +631,7 @@ def manipulability_batch(qs: np.ndarray, dh: DHParams) -> np.ndarray:
     reference point multiplies J by a block-triangular matrix of unit
     determinant."""
     _, q2, q3, q4, q5, _ = qs.T
-    a2, a3, d5 = dh.a[1], dh.a[2], dh.d[4]
+    a2, a3, d5 = dh.a2, dh.a3, dh.d5
     q23 = q2 + q3
     # distance of frame 5 from the base axis within the arm's plane, as in _flange
     arm = a2 * np.cos(q2) + a3 * np.cos(q23) + d5 * np.sin(q23 + q4)

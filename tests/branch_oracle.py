@@ -10,9 +10,14 @@ the closed form replaced.  The IK oracle builds the candidates from
 products of DH link matrices (inv(T01) T06 and T16 inv(T45 T56)) and
 checks each against its target gathered by np.repeat; the column kernel,
 which reads the target's entries, must match it to rounding, not bit for
-bit.  fk_batch and select_branch are the batch forward kinematics and
-the one-node branch choice that no production code calls; tests build
-targets and tool-down programs with them.
+bit.  The DH product is this module's own: `dh_links` builds the link
+matrices, `ur_rows` the arm's six (a, d, alpha) rows from a DHParams, and
+`dh_product` multiplies them out, so the oracles share no code with the
+closed forms they check.  fk_batch and select_branch are the batch
+forward kinematics and the one-node branch choice that no production
+code calls; tests build targets and tool-down programs with them, and
+`tag`, `about_z` and `rotate` are the small helpers the tests sort
+solutions, turn frames and move vectors with.
 """
 
 import math
@@ -23,15 +28,59 @@ import numpy as np
 from ramcell import RamcellError
 from ramcell.cell import (MAX_JOINT_STEP_RAD, PlanningError, RobotProgram,
                           _plan_nodes, cfg_home)
-from ramcell.geometry import Pose, Vec3, wrap_angles
+from ramcell.geometry import Pose, Rotation, Vec3, wrap_angles
 from ramcell.kinematics import (_BRANCHES, _SIGNS, ELBOW_MARGIN, ORIENTATION_TOL_RAD,
                                 POSITION_TOL_MM, WRIST_DEGENERACY_TOL, DHParams, IKSolution,
-                                JointConfig, _branch_columns, _checked_rows, _dh_links, _flange,
+                                JointConfig, _branch_columns, _checked_rows, _flange,
                                 jacobian, nearest_branch, tcp_offset_from_config)
 
 
 class UnreachableError(RamcellError):
     pass
+
+
+def tag(sol: IKSolution) -> tuple[str, str, str]:
+    """The (shoulder, elbow, wrist) branch of an ik solution."""
+    return (sol.shoulder, sol.elbow, sol.wrist)
+
+
+def about_z(angle: float) -> Rotation:
+    """The rotation by angle about the z axis."""
+    return Rotation.from_axis_angle(Vec3(0.0, 0.0, 1.0), angle)
+
+
+def rotate(r: Rotation, v: Vec3) -> Vec3:
+    """v turned by r."""
+    return Vec3.from_array(r.matrix @ v.to_array())
+
+
+def dh_links(theta, a: float, d: float, alpha: float) -> np.ndarray:
+    """DH link transforms for an array of joint angles: theta.shape + (4, 4)."""
+    ct, st = np.cos(theta), np.sin(theta)
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    link = np.zeros(np.shape(theta) + (4, 4))
+    link[..., 0, 0], link[..., 1, 0] = ct, st
+    link[..., 0, 1], link[..., 1, 1] = -st * ca, ct * ca
+    link[..., 0, 2], link[..., 1, 2] = st * sa, -ct * sa
+    link[..., 0, 3], link[..., 1, 3] = a * ct, a * st
+    link[..., 2, 1:] = (sa, ca, d)
+    link[..., 3, 3] = 1.0
+    return link
+
+
+def ur_rows(dh: DHParams) -> tuple[tuple[float, float, float], ...]:
+    """The (a, d, alpha) DH rows of the UR-type arm with dh's lengths."""
+    return ((0.0, dh.d1, math.pi / 2), (dh.a2, 0.0, 0.0), (dh.a3, 0.0, 0.0),
+            (0.0, dh.d4, math.pi / 2), (0.0, dh.d5, -math.pi / 2), (0.0, dh.d6, 0.0))
+
+
+def dh_product(qs: np.ndarray, dh: DHParams) -> np.ndarray:
+    """Flange transforms base->frame_6, shape (n, 4, 4), of the rows of the
+    (n, 6) joint array: the six DH links multiplied out in order."""
+    out = np.eye(4)
+    for q, row in zip(qs.T, ur_rows(dh)):
+        out = out @ dh_links(q, *row)
+    return out
 
 
 def fk_batch(qs: np.ndarray, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> np.ndarray:
@@ -50,7 +99,7 @@ def select_branch(solutions: list[IKSolution], prev: JointConfig,
     """
     if not solutions:
         raise UnreachableError("no inverse kinematics solution")
-    rows = np.array([[s.config.q for s in sorted(solutions, key=lambda s: s.tag)]])
+    rows = np.array([[s.config.q for s in sorted(solutions, key=tag)]])
     q, _, _ = nearest_branch(rows, np.ones(rows.shape[:2], dtype=bool),
                              np.array([prev.q]), joint_limit)
     return JointConfig(tuple(q[0].tolist()))
@@ -104,7 +153,7 @@ def select_branch_per_node(solutions: list[IKSolution], prev: JointConfig,
     if not solutions:
         raise UnreachableError("no inverse kinematics solution")
     best = None
-    for sol in sorted(solutions, key=lambda s: s.tag):
+    for sol in sorted(solutions, key=tag):
         unwrapped = []
         for qi, pi in zip(sol.config.q, prev.q):
             cand = qi + 2.0 * math.pi * round((pi - qi) / (2.0 * math.pi))
@@ -244,7 +293,8 @@ def candidate_angles(t06: np.ndarray, dh: DHParams):
     eight closed-form branches of each flange target in the (n, 4, 4)
     array t06, joints (n, 8, 6), a mask (n, 8) of branches that have a
     real solution, and a wrist-free flag (n, 8)."""
-    a2, a3, d4, d6 = dh.a[1], dh.a[2], dh.d[3], dh.d[5]
+    a2, a3, d4, d6 = dh.a2, dh.a3, dh.d4, dh.d6
+    dh_rows = ur_rows(dh)
     p06 = t06[:, :3, 3]
     p05 = t06 @ np.array([0.0, 0.0, -d6, 1.0])
     rho = np.hypot(p05[:, 0], p05[:, 1])
@@ -255,7 +305,7 @@ def candidate_angles(t06: np.ndarray, dh: DHParams):
     # rho < |d4|: the wrist column passes inside the shoulder cylinder
     valid = (rho >= abs(d4))[:, None] & (np.abs(c5) <= 1.0 + 1e-12)
     c5 = np.clip(c5, -1.0, 1.0)[..., None]
-    t16 = (rigid_inv(_dh_links(q1, dh.a[0], dh.d[0], dh.alpha[0])) @ t06[:, None])[:, :, None]
+    t16 = (rigid_inv(dh_links(q1, *dh_rows[0])) @ t06[:, None])[:, :, None]
     q5 = np.arccos(c5) * _SIGNS  # (n, shoulder, wrist)
     s5 = np.sin(q5)
     free = np.abs(s5) < WRIST_DEGENERACY_TOL
@@ -270,8 +320,7 @@ def candidate_angles(t06: np.ndarray, dh: DHParams):
     def elbow(q5, q6):
         """Frame 4 in frame 1, the planar position of frame 3's origin
         (joint 4's axis), and the cosine of q3 that reaches it."""
-        t14 = t16 @ rigid_inv(_dh_links(q5, dh.a[4], dh.d[4], dh.alpha[4])
-                               @ _dh_links(q6, dh.a[5], dh.d[5], dh.alpha[5]))
+        t14 = t16 @ rigid_inv(dh_links(q5, *dh_rows[4]) @ dh_links(q6, *dh_rows[5]))
         p13_x = -d4 * t14[..., 0, 1] + t14[..., 0, 3]
         p13_y = -d4 * t14[..., 1, 1] + t14[..., 1, 3]
         return t14, p13_x, p13_y, (p13_x**2 + p13_y**2 - a2**2 - a3**2) / (2.0 * a2 * a3)
@@ -314,7 +363,7 @@ def reaching_q6(t16, q5, p13_x, p13_y, c3, dh: DHParams):
     (p13, c3): the q6 nearest 0 that puts cos q3 at c3 clipped into
     [-1 + ELBOW_MARGIN, 1 - ELBOW_MARGIN], or as near to it as the circle
     allows; 0 where no q6 moves frame 4 (d5 = 0)."""
-    a2, a3, d6 = dh.a[1], dh.a[2], dh.d[5]
+    a2, a3, d6 = dh.a2, dh.a3, dh.d6
     # the wrist centre (frame 5's origin) and the offset v to it from
     # frame 4's, of length |d5|, both in frame 1's plane; turning q6 by
     # delta turns v by -cos(q5) delta

@@ -8,7 +8,7 @@ import pytest
 
 import branch_oracle
 from branch_oracle import (detect_singularity_per_node, emit_program_per_float, fk_batch,
-                           plan_per_node, select_branch, validate_speeds_per_node)
+                           plan_per_node, rotate, select_branch, validate_speeds_per_node)
 from toolpath_oracle import columns
 from ramcell import cell, extrusion, kinematics, pipeline
 from ramcell.cell import (IK_CHUNK_NODES, TOOL_DOWN, Aabb, CellEnvironment, PlanningError,
@@ -154,7 +154,7 @@ def _brute_force_first_contacts(program, env, dt, axis_points=501):
     lo_end, hi_end = [], []
     for q in program.joints.tolist():
         pose = fk(JointConfig(tuple(q)), DH, TCP)
-        up = pose.orientation.rotate(Vec3(0.0, 0.0, -1.0))
+        up = rotate(pose.orientation, Vec3(0.0, 0.0, -1.0))
         lo_end.append((pose.position + up * cell.CAPSULE_CLEARANCE_MM).to_array())
         hi_end.append((pose.position + up * (cell.CAPSULE_CLEARANCE_MM
                                              + env.capsule_length_mm)).to_array())
@@ -537,20 +537,36 @@ def test_emit_deterministic():
 
 
 def test_report_round_trip():
+    """Every field of a report survives to_lines and from_text: the lines
+    written again from the report read back are the original lines."""
     rep = SimReport(specimen="wall-50x10", material="dlp-fs9")
+    rep.reach_failures.append((0.0, 990.75, 0.0, 0.85))
+    rep.collisions += [(0.25, "table"), (1.75, "obstacle_0")]
+    rep.jump_failures.append((0.243421, "configuration jump of 3.837 rad at "
+                                        "(391.724, 0.000, 0.850)"))
     rep.singularity_warnings.append((1.5, 2.5))
-    rep.dimensions = {"length_mm": 50.59, "height_mm": 10.36}
+    rep.dimensions = {"length_mm": 50.59, "height_mm": 10.36, "width_mm": math.nan}
+    rep.min_alpha = 0.812345
     rep.min_dose_ratio = 0.96
     rep.extrusion_time_s = 145.5
+    rep.total_volume_mm3 = 1234.5678
     rep.undercured_count = 2
     rep.undercured_worst = [(0.1, 1.0, 2.0, 0.85), (0.2, 3.0, 4.0, 0.85)]
-    text = "\n".join(rep.to_lines())
-    again = SimReport.from_text(text)
-    assert again.specimen == rep.specimen
+    rep.notes.append("override: printed past the dose check")
+    lines = rep.to_lines()
+    again = SimReport.from_text("\n".join(lines))
+    assert again.to_lines() == lines
+    assert "printable=0" in lines and not again.printable
+    assert again.specimen == rep.specimen and again.material == rep.material
+    assert again.reach_failures == rep.reach_failures
+    assert again.collisions == rep.collisions
+    assert again.jump_failures == rep.jump_failures
     assert again.singularity_warnings == [(1.5, 2.5)]
-    assert again.dimensions == pytest.approx(rep.dimensions)
+    assert math.isnan(again.dimensions.pop("width_mm"))
+    assert again.dimensions == pytest.approx({"length_mm": 50.59, "height_mm": 10.36})
     assert again.undercured_worst == rep.undercured_worst
-    assert again.printable == rep.printable
+    assert again.notes == rep.notes
+    assert (again.min_alpha, again.total_volume_mm3) == (0.812345, 1234.5678)
     with pytest.raises(ValueError):
         SimReport.from_text("not a report")
 

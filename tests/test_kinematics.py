@@ -1,17 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import branch_oracle
-from branch_oracle import (UnreachableError, dedup_per_node, fk_batch, ik_per_node, max_distance,
-                           select_branch, select_branch_per_node)
+from branch_oracle import (UnreachableError, about_z, dedup_per_node, dh_product, fk_batch,
+                           ik_per_node, max_distance, select_branch, select_branch_per_node, tag)
 from ramcell import kinematics
 from ramcell.config import default_config, loads_config
 from ramcell.geometry import Pose, Rotation, Vec3, wrap_angle
 from ramcell.kinematics import (_BRANCHES, TAG_ORDER, DHParams, IKSolution, JointConfig,
                                 _branch_columns, _checked_rows, _dedup, _flange, _forward_ok,
-                                _frames, fk, ik, is_singular, jacobian, manipulability,
+                                fk, ik, is_singular, jacobian, manipulability,
                                 manipulability_batch, select_chain, tcp_offset_from_config)
 from ramcell.cell import TOOL_DOWN, cfg_home
 
@@ -28,7 +29,7 @@ P0_ROTATION = np.array([[1.0, 0.0, 0.0],
 
 def max_reach(dh: DHParams) -> float:
     """An upper bound on the flange's distance from the base."""
-    return sum(abs(v) for v in dh.a) + sum(abs(v) for v in dh.d)
+    return sum(abs(v) for v in dataclasses.astuple(dh))
 
 
 def random_q(rng) -> JointConfig:
@@ -93,33 +94,8 @@ def test_ik_branch_tags_unique():
     rng = np.random.RandomState(35)
     for _ in range(50):
         sols = ik(fk(random_q(rng), DH), DH)
-        tags = [s.tag for s in sols]
+        tags = [tag(s) for s in sols]
         assert len(tags) == len(set(tags))
-
-
-def _batch_fk_positions(q_grid: np.ndarray) -> np.ndarray:
-    """Independent vectorized FK for the brute-force oracle."""
-    n = q_grid.shape[0]
-    out = np.tile(np.eye(4), (n, 1, 1))
-    for i in range(6):
-        ct, st = np.cos(q_grid[:, i]), np.sin(q_grid[:, i])
-        ca, sa = math.cos(DH.alpha[i]), math.sin(DH.alpha[i])
-        a, d = DH.a[i], DH.d[i]
-        m = np.zeros((n, 4, 4))
-        m[:, 0, 0] = ct
-        m[:, 0, 1] = -st * ca
-        m[:, 0, 2] = st * sa
-        m[:, 0, 3] = a * ct
-        m[:, 1, 0] = st
-        m[:, 1, 1] = ct * ca
-        m[:, 1, 2] = -ct * sa
-        m[:, 1, 3] = a * st
-        m[:, 2, 1] = sa
-        m[:, 2, 2] = ca
-        m[:, 2, 3] = d
-        m[:, 3, 3] = 1.0
-        out = out @ m
-    return out
 
 
 def test_ik_elbow_branch_count_against_grid_search():
@@ -148,7 +124,7 @@ def test_ik_elbow_branch_count_against_grid_search():
     hits_pos = []
     hits_neg = []
     for chunk in np.array_split(flat, 8):
-        t = _batch_fk_positions(chunk)
+        t = dh_product(chunk, DH)
         pos_err = np.linalg.norm(t[:, :3, 3] - target_m[:3, 3], axis=1)
         rot_err = np.linalg.norm(t[:, :3, :3] - target_m[:3, :3], axis=(1, 2))
         close = (pos_err < 80.0) & (rot_err < 0.8)
@@ -192,15 +168,15 @@ def test_select_branch_empty_raises():
         select_branch([], JointConfig.of(0, 0, 0, 0, 0, 0))
 
 
-def _fd_jacobian(q: JointConfig, h: float = 1e-6) -> np.ndarray:
+def _fd_jacobian(q: JointConfig, dh: DHParams, tcp: Pose, h: float = 1e-6) -> np.ndarray:
     jac = np.zeros((6, 6))
     for i in range(6):
         plus = list(q.q)
         minus = list(q.q)
         plus[i] += h
         minus[i] -= h
-        fp = fk(JointConfig(tuple(plus)), DH, TCP)
-        fm = fk(JointConfig(tuple(minus)), DH, TCP)
+        fp = fk(JointConfig(tuple(plus)), dh, tcp)
+        fm = fk(JointConfig(tuple(minus)), dh, tcp)
         jac[:3, i] = (fp.position - fm.position).to_array() / (2 * h)
         rel = fp.orientation.to_matrix() @ fm.orientation.to_matrix().T
         angle = math.acos(max(-1.0, min(1.0, (np.trace(rel) - 1.0) / 2.0)))
@@ -215,12 +191,23 @@ def _fd_jacobian(q: JointConfig, h: float = 1e-6) -> np.ndarray:
 
 
 def test_jacobian_matches_finite_differences():
+    """The closed-form Jacobian against central differences of fk: on the
+    default table with its TCP, and on the seeded [kinematics] sections
+    of test_closed_form_manipulability_matches_the_lu_determinant (links
+    of either sign, d5 = 0, non-zero TCP offsets), each with its TCP and
+    with the identity, at random and at wrist-degenerate q (q5 in {0,
+    +-pi})."""
     rng = np.random.RandomState(37)
-    for _ in range(25):
-        q = random_q(rng)
-        j = jacobian(q, DH, TCP)
-        j_fd = _fd_jacobian(q)
-        assert np.max(np.abs(j - j_fd)) < 1e-5
+    cases = [(random_q(rng), DH, TCP) for _ in range(25)]
+    rng = np.random.RandomState(44)
+    tables = [_seeded_kinematics(rng, d5_mm=0.0)] + [_seeded_kinematics(rng) for _ in range(7)]
+    for dh, tcp in [(DH, TCP)] + tables:
+        qs = rng.uniform(-math.pi, math.pi, (8, 6))
+        qs[4:, 4] = rng.choice([0.0, math.pi, -math.pi], 4)
+        cases += [(JointConfig(tuple(q)), dh, offset) for q in qs.tolist()
+                  for offset in (tcp, Pose.identity())]
+    for q, dh, tcp in cases:
+        assert np.max(np.abs(jacobian(q, dh, tcp) - _fd_jacobian(q, dh, tcp))) < 1e-5
 
 
 def test_wrist_singularity_flagged():
@@ -273,7 +260,7 @@ def test_closed_form_flange_matches_the_dh_product():
     qs = rng.uniform(-math.pi, math.pi, (3000, 6))
     qs[:1500, 4] = rng.choice([0.0, math.pi, -math.pi], 1500)  # wrist degenerate
     got = _flange(qs, DH)
-    want = _frames(qs, DH)[:, 6]
+    want = dh_product(qs, DH)
     assert got.shape == (len(qs), 3, 4)
     assert np.abs(got[:, :, 3] - want[:, :3, 3]).max() < 1e-9
     assert np.abs(got[:, :, :3] - want[:, :3, :3]).max() < 1e-12
@@ -304,7 +291,7 @@ def test_ik_solves_every_wrist_degenerate_target():
 
 
 def _solution_keys(rows):
-    return [[(s.config.q, s.tag, s.free_parameter) for s in row] for row in rows]
+    return [[(s.config.q, tag(s), s.free_parameter) for s in row] for row in rows]
 
 
 def test_ik_rows_match_the_per_node_oracle():
@@ -674,7 +661,7 @@ def _singular_thirds(rng, dh, n):
     third with q5 in {0, +-pi} (wrist) and a third with the wrist centre
     on the base axis, a2 cos q2 + a3 cos(q2+q3) + d5 sin(q2+q3+q4) = 0
     (shoulder), solved for q2."""
-    a2, a3, d5 = dh.a[1], dh.a[2], dh.d[4]
+    a2, a3, d5 = dh.a2, dh.a3, dh.d5
     qs = rng.uniform(-math.pi, math.pi, (n, 6))
     third = n // 3
     qs[:third, 2] = rng.choice([0.0, math.pi, -math.pi], third)
@@ -727,8 +714,8 @@ def _oracle_targets(rng, dh, tcp, n):
     targets = fk_batch(qs, dh, tcp)
     far = fk_batch(rng.uniform(-math.pi, math.pi, (n - 3 * quarter, 6)), dh, tcp)
     # the wrist centre lies d6 + tcp_z behind the TCP along the tool z axis
-    back = dh.d[5] + tcp.position.z
-    inside = rng.uniform(-0.7, 0.7, (len(far), 2)) * abs(dh.d[3]) / math.sqrt(2.0)
+    back = dh.d6 + tcp.position.z
+    inside = rng.uniform(-0.7, 0.7, (len(far), 2)) * abs(dh.d4) / math.sqrt(2.0)
     far[:, :2, 3] = inside + back * far[:, :2, 2]
     far[::2, :3, 3] = rng.normal(0.0, 1.0, (len(far[::2]), 3))
     reach = max_reach(dh) + abs(tcp.position.z)
@@ -846,7 +833,7 @@ def test_forward_check_keeps_half_a_tolerance_and_drops_twice_one():
         shifted = t06.copy()
         shifted[:, 0, 3] += scale * kinematics.POSITION_TOL_MM
         turned = t06.copy()
-        turned[:, :3, :3] = t06[:, :3, :3] @ Rotation.about_z(
+        turned[:, :3, :3] = t06[:, :3, :3] @ about_z(
             scale * kinematics.ORIENTATION_TOL_RAD).matrix
         for target in (shifted, turned):
             assert ((valid & _forward_ok(rows, target[:, None], DH)) == (ok & passes)).all()

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from branch_oracle import about_z, rotate
 from ramcell.cell import TOOL_DOWN
-from ramcell.geometry import Rotation, Vec3, wrap_angle
+from ramcell.geometry import Vec3, wrap_angle
 from ramcell.toolpath import (ExtensionPolicy, Segment, Toolpath,
                               ToolpathError, add_cure_extensions,
                               assign_orientations, path_stats, resample,
@@ -119,11 +120,11 @@ def test_orientation_spot_strictly_trails_random_paths():
             continue
         out = assign_orientations(Toolpath.from_segments(tuple(segs)))
         for s in out.segments:
-            tool = Rotation.about_z(s.yaw) * TOOL_DOWN
-            offset = tool.rotate(Vec3(1.0, 0.0, 0.0))
+            tool = about_z(s.yaw) * TOOL_DOWN
+            offset = rotate(tool, Vec3(1.0, 0.0, 0.0))
             d = (s.end - s.start).normalized()
             assert offset.x * d.x + offset.y * d.y < 0.0
-            nozzle = tool.rotate(Vec3(0.0, 0.0, 1.0))
+            nozzle = rotate(tool, Vec3(0.0, 0.0, 1.0))
             assert nozzle.z < -0.99
 
 
