@@ -13,14 +13,26 @@ The sweep is culled and grouped.  Each timeline entry evaluates only
 its candidates, the elements already deposited by its last sample whose
 centroids lie within the footprint radius of the box around its spot
 track: a few dozen of the thousands on a multi-layer part.  A run of
-consecutive UV-on entries is swept in one array pass: its (entry,
-candidate) pairs are laid out as a (samples, pairs) table padded at
-+inf, summed down each column, and chained per element across the
-entries by an accumulate.  Its cost is O(samples x candidates) plus a
-box test per run, with a fixed count of numpy calls per run rather
-than per entry, and its dose and gel times are bit for bit those of
-evaluating every element at every sample, entry by entry: every sum
-keeps its order (see `accumulate_dose`).
+consecutive UV-on entries is swept in one array pass over its (entry,
+candidate) pairs, with a fixed count of numpy calls per run rather than
+per entry, and its dose and gel times are bit for bit those of
+evaluating every element at every sample, entry by entry.  Three skips
+leave out only work that cannot change a bit (see `accumulate_dose`):
+
+- whole-footprint pairs: where the nozzle height is constant through an
+  entry, a pair whose element lies in the footprint at the entry's
+  first and last spot samples (a corner bound) lies in it at every
+  sample, since rounding is monotone, so its column is its one weight
+  added count times, a reduce down a broadcast row in place of a
+  (samples, pairs) table;
+- the chain of entries per element is a sequential reduce, numpy's
+  order along an array's outer axis, and only the elements that first
+  reach the gel dose take the accumulate that finds their crossing;
+- the depth horizon: below it a buried element's column sums to less
+  than half the spacing of its dose (Goldberg 1991, Higham ch. 4), so
+  ``dose + sum`` is ``dose`` and the element is left out of the block.
+  Past the horizon a layer adds a fixed amount of work, so the sweep
+  of a tall part no longer grows with the square of its height.
 """
 
 from __future__ import annotations
@@ -162,13 +174,18 @@ class _SampleBlock:
     spot_y: np.ndarray
     nozzle_z: np.ndarray
 
+    def spot_ends(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Each entry's first and last spot sample, on x and on y."""
+        last = (self.count - 1, np.arange(len(self.count)))
+        return (self.spot_x[0], self.spot_x[last]), (self.spot_y[0], self.spot_y[last])
+
 
 # padded (sample, entry) cells per sample block, about 80 entries of a
 # 1 mm move: one block is one box test and, unless the pair budget cuts
 # it, one array pass
 _BLOCK_SAMPLES = 1 << 10
 # the most (sample, candidate) cells one array pass lays out
-_PAIR_SAMPLE_BUDGET = 1 << 15
+_PAIR_SAMPLE_BUDGET = 1 << 16
 # a longer sweep would run for hours; past int64 its count cannot be cast
 MAX_SWEEP_SAMPLES = 1e7
 
@@ -268,23 +285,75 @@ def _sample_blocks(path: Toolpath, spot: UVConfig, dt_s: float,
                            spot_x=spot_x, spot_y=spot_y, nozzle_z=nozzle_z)
 
 
-def _column_sums(a: np.ndarray) -> np.ndarray:
-    """Sum each column of a 2-D array, top row first.
+def _column_sums(a: np.ndarray, where: np.ndarray | bool = True) -> np.ndarray:
+    """Sum each column of a 2-D array, top row first, over ``where``.
 
-    Reducing a C-ordered array along its outer axis adds whole rows one
-    after another, so each column sum is sequential: bit for bit
-    ``cumsum(a, 0)[-1]``.  Along a contiguous axis numpy sums pairwise,
-    which is why the array is made C-ordered (a no-op for the sweep's)
-    and why a single column, a 1-D reduction to numpy, takes the cumsum.
+    Reducing along the outer axis of a C-ordered array, or of a row
+    broadcast down it, adds whole rows one after another, masked or not,
+    so each column sum is sequential: bit for bit ``cumsum(a, 0)[-1]``
+    with the cells outside ``where`` read as +0.0.  Along a contiguous
+    axis numpy sums pairwise, and a single column is a 1-D reduction to
+    numpy, so that one takes the cumsum.
     """
     if a.shape[1] == 1:
-        return np.cumsum(a, axis=0)[-1]
-    return np.add.reduce(np.ascontiguousarray(a), axis=0)
+        return np.cumsum(np.where(where, a, 0.0), axis=0)[-1]
+    return np.add.reduce(a, axis=0, where=where)
 
 
 # the cull box is padded by a micron so that rounding at its edges can
 # never drop an element the exact circle test would light
 _CULL_PAD_MM = 1e-6
+# the depth horizon is pushed down by this many attenuation depths, far
+# more than the rounding of its log and of each sample's exp can move it
+_HORIZON_MARGIN = 1e-6
+
+
+def _above_horizon(near: np.ndarray, blk: _SampleBlock, ez: np.ndarray, dose: np.ndarray,
+                   att: float) -> np.ndarray:
+    """The elements of ``near`` whose dose a flat block can still change.
+
+    Every sample of the block adds at most w exp(-depth/att) to an
+    element, at a depth of at least ``top - z`` under the block's lowest
+    nozzle plane, so one entry's column sums to at most ``cw / 4`` times
+    exp(-depth/att), with cw = 4 x the block's largest count x weight:
+    the 4 covers the rounding of each term and of a sequential sum
+    (Higham ch. 4).  Past the horizon ``att (ln(cw / spacing(dose)) +
+    margin)`` that is below half the spacing of the element's dose, so
+    ``dose + sum`` rounds back to ``dose`` (Goldberg 1991), and doses
+    only grow: leaving the element out changes no bit.  The rounding of
+    a term is relative only while the spacing is a normal float and at
+    least cw 2**-1000, so a smaller spacing, a dose of 0 among them, has
+    no horizon.  The largest dose has the shallowest horizon, so one min
+    and one max show when no element is that deep.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        cw = 4.0 * np.max(blk.count * blk.weight)
+        floor = max(2.0 ** -1022, cw * 2.0 ** -1000)
+        top = np.min(blk.nozzle_z[0])
+        spacing = np.spacing(np.max(dose[near]))
+        if spacing < floor or top - np.min(ez[near]) <= att * (np.log(cw / spacing)
+                                                              + _HORIZON_MARGIN):
+            return near
+        spacing = np.spacing(dose[near])
+        horizon = att * (np.log(cw / spacing) + _HORIZON_MARGIN)
+    return near[(top - ez[near] <= horizon) | (spacing < floor)]
+
+
+def _corner_bound(ends: tuple[tuple[np.ndarray, np.ndarray], ...], entry: np.ndarray,
+                  x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Bound the squared distance from each (x, y) to every spot sample
+    of its entry: on each axis the larger square of the distances to the
+    entry's first and last spot (``_SampleBlock.spot_ends``), summed, with
+    the sweep table's operations (difference, square, sum), so that it
+    bounds the table's values bit for bit."""
+    bound = np.zeros(len(entry))
+    for v, (first, final) in zip((x, y), ends):
+        a = np.subtract(v, first[entry])
+        a *= a
+        b = np.subtract(v, final[entry])
+        b *= b
+        bound += np.maximum(a, b, out=a)
+    return bound
 
 
 def accumulate_dose(dmap: DepositionMap, path: Toolpath, spot: UVConfig,
@@ -305,30 +374,52 @@ def accumulate_dose(dmap: DepositionMap, path: Toolpath, spot: UVConfig,
     UV-on entries, each cut into groups where its layout would pass
     `_PAIR_SAMPLE_BUDGET`, and a group is swept in one array pass:
 
-    1. the box test keeps the elements of the block's deposited prefix
-       inside the union of its entries' boxes, then applies each
-       entry's own box and prefix, giving the pairs in entry order;
-    2. the pairs' samples are laid out as a ``(samples, pairs)`` table,
-       each column padded to the group's longest entry by samples at
-       +inf, which are never lit; the depth factor w exp(-depth / att)
-       is taken once a pair when the group's nozzle heights are
-       constant through each entry, and once a sample when they are not;
-    3. a pair's total is the sum down its column, and the entries are
-       chained per element by an accumulate down a dense
+    1. in a flat block (every nozzle height constant through its
+       entry) the elements past the depth horizon are dropped
+       (`_above_horizon`); the box test then keeps the elements of the
+       block's deposited prefix inside the union of its entries' boxes
+       and applies each entry's own box and prefix, giving the pairs in
+       entry order;
+    2. in a flat group a pair's sample weight w exp(-depth / att) is
+       one number, and a pair whose element is deposited by the entry's
+       first sample and whose corner bound, the largest squared distance
+       to the first or last spot sample on each axis, is within the
+       radius is lit at every sample: its column is w, count times;
+    3. every other pair's samples are laid out as a ``(samples, pairs)``
+       table, each column padded to the group's longest entry by
+       samples at +inf, which are never lit, with the weight taken once
+       a sample where the nozzle height varies;
+    4. a pair's total is the sum down its column, and the entries are
+       chained per element by a reduce down a dense
        ``(entries + 1, elements)`` table whose first row is the dose
-       before the group;
-    4. only the pairs whose element first reaches the gel dose take a
-       cumulative sum down their column to find the crossing sample.
+       before the group; only the elements that first reach the gel
+       dose accumulate their chain, whose first row at or above it
+       names the crossing pair, and that pair's column takes a
+       cumulative sum to find the crossing sample.
 
     Dose and gel times are bit for bit those of a per-entry sweep over
-    all elements, at O(samples x candidates) in place of O(samples x
-    elements), because every sum keeps its order: the column reduce
-    and the accumulate along the outer axis add one row at a time, as
-    the per-entry cumsum and ``dose + total`` do; an element of the
-    group not lit in an entry (or not a candidate there) adds +0.0,
-    which changes no dose >= 0; and a padding sample adds +0.0 after
-    the entry's last sample, so it is never the first crossing.
-    Relies on a gel dose > 0, which loading checks.
+    all elements, at O(samples x boundary pairs) in place of O(samples x
+    elements), down to the elements within the depth horizon:
+
+    - every sum keeps its order: reduces along the outer axis of a
+      C-ordered table, or of a row broadcast down it, add one row at a
+      time, as the per-entry cumsum and ``dose + total`` do, and a
+      single column takes the cumsum (`_column_sums`); an element of
+      the group not lit in an entry (or not a candidate there) adds
+      +0.0, which changes no dose >= 0, and a padding sample adds +0.0
+      after the entry's last sample, so it is never the first crossing;
+    - monotone rounding: every sample's spot lies between the entry's
+      first and last, because each step that makes it (k + 1/2) dt +
+      t0, - t0, / duration, x step, + start, + trail rounds
+      monotonically, and the difference, square and sum of the distance
+      are monotone too, so the corner bound, taken with the table's own
+      operations, bounds every sample's squared distance;
+    - the half-spacing horizon (`_above_horizon`): a buried element
+      there would add less than half an ulp to its dose in every
+      entry, and a dose that does not change cannot cross the gel dose.
+
+    Relies on a gel dose > 0, which loading checks, and on no element
+    starting at or above it without a gel time, as `deposit` leaves them.
     """
     if len(dmap) == 0 or spot.irradiance_w_mm2() <= 0.0:
         return dmap
@@ -351,62 +442,90 @@ def accumulate_dose(dmap: DepositionMap, path: Toolpath, spot: UVConfig,
         px, py = ex[:deposited[-1]], ey[:deposited[-1]]
         near = np.flatnonzero((px >= lo_x.min()) & (px <= hi_x.max())
                               & (py >= lo_y.min()) & (py <= hi_y.max()))
+        if len(near) and blk.flat.all():
+            near = _above_horizon(near, blk, ez, dose, att)
         px, py = ex[near], ey[near]
         box = ((px >= lo_x[:, None]) & (px <= hi_x[:, None])
                & (py >= lo_y[:, None]) & (py <= hi_y[:, None])
                & (near < deposited[:, None]))
-        pairs = box.sum(axis=1)
-        for lo, hi in _runs(pairs, blk.count, _PAIR_SAMPLE_BUDGET):
-            used = box[lo:hi].any(axis=0)
-            if not used.any():
+        # the block's pairs in entry order, then element order (a 1-D
+        # nonzero and a division are several times faster than a 2-D one)
+        cells = np.flatnonzero(box)
+        block_pe = cells // len(near)
+        block_pn = cells - block_pe * len(near)
+        start = np.searchsorted(block_pe, np.arange(len(box) + 1))
+        ends = blk.spot_ends()
+        for lo, hi in _runs(np.diff(start), blk.count, _PAIR_SAMPLE_BUDGET):
+            if start[lo] == start[hi]:
                 continue
+            pe, pn = block_pe[start[lo]:start[hi]], block_pn[start[lo]:start[hi]]
+            used = np.zeros(len(near), bool)
+            used[pn] = True
             members = near[used]
-            pe, pc = box[lo:hi, used].nonzero()
-            pe += lo
-            el = members[pc]
-            rows = int(blk.count[lo:hi].max())
-
-            def column(table: np.ndarray) -> np.ndarray:
-                # pairs run in entry order, so each entry's column repeats
-                return np.repeat(table[:rows, lo:hi], pairs[lo:hi], axis=1)
-
-            # (samples, pairs): squared distance to the spot, then lit
-            d2 = column(blk.spot_x)
-            np.subtract(ex[el], d2, out=d2)
-            d2 *= d2
-            dy = column(blk.spot_y)
-            np.subtract(ey[el], dy, out=dy)
-            dy *= dy
-            d2 += dy
-            lit = d2 <= radius2
-            # tau only grows through an entry, so only an element deposited
-            # after the entry's first sample can be unlit for its age
-            fresh = np.flatnonzero(et[el] > blk.tau[0, pe])
-            if len(fresh):
-                lit[:, fresh] &= et[el[fresh]] <= blk.tau[:rows, pe[fresh]]
-            # a constant nozzle height gives one depth per pair
-            nz = column(blk.nozzle_z[:1] if blk.flat[lo:hi].all() else blk.nozzle_z)
-            depth = np.maximum(nz - ez[el], 0.0)
-            # lit x w exp(-depth/att) is that factor or +0.0, since the
-            # factor is finite and >= 0; the distances' buffer is reused
-            contrib = d2
-            np.copyto(contrib, lit)
-            contrib *= blk.weight[pe] * np.exp(-depth / att)
-            # chain the entries per element: row k + 1 holds entry k's totals
+            pc = np.cumsum(used)[pn] - 1
+            el = near[pn]
+            count = blk.count[lo:hi]
+            rows = int(count.max())
+            k = np.arange(rows)[:, None]
+            # a sample's weight w exp(-depth/att), one row of them where every
+            # nozzle height is constant through its entry
+            flat = blk.flat[lo:hi].all()
+            nz = np.take(blk.nozzle_z[:1] if flat else blk.nozzle_z[:rows], pe, axis=1)
+            w = blk.weight[pe] * np.exp(-np.maximum(nz - ez[el], 0.0) / att)
+            whole = np.zeros(len(pe), bool)
+            if flat:
+                whole = ((_corner_bound(ends, pe, ex[el], ey[el]) <= radius2)
+                         & (et[el] <= blk.tau[0, pe]))
+            sums = np.empty(len(pe))
+            if whole.any():
+                on = np.flatnonzero(whole)
+                # w added count times: a row broadcast down the table, masked
+                # only where the group's entries differ in length
+                mask = k < blk.count[pe[on]] if count.min() < rows else True
+                sums[on] = _column_sums(np.broadcast_to(w[:, on], (rows, len(on))), mask)
+            table = np.flatnonzero(~whole)
+            if len(table):
+                pt, elt = pe[table], el[table]
+                # (samples, pairs): squared distance to the spot, then lit
+                d2 = np.take(blk.spot_x[:rows], pt, axis=1)
+                np.subtract(ex[elt], d2, out=d2)
+                d2 *= d2
+                dy = np.take(blk.spot_y[:rows], pt, axis=1)
+                np.subtract(ey[elt], dy, out=dy)
+                dy *= dy
+                d2 += dy
+                lit = d2 <= radius2
+                # tau only grows through an entry, so only an element deposited
+                # after the entry's first sample can be unlit for its age
+                fresh = np.flatnonzero(et[elt] > blk.tau[0, pt])
+                if len(fresh):
+                    lit[:, fresh] &= et[elt[fresh]] <= np.take(blk.tau[:rows], pt[fresh], axis=1)
+                # lit x w is w or +0.0, since w is finite and >= 0; the
+                # distances' buffer is reused
+                contrib = d2
+                np.copyto(contrib, lit)
+                contrib *= w[:, table]
+                sums[table] = _column_sums(contrib)
+            # chain the entries per element: row i + 1 holds entry lo + i's totals
             chain = np.zeros((hi - lo + 1, len(members)))
             slot = (pe - (lo - 1)) * len(members) + pc
-            chain.ravel()[slot] = _column_sums(contrib)
+            chain.ravel()[slot] = sums
             chain[0] = dose[members]
-            np.add.accumulate(chain, axis=0, out=chain)
-            newly = np.flatnonzero((chain.ravel()[slot] >= threshold) & np.isinf(gel[el]))
+            total = _column_sums(chain)
+            newly = np.flatnonzero((total >= threshold) & np.isinf(gel[members]))
             if len(newly):
-                # pairs run in entry order: an element's first is its crossing
-                newly = newly[np.unique(pc[newly], return_index=True)[1]]
-                before = chain.ravel()[slot[newly] - len(members)]
-                cum = before + np.cumsum(contrib[:, newly], axis=0)
-                first = np.argmax(cum >= threshold, axis=0)
-                gel[el[newly]] = blk.tau[first, pe[newly]]
-            dose[members] = chain[-1]
+                # the first row at or above the gel dose is the crossing pair's
+                cum = np.add.accumulate(chain[:, newly], axis=0)
+                row = np.argmax(cum >= threshold, axis=0)
+                cross = np.searchsorted(slot, row * len(members) + newly)
+                before = cum[row - 1, np.arange(len(newly))]
+                col = np.where(k < blk.count[pe[cross]], w[:, cross], 0.0)
+                tabled = ~whole[cross]
+                if tabled.any():
+                    col[:, tabled] = contrib[:, np.searchsorted(table, cross[tabled])]
+                first = np.argmax(before + np.cumsum(col, axis=0) >= threshold, axis=0)
+                gel[el[cross]] = blk.tau[first, pe[cross]]
+            dose[members] = total
     return dmap
 
 

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -671,3 +671,328 @@ def test_outer_axis_reduce_is_sequential_bit_for_bit():
     single = [x[:, j:j + 1].copy() for j in range(20)]
     assert any(np.add.reduce(c, axis=0)[0] != np.cumsum(c, axis=0)[-1, 0] for c in single)
     assert all(_column_sums(c)[0] == np.cumsum(c, axis=0)[-1, 0] for c in single)
+    # a whole-footprint pair's column is one weight added count times, a
+    # reduce down a row broadcast at stride 0, masked where the entries of
+    # a group differ in length; numpy adds whole rows in order there too
+    sequential_sums = 0
+    for rows, cols in [(1, 2), (2, 3), (9, 2), (13, 40), (25, 300), (171, 7), (300, 600)]:
+        w = rng.random(cols) * 10.0 ** rng.integers(-8, 2, cols)
+        row = np.broadcast_to(w, (rows, cols))
+        assert row.strides[0] == 0
+        dense = np.ascontiguousarray(row)
+        mask = np.arange(rows)[:, None] < rng.integers(1, rows + 1, cols)
+        for table in (row, dense):
+            want = np.cumsum(dense, axis=0)[-1].view(np.int64)
+            assert np.array_equal(np.add.reduce(table, axis=0).view(np.int64), want)
+            assert np.array_equal(_column_sums(table).view(np.int64), want)
+            want = np.cumsum(np.where(mask, dense, 0.0), axis=0)[-1].view(np.int64)
+            assert np.array_equal(np.add.reduce(table, axis=0, where=mask).view(np.int64), want)
+            assert np.array_equal(_column_sums(table, mask).view(np.int64), want)
+            sequential_sums += 1
+    assert sequential_sums == 14
+    # a width-1 table is a 1-D reduction to numpy, summed pairwise whether
+    # broadcast or masked; _column_sums takes the cumsum there
+    rows = 300
+    k = np.arange(rows)[:, None]
+    pairwise = 0
+    for w in rng.random(20) * 10.0 ** rng.integers(-8, 2, 20):
+        row = np.broadcast_to(np.array([w]), (rows, 1))
+        mask = k < rng.integers(200, rows + 1)
+        want = np.cumsum(np.ascontiguousarray(row), axis=0)[-1, 0]
+        pairwise += np.add.reduce(row, axis=0)[0] != want
+        assert _column_sums(row)[0] == want
+        want = np.cumsum(np.where(mask, row, 0.0), axis=0)[-1, 0]
+        pairwise += np.add.reduce(row, axis=0, where=mask)[0] != want
+        assert _column_sums(row, mask)[0] == want
+    assert pairwise > 0
+
+
+class _SweepSpy:
+    """Records what `accumulate_dose` hands its three skips.
+
+    ``broadcast`` counts the whole-footprint columns summed down a
+    broadcast row, ``masked`` the calls among them masked by sample
+    count, ``corners`` holds each flat group's (x, y, corner bound) and
+    ``horizon`` each flat block's (near, kept, block, dose of near).
+    """
+
+    def __init__(self, monkeypatch):
+        self.broadcast = self.masked = 0
+        self.corners, self.horizon = [], []
+        column_sums, corner_bound, above_horizon = (
+            cure._column_sums, cure._corner_bound, cure._above_horizon)
+
+        def spy_column_sums(a, where=True):
+            if a.strides[0] == 0:
+                self.broadcast += a.shape[1]
+                self.masked += where is not True
+            return column_sums(a, where)
+
+        def spy_corner_bound(ends, entry, x, y):
+            bound = corner_bound(ends, entry, x, y)
+            self.corners.append((x, y, bound))
+            return bound
+
+        def spy_above_horizon(near, blk, ez, dose, att):
+            kept = above_horizon(near, blk, ez, dose, att)
+            self.horizon.append((near, kept, blk, dose[near].copy()))
+            return kept
+
+        monkeypatch.setattr(cure, "_column_sums", spy_column_sums)
+        monkeypatch.setattr(cure, "_corner_bound", spy_corner_bound)
+        monkeypatch.setattr(cure, "_above_horizon", spy_above_horizon)
+
+    def pairs(self):
+        """The pairs of the flat groups: whole-footprint or on the table."""
+        return sum(len(bound) for _, _, bound in self.corners)
+
+    def cut(self):
+        return sum(len(near) - len(kept) for near, kept, _, _ in self.horizon)
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    return _SweepSpy(monkeypatch)
+
+
+@dataclass(frozen=True)
+class _ExactSpot(UVConfig):
+    """A footprint of an exact radius, whatever the cone's tangent rounds to."""
+    radius_mm: float = 1.0
+
+    def footprint_radius_mm(self) -> float:
+        return self.radius_mm
+
+
+def _custom_job(gcode, material=FS9, uv=SPOT):
+    cfg = replace(CFG, uv=uv, materials={**CFG.materials, material.name: material},
+                  job=replace(CFG.job, material=material.name))
+    return pipeline.build_job(cfg, "custom", pipeline.build_toolpath_from_gcode(cfg, gcode))
+
+
+def _blocks(job):
+    cfg = job.cfg
+    return _sample_blocks(job.local_path, cfg.uv, cfg.cure.sweep_dt_s,
+                          cfg.cell.reorient_rate_rad_s)
+
+
+def _run(job):
+    cfg = job.cfg
+    return accumulate_dose(_deposit(job), job.local_path, cfg.uv, cfg.cure.sweep_dt_s,
+                           cfg.cell.reorient_rate_rad_s)
+
+
+def test_both_sweep_paths_run_on_the_ten_layer_square(spy):
+    _run(_job("square-30x30x8.5"))
+    # most pairs lie in the footprint at every sample of their entry; the
+    # others take the table
+    assert 0.7 * spy.pairs() < spy.broadcast < spy.pairs()
+    # ten layers lie within the horizon: nothing is cut
+    assert spy.horizon and spy.cut() == 0
+
+
+def test_whole_footprint_pairs_one_ulp_either_side_of_the_radius(spy):
+    job = _job("hexagon-gcode")
+    dmap = _deposit(job)
+    r2 = SPOT.footprint_radius_mm() ** 2
+    # corner bounds near the radius, of elements deposited by the entry's
+    # first sample, taken with the sweep's own helper; each is the squared
+    # distance to the entry's first or last spot, so a radius below it
+    # leaves that sample unlit
+    bounds, elements = [], []
+    for blk in _blocks(job):
+        entry, el = np.nonzero(dmap.deposit_time <= blk.tau[0][:, None])
+        bound = cure._corner_bound(blk.spot_ends(), entry, dmap.x[el], dmap.y[el])
+        reached = np.zeros(len(entry), bool)
+        for (x, y) in zip(*blk.spot_ends()):
+            reached |= (dmap.x[el] - x[entry]) ** 2 + (dmap.y[el] - y[entry]) ** 2 == bound
+        close = reached & (np.abs(bound - r2) < 0.01 * r2)
+        bounds += bound[close].tolist()
+        elements += el[close].tolist()
+    assert bounds
+
+    def radius(square):
+        """A float radius whose square, as the sweep takes it, is ``square``."""
+        r = math.sqrt(square)
+        for _ in range(8):
+            r = math.nextafter(r, math.inf)
+        for _ in range(17):
+            if r ** 2 == square:
+                return r
+            r = math.nextafter(r, 0.0)
+        return None
+
+    for bound, el in sorted(zip(bounds, elements), key=lambda c: abs(c[0] - r2)):
+        # the bound one ulp below the radius's square, then one ulp above
+        radii = (radius(math.nextafter(bound, math.inf)), radius(math.nextafter(bound, 0.0)))
+        if None not in radii:
+            break
+    else:
+        pytest.fail("no corner bound near the radius has both neighbouring squares")
+    for r, whole in zip(radii, (True, False)):
+        spy.corners.clear()
+        spy.broadcast = 0
+        _assert_sweeps_agree(_custom_job(HEXAGON_GCODE, uv=_ExactSpot(radius_mm=r)))
+        assert (bound <= r ** 2) == whole
+        assert abs(bound - r ** 2) == math.ulp(bound) or abs(bound - r ** 2) == math.ulp(r ** 2)
+        # the sweep met this pair's bound, and took both paths
+        assert any(np.any((b == bound) & (x == dmap.x[el]) & (y == dmap.y[el]))
+                   for x, y, b in spy.corners)
+        assert 0 < spy.broadcast < spy.pairs()
+
+
+def test_a_group_of_mixed_sample_counts_masks_its_whole_footprint_sums(spy):
+    # the second layer of the L runs at half speed: its entries have twice
+    # the samples of the first layer's, and a group spans both
+    job = _job("layers-gcode")
+    assert len(np.unique(np.concatenate([blk.count for blk in _blocks(job)]))) > 1
+    _assert_sweeps_agree(job)
+    assert spy.masked > 0
+
+
+def test_fresh_elements_never_take_the_whole_footprint_path(spy):
+    # with the spot on the nozzle, an element deposited during an entry is
+    # inside the footprint at its first and last samples, yet unlit before
+    # its deposit time: only the deposit test keeps it on the table
+    job = _job("square-20x20x2.55", trail_mm=0.0)
+    dmap = _deposit(job)
+    r2 = job.cfg.uv.footprint_radius_mm() ** 2
+    inside = 0
+    for blk in _blocks(job):
+        last_tau = blk.tau[blk.count - 1, np.arange(len(blk.count))]
+        entry, el = np.nonzero((dmap.deposit_time > blk.tau[0][:, None])
+                               & (dmap.deposit_time <= last_tau[:, None]))
+        bound = cure._corner_bound(blk.spot_ends(), entry, dmap.x[el], dmap.y[el])
+        inside += np.count_nonzero(bound <= r2)
+    assert inside > 0
+    _assert_sweeps_agree(job)
+    assert spy.broadcast > 0
+
+
+def test_ramped_entries_keep_every_pair_on_the_table(spy):
+    _assert_sweeps_agree(_job("ramp-gcode"))
+    assert spy.corners == [] and spy.broadcast == 0 and spy.horizon == []
+
+
+def _stack_gcode(layers, length=24, uv=True, top_pass_feed=None):
+    """``layers`` straight beads along +x, one a layer, each laid at 4 mm/s
+    with the UV on or off; then, given a feed, one UV pass along the top
+    bead at that feed with the extruder off."""
+    h = CFG.job.layer_height_mm
+    lines = []
+    for i in range(1, layers + 1):
+        lines += [f"G0 X0 Y0 Z{i * h:.2f}", "M106"] + ["M42 P2 S1"] * uv + [
+                  f"G1 X{length} F240", "M107", "M42 P2 S0"]
+    if top_pass_feed is not None:
+        lines += [f"G0 X0 Y0 Z{layers * h:.2f}", "M42 P2 S1",
+                  f"G1 X{length} F{top_pass_feed}", "M42 P2 S0"]
+    return "\n".join(lines) + "\n"
+
+
+def _sample_dt(speed):
+    """One sample's duration on a 1 mm subsegment at ``speed``."""
+    step_s = 1.0 / speed
+    return step_s / math.ceil(step_s / CFG.cure.sweep_dt_s)
+
+
+def test_burial_dose_of_a_stack_deeper_than_the_horizon(spy):
+    # L passes over one line, each laying a bead with the UV on: a bottom
+    # interior element gets a full chord 2r/v from every pass, at depth j h
+    layers, h, v, att = 14, CFG.job.layer_height_mm, 4.0, FS9.attenuation_depth_mm
+    job = _custom_job(_stack_gcode(layers))
+    dmap = _assert_sweeps_agree(job)
+    irr, r = SPOT.irradiance_w_mm2(), SPOT.footprint_radius_mm()
+    bottom = int(np.flatnonzero((dmap.layer == dmap.layer.min()) & (dmap.x == 8.5))[0])
+    exact = irr * 2.0 * r / v * sum(math.exp(-j * h / att) for j in range(layers))
+    assert abs(dmap.dose[bottom] - exact) <= layers * irr * _sample_dt(v)
+    # the horizon left buried elements out of later blocks, though the
+    # footprint covered them with a non-zero weight that rounds away
+    covered = 0
+    for near, kept, blk, _ in spy.horizon:
+        out = np.setdiff1d(near, kept)
+        real = blk.tau < np.inf
+        d2 = ((dmap.x[out] - blk.spot_x[real][:, None]) ** 2
+              + (dmap.y[out] - blk.spot_y[real][:, None]) ** 2)
+        depth = np.max(blk.nozzle_z[0]) - dmap.z[out]
+        weight = np.min(blk.weight) * np.exp(-depth / att)
+        covered += np.count_nonzero(np.any(d2 <= r * r, axis=0) & (weight > 0.0))
+    assert covered > 0
+    assert dmap.dose[bottom] > 0.0
+
+
+def test_working_curve_of_one_exposure_over_a_buried_stack(spy):
+    # L beads laid with the UV off, then one UV pass along the top bead: an
+    # interior element at depth d gets E exp(-d / att), E = I 2r / v, and
+    # gels down to the cure depth att ln(E / E_gel) (Jacobs' working curve).
+    # The pass is slow enough to gel one and a half layers down
+    layers, h, att = 14, CFG.job.layer_height_mm, FS9.attenuation_depth_mm
+    irr, r, gel_dose = SPOT.irradiance_w_mm2(), SPOT.footprint_radius_mm(), FS9.gel_dose_j_mm2()
+    feed = round(60.0 * irr * 2.0 * r / (gel_dose * math.exp(1.5 * h / att)), 3)
+    v = feed / 60.0
+    exposure = irr * 2.0 * r / v
+    job = _custom_job(_stack_gcode(layers, uv=False, top_pass_feed=feed))
+    dmap = _assert_sweeps_agree(job)
+    # the spot runs from -trail to 24 - trail: these sit on a full chord
+    interior = (dmap.x > 1.0) & (dmap.x < 9.0)
+    depth = dmap.z.max() - dmap.z[interior]
+    assert np.unique(depth).size == layers
+    attenuated = np.exp(-depth / att)
+    assert np.all(np.abs(dmap.dose[interior] - exposure * attenuated)
+                  <= irr * _sample_dt(v) * attenuated)
+    gelled = np.isfinite(dmap.gel_time[interior])
+    cure_depth = att * math.log(exposure / gel_dose)
+    assert np.array_equal(gelled, depth <= cure_depth)
+    assert depth[gelled].max() == pytest.approx(h)
+    # elements never lit before the pass have a dose of 0, so no horizon,
+    # however deep: the horizon kept every one of them
+    deep_and_dark = 0
+    for near, kept, blk, dose in spy.horizon:
+        dark = near[(dose == 0.0) & (np.min(blk.nozzle_z[0]) - dmap.z[near] > 40 * att)]
+        assert np.isin(dark, kept).all()
+        deep_and_dark += len(dark)
+    assert deep_and_dark > 0
+
+
+def test_a_long_attenuation_depth_puts_the_stack_within_the_horizon(spy):
+    clear = replace(FS9, name="dlp-fs9-clear", attenuation_depth_mm=2.5)
+    _assert_sweeps_agree(_custom_job(_stack_gcode(14), clear))
+    assert spy.horizon and spy.cut() == 0
+
+
+def test_an_element_within_the_margin_of_its_horizon_is_kept(spy):
+    # the attenuation depth is solved so that one buried element lies
+    # between its horizon att ln(cw / spacing) and that plus the margin,
+    # in a block that cuts others; doses move with the attenuation depth,
+    # so the spacing is read again until it holds
+    margin, gcode = cure._HORIZON_MARGIN, _stack_gcode(14)
+    att, pick = FS9.attenuation_depth_mm, None
+    for _ in range(6):
+        job = _custom_job(gcode, replace(FS9, name="dlp-fs9-margin", attenuation_depth_mm=att))
+        spy.horizon.clear()
+        dmap = _run(job)
+        calls = []
+        for near, kept, blk, dose in spy.horizon:
+            depth = np.min(blk.nozzle_z[0]) - dmap.z[near]
+            with np.errstate(divide="ignore", over="ignore"):
+                log_ratio = np.log(4.0 * np.max(blk.count * blk.weight) / np.spacing(dose))
+            calls.append((near, kept, depth, log_ratio))
+        if pick is None:
+            # the element whose depth needs the least change of att, in a
+            # block that cuts
+            best = math.inf
+            for i, (near, kept, depth, log_ratio) in enumerate(calls):
+                if len(kept) < len(near):
+                    need = np.abs(depth / (log_ratio + margin / 2) - att)
+                    j = int(np.argmin(need))
+                    if need[j] < best:
+                        best, pick = need[j], (i, int(near[j]))
+        i, element = pick
+        near, kept, depth, log_ratio = calls[i]
+        j = int(np.flatnonzero(near == element)[0])
+        if att * log_ratio[j] < depth[j] <= att * (log_ratio[j] + margin) and len(kept) < len(near):
+            assert element in kept
+            break
+        att = float(depth[j] / (log_ratio[j] + margin / 2))
+    else:
+        pytest.fail("no attenuation depth put the element within its margin")
+    _assert_sweeps_agree(job)
