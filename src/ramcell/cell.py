@@ -49,7 +49,7 @@ MAX_COLLISION_SAMPLES = 2e6
 TABLE_Z_MM = 0.0
 CAPSULE_CLEARANCE_MM = 70.0
 # planner nodes per IK chunk; bounds the candidates in memory at once (a
-# chunk's Branches hold about 290 bytes a node).  wall-50x10's 1296 nodes
+# chunk's Branches hold 276 bytes a node).  wall-50x10's 1296 nodes
 # plan in one chunk; at 2048 the first chunk of square-30x30x8.5 would
 # raise its planner's heap peak above what it was at 512
 IK_CHUNK_NODES = 1536

@@ -174,8 +174,7 @@ def cmd_emit(args) -> int:
         return EXIT_CHECKS
     assert result.program is not None
     script_path = out / f"{job.name}.script.txt"
-    override = report if report.printable else None
-    _write(script_path, cell.emit_program(result.program, override))
+    _write(script_path, cell.emit_program(result.program))
     steps_path = out / f"{job.name}.steps.csv"
     _write(steps_path, "\n".join(result.schedule.csv_lines()) + "\n")
     io_path = out / f"{job.name}.io.csv"

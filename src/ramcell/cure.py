@@ -11,8 +11,8 @@ they sit uncured, divided by the formulation's viscosity index.
 
 The sweep is culled and grouped.  Each timeline entry evaluates only
 its candidates, the elements already deposited by its last sample whose
-centroids lie within the footprint radius of the box around its spot
-track: a few dozen of the thousands on a multi-layer part.  A run of
+centroids lie within the footprint radius of the box its first and last
+spot span: a few dozen of the thousands on a multi-layer part.  A run of
 consecutive UV-on entries is swept in one array pass over its (entry,
 candidate) pairs, with a fixed count of numpy calls per run rather than
 per entry, and its dose and gel times are bit for bit those of
@@ -368,11 +368,12 @@ def accumulate_dose(dmap: DepositionMap, path: Toolpath, spot: UVConfig,
 
     The candidates of a timeline entry are the elements deposited by
     its last sample (a prefix, since deposit times are ordered) whose
-    centroid lies in the box around the entry's spot track grown by
-    the footprint radius; every other element would get exactly +0.0
-    from each of its samples.  Entries come in blocks of consecutive
-    UV-on entries, each cut into groups where its layout would pass
-    `_PAIR_SAMPLE_BUDGET`, and a group is swept in one array pass:
+    centroid lies in the box spanned by the entry's first and last spot
+    samples grown by the footprint radius; every other element would get
+    exactly +0.0 from each of its samples.  Entries come in blocks of
+    consecutive UV-on entries, each cut into groups where its layout
+    would pass `_PAIR_SAMPLE_BUDGET`, and a group is swept in one array
+    pass:
 
     1. in a flat block (every nozzle height constant through its
        entry) the elements past the depth horizon are dropped
@@ -411,9 +412,10 @@ def accumulate_dose(dmap: DepositionMap, path: Toolpath, spot: UVConfig,
     - monotone rounding: every sample's spot lies between the entry's
       first and last, because each step that makes it (k + 1/2) dt +
       t0, - t0, / duration, x step, + start, + trail rounds
-      monotonically, and the difference, square and sum of the distance
-      are monotone too, so the corner bound, taken with the table's own
-      operations, bounds every sample's squared distance;
+      monotonically (so the two bound the box), and the difference,
+      square and sum of the distance are monotone too, so the corner
+      bound, with the table's own operations, bounds every sample's
+      squared distance;
     - the half-spacing horizon (`_above_horizon`): a buried element
       there would add less than half an ulp to its dose in every
       entry, and a dose that does not change cannot cross the gel dose.
@@ -434,11 +436,10 @@ def accumulate_dose(dmap: DepositionMap, path: Toolpath, spot: UVConfig,
     for blk in _sample_blocks(path, spot, dt_s, reorient_rate):
         last_tau = blk.tau[blk.count - 1, np.arange(len(blk.count))]
         deposited = np.searchsorted(et, last_tau, side="right")
-        real = blk.tau < np.inf
-        lo_x = blk.spot_x.min(axis=0) - reach
-        hi_x = np.max(blk.spot_x, axis=0, where=real, initial=-np.inf) + reach
-        lo_y = blk.spot_y.min(axis=0) - reach
-        hi_y = np.max(blk.spot_y, axis=0, where=real, initial=-np.inf) + reach
+        ends = blk.spot_ends()  # they bound each track (monotone rounding)
+        (lo_x, hi_x), (lo_y, hi_y) = (
+            (np.minimum(first, final) - reach, np.maximum(first, final) + reach)
+            for first, final in ends)
         px, py = ex[:deposited[-1]], ey[:deposited[-1]]
         near = np.flatnonzero((px >= lo_x.min()) & (px <= hi_x.max())
                               & (py >= lo_y.min()) & (py <= hi_y.max()))
@@ -454,7 +455,6 @@ def accumulate_dose(dmap: DepositionMap, path: Toolpath, spot: UVConfig,
         block_pe = cells // len(near)
         block_pn = cells - block_pe * len(near)
         start = np.searchsorted(block_pe, np.arange(len(box) + 1))
-        ends = blk.spot_ends()
         for lo, hi in _runs(np.diff(start), blk.count, _PAIR_SAMPLE_BUDGET):
             if start[lo] == start[hi]:
                 continue

@@ -22,7 +22,8 @@ the node axis is last and contiguous, so every ufunc's inner loop and
 every reduction over branches runs over the nodes, not over a 2-, 4- or
 8-long axis.  `Branches.rows` fills the rows of the (node, branch) pairs
 asked for from the columns and solves their arm joints q2 and q4
-(`_arm_joints`).
+(`_arm_joints`); the valid mask is per (shoulder, wrist) too, and `ik`
+reads a solution's wrist-free flag off its q5.
 `_checked_rows` takes all eight rows of the nodes asked for and checks
 each candidate's forward pose (`_forward_ok`, row by row); `_dedup`
 drops duplicates over the 28 pairs j < k, and `nearest_branch` picks
@@ -166,16 +167,15 @@ class Branches:
     joints 2 and 4 for the (node, branch) pairs asked for, element by
     element, so a pair gets the bits it gets among all of them;
     columns() gives joints 1, 3, 5 and 6 of a run of nodes to broadcast
-    over all eight candidates.  About 290 bytes a node.  valid (8, n)
-    masks the branches that have a real solution and free (8, n) flags
-    the wrist-free ones."""
+    over all eight candidates.  valid (4, n) masks, per (shoulder,
+    wrist), the branches that have a real solution: candidate k is valid
+    where valid[k // 2] is.  276 bytes a node."""
     q1: np.ndarray
     q5: np.ndarray
     q6: np.ndarray
     q3: np.ndarray
     arm: np.ndarray
     valid: np.ndarray
-    free: np.ndarray
     a3: float
 
     def rows(self, nodes, branches) -> np.ndarray:
@@ -304,8 +304,7 @@ def _branch_columns(t06: np.ndarray, dh: DHParams) -> Branches:
     n = len(t06)
     return Branches(wrap_angles(q1).reshape(2, n), wrap_angles(q5).reshape(4, n),
                     wrap_angles(q6).reshape(4, n), q3.reshape(8, n), arm.reshape(4, 4, n),
-                    np.repeat(valid.reshape(4, n), 2, axis=0),
-                    np.repeat(free.reshape(4, n), 2, axis=0), dh.a3)
+                    valid.reshape(4, n), dh.a3)
 
 
 def _reaching_q6(t16, q5, p13_x, p13_y, c3, dh: DHParams):
@@ -354,13 +353,13 @@ def _checked_rows(cands: Branches, nodes: np.ndarray, t06: np.ndarray, dh: DHPar
     mask (m, 8) of those that are valid and whose forward pose matches
     their node's target in the (n, 3|4, 4) flange targets t06."""
     rows = cands.rows(nodes[:, None], np.arange(8))
-    return rows, cands.valid[:, nodes].T & _forward_ok(rows, t06[nodes, None], dh)
+    valid = np.repeat(cands.valid[:, nodes], 2, axis=0).T
+    return rows, valid & _forward_ok(rows, t06[nodes, None], dh)
 
 
-def _dedup(qs: np.ndarray, ok: np.ndarray, free: np.ndarray):
+def _dedup(qs: np.ndarray, ok: np.ndarray) -> np.ndarray:
     """Drop candidate k of each row when it lies within 1e-9 (max-norm) of
-    the first kept candidate j < k; j inherits a dropped k's wrist-free
-    flag.  Returns the kept mask and the free flags, both (n, 8)."""
+    a kept candidate j < k.  Returns the kept mask (n, 8)."""
     # pair p = k (k - 1) / 2 + j compares candidate k with j < k, a joint
     # at a time; the pair and candidate axes lead, so every reduction runs
     # a row at a time
@@ -368,15 +367,10 @@ def _dedup(qs: np.ndarray, ok: np.ndarray, free: np.ndarray):
     near = np.ones((len(_PAIR_K), len(qs)), dtype=bool)
     for i in range(6):
         near &= _close(q[i, _PAIR_K], q[i, _PAIR_J])
-    kept, free = ok.T.copy(), free.T.copy()
+    kept = ok.T.copy()
     for k in range(1, 8):
-        match = kept[:k] & near[k * (k - 1) // 2:k * (k + 1) // 2]
-        dup = match.any(axis=0)
-        kept[k] &= ~dup
-        merge = ok[:, k] & dup & free[k]
-        if merge.any():
-            free[match.argmax(axis=0)[merge], merge] = True
-    return kept.T, (free & kept).T
+        kept[k] &= ~(kept[:k] & near[k * (k - 1) // 2:k * (k + 1) // 2]).any(axis=0)
+    return kept.T
 
 
 def ik(target: Pose, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> list[IKSolution]:
@@ -395,9 +389,12 @@ def ik(target: Pose, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> list[I
     with np.errstate(divide="ignore", invalid="ignore"):
         cands = _branch_columns(t06, dh)
     rows, ok = _checked_rows(cands, np.arange(1), t06, dh)
-    kept, free = _dedup(rows, ok, cands.free.T)
-    return [IKSolution(JointConfig(tuple(rows[0, k].tolist())), *_BRANCHES[k], bool(free[0, k]))
-            for k in np.flatnonzero(kept[0])]
+    # wrist-free is q5 put on the degeneracy, wrapped to exactly 0.0 or pi;
+    # a kept row within 1e-9 of a free one has |sin q5| < 1e-9 <
+    # WRIST_DEGENERACY_TOL, so it was put there too
+    return [IKSolution(JointConfig(tuple(rows[0, k].tolist())), *_BRANCHES[k],
+                       rows[0, k, 4] in (0.0, math.pi))
+            for k in np.flatnonzero(_dedup(rows, ok)[0])]
 
 
 # candidate indices in (shoulder, elbow, wrist) tag order, the order in
@@ -503,7 +500,7 @@ def select_chain(cands: Branches, t06: np.ndarray, dh: DHParams, prev: np.ndarra
     def full(nodes, used):
         """The full path on the given nodes; returns whether each has a kept candidate."""
         rows, ok = _checked_rows(cands, nodes, t06, dh)
-        kept = _dedup(rows, ok, np.zeros_like(ok))[0][:, TAG_ORDER]
+        kept = _dedup(rows, ok)[:, TAG_ORDER]
         choice[nodes], dist[nodes], best = nearest_branch(rows[:, TAG_ORDER], kept, used,
                                                           joint_limit)
         branch[nodes] = TAG_ORDER[best]
@@ -521,7 +518,7 @@ def select_chain(cands: Branches, t06: np.ndarray, dh: DHParams, prev: np.ndarra
     while done < n:
         b = branch[src[done]]
         s, raw = src[done:n], cands.rows(slice(done, n), b)
-        fast = valid[b, done:n] & _forward_ok(raw, t06[done:n], dh)
+        fast = valid[b // 2, done:n] & _forward_ok(raw, t06[done:n], dh)
         used = _guessed_prev(raw, s - done, choice[src[done]], added[done:n], joint_limit)
         # b's rows unwrapped; the full path overwrites those of the slow nodes
         choice[done:n] = _unwrapped(raw, used, joint_limit)
@@ -579,7 +576,7 @@ def _unrivalled(cands: Branches, start: int, stop: int, raw, used, db, b: int,
     """Whether the row raw of branch b of each node start..stop, at
     distance db from the node's prev `used`, meets select_chain's
     conditions 1 and 2 (b's own validity and forward check aside).  Both
-    read the columns, q1 over its two per node, q5 and q6 over their four
+    read the columns, q1 over its two per node, q5, q6 and valid over four
     and joint 3 over all eight, broadcast over the eight candidates."""
     w = stop - start
     near, gaps = np.ones((2, 2, 2, w), dtype=bool), None
@@ -591,10 +588,10 @@ def _unrivalled(cands: Branches, start: int, stop: int, raw, used, db, b: int,
             np.abs(gap, out=gap)
             gaps = gap if gaps is None else np.maximum(gaps, gap, out=gaps)
     # the candidate axis leads, so these reductions run a row at a time
-    valid = cands.valid[:, start:stop]
-    far = ~valid | (gaps.reshape(8, w) > db + 1e-12)
+    valid = cands.valid[:, start:stop].reshape(2, 2, 1, w)
+    far = (~valid | (gaps > (db + 1e-12))).reshape(8, w)
     far[b] = True
-    return ~(near.reshape(8, w) & valid)[:b].any(axis=0) & far.all(axis=0)
+    return ~(near & valid).reshape(8, w)[:b].any(axis=0) & far.all(axis=0)
 
 
 def jacobian(q: JointConfig, dh: DHParams, tcp_offset: Pose = Pose.identity()) -> np.ndarray:

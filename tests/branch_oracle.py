@@ -13,7 +13,10 @@ which reads the target's entries, must match it to rounding, not bit for
 bit.  The DH product is this module's own: `dh_links` builds the link
 matrices, `ur_rows` the arm's six (a, d, alpha) rows from a DHParams, and
 `dh_product` multiplies them out, so the oracles share no code with the
-closed forms they check.  fk_batch and select_branch are the batch
+closed forms they check.  `ik_per_node` de-duplicates the kernel's rows
+node by node and takes each candidate's wrist-free flag from the
+DH-product candidates, so `ik`'s flag, read off its q5, is checked
+against a flag it did not compute.  fk_batch and select_branch are the batch
 forward kinematics and the one-node branch choice that no production
 code calls; tests build targets and tool-down programs with them, and
 `tag`, `about_z` and `rotate` are the small helpers the tests sort
@@ -140,11 +143,15 @@ def dedup_per_node(qs, ok, free) -> list[list[IKSolution]]:
 def ik_per_node(targets: np.ndarray, dh: DHParams, tcp_offset) -> list[list[IKSolution]]:
     """ik's solution list of each TCP target of the (n, 3|4, 4) array, all
     solved and forward-checked in one call and de-duplicated node by
-    node."""
+    node, each candidate flagged wrist-free by the DH-product oracle
+    (candidate_angles), not by the kernel."""
     t06 = targets @ np.linalg.inv(tcp_offset.to_matrix())
+    square = np.zeros((len(t06), 4, 4))
+    square[:, :3], square[:, 3, 3] = t06[:, :3], 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         cands = _branch_columns(t06, dh)
-    return dedup_per_node(*_checked_rows(cands, np.arange(len(t06)), t06, dh), cands.free.T)
+        _, _, free = candidate_angles(square, dh)
+    return dedup_per_node(*_checked_rows(cands, np.arange(len(t06)), t06, dh), free)
 
 
 def select_branch_per_node(solutions: list[IKSolution], prev: JointConfig,

@@ -639,6 +639,28 @@ def test_passes_straddle_a_layer_change_a_uv_off_dwell_and_block_boundaries(monk
     assert straddled >= 2
 
 
+@pytest.mark.parametrize("source", ["rectangle-90x60", "wall-50x10", "square-30x30x8.5",
+                                    "ramp-gcode", "layers-gcode"])
+def test_each_spot_track_lies_between_its_first_and_last_sample(source):
+    """The sweep boxes each entry's spot track by its first and last spot
+    samples: over an entry's real samples the smallest and largest spot
+    coordinate are those of the two, bit for bit, since every step that
+    makes a sample rounds monotonically; in blocks that mix sample counts
+    (layers-gcode) and where the nozzle height varies (ramp-gcode) too."""
+    interior = mixed = 0
+    for blk in _blocks(_job(source)):
+        real = blk.tau < np.inf
+        for table, (first, final) in zip((blk.spot_x, blk.spot_y), blk.spot_ends()):
+            low = np.min(table, axis=0, where=real, initial=np.inf)
+            high = np.max(table, axis=0, where=real, initial=-np.inf)
+            assert np.array_equal(low.view(np.int64), np.minimum(first, final).view(np.int64))
+            assert np.array_equal(high.view(np.int64), np.maximum(first, final).view(np.int64))
+        interior += np.count_nonzero(blk.count > 2)
+        mixed += blk.count.min() < blk.count.max()
+    assert interior > 0
+    assert mixed > 0 or source != "layers-gcode"
+
+
 def test_sweep_without_uv_entries_leaves_dose_at_zero():
     path = line_path()
     dark = Toolpath.from_segments(tuple(replace(s, uv_on=False) for s in path.segments))
@@ -951,6 +973,40 @@ def test_working_curve_of_one_exposure_over_a_buried_stack(spy):
         assert np.isin(dark, kept).all()
         deep_and_dark += len(dark)
     assert deep_and_dark > 0
+
+
+def _gel_delay(v, material=FS9):
+    """The delay from deposit to gel of an interior element of a straight
+    single-layer UV-on line at speed v: the spot's edge reaches the
+    element (trail - r) / v after the nozzle laid it, and the element
+    then gels after E_gel / I in the footprint, unburied."""
+    r, irr = SPOT.footprint_radius_mm(), SPOT.irradiance_w_mm2()
+    assert r < SPOT.trail_offset_mm and material.gel_dose_j_mm2() / irr < 2.0 * r / v
+    return (SPOT.trail_offset_mm - r) / v + material.gel_dose_j_mm2() / irr
+
+
+def test_gel_time_of_a_straight_line_matches_the_spot_geometry():
+    v, dt = 4.0, CFG.cure.sweep_dt_s
+    dmap = run_dose(line_path(speed=v), FS9)
+    r = SPOT.footprint_radius_mm()
+    # a full chord of the footprint lies on the laid line
+    interior = (dmap.x > r) & (dmap.x < 50.0 - r)
+    assert np.count_nonzero(interior) > 20
+    delay = dmap.gel_time[interior] - dmap.deposit_time[interior]
+    assert np.all(np.abs(delay - _gel_delay(v)) <= dt)
+
+
+def test_line_width_of_a_straight_line_matches_the_gel_delay():
+    # the probe's beads spread by c t_gel / viscosity for t_gel = the gel
+    # delay, so the sweep's one-sample error moves the width by at most
+    # w0 c dt / viscosity
+    v, dt, cure_cfg = 4.0, CFG.cure.sweep_dt_s, CFG.cure
+    dmap = run_dose(line_path(speed=v), FS9)
+    dims = predict_dimensions(spread(dmap, FS9, cure_cfg), cure_cfg)
+    w0 = math.sqrt(cure_cfg.bead_aspect * FLOW.q_mm3_s / v)
+    want = w0 * (1.0 + cure_cfg.c_spread * _gel_delay(v) / FS9.viscosity_index)
+    assert dims["line_width_mm"] > w0
+    assert abs(dims["line_width_mm"] - want) <= w0 * cure_cfg.c_spread * dt / FS9.viscosity_index
 
 
 def test_a_long_attenuation_depth_puts_the_stack_within_the_horizon(spy):

@@ -343,7 +343,7 @@ def test_ik_dedup_matches_per_node_oracle():
 def test_dedup_rule_on_chains_of_near_duplicates():
     """Candidate k is compared with the kept candidates only: a k within
     1e-9 of a dropped j but not of any kept one stays, and a k within 1e-9
-    of two kept ones merges into the first."""
+    of two kept ones is dropped."""
     rng = np.random.RandomState(12)
     n = 400
     qs = np.repeat(rng.uniform(-3.0, 3.0, (n, 1, 6)), 8, axis=1)
@@ -354,13 +354,12 @@ def test_dedup_rule_on_chains_of_near_duplicates():
     qs[scatter, rng.randint(0, 6, scatter.sum())] += 0.7e-9
     ok = rng.rand(n, 8) < 0.85
     qs[~ok & (rng.rand(n, 8) < 0.5)] = np.nan  # masked branches may be NaN
-    free = rng.rand(n, 8) < 0.5
-    kept, merged_free = _dedup(qs, ok, free)
-    got = [[IKSolution(JointConfig(tuple(qs[i, k].tolist())), *_BRANCHES[k],
-                       bool(merged_free[i, k])) for k in np.flatnonzero(kept[i])]
-           for i in range(n)]
-    assert _solution_keys(got) == _solution_keys(dedup_per_node(qs, ok, free))
-    assert (kept < ok).any() and (merged_free > (free & kept)).any()
+    kept = _dedup(qs, ok)
+    got = [[IKSolution(JointConfig(tuple(qs[i, k].tolist())), *_BRANCHES[k])
+            for k in np.flatnonzero(kept[i])] for i in range(n)]
+    want = dedup_per_node(qs, ok, np.zeros_like(ok))
+    assert _solution_keys(got) == _solution_keys(want)
+    assert (kept < ok).any()
 
 
 # the chunk size the chain tests pin: their inputs are sized by it and
@@ -386,18 +385,21 @@ def _candidates(t06):
     the mask (n, 8) of the valid ones."""
     with np.errstate(divide="ignore", invalid="ignore"):
         cands = _branch_columns(t06, DH)
-    return cands.rows(np.arange(len(t06))[:, None], np.arange(8)), cands.valid.T
+    rows = cands.rows(np.arange(len(t06))[:, None], np.arange(8))
+    return rows, np.repeat(cands.valid, 2, axis=0).T
 
 
 class RowBranches:
     """A candidate source for select_chain backed by given rows (n, 8, 6)
     and valid (n, 8) instead of the closed form, laid out branch-major as
-    the Branches are: valid is (8, n), and the columns are every
-    candidate's own joints 3, 1, 5 and 6, each (2, 2, 2, w), so an edit
-    to any joint of any candidate reaches select_chain's conditions."""
+    the Branches are: valid is (4, n), one per (shoulder, wrist), so both
+    elbows of a pair must agree, and the columns are every candidate's
+    own joints 3, 1, 5 and 6, each (2, 2, 2, w), so an edit to any joint
+    of any candidate reaches select_chain's conditions."""
 
     def __init__(self, rows, valid):
-        self._rows, self.valid = rows, valid.T
+        assert (valid[:, ::2] == valid[:, 1::2]).all()
+        self._rows, self.valid = rows, valid[:, ::2].T
 
     def rows(self, nodes, branches):
         return self._rows[nodes, branches]
@@ -565,7 +567,7 @@ def test_chain_takes_the_full_path_for_a_nan_rival_ahead_of_b(monkeypatch):
     choice, dist, full = _select_spying(rows, valid, t06, NEAR_HOME, 2.0 * math.pi, added,
                                         monkeypatch)
     assert _took_full_path(full, rows[12])
-    kept = _dedup(rows, valid & _forward_ok(rows, t06[:, None], DH), np.zeros_like(valid))[0]
+    kept = _dedup(rows, valid & _forward_ok(rows, t06[:, None], DH))
     prev = NEAR_HOME
     for i in range(len(rows)):
         want, want_dist, _ = kinematics.nearest_branch(
@@ -594,7 +596,9 @@ def test_chain_takes_the_full_path_for_the_flip_pair_at_the_wrist_degeneracy(mon
     assert valid[12, [0, 2]].all()
     assert (np.abs(rows[12, 2] - rows[12, 0]) < 1e-9).all()
     rows[20, 0] = rows[20, 2] + [5e-10, 0.0, 0.0, 0.0, 0.0, 0.0]
-    valid[20, 0] = True
+    # validity is per (shoulder, wrist); candidate 1's row fails the
+    # forward check, so it is never kept
+    valid[20, :2] = True
     choice = _check_full_path_case(rows, valid, t06, [12, 20], monkeypatch)
     assert choice[20, 0] == rows[20, 0, 0]
 
@@ -726,11 +730,13 @@ def _oracle_targets(rng, dh, tcp, n):
 def test_column_kernel_matches_the_dh_product_oracle():
     """The column kernel against the DH-product kernel it replaced, on
     seeded [kinematics] sections (a2 < 0, other links of either sign,
-    d5 = 0, non-zero TCP offsets): the same valid, free and
-    forward-checked masks, and joints within 1e-9 rad by wrapped
-    difference.  Every branch counts, those on an exact wrist degeneracy
-    whose acos noise leaves |sin q5| near 1e-7 included: both kernels
-    put them on the degeneracy (WRIST_DEGENERACY_TOL)."""
+    d5 = 0, non-zero TCP offsets): the same valid and forward-checked
+    masks, joints within 1e-9 rad by wrapped difference, and a q5 of
+    exactly 0 or pi on just the rows the oracle flags wrist-free, which
+    is how ik reads the flag.  Every branch counts, those on an exact
+    wrist degeneracy whose acos noise leaves |sin q5| near 1e-7
+    included: both kernels put them on the degeneracy
+    (WRIST_DEGENERACY_TOL)."""
     rng = np.random.RandomState(45)
     tables = [_seeded_kinematics(rng, d5_mm=0.0)] + [_seeded_kinematics(rng) for _ in range(7)]
     worst = 0.0
@@ -742,9 +748,10 @@ def test_column_kernel_matches_the_dh_product_oracle():
             cands = _branch_columns(t06, dh)
             want_qs, want_valid, want_free = branch_oracle.candidate_angles(t06, dh)
         qs, ok = _checked_rows(cands, np.arange(len(t06)), t06, dh)
-        valid, free = cands.valid.T, cands.free.T
+        valid, free = np.repeat(cands.valid, 2, axis=0).T, want_free
         _, want_ok, _ = branch_oracle.checked_candidates(t06, dh)
-        for got, want in ((valid, want_valid), (free, want_free), (ok, want_ok)):
+        on_degeneracy = (qs[..., 4] == 0.0) | (qs[..., 4] == math.pi)
+        for got, want in ((valid, want_valid), (on_degeneracy, want_free), (ok, want_ok)):
             assert (got == want).all()
         gap = np.abs(np.vectorize(wrap_angle)(qs[valid] - want_qs[valid]))
         worst = max(worst, float(gap.max()))
@@ -757,6 +764,26 @@ def test_column_kernel_matches_the_dh_product_oracle():
     print(f"worst joint difference from the DH-product oracle: {worst:.3g} rad")
     assert worst < 1e-9, worst
     assert reached > 2000 and free_at_0 > 100 and turned > 50
+
+
+def test_ik_free_parameter_is_the_dh_product_oracles_flag():
+    """ik reads a solution's wrist-free flag off its q5; on the seeded
+    [kinematics] sections every solution's flag is the DH-product
+    oracle's flag of its candidate, on targets with regular,
+    wrist-degenerate and q6-turned branches."""
+    rng = np.random.RandomState(49)
+    tables = [_seeded_kinematics(rng, d5_mm=0.0)] + [_seeded_kinematics(rng) for _ in range(7)]
+    flags = []
+    for dh, tcp in tables:
+        targets = _oracle_targets(rng, dh, tcp, 160)[:120]  # the reachable three quarters
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = branch_oracle.candidate_angles(targets @ np.linalg.inv(tcp.to_matrix()),
+                                                  dh)[2]
+        for target, want_free in zip(targets, want):
+            for sol in ik(Pose.from_matrix(target), dh, tcp):
+                assert sol.free_parameter == want_free[_BRANCHES.index(tag(sol))]
+                flags.append(sol.free_parameter)
+    assert sum(flags) > 100 and len(flags) - sum(flags) > 1000
 
 
 def test_arm_joints_of_any_pairs_match_the_eight_branch_rows():
@@ -776,11 +803,17 @@ def test_arm_joints_of_any_pairs_match_the_eight_branch_rows():
             cands = _branch_columns(t06, dh)
         n = len(t06)
         want = cands.rows(np.arange(n)[:, None], np.arange(8))
-        valid, free = cands.valid.T, cands.free.T
+        valid = np.repeat(cands.valid, 2, axis=0).T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            free = branch_oracle.candidate_angles(t06, dh)[2]
         # the columns hold the joints every branch shares, and no arm joint:
-        # branch-major, 2, 4, 4, 8 and 16 values a node, the node axis last
+        # branch-major, 2, 4, 4, 8 and 16 values a node and valid per
+        # (shoulder, wrist), the node axis last: 276 bytes a node
         assert cands.q1.shape == (2, n) and cands.q5.shape == cands.q6.shape == (4, n)
         assert cands.q3.shape == (8, n) and cands.arm.shape == (4, 4, n)
+        assert cands.valid.shape == (4, n)
+        assert sum(getattr(cands, name).nbytes for name in
+                   ("q1", "q5", "q6", "q3", "arm", "valid")) == 276 * n
         nodes = rng.randint(0, len(t06), 3000)
         branches = rng.randint(0, 8, 3000)
         b = rng.randint(8)
@@ -797,7 +830,7 @@ def test_arm_joints_of_any_pairs_match_the_eight_branch_rows():
 
 def _column_bytes(cands):
     return [getattr(cands, name).tobytes() for name in
-            ("q1", "q5", "q6", "q3", "arm", "valid", "free")]
+            ("q1", "q5", "q6", "q3", "arm", "valid")]
 
 
 def test_branch_columns_of_strided_and_reversed_targets_match_the_contiguous_call():
