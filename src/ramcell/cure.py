@@ -12,12 +12,16 @@ they sit uncured, divided by the formulation's viscosity index.
 The sweep is culled and grouped.  Each timeline entry evaluates only
 its candidates, the elements already deposited by its last sample whose
 centroids lie within the footprint radius of the box its first and last
-spot span: a few dozen of the thousands on a multi-layer part.  A run of
-consecutive UV-on entries is swept in one array pass over its (entry,
-candidate) pairs, with a fixed count of numpy calls per run rather than
-per entry, and its dose and gel times are bit for bit those of
-evaluating every element at every sample, entry by entry.  Three skips
-leave out only work that cannot change a bit (see `accumulate_dose`):
+spot span: a few dozen of the thousands on a multi-layer part.  They are
+found by a two-level box, a union box per run of 16 entries and then
+each entry's own box over that run's elements, so the box tests a few
+cells per pair it yields, not entries x elements.  A run of consecutive UV-on entries is swept in one
+array pass over its (entry, candidate) pairs, with a fixed count of
+numpy calls per run rather than per entry, in memory bounded by one
+budget whatever the block's length, and its dose and gel times are bit
+for bit those of evaluating every element at every sample, entry by
+entry.  Three skips leave out only work that cannot change a bit (see
+`accumulate_dose`):
 
 - whole-footprint pairs: where the nozzle height is constant through an
   entry, a pair whose element lies in the footprint at the entry's
@@ -25,9 +29,10 @@ leave out only work that cannot change a bit (see `accumulate_dose`):
   sample, since rounding is monotone, so its column is its one weight
   added count times, a reduce down a broadcast row in place of a
   (samples, pairs) table;
-- the chain of entries per element is a sequential reduce, numpy's
-  order along an array's outer axis, and only the elements that first
-  reach the gel dose take the accumulate that finds their crossing;
+- the chain of entries per element is one in-order scatter-add
+  (``np.add.at``, which adds at repeated indices one at a time, in
+  index order), and only the elements that first reach the gel dose
+  replay their pairs to find their crossing;
 - the depth horizon: below it a buried element's column sums to less
   than half the spacing of its dose (Goldberg 1991, Higham ch. 4), so
   ``dose + sum`` is ``dose`` and the element is left out of the block.
@@ -180,12 +185,16 @@ class _SampleBlock:
         return (self.spot_x[0], self.spot_x[last]), (self.spot_y[0], self.spot_y[last])
 
 
-# padded (sample, entry) cells per sample block, about 80 entries of a
-# 1 mm move: one block is one box test and, unless the pair budget cuts
-# it, one array pass
-_BLOCK_SAMPLES = 1 << 10
-# the most (sample, candidate) cells one array pass lays out
-_PAIR_SAMPLE_BUDGET = 1 << 16
+# padded (sample, entry) cells per sample block, about 320 entries of a
+# 1 mm move: one block is one first-level box test
+_BLOCK_SAMPLES = 1 << 12
+# the most (sample, second-level box cell) cells one array pass lays out,
+# unless a single entry's pass needs more; a pass's pairs are among its
+# box cells, so its tables fit it too
+_PAIR_SAMPLE_BUDGET = 1 << 18
+# consecutive entries of a block boxed together: their union box picks
+# the candidates that each entry's own box then tests
+_SUB_BLOCK = 16
 # a longer sweep would run for hours; past int64 its count cannot be cast
 MAX_SWEEP_SAMPLES = 1e7
 
@@ -285,6 +294,14 @@ def _sample_blocks(path: Toolpath, spot: UVConfig, dt_s: float,
                            spot_x=spot_x, spot_y=spot_y, nozzle_z=nozzle_z)
 
 
+def _by_sub_block(a: np.ndarray, fill: float) -> np.ndarray:
+    """A block's per-entry ``a``, padded with ``fill`` to whole sub-blocks,
+    one row each."""
+    out = np.full(-(-len(a) // _SUB_BLOCK) * _SUB_BLOCK, fill, a.dtype)
+    out[:len(a)] = a
+    return out.reshape(-1, _SUB_BLOCK)
+
+
 def _column_sums(a: np.ndarray, where: np.ndarray | bool = True) -> np.ndarray:
     """Sum each column of a 2-D array, top row first, over ``where``.
 
@@ -356,6 +373,113 @@ def _corner_bound(ends: tuple[tuple[np.ndarray, np.ndarray], ...], entry: np.nda
     return bound
 
 
+def _weigh(height: np.ndarray, weight: np.ndarray, att: float) -> np.ndarray:
+    """A sample's weight w exp(-depth / att), depth = max(height, 0) for the
+    nozzle height over the element, worked out in ``height`` one step at
+    a time as ``weight * np.exp(-np.maximum(height, 0.0) / att)``."""
+    np.maximum(height, 0.0, out=height)
+    np.negative(height, out=height)
+    height /= att
+    np.exp(height, out=height)
+    height *= weight
+    return height
+
+
+def _sweep_group(blk: _SampleBlock, ends: tuple[tuple[np.ndarray, np.ndarray], ...],
+                 pe: np.ndarray, el: np.ndarray, settled: np.ndarray, rows: int,
+                 dmap: DepositionMap, radius2: float, threshold: float) -> None:
+    """Add one group's (entry ``pe``, element ``el``) pairs to the dose and
+    record the gel times they reach, `accumulate_dose` steps 2 to 4; each
+    element's pairs come in entry order."""
+    ex, ey, ez, et = dmap.x, dmap.y, dmap.z, dmap.deposit_time
+    dose, gel = dmap.dose, dmap.gel_time
+    k = np.arange(rows)[:, None]
+    # a sample's weight w exp(-depth/att) where the nozzle height is
+    # constant through the entry
+    att = dmap.material.attenuation_depth_mm
+    w = np.take(blk.nozzle_z[0], pe)
+    w -= ez[el]
+    _weigh(w, blk.weight[pe], att)
+    flat = blk.flat[pe]
+    whole = np.zeros(len(pe), bool)
+    if flat.any():
+        f = slice(None) if flat.all() else np.flatnonzero(flat)
+        ef = el[f]
+        whole[f] = ((_corner_bound(ends, pe[f], ex[ef], ey[ef]) <= radius2)
+                    & (ef < settled[pe[f]]))
+    sums = np.empty(len(pe))
+    on = np.flatnonzero(whole)
+    if len(on):
+        # w added count times: a row broadcast down the table, masked
+        # only where the entries differ in length
+        count = blk.count[pe[on]]
+        mask = k < count if count.min() < rows else True
+        sums[on] = _column_sums(np.broadcast_to(w[on], (rows, len(on))), mask)
+        del count, mask
+    del on
+    table = np.flatnonzero(~whole)
+    if len(table):
+        pt, elt = pe[table], el[table]
+        # (samples, pairs): squared distance to the spot, then lit
+        d2 = np.take(blk.spot_x[:rows], pt, axis=1)
+        np.subtract(ex[elt], d2, out=d2)
+        d2 *= d2
+        dy = np.take(blk.spot_y[:rows], pt, axis=1)
+        np.subtract(ey[elt], dy, out=dy)
+        dy *= dy
+        d2 += dy
+        lit = d2 <= radius2
+        # tau only grows through an entry, so only an element deposited
+        # after the entry's first sample can be unlit for its age
+        fresh = np.flatnonzero(elt >= settled[pt])
+        if len(fresh):
+            lit[:, fresh] &= et[elt[fresh]] <= np.take(blk.tau[:rows], pt[fresh], axis=1)
+        # lit x w is w or +0.0, since w is finite and >= 0; the distances'
+        # buffer is reused
+        contrib = d2
+        np.copyto(contrib, lit)
+        del lit
+        if flat[table].all():
+            contrib *= w[table]
+        else:
+            # the weight of each sample where the nozzle height varies
+            np.take(blk.nozzle_z[:rows], pt, axis=1, out=dy)
+            dy -= ez[elt]
+            contrib *= _weigh(dy, blk.weight[pt], att)
+        del dy
+        sums[table] = _column_sums(contrib)
+    before = dose[el]
+    # ufunc.at adds in index order, so each element takes its pairs' sums
+    # one at a time, in entry order, as a per-entry sweep adds them
+    np.add.at(dose, el, sums)
+    # below the gel dose is exactly without a gel time
+    crossed = np.flatnonzero((before < threshold) & (dose[el] >= threshold))
+    if not len(crossed):
+        return
+    # replay the chain of each element that reached the gel dose: its
+    # pairs ranked in entry order, one column each under its dose before
+    # the group
+    crossed = crossed[np.argsort(el[crossed], kind="stable")]
+    new = np.concatenate(([True], el[crossed[1:]] != el[crossed[:-1]]))
+    seg = np.cumsum(new) - 1
+    head = np.flatnonzero(new)
+    rank = np.arange(len(crossed)) - head[seg]
+    chain = np.zeros((int(rank.max()) + 2, len(head)))
+    chain[0] = before[crossed[head]]
+    chain[rank + 1, seg] = sums[crossed]
+    cum = np.add.accumulate(chain, axis=0)
+    # the first row at or above the gel dose is the crossing pair's
+    row = np.argmax(cum >= threshold, axis=0)
+    cross = crossed[head + row - 1]
+    col = np.where(k < blk.count[pe[cross]], w[cross], 0.0)
+    tabled = ~whole[cross]
+    if tabled.any():
+        col[:, tabled] = contrib[:, np.searchsorted(table, cross[tabled])]
+    col = np.cumsum(col, axis=0)
+    col += cum[row - 1, np.arange(len(head))]
+    gel[el[cross]] = blk.tau[np.argmax(col >= threshold, axis=0), pe[cross]]
+
+
 def accumulate_dose(dmap: DepositionMap, path: Toolpath, spot: UVConfig,
                     dt_s: float = 0.02, reorient_rate: float = 1.0) -> DepositionMap:
     """Sweep the trailing footprint over the timeline and integrate dose.
@@ -371,31 +495,40 @@ def accumulate_dose(dmap: DepositionMap, path: Toolpath, spot: UVConfig,
     centroid lies in the box spanned by the entry's first and last spot
     samples grown by the footprint radius; every other element would get
     exactly +0.0 from each of its samples.  Entries come in blocks of
-    consecutive UV-on entries, each cut into groups where its layout
-    would pass `_PAIR_SAMPLE_BUDGET`, and a group is swept in one array
-    pass:
+    consecutive UV-on entries, and a block's entries in sub-blocks of
+    `_SUB_BLOCK`.  Runs of whole sub-blocks whose box cells would pass
+    `_PAIR_SAMPLE_BUDGET` are cut into groups, a sub-block whose cells
+    alone pass it into windows of entries, and a group is swept in one
+    array pass (`_sweep_group`):
 
     1. in a flat block (every nozzle height constant through its
        entry) the elements past the depth horizon are dropped
-       (`_above_horizon`); the box test then keeps the elements of the
-       block's deposited prefix inside the union of its entries' boxes
-       and applies each entry's own box and prefix, giving the pairs in
-       entry order;
-    2. in a flat group a pair's sample weight w exp(-depth / att) is
-       one number, and a pair whose element is deposited by the entry's
-       first sample and whose corner bound, the largest squared distance
-       to the first or last spot sample on each axis, is within the
-       radius is lit at every sample: its column is w, count times;
+       (`_above_horizon`); a two-level box test then keeps, per
+       sub-block, the elements of the block's deposited prefix inside
+       the union of its entries' boxes, and per group tests each entry's
+       own box and prefix on its sub-block's candidates only, so the box
+       cells grow with the pairs, not with entries x elements.  The
+       pairs come in sub-block, element, entry order: each element's
+       pairs are in entry order;
+    2. a pair of an entry whose nozzle height is constant has one sample
+       weight w exp(-depth / att), and if its element is deposited by
+       the entry's first sample (an index below that sample's deposited
+       prefix) and its corner bound, the largest squared distance to the
+       first or last spot sample on each axis, is within the radius, it
+       is lit at every sample: its column is w, count times.  Flatness
+       is read per entry, so a ramped entry costs only its own pairs
+       this path;
     3. every other pair's samples are laid out as a ``(samples, pairs)``
        table, each column padded to the group's longest entry by
        samples at +inf, which are never lit, with the weight taken once
        a sample where the nozzle height varies;
-    4. a pair's total is the sum down its column, and the entries are
-       chained per element by a reduce down a dense
-       ``(entries + 1, elements)`` table whose first row is the dose
-       before the group; only the elements that first reach the gel
-       dose accumulate their chain, whose first row at or above it
-       names the crossing pair, and that pair's column takes a
+    4. a pair's total is the sum down its column, and ``np.add.at``
+       adds the totals to the doses in pair order, so each element
+       takes its entries' totals one at a time, in entry order.  Only
+       the elements that cross the gel dose in the group replay their
+       pairs, ranked in a small ``(pairs + 1, crossed elements)`` chain
+       under their dose before the group; its first row at or above the
+       gel dose names the crossing pair, and that pair's column takes a
        cumulative sum to find the crossing sample.
 
     Dose and gel times are bit for bit those of a per-entry sweep over
@@ -404,9 +537,10 @@ def accumulate_dose(dmap: DepositionMap, path: Toolpath, spot: UVConfig,
 
     - every sum keeps its order: reduces along the outer axis of a
       C-ordered table, or of a row broadcast down it, add one row at a
-      time, as the per-entry cumsum and ``dose + total`` do, and a
-      single column takes the cumsum (`_column_sums`); an element of
-      the group not lit in an entry (or not a candidate there) adds
+      time, as the per-entry cumsum does, and a single column takes the
+      cumsum (`_column_sums`); ``ufunc.at`` adds its values one index at
+      a time, in index order, as ``dose + total`` entry by entry does;
+      an element not lit in an entry (or not a candidate there) adds
       +0.0, which changes no dose >= 0, and a padding sample adds +0.0
       after the entry's last sample, so it is never the first crossing;
     - monotone rounding: every sample's spot lies between the entry's
@@ -432,100 +566,66 @@ def accumulate_dose(dmap: DepositionMap, path: Toolpath, spot: UVConfig,
     threshold = dmap.material.gel_dose_j_mm2()
     att = dmap.material.attenuation_depth_mm
     ex, ey, ez, et = dmap.x, dmap.y, dmap.z, dmap.deposit_time
-    dose, gel = dmap.dose, dmap.gel_time
+    dose = dmap.dose
     for blk in _sample_blocks(path, spot, dt_s, reorient_rate):
-        last_tau = blk.tau[blk.count - 1, np.arange(len(blk.count))]
-        deposited = np.searchsorted(et, last_tau, side="right")
+        deposited = np.searchsorted(et, blk.tau[blk.count - 1, np.arange(len(blk.count))],
+                                    side="right")
+        # an element below this index is deposited by the entry's first sample
+        settled = np.searchsorted(et, blk.tau[0], side="right")
         ends = blk.spot_ends()  # they bound each track (monotone rounding)
-        (lo_x, hi_x), (lo_y, hi_y) = (
-            (np.minimum(first, final) - reach, np.maximum(first, final) + reach)
-            for first, final in ends)
-        px, py = ex[:deposited[-1]], ey[:deposited[-1]]
+        # each entry's box and deposited prefix, a row per sub-block
+        lo_x, hi_x, lo_y, hi_y = (
+            _by_sub_block(bound, fill)
+            for first, final in ends
+            for bound, fill in ((np.minimum(first, final) - reach, np.inf),
+                                (np.maximum(first, final) + reach, -np.inf)))
+        deposited = _by_sub_block(deposited, 0)
+        px, py = ex[:deposited.max()], ey[:deposited.max()]
         near = np.flatnonzero((px >= lo_x.min()) & (px <= hi_x.max())
                               & (py >= lo_y.min()) & (py <= hi_y.max()))
         if len(near) and blk.flat.all():
             near = _above_horizon(near, blk, ez, dose, att)
+        if not len(near):
+            continue
+        # level one: the elements of near in each sub-block's union box, in
+        # sub-block order, then element order
         px, py = ex[near], ey[near]
-        box = ((px >= lo_x[:, None]) & (px <= hi_x[:, None])
-               & (py >= lo_y[:, None]) & (py <= hi_y[:, None])
-               & (near < deposited[:, None]))
-        # the block's pairs in entry order, then element order (a 1-D
-        # nonzero and a division are several times faster than a 2-D one)
-        cells = np.flatnonzero(box)
-        block_pe = cells // len(near)
-        block_pn = cells - block_pe * len(near)
-        start = np.searchsorted(block_pe, np.arange(len(box) + 1))
-        for lo, hi in _runs(np.diff(start), blk.count, _PAIR_SAMPLE_BUDGET):
-            if start[lo] == start[hi]:
+        cells = np.flatnonzero((px >= lo_x.min(1)[:, None]) & (px <= hi_x.max(1)[:, None])
+                               & (py >= lo_y.min(1)[:, None]) & (py <= hi_y.max(1)[:, None])
+                               & (near < deposited.max(1)[:, None]))
+        cand_sub = cells // len(near)
+        cand = near[cells - cand_sub * len(near)]
+        del cells
+        start = np.searchsorted(cand_sub, np.arange(len(lo_x) + 1))
+        rows = _by_sub_block(blk.count, 0).max(1)
+        for a, b in _runs(np.diff(start) * _SUB_BLOCK, rows, _PAIR_SAMPLE_BUDGET):
+            if start[a] == start[b]:
                 continue
-            pe, pn = block_pe[start[lo]:start[hi]], block_pn[start[lo]:start[hi]]
-            used = np.zeros(len(near), bool)
-            used[pn] = True
-            members = near[used]
-            pc = np.cumsum(used)[pn] - 1
-            el = near[pn]
-            count = blk.count[lo:hi]
-            rows = int(count.max())
-            k = np.arange(rows)[:, None]
-            # a sample's weight w exp(-depth/att), one row of them where every
-            # nozzle height is constant through its entry
-            flat = blk.flat[lo:hi].all()
-            nz = np.take(blk.nozzle_z[:1] if flat else blk.nozzle_z[:rows], pe, axis=1)
-            w = blk.weight[pe] * np.exp(-np.maximum(nz - ez[el], 0.0) / att)
-            whole = np.zeros(len(pe), bool)
-            if flat:
-                whole = ((_corner_bound(ends, pe, ex[el], ey[el]) <= radius2)
-                         & (et[el] <= blk.tau[0, pe]))
-            sums = np.empty(len(pe))
-            if whole.any():
-                on = np.flatnonzero(whole)
-                # w added count times: a row broadcast down the table, masked
-                # only where the group's entries differ in length
-                mask = k < blk.count[pe[on]] if count.min() < rows else True
-                sums[on] = _column_sums(np.broadcast_to(w[:, on], (rows, len(on))), mask)
-            table = np.flatnonzero(~whole)
-            if len(table):
-                pt, elt = pe[table], el[table]
-                # (samples, pairs): squared distance to the spot, then lit
-                d2 = np.take(blk.spot_x[:rows], pt, axis=1)
-                np.subtract(ex[elt], d2, out=d2)
-                d2 *= d2
-                dy = np.take(blk.spot_y[:rows], pt, axis=1)
-                np.subtract(ey[elt], dy, out=dy)
-                dy *= dy
-                d2 += dy
-                lit = d2 <= radius2
-                # tau only grows through an entry, so only an element deposited
-                # after the entry's first sample can be unlit for its age
-                fresh = np.flatnonzero(et[elt] > blk.tau[0, pt])
-                if len(fresh):
-                    lit[:, fresh] &= et[elt[fresh]] <= np.take(blk.tau[:rows], pt[fresh], axis=1)
-                # lit x w is w or +0.0, since w is finite and >= 0; the
-                # distances' buffer is reused
-                contrib = d2
-                np.copyto(contrib, lit)
-                contrib *= w[:, table]
-                sums[table] = _column_sums(contrib)
-            # chain the entries per element: row i + 1 holds entry lo + i's totals
-            chain = np.zeros((hi - lo + 1, len(members)))
-            slot = (pe - (lo - 1)) * len(members) + pc
-            chain.ravel()[slot] = sums
-            chain[0] = dose[members]
-            total = _column_sums(chain)
-            newly = np.flatnonzero((total >= threshold) & np.isinf(gel[members]))
-            if len(newly):
-                # the first row at or above the gel dose is the crossing pair's
-                cum = np.add.accumulate(chain[:, newly], axis=0)
-                row = np.argmax(cum >= threshold, axis=0)
-                cross = np.searchsorted(slot, row * len(members) + newly)
-                before = cum[row - 1, np.arange(len(newly))]
-                col = np.where(k < blk.count[pe[cross]], w[:, cross], 0.0)
-                tabled = ~whole[cross]
-                if tabled.any():
-                    col[:, tabled] = contrib[:, np.searchsorted(table, cross[tabled])]
-                first = np.argmax(before + np.cumsum(col, axis=0) >= threshold, axis=0)
-                gel[el[cross]] = blk.tau[first, pe[cross]]
-            dose[members] = total
+            cs, ce = cand_sub[start[a]:start[b]], cand[start[a]:start[b]]
+            # a sub-block whose box cells alone pass the budget is cut into
+            # windows of as many entries as fit it (at least one), a pass each
+            width = _SUB_BLOCK
+            if b - a == 1:
+                width = min(width, max(1, _PAIR_SAMPLE_BUDGET // (len(ce) * int(rows[a]))))
+            for j in range(0, _SUB_BLOCK, width):
+                # level two: each entry's own box and prefix over its
+                # sub-block's candidates. The pairs come in sub-block,
+                # element, entry order, so each element's pairs are in entry
+                # order
+                stop = min(j + width, _SUB_BLOCK)
+                slots = slice(j, stop)
+                inside = ce[:, None] < np.take(deposited[:, slots], cs, axis=0)
+                for v, lo, hi in ((ex[ce][:, None], lo_x, hi_x), (ey[ce][:, None], lo_y, hi_y)):
+                    inside &= v >= np.take(lo[:, slots], cs, axis=0)
+                    inside &= v <= np.take(hi[:, slots], cs, axis=0)
+                cells = np.flatnonzero(inside)
+                del inside
+                pc = cells // (stop - j)
+                pe = cs[pc] * _SUB_BLOCK + j + (cells - pc * (stop - j))
+                el = ce[pc]
+                del cells, pc
+                _sweep_group(blk, ends, pe, el, settled, int(rows[a:b].max()), dmap,
+                             radius2, threshold)
     return dmap
 
 

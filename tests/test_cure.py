@@ -463,8 +463,32 @@ M107
 M42 P2 S0
 """
 
+# a flat square loop, a loop that ramps up one layer height and a flat
+# loop on top, all with the UV on, then a run-out with the extruder off:
+# one sample block holds flat and ramped entries
+MIXED_GCODE = """\
+G0 X0 Y0 Z0.85
+M42 P2 S1
+M106
+G1 X20 Y0 F240
+G1 X20 Y20
+G1 X0 Y20
+G1 X0 Y0
+G1 X20 Y0 Z1.0625
+G1 X20 Y20 Z1.275
+G1 X0 Y20 Z1.4875
+G1 X0 Y0 Z1.7
+G1 X20 Y0
+G1 X20 Y20
+G1 X0 Y20
+G1 X0 Y0
+M107
+G1 X20 Y0
+M42 P2 S0
+"""
+
 GCODES = {"hexagon-gcode": HEXAGON_GCODE, "ramp-gcode": RAMP_GCODE,
-          "layers-gcode": LAYERS_GCODE}
+          "layers-gcode": LAYERS_GCODE, "mixed-gcode": MIXED_GCODE}
 
 
 def _job(source, material="dlp-fs9", dt_s=None, trail_mm=None):
@@ -623,20 +647,29 @@ def test_passes_straddle_a_layer_change_a_uv_off_dwell_and_block_boundaries(monk
     change = int(np.argmax(on.layer != on.layer[0]))  # first entry of layer 2
     reference = _dense_sweep(_deposit(job), job.local_path, cfg.uv,
                              cfg.cure.sweep_dt_s, cfg.cell.reorient_rate_rad_s)
-    # no budget cut: a pass is a whole block
-    monkeypatch.setattr(cure, "_PAIR_SAMPLE_BUDGET", 1 << 40)
-    straddled = 0
-    for entries in (5, 13, 29, 1000):
-        monkeypatch.setattr(cure, "_BLOCK_SAMPLES", entries * 13)
+    straddled = inside = 0
+    # the sizes in use, then no budget cut, so that a pass is a whole
+    # block, at block sizes from 5 entries to all, with sub-blocks of 1,
+    # 3 and 16 entries
+    layouts = [(cure._BLOCK_SAMPLES, cure._PAIR_SAMPLE_BUDGET, cure._SUB_BLOCK)]
+    layouts += [(entries * 13, 1 << 40, sub) for entries in (5, 13, 29, 1000)
+                for sub in (1, 3, 16)]
+    for block, budget, sub in layouts:
+        monkeypatch.setattr(cure, "_BLOCK_SAMPLES", block)
+        monkeypatch.setattr(cure, "_PAIR_SAMPLE_BUDGET", budget)
+        monkeypatch.setattr(cure, "_SUB_BLOCK", sub)
         sizes = [len(b.count) for b in _sample_blocks(job.local_path, cfg.uv,
                                                        cfg.cure.sweep_dt_s,
                                                        cfg.cell.reorient_rate_rad_s)]
         bounds = np.cumsum(sizes)
         assert bounds[-1] == len(on)
         first = int(np.searchsorted(bounds, change, side="right"))  # block of the change
-        straddled += (first == 0 or bounds[first - 1] < change) and len(sizes) > 1
+        start = bounds[first - 1] if first else 0
+        straddled += start < change and len(sizes) > 1
+        # the layer change falls inside a sub-block of its block
+        inside += (change - start) % sub != 0
         _assert_sweeps_agree(job, reference)
-    assert straddled >= 2
+    assert straddled >= 2 and inside >= 2
 
 
 @pytest.mark.parametrize("source", ["rectangle-90x60", "wall-50x10", "square-30x30x8.5",
@@ -729,20 +762,51 @@ def test_outer_axis_reduce_is_sequential_bit_for_bit():
     assert pairwise > 0
 
 
+def test_add_at_adds_repeated_indices_in_index_order_bit_for_bit():
+    # the sweep adds each pair's total to its element's dose with
+    # np.add.at, in pair order, in place of a sequential reduce down the
+    # chain of entries: ufunc.at adds one index at a time, in index
+    # order, so a release that changes that order fails here
+    rng = np.random.default_rng(12)
+    repeated = 0
+    for size, elements in [(1, 1), (2, 1), (7, 3), (500, 40), (5000, 300), (40000, 2000)]:
+        el = rng.integers(0, elements, size).astype(np.intp)  # the sweep's index dtype
+        sums = rng.random(size) * 10.0 ** rng.integers(-12, 3, size)
+        sums[rng.random(size) < 0.3] = 0.0
+        dose = rng.random(elements) * 10.0 ** rng.integers(-6, 1, elements)
+        want = dose.copy()
+        for i, v in zip(el.tolist(), sums.tolist()):
+            want[i] = want[i] + v
+        got = dose.copy()
+        np.add.at(got, el, sums)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        repeated += len(el) - len(np.unique(el))
+    assert repeated > 30000
+    # the same values added in reverse order round differently, so the
+    # checks above pin the order, not only the sum
+    sums = rng.random(2000) * 10.0 ** rng.integers(-12, 3, 2000)
+    got = np.zeros(1)
+    np.add.at(got, np.zeros(len(sums), np.intp), sums)
+    assert got[0] == np.cumsum(sums)[-1] != np.cumsum(sums[::-1])[-1]
+
+
 class _SweepSpy:
     """Records what `accumulate_dose` hands its three skips.
 
     ``broadcast`` counts the whole-footprint columns summed down a
     broadcast row, ``masked`` the calls among them masked by sample
-    count, ``corners`` holds each flat group's (x, y, corner bound) and
-    ``horizon`` each flat block's (near, kept, block, dose of near).
+    count, ``corners`` holds each group's (x, y, corner bound) of its
+    flat entries' pairs, ``horizon`` each flat block's (near, kept,
+    block, dose of near) and ``groups`` each group's (entries and
+    elements of its pairs, their flatness, rows, whole-footprint
+    columns).
     """
 
     def __init__(self, monkeypatch):
         self.broadcast = self.masked = 0
-        self.corners, self.horizon = [], []
-        column_sums, corner_bound, above_horizon = (
-            cure._column_sums, cure._corner_bound, cure._above_horizon)
+        self.corners, self.horizon, self.groups = [], [], []
+        column_sums, corner_bound, above_horizon, sweep_group = (
+            cure._column_sums, cure._corner_bound, cure._above_horizon, cure._sweep_group)
 
         def spy_column_sums(a, where=True):
             if a.strides[0] == 0:
@@ -760,12 +824,18 @@ class _SweepSpy:
             self.horizon.append((near, kept, blk, dose[near].copy()))
             return kept
 
+        def spy_sweep_group(blk, ends, pe, el, settled, rows, *args):
+            broadcast = self.broadcast
+            sweep_group(blk, ends, pe, el, settled, rows, *args)
+            self.groups.append((pe, el, blk.flat[pe], rows, self.broadcast - broadcast))
+
         monkeypatch.setattr(cure, "_column_sums", spy_column_sums)
         monkeypatch.setattr(cure, "_corner_bound", spy_corner_bound)
         monkeypatch.setattr(cure, "_above_horizon", spy_above_horizon)
+        monkeypatch.setattr(cure, "_sweep_group", spy_sweep_group)
 
     def pairs(self):
-        """The pairs of the flat groups: whole-footprint or on the table."""
+        """The pairs of the flat entries: whole-footprint or on the table."""
         return sum(len(bound) for _, _, bound in self.corners)
 
     def cut(self):
@@ -894,6 +964,54 @@ def test_fresh_elements_never_take_the_whole_footprint_path(spy):
 def test_ramped_entries_keep_every_pair_on_the_table(spy):
     _assert_sweeps_agree(_job("ramp-gcode"))
     assert spy.corners == [] and spy.broadcast == 0 and spy.horizon == []
+
+
+def test_flat_entries_beside_ramped_ones_keep_the_whole_footprint_path(spy):
+    """A flat loop, a loop ramping up one layer and a flat loop on top, all
+    UV-on, lie in one sample block, and groups mix flat and ramped
+    entries.  Flatness is read per entry: every flat entry's pair, and no
+    ramped one's, has its corner bound taken, and the flat pairs of the
+    mixed groups still take the broadcast path."""
+    job = _job("mixed-gcode")
+    blocks = list(_blocks(job))
+    assert len(blocks) == 1 and blocks[0].flat.any() and not blocks[0].flat.all()
+    _assert_sweeps_agree(job)
+    flat_pairs = sum(np.count_nonzero(flat) for _, _, flat, _, _ in spy.groups)
+    assert spy.pairs() == flat_pairs
+    assert 0.5 * flat_pairs < spy.broadcast < flat_pairs
+    mixed = [whole for _, _, flat, _, whole in spy.groups if flat.any() and not flat.all()]
+    assert mixed and all(whole > 0 for whole in mixed)
+    # a block with a ramped entry has no depth horizon
+    assert spy.horizon == []
+
+
+@pytest.mark.parametrize("source, radius", [("square-20x20x2.55", None), ("layers-gcode", None),
+                                            ("mixed-gcode", None), ("hexagon-gcode", 25.0)])
+def test_each_pass_lays_out_at_most_the_budget(spy, monkeypatch, source, radius):
+    """A pass's (samples, pairs) layout fits `_PAIR_SAMPLE_BUDGET` whatever
+    the block's length, unless it is a single entry: its pairs are among
+    its second-level box cells, the runs are cut on those, and a
+    sub-block whose cells alone pass the budget is cut into windows of
+    entries, a pass each.  A footprint wider than the hexagon puts every
+    element in every box, so its one block's sub-blocks are cut."""
+    budget = 1 << 12
+    monkeypatch.setattr(cure, "_PAIR_SAMPLE_BUDGET", budget)
+    job = _job(source) if radius is None else _custom_job(HEXAGON_GCODE,
+                                                          uv=_ExactSpot(radius_mm=radius))
+    _assert_sweeps_agree(job)
+    assert len(spy.groups) > len(list(_blocks(job)))
+    split = last = 0
+    for pe, el, _, rows, _ in spy.groups:
+        # passes of whole sub-blocks never share one within a block
+        split += len(pe) > 0 and pe[0] // cure._SUB_BLOCK == last
+        last = pe[-1] // cure._SUB_BLOCK if len(pe) else -1
+        assert len(pe) * rows <= budget or len(np.unique(pe)) == 1
+        # in sub-block order, and each element's pairs in entry order
+        assert np.all(np.diff(pe // cure._SUB_BLOCK) >= 0)
+        order = np.argsort(el, kind="stable")
+        same = np.diff(el[order]) == 0
+        assert np.all(np.diff(pe[order])[same] > 0)
+    assert split > 0 or radius is None
 
 
 def _stack_gcode(layers, length=24, uv=True, top_pass_feed=None):

@@ -870,3 +870,80 @@ def test_forward_check_keeps_half_a_tolerance_and_drops_twice_one():
             scale * kinematics.ORIENTATION_TOL_RAD).matrix
         for target in (shifted, turned):
             assert ((valid & _forward_ok(rows, target[:, None], DH)) == (ok & passes)).all()
+
+
+def _just_past_the_elbows_reach(rng, count):
+    """Flange targets (count, 4, 4), each with one (shoulder, wrist) pair
+    whose cos q3 lies just past the elbow's reach, 1 + 1e-11 to 1 + 1e-9,
+    that pair's index (shoulder * 2 + wrist) and its cos q3: the flange
+    of an elbow held straight (q3 = 0), moved out from the shoulder by
+    the step that a linear fit of the kernel's cos q3 asks for."""
+    qs = rng.uniform(-math.pi, math.pi, (count, 6))
+    qs[:, 2] = 0.0
+    qs[:, 4] = rng.choice([-1.0, 1.0], count) * rng.uniform(0.3, 2.8, count)  # off the wrist degeneracy
+    t06 = fk_batch(qs, DH)
+    shoulder = np.array([0.0, 0.0, DH.d1])
+    nodes = np.arange(count)
+
+    def moved(scale):
+        out = t06.copy()
+        out[:, :3, 3] = shoulder + (1.0 + scale[:, None]) * (t06[:, :3, 3] - shoulder)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, q5, q6, _, _, t16 = kinematics._wrist_columns(out, DH)
+            c3 = kinematics._elbow(t16, q5, q6, DH)[1].reshape(4, count)
+        return out, c3
+
+    _, c3 = moved(np.zeros(count))
+    pair = np.argmin(np.abs(c3 - 1.0), axis=0)
+    step = np.full(count, 1e-7)
+    slope = (moved(step)[1][pair, nodes] - c3[pair, nodes]) / step
+    want = 1.0 + 10.0 ** rng.uniform(-11.0, -9.0, count)
+    t06, c3 = moved((want - c3[pair, nodes]) / slope)
+    return t06, pair, c3[pair, nodes]
+
+
+def test_targets_just_past_the_elbows_reach_keep_no_candidate_of_that_pair():
+    """A pair with |c3| just past 1 + 1e-12 is invalid, yet its clipped
+    rows (q3 = 0) miss the target by about a2 a3 / |p13| x (|c3| - 1),
+    well inside POSITION_TOL_MM, so they pass the forward check: only the
+    valid mask leaves them out.  The checked mask is the DH-product
+    oracle's, and ik keeps no solution of the pair."""
+    rng = np.random.RandomState(54)
+    t06, pair, c3 = _just_past_the_elbows_reach(rng, 60)
+    assert np.all((c3 > 1.0 + 1e-12) & (c3 < 1.0 + 5e-9))
+    nodes = np.arange(len(t06))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cands = _branch_columns(t06, DH)
+    rows = cands.rows(nodes[:, None], np.arange(8))
+    past = np.zeros((len(t06), 8), dtype=bool)
+    past[nodes, 2 * pair] = past[nodes, 2 * pair + 1] = True
+    assert not cands.valid[pair, nodes].any()
+    assert _forward_ok(rows, t06[:, None], DH)[past].all()
+    _, ok = _checked_rows(cands, nodes, t06, DH)
+    assert not ok[past].any()
+    assert (ok == branch_oracle.checked_candidates(t06, DH)[1]).all()
+    solutions = 0
+    for target, k in zip(t06, pair):
+        tags = {tag(sol) for sol in ik(Pose.from_matrix(target), DH)}
+        assert not tags & {_BRANCHES[2 * k], _BRANCHES[2 * k + 1]}
+        solutions += len(tags)
+    assert solutions > 60  # the other pairs still reach most targets
+
+
+def test_chain_settles_past_an_invalid_pair_that_duplicates_b(monkeypatch):
+    """An invalid pair whose rows pass the forward check, as the clipped
+    rows of a pair just past the elbow's reach do, is no rival of b: here
+    pair 0's rows duplicate b's, candidate 2's, ahead of it at three
+    nodes, yet those nodes settle on b without the full path, and the
+    chain is the per-node oracle's."""
+    path, rows, valid, t06 = _chain_case(STEPS)
+    for i in (6, 13, 21):
+        rows[i, :2] = rows[i, 2]
+        valid[i, :2] = False
+    added = np.ones(len(rows), dtype=bool)
+    choice, dist, full = _select_spying(rows, valid, t06, NEAR_HOME, 2.0 * math.pi, added,
+                                        monkeypatch)
+    assert len(full) == 1  # only the leading node takes the full path
+    want, want_dist = _per_node_chain(rows, valid, t06, NEAR_HOME, 2.0 * math.pi, added)
+    assert choice.tolist() == want
+    assert dist.tolist() == want_dist
