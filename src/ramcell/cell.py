@@ -1,17 +1,17 @@
 """Cell-level planning: joint trajectories, clearance checks, reporting.
 
 The planner walks the shared toolpath timeline, builds the TCP targets
-of all nodes (dwell nodes included) as one array, turns them into one
-stack of flange targets in their place and, a chunk (a slice of that
-stack) at a time, solves the joints q1, q3, q5 and q6 of every branch
-as compact columns (kinematics._branch_columns), which are dropped
-before the next chunk's are built.  The array branch choice
-(kinematics.select_chain) keeps the branch continuous from node to node,
-continuing each chunk from the choice and the branch before it, and
-solves the arm joints q2 and q4 of, and forward-checks, only the
-candidates its choice depends on; it stops at the first jump, where the
-plan fails.  A node adds a waypoint when it lies more than 1e-12 s
-after the node before it.  The program keeps the
+of all nodes (dwell nodes included) as one array, turns each into its
+flange target by moving its position back along its own z axis by the
+TCP offset (_along_tool_axis) and, a chunk at a time, solves the joints
+q1, q3, q5 and q6 of every branch as compact columns
+(kinematics._branch_columns), which are dropped before the next chunk's
+are built.  The array branch choice (kinematics.select_chain) keeps the
+branch continuous from node to node, continuing each chunk from the
+choice and the branch before it, and solves the arm joints q2 and q4 of,
+and forward-checks, only the candidates its choice depends on; it stops
+at the first jump, where the plan fails.  A node adds a waypoint when it
+lies more than 1e-12 s after the node before it.  The program keeps the
 chosen rows as one (n, 6) joint array, which the speed check, the
 clearance check, the singularity scan and the script writer read as
 columns.  Collision checking samples the interpolated tool capsule
@@ -20,8 +20,9 @@ only the samples of waypoint segments whose endpoint bounds come within
 reach of the table or a box, and running the per-box search only on
 samples whose capsule axis comes within a capsule radius of the box.
 The singularity scan reads the closed-form manipulability of each
-waypoint.  Everything here is deterministic: identical inputs give
-byte-identical programs, scripts and reports.
+waypoint.  No pass here multiplies matrices, so no result depends on the
+BLAS build or its thread count.  Everything here is deterministic:
+identical inputs give byte-identical programs, scripts and reports.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ import numpy as np
 from . import RamcellError
 from .config import CellConfig, Config, parse_obstacles
 from .extrusion import IOEvent
-from .geometry import Pose, Rotation, Vec3
+from .geometry import Rotation, Vec3
 from .kinematics import (DHParams, _branch_columns, _flange, _reduce_last, manipulability_batch,
-                         select_chain, tcp_offset_from_config)
+                         select_chain)
 from .toolpath import Toolpath, time_profile
 
 MAX_JOINT_STEP_RAD = 0.5
@@ -48,6 +49,9 @@ MAX_COLLISION_SAMPLES = 2e6
 # sits CAPSULE_CLEARANCE_MM minus the capsule radius above the tip
 TABLE_Z_MM = 0.0
 CAPSULE_CLEARANCE_MM = 70.0
+# below the table past 1 nm; a box's reach is a capsule radius plus 1 um
+TABLE_TOL_MM = 1e-6
+REACH_TOL_MM = 1e-3
 # planner nodes per IK chunk; bounds the candidates in memory at once (a
 # chunk's Branches hold 276 bytes a node).  wall-50x10's 1296 nodes
 # plan in one chunk; at 2048 the first chunk of square-30x30x8.5 would
@@ -255,7 +259,7 @@ def _plan_nodes(path: Toolpath, cfg: Config):
     t, yaw, pos, speed = _node_columns(time_profile(path, cfg.cell.reorient_rate_rad_s))
     # TCP targets: TOOL_DOWN turned about world z by each node's yaw, an
     # entry at a time
-    down = Pose(Vec3(0.0, 0.0, 0.0), TOOL_DOWN).to_matrix()
+    down = TOOL_DOWN.matrix
     cos, sin = np.cos(yaw), np.sin(yaw)
     targets = np.empty((len(t), 3, 4))
     for j in range(3):
@@ -304,7 +308,6 @@ def plan_trajectory(path: Toolpath, cfg: Config, env: CellEnvironment,
     if not len(path):
         return RobotProgram(np.zeros(0), np.zeros((0, 6)), np.zeros(0), events, metadata)
     dh = DHParams.from_config(cfg.kinematics)
-    tcp = tcp_offset_from_config(cfg.kinematics)
     limit = cfg.kinematics.joint_limit_rad
     times, pos, speeds, targets = _plan_nodes(path, cfg)
 
@@ -312,10 +315,8 @@ def plan_trajectory(path: Toolpath, cfg: Config, env: CellEnvironment,
     # and the next node's branch continues from the last waypoint's
     added = np.r_[True, np.diff(times) > 1e-12]
 
-    # the chunks are slices of the one stack of flange targets (n, 3, 4),
-    # which replaces the TCP targets; one 2-D product, since numpy loops a
-    # stacked @ over 4x4 blocks slowly
-    targets = (targets.reshape(-1, 4) @ np.linalg.inv(tcp.to_matrix())).reshape(targets.shape)
+    # the flange targets replace the TCP targets; the chunks are slices of them
+    targets[:, :, 3] = _along_tool_axis(targets, -cfg.kinematics.tcp_offset_z_mm)
     joints = np.empty((len(times), 6))
     prev, prev_branch = np.array(cfg_home()), None
     for start in range(0, len(times), IK_CHUNK_NODES):
@@ -352,6 +353,12 @@ def _plan_chunk(t06: np.ndarray, dh: DHParams, prev: np.ndarray, prev_branch: in
     return select_chain(cands, t06, dh, prev, prev_branch, limit, added, MAX_JOINT_STEP_RAD)
 
 
+def _along_tool_axis(frames: np.ndarray, offset_mm: float) -> np.ndarray:
+    """The positions of the frames (n, 3, 4) moved offset_mm along their z
+    columns: the TCP is the flange moved tcp_offset_z_mm along the nozzle."""
+    return frames[:, :, 3] + offset_mm * frames[:, :, 2]
+
+
 def cfg_home() -> tuple[float, ...]:
     """Neutral print-ready pose used to seed branch selection."""
     return (0.0, -math.pi / 2, math.pi / 2, -math.pi / 2, -math.pi / 2, 0.0)
@@ -379,9 +386,8 @@ def check_collisions(program: RobotProgram, cfg: Config, env: CellEnvironment,
     times = program.times
     if not len(times):
         return []
-    # the TCP lies tcp_offset_z_mm along the flange z axis, the nozzle axis
     flange = _flange(program.joints, DHParams.from_config(cfg.kinematics))
-    tip = flange[:, :, 3] + cfg.kinematics.tcp_offset_z_mm * flange[:, :, 2]
+    tip = _along_tool_axis(flange, cfg.kinematics.tcp_offset_z_mm)
     body_up = -flange[:, :, 2]  # opposite the nozzle axis
     caps_lo = tip + body_up * CAPSULE_CLEARANCE_MM
     caps_hi = tip + body_up * (CAPSULE_CLEARANCE_MM + env.capsule_length_mm)
@@ -402,16 +408,16 @@ def check_collisions(program: RobotProgram, cfg: Config, env: CellEnvironment,
                                                caps_hi[:, 0], caps_hi[:, 1]))
 
     findings: list[tuple[float, str]] = []
-    below = tipz < TABLE_Z_MM - 1e-6
-    cap_below = np.minimum(az, bz) - env.capsule_radius_mm < TABLE_Z_MM - 1e-6
+    below = tipz < TABLE_Z_MM - TABLE_TOL_MM
+    cap_below = np.minimum(az, bz) - env.capsule_radius_mm < TABLE_Z_MM - TABLE_TOL_MM
     hit = below | cap_below
     if np.any(hit):
         findings.append((float(ts[int(np.argmax(hit))]), "table"))
     # every point of a sample's capsule axis lies at least the axis
     # segment's bounding-box gap to a box away from it on each axis, so
     # only samples whose segment box overlaps the obstacle grown by a
-    # capsule radius (plus 1 um against rounding) can touch it
-    reach = env.capsule_radius_mm + 1e-3
+    # capsule radius (plus REACH_TOL_MM) can touch it
+    reach = env.capsule_radius_mm + REACH_TOL_MM
     for bi, box in enumerate(env.obstacles):
         near = np.ones(len(ts), dtype=bool)
         for a, b, lo, hi in zip((ax, ay, az), (bx, by, bz), box.lo, box.hi):
@@ -466,9 +472,9 @@ def _hot_samples(ts: np.ndarray, times: np.ndarray, tip_z: np.ndarray, caps_lo: 
         lo.append(np.minimum(np.minimum(a0, a1), np.minimum(b0, b1)))
         hi.append(np.maximum(np.maximum(a0, a1), np.maximum(b0, b1)))
     # the table test's threshold and the per-box cull's reach, padded
-    floor = TABLE_Z_MM - 1e-6 + pad
+    floor = TABLE_Z_MM - TABLE_TOL_MM + pad
     hot = (np.minimum(*ends(tip_z)) < floor) | (lo[2] - env.capsule_radius_mm < floor)
-    reach = env.capsule_radius_mm + 1e-3 + pad
+    reach = env.capsule_radius_mm + REACH_TOL_MM + pad
     for box in env.obstacles:
         near = np.ones(len(hot), dtype=bool)
         for axis in range(3):

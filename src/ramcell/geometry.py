@@ -127,10 +127,6 @@ class Pose:
     def identity() -> "Pose":
         return Pose(ZERO, Rotation.identity())
 
-    @staticmethod
-    def from_xyz(x: float, y: float, z: float) -> "Pose":
-        return Pose(Vec3(x, y, z), Rotation.identity())
-
     def to_matrix(self) -> np.ndarray:
         m = np.eye(4)
         m[:3, :3] = self.orientation.matrix

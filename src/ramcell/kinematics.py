@@ -644,7 +644,3 @@ def manipulability(q: JointConfig, dh: DHParams, tcp_offset: Pose = Pose.identit
 def is_singular(q: JointConfig, eps: float, dh: DHParams,
                 tcp_offset: Pose = Pose.identity()) -> bool:
     return manipulability(q, dh, tcp_offset) < eps
-
-
-def tcp_offset_from_config(cfg: KinematicsConfig) -> Pose:
-    return Pose.from_xyz(0.0, 0.0, cfg.tcp_offset_z_mm)

@@ -20,7 +20,9 @@ against a flag it did not compute.  fk_batch and select_branch are the batch
 forward kinematics and the one-node branch choice that no production
 code calls; tests build targets and tool-down programs with them, and
 `tag`, `about_z` and `rotate` are the small helpers the tests sort
-solutions, turn frames and move vectors with.
+solutions, turn frames and move vectors with, and `tcp_offset_from_config`
+states a [kinematics] table's TCP offset as the general Pose the one-row
+API takes; the planner moves positions along the tool axis instead.
 """
 
 import math
@@ -31,11 +33,12 @@ import numpy as np
 from ramcell import RamcellError
 from ramcell.cell import (MAX_JOINT_STEP_RAD, PlanningError, RobotProgram,
                           _plan_nodes, cfg_home)
+from ramcell.config import KinematicsConfig
 from ramcell.geometry import Pose, Rotation, Vec3, wrap_angles
 from ramcell.kinematics import (_BRANCHES, _SIGNS, ELBOW_MARGIN, ORIENTATION_TOL_RAD,
                                 POSITION_TOL_MM, WRIST_DEGENERACY_TOL, DHParams, IKSolution,
                                 JointConfig, _branch_columns, _checked_rows, _flange,
-                                jacobian, nearest_branch, tcp_offset_from_config)
+                                jacobian, nearest_branch)
 
 
 class UnreachableError(RamcellError):
@@ -55,6 +58,12 @@ def about_z(angle: float) -> Rotation:
 def rotate(r: Rotation, v: Vec3) -> Vec3:
     """v turned by r."""
     return Vec3.from_array(r.matrix @ v.to_array())
+
+
+def tcp_offset_from_config(cfg: KinematicsConfig) -> Pose:
+    """The TCP offset of a [kinematics] table: tcp_offset_z_mm along the
+    flange z axis, with the flange's orientation."""
+    return Pose(Vec3(0.0, 0.0, cfg.tcp_offset_z_mm), Rotation.identity())
 
 
 def dh_links(theta, a: float, d: float, alpha: float) -> np.ndarray:

@@ -8,7 +8,8 @@ import pytest
 
 import branch_oracle
 from branch_oracle import (detect_singularity_per_node, emit_program_per_float, fk_batch,
-                           plan_per_node, rotate, select_branch, validate_speeds_per_node)
+                           plan_per_node, rotate, select_branch, tcp_offset_from_config,
+                           validate_speeds_per_node)
 from toolpath_oracle import columns
 from ramcell import cell, extrusion, kinematics, pipeline
 from ramcell.cell import (IK_CHUNK_NODES, TOOL_DOWN, Aabb, CellEnvironment, PlanningError,
@@ -18,7 +19,7 @@ from ramcell.cell import (IK_CHUNK_NODES, TOOL_DOWN, Aabb, CellEnvironment, Plan
 from ramcell.config import default_config
 from ramcell.extrusion import IOEvent
 from ramcell.geometry import Pose, Rotation, Vec3
-from ramcell.kinematics import DHParams, JointConfig, fk, ik, tcp_offset_from_config
+from ramcell.kinematics import DHParams, JointConfig, fk, ik
 from ramcell.toolpath import Segment, Toolpath
 
 CFG = default_config()
@@ -624,6 +625,11 @@ def _oracle_case(case):
     path, cfg = {
         "rectangle": lambda: (rectangle_world().world_path, CFG),
         "wall-limit-3": lambda: (_wall_path(CFG), _kin(joint_limit_rad=3.0)),
+        # the planner moves the targets along the tool axis; the oracle
+        # inverts the offset as a 4x4 pose
+        "wall-tcp-0": lambda: (_wall_path(CFG), _kin(tcp_offset_z_mm=0.0)),
+        "wall-tcp-250": lambda: (_wall_path(CFG), _kin(tcp_offset_z_mm=250.0)),
+        "wall-tcp-minus-50": lambda: (_wall_path(CFG), _kin(tcp_offset_z_mm=-50.0)),
         "square": lambda: (_wall_path(CFG, "square-30x30x8.5"), CFG),
         "zigzag": lambda: (_zigzag_path(), CFG),
         "unreachable": lambda: (_wall_path(_cell(origin_x_mm=1000.0)), CFG),
@@ -638,7 +644,8 @@ def _oracle_case(case):
 # square in one chunk
 @pytest.mark.parametrize("case, chunk", [
     *((case, chunk) for chunk in (64, 512, IK_CHUNK_NODES)
-      for case in ("rectangle", "wall-limit-3", "square", "zigzag", "unreachable", "jump",
+      for case in ("rectangle", "wall-limit-3", "wall-tcp-0", "wall-tcp-250",
+                   "wall-tcp-minus-50", "square", "zigzag", "unreachable", "jump",
                    "joint-speed")),
     *((case, chunk) for case in ("rectangle", "zigzag", "unreachable", "jump")
       for chunk in (1, 7))])
@@ -706,9 +713,10 @@ def test_chain_stops_just_after_the_first_jump(monkeypatch):
     round, with the bits of the chain run without it."""
     cfg = _kin(joint_limit_rad=2.0)
     dh = DHParams.from_config(cfg.kinematics)
-    times, _, _, targets = _plan_nodes(_wall_path(cfg), cfg)
+    times, _, _, t06 = _plan_nodes(_wall_path(cfg), cfg)
     added = np.r_[True, np.diff(times) > 1e-12]
-    t06 = targets @ np.linalg.inv(tcp_offset_from_config(cfg.kinematics).to_matrix())
+    # the planner's flange targets
+    t06[:, :, 3] = cell._along_tool_axis(t06, -cfg.kinematics.tcp_offset_z_mm)
     rounds = []
     real = kinematics._guessed_prev
     monkeypatch.setattr(kinematics, "_guessed_prev",

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from branch_oracle import about_z
+from branch_oracle import about_z, tcp_offset_from_config
 from ramcell.cell import TOOL_DOWN
 from ramcell.config import default_config
 from ramcell.geometry import Rotation, Vec3, wrap_angle, wrap_angles
-from ramcell.kinematics import tcp_offset_from_config
 
 
 def random_rotation(rng) -> Rotation:
@@ -57,8 +56,9 @@ def test_angle_to_recovers_the_angle_about_z(theta):
 
 
 def test_tool_down_and_default_tcp_offset_keep_their_bits():
-    # the planner's two rotation inputs, pinned bit for bit: the script,
-    # the collision findings and the benchmark digests depend on them
+    # TOOL_DOWN, the planner's rotation input, and the default TCP offset
+    # as the oracles state it, pinned bit for bit: the script, the
+    # collision findings and the benchmark digests depend on the first
     s = 1.2246467991473532e-16  # sin(pi)
     down = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, -s], [0.0, s, -1.0]])
     assert np.array_equal(TOOL_DOWN.to_matrix().view(np.int64), down.view(np.int64))

@@ -6,14 +6,15 @@ import pytest
 
 import branch_oracle
 from branch_oracle import (UnreachableError, about_z, dedup_per_node, dh_product, fk_batch,
-                           ik_per_node, max_distance, select_branch, select_branch_per_node, tag)
+                           ik_per_node, max_distance, select_branch, select_branch_per_node, tag,
+                           tcp_offset_from_config)
 from ramcell import kinematics
 from ramcell.config import default_config, loads_config
 from ramcell.geometry import Pose, Rotation, Vec3, wrap_angle
 from ramcell.kinematics import (_BRANCHES, TAG_ORDER, DHParams, IKSolution, JointConfig,
                                 _branch_columns, _checked_rows, _dedup, _flange, _forward_ok,
                                 fk, ik, is_singular, jacobian, manipulability,
-                                manipulability_batch, select_chain, tcp_offset_from_config)
+                                manipulability_batch, select_chain)
 from ramcell.cell import TOOL_DOWN, cfg_home
 
 DH = DHParams.from_config(default_config().kinematics)
