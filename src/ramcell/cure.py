@@ -35,9 +35,12 @@ entry.  Three skips leave out only work that cannot change a bit (see
   replay their pairs to find their crossing;
 - the depth horizon: below it a buried element's column sums to less
   than half the spacing of its dose (Goldberg 1991, Higham ch. 4), so
-  ``dose + sum`` is ``dose`` and the element is left out of the block.
-  Past the horizon a layer adds a fixed amount of work, so the sweep
-  of a tall part no longer grows with the square of its height.
+  ``dose + sum`` is ``dose`` and the element is left out of each run of
+  16 entries it lies that deep under.  The depth is read under each
+  run's own lowest nozzle plane, so a block of samples may span more
+  layers than the horizon does and still cut; past it a layer adds a
+  fixed amount of work, so the sweep of a tall part no longer grows
+  with the square of its height.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -169,7 +173,9 @@ class _SampleBlock:
     ``count[i]`` samples, equal steps of dt centred in the entry, each
     worth ``weight[i]`` = irradiance x dt, and then padding at +inf up
     to the longest entry of the block.  ``flat[i]`` marks an entry whose
-    nozzle height is the same at every sample.
+    nozzle height is the same at every sample.  Only ramped entries read
+    the nozzle height past the first row, so in a block of flat entries
+    ``nozzle_z`` is that row alone, ``(1, entries)``.
     """
     count: np.ndarray
     weight: np.ndarray
@@ -184,10 +190,18 @@ class _SampleBlock:
         last = (self.count - 1, np.arange(len(self.count)))
         return (self.spot_x[0], self.spot_x[last]), (self.spot_y[0], self.spot_y[last])
 
+    @cached_property
+    def column_bound(self) -> float:
+        """4 x the largest count x weight of an entry: an entry's column at
+        a depth of at least d sums to at most a quarter of it times
+        exp(-d / att), the 4 covering the rounding of each term and of a
+        sequential sum (Higham ch. 4)."""
+        return 4.0 * float((self.count * self.weight).max())
 
-# padded (sample, entry) cells per sample block, about 320 entries of a
+
+# padded (sample, entry) cells per sample block, about 1,260 entries of a
 # 1 mm move: one block is one first-level box test
-_BLOCK_SAMPLES = 1 << 12
+_BLOCK_SAMPLES = 1 << 14
 # the most (sample, second-level box cell) cells one array pass lays out,
 # unless a single entry's pass needs more; a pass's pairs are among its
 # box cells, so its tables fit it too
@@ -277,20 +291,24 @@ def _sample_blocks(path: Toolpath, spot: UVConfig, dt_s: float,
         frac = tau - t0[blk]
         frac /= dur[blk]
 
-        def along(v0: np.ndarray, dv: np.ndarray) -> np.ndarray:
-            out = frac * dv[blk]
+        def along(v0: np.ndarray, dv: np.ndarray, f: np.ndarray) -> np.ndarray:
+            out = f * dv[blk]
             out += v0[blk]
             return out
 
-        spot_x = along(x0, dx)
+        spot_x = along(x0, dx, frac)
         spot_x += trail_x[blk]
-        spot_y = along(y0, dy)
+        spot_y = along(y0, dy, frac)
         spot_y += trail_y[blk]
-        nozzle_z = along(z0, dz)
+        # only a ramped entry reads the nozzle height past the first row
+        flat = dz[blk] == 0.0
+        nozzle_z = along(z0, dz, frac if not flat.all() else frac[:1])
+        del frac
         pad = k >= n
         for table in (tau, spot_x, spot_y, nozzle_z):
-            table[pad] = np.inf
-        yield _SampleBlock(count=n, weight=weight[blk], flat=dz[blk] == 0.0, tau=tau,
+            table[pad[:len(table)]] = np.inf
+        del pad
+        yield _SampleBlock(count=n, weight=weight[blk], flat=flat, tau=tau,
                            spot_x=spot_x, spot_y=spot_y, nozzle_z=nozzle_z)
 
 
@@ -321,39 +339,50 @@ def _column_sums(a: np.ndarray, where: np.ndarray | bool = True) -> np.ndarray:
 # never drop an element the exact circle test would light
 _CULL_PAD_MM = 1e-6
 # the depth horizon is pushed down by this many attenuation depths, far
-# more than the rounding of its log and of each sample's exp can move it
+# more than the rounding of its bound and of each sample's exp can move it
 _HORIZON_MARGIN = 1e-6
 
 
-def _above_horizon(near: np.ndarray, blk: _SampleBlock, ez: np.ndarray, dose: np.ndarray,
-                   att: float) -> np.ndarray:
-    """The elements of ``near`` whose dose a flat block can still change.
+def _horizon_spacing(depth: np.ndarray | float, blk: _SampleBlock,
+                     att: float) -> np.ndarray | float:
+    """The spacing above which a dose lies past its depth horizon, at
+    each ``depth`` under every sample of a flat block.
 
-    Every sample of the block adds at most w exp(-depth/att) to an
-    element, at a depth of at least ``top - z`` under the block's lowest
-    nozzle plane, so one entry's column sums to at most ``cw / 4`` times
-    exp(-depth/att), with cw = 4 x the block's largest count x weight:
-    the 4 covers the rounding of each term and of a sequential sum
-    (Higham ch. 4).  Past the horizon ``att (ln(cw / spacing(dose)) +
-    margin)`` that is below half the spacing of the element's dose, so
-    ``dose + sum`` rounds back to ``dose`` (Goldberg 1991), and doses
-    only grow: leaving the element out changes no bit.  The rounding of
-    a term is relative only while the spacing is a normal float and at
-    least cw 2**-1000, so a smaller spacing, a dose of 0 among them, has
-    no horizon.  The largest dose has the shallowest horizon, so one min
-    and one max show when no element is that deep.
+    One entry's column there sums to at most cw / 4 times exp(-depth /
+    att), with cw = `_SampleBlock.column_bound`.  That is below half the
+    spacing of any dose whose spacing passes ``cw exp(margin - depth /
+    att)``, the horizon ``att (ln(cw / spacing) + margin)`` turned
+    around, so ``dose + sum`` rounds back to ``dose`` (Goldberg 1991).
+    The rounding of a term is relative only while the spacing is a
+    normal float and at least cw 2**-1000, so a smaller spacing, a dose
+    of 0 among them, has no horizon.  Far above the plane the bound
+    overflows to +inf, which no spacing passes.
     """
-    with np.errstate(divide="ignore", over="ignore"):
-        cw = 4.0 * np.max(blk.count * blk.weight)
-        floor = max(2.0 ** -1022, cw * 2.0 ** -1000)
-        top = np.min(blk.nozzle_z[0])
-        spacing = np.spacing(np.max(dose[near]))
-        if spacing < floor or top - np.min(ez[near]) <= att * (np.log(cw / spacing)
-                                                              + _HORIZON_MARGIN):
-            return near
-        spacing = np.spacing(dose[near])
-        horizon = att * (np.log(cw / spacing) + _HORIZON_MARGIN)
-    return near[(top - ez[near] <= horizon) | (spacing < floor)]
+    cw = blk.column_bound
+    with np.errstate(over="ignore"):
+        bound = np.exp(_HORIZON_MARGIN - np.divide(depth, att))
+        bound *= cw
+    # a spacing passes the float just below the floor only if it is at
+    # least the floor
+    return np.maximum(bound, np.nextafter(max(2.0 ** -1022, cw * 2.0 ** -1000), 0.0))
+
+
+def _above_horizon(el: np.ndarray, depth: np.ndarray, blk: _SampleBlock,
+                   dose: np.ndarray, att: float) -> np.ndarray:
+    """Mask of the elements ``el`` whose dose a run of a flat block's
+    entries can still change, each ``depth`` under the lowest nozzle
+    plane of the run: its own sub-block's 16 entries for a candidate,
+    the whole block for an element of ``near``.
+
+    An element past its horizon at that depth (`_horizon_spacing`) is
+    left out.  Each entry of a flat block keeps one nozzle height, so
+    every sample of the run lies at or above the run's lowest plane,
+    and a sample's weight only falls as its height over the element
+    grows (the difference and the exp round monotonically): each entry
+    adds less than half the spacing of the dose.  Doses only grow, so
+    a horizon read at the doses before a pass holds through it.
+    """
+    return np.spacing(dose[el]) <= _horizon_spacing(depth, blk, att)
 
 
 def _corner_bound(ends: tuple[tuple[np.ndarray, np.ndarray], ...], entry: np.ndarray,
@@ -501,15 +530,21 @@ def accumulate_dose(dmap: DepositionMap, path: Toolpath, spot: UVConfig,
     alone pass it into windows of entries, and a group is swept in one
     array pass (`_sweep_group`):
 
-    1. in a flat block (every nozzle height constant through its
-       entry) the elements past the depth horizon are dropped
-       (`_above_horizon`); a two-level box test then keeps, per
-       sub-block, the elements of the block's deposited prefix inside
-       the union of its entries' boxes, and per group tests each entry's
-       own box and prefix on its sub-block's candidates only, so the box
-       cells grow with the pairs, not with entries x elements.  The
-       pairs come in sub-block, element, entry order: each element's
-       pairs are in entry order;
+    1. a two-level box test keeps, per sub-block, the elements of the
+       block's deposited prefix inside the union of its entries' boxes,
+       and per group tests each entry's own box and prefix on its
+       sub-block's candidates only, so the box cells grow with the
+       pairs, not with entries x elements.  In a flat block (every
+       nozzle height constant through its entry) the depth horizon
+       (`_above_horizon`) first drops the elements past it under the
+       block's lowest nozzle plane, at the doses before the block.
+       Once an element may lie past its horizon even under the highest
+       sub-block (the largest dose has the shallowest horizon), it also
+       drops each candidate past it under its own sub-block's lowest
+       plane: before the groups are cut, at the doses before the block,
+       and in each group, at the doses before the group.  The pairs
+       come in sub-block, element, entry order: each element's pairs
+       are in entry order;
     2. a pair of an entry whose nozzle height is constant has one sample
        weight w exp(-depth / att), and if its element is deposited by
        the entry's first sample (an index below that sample's deposited
@@ -550,9 +585,13 @@ def accumulate_dose(dmap: DepositionMap, path: Toolpath, spot: UVConfig,
       square and sum of the distance are monotone too, so the corner
       bound, with the table's own operations, bounds every sample's
       squared distance;
-    - the half-spacing horizon (`_above_horizon`): a buried element
-      there would add less than half an ulp to its dose in every
-      entry, and a dose that does not change cannot cross the gel dose.
+    - the half-spacing horizon (`_above_horizon`): a candidate past it
+      under its sub-block's lowest plane would add less than half the
+      spacing of its dose in every entry of the sub-block, since each
+      entry keeps one nozzle height, so every sample lies at or above
+      that plane, and doses only grow, so a horizon read at an earlier
+      dose still holds; a dose that does not change cannot cross the
+      gel dose.
 
     Relies on a gel dose > 0, which loading checks, and on no element
     starting at or above it without a gel time, as `deposit` leaves them.
@@ -583,8 +622,16 @@ def accumulate_dose(dmap: DepositionMap, path: Toolpath, spot: UVConfig,
         px, py = ex[:deposited.max()], ey[:deposited.max()]
         near = np.flatnonzero((px >= lo_x.min()) & (px <= hi_x.max())
                               & (py >= lo_y.min()) & (py <= hi_y.max()))
-        if len(near) and blk.flat.all():
-            near = _above_horizon(near, blk, ez, dose, att)
+        cut_spacing = None
+        if blk.flat.all():
+            # each sub-block's lowest nozzle plane: every sample of its
+            # entries lies at or above it, since each entry keeps one height
+            planes = _by_sub_block(blk.nozzle_z[0], np.inf).min(1)
+            near = near[_above_horizon(near, planes.min() - ez[near], blk, dose, att)]
+            if len(near):
+                # the spacing a dose needs to lie past its horizon at the
+                # deepest element's depth under the highest sub-block
+                cut_spacing = _horizon_spacing(planes.max() - ez[near].min(), blk, att)
         if not len(near):
             continue
         # level one: the elements of near in each sub-block's union box, in
@@ -596,12 +643,36 @@ def accumulate_dose(dmap: DepositionMap, path: Toolpath, spot: UVConfig,
         cand_sub = cells // len(near)
         cand = near[cells - cand_sub * len(near)]
         del cells
+
+        def may_cut() -> bool:
+            """Whether an element of near may lie past its horizon under
+            some sub-block: the largest dose has the shallowest horizon."""
+            return cut_spacing is not None and bool(np.spacing(dose[near].max()) > cut_spacing)
+
+        # each candidate's depth under its own sub-block's lowest plane,
+        # once an element may lie past its horizon: the candidates past it
+        # are cut before the passes are cut, and in each pass at the doses
+        # before it
+        depth = None
+        if may_cut():
+            depth = planes[cand_sub] - ez[cand]
+            keep = _above_horizon(cand, depth, blk, dose, att)
+            cand_sub, cand, depth = cand_sub[keep], cand[keep], depth[keep]
         start = np.searchsorted(cand_sub, np.arange(len(lo_x) + 1))
         rows = _by_sub_block(blk.count, 0).max(1)
         for a, b in _runs(np.diff(start) * _SUB_BLOCK, rows, _PAIR_SAMPLE_BUDGET):
             if start[a] == start[b]:
                 continue
-            cs, ce = cand_sub[start[a]:start[b]], cand[start[a]:start[b]]
+            run = slice(start[a], start[b])
+            cs, ce = cand_sub[run], cand[run]
+            if depth is None and may_cut():
+                depth = planes[cand_sub] - ez[cand]
+            if depth is not None:
+                keep = _above_horizon(ce, depth[run], blk, dose, att)
+                if not keep.all():
+                    cs, ce = cs[keep], ce[keep]
+                    if not len(ce):
+                        continue
             # a sub-block whose box cells alone pass the budget is cut into
             # windows of as many entries as fit it (at least one), a pass each
             width = _SUB_BLOCK

@@ -796,10 +796,13 @@ class _SweepSpy:
     ``broadcast`` counts the whole-footprint columns summed down a
     broadcast row, ``masked`` the calls among them masked by sample
     count, ``corners`` holds each group's (x, y, corner bound) of its
-    flat entries' pairs, ``horizon`` each flat block's (near, kept,
-    block, dose of near) and ``groups`` each group's (entries and
-    elements of its pairs, their flatness, rows, whole-footprint
-    columns).
+    flat entries' pairs, ``horizon`` each depth horizon test of a flat
+    block, on the elements near the block under its lowest nozzle
+    plane, then on its candidates, before the groups and in each group,
+    under their own sub-block's lowest nozzle plane: (elements, their
+    depth, kept mask, block, their dose), and ``groups`` each group's
+    (entries and elements of its pairs, their flatness, rows,
+    whole-footprint columns).
     """
 
     def __init__(self, monkeypatch):
@@ -819,10 +822,10 @@ class _SweepSpy:
             self.corners.append((x, y, bound))
             return bound
 
-        def spy_above_horizon(near, blk, ez, dose, att):
-            kept = above_horizon(near, blk, ez, dose, att)
-            self.horizon.append((near, kept, blk, dose[near].copy()))
-            return kept
+        def spy_above_horizon(el, depth, blk, dose, att):
+            keep = above_horizon(el, depth, blk, dose, att)
+            self.horizon.append((el, depth, keep, blk, dose[el].copy()))
+            return keep
 
         def spy_sweep_group(blk, ends, pe, el, settled, rows, *args):
             broadcast = self.broadcast
@@ -839,7 +842,7 @@ class _SweepSpy:
         return sum(len(bound) for _, _, bound in self.corners)
 
     def cut(self):
-        return sum(len(near) - len(kept) for near, kept, _, _ in self.horizon)
+        return sum(np.count_nonzero(~keep) for _, _, keep, _, _ in self.horizon)
 
 
 @pytest.fixture
@@ -1045,11 +1048,11 @@ def test_burial_dose_of_a_stack_deeper_than_the_horizon(spy):
     bottom = int(np.flatnonzero((dmap.layer == dmap.layer.min()) & (dmap.x == 8.5))[0])
     exact = irr * 2.0 * r / v * sum(math.exp(-j * h / att) for j in range(layers))
     assert abs(dmap.dose[bottom] - exact) <= layers * irr * _sample_dt(v)
-    # the horizon left buried elements out of later blocks, though the
+    # the horizon left buried elements out of later sub-blocks, though the
     # footprint covered them with a non-zero weight that rounds away
     covered = 0
-    for near, kept, blk, _ in spy.horizon:
-        out = np.setdiff1d(near, kept)
+    for el, _, keep, blk, _ in spy.horizon:
+        out = el[~keep]
         real = blk.tau < np.inf
         d2 = ((dmap.x[out] - blk.spot_x[real][:, None]) ** 2
               + (dmap.y[out] - blk.spot_y[real][:, None]) ** 2)
@@ -1058,6 +1061,26 @@ def test_burial_dose_of_a_stack_deeper_than_the_horizon(spy):
         covered += np.count_nonzero(np.any(d2 <= r * r, axis=0) & (weight > 0.0))
     assert covered > 0
     assert dmap.dose[bottom] > 0.0
+
+
+def test_a_block_cuts_an_element_under_its_upper_sub_blocks_only(spy):
+    """On the 14-layer stack, at the block size in use, a horizon test
+    cuts an element under the upper sub-blocks of its block and keeps it
+    under the lower ones: each candidate's depth is taken under its own
+    sub-block's lowest nozzle plane.  With the block's lowest plane for
+    every sub-block, an element would have one depth, and so one verdict,
+    throughout a test."""
+    dmap = _assert_sweeps_agree(_custom_job(_stack_gcode(14)))
+    sub, split = cure._SUB_BLOCK, 0
+    for el, depth, keep, blk, _ in spy.horizon:
+        tops = blk.nozzle_z[0]
+        planes = np.array([tops[i:i + sub].min() for i in range(0, len(tops), sub)])
+        # every depth is that under the lowest plane of one sub-block
+        assert np.all(np.any(depth == planes[:, None] - dmap.z[el], axis=0))
+        for e in np.unique(el[~keep]):
+            kept = depth[(el == e) & keep]
+            split += len(kept) > 0 and kept.max() < depth[(el == e) & ~keep].min()
+    assert split > 0
 
 
 def test_working_curve_of_one_exposure_over_a_buried_stack(spy):
@@ -1086,10 +1109,10 @@ def test_working_curve_of_one_exposure_over_a_buried_stack(spy):
     # elements never lit before the pass have a dose of 0, so no horizon,
     # however deep: the horizon kept every one of them
     deep_and_dark = 0
-    for near, kept, blk, dose in spy.horizon:
-        dark = near[(dose == 0.0) & (np.min(blk.nozzle_z[0]) - dmap.z[near] > 40 * att)]
-        assert np.isin(dark, kept).all()
-        deep_and_dark += len(dark)
+    for _, depth, keep, _, dose in spy.horizon:
+        dark = (dose == 0.0) & (depth > 40 * att)
+        assert keep[dark].all()
+        deep_and_dark += np.count_nonzero(dark)
     assert deep_and_dark > 0
 
 
@@ -1133,6 +1156,18 @@ def test_a_long_attenuation_depth_puts_the_stack_within_the_horizon(spy):
     assert spy.horizon and spy.cut() == 0
 
 
+def test_a_short_attenuation_depth_cuts_all_but_the_top_layer(spy):
+    """At an attenuation depth of a micron a sample adds exp(-850) of its
+    weight one layer down, so the horizon cuts there, and the bound of an
+    element a layer above the plane it is tested under overflows to
+    +inf, which keeps it, without a warning."""
+    thin = replace(FS9, name="dlp-fs9-thin", attenuation_depth_mm=1e-3)
+    _assert_sweeps_agree(_custom_job(_stack_gcode(14), thin))
+    assert spy.cut() > 0
+    above = [keep[depth < -CFG.job.layer_height_mm / 2] for _, depth, keep, _, _ in spy.horizon]
+    assert sum(len(a) for a in above) > 0 and all(a.all() for a in above)
+
+
 def test_an_element_within_the_margin_of_its_horizon_is_kept(spy):
     # the attenuation depth is solved so that one buried element lies
     # between its horizon att ln(cw / spacing) and that plus the margin,
@@ -1145,26 +1180,25 @@ def test_an_element_within_the_margin_of_its_horizon_is_kept(spy):
         spy.horizon.clear()
         dmap = _run(job)
         calls = []
-        for near, kept, blk, dose in spy.horizon:
-            depth = np.min(blk.nozzle_z[0]) - dmap.z[near]
+        for el, depth, keep, blk, dose in spy.horizon:
             with np.errstate(divide="ignore", over="ignore"):
                 log_ratio = np.log(4.0 * np.max(blk.count * blk.weight) / np.spacing(dose))
-            calls.append((near, kept, depth, log_ratio))
+            calls.append((el, keep, depth, log_ratio))
         if pick is None:
-            # the element whose depth needs the least change of att, in a
-            # block that cuts
+            # the candidate whose depth under its sub-block needs the least
+            # change of att, in a test that cuts
             best = math.inf
-            for i, (near, kept, depth, log_ratio) in enumerate(calls):
-                if len(kept) < len(near):
+            for i, (el, keep, depth, log_ratio) in enumerate(calls):
+                if not keep.all():
                     need = np.abs(depth / (log_ratio + margin / 2) - att)
                     j = int(np.argmin(need))
                     if need[j] < best:
-                        best, pick = need[j], (i, int(near[j]))
-        i, element = pick
-        near, kept, depth, log_ratio = calls[i]
-        j = int(np.flatnonzero(near == element)[0])
-        if att * log_ratio[j] < depth[j] <= att * (log_ratio[j] + margin) and len(kept) < len(near):
-            assert element in kept
+                        best, pick = need[j], (i, j, int(el[j]))
+        i, j, element = pick
+        el, keep, depth, log_ratio = calls[i]
+        assert el[j] == element
+        if att * log_ratio[j] < depth[j] <= att * (log_ratio[j] + margin) and not keep.all():
+            assert keep[j]
             break
         att = float(depth[j] / (log_ratio[j] + margin / 2))
     else:
