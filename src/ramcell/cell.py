@@ -15,14 +15,14 @@ lies more than 1e-12 s after the node before it.  The program keeps the
 chosen rows as one (n, 6) joint array, which the speed check, the
 clearance check, the singularity scan and the script writer read as
 columns.  Collision checking samples the interpolated tool capsule
-against the table plane and the configured obstacle boxes, evaluating
-only the samples of waypoint segments whose endpoint bounds come within
-reach of the table or a box, and running the per-box search only on
-samples whose capsule axis comes within a capsule radius of the box.
-The singularity scan reads the closed-form manipulability of each
-waypoint.  No pass here multiplies matrices, so no result depends on the
-BLAS build or its thread count.  Everything here is deterministic:
-identical inputs give byte-identical programs, scripts and reports.
+against the table plane and the configured obstacle boxes with one cull
+per target: the table and each box evaluate only the samples of the
+waypoint segments whose endpoint bounds, padded by CULL_PAD_MM, come
+within its reach.  The singularity scan reads the closed-form
+manipulability of each waypoint.  No pass here multiplies matrices, so
+no result depends on the BLAS build or its thread count.  Everything
+here is deterministic: identical inputs give byte-identical programs,
+scripts and reports.
 """
 
 from __future__ import annotations
@@ -49,9 +49,11 @@ MAX_COLLISION_SAMPLES = 2e6
 # sits CAPSULE_CLEARANCE_MM minus the capsule radius above the tip
 TABLE_Z_MM = 0.0
 CAPSULE_CLEARANCE_MM = 70.0
-# below the table past 1 nm; a box's reach is a capsule radius plus 1 um
+# below the table past 1 nm; the clearance cull pads each waypoint
+# segment's end bounds by 1 um, far more than an interpolated sample's
+# rounding past them
 TABLE_TOL_MM = 1e-6
-REACH_TOL_MM = 1e-3
+CULL_PAD_MM = 1e-3
 # planner nodes per IK chunk; bounds the candidates in memory at once (a
 # chunk's Branches hold 276 bytes a node).  wall-50x10's 1296 nodes
 # plan in one chunk; at 2048 the first chunk of square-30x30x8.5 would
@@ -304,6 +306,8 @@ def plan_trajectory(path: Toolpath, cfg: Config, env: CellEnvironment,
     DWELL_YAW_STEP_RAD.  A node that lies within 1e-12 s after the node
     before it adds no waypoint.  Raises PlanningError on unreachable
     nodes or on a joint-space jump above MAX_JOINT_STEP_RAD in one step.
+    The planner does not read env: the clearance check (check_collisions)
+    tests the planned program against it.
     """
     if not len(path):
         return RobotProgram(np.zeros(0), np.zeros((0, 6)), np.zeros(0), events, metadata)
@@ -379,9 +383,12 @@ def check_collisions(program: RobotProgram, cfg: Config, env: CellEnvironment,
     waypoints both capsule endpoints move on straight lines, so sampling
     interpolates endpoint positions directly instead of re-running FK.
     The endpoints at the waypoints come from their closed-form flange
-    poses, and only the samples of segments that can touch something
-    are evaluated (_hot_samples).  The waypoint times must increase.
-    Returns the earliest contact per obstacle plus any table contact.
+    poses.  Every interpolated sample lies within its waypoint segment's
+    end bounds (up to rounding, which CULL_PAD_MM covers), so the table
+    and each box take only the samples of the segments whose bounds come
+    within reach of that target, and interpolate only the columns it
+    reads.  The waypoint times must increase.  Returns the earliest
+    contact per obstacle plus any table contact.
     """
     times = program.times
     if not len(times):
@@ -399,93 +406,74 @@ def check_collisions(program: RobotProgram, cfg: Config, env: CellEnvironment,
                             "[cell] collision_dt_s", kind="limit")
     n = max(2, int(math.ceil(duration / dt_s)) + 1) if duration > 0 else 1
     ts = np.linspace(times[0], times[-1], n)
-    ts = ts[_hot_samples(ts, times, tip[:, 2], caps_lo, caps_hi, env)]
-    sample = lambda col: np.interp(ts, times, col)
-    # the table needs only the z columns; x and y only the obstacle boxes
-    tipz, az, bz = sample(tip[:, 2]), sample(caps_lo[:, 2]), sample(caps_hi[:, 2])
-    if env.obstacles:
-        ax, ay, bx, by = (sample(c) for c in (caps_lo[:, 0], caps_lo[:, 1],
-                                               caps_hi[:, 0], caps_hi[:, 1]))
-
-    findings: list[tuple[float, str]] = []
-    below = tipz < TABLE_Z_MM - TABLE_TOL_MM
-    cap_below = np.minimum(az, bz) - env.capsule_radius_mm < TABLE_Z_MM - TABLE_TOL_MM
-    hit = below | cap_below
-    if np.any(hit):
-        findings.append((float(ts[int(np.argmax(hit))]), "table"))
-    # every point of a sample's capsule axis lies at least the axis
-    # segment's bounding-box gap to a box away from it on each axis, so
-    # only samples whose segment box overlaps the obstacle grown by a
-    # capsule radius (plus REACH_TOL_MM) can touch it
-    reach = env.capsule_radius_mm + REACH_TOL_MM
-    for bi, box in enumerate(env.obstacles):
-        near = np.ones(len(ts), dtype=bool)
-        for a, b, lo, hi in zip((ax, ay, az), (bx, by, bz), box.lo, box.hi):
-            near &= np.maximum(a, b) > lo - reach
-            near &= np.minimum(a, b) < hi + reach
-        kept = np.flatnonzero(near)
-        if not len(kept):
-            continue
-        sax, say, saz, sbx, sby, sbz = (c[kept] for c in (ax, ay, az, bx, by, bz))
-        # closest capsule-axis point to the box: a 40-step ternary search on t
-        lo_t = np.zeros(len(kept))
-        hi_t = np.ones(len(kept))
-        for _ in range(40):
-            m1 = lo_t + (hi_t - lo_t) / 3.0
-            m2 = hi_t - (hi_t - lo_t) / 3.0
-            d1 = _point_box_distance(sax + m1 * (sbx - sax), say + m1 * (sby - say),
-                                     saz + m1 * (sbz - saz), box)
-            d2 = _point_box_distance(sax + m2 * (sbx - sax), say + m2 * (sby - say),
-                                     saz + m2 * (sbz - saz), box)
-            take1 = d1 <= d2
-            hi_t = np.where(take1, m2, hi_t)
-            lo_t = np.where(take1, lo_t, m1)
-        tm = 0.5 * (lo_t + hi_t)
-        dist = _point_box_distance(sax + tm * (sbx - sax), say + tm * (sby - say),
-                                   saz + tm * (sbz - saz), box)
-        contact = dist < env.capsule_radius_mm
-        if np.any(contact):
-            findings.append((float(ts[kept[int(np.argmax(contact))]]), f"obstacle_{bi}"))
-    findings.sort(key=lambda f: (f[0], f[1]))
-    return findings
-
-
-def _hot_samples(ts: np.ndarray, times: np.ndarray, tip_z: np.ndarray, caps_lo: np.ndarray,
-                 caps_hi: np.ndarray, env: CellEnvironment) -> np.ndarray:
-    """Indices of the samples ts that lie in a hot segment, its start and
-    end times included.  Between two waypoints every capsule point moves
-    on a straight line, so an interpolated sample lies within its
-    segment's endpoint bounds (up to rounding).  A segment is hot when
-    those bounds, padded by 1 um, come within reach of the table test or
-    of an obstacle box grown by the capsule radius; no sample of any
-    other segment can touch anything."""
-    pad = 1e-3
 
     def ends(col):
         """Each segment's first and last value; a one-waypoint program
         has the one segment from it to itself."""
         return (col[:-1], col[1:]) if len(col) > 1 else (col, col)
 
-    lo, hi = [], []
-    for axis in range(3):
-        (a0, a1), (b0, b1) = ends(caps_lo[:, axis]), ends(caps_hi[:, axis])
-        lo.append(np.minimum(np.minimum(a0, a1), np.minimum(b0, b1)))
-        hi.append(np.maximum(np.maximum(a0, a1), np.maximum(b0, b1)))
-    # the table test's threshold and the per-box cull's reach, padded
-    floor = TABLE_Z_MM - TABLE_TOL_MM + pad
-    hot = (np.minimum(*ends(tip_z)) < floor) | (lo[2] - env.capsule_radius_mm < floor)
-    reach = env.capsule_radius_mm + REACH_TOL_MM + pad
-    for box in env.obstacles:
-        near = np.ones(len(hot), dtype=bool)
-        for axis in range(3):
-            near &= (hi[axis] > box.lo[axis] - reach) & (lo[axis] < box.hi[axis] + reach)
-        hot |= near
-    # runs of hot segments, each as the range of sample indices it spans
-    edge = np.flatnonzero(np.diff(np.r_[False, hot, False]))
+    # each segment's end bounds of both capsule ends, (segments, 3)
+    (a0, a1), (b0, b1) = ends(caps_lo), ends(caps_hi)
+    lo = np.minimum(np.minimum(a0, a1), np.minimum(b0, b1))
+    hi = np.maximum(np.maximum(a0, a1), np.maximum(b0, b1))
     t0, t1 = ends(times)
-    start = np.searchsorted(ts, t0[edge[::2]], "left")
-    count = np.searchsorted(ts, t1[edge[1::2] - 1], "right") - start
-    return np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
+
+    def sampled(near, *cols):
+        """The times of the samples of the segments near, their start and
+        end times included, and the columns cols interpolated there."""
+        first, last = _runs_of(near)
+        start = np.searchsorted(ts, t0[first], "left")
+        count = np.searchsorted(ts, t1[last], "right") - start
+        at = ts[np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)]
+        return (at, *(np.interp(at, times, col) for col in cols))
+
+    findings: list[tuple[float, str]] = []
+    r, floor = env.capsule_radius_mm, TABLE_Z_MM - TABLE_TOL_MM
+    at, tipz, az, bz = sampled((np.minimum(*ends(tip[:, 2])) < floor + CULL_PAD_MM)
+                               | (lo[:, 2] - r < floor + CULL_PAD_MM),
+                               tip[:, 2], caps_lo[:, 2], caps_hi[:, 2])
+    hit = (tipz < floor) | (np.minimum(az, bz) - r < floor)
+    if np.any(hit):
+        findings.append((float(at[int(np.argmax(hit))]), "table"))
+    # a sample's capsule axis lies within its segment's bounds, so it
+    # comes no nearer a box on any axis than those bounds do: only the
+    # segments whose bounds meet the box grown by a capsule radius (and
+    # the pad) can touch it
+    reach = r + CULL_PAD_MM
+    for bi, box in enumerate(env.obstacles):
+        near = np.logical_and.reduce([(hi[:, k] > box.lo[k] - reach)
+                                      & (lo[:, k] < box.hi[k] + reach) for k in range(3)])
+        if not near.any():
+            continue
+        at, ax, ay, az, bx, by, bz = sampled(near, *caps_lo.T, *caps_hi.T)
+        # closest capsule-axis point to the box: a 40-step ternary search on t
+        lo_t = np.zeros(len(at))
+        hi_t = np.ones(len(at))
+        for _ in range(40):
+            m1 = lo_t + (hi_t - lo_t) / 3.0
+            m2 = hi_t - (hi_t - lo_t) / 3.0
+            d1 = _point_box_distance(ax + m1 * (bx - ax), ay + m1 * (by - ay),
+                                     az + m1 * (bz - az), box)
+            d2 = _point_box_distance(ax + m2 * (bx - ax), ay + m2 * (by - ay),
+                                     az + m2 * (bz - az), box)
+            take1 = d1 <= d2
+            hi_t = np.where(take1, m2, hi_t)
+            lo_t = np.where(take1, lo_t, m1)
+        tm = 0.5 * (lo_t + hi_t)
+        dist = _point_box_distance(ax + tm * (bx - ax), ay + tm * (by - ay),
+                                   az + tm * (bz - az), box)
+        contact = dist < r
+        if np.any(contact):
+            findings.append((float(at[int(np.argmax(contact))]), f"obstacle_{bi}"))
+    findings.sort(key=lambda f: (f[0], f[1]))
+    return findings
+
+
+def _runs_of(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first and last index of each run of True in mask: a run opens
+    and closes at the edges of the mask padded with False."""
+    edge = np.flatnonzero(np.diff(np.r_[False, mask, False]))
+    return edge[::2], edge[1::2] - 1
 
 
 def detect_singularity_traversal(program: RobotProgram, cfg: Config,
@@ -495,10 +483,8 @@ def detect_singularity_traversal(program: RobotProgram, cfg: Config,
     if eps is None:
         eps = cfg.kinematics.singular_eps
     dh = DHParams.from_config(cfg.kinematics)
-    low = manipulability_batch(program.joints, dh) < eps
-    # a run of low waypoints opens and closes at the edges of the padded mask
-    edge = np.flatnonzero(np.diff(np.r_[False, low, False]))
-    return list(zip(program.times[edge[::2]].tolist(), program.times[edge[1::2] - 1].tolist()))
+    first, last = _runs_of(manipulability_batch(program.joints, dh) < eps)
+    return list(zip(program.times[first].tolist(), program.times[last].tolist()))
 
 
 def emit_program(program: RobotProgram, report: SimReport | None = None) -> str:

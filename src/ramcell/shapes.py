@@ -52,60 +52,44 @@ def parse_shape_id(shape_id: str) -> tuple[str, tuple[float, ...]]:
     return kind, dims
 
 
-def _loop_segments(corners: list[Vec3], speed: float, layer: int) -> list[Segment]:
-    segs = []
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        segs.append(Segment(a, b, speed, extruding=True, uv_on=True, layer=layer))
-    return segs
-
-
-def _hop(at: Vec3, dz: float, travel_speed: float, layer: int) -> Segment:
-    return Segment(at, Vec3(at.x, at.y, at.z + dz), travel_speed,
-                   extruding=False, uv_on=False, layer=layer)
+def _stack(points: list[tuple[float, float]], n_layers: int, layer_height: float,
+           speed: float, travel_speed: float) -> Toolpath:
+    """The polyline through the (x, y) points laid at z = k layer_height
+    for k = 1 .. n_layers, every other layer reversed, with a hop from
+    each layer's end to its z plus one layer height."""
+    segs: list[Segment] = []
+    for k in range(1, n_layers + 1):
+        z = k * layer_height
+        lay = layer_index(z, layer_height)
+        line = [Vec3(x, y, z) for x, y in (points if k % 2 else points[::-1])]
+        segs.extend(Segment(a, b, speed, extruding=True, uv_on=True, layer=lay)
+                    for a, b in zip(line, line[1:]))
+        if k < n_layers:
+            end = line[-1]
+            segs.append(Segment(end, Vec3(end.x, end.y, z + layer_height), travel_speed,
+                                extruding=False, uv_on=False, layer=lay))
+    return Toolpath.from_segments(segs)
 
 
 def generate(shape_id: str, speed_2d: float, speed_3d: float, layer_height: float,
              nozzle_diameter: float, travel_speed: float = 20.0) -> Toolpath:
     """Raw extruding path for a built-in shape (no extensions yet)."""
     kind, dims = parse_shape_id(shape_id)
-    if kind == "rectangle":
-        lx, ly = dims
-        z = layer_height
-        lay = layer_index(z, layer_height)
-        corners = [Vec3(0, 0, z), Vec3(lx, 0, z), Vec3(lx, ly, z), Vec3(0, ly, z)]
-        return Toolpath.from_segments(_loop_segments(corners, speed_2d, lay))
     if kind == "wall":
         length, height = dims
         inset = nozzle_diameter / 2.0
-        x0, x1 = inset, length - inset
-        if x1 <= x0:
+        if length - inset <= inset:
             raise ShapeError("wall shorter than one nozzle diameter")
-        n_layers = max(1, round(height / layer_height))
-        segs: list[Segment] = []
-        for k in range(1, n_layers + 1):
-            z = k * layer_height
-            lay = layer_index(z, layer_height)
-            left_to_right = k % 2 == 1
-            a = Vec3(x0 if left_to_right else x1, 0.0, z)
-            b = Vec3(x1 if left_to_right else x0, 0.0, z)
-            segs.append(Segment(a, b, speed_3d, extruding=True, uv_on=True, layer=lay))
-            if k < n_layers:
-                segs.append(_hop(b, layer_height, travel_speed, lay))
-        return Toolpath.from_segments(segs)
-    # square: stacked closed rings, winding alternates per layer
-    lx, ly, height = dims
-    n_layers = max(1, round(height / layer_height))
-    segs = []
-    for k in range(1, n_layers + 1):
-        z = k * layer_height
-        lay = layer_index(z, layer_height)
-        corners = [Vec3(0, 0, z), Vec3(lx, 0, z), Vec3(lx, ly, z), Vec3(0, ly, z)]
-        if k % 2 == 0:
-            corners = [corners[0]] + corners[:0:-1]
-        segs.extend(_loop_segments(corners, speed_3d, lay))
-        if k < n_layers:
-            segs.append(_hop(corners[0], layer_height, travel_speed, lay))
-    return Toolpath.from_segments(segs)
+        line = [(inset, 0.0), (length - inset, 0.0)]
+        return _stack(line, max(1, round(height / layer_height)), layer_height, speed_3d,
+                      travel_speed)
+    lx, ly = dims[:2]
+    # a closed ring; reversed every other layer, its winding alternates
+    ring = [(0, 0), (lx, 0), (lx, ly), (0, ly), (0, 0)]
+    if kind == "rectangle":
+        return _stack(ring, 1, layer_height, speed_2d, travel_speed)
+    return _stack(ring, max(1, round(dims[2] / layer_height)), layer_height, speed_3d,
+                  travel_speed)
 
 
 def nominal_dimensions(shape_id: str) -> dict[str, float]:

@@ -208,7 +208,7 @@ def test_collision_first_contact_matches_brute_force():
 def _unculled_check_collisions(program, cfg, env, dt_s=0.01):
     """check_collisions with the table test run on every sample and the
     ternary search on every sample for every box: the oracle of the
-    segment cull and of the per-box cull."""
+    per-target culls."""
     times = program.times
     if not len(times):
         return []
@@ -356,6 +356,19 @@ def test_segment_cull_finds_contacts_on_waypoint_times():
     ))
     _assert_culled_matches_unculled(program, env, 0.25, [
         (0.0, "obstacle_0"), (5.0, "obstacle_1"), (10.0, "obstacle_2")])
+    # each target culls its own samples in one program: the tip is below
+    # the table at the first waypoint only, two boxes lie within reach of
+    # the last one (touched there, and missed by 0.5 um inside the pad),
+    # and one box lies beside the dip
+    program = _program_through([0.0, 1.0, 2.0, 3.0],
+                               [(400, 0, -0.5), (410, 0, 5), (420, 0, 5), (430, 0, 5)])
+    env = replace(ENV, obstacles=(
+        Aabb((430 + r - 1e-4, -10, 100), (500, 10, 150)),
+        Aabb((430 + r + 5e-4, -10, 160), (500, 10, 200)),
+        Aabb((395, r - 1, 100), (405, 80, 150)),
+    ))
+    _assert_culled_matches_unculled(program, env, 0.01, [
+        (0.0, "obstacle_2"), (0.0, "table"), (3.0, "obstacle_0")])
 
 
 def test_segment_cull_finds_a_box_touched_only_mid_segment():

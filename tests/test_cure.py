@@ -1204,3 +1204,29 @@ def test_an_element_within_the_margin_of_its_horizon_is_kept(spy):
     else:
         pytest.fail("no attenuation depth put the element within its margin")
     _assert_sweeps_agree(job)
+
+
+@pytest.mark.parametrize("weight", [2.0 ** -40, 2.0 ** 30], ids=["small-block", "large-block"])
+def test_a_dose_below_the_horizon_floor_is_never_cut(weight):
+    """A dose whose spacing is below 2**-1022 (the small block) or below
+    cw 2**-1000 (the large one) is kept at any depth, though its bound
+    cw exp(margin - depth / att) lies below that spacing or has
+    underflowed to 0; a dose whose spacing is the floor is cut there."""
+    one = np.zeros(1)
+    blk = cure._SampleBlock(count=np.array([4]), weight=np.array([weight]), flat=np.ones(1, bool),
+                            tau=one, spot_x=one[:, None], spot_y=one[:, None],
+                            nozzle_z=one[:, None])
+    floor, att = max(2.0 ** -1022, blk.column_bound * 2.0 ** -1000), 0.25
+    assert floor == (2.0 ** -1022 if weight < 1.0 else blk.column_bound * 2.0 ** -1000)
+    # the least spacing (a dose of 0 takes the least subnormal's), the
+    # least and the largest dose of spacing floor / 2, and the floor
+    dose = np.array([0.0, 5e-324, floor * 2.0 ** 51, np.nextafter(floor * 2.0 ** 52, 0.0),
+                     floor * 2.0 ** 52])
+    assert np.all(np.spacing(dose[:4]) < floor) and np.spacing(dose[4]) == floor
+    el = np.arange(len(dose))
+    # the bound at a quarter of the floor, and underflowed to 0
+    for depth in (att * (cure._HORIZON_MARGIN + math.log(4.0 * blk.column_bound / floor)),
+                  1000.0 * att):
+        depths = np.full(len(dose), depth)
+        keep = cure._above_horizon(el, depths, blk, dose, att)
+        assert keep.tolist() == [True, True, True, True, False]
