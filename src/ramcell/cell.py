@@ -59,8 +59,6 @@ CULL_PAD_MM = 1e-3
 # plan in one chunk; at 2048 the first chunk of square-30x30x8.5 would
 # raise its planner's heap peak above what it was at 512
 IK_CHUNK_NODES = 1536
-# one script line per waypoint: six joints, the TCP speed and the time
-_MOVE = "q=[" + ",".join(["%.6f"] * 6) + "] v=%.3f t=%.6f"
 
 
 class PlanningError(RamcellError):
@@ -490,31 +488,31 @@ def detect_singularity_traversal(program: RobotProgram, cfg: Config,
 def emit_program(program: RobotProgram, report: SimReport | None = None) -> str:
     """Render the program as the toolkit's line-oriented script dialect.
 
-    The move lines are formatted in one pass over the stacked joint, speed
-    and time columns; the I/O events join them in order of (time, moves
-    before events, text).  Refuses to emit when the attached report
-    records failures.
+    The move lines are one text table of the joint, speed and time
+    columns; the I/O events join them in order of (time, moves before
+    events, text).  Refuses to emit when the attached report records
+    failures.
     """
     if report is not None and not report.printable:
         raise PlanningError("refusing to emit: report records failures")
+    from . import text  # only the writers load the text kernel
     lines = ["# ramcell robot program v1"]
     for key, value in program.metadata:
         lines.append(f"# {key}={value}")
-    body: list[tuple[float, int, str]] = []
-    times = program.times.tolist()
-    if times:
-        table = np.column_stack((program.joints, program.speeds, program.times))
-        moves = ("\n".join(["movel " + _MOVE] * len(times))
-                 % tuple(table.ravel().tolist())).split("\n")
-        moves[0] = "movej" + moves[0][len("movel"):]
-        body.extend(zip(times, [0] * len(times), moves))
+    times = program.times
+    first = np.arange(len(times)) == 0
+    moves = text.rows((("movel ", "movej "), first),
+                      text.Cells(program.joints, 6, ("q=[",) + (",",) * 5),
+                      text.Cells(program.speeds, 3, "] v="),
+                      text.Cells(times, 6, " t="), "\n").split("\n")[:-1]
+    body = list(zip(times.tolist(), [0] * len(moves), moves))
     for ev in program.events:
         body.append((ev.time_s, 1,
                      f"set_digital_out channel={ev.channel} state={1 if ev.on else 0} "
                      f"t={ev.time_s:.6f}"))
     body.sort()
-    lines.extend(text for _, _, text in body)
-    if times:
+    lines.extend(line for _, _, line in body)
+    if len(times):
         lines.append(f"stopj t={program.duration():.6f}")
     lines.append("# end")
     return "\n".join(lines) + "\n"

@@ -85,37 +85,22 @@ def _build_job(cfg: Config, args) -> pipeline.JobBundle:
 
 
 # one path dump row per move: the timeline columns below, in order, the
-# first ten written as %.6f (see _fixed) and the flags and layer as %d
+# first ten written as %.6f and the flags and layer as %d
 _PATH_COLUMNS = ("t0", "t1", "x0", "y0", "z0", "x1", "y1", "z1", "speed", "yaw0",
                  "extruding", "uv_on", "layer")
-_PATH_ROW = ",".join(["%s"] * 10 + ["%d"] * 3)
-
-
-def _fixed(values: np.ndarray) -> np.ndarray:
-    """'%.6f' of each float of `values`, as an object array of its shape.
-
-    Each distinct bit pattern is formatted once, in one `%` pass: most
-    values of a path dump repeat (a move starts where and when the last
-    one ended, mostly at its speed, yaw and height), and the conversions
-    are the cost of the dump."""
-    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = "\n".join(["%.6f"] * len(distinct)) % tuple(distinct.view(float).tolist())
-    return np.array(text.split("\n"), dtype=object)[inverse.reshape(values.shape)]
 
 
 def _path_dump(job: pipeline.JobBundle) -> str:
-    """The path dump: a header, then one row per move, formatted in one
-    pass over the stacked columns."""
-    lines = ["# ramcell path v1",
-             "# t0,t1,x0,y0,z0,x1,y1,z1,speed,yaw,extruding,uv,layer"]
+    """The path dump: a header, then one row per move, laid out as one
+    text table of the stacked columns."""
+    from . import text  # only the writers load the text kernel
     tl = time_profile(job.local_path, job.cfg.cell.reorient_rate_rad_s)
-    moves = tl[~tl.dwell]
-    if len(moves):
-        floats = np.column_stack([moves[c] for c in _PATH_COLUMNS[:10]])
-        ints = np.column_stack([moves[c] for c in _PATH_COLUMNS[10:]]).astype(object)
-        cells = np.column_stack((_fixed(floats), ints))
-        lines.append("\n".join([_PATH_ROW] * len(moves)) % tuple(cells.ravel().tolist()))
-    return "\n".join(lines) + "\n"
+    moves = ~tl.dwell
+    floats = np.column_stack([tl[c] for c in _PATH_COLUMNS[:10]])[moves]
+    ints = np.column_stack([tl[c] for c in _PATH_COLUMNS[10:]])[moves]
+    return ("# ramcell path v1\n# t0,t1,x0,y0,z0,x1,y1,z1,speed,yaw,extruding,uv,layer\n"
+            + text.rows(text.Cells(floats, 6, ("",) + (",",) * 9), text.Cells(ints, 0, ","),
+                        "\n"))
 
 
 def _write(path: Path, text: str) -> None:

@@ -256,21 +256,10 @@ def to_toolpath(program: GcodeProgram, travel_speed: float = 20.0,
     return path
 
 
-def _move_template(code: int) -> str:
-    """The lines of one move whose changes are the bits of `code`: X, Y
-    and Z moved (1, 2, 4), the feed changed (8), the extruder toggled
-    (16) on (32), the UV lamp toggled (64) on (128).  A move that changes
-    none of the four words still writes its X."""
-    lines = []
-    if code & 16:
-        lines.append("M106" if code & 32 else "M107")
-    if code & 64:
-        lines.append(f"M42 P{UV_CHANNEL} S{1 if code & 128 else 0}")
-    words = [f"{w}%.6f" for bit, w in ((1, "X"), (2, "Y"), (4, "Z"), (8, "F")) if code & bit]
-    return "\n".join(lines + ["G1 " + " ".join(words or ["X%.6f"])])
-
-
-_BIT_VALUES = 1 << np.arange(8)
+# a move's line starts with the M-codes of its extruder and UV toggles:
+# _STARTS[1 + 3 * extruder + uv] for each none 0, on 1, off 2
+_STARTS = ("", *(e + u + "G1" for e in ("", "M106\n", "M107\n")
+                 for u in ("", f"M42 P{UV_CHANNEL} S1\n", f"M42 P{UV_CHANNEL} S0\n")))
 
 
 def emit(path: Toolpath) -> str:
@@ -278,14 +267,15 @@ def emit(path: Toolpath) -> str:
 
     All motion is emitted as G1 with explicit feeds so parse/interpret
     reproduces every endpoint, speed and flag; extruder and UV state
-    changes become M-codes ahead of the move they apply to.  The changes
-    are columns: which axes moved since the last move ended, whether the
-    feed changed, and the extruder and UV toggles.  They pick one of 256
-    line templates per move (built for the codes the path uses), and one
-    `%` formats the whole table with the words' values, row by row.
+    changes become M-codes ahead of the move they apply to.  The lines
+    are one text table: a move writes the axes that moved since the last
+    move ended and the feed where it changed, and the M-codes of the
+    extruder and UV toggles; a move that changes none of the four words
+    still writes its X.
     """
     if (lengths(path.start[1:] - path.end[:-1]) > 1e-9).any():
         raise GcodeError("toolpath has a positional gap; cannot emit")
+    from . import text  # only the writers load the text kernel
     lines = ["; ramcell g-code v1"]
     if len(path):
         # establish the start point without motion
@@ -296,15 +286,17 @@ def emit(path: Toolpath) -> str:
         f_mm_min = path.speed * 60.0
         words = np.column_stack((path.end != at, np.ones(len(path), bool)))
         words[1:, 3] = f_mm_min[1:] != f_mm_min[:-1]
-        ext, uv = path.extruding, path.uv_on
-        was_ext = np.concatenate(([False], ext[:-1]))
-        was_uv = np.concatenate(([False], uv[:-1]))
-        code = np.column_stack((words, ext != was_ext, ext, uv != was_uv, uv)) @ _BIT_VALUES
         words[~words.any(axis=1), 0] = True
-        values = np.column_stack((path.end, f_mm_min))[words]
-        codes = code.tolist()
-        templates = {c: _move_template(c) for c in set(codes)}
-        lines.append("\n".join([templates[c] for c in codes]) % tuple(values.tolist()))
+        ext, uv = path.extruding, path.uv_on
+        # one row per word, the first of a move after its line's start
+        starts = 1 + (np.diff(ext.astype(np.int64), prepend=0) % 3 * 3
+                      + np.diff(uv.astype(np.int64), prepend=0) % 3)
+        move, word = np.nonzero(words)
+        first = np.concatenate(([True], move[1:] != move[:-1]))
+        lines.append(text.rows(
+            (_STARTS, np.where(first, starts[move], 0)), ((" X", " Y", " Z", " F"), word),
+            text.Cells(np.column_stack((path.end, f_mm_min))[words], 6),
+            (("", "\n"), np.concatenate((first[1:], [True]))))[:-1])
         if ext[-1]:
             lines.append("M107")
         if uv[-1]:

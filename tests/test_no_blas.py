@@ -17,8 +17,6 @@ ALLOWED = {
     "kinematics.fk": ONE_ROW,
     "kinematics.ik": ONE_ROW,
     "kinematics.jacobian": ONE_ROW,
-    "gcode.emit": "a bool x int64 product packs each line's bit code; numpy's integer "
-                  "matmul does not call BLAS",
 }
 
 

@@ -341,3 +341,12 @@ def path_dump_per_entry(entries) -> list[str]:
             f"{e.end.x:.6f},{e.end.y:.6f},{e.end.z:.6f},{e.speed:.6f},{e.yaw0:.6f},"
             f"{1 if e.extruding else 0},{1 if e.uv_on else 0},{e.layer}"
             for e in entries if e.kind == "move"]
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """got == want, naming the first line that differs: pytest's own diff
+    of texts of megabytes takes minutes."""
+    if got != want:
+        pairs = enumerate(zip(got.split("\n") + [None], want.split("\n") + [None]))
+        line, (a, b) = next((i, pair) for i, pair in pairs if pair[0] != pair[1])
+        raise AssertionError(f"line {line}: {a!r} != {b!r}")
