@@ -125,6 +125,25 @@ class RobotProgram:
             t1, kind="limit")
 
 
+# a report's counted lists, (attribute, key, field kinds): each writes
+# <key>_count=<n>, then <key>_<i>=<fields> for each entry, its fields
+# joined by ":", a float as %.6f and a str, only ever the last, as it is.
+# _POINT is a time or a degree of cure, then x, y, z
+_POINT = (float, float, float, float)
+_COUNTED = (
+    ("reach_failures", "reach_failure", _POINT),
+    ("collisions", "collision", (float, str)),
+    ("jump_failures", "jump_failure", (float, str)),
+    ("singularity_warnings", "singularity", (float, float)),
+)
+
+
+def _fields(entry: tuple, kinds: tuple[type, ...]) -> str:
+    """A report entry's text: its fields written by their declared kinds."""
+    return ":".join(value if kind is str else format(value, ".6f")
+                    for kind, value in zip(kinds, entry, strict=True))
+
+
 @dataclass
 class SimReport:
     specimen: str = ""
@@ -161,38 +180,24 @@ class SimReport:
                     or self.non_finite())
 
     def to_lines(self) -> list[str]:
-        lines = [
-            "report_version=1",
-            f"specimen={self.specimen}",
-            f"material={self.material}",
-            f"printable={1 if self.printable else 0}",
-            f"reach_failure_count={len(self.reach_failures)}",
-        ]
-        for i, (t, x, y, z) in enumerate(self.reach_failures):
-            lines.append(f"reach_failure_{i}={t:.6f}:{x:.6f}:{y:.6f}:{z:.6f}")
-        lines.append(f"collision_count={len(self.collisions)}")
-        for i, (t, what) in enumerate(self.collisions):
-            lines.append(f"collision_{i}={t:.6f}:{what}")
-        lines.append(f"jump_failure_count={len(self.jump_failures)}")
-        for i, (t, what) in enumerate(self.jump_failures):
-            lines.append(f"jump_failure_{i}={t:.6f}:{what}")
-        lines.append(f"singularity_count={len(self.singularity_warnings)}")
-        for i, (t0, t1) in enumerate(self.singularity_warnings):
-            lines.append(f"singularity_{i}={t0:.6f}:{t1:.6f}")
-        if self.singularity_warnings:
+        lines = ["report_version=1", f"specimen={self.specimen}", f"material={self.material}",
+                 f"printable={1 if self.printable else 0}"]
+        for attr, key, kinds in _COUNTED:
+            entries = getattr(self, attr)
+            lines.append(f"{key}_count={len(entries)}")
+            lines += [f"{key}_{i}={_fields(entry, kinds)}" for i, entry in enumerate(entries)]
+        if self.singularity_warnings:  # after the singularity entries, the table's last
             lines.append("singularity_advice=mount an additional cure light; "
                          "trailing-spot coverage degrades near arm singularities")
         lines.append(f"undercured_count={self.undercured_count}")
-        for i, (alpha, x, y, z) in enumerate(self.undercured_worst):
-            lines.append(f"undercured_{i}={alpha:.6f}:{x:.6f}:{y:.6f}:{z:.6f}")
+        lines += [f"undercured_{i}={_fields(entry, _POINT)}"
+                  for i, entry in enumerate(self.undercured_worst)]
         lines.append(f"min_alpha={self.min_alpha:.6f}")
         lines.append(f"min_dose_ratio={self.min_dose_ratio:.6f}")
-        for key in sorted(self.dimensions):
-            lines.append(f"predicted_{key}={self.dimensions[key]:.6f}")
+        lines += [f"predicted_{key}={self.dimensions[key]:.6f}" for key in sorted(self.dimensions)]
         lines.append(f"extrusion_time_s={self.extrusion_time_s:.6f}")
         lines.append(f"total_volume_mm3={self.total_volume_mm3:.6f}")
-        for i, note in enumerate(self.notes):
-            lines.append(f"note_{i}={note}")
+        lines += [f"note_{i}={note}" for i, note in enumerate(self.notes)]
         return lines
 
     @staticmethod
@@ -206,43 +211,34 @@ class SimReport:
             pairs[key.strip()] = value.strip()
         if pairs.get("report_version") != "1":
             raise ValueError("not a ramcell report (missing report_version=1)")
-        rep = SimReport(specimen=pairs.get("specimen", ""),
-                        material=pairs.get("material", ""))
+        rep = SimReport(specimen=pairs.get("specimen", ""), material=pairs.get("material", ""))
 
-        def counted(key: str) -> str:
-            if key not in pairs:
-                raise ValueError(f"report has no {key}")
-            return pairs[key]
+        def entry(name: str, kinds: tuple[type, ...]) -> tuple:
+            """The entry that _fields wrote as the value of name."""
+            if name not in pairs:
+                raise ValueError(f"report has no {name}")
+            fields = pairs[name].split(":", len(kinds) - 1)
+            if len(fields) < len(kinds):
+                raise ValueError(f"report's {name} has {len(fields)} of {len(kinds)} fields")
+            return tuple(kind(value) for kind, value in zip(kinds, fields))
 
-        for i in range(int(pairs.get("reach_failure_count", "0"))):
-            t, x, y, z = (float(v) for v in counted(f"reach_failure_{i}").split(":"))
-            rep.reach_failures.append((t, x, y, z))
-        for i in range(int(pairs.get("collision_count", "0"))):
-            t, what = counted(f"collision_{i}").split(":", 1)
-            rep.collisions.append((float(t), what))
-        for i in range(int(pairs.get("jump_failure_count", "0"))):
-            t, what = counted(f"jump_failure_{i}").split(":", 1)
-            rep.jump_failures.append((float(t), what))
-        for i in range(int(pairs.get("singularity_count", "0"))):
-            t0, t1 = (float(v) for v in counted(f"singularity_{i}").split(":"))
-            rep.singularity_warnings.append((t0, t1))
+        def present(key: str) -> list[str]:
+            """The names key_0, key_1, ... up to the first one missing."""
+            names = []
+            while f"{key}_{len(names)}" in pairs:
+                names.append(f"{key}_{len(names)}")
+            return names
+
+        for attr, key, kinds in _COUNTED:
+            setattr(rep, attr, [entry(f"{key}_{i}", kinds)
+                                for i in range(int(pairs.get(f"{key}_count", "0")))])
         rep.undercured_count = int(pairs.get("undercured_count", "0"))
-        i = 0
-        while f"undercured_{i}" in pairs:
-            alpha, x, y, z = (float(v) for v in pairs[f"undercured_{i}"].split(":"))
-            rep.undercured_worst.append((alpha, x, y, z))
-            i += 1
-        rep.min_alpha = float(pairs.get("min_alpha", "0"))
-        rep.min_dose_ratio = float(pairs.get("min_dose_ratio", "0"))
-        for key, value in pairs.items():
-            if key.startswith("predicted_"):
-                rep.dimensions[key[len("predicted_"):]] = float(value)
-        rep.extrusion_time_s = float(pairs.get("extrusion_time_s", "0"))
-        rep.total_volume_mm3 = float(pairs.get("total_volume_mm3", "0"))
-        i = 0
-        while f"note_{i}" in pairs:
-            rep.notes.append(pairs[f"note_{i}"])
-            i += 1
+        rep.undercured_worst = [entry(name, _POINT) for name in present("undercured")]
+        rep.notes = [pairs[name] for name in present("note")]
+        for name in ("min_alpha", "min_dose_ratio", "extrusion_time_s", "total_volume_mm3"):
+            setattr(rep, name, float(pairs.get(name, "0")))
+        rep.dimensions = {key.removeprefix("predicted_"): float(value)
+                          for key, value in pairs.items() if key.startswith("predicted_")}
         return rep
 
 

@@ -170,34 +170,22 @@ def cmd_emit(args) -> int:
 
 
 def _report_rows(rep: cell.SimReport) -> list[tuple[str, float, float | None, float | None]]:
-    """(dimension, predicted, reference, half_band) rows for the summary."""
-    reference = REFERENCE_DIMENSIONS.get(rep.specimen, {})
+    """(dimension, predicted, reference, half_band) rows for the summary:
+    a reference is the caliper study's (value, half band), else the
+    nominal size with no band."""
     try:
-        nominal = shapes.nominal_dimensions(rep.specimen)
+        refs = {name: (size, None)
+                for name, size in shapes.nominal_dimensions(rep.specimen).items()}
     except ShapeError:
-        nominal = {}
+        refs = {}
+    refs.update(REFERENCE_DIMENSIONS.get(rep.specimen, {}))
+    # (label, report key, reference name)
+    mapping = [(name, f"{name}_mm", name) for name in ("length", "width", "height", "line_width")]
     if rep.specimen.startswith("wall"):
         # the wall's long axis is what the reference study calls its width
-        mapping = [("width(long axis)", "length_mm", "width"),
-                   ("height", "height_mm", "height"),
-                   ("line_width", "line_width_mm", None)]
-    else:
-        mapping = [("length", "length_mm", "length"),
-                   ("width", "width_mm", "width"),
-                   ("height", "height_mm", "height"),
-                   ("line_width", "line_width_mm", None)]
-    rows = []
-    for label, key, ref_name in mapping:
-        if key not in rep.dimensions:
-            continue
-        if ref_name and ref_name in reference:
-            ref, band = reference[ref_name]
-        elif ref_name and ref_name in nominal:
-            ref, band = nominal[ref_name], None
-        else:
-            ref, band = None, None
-        rows.append((label, rep.dimensions[key], ref, band))
-    return rows
+        mapping[:2] = [("width(long axis)", "length_mm", "width")]
+    return [(label, rep.dimensions[key], *refs.get(ref, (None, None)))
+            for label, key, ref in mapping if key in rep.dimensions]
 
 
 def cmd_report(args) -> int:
@@ -214,17 +202,13 @@ def cmd_report(args) -> int:
     print(f"{'dimension':<18}{'predicted':>12}{'reference':>12}{'band':>10}"
           f"{'deviation':>12}  status")
     for name, predicted, ref, band in _report_rows(rep):
-        if ref is None:
-            print(f"{name:<18}{predicted:>12.3f}{'-':>12}{'-':>10}{'-':>12}  -")
-            continue
-        dev = predicted - ref
-        if band is None:
-            print(f"{name:<18}{predicted:>12.3f}{ref:>12.3f}{'-':>10}"
-                  f"{dev:>+12.3f}  nominal")
-        else:
-            status = "within" if abs(dev) <= band else "OUTSIDE"
-            print(f"{name:<18}{predicted:>12.3f}{ref:>12.3f}{band:>10.3f}"
-                  f"{dev:>+12.3f}  {status}")
+        dev = None if ref is None else predicted - ref
+        status = ("-" if dev is None else "nominal" if band is None
+                  else "within" if abs(dev) <= band else "OUTSIDE")
+        cells = "".join(f"{'-' if v is None else format(v, spec):>{width}}"
+                        for v, spec, width in ((ref, ".3f", 12), (band, ".3f", 10),
+                                               (dev, "+.3f", 12)))
+        print(f"{name:<18}{predicted:>12.3f}{cells}  {status}")
     print(f"min dose ratio: {rep.min_dose_ratio:.3f}")
     print(f"undercured elements: {rep.undercured_count}")
     if rep.singularity_warnings:
@@ -241,8 +225,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "plan":
             return cmd_plan(args)
@@ -250,13 +233,10 @@ def main(argv=None) -> int:
             return cmd_simulate(args)
         if args.command == "emit":
             return cmd_emit(args)
-        if args.command == "report":
-            return cmd_report(args)
+        return cmd_report(args)
     except (RamcellError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    parser.error(f"unknown command {args.command}")
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ import branch_oracle
 from branch_oracle import (detect_singularity_per_node, emit_program_per_float, fk_batch,
                            plan_per_node, rotate, select_branch, tcp_offset_from_config,
                            validate_speeds_per_node)
-from toolpath_oracle import columns
+from toolpath_oracle import assert_same_text, columns
 from ramcell import cell, extrusion, kinematics, pipeline
 from ramcell.cell import (IK_CHUNK_NODES, TOOL_DOWN, Aabb, CellEnvironment, PlanningError,
                           RobotProgram, SimReport, _plan_nodes, _point_box_distance,
@@ -500,7 +500,7 @@ def test_singularity_intervals_match_the_lu_oracle(shape, material):
 @pytest.mark.parametrize("shape, material", SPECIMENS)
 def test_emit_matches_per_float_oracle(shape, material):
     program = _specimen_program(shape, material)
-    assert emit_program(program) == emit_program_per_float(program)
+    assert_same_text(emit_program(program), emit_program_per_float(program))
 
 
 def test_emit_formats_signed_zero_tiny_and_pi_like_the_oracle():
@@ -512,7 +512,7 @@ def test_emit_formats_signed_zero_tiny_and_pi_like_the_oracle():
                            rng.choice(values, 40), (IOEvent(0.5, "uv", True),),
                            (("specimen", "x"),))
     text = emit_program(program)
-    assert text == emit_program_per_float(program)
+    assert_same_text(text, emit_program_per_float(program))
     assert "-0.000000," in text and "3.141593," in text and "-3.141593" in text
 
 
@@ -555,7 +555,8 @@ def test_report_round_trip():
     written again from the report read back are the original lines."""
     rep = SimReport(specimen="wall-50x10", material="dlp-fs9")
     rep.reach_failures.append((0.0, 990.75, 0.0, 0.85))
-    rep.collisions += [(0.25, "table"), (1.75, "obstacle_0")]
+    # an integer time is written as a float
+    rep.collisions += [(0.25, "table"), (1.75, "obstacle_0"), (2, "obstacle_1")]
     rep.jump_failures.append((0.243421, "configuration jump of 3.837 rad at "
                                         "(391.724, 0.000, 0.850)"))
     rep.singularity_warnings.append((1.5, 2.5))
@@ -566,7 +567,7 @@ def test_report_round_trip():
     rep.total_volume_mm3 = 1234.5678
     rep.undercured_count = 2
     rep.undercured_worst = [(0.1, 1.0, 2.0, 0.85), (0.2, 3.0, 4.0, 0.85)]
-    rep.notes.append("override: printed past the dose check")
+    rep.notes += ["override: printed past the dose check", "a:b=c"]
     lines = rep.to_lines()
     again = SimReport.from_text("\n".join(lines))
     assert again.to_lines() == lines
@@ -646,6 +647,9 @@ def _oracle_case(case):
         "square": lambda: (_wall_path(CFG, "square-30x30x8.5"), CFG),
         "zigzag": lambda: (_zigzag_path(), CFG),
         "unreachable": lambda: (_wall_path(_cell(origin_x_mm=1000.0)), CFG),
+        # reachable up to the wall's far end (t ~ 9.90 s): the branch choice
+        # stops mid-path at a node with no kept candidate
+        "unreachable-far-end": lambda: (_wall_path(_cell(origin_x_mm=900.0)), CFG),
         "jump": lambda: (_wall_path(CFG), _kin(joint_limit_rad=2.0)),
         "joint-speed": lambda: (_wall_path(CFG), _cell(max_joint_speed_rad_s=0.05)),
     }[case]()
@@ -658,9 +662,10 @@ def _oracle_case(case):
 @pytest.mark.parametrize("case, chunk", [
     *((case, chunk) for chunk in (64, 512, IK_CHUNK_NODES)
       for case in ("rectangle", "wall-limit-3", "wall-tcp-0", "wall-tcp-250",
-                   "wall-tcp-minus-50", "square", "zigzag", "unreachable", "jump",
-                   "joint-speed")),
-    *((case, chunk) for case in ("rectangle", "zigzag", "unreachable", "jump")
+                   "wall-tcp-minus-50", "square", "zigzag", "unreachable",
+                   "unreachable-far-end", "jump", "joint-speed")),
+    *((case, chunk) for case in ("rectangle", "zigzag", "unreachable", "unreachable-far-end",
+                                 "jump")
       for chunk in (1, 7))])
 def test_plan_matches_per_node_oracle(case, chunk, monkeypatch):
     monkeypatch.setattr(cell, "IK_CHUNK_NODES", chunk)
@@ -671,7 +676,8 @@ def test_plan_matches_per_node_oracle(case, chunk, monkeypatch):
     path, cfg, want = _oracle_case(case)
     got = _plan_outcome(lambda p, c: plan_trajectory(p, c, ENV), path, cfg)
     assert got == want
-    kind = {"unreachable": "unreachable", "jump": "jump", "joint-speed": "limit"}.get(case)
+    kind = {"unreachable": "unreachable", "unreachable-far-end": "unreachable", "jump": "jump",
+            "joint-speed": "limit"}.get(case)
     assert (got[0] == "error" and got[3] == kind) if kind else len(got[0]) > 10
     # the planner solves a chunk of `chunk` nodes a call, up to the chunk
     # of the node where it fails

@@ -365,6 +365,48 @@ def test_report_square_rows(tmp_path, capsys):
         assert token in out
 
 
+_HEADER = "dimension            predicted   reference      band   deviation  status"
+_DIMENSIONS = {"length_mm": 90.4, "width_mm": 59.75, "height_mm": 0.9, "line_width_mm": 1.21}
+
+
+@pytest.mark.parametrize("specimen, edit, rows, tail", [
+    # nominal sizes for the rectangle's two axes, nothing for the rest
+    ("rectangle-90x60", {"min_dose_ratio": 1.5}, [
+        "length                  90.400      90.000         -      +0.400  nominal",
+        "width                   59.750      60.000         -      -0.250  nominal",
+        "height                   0.900           -         -           -  -",
+        "line_width               1.210           -         -           -  -"],
+     ["min dose ratio: 1.500", "undercured elements: 0", "printable: yes"]),
+    # a g-code name has no nominal size (ShapeError) and no study
+    ("ramp", {"undercured_count": 3}, [
+        "length                  90.400           -         -           -  -",
+        "width                   59.750           -         -           -  -",
+        "height                   0.900           -         -           -  -",
+        "line_width               1.210           -         -           -  -"],
+     ["min dose ratio: 0.000", "undercured elements: 3", "printable: no"]),
+    # the wall's long axis against the study's width, its across-wall
+    # width not shown
+    ("wall-50x10", {"singularity_warnings": [(1.5, 2.5)],
+                    "dimensions": {**_DIMENSIONS, "length_mm": 52.0, "height_mm": 11.5}}, [
+        "width(long axis)        52.000      49.760     1.270      +2.240  OUTSIDE",
+        "height                  11.500      11.070     0.860      +0.430  within",
+        "line_width               1.210           -         -           -  -"],
+     ["min dose ratio: 0.000", "undercured elements: 0",
+      "singularity intervals: 1 (consider an additional cure light)", "printable: yes"]),
+])
+def test_report_summary_lines(tmp_path, capsys, specimen, edit, rows, tail):
+    """The exact summary of hand-built reports: one row per dimension,
+    '-' where the reference, band or deviation is missing."""
+    rep = SimReport(specimen=specimen, material="dlp-fs9", dimensions=dict(_DIMENSIONS))
+    for name, value in edit.items():
+        setattr(rep, name, value)
+    f = tmp_path / f"{specimen}.report.txt"
+    f.write_text("\n".join(rep.to_lines()) + "\n")
+    assert main(["report", str(f)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"specimen: {specimen} (material dlp-fs9)", _HEADER, *rows, *tail]
+
+
 def test_report_empty_and_malformed(tmp_path, capsys):
     empty = tmp_path / "empty.report.txt"
     empty.write_text("report_version=1\nspecimen=\n")
@@ -450,6 +492,15 @@ def test_report_missing_a_counted_entry_exits_2(tmp_path, capsys):
     short.write_text("report_version=1\nspecimen=wall-20x3\ncollision_count=1\n")
     assert main(["report", str(short)]) == 2
     assert capsys.readouterr().err == "cannot read report: report has no collision_0\n"
+
+
+def test_report_short_entry_exits_2_naming_it(tmp_path, capsys):
+    short = tmp_path / "short.report.txt"
+    short.write_text("report_version=1\nspecimen=wall-20x3\nreach_failure_count=1\n"
+                     "reach_failure_0=1.0:2.0:3.0\n")
+    assert main(["report", str(short)]) == 2
+    assert capsys.readouterr().err == ("cannot read report: report's reach_failure_0 "
+                                       "has 3 of 4 fields\n")
 
 
 def test_percent_in_a_value_is_literal_and_round_trips(tmp_path):

@@ -36,12 +36,20 @@ def test_empty_file():
     assert program.diagnostics == []
 
 
-def test_duplicate_axis_word_is_error():
-    program = parse("G1 X1 X2")
-    assert program.errors()
-    d = program.diagnostics[0]
-    assert d.line == 1 and d.severity == "error"
-    assert d.message == "duplicate axis word X"
+@pytest.mark.parametrize("line, severity, message", [
+    ("G1 X1 X2", "error", "duplicate axis word X"),
+    ("G1 X1 F60 F90", "error", "duplicate feed word F"),
+    ("G1.5 X1", "error", "non-integer command code G1.5"),
+    ("G1", "error", "move carries neither axis nor feed word"),
+    ("G1 X1 F60 E5", "warning", "ignoring word E5"),
+    ("M42 P2 S1 Q3", "warning", "ignoring word Q3 on M42"),
+], ids=["duplicate-axis", "duplicate-feed", "non-integer-code", "no-words", "ignored-word",
+        "ignored-m42-word"])
+def test_line_diagnostic(line, severity, message):
+    program = parse(line)
+    assert bool(program.errors()) == (severity == "error")
+    assert [(d.line, d.severity, d.message) for d in program.diagnostics] == [
+        (1, severity, message)]
 
 
 def test_malformed_number_is_error():
@@ -147,6 +155,13 @@ def test_emit_single_segment_shape():
     assert any(l.startswith("G1 ") and "F180.000000" in l for l in lines)
     assert "M107" in lines
     assert lines.index("M106") < lines.index("M107")
+
+
+def test_emit_refuses_a_positional_gap():
+    path = Toolpath.from_segments((_segment((0, 0, 0), (10, 0, 0)),
+                                   _segment((11, 0, 0), (20, 0, 0))))
+    with pytest.raises(GcodeError, match="^toolpath has a positional gap; cannot emit$"):
+        emit(path)
 
 
 def _path_key(path):

@@ -187,9 +187,10 @@ def assert_consumers_agree(path: Toolpath, rate: float = RATE) -> None:
         with pytest.raises(gcode.GcodeError, match=f"^{re.escape(str(err))}$"):
             gcode.emit(path)
     else:
-        assert gcode.emit(path) == text
+        oracle.assert_same_text(gcode.emit(path), text)
     job = pipeline.JobBundle("p", cfg, None, path, path, flow, drive)
-    assert cli._path_dump(job).splitlines()[2:] == oracle.path_dump_per_entry(entries)
+    oracle.assert_same_text("\n".join(cli._path_dump(job).splitlines()[2:]),
+                            "\n".join(oracle.path_dump_per_entry(entries)))
 
 
 def _oracle_chain(cfg, raw_rows, extend: bool):
