@@ -229,10 +229,20 @@ class SimReport:
                 names.append(f"{key}_{len(names)}")
             return names
 
+        def count(key: str) -> int:
+            """key_count, a non-negative integer past every key_<i> present."""
+            value = pairs.get(f"{key}_count", "0")
+            if not value.isdecimal():
+                raise ValueError(f"report's {key}_count={value} is not a non-negative integer")
+            for name in pairs:
+                i = name.removeprefix(f"{key}_")
+                if i != name and i.isdecimal() and int(i) >= int(value):
+                    raise ValueError(f"report has {name} but {key}_count={value}")
+            return int(value)
+
         for attr, key, kinds in _COUNTED:
-            setattr(rep, attr, [entry(f"{key}_{i}", kinds)
-                                for i in range(int(pairs.get(f"{key}_count", "0")))])
-        rep.undercured_count = int(pairs.get("undercured_count", "0"))
+            setattr(rep, attr, [entry(f"{key}_{i}", kinds) for i in range(count(key))])
+        rep.undercured_count = count("undercured")
         rep.undercured_worst = [entry(name, _POINT) for name in present("undercured")]
         rep.notes = [pairs[name] for name in present("note")]
         for name in ("min_alpha", "min_dose_ratio", "extrusion_time_s", "total_volume_mm3"):

@@ -17,8 +17,7 @@ import numpy as np
 
 from . import RamcellError
 from .config import MAX_MAGNITUDE
-from .geometry import Vec3
-from .toolpath import Segment, Toolpath, layer_index, lengths
+from .toolpath import Toolpath, layer_index, lengths
 
 UV_CHANNEL = 2
 
@@ -214,44 +213,32 @@ def to_toolpath(program: GcodeProgram, travel_speed: float = 20.0,
     if errors:
         more = f" (and {len(errors) - 1} more)" if len(errors) > 1 else ""
         raise GcodeError(errors[0].message + more, errors[0].line)
-    pos = Vec3(0.0, 0.0, 0.0)
+    pos = (0.0, 0.0, 0.0)
     feed: float | None = None
-    extruder = False
-    uv = False
-    segments: list[Segment] = []
+    extruder = uv = False
+    moves = []
     for cmd in program.commands:
-        if cmd.kind == KIND_TOOL_ON:
-            extruder = True
-        elif cmd.kind == KIND_TOOL_OFF:
-            extruder = False
-        elif cmd.kind == KIND_UV_ON:
-            uv = True
-        elif cmd.kind == KIND_UV_OFF:
-            uv = False
+        if cmd.kind in (KIND_TOOL_ON, KIND_TOOL_OFF):
+            extruder = cmd.kind == KIND_TOOL_ON
+        elif cmd.kind in (KIND_UV_ON, KIND_UV_OFF):
+            uv = cmd.kind == KIND_UV_ON
         elif cmd.kind in (KIND_SET_POSITION, KIND_RAPID, KIND_LINEAR):
-            target = Vec3(
-                cmd.x if cmd.x is not None else pos.x,
-                cmd.y if cmd.y is not None else pos.y,
-                cmd.z if cmd.z is not None else pos.z,
-            )
+            target = tuple(at if word is None else word
+                           for word, at in zip((cmd.x, cmd.y, cmd.z), pos))
             if cmd.kind == KIND_SET_POSITION:  # G92 moves nothing
                 pos = target
                 continue
             if cmd.feed is not None:
                 feed = cmd.feed
             if cmd.kind == KIND_RAPID:
-                speed = travel_speed
-                extruding = False
+                moves.append((*pos, *target, travel_speed, False, uv))
+            elif feed is None:
+                raise GcodeError("move before any feed", cmd.line)
             else:
-                if feed is None:
-                    raise GcodeError("move before any feed", cmd.line)
-                speed = feed / 60.0
-                extruding = extruder
-            segments.append(Segment(
-                start=pos, end=target, speed=speed, extruding=extruding,
-                uv_on=uv, layer=layer_index(target.z, layer_height)))
+                moves.append((*pos, *target, feed / 60.0, extruder, uv))
             pos = target
-    path = Toolpath.from_segments(segments)
+    moves = np.array(moves, float).reshape(-1, 9)
+    path = Toolpath.from_moves(moves, layer_index(moves[:, 5], layer_height))
     path.validate()
     return path
 

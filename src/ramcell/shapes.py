@@ -6,16 +6,18 @@ loops (the path is what gets sketched); walls are single strokes with
 their endpoints inset half a nozzle width so the as-printed length
 matches the nominal dimension.  Multi-layer shapes alternate direction
 or winding per layer, which keeps wrist wind-up bounded and evens out
-exposure.
+exposure.  A shape's moves are collected as plain rows of numbers and
+stacked into the toolpath's columns once.
 """
 
 from __future__ import annotations
 
 import re
 
+import numpy as np
+
 from . import RamcellError
-from .geometry import Vec3
-from .toolpath import Segment, Toolpath, layer_index
+from .toolpath import Toolpath, layer_index
 
 # caliper study of the commissioning prints (high-viscosity fumed-silica
 # formulation): dimension name -> (measured mm, half-band mm); predicted
@@ -57,18 +59,15 @@ def _stack(points: list[tuple[float, float]], n_layers: int, layer_height: float
     """The polyline through the (x, y) points laid at z = k layer_height
     for k = 1 .. n_layers, every other layer reversed, with a hop from
     each layer's end to its z plus one layer height."""
-    segs: list[Segment] = []
+    moves = []
     for k in range(1, n_layers + 1):
         z = k * layer_height
-        lay = layer_index(z, layer_height)
-        line = [Vec3(x, y, z) for x, y in (points if k % 2 else points[::-1])]
-        segs.extend(Segment(a, b, speed, extruding=True, uv_on=True, layer=lay)
-                    for a, b in zip(line, line[1:]))
+        line = points if k % 2 else points[::-1]
+        moves += [(*a, z, *b, z, speed, True, True) for a, b in zip(line, line[1:])]
         if k < n_layers:
-            end = line[-1]
-            segs.append(Segment(end, Vec3(end.x, end.y, z + layer_height), travel_speed,
-                                extruding=False, uv_on=False, layer=lay))
-    return Toolpath.from_segments(segs)
+            moves.append((*line[-1], z, *line[-1], z + layer_height, travel_speed, False, False))
+    moves = np.array(moves, float)
+    return Toolpath.from_moves(moves, layer_index(moves[:, 2], layer_height))
 
 
 def generate(shape_id: str, speed_2d: float, speed_3d: float, layer_height: float,

@@ -1,14 +1,14 @@
 """Toolpath model and post-processing.
 
-A toolpath is a struct of arrays, one row per straight segment: `start`
-and `end` (n, 3), `speed`, the `extruding` and `uv_on` flags, `layer`
-and the tool `yaw` about world z (the nozzle points straight down, so
-the yaw is the whole tool attitude).  `Segment` is the row type that
-shapes, the g-code reader and tests build paths from; building checks
-every coordinate, length, speed and yaw finite.  Post-processing adds
-lead extensions so the trailing cure spot reaches path ends and corners,
-assigns yaws so the spot trails the nozzle, and resamples to a bounded
-segment length.
+A toolpath is a struct of arrays, one row per straight segment: `start` and
+`end` (n, 3), `speed`, the `extruding` and `uv_on` flags, `layer` and the tool
+`yaw` about world z (the nozzle points straight down, so the yaw is the whole
+tool attitude).  Shapes and the g-code reader build the columns, through
+`Toolpath.from_moves`; `Segment` is only the row type that `Toolpath.segments`
+returns.  Building checks every coordinate, length, speed and yaw finite.
+Post-processing adds lead extensions so the trailing cure spot reaches path
+ends and corners, assigns yaws so the spot trails the nozzle, and resamples to
+a bounded segment length.
 
 `time_profile` lays out the shared timeline of moves and reorientation
 dwells as one record array (columns of `TIMELINE_DTYPE`), which the step
@@ -97,15 +97,11 @@ class Toolpath:
                 "that is not finite and positive")
 
     @staticmethod
-    def from_segments(segs) -> "Toolpath":
-        """Columns of the rows `segs`, less those no longer than CONNECT_TOL."""
-        segs = list(segs)
-        ends = np.array([(s.start.x, s.start.y, s.start.z, s.end.x, s.end.y, s.end.z)
-                         for s in segs], float).reshape(-1, 6)
-        path = Toolpath(ends[:, :3], ends[:, 3:], *(
-            np.array([getattr(s, name) for s in segs], dtype) for name, dtype in (
-                ("speed", float), ("extruding", bool), ("uv_on", bool),
-                ("layer", np.int64), ("yaw", float))))
+    def from_moves(moves: np.ndarray, layer: np.ndarray) -> "Toolpath":
+        """The (n, 9) rows `moves`, x0 y0 z0 x1 y1 z1 speed extruding uv_on, as a
+        path on the layers `layer` at yaw 0, less rows no longer than CONNECT_TOL."""
+        path = Toolpath(moves[:, :3], moves[:, 3:6], moves[:, 6], moves[:, 7] != 0.0,
+                        moves[:, 8] != 0.0, layer, np.zeros(len(moves)))
         return path.rows(lengths(path.end - path.start) > CONNECT_TOL)
 
     def rows(self, index, **columns) -> "Toolpath":
@@ -153,9 +149,9 @@ class ExtensionPolicy:
             raise ToolpathError("lead length must be >= 0")
 
 
-def layer_index(z: float, layer_height: float) -> int:
+def layer_index(z: np.ndarray, layer_height: float) -> np.ndarray:
     # small epsilon guards against 6.999999 style float drift
-    return int(math.floor(z / layer_height + 1e-9))
+    return np.floor(z / layer_height + 1e-9).astype(np.int64)
 
 
 def _turns(u_in: np.ndarray, u_out: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ import branch_oracle
 from branch_oracle import (detect_singularity_per_node, emit_program_per_float, fk_batch,
                            plan_per_node, rotate, select_branch, tcp_offset_from_config,
                            validate_speeds_per_node)
-from toolpath_oracle import assert_same_text, columns
+from toolpath_oracle import assert_same_text, columns, from_segments
 from ramcell import cell, extrusion, kinematics, pipeline
 from ramcell.cell import (IK_CHUNK_NODES, TOOL_DOWN, Aabb, CellEnvironment, PlanningError,
                           RobotProgram, SimReport, _plan_nodes, _point_box_distance,
@@ -20,7 +20,7 @@ from ramcell.config import default_config
 from ramcell.extrusion import IOEvent
 from ramcell.geometry import Pose, Rotation, Vec3
 from ramcell.kinematics import DHParams, JointConfig, fk, ik
-from ramcell.toolpath import Segment, Toolpath
+from ramcell.toolpath import Segment
 
 CFG = default_config()
 ENV = CellEnvironment.from_config(CFG.cell)
@@ -96,7 +96,7 @@ def test_plan_unreachable_far_origin():
 
 
 def test_plan_empty_path():
-    program = plan_trajectory(Toolpath.from_segments(()), CFG, ENV)
+    program = plan_trajectory(from_segments(()), CFG, ENV)
     assert program.times.shape == program.speeds.shape == (0,)
     assert program.joints.shape == (0, 6)
 

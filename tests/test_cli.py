@@ -494,6 +494,21 @@ def test_report_missing_a_counted_entry_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "cannot read report: report has no collision_0\n"
 
 
+@pytest.mark.parametrize("lines, err", [
+    ("collision_count=-1\ncollision_0=1.000000:table\n",
+     "report's collision_count=-1 is not a non-negative integer"),
+    ("collision_count=0\ncollision_0=1.000000:table\n",
+     "report has collision_0 but collision_count=0"),
+    ("undercured_count=-1\n", "report's undercured_count=-1 is not a non-negative integer"),
+    ("undercured_count=1\nundercured_0=0.1:1:2:3\nundercured_1=0.2:1:2:3\n",
+     "report has undercured_1 but undercured_count=1")])
+def test_report_count_that_disagrees_with_its_entries_exits_2(tmp_path, capsys, lines, err):
+    bad = tmp_path / "bad.report.txt"
+    bad.write_text("report_version=1\nspecimen=wall-20x3\n" + lines)
+    assert main(["report", str(bad)]) == 2
+    assert capsys.readouterr() == ("", f"cannot read report: {err}\n")
+
+
 def test_report_short_entry_exits_2_naming_it(tmp_path, capsys):
     short = tmp_path / "short.report.txt"
     short.write_text("report_version=1\nspecimen=wall-20x3\nreach_failure_count=1\n"

@@ -4,6 +4,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
+from toolpath_oracle import from_segments
 from ramcell import cure, pipeline
 from ramcell.config import ConfigError, UVConfig, default_config, loads_config
 from ramcell.cure import (CureError, DepositionMap, _column_sums, _runs,
@@ -12,9 +13,8 @@ from ramcell.cure import (CureError, DepositionMap, _column_sums, _runs,
 from ramcell.extrusion import FlowModel
 from ramcell.geometry import Vec3
 from ramcell.shapes import generate
-from ramcell.toolpath import (ExtensionPolicy, Segment, Toolpath,
-                              add_cure_extensions, assign_orientations,
-                              resample, time_profile)
+from ramcell.toolpath import (ExtensionPolicy, Segment, add_cure_extensions,
+                              assign_orientations, resample, time_profile)
 
 CFG = default_config()
 FLOW = FlowModel()
@@ -24,7 +24,7 @@ GF0 = CFG.materials["dlp-gf0"]
 
 
 def line_path(length=50.0, speed=4.0, lead=25.0, z=0.85):
-    path = Toolpath.from_segments((Segment(Vec3(0, 0, z), Vec3(length, 0, z), speed,
+    path = from_segments((Segment(Vec3(0, 0, z), Vec3(length, 0, z), speed,
                              True, True, 1),))
     if lead > 0:
         path = add_cure_extensions(path, ExtensionPolicy(lead))
@@ -80,7 +80,7 @@ def test_deposit_rectangle_counts_and_volume():
 
 
 def test_deposit_nothing_without_extrusion():
-    path = assign_orientations(Toolpath.from_segments((
+    path = assign_orientations(from_segments((
         Segment(Vec3(0, 0, 0), Vec3(10, 0, 0), 3.0, False, True, 0),)))
     dmap = deposit(resample(path, 1.0), FLOW, FS9, 1.0, 0.85)
     assert len(dmap) == 0
@@ -97,7 +97,7 @@ def test_deposit_element_volume_conservation():
 
 
 def test_deposit_requires_fine_resampling():
-    path = assign_orientations(Toolpath.from_segments((
+    path = assign_orientations(from_segments((
         Segment(Vec3(0, 0, 0), Vec3(10, 0, 0), 3.0, True, True, 0),)))
     with pytest.raises(CureError):
         deposit(path, FLOW, FS9, 1.0, 0.85)
@@ -137,7 +137,7 @@ def test_off_centre_chord_dose(offset):
     # of the footprint, lit for 2 sqrt(r^2 - y^2) / v seconds
     r, trail, v, z, n = SPOT.footprint_radius_mm(), SPOT.trail_offset_mm, 4.0, 0.85, 20
     y, run = offset * r, r + trail
-    path = Toolpath.from_segments((
+    path = from_segments((
         Segment(Vec3(0, 0, z), Vec3(n, 0, z), v, True, False, 1),
         Segment(Vec3(n, 0, z), Vec3(-run, y, z), 20.0, False, False, 1),
         Segment(Vec3(-run, y, z), Vec3(n + run, y, z), v, False, True, 1)))
@@ -184,7 +184,7 @@ def test_zero_efficiency_gives_zero_dose():
 def test_removing_uv_never_increases_dose():
     path = rectangle_path()
     with_uv = run_dose(path, FS9)
-    muted = Toolpath.from_segments(tuple(replace(s, uv_on=False) if i % 3 == 0 else s
+    muted = from_segments(tuple(replace(s, uv_on=False) if i % 3 == 0 else s
                            for i, s in enumerate(path.segments)))
     without = run_dose(muted, FS9)
     assert np.all(without.dose <= with_uv.dose + 1e-12)
@@ -696,7 +696,7 @@ def test_each_spot_track_lies_between_its_first_and_last_sample(source):
 
 def test_sweep_without_uv_entries_leaves_dose_at_zero():
     path = line_path()
-    dark = Toolpath.from_segments(tuple(replace(s, uv_on=False) for s in path.segments))
+    dark = from_segments(tuple(replace(s, uv_on=False) for s in path.segments))
     dmap = run_dose(dark, FS9)
     assert np.all(dmap.dose == 0.0) and np.all(np.isinf(dmap.gel_time))
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from toolpath_oracle import from_segments
 from ramcell import pipeline
 from ramcell.config import ConfigError, default_config, loads_config
 from ramcell.extrusion import (ExtrusionError, FlowModel, IOEvent, Nozzle, StepSchedule,
@@ -8,9 +9,8 @@ from ramcell.extrusion import (ExtrusionError, FlowModel, IOEvent, Nozzle, StepS
 from ramcell.gcode import parse, to_toolpath
 from ramcell.geometry import Vec3
 from ramcell.shapes import generate
-from ramcell.toolpath import (ExtensionPolicy, Segment, Toolpath,
-                              add_cure_extensions, assign_orientations,
-                              path_stats, time_profile)
+from ramcell.toolpath import (ExtensionPolicy, Segment, add_cure_extensions,
+                              assign_orientations, path_stats, time_profile)
 
 DRIVE = default_config().drivetrain
 FLOW = FlowModel()
@@ -67,7 +67,7 @@ def oriented_rectangle():
     corners = [(0, 0, 0.85), (90, 0, 0.85), (90, 60, 0.85), (0, 60, 0.85)]
     segs = [Segment(Vec3(*a), Vec3(*b), 3.0, True, True, 1)
             for a, b in zip(corners, corners[1:] + corners[:1])]
-    return assign_orientations(Toolpath.from_segments(tuple(segs)))
+    return assign_orientations(from_segments(tuple(segs)))
 
 
 def test_schedule_rectangle_volume():
@@ -79,7 +79,7 @@ def test_schedule_rectangle_volume():
 
 
 def test_schedule_no_extrusion_only_uv_events():
-    path = assign_orientations(Toolpath.from_segments((
+    path = assign_orientations(from_segments((
         Segment(Vec3(0, 0, 0), Vec3(25, 0, 0), 3.0, False, True, 0),
     )))
     sched = schedule(path, FLOW, DRIVE)
@@ -93,7 +93,7 @@ def test_schedule_rate_independent_of_speed():
         Segment(Vec3(0, 0, 0), Vec3(30, 0, 0), 3.0, True, True, 0),
         Segment(Vec3(30, 0, 0), Vec3(60, 0, 0), 4.0, True, True, 0),
     ]
-    path = assign_orientations(Toolpath.from_segments(tuple(segs)))
+    path = assign_orientations(from_segments(tuple(segs)))
     sched = schedule(path, FLOW, DRIVE)
     rate = DRIVE.step_rate(FLOW.q_mm3_s)
     # cumulative steps rise at one constant rate through both segments,

@@ -4,10 +4,11 @@ import re
 import numpy as np
 import pytest
 
+from toolpath_oracle import from_segments
 from ramcell import gcode
 from ramcell.gcode import GcodeError, emit, parse, to_toolpath
 from ramcell.geometry import Vec3
-from ramcell.toolpath import Segment, Toolpath
+from ramcell.toolpath import Segment
 
 RECTANGLE = """
 M106
@@ -142,14 +143,14 @@ def _segment(a, b, speed=3.0, extruding=True, uv=True):
 
 
 def test_emit_empty_path():
-    text = emit(Toolpath.from_segments(()))
+    text = emit(from_segments(()))
     lines = [l for l in text.splitlines() if l]
     assert lines[0].startswith(";")
     assert all(l.startswith(";") for l in lines)
 
 
 def test_emit_single_segment_shape():
-    text = emit(Toolpath.from_segments((_segment((0, 0, 0), (10, 0, 0)),)))
+    text = emit(from_segments((_segment((0, 0, 0), (10, 0, 0)),)))
     lines = text.splitlines()
     assert "M106" in lines
     assert any(l.startswith("G1 ") and "F180.000000" in l for l in lines)
@@ -158,7 +159,7 @@ def test_emit_single_segment_shape():
 
 
 def test_emit_refuses_a_positional_gap():
-    path = Toolpath.from_segments((_segment((0, 0, 0), (10, 0, 0)),
+    path = from_segments((_segment((0, 0, 0), (10, 0, 0)),
                                    _segment((11, 0, 0), (20, 0, 0))))
     with pytest.raises(GcodeError, match="^toolpath has a positional gap; cannot emit$"):
         emit(path)
@@ -188,7 +189,7 @@ def test_round_trip_preserves_everything():
         segs.append(Segment(pos, end, float(rng.choice([1.5, 3.0, 4.0, 20.0])),
                             bool(rng.rand() < 0.7), bool(rng.rand() < 0.8), 0))
         pos = end
-    original = Toolpath.from_segments(tuple(segs))
+    original = from_segments(tuple(segs))
     reparsed = to_toolpath(parse(emit(original)))
     assert len(reparsed.segments) == len(original.segments)
     for a, b in zip(original.segments, reparsed.segments):

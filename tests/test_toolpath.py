@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from branch_oracle import about_z, rotate
+from toolpath_oracle import from_segments
 from ramcell.cell import TOOL_DOWN
 from ramcell.geometry import Vec3, wrap_angle
-from ramcell.toolpath import (ExtensionPolicy, Segment, Toolpath,
-                              ToolpathError, add_cure_extensions,
-                              assign_orientations, path_stats, resample,
-                              time_profile)
+from ramcell.toolpath import (ExtensionPolicy, Segment, ToolpathError,
+                              add_cure_extensions, assign_orientations, path_stats,
+                              resample, time_profile)
 from ramcell.shapes import generate
 
 
@@ -19,7 +19,7 @@ def seg(a, b, speed=3.0, extruding=True, uv=True, layer=0):
 
 def closed_rectangle(lx=90.0, ly=60.0, z=0.0):
     corners = [(0, 0, z), (lx, 0, z), (lx, ly, z), (0, ly, z)]
-    return Toolpath.from_segments(tuple(
+    return from_segments(tuple(
         seg(a, b) for a, b in zip(corners, corners[1:] + corners[:1])))
 
 
@@ -29,7 +29,7 @@ def test_segment_invariants():
 
 
 def test_degenerate_segments_dropped_at_construction():
-    path = Toolpath.from_segments([
+    path = from_segments([
         seg((0, 0, 0), (10, 0, 0)),
         seg((10, 0, 0), (10, 0, 0 + 1e-9)),
         seg((10, 0, 0), (20, 0, 0)),
@@ -38,7 +38,7 @@ def test_degenerate_segments_dropped_at_construction():
 
 
 def test_single_line_end_overrun():
-    path = Toolpath.from_segments((seg((0, 0, 0), (50, 0, 0)),))
+    path = from_segments((seg((0, 0, 0), (50, 0, 0)),))
     out = add_cure_extensions(path, ExtensionPolicy(25.0))
     stats = path_stats(out)
     assert math.isclose(stats["extruded_length"], 50.0)
@@ -73,7 +73,7 @@ def test_extensions_leave_extruded_geometry_bit_identical():
 
 
 def test_gentle_corner_not_extended():
-    path = Toolpath.from_segments((
+    path = from_segments((
         seg((0, 0, 0), (50, 0, 0)),
         seg((50, 0, 0), (100, 10, 0)),  # ~11 degree turn
     ))
@@ -83,7 +83,7 @@ def test_gentle_corner_not_extended():
 
 
 def test_orientation_trailing_examples():
-    path = Toolpath.from_segments((
+    path = from_segments((
         seg((0, 0, 0), (10, 0, 0)),
         seg((10, 0, 0), (10, 10, 0)),
     ))
@@ -118,7 +118,7 @@ def test_orientation_spot_strictly_trails_random_paths():
             pos = pos + step
         if not segs:
             continue
-        out = assign_orientations(Toolpath.from_segments(tuple(segs)))
+        out = assign_orientations(from_segments(tuple(segs)))
         for s in out.segments:
             tool = about_z(s.yaw) * TOOL_DOWN
             offset = rotate(tool, Vec3(1.0, 0.0, 0.0))
@@ -129,7 +129,7 @@ def test_orientation_spot_strictly_trails_random_paths():
 
 
 def test_resample_forced_arithmetic():
-    path = Toolpath.from_segments((seg((0, 0, 0), (10, 0, 0)),))
+    path = from_segments((seg((0, 0, 0), (10, 0, 0)),))
     out = resample(path, 3.0)
     assert len(out) == 4
     assert all(math.isclose((s.end - s.start).norm(), 2.5) for s in out.segments)
@@ -137,10 +137,10 @@ def test_resample_forced_arithmetic():
 
 def test_resample_refuses_more_subsegments_than_a_job_can_hold():
     # a g-code move of 1e9 mm would otherwise allocate gigabytes
-    path = Toolpath.from_segments((seg((0, 0, 0), (1e9, 0, 0)),))
+    path = from_segments((seg((0, 0, 0), (1e9, 0, 0)),))
     with pytest.raises(ToolpathError, match="needs 1e\\+09 subsegments.*\\[job\\] resolution_mm"):
         resample(path, 1.0)
-    assert len(resample(Toolpath.from_segments((seg((0, 0, 0), (1e5, 0, 0)),)), 1.0)) == 10**5
+    assert len(resample(from_segments((seg((0, 0, 0), (1e5, 0, 0)),)), 1.0)) == 10**5
 
 
 def test_resample_identity_when_coarse():
@@ -160,7 +160,7 @@ def test_resample_is_exact_refinement():
         b = Vec3(*rng.uniform(-50, 50, 3))
         if (b - a).norm() < 1.0:
             continue
-        path = Toolpath.from_segments((seg((a.x, a.y, a.z), (b.x, b.y, b.z)),))
+        path = from_segments((seg((a.x, a.y, a.z), (b.x, b.y, b.z)),))
         out = resample(path, float(rng.uniform(0.5, 5.0)))
         # endpoints chain exactly and every node lies on the parent line
         assert (out.segments[0].start - a).norm() == 0.0
@@ -185,7 +185,7 @@ def test_path_stats_rectangle():
 
 
 def test_path_stats_empty():
-    stats = path_stats(Toolpath.from_segments(()))
+    stats = path_stats(from_segments(()))
     assert stats == {"total_length": 0.0, "extruded_length": 0.0,
                      "extrusion_time": 0.0, "layer_count": 0.0}
 
@@ -226,7 +226,7 @@ def test_time_profile_yaw_band_bounded():
 
 
 def test_validate_rejects_disconnected_extrusion():
-    path = Toolpath.from_segments((
+    path = from_segments((
         seg((0, 0, 0), (10, 0, 0)),
         seg((10, 1, 0), (20, 1, 0)),
     ))

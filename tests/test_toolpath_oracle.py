@@ -4,13 +4,14 @@ bit pattern, every error by type and message."""
 
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import toolpath_oracle as oracle
-from ramcell import cli, extrusion, gcode, pipeline, shapes
+from ramcell import RamcellError, cli, extrusion, gcode, pipeline, shapes
 from ramcell.cell import _plan_nodes
 from ramcell.config import default_config
 from ramcell.cure import CureError, deposit
@@ -84,7 +85,7 @@ def _random_walk(n=400, seed=50):
 
 
 # g-code writer edges: a zero-length move at an unchanged feed, which
-# writes its X alone (Toolpath.from_segments drops such rows and
+# writes its X alone (oracle.from_segments drops such rows and
 # post-processing refuses them, so only oracle.columns builds one and
 # only the consumers read it); the UV lamp toggled while not extruding; a
 # path that ends extruding with the lamp on, closed by M107 and M42 S0;
@@ -285,7 +286,7 @@ def test_extensions_of_open_and_broken_runs_match_the_oracle():
             _row((20, 10, 0), (30, 10, 0)), _row((30, 12, 0), (30, 20, 0)),
             _row((30, 20, 0), (40, 30, 0)), _row((40, 30, 0), (50, 30, 0)),
             _row((50, 30, 0), (45, 35, 0)), _row((45, 35, 0), (40, 30, 0))]
-    path = Toolpath.from_segments(rows)
+    path = oracle.from_segments(rows)
     for lead, corner in ((25.0, math.radians(30.0)), (5.0, math.radians(10.0)),
                          (1.0, math.radians(179.0))):
         policy = ExtensionPolicy(lead, corner)
@@ -327,7 +328,7 @@ def test_validation_errors_match_the_oracle(rows):
 def test_over_long_extruding_segment_error_matches_the_oracle():
     rows = [_row((0, 0, 0), (0.5, 0, 0)), _row((0.5, 0, 0), (3.2, 0.1, 0)),
             _row((3.2, 0.1, 0), (9, 0, 0))]
-    path = Toolpath.from_segments(rows)
+    path = oracle.from_segments(rows)
     flow = extrusion.FlowModel.from_config(CFG.extrusion)
     entries = oracle.time_profile_per_entry(rows, RATE)
     want = _error(oracle.deposit_per_entry, entries, flow, 1.0, 1.4)
@@ -340,7 +341,7 @@ def test_non_finite_rows_are_rejected_when_the_path_is_built():
     for bad in (_row((0, 0, 0), (math.nan, 0, 0)), _row((0, 0, 0), (1, 0, 0), math.inf),
                 _row((1e300, 0, 0), (-1e300, 0, 0))):
         with pytest.raises(ToolpathError, match="non-finite"):
-            Toolpath.from_segments([_row((0, 0, 0), (1, 0, 0)), bad])
+            oracle.from_segments([_row((0, 0, 0), (1, 0, 0)), bad])
 
 
 def test_corners_exactly_at_the_threshold_match_the_oracle():
@@ -353,6 +354,70 @@ def test_corners_exactly_at_the_threshold_match_the_oracle():
         turn = math.acos(min(1.0, max(-1.0, oracle.direction(rows[0]).dot(
             oracle.direction(rows[1])))))
         policy = ExtensionPolicy(5.0, turn)
-        got = add_cure_extensions(Toolpath.from_segments(rows), policy)
+        got = add_cure_extensions(oracle.from_segments(rows), policy)
         assert_rows_equal(got, oracle.add_cure_extensions_per_run(rows, policy))
         assert len(got) == 3  # the open end only
+
+
+def _built(build, *args):
+    """What `build` returns, or the type and message of what it raises."""
+    try:
+        return build(*args)
+    except RamcellError as err:
+        return type(err), str(err)
+
+
+def assert_builds_equal(got, want) -> None:
+    """The same error, or every column equal, floats bit for bit."""
+    if not isinstance(want, Toolpath):
+        assert got == want
+        return
+    assert isinstance(got, Toolpath), got
+    for f in fields(Toolpath):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+        if a.dtype == float:
+            a, b = _bits(a), _bits(b)
+        np.testing.assert_array_equal(a, b, err_msg=f.name)
+
+
+# sides of 1e-7 mm are rows under CONNECT_TOL: the square keeps only its
+# 5 mm sides and hops, the rectangle nothing; a 1e-7 in the id is no id
+@pytest.mark.parametrize("shape_id", [
+    "rectangle-90x60", "wall-50x10", "wall-3x0.85", "square-30x30x8.5", "square-30x30x68",
+    "square-120x120x34", "square-0.0000001x5x1.7", "rectangle-0.0000001x0.0000001",
+    "square-1e-7x5x1.7", "rectangle-1e-7x1e-7"])
+def test_shapes_match_the_per_row_builder(shape_id, monkeypatch):
+    job = CFG.job
+    args = (shape_id, job.speed_2d_mm_s, job.speed_3d_mm_s, job.layer_height_mm,
+            CFG.extrusion.nozzle_diameter_mm, job.travel_speed_mm_s)
+    got = _built(shapes.generate, *args)
+    monkeypatch.setattr(shapes, "_stack", oracle.stack_per_row)
+    assert_builds_equal(got, _built(shapes.generate, *args))
+
+
+GCODE_CASES = {
+    "zero-length-move": "G1 F240\nM106\nG1 X10\nG1 X10\nG1 X10.0000001\nG1 X20",
+    "set-position": "G92 X5 Y5 Z0.85\nM106\nG1 X10 F240\nM107\nG92 Z2\nG1 Y10\nG92 X0",
+    "rapid": "G0 X5 Y5 Z0.85\nM106\nG1 X10 F240\nG0 X0 F60\nG1 Y10",
+    "uv-and-extruder-toggles": "M42 P2 S1\nM106\nG1 X10 F180\nM107\nG1 X20\nM42 P2 S0\n"
+                               "M106\nG1 Y5\nM42 P3 S1\nG1 X0\nM42 P2 S1\nG1 Y0 Z1.7",
+    "empty": "",
+    "move-before-any-feed": "G0 X5\nG1 X10",
+    "parse-error": "G1 F60\nG2 X1\nG1 X1 Z1e20",
+    "gap": "M106\nG1 X10 F240\nG92 X20\nG1 X30",
+    "hexagon": HEXAGON_GCODE,
+    "golden": (Path(__file__).parent / "golden" / "rectangle-90x60.gcode").read_text(),
+    **{shape: "emit" for shape in ("wall-50x10", "square-30x30x8.5")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(GCODE_CASES))
+def test_gcode_ingest_matches_the_per_command_builder(case):
+    text = GCODE_CASES[case]
+    if text == "emit":
+        text = gcode.emit(pipeline.build_toolpath_from_shape(CFG, case))
+    for travel, layer_height in ((20.0, 0.85), (CFG.job.travel_speed_mm_s, 0.3)):
+        assert_builds_equal(
+            _built(gcode.to_toolpath, gcode.parse(text), travel, layer_height),
+            _built(oracle.to_toolpath_per_command, gcode.parse(text), travel, layer_height))

@@ -1,11 +1,12 @@
 """Per-segment and per-entry reference implementations of the toolpath
 layer and its consumers.
 
-The toolpath is a struct of arrays, and its post-processing, timeline,
-deposit, step schedule, planner nodes, g-code writer and path dump are
-array expressions over it.  These are the loops over `Segment` rows and
-timeline entries that they replaced, kept as the oracle that the array
-code must match bit for bit.
+The toolpath is a struct of arrays, and its builders (the shapes and the
+g-code reader), post-processing, timeline, deposit, step schedule,
+planner nodes, g-code writer and path dump are array expressions over
+it.  These are the loops over `Segment` rows and timeline entries that
+they replaced, kept as the oracle that the array code must match bit for
+bit.  `from_segments` builds a path from rows for the tests.
 """
 
 import math
@@ -16,14 +17,100 @@ import numpy as np
 from ramcell.cell import DWELL_YAW_STEP_RAD
 from ramcell.cure import CureError
 from ramcell.extrusion import IOEvent
-from ramcell.gcode import UV_CHANNEL, GcodeError
+from ramcell.gcode import (KIND_LINEAR, KIND_RAPID, KIND_SET_POSITION, KIND_TOOL_OFF,
+                           KIND_TOOL_ON, KIND_UV_OFF, KIND_UV_ON, UV_CHANNEL, GcodeError)
 from ramcell.geometry import Vec3, wrap_angle
-from ramcell.toolpath import CONNECT_TOL, Toolpath, ToolpathError
+from ramcell.toolpath import CONNECT_TOL, Segment, Toolpath, ToolpathError, lengths
+
+
+def from_segments(segs) -> Toolpath:
+    """Columns of the rows `segs`, less those no longer than CONNECT_TOL."""
+    segs = list(segs)
+    ends = np.array([(s.start.x, s.start.y, s.start.z, s.end.x, s.end.y, s.end.z)
+                     for s in segs], float).reshape(-1, 6)
+    path = Toolpath(ends[:, :3], ends[:, 3:], *(
+        np.array([getattr(s, name) for s in segs], dtype) for name, dtype in (
+            ("speed", float), ("extruding", bool), ("uv_on", bool),
+            ("layer", np.int64), ("yaw", float))))
+    return path.rows(lengths(path.end - path.start) > CONNECT_TOL)
+
+
+def layer_index(z: float, layer_height: float) -> int:
+    # small epsilon guards against 6.999999 style float drift
+    return int(math.floor(z / layer_height + 1e-9))
+
+
+def stack_per_row(points: list[tuple[float, float]], n_layers: int, layer_height: float,
+                  speed: float, travel_speed: float) -> Toolpath:
+    """shapes._stack: the polyline through the (x, y) points laid at z = k
+    layer_height for k = 1 .. n_layers, every other layer reversed, with a
+    hop from each layer's end to its z plus one layer height."""
+    segs: list[Segment] = []
+    for k in range(1, n_layers + 1):
+        z = k * layer_height
+        lay = layer_index(z, layer_height)
+        line = [Vec3(x, y, z) for x, y in (points if k % 2 else points[::-1])]
+        segs.extend(Segment(a, b, speed, extruding=True, uv_on=True, layer=lay)
+                    for a, b in zip(line, line[1:]))
+        if k < n_layers:
+            end = line[-1]
+            segs.append(Segment(end, Vec3(end.x, end.y, z + layer_height), travel_speed,
+                                extruding=False, uv_on=False, layer=lay))
+    return from_segments(segs)
+
+
+def to_toolpath_per_command(program, travel_speed: float = 20.0,
+                            layer_height: float = 0.85) -> Toolpath:
+    """gcode.to_toolpath with a `Segment` per move."""
+    errors = program.errors()
+    if errors:
+        more = f" (and {len(errors) - 1} more)" if len(errors) > 1 else ""
+        raise GcodeError(errors[0].message + more, errors[0].line)
+    pos = Vec3(0.0, 0.0, 0.0)
+    feed: float | None = None
+    extruder = False
+    uv = False
+    segments: list[Segment] = []
+    for cmd in program.commands:
+        if cmd.kind == KIND_TOOL_ON:
+            extruder = True
+        elif cmd.kind == KIND_TOOL_OFF:
+            extruder = False
+        elif cmd.kind == KIND_UV_ON:
+            uv = True
+        elif cmd.kind == KIND_UV_OFF:
+            uv = False
+        elif cmd.kind in (KIND_SET_POSITION, KIND_RAPID, KIND_LINEAR):
+            target = Vec3(
+                cmd.x if cmd.x is not None else pos.x,
+                cmd.y if cmd.y is not None else pos.y,
+                cmd.z if cmd.z is not None else pos.z,
+            )
+            if cmd.kind == KIND_SET_POSITION:  # G92 moves nothing
+                pos = target
+                continue
+            if cmd.feed is not None:
+                feed = cmd.feed
+            if cmd.kind == KIND_RAPID:
+                speed = travel_speed
+                extruding = False
+            else:
+                if feed is None:
+                    raise GcodeError("move before any feed", cmd.line)
+                speed = feed / 60.0
+                extruding = extruder
+            segments.append(Segment(
+                start=pos, end=target, speed=speed, extruding=extruding,
+                uv_on=uv, layer=layer_index(target.z, layer_height)))
+            pos = target
+    path = from_segments(segments)
+    path.validate()
+    return path
 
 
 def columns(segs) -> Toolpath:
     """A toolpath of exactly the rows `segs`, degenerate ones included
-    (Toolpath.from_segments drops those)."""
+    (from_segments drops those)."""
     segs = list(segs)
 
     def col(get, dtype=float):
