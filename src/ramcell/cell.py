@@ -202,13 +202,18 @@ class SimReport:
 
     @staticmethod
     def from_text(text: str) -> "SimReport":
+        """The report that to_lines wrote as text.  A value keeps its
+        spaces; a key written twice, or a printable= line that disagrees
+        with the findings read, is a ValueError naming the key."""
         pairs: dict[str, str] = {}
         for raw in text.splitlines():
-            raw = raw.strip()
-            if not raw or "=" not in raw:
+            if "=" not in raw:
                 continue
             key, value = raw.split("=", 1)
-            pairs[key.strip()] = value.strip()
+            key = key.strip()
+            if key in pairs:
+                raise ValueError(f"report has {key} twice")
+            pairs[key] = value
         if pairs.get("report_version") != "1":
             raise ValueError("not a ramcell report (missing report_version=1)")
         rep = SimReport(specimen=pairs.get("specimen", ""), material=pairs.get("material", ""))
@@ -249,6 +254,10 @@ class SimReport:
             setattr(rep, name, float(pairs.get(name, "0")))
         rep.dimensions = {key.removeprefix("predicted_"): float(value)
                           for key, value in pairs.items() if key.startswith("predicted_")}
+        printable = str(int(rep.printable))
+        if pairs.get("printable", printable) != printable:
+            raise ValueError(f"report's printable={pairs['printable']} disagrees with its "
+                             f"findings (printable={printable})")
         return rep
 
 

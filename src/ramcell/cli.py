@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 usage or configuration problem, 3 failed
 checks.  `RAMCELL_CONFIG` supplies a config file when --config is not
-given.  All outputs are deterministic for identical inputs.
+given.  All outputs are deterministic for identical inputs.  Each command
+imports what it runs: `plan` loads neither the planner (`cell`,
+`kinematics`) nor the cure model (`cure`), and `report` no cure model.
 """
 
 from __future__ import annotations
@@ -12,13 +14,17 @@ import functools
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import RamcellError, cell, gcode, pipeline, shapes
+from . import RamcellError, gcode, pipeline, shapes
 from .config import Config, dump_config, default_config, load_config
 from .shapes import REFERENCE_DIMENSIONS, ShapeError
 from .toolpath import time_profile
+
+if TYPE_CHECKING:
+    from . import cell
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -146,6 +152,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_emit(args) -> int:
+    from . import cell  # only the commands that run the planner load it
     cfg = _load_config(args)
     job = _build_job(cfg, args)
     out = Path(cfg.job.out_dir)
@@ -189,6 +196,7 @@ def _report_rows(rep: cell.SimReport) -> list[tuple[str, float, float | None, fl
 
 
 def cmd_report(args) -> int:
+    from . import cell  # for SimReport: report loads no cure model
     path = Path(args.report_file)
     try:
         rep = cell.SimReport.from_text(path.read_text(encoding="utf-8"))

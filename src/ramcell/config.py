@@ -9,7 +9,6 @@ reloading reproduces it exactly.
 
 from __future__ import annotations
 
-import configparser
 import io
 import math
 from collections.abc import Callable
@@ -319,6 +318,7 @@ def _check_cross_keys(cfg: Config, origin: str) -> None:
 
 
 def _parse(text: str, origin: str) -> Config:
+    import configparser  # only a process that reads a config file needs it
     # values are literal: dump_config writes them raw, '%' included
     parser = configparser.ConfigParser(interpolation=None)
     try:

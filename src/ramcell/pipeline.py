@@ -4,19 +4,25 @@ Builds the post-processed toolpath (from a built-in shape or a g-code
 file), runs the simulation stages in order, and writes artifacts.  Cure
 and scheduling run in part-local coordinates (table at z = 0); the
 trajectory runs in base-frame world coordinates after placing the part
-at the configured print origin.
+at the configured print origin.  The planner (`cell`) and the cure
+model (`cure`) are imported by the functions that run them, so a
+process that only builds jobs loads neither.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import cell, cure, extrusion, gcode, shapes, toolpath as tp
+from . import extrusion, gcode, shapes, toolpath as tp
 from .config import Config, ConfigError, DriveTrainConfig, Material
 from .geometry import Vec3
+
+if TYPE_CHECKING:
+    from . import cell, cure
 
 
 @dataclass
@@ -86,6 +92,7 @@ def build_job(cfg: Config, name: str, local: tp.Toolpath) -> JobBundle:
 
 
 def run_cure_simulation(job: JobBundle) -> tuple[cure.DepositionMap | None, dict]:
+    from . import cure
     cfg = job.cfg
     dmap = cure.deposit(job.local_path, job.flow, job.material,
                         cfg.job.resolution_mm, cfg.job.layer_height_mm,
@@ -101,13 +108,22 @@ def run_cure_simulation(job: JobBundle) -> tuple[cure.DepositionMap | None, dict
 
 
 def dose_ratio(dmap: cure.DepositionMap) -> float:
-    median = float(np.median(dmap.dose))
+    """The least dose over the median dose, or 0.0 where the median is not
+    positive.  The median is np.median's bit for bit, by its own steps
+    but without its first call importing numpy.ma: one partition at the
+    middle one or two and the last place, the mean of the middle, and
+    NaN where the last, the largest, is NaN."""
+    n = len(dmap.dose)
+    middle = [n // 2 - 1, n // 2] if n % 2 == 0 else [n // 2]
+    part = np.partition(dmap.dose, middle + [-1])
+    median = float(part[-1] if np.isnan(part[-1]) else part[middle].mean())
     if median <= 0.0:
         return 0.0
     return float(np.min(dmap.dose)) / median
 
 
 def simulate(job: JobBundle) -> SimulationResult:
+    from . import cell, cure
     cfg = job.cfg
     report = cell.SimReport(specimen=job.name, material=job.material.name)
     stats = tp.path_stats(job.local_path)

@@ -259,11 +259,14 @@ def resample(path: Toolpath, max_len: float) -> Toolpath:
 def path_stats(path: Toolpath) -> dict[str, float]:
     length = lengths(path.end - path.start)
     ext = path.extruding
+    # distinct layers as the changes along the sorted layers: np.unique's
+    # first call in a process imports numpy.ma
+    layers = np.sort(path.layer[ext])
     return {
         "total_length": _running_sum(length),
         "extruded_length": _running_sum(length[ext]),
         "extrusion_time": _running_sum(length[ext] / path.speed[ext]),
-        "layer_count": float(len(np.unique(path.layer[ext]))),
+        "layer_count": float(len(layers) and 1 + np.count_nonzero(layers[1:] != layers[:-1])),
     }
 
 

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import branch_oracle
 from branch_oracle import (detect_singularity_per_node, emit_program_per_float, fk_batch,
@@ -584,6 +586,39 @@ def test_report_round_trip():
     assert (again.min_alpha, again.total_volume_mm3) == (0.812345, 1234.5678)
     with pytest.raises(ValueError):
         SimReport.from_text("not a report")
+
+
+# report text: anything but a line boundary, spaces, tabs, ':' and '=' often
+_TEXT = st.text(st.one_of(st.sampled_from(" \t:="),
+                          st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"))),
+                max_size=12)
+_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+_POINTS = st.lists(st.tuples(_FLOAT, _FLOAT, _FLOAT, _FLOAT), max_size=3)
+
+
+@st.composite
+def _reports(draw) -> SimReport:
+    worst = draw(_POINTS)
+    return SimReport(
+        specimen=draw(_TEXT), material=draw(_TEXT), reach_failures=draw(_POINTS),
+        collisions=draw(st.lists(st.tuples(_FLOAT, _TEXT), max_size=3)),
+        jump_failures=draw(st.lists(st.tuples(_FLOAT, _TEXT), max_size=3)),
+        singularity_warnings=draw(st.lists(st.tuples(_FLOAT, _FLOAT), max_size=3)),
+        undercured_count=len(worst) + draw(st.integers(0, 3)), undercured_worst=worst,
+        min_alpha=draw(_FLOAT), min_dose_ratio=draw(_FLOAT),
+        dimensions=draw(st.dictionaries(st.sampled_from(
+            ["length_mm", "width_mm", "height_mm", "line_width_mm"]), _FLOAT)),
+        extrusion_time_s=draw(_FLOAT), total_volume_mm3=draw(_FLOAT),
+        notes=draw(st.lists(_TEXT, max_size=3)))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(rep=_reports())
+def test_report_lines_read_back_are_the_lines_written(rep):
+    """to_lines, from_text, to_lines is the identity: a value keeps its
+    edge spaces, and ':' and '=' in a text field stay in it."""
+    lines = rep.to_lines()
+    assert SimReport.from_text("\n".join(lines)).to_lines() == lines
 
 
 def _plan_outcome(plan, path, cfg):

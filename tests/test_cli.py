@@ -509,6 +509,37 @@ def test_report_count_that_disagrees_with_its_entries_exits_2(tmp_path, capsys, 
     assert capsys.readouterr() == ("", f"cannot read report: {err}\n")
 
 
+@pytest.mark.parametrize("old, new, err", [
+    # a printable= line that the findings read back contradict
+    ("undercured_count=0\n",
+     "undercured_count=2\nundercured_0=0.1:1:2:3\nundercured_1=0.2:1:2:3\n",
+     "report's printable=1 disagrees with its findings (printable=0)"),
+    ("printable=1\n", "printable=0\n",
+     "report's printable=0 disagrees with its findings (printable=1)"),
+    # a key written twice
+    ("material=", "specimen=rectangle-90x60\nmaterial=", "report has specimen twice")])
+def test_report_that_contradicts_itself_exits_2(tmp_path, capsys, old, new, err):
+    assert main(["simulate", "--shape", "wall-20x3", "--out", str(tmp_path)]) == 0
+    f = tmp_path / "wall-20x3.report.txt"
+    text = f.read_text()
+    assert text.count(old) == 1
+    f.write_text(text.replace(old, new))
+    capsys.readouterr()
+    assert main(["report", str(f)]) == 2
+    assert capsys.readouterr() == ("", f"cannot read report: {err}\n")
+
+
+def test_report_without_a_printable_line_reads_its_findings(tmp_path, capsys):
+    assert main(["simulate", "--shape", "wall-20x3", "--out", str(tmp_path)]) == 0
+    f = tmp_path / "wall-20x3.report.txt"
+    f.write_text(f.read_text().replace("printable=1\n", "").replace(
+        "undercured_count=0\n", "undercured_count=1\n"))
+    capsys.readouterr()
+    assert main(["report", str(f)]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == ["undercured elements: 1",
+                                                         "printable: no"]
+
+
 def test_report_short_entry_exits_2_naming_it(tmp_path, capsys):
     short = tmp_path / "short.report.txt"
     short.write_text("report_version=1\nspecimen=wall-20x3\nreach_failure_count=1\n"
